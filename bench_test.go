@@ -97,10 +97,9 @@ func BenchmarkExtensionPortability(b *testing.B) { benchExperiment(b, "extension
 func BenchmarkAblationPanels(b *testing.B) { benchExperiment(b, "ablation-panels") }
 func BenchmarkUtilization(b *testing.B)    { benchExperiment(b, "utilization") }
 
-// sweepSpecs is a front-end-dominated sweep: every app on both primary
-// machines at every locality level it supports, work-free, so run time
-// is dominated by building the task graph rather than simulating work.
-// This is the shape of the paper's task-management figures (10/11/20/21).
+// sweepSpecs is the 26-cell work-free sweep: every app on both primary
+// machines at every locality level it supports — the shape of the
+// paper's task-management figures (10/11/20/21).
 func sweepSpecs(b *testing.B) []experiments.RunSpec {
 	b.Helper()
 	var specs []experiments.RunSpec
@@ -118,39 +117,11 @@ func sweepSpecs(b *testing.B) []experiments.RunSpec {
 	return specs
 }
 
-func benchSweep(b *testing.B, cache bool) {
-	specs := sweepSpecs(b)
-	experiments.SetGraphCache(cache)
-	// Pin the classic per-run replay so Replay/Direct keep measuring
-	// the pre-batching paths; Batched below measures the plan path.
-	experiments.SetBatchReplay(false)
-	defer func() {
-		experiments.SetGraphCache(true)
-		experiments.SetBatchReplay(true)
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range specs {
-			if _, err := s.Execute(experiments.Small); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// Graph capture & replay: the same work-free sweep with the task-graph
-// cache on (each app front-end built once, then replayed) vs off
-// (front-ends rebuilt every run). Output is byte-identical either way;
-// the gap is the front-end cost the cache removes.
-func BenchmarkSweepGraphReplay(b *testing.B) { benchSweep(b, true) }
-func BenchmarkSweepGraphDirect(b *testing.B) { benchSweep(b, false) }
-
-// Batched replay: the same work-free sweep through ExecuteRuns, which
-// groups the cells sharing a captured graph into VariantSets — one
-// op-stream pass over the shared replay plan drives every machine
-// variant in lockstep. Run serially (workers=1) so the gap vs
-// SweepGraphReplay is algorithmic, not parallelism.
-func BenchmarkSweepGraphBatched(b *testing.B) {
+// The work-free sweep through ExecuteRuns: each app front-end is
+// captured once, and every cell replays the cached graph's shared plan
+// onto a fresh machine. Run serially (workers=1) so the number is the
+// per-cell cost, not parallelism.
+func BenchmarkSweepGraphReplay(b *testing.B) {
 	specs := sweepSpecs(b)
 	runner := experiments.NewRunner(1)
 	b.ResetTimer()

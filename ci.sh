@@ -19,10 +19,9 @@ if [ "${1:-}" = "bench" ]; then
         echo "bench: no BENCH_baseline.json, recording only (no gate)" >&2
     fi
     # The tier-1 benchmark set: the event engine and processor hot
-    # paths, the paper's table experiments end to end, and the sweep
-    # with and without graph replay (the cached path must stay well
-    # ahead of the direct one). -benchtime is kept short; the 20% gate
-    # absorbs the extra noise.
+    # paths, the paper's table experiments end to end, and the
+    # work-free sweep over cached task graphs. -benchtime is kept
+    # short; the 20% gate absorbs the extra noise.
     {
         go test -run '^$' -bench '^Benchmark(Engine|Processor)' \
             -benchmem -benchtime 0.2s ./internal/sim
@@ -32,15 +31,10 @@ if [ "${1:-}" = "bench" ]; then
         # SpMV gather and the event count aggregation removes.
         go test -run '^$' -bench '^BenchmarkPgas(SpMV|Aggregation)$' \
             -benchmem -benchtime 0.2s .
-        # The sweep pair backs a ratio claim (replay ≈ 2x direct), so
-        # it gets a longer benchtime than the per-table gates.
-        go test -run '^$' -bench '^BenchmarkSweepGraph(Replay|Direct)$' \
-            -benchmem -benchtime 1s .
-        # The batched sweep backs the headline batching claim (one
-        # op-stream pass for all variants, ≥3x vs sequential replay and
-        # ≥2x fewer allocs); it is fast, so a longer benchtime buys
-        # stability without slowing the gate.
-        go test -run '^$' -bench '^BenchmarkSweepGraphBatched$' \
+        # The 26-cell work-free sweep through ExecuteRuns (capture once,
+        # replay the shared plan per cell); it is fast, so a longer
+        # benchtime buys stability without slowing the gate.
+        go test -run '^$' -bench '^BenchmarkSweepGraphReplay$' \
             -benchmem -benchtime 2s .
         # The granularity pass: the task-size sweep end to end and the
         # fusion toggle pair (fused replay must stay close to plain
@@ -74,6 +68,13 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== bench short tests =="
+# bench/ is a module of its own, so ./... above does not see it. Its
+# short tests check every workload's output against golden.json and
+# that the tracing decorators are transparent — which also proves the
+# frozen benchmark still compiles against this tree.
+(cd bench && go test -short .)
+
 echo "== go test -race (concurrent packages) =="
 # The packages with real goroutine concurrency: the native machine,
 # the runtime that drives it, the jaded server/queue/cache (including
@@ -81,12 +82,12 @@ echo "== go test -race (concurrent packages) =="
 # graph cache shared by concurrent runs, and the fault injector. The
 # pgas machine and the spmv app ride along: both run inside the
 # parallel fan-out, so their determinism must hold under -race too.
-# The batched-replay byte-identity tests (graph.TestVariantSet* and
-# experiments.TestExecuteRunsByteIdentical*) live in jade/graph and
-# experiments, so the VariantSet lockstep pass is exercised under
-# -race here as well. The routing tier (hedged attempts racing each
-# other, health transitions under concurrent requests) and the load
-# generator's worker pool join the set.
+# The differential table (experiments.TestReplayMatchesDirect) runs its
+# rows in parallel over shared replay plans, so concurrent Replay of
+# one graph is exercised under -race here as well. The routing tier
+# (hedged attempts racing each other, health transitions under
+# concurrent requests) and the load generator's worker pool join the
+# set.
 go test -race ./internal/native ./internal/jade ./internal/jade/graph ./internal/serve ./internal/experiments ./internal/fault ./internal/fuse ./internal/pgas ./internal/apps/spmv ./internal/router ./internal/load
 
 echo "== jadebench -json smoke =="
@@ -103,21 +104,6 @@ go run ./cmd/jadebench -pgas-report -scale small |
     go run ./internal/tools/jsoncheck schema scale procs cells.0.app \
         spmv_aggregation.msg_count_on spmv_aggregation.neutral_apps.0 \
         transfers.0.optimization
-
-echo "== jadebench graph-cache smoke =="
-# Replaying cached task graphs — batched or sequential — must be
-# invisible in the output: the same experiment with the defaults
-# (cache + batched replay), with batching off, and with the cache off
-# entirely must produce byte-identical reports.
-gtmp=$(mktemp -d)
-go run ./cmd/jadebench -experiment fig10 -scale small >"$gtmp/batched.txt"
-go run ./cmd/jadebench -experiment fig10 -scale small -batch-replay=false >"$gtmp/sequential.txt"
-go run ./cmd/jadebench -experiment fig10 -scale small -graph-cache=false >"$gtmp/direct.txt"
-cmp "$gtmp/batched.txt" "$gtmp/sequential.txt" ||
-    { echo "jadebench: batched replay changed the output" >&2; rm -rf "$gtmp"; exit 1; }
-cmp "$gtmp/batched.txt" "$gtmp/direct.txt" ||
-    { echo "jadebench: graph replay changed the output" >&2; rm -rf "$gtmp"; exit 1; }
-rm -rf "$gtmp"
 
 echo "== jadebench granularity smoke =="
 # The task-size sweep document must parse and carry the

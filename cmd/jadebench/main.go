@@ -71,13 +71,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "worker pool width for independent runs (0 = GOMAXPROCS, 1 = serial)")
 		faultStr = flag.String("fault", "", "inject deterministic faults into the instrumented runs: "+
 			"comma-separated key=value (seed=N, drop=P, dup=P, linkpct=P, straggle=K, victims=K, invalidate=P); requires -json")
-		graphCache = flag.Bool("graph-cache", true,
-			"replay cached task graphs for work-free runs (build each app front-end once per sweep); "+
-				"disable to rebuild front-ends every run — output is byte-identical either way")
-		batchReplay = flag.Bool("batch-replay", true,
-			"drive work-free replays through the shared plan, batching sweep cells that share a "+
-				"graph into one op-stream pass; disable for classic per-run replay — output is "+
-				"byte-identical either way")
 		spansOut = flag.String("spans", "",
 			"write the job's jade-span/v1 lifecycle trace to this file, running the report "+
 				"through the in-process serving path; requires -json")
@@ -98,8 +91,6 @@ func main() {
 		os.Exit(2)
 	}
 	experiments.SetParallelism(*parallel)
-	experiments.SetGraphCache(*graphCache)
-	experiments.SetBatchReplay(*batchReplay)
 
 	if *list {
 		for _, id := range experiments.IDs() {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fuse"
 	"repro/internal/ipsc"
@@ -142,40 +141,6 @@ type CacheStats struct {
 // occupancy; the jaded /metricz endpoint reports them as graph_cache.
 func GraphCacheStats() CacheStats { return sharedCache.stats() }
 
-// graphCacheOn gates the replay path; the cache itself stays available
-// (the Cholesky workload uses it unconditionally, as it always was
-// shared).
-var graphCacheOn atomic.Bool
-
-func init() { graphCacheOn.Store(true) }
-
-// SetGraphCache enables or disables task-graph capture and replay for
-// work-free runs (jadebench -graph-cache). Off, every run rebuilds its
-// application front-end — the behavior before the cache existed, and
-// the baseline the replay benchmarks compare against.
-func SetGraphCache(on bool) { graphCacheOn.Store(on) }
-
-// GraphCacheEnabled reports whether work-free runs replay cached
-// graphs.
-func GraphCacheEnabled() bool { return graphCacheOn.Load() }
-
-// batchReplayOn gates the plan-backed replay paths: ReplayPlanned for
-// individual work-free runs and VariantSet grouping in ExecuteRuns.
-// Off, work-free runs take the classic per-run sequential Replay.
-var batchReplayOn atomic.Bool
-
-func init() { batchReplayOn.Store(true) }
-
-// SetBatchReplay enables or disables plan-backed batched replay for
-// work-free runs (jadebench -batch-replay). The reports are
-// byte-identical either way; the toggle exists for benchmarking and
-// for bisecting any future divergence.
-func SetBatchReplay(on bool) { batchReplayOn.Store(on) }
-
-// BatchReplayEnabled reports whether work-free runs use the shared
-// replay plan.
-func BatchReplayEnabled() bool { return batchReplayOn.Load() }
-
 // capturedGraph returns the task graph for one front-end build,
 // capturing it on first use. Processor count is part of the key:
 // applications shape their structure around Runtime.Processors
@@ -251,18 +216,11 @@ func accumulateFuse(r *metrics.Run) {
 }
 
 // runAppFused replays the fused task graph against the platform. The
-// fusion pass operates on the captured op stream, so — unlike runApp —
-// it replays regardless of the graph-cache toggle: there is no direct
+// fusion pass operates on the captured op stream, so there is no direct
 // path that could express the fused program.
 func runAppFused(p jade.Platform, cfg jade.Config, machine string, a *appSpec, scale Scale, place bool) *metrics.Run {
 	fe := fusedGraph(a, scale, p.Processors(), place)
-	var r *metrics.Run
-	var err error
-	if BatchReplayEnabled() {
-		r, err = fe.g.ReplayPlanned(p, cfg)
-	} else {
-		r, err = fe.g.Replay(p, cfg)
-	}
+	r, err := fe.g.Replay(p, cfg)
 	if err != nil {
 		// Fused work-free graphs always replay onto a fresh platform.
 		panic(err)
@@ -271,26 +229,23 @@ func runAppFused(p jade.Platform, cfg jade.Config, machine string, a *appSpec, s
 	return r
 }
 
-// runApp executes one application run against the platform. Work-free
-// runs replay the cached task graph — the front-end builds once per
-// (app, scale, place, procs) instead of once per sweep cell — and are
-// byte-identical to direct execution. Body-bearing runs, and runs with
-// the cache disabled, execute the front-end directly.
+// runApp executes one application run against the platform. There are
+// exactly two paths: a work-free run replays the cached task graph —
+// the front-end builds once per (app, scale, place, procs) instead of
+// once per sweep cell, byte-identical to direct execution — and a
+// body-bearing run executes the front-end directly.
 func runApp(p jade.Platform, cfg jade.Config, a *appSpec, scale Scale, place bool) *metrics.Run {
-	if cfg.WorkFree && GraphCacheEnabled() {
-		g := capturedGraph(a, scale, p.Processors(), place)
-		if BatchReplayEnabled() {
-			if r, err := g.ReplayPlanned(p, cfg); err == nil {
-				return r
-			}
-		} else if r, err := g.Replay(p, cfg); err == nil {
-			return r
-		}
-		// Replay refused (defensive: work-free captures carry no
-		// bodies, so this cannot happen through this path) — fall back
-		// to the direct build.
+	if !cfg.WorkFree {
+		rt := jade.New(p, cfg)
+		a.run(rt, scale, place)
+		return rt.Finish()
 	}
-	rt := jade.New(p, cfg)
-	a.run(rt, scale, place)
-	return rt.Finish()
+	r, err := capturedGraph(a, scale, p.Processors(), place).Replay(p, cfg)
+	if err != nil {
+		// A work-free capture carries no bodies, so a refusal is a
+		// caller bug (a reused platform, say). Re-running directly
+		// would hide it behind a slow, correct-looking run.
+		panic(err)
+	}
+	return r
 }

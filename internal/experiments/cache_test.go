@@ -2,28 +2,35 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/jade"
+	"repro/internal/jade/graph"
+	"repro/internal/metrics"
 )
 
-// withGraphCache runs f with the replay path forced on or off,
-// restoring the default afterwards.
-func withGraphCache(on bool, f func()) {
-	prev := GraphCacheEnabled()
-	SetGraphCache(on)
-	defer SetGraphCache(prev)
-	f()
+// executeDirect runs the spec's front-end straight against a fresh
+// machine: no capture, no cache, no replay. It is the one oracle every
+// replayed cell is compared against.
+func executeDirect(t *testing.T, s RunSpec, scale Scale) *metrics.Run {
+	t.Helper()
+	if err := s.Canonicalize(); err != nil {
+		t.Fatalf("Canonicalize(%+v): %v", s, err)
+	}
+	a := appKeys[s.App]
+	rt := jade.New(s.newPlatform(), jade.Config{WorkFree: s.WorkFree})
+	a.run(rt, scale, s.Level == LevelPlacement && a.hasPlacement)
+	return rt.Finish()
 }
 
-func scaleReportJSON(t *testing.T, s RunSpec, scale Scale) []byte {
+func runBytes(t *testing.T, r *metrics.Run) []byte {
 	t.Helper()
-	r, err := s.Execute(scale)
-	if err != nil {
-		t.Fatalf("Execute(%+v): %v", s, err)
-	}
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -31,9 +38,12 @@ func scaleReportJSON(t *testing.T, s RunSpec, scale Scale) []byte {
 	return buf.Bytes()
 }
 
-// levelsFor mirrors the sweep drivers: every app runs at none and
-// locality; apps with explicit placement add the placement level.
-func levelsFor(app string) []string {
+// levelsFor is every level Canonicalize accepts for the cell: none and
+// locality, placement where the app has it, and none at all on cluster.
+func levelsFor(app, machine string) []string {
+	if machine == "cluster" {
+		return []string{""}
+	}
 	levels := []string{LevelNone, LevelLocality}
 	if appKeys[app].hasPlacement {
 		levels = append(levels, LevelPlacement)
@@ -41,142 +51,152 @@ func levelsFor(app string) []string {
 	return levels
 }
 
-// TestGraphReplayByteIdentical is the core acceptance test: for every
-// app, scale, and level on both primary machines, a work-free run
-// served from the graph cache must be byte-identical to a direct
-// front-end build.
-func TestGraphReplayByteIdentical(t *testing.T) {
-	sharedCache.reset()
-	for _, scale := range []Scale{Small, PaperScale} {
-		for _, app := range []string{"water", "string", "ocean", "cholesky"} {
-			for _, machine := range []string{"dash", "ipsc"} {
-				for _, level := range levelsFor(app) {
-					spec := RunSpec{App: app, Machine: machine, Procs: 8, Level: level, WorkFree: true, Observe: true}
-					var direct, replayed []byte
-					withGraphCache(false, func() { direct = scaleReportJSON(t, spec, scale) })
-					withGraphCache(true, func() { replayed = scaleReportJSON(t, spec, scale) })
-					if !bytes.Equal(direct, replayed) {
-						t.Errorf("%s/%s/%s/%s: cached-graph run differs from direct run", scale, app, machine, level)
-					}
-				}
-			}
-		}
-	}
-}
-
-// Fault injection lives in the machine models, so a faulted run must
-// replay the same clean graph — and a capture that happens to occur
-// during a faulted run must not be perturbed by the faults.
-func TestGraphReplayFaultedRuns(t *testing.T) {
-	specs := []RunSpec{
+// faultedSpecs are the work-free cells that replay under fault
+// injection; faults live in the machine, so each replays the same clean
+// graph as its healthy twin.
+func faultedSpecs() []RunSpec {
+	return []RunSpec{
 		{App: "water", Machine: "ipsc", Procs: 8, WorkFree: true, Observe: true,
 			Fault: &fault.Spec{Seed: 42, DropPct: 0.1, DupPct: 0.05, DegradedLinkPct: 0.25, Stragglers: 2}},
 		{App: "cholesky", Machine: "dash", Procs: 8, WorkFree: true, Observe: true,
 			Fault: &fault.Spec{Seed: 7, VictimClusters: 1, InvalidatePct: 0.2}},
+		{App: "spmv", Machine: "pgas", Procs: 8, WorkFree: true, Observe: true,
+			Fault: &fault.Spec{Seed: 42, DegradedLinkPct: 0.25, Stragglers: 2, VictimClusters: 1}},
+		{App: "water", Machine: "pgas", Procs: 8, WorkFree: true, Observe: true,
+			Fault: &fault.Spec{Seed: 7, DegradedLinkPct: 0.4, Stragglers: 1}},
 	}
-	for _, spec := range specs {
-		var direct, replayed []byte
-		withGraphCache(false, func() { direct = scaleReportJSON(t, spec, Small) })
-		withGraphCache(true, func() { replayed = scaleReportJSON(t, spec, Small) })
-		if !bytes.Equal(direct, replayed) {
-			t.Errorf("%s/%s faulted: cached-graph run differs from direct run", spec.App, spec.Machine)
-		}
+}
 
-		// Capture under fault: empty the cache so the faulted run
-		// captures the graph, then check a healthy run replaying that
-		// same graph still matches a healthy direct build.
+// replayRows is the differential table at one scale. Small carries the
+// whole workfree-sweep shape — every app, machine, level and processor
+// count — plus the pgas aggregation-off, iPSC coalescing-on, fused and
+// faulted cells and the body-bearing DefaultRunSpecs (which must stay on
+// direct execution); PaperScale repeats the procs = 8 cells of the two
+// paper machines.
+func replayRows(scale Scale) []RunSpec {
+	var rows []RunSpec
+	cell := func(app, machine, level string, procs int) RunSpec {
+		return RunSpec{App: app, Machine: machine, Procs: procs, Level: level, WorkFree: true, Observe: true}
+	}
+	if scale == PaperScale {
+		for _, app := range []string{"water", "string", "ocean", "cholesky"} {
+			for _, machine := range []string{"dash", "ipsc"} {
+				for _, level := range levelsFor(app, machine) {
+					rows = append(rows, cell(app, machine, level, 8))
+				}
+			}
+		}
+		return rows
+	}
+	off := false
+	for _, app := range []string{"water", "string", "ocean", "cholesky", "spmv"} {
+		for _, machine := range []string{"dash", "ipsc", "pgas", "cluster"} {
+			for _, level := range levelsFor(app, machine) {
+				for _, procs := range []int{1, 2, 4, 8, 16, 32} {
+					rows = append(rows, cell(app, machine, level, procs))
+				}
+				switch machine {
+				case "pgas":
+					s := cell(app, machine, level, 8)
+					s.Aggregation = &off
+					rows = append(rows, s)
+				case "ipsc":
+					s := cell(app, machine, level, 8)
+					s.Coalescing = true
+					rows = append(rows, s)
+				}
+			}
+		}
+	}
+	fused := cell("cholesky", "ipsc", LevelLocality, 8)
+	fused.Fusion = true
+	both := fused
+	both.Coalescing = true
+	rows = append(rows, fused, both)
+	rows = append(rows, faultedSpecs()...)
+	return append(rows, DefaultRunSpecs()...)
+}
+
+// TestReplayMatchesDirect is the one differential table: every cell is
+// executed directly (the oracle), through Execute, and as part of one
+// whole-table ExecuteRuns, and all three reports must be byte-identical.
+// Work-free cells thereby pin capture -> shared plan -> Replay; the
+// body-bearing ones pin that they never leave direct execution. No
+// program expresses a fused graph directly, so the fused cells check the
+// two entry points against each other and that the fusion stamp is there.
+func TestReplayMatchesDirect(t *testing.T) {
+	for _, scale := range []Scale{Small, PaperScale} {
+		rows := replayRows(scale)
+		swept, err := Runner{}.ExecuteRuns(rows, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range rows {
+			b, _ := json.Marshal(spec) // a RunSpec always marshals
+			name := strings.NewReplacer(`"`, "", "{", "", "}", "").Replace(string(b))
+			t.Run(fmt.Sprintf("%s/%s", scale, name), func(t *testing.T) {
+				t.Parallel()
+				solo, err := spec.Execute(scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := runBytes(t, solo)
+				if spec.Fusion {
+					if solo.TasksFused == 0 || solo.FusionBenefitBytes == 0 {
+						t.Error("fused run carries no fusion stamp")
+					}
+				} else if !bytes.Equal(runBytes(t, executeDirect(t, spec, scale)), want) {
+					t.Error("Execute differs from direct execution")
+				}
+				if !bytes.Equal(want, runBytes(t, swept[i])) {
+					t.Error("ExecuteRuns differs from Execute")
+				}
+			})
+		}
+	}
+}
+
+// A capture taken while a faulted run is the first to ask for the graph
+// must not be perturbed by the faults: with the cache emptied so the
+// faulted run captures, its healthy twin replays that same graph and
+// must still match healthy direct execution. (Serial on purpose: the
+// cache reset must not race the parallel table.)
+func TestGraphReplayFaultedRuns(t *testing.T) { captureUnderFault(t, faultedSpecs()[:2]) }
+
+func captureUnderFault(t *testing.T, specs []RunSpec) {
+	for _, spec := range specs {
+		sharedCache.reset()
+		if _, err := spec.Execute(Small); err != nil {
+			t.Fatal(err)
+		}
 		healthy := spec
 		healthy.Fault = nil
-		var healthyDirect, healthyReplayed []byte
-		withGraphCache(false, func() { healthyDirect = scaleReportJSON(t, healthy, Small) })
-		withGraphCache(true, func() {
-			sharedCache.reset()
-			scaleReportJSON(t, spec, Small) // faulted run populates the cache
-			healthyReplayed = scaleReportJSON(t, healthy, Small)
-		})
-		if !bytes.Equal(healthyDirect, healthyReplayed) {
+		replayed, err := healthy.Execute(Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(runBytes(t, executeDirect(t, healthy, Small)), runBytes(t, replayed)) {
 			t.Errorf("%s/%s: capture taken during a faulted run was perturbed by the faults", spec.App, spec.Machine)
 		}
 	}
 }
 
-// TestDefaultRunSpecsByteIdenticalWithCache pins the acceptance
-// criterion for the standard report: cached-graph sweeps produce
-// byte-identical documents for all DefaultRunSpecs (which fall back to
-// direct execution — they carry bodies) plus their work-free variants
-// (which replay).
-func TestDefaultRunSpecsByteIdenticalWithCache(t *testing.T) {
-	specs := DefaultRunSpecs()
-	for _, s := range DefaultRunSpecs() {
-		s.WorkFree = true
-		specs = append(specs, s)
+// runApp must fail loudly when handed a platform that already ran:
+// re-running the front-end directly instead would turn a caller bug into
+// a slow, correct-looking run.
+func TestRunAppRejectsReusedPlatform(t *testing.T) {
+	spec := RunSpec{App: "water", Machine: "dash", WorkFree: true}
+	if err := spec.Canonicalize(); err != nil {
+		t.Fatal(err)
 	}
-	build := func() []byte {
-		rep, err := BuildReportWithRuns(nil, specs, Small)
-		if err != nil {
-			t.Fatalf("BuildReportWithRuns: %v", err)
+	p, cfg := spec.newPlatform(), jade.Config{WorkFree: true}
+	jade.New(p, cfg) // attach: the platform is no longer fresh
+	defer func() {
+		if err, _ := recover().(error); !errors.Is(err, graph.ErrPlatformReused) {
+			t.Fatalf("runApp on an attached platform: recovered %v, want ErrPlatformReused", err)
 		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		return buf.Bytes()
-	}
-	var direct, cached []byte
-	withGraphCache(false, func() { direct = build() })
-	withGraphCache(true, func() { cached = build() })
-	if !bytes.Equal(direct, cached) {
-		t.Fatal("jadebench report differs between cached-graph and direct execution")
-	}
-}
-
-// withBatchReplay runs f with the batched-replay path forced on or
-// off, restoring the default afterwards.
-func withBatchReplay(on bool, f func()) {
-	prev := BatchReplayEnabled()
-	SetBatchReplay(on)
-	defer SetBatchReplay(prev)
-	f()
-}
-
-// TestDefaultRunSpecsByteIdenticalAcrossReplayPaths pins the
-// granularity knobs' off position: with Fusion and Coalescing unset
-// (the DefaultRunSpecs shape), all three execution paths — direct
-// front-end builds, sequential graph replay, and batched VariantSet
-// replay — must produce the byte-identical jadebench document. The
-// knobs default off, so adding the pass cannot perturb any existing
-// result.
-func TestDefaultRunSpecsByteIdenticalAcrossReplayPaths(t *testing.T) {
-	specs := DefaultRunSpecs()
-	for _, s := range DefaultRunSpecs() {
-		s.WorkFree = true
-		specs = append(specs, s)
-	}
-	build := func() []byte {
-		rep, err := BuildReportWithRuns(nil, specs, Small)
-		if err != nil {
-			t.Fatalf("BuildReportWithRuns: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		return buf.Bytes()
-	}
-	var direct, sequential, batched []byte
-	withBatchReplay(false, func() {
-		withGraphCache(false, func() { direct = build() })
-		withGraphCache(true, func() { sequential = build() })
-	})
-	withBatchReplay(true, func() {
-		withGraphCache(true, func() { batched = build() })
-	})
-	if !bytes.Equal(direct, sequential) {
-		t.Error("sequential graph replay differs from direct execution")
-	}
-	if !bytes.Equal(direct, batched) {
-		t.Error("batched VariantSet replay differs from direct execution")
-	}
+	}()
+	runApp(p, cfg, waterApp, Small, false)
 }
 
 // The front-end must be built once per (app, scale, place, procs), no
@@ -240,7 +260,7 @@ func TestGraphCacheBounded(t *testing.T) {
 func TestGraphCacheConcurrentRuns(t *testing.T) {
 	sharedCache.reset()
 	spec := RunSpec{App: "ocean", Machine: "dash", Procs: 8, Level: LevelPlacement, WorkFree: true}
-	want := scaleReportJSON(t, spec, Small)
+	want := reportJSON(t, spec)
 	var wg sync.WaitGroup
 	got := make([][]byte, 8)
 	for i := range got {

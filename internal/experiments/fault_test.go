@@ -15,11 +15,7 @@ func reportJSON(t *testing.T, s RunSpec) []byte {
 	if err != nil {
 		t.Fatalf("Execute(%+v): %v", s, err)
 	}
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	return buf.Bytes()
+	return runBytes(t, r)
 }
 
 // Two runs of the same faulted spec with the same seed must produce
@@ -187,19 +183,29 @@ func TestFaultedCoalescingDeterministicWholeBatch(t *testing.T) {
 	}
 }
 
-// The panic chaos hook fires before any machine is built.
+// The panic chaos hook fires before any machine is built, and a sweep
+// does not absorb it: ExecuteRuns re-raises a panicking cell on its
+// caller exactly as Execute does (isolation is the caller's job).
 func TestFaultPanicHook(t *testing.T) {
-	s := RunSpec{App: "water", Machine: "ipsc", Fault: &fault.Spec{Seed: 1, Panic: true}}
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			t.Fatal("panic spec did not panic")
-		}
-		if !strings.Contains(fmt.Sprint(rec), "injected panic") {
-			t.Errorf("unexpected panic value: %v", rec)
-		}
-	}()
-	_, _ = s.Execute(Small)
+	s := RunSpec{App: "water", Machine: "ipsc", WorkFree: true, Fault: &fault.Spec{Seed: 1, Panic: true}}
+	healthy := RunSpec{App: "water", Machine: "ipsc", WorkFree: true}
+	for name, run := range map[string]func(){
+		"Execute":     func() { _, _ = s.Execute(Small) },
+		"ExecuteRuns": func() { _, _ = NewRunner(2).ExecuteRuns([]RunSpec{healthy, s, healthy}, Small) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				rec := recover()
+				if rec == nil {
+					t.Fatal("panic spec did not panic")
+				}
+				if !strings.Contains(fmt.Sprint(rec), "injected panic") {
+					t.Errorf("unexpected panic value: %v", rec)
+				}
+			}()
+			run()
+		})
+	}
 }
 
 // The fault sweep experiment must be registered and runnable.

@@ -249,8 +249,7 @@ func granCell(scale Scale, machine string, w float64, fusion, coalescing bool) *
 		panic(fmt.Sprintf("experiments: granularity replay failed: %v", err))
 	}
 	if fusion {
-		r.TasksFused = int64(st.TasksFused)
-		r.FusionBenefitBytes = int64(st.TasksFused) * fusionBenefitPerTask(machine)
+		stampFusion(r, machine, st)
 	}
 	accumulateFuse(r)
 	return r

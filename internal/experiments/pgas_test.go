@@ -4,75 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-
-	"repro/internal/fault"
 )
 
-// TestPgasGraphReplayByteIdentical extends the core replay acceptance
-// test to the PGAS machine: every app at every level, and the
-// irregular SpMV workload on all three machines, served from the graph
-// cache must be byte-identical to a direct front-end build. The SpMV
-// pgas cells run with aggregation both on and off — the captured graph
-// carries access declarations only, so the coalescing layer must see
-// the same batches either way.
-func TestPgasGraphReplayByteIdentical(t *testing.T) {
-	sharedCache.reset()
-	off := false
-	var specs []RunSpec
-	for _, app := range []string{"water", "string", "ocean", "cholesky", "spmv"} {
-		for _, level := range levelsFor(app) {
-			specs = append(specs, RunSpec{App: app, Machine: "pgas", Procs: 8, Level: level, WorkFree: true, Observe: true})
-			specs = append(specs, RunSpec{App: app, Machine: "pgas", Procs: 8, Level: level, WorkFree: true, Observe: true, Aggregation: &off})
-		}
-	}
-	for _, machine := range []string{"dash", "ipsc"} {
-		for _, level := range levelsFor("spmv") {
-			specs = append(specs, RunSpec{App: "spmv", Machine: machine, Procs: 8, Level: level, WorkFree: true, Observe: true})
-		}
-	}
-	for _, spec := range specs {
-		var direct, replayed []byte
-		withGraphCache(false, func() { direct = scaleReportJSON(t, spec, Small) })
-		withGraphCache(true, func() { replayed = scaleReportJSON(t, spec, Small) })
-		if !bytes.Equal(direct, replayed) {
-			t.Errorf("%s/%s/%s: cached-graph run differs from direct run", spec.App, spec.Machine, spec.Level)
-		}
-	}
-}
-
-// A faulted PGAS run must replay the same clean graph, and a capture
-// taken during a faulted run must not be perturbed by the faults —
-// the same guarantee TestGraphReplayFaultedRuns pins for the other
-// machines.
-func TestPgasGraphReplayFaultedRuns(t *testing.T) {
-	specs := []RunSpec{
-		{App: "spmv", Machine: "pgas", Procs: 8, WorkFree: true, Observe: true,
-			Fault: &fault.Spec{Seed: 42, DegradedLinkPct: 0.25, Stragglers: 2, VictimClusters: 1}},
-		{App: "water", Machine: "pgas", Procs: 8, WorkFree: true, Observe: true,
-			Fault: &fault.Spec{Seed: 7, DegradedLinkPct: 0.4, Stragglers: 1}},
-	}
-	for _, spec := range specs {
-		var direct, replayed []byte
-		withGraphCache(false, func() { direct = scaleReportJSON(t, spec, Small) })
-		withGraphCache(true, func() { replayed = scaleReportJSON(t, spec, Small) })
-		if !bytes.Equal(direct, replayed) {
-			t.Errorf("%s/pgas faulted: cached-graph run differs from direct run", spec.App)
-		}
-
-		healthy := spec
-		healthy.Fault = nil
-		var healthyDirect, healthyReplayed []byte
-		withGraphCache(false, func() { healthyDirect = scaleReportJSON(t, healthy, Small) })
-		withGraphCache(true, func() {
-			sharedCache.reset()
-			scaleReportJSON(t, spec, Small) // faulted run populates the cache
-			healthyReplayed = scaleReportJSON(t, healthy, Small)
-		})
-		if !bytes.Equal(healthyDirect, healthyReplayed) {
-			t.Errorf("%s/pgas: capture taken during a faulted run was perturbed by the faults", spec.App)
-		}
-	}
-}
+// The capture-under-fault guarantee TestGraphReplayFaultedRuns pins for
+// the paper machines, on PGAS.
+func TestPgasGraphReplayFaultedRuns(t *testing.T) { captureUnderFault(t, faultedSpecs()[2:]) }
 
 // The machine name and the aggregation toggle must both reach the
 // canonical spec bytes — they are the jaded cache key, so a pgas run

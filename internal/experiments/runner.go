@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // The simulated machines are single-goroutine deterministic state
@@ -102,32 +104,51 @@ func (r Runner) Each(n int, fn func(i int)) {
 	}
 }
 
-// ExecuteSpecs runs every spec at the given scale across the pool and
-// returns the results in spec order. Work-free specs sharing a cached
-// graph batch into VariantSets (see ExecuteRuns); the output is
-// byte-identical to per-spec execution. The first error (by spec
-// index, not completion order) is returned, keeping failures
-// deterministic.
-func (r Runner) ExecuteSpecs(specs []RunSpec, scale Scale) ([]InstrumentedRun, error) {
-	canon := make([]RunSpec, len(specs))
-	errs := make([]error, len(specs))
-	for i := range specs {
-		canon[i] = specs[i]
+// executeAll canonicalizes a copy of every spec, then runs the valid
+// ones across the pool into pre-indexed slots. The first error by spec
+// index (not completion order) is returned, which keeps failures
+// deterministic. Only Canonicalize produces errors: a panic while a cell
+// executes (a machine bug, Fault.Panic) is not converted into one but
+// re-raised on the caller by Each, as Execute on that spec alone would.
+func (r Runner) executeAll(specs []RunSpec, scale Scale) ([]RunSpec, []*metrics.Run, error) {
+	canon := append([]RunSpec(nil), specs...)
+	errs := make([]error, len(canon))
+	for i := range canon {
 		errs[i] = canon[i].Canonicalize()
 	}
-	res := r.executeCanonical(canon, errs, scale)
+	runs := make([]*metrics.Run, len(canon))
+	r.Each(len(canon), func(i int) {
+		if errs[i] == nil {
+			runs[i] = canon[i].execute(scale)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	runs := make([]InstrumentedRun, len(specs))
+	return canon, runs, nil
+}
+
+// ExecuteRuns executes every spec at the given scale across the pool
+// and returns bare runs in spec order, byte-identical to calling
+// Execute per spec — including that a panicking cell panics the call;
+// callers that need isolation recover around it, as serve does per job.
+func (r Runner) ExecuteRuns(specs []RunSpec, scale Scale) ([]*metrics.Run, error) {
+	_, runs, err := r.executeAll(specs, scale)
+	return runs, err
+}
+
+// ExecuteSpecs is ExecuteRuns with each run wrapped in the jadebench/v1
+// runs[] entry shape.
+func (r Runner) ExecuteSpecs(specs []RunSpec, scale Scale) ([]InstrumentedRun, error) {
+	canon, res, err := r.executeAll(specs, scale)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]InstrumentedRun, len(canon))
 	for i := range canon {
-		s := &canon[i]
-		runs[i] = InstrumentedRun{
-			App: s.App, Machine: s.Machine, Procs: s.Procs,
-			Level: s.Level, Fault: s.Fault, Metrics: res[i].Report(),
-		}
+		runs[i] = canon[i].instrumented(res[i])
 	}
 	return runs, nil
 }

@@ -241,9 +241,8 @@ func pgasLevel(level string) pgas.LocalityLevel {
 }
 
 // newPlatform builds a fresh platform for a canonical spec, with fault
-// injection and observation attached. Each call returns a new machine:
-// the batched replay path calls it once per admitted variant and again
-// on fallback, and a platform is never reused across runs.
+// injection and observation attached. Each call returns a new machine;
+// a platform is never reused across runs.
 func (s *RunSpec) newPlatform() jade.Platform {
 	var inj *fault.Injector
 	if s.Fault != nil {
@@ -311,6 +310,11 @@ func (s RunSpec) Execute(scale Scale) (*metrics.Run, error) {
 	if err := s.Canonicalize(); err != nil {
 		return nil, err
 	}
+	return s.execute(scale), nil
+}
+
+// execute runs an already-canonical spec.
+func (s *RunSpec) execute(scale Scale) *metrics.Run {
 	a := appKeys[s.App]
 	place := s.Level == LevelPlacement && a.hasPlacement
 	if s.Fault != nil && s.Fault.Panic {
@@ -326,7 +330,7 @@ func (s RunSpec) Execute(scale Scale) (*metrics.Run, error) {
 		r = runApp(s.newPlatform(), cfg, a, scale, place)
 	}
 	accumulateFuse(r)
-	return r, nil
+	return r
 }
 
 // Instrumented executes the spec and wraps the result in the
@@ -335,14 +339,15 @@ func (s RunSpec) Instrumented(scale Scale) (InstrumentedRun, error) {
 	if err := s.Canonicalize(); err != nil {
 		return InstrumentedRun{}, err
 	}
-	r, err := s.Execute(scale)
-	if err != nil {
-		return InstrumentedRun{}, err
-	}
+	return s.instrumented(s.execute(scale)), nil
+}
+
+// instrumented wraps a canonical spec's run in its runs[] entry.
+func (s *RunSpec) instrumented(r *metrics.Run) InstrumentedRun {
 	return InstrumentedRun{
 		App: s.App, Machine: s.Machine, Procs: s.Procs,
 		Level: s.Level, Fault: s.Fault, Metrics: r.Report(),
-	}, nil
+	}
 }
 
 // DefaultRunSpecs describes the standard observability runs jadebench

@@ -7,183 +7,52 @@ import (
 	"repro/internal/metrics"
 )
 
-// This file drives K replay variants of one graph from a single pass
-// over the op stream. Every variant owns its platform and thin replay
-// runtime, but the materialized objects, tasks, accesses, and the
-// dependence plan are shared read-only across all of them, so the
-// sweep-wide cost of the front-end structure is paid once per graph
-// instead of once per cell.
-//
-// Divergence model: the platform-visible call sequence is a pure
-// function of the graph, so healthy variants never diverge — they
-// consume the same ops in lockstep and differ only in the virtual time
-// and statistics their machines accumulate. A variant leaves the
-// lockstep pass in exactly two cases: it was marked Sequential up
-// front (e.g. fault injection, whose machine behavior is exercised
-// per-variant on purpose), or an op panicked inside its machine. Both
-// fall back to a classic sequential Replay on a fresh platform from
-// the variant's factory; siblings are isolated by construction and
-// keep riding the batched pass.
+// This file is a compatibility shim: the frozen bench/ module compiles
+// against VariantSet, which used to drive K variants of one graph in
+// lockstep. With the plan shared by every Replay that bought nothing,
+// so Run is now a loop over Replay. Nothing else should use it.
 
-// Variant is one cell of a batched replay: a factory for a fresh
-// platform plus the runtime configuration to replay under.
+// Variant is one replay of a graph: a factory for a fresh platform plus
+// the runtime configuration. Sequential is ignored (retained for bench/).
 type Variant struct {
-	// Platform returns a fresh, never-attached platform. It is called
-	// once for the batched pass and once more if the variant falls back
-	// to sequential replay.
-	Platform func() jade.Platform
-	// Cfg is the runtime configuration; its work-free setting must
-	// match the capture's.
-	Cfg jade.Config
-	// Sequential forces the variant off the batched pass and through a
-	// classic sequential Replay. Use it for variants whose platform
-	// behavior should not be assumed batchable, e.g. fault injection.
+	Platform   func() jade.Platform
+	Cfg        jade.Config
 	Sequential bool
 }
 
-// VariantResult is one variant's outcome.
+// VariantResult is one variant's outcome: Run, or the Err (validation
+// failure or recovered panic) that replaced it. Fallback is always
+// false (retained for bench/).
 type VariantResult struct {
-	// Run is the variant's measurements; nil if Err is set.
-	Run *metrics.Run
-	// Err is a validation or replay failure for this variant only.
-	Err error
-	// Fallback reports that the variant executed via sequential Replay
-	// (it was Sequential, or its batched pass diverged) rather than the
-	// batched pass. The measurements are byte-identical either way.
+	Run      *metrics.Run
+	Err      error
 	Fallback bool
 }
 
-// VariantSet is K variants of one graph, executed together by Run.
-// Create one with NewVariantSet.
+// VariantSet is K variants of one graph. Create one with NewVariantSet.
 type VariantSet struct {
 	g    *Graph
 	vars []Variant
 }
 
-// NewVariantSet groups variants for batched replay of g.
 func NewVariantSet(g *Graph, vars []Variant) *VariantSet {
 	return &VariantSet{g: g, vars: vars}
 }
 
-// vrun is one variant's live state during the batched pass.
-type vrun struct {
-	idx      int
-	rt       *jade.Runtime
-	dead     bool
-	panicVal any
-}
-
-// catch absorbs a panic from one variant's op step, marking the
-// variant dead so it can fall back without disturbing siblings.
-func (v *vrun) catch() {
-	if r := recover(); r != nil {
-		v.dead = true
-		v.panicVal = r
-	}
-}
-
-// Run executes every variant and returns results in variant order.
-// Healthy variants share one op-stream pass; Sequential and diverged
-// variants replay classically on fresh platforms. Run may be called
-// once per VariantSet.
+// Run replays every variant in order, calling each factory exactly
+// once. A panic inside one variant's machine becomes that variant's
+// Err and never disturbs its siblings.
 func (s *VariantSet) Run() []VariantResult {
 	res := make([]VariantResult, len(s.vars))
-	pl, err := s.g.replayPlanFor()
-	if err != nil {
-		for i := range res {
-			res[i].Err = err
-		}
-		return res
-	}
-
-	// Admit healthy variants to the batched pass.
-	active := make([]*vrun, 0, len(s.vars))
 	for i := range s.vars {
-		v := &s.vars[i]
-		if v.Sequential {
-			continue
-		}
-		p := v.Platform()
-		if err := s.g.validateReplay(p, v.Cfg); err != nil {
-			res[i].Err = err
-			continue
-		}
-		active = append(active, &vrun{idx: i, rt: jade.NewReplay(p, v.Cfg, pl.rp)})
-	}
-
-	// One pass over the op stream drives every admitted variant.
-	oi, ti, si := 0, 0, 0
-	for _, op := range s.g.ops {
-		for _, v := range active {
-			if v.dead {
-				continue
-			}
-			s.step(v, pl, op, oi, ti, si)
-		}
-		switch op {
-		case opAlloc:
-			oi++
-		case opTask:
-			ti++
-		case opSerial:
-			si++
-		}
-	}
-	for _, v := range active {
-		if v.dead {
-			continue
-		}
-		s.finish(v, res)
-	}
-
-	// Sequential and diverged variants replay classically. A panic in
-	// the sequential pass is converted to that variant's error — one
-	// misbehaving variant must never take down its siblings' results.
-	for i := range s.vars {
-		if res[i].Run != nil || res[i].Err != nil {
-			continue
-		}
-		v := &s.vars[i]
-		r, err := replaySafely(s.g, v.Platform(), v.Cfg)
-		res[i] = VariantResult{Run: r, Err: err, Fallback: true}
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					res[i] = VariantResult{Err: fmt.Errorf("graph: replay panicked: %v", rec)}
+				}
+			}()
+			res[i].Run, res[i].Err = s.g.Replay(s.vars[i].Platform(), s.vars[i].Cfg)
+		}()
 	}
 	return res
-}
-
-// replaySafely runs a sequential Replay, converting a panic into an
-// error.
-func replaySafely(g *Graph, p jade.Platform, cfg jade.Config) (r *metrics.Run, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r, err = nil, fmt.Errorf("graph: sequential replay panicked: %v", rec)
-		}
-	}()
-	return g.Replay(p, cfg)
-}
-
-// step issues one op into one variant, absorbing any panic. The defer
-// is open-coded by the compiler, so the per-(op, variant) isolation
-// costs no allocation.
-func (s *VariantSet) step(v *vrun, pl *replayPlan, op opKind, oi, ti, si int) {
-	defer v.catch()
-	switch op {
-	case opAlloc:
-		v.rt.ReplayObject(pl.rp.Objects[oi])
-	case opTask:
-		v.rt.ReplayTask(pl.rp.Tasks[ti])
-	case opSerial:
-		d := &s.g.serials[si]
-		v.rt.ReplaySerial(d.work, pl.accs[d.acc0:d.accN:d.accN])
-	case opWait:
-		v.rt.Wait()
-	case opReset:
-		v.rt.ResetMetrics()
-	}
-}
-
-// finish completes one variant's batched pass, absorbing any panic
-// from the final drain.
-func (s *VariantSet) finish(v *vrun, res []VariantResult) {
-	defer v.catch()
-	res[v.idx] = VariantResult{Run: v.rt.Finish()}
 }

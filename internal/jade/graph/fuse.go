@@ -13,8 +13,8 @@ import (
 //
 // Fusion is a graph-to-graph transformation, not a replay mode: the
 // fused result is an ordinary immutable Graph that replays through
-// Replay, ReplayPlanned, and VariantSet like any capture, with the
-// dependence plan recomputed from the fused access spans. Keeping the
+// Replay like any capture, with the dependence plan recomputed from
+// the fused access spans. Keeping the
 // pass here — rather than inside a machine model — means every
 // platform benefits identically and the unfused graph stays untouched
 // for side-by-side sweeps.

@@ -230,51 +230,40 @@ func TestFuseDisabledIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFusedReplayConsistent pins the fused graph's three replay paths
-// against each other: sequential Replay, plan-backed ReplayPlanned,
-// and a batched VariantSet must produce byte-identical reports for
-// every machine.
+// TestFusedReplayConsistent pins the fused graph's replay against
+// direct execution of the same program written pre-fused: the plan
+// built from the fused access spans must make every machine see what
+// the synchronizer derives for the hand-fused program.
 func TestFusedReplayConsistent(t *testing.T) {
-	g := Capture(2, false, chainProg(6))
-	fg, st, err := g.Fuse(tinyOpts())
+	const n = 6
+	fg, st, err := Capture(2, false, chainProg(n)).Fuse(tinyOpts())
 	if err != nil {
 		t.Fatalf("Fuse: %v", err)
 	}
-	if st.TasksFused == 0 {
-		t.Fatalf("test program did not fuse; stats = %+v", st)
+	if st.TasksFused != n-1 {
+		t.Fatalf("test program did not fuse into one task; stats = %+v", st)
 	}
-	cfg := jade.Config{}
-	makes := []struct {
-		name string
-		make func() jade.Platform
-	}{
-		{"dash", func() jade.Platform { return dash.New(dash.DefaultConfig(2, dash.TaskPlacement)) }},
-		{"ipsc", func() jade.Platform { return ipsc.New(ipsc.DefaultConfig(2, ipsc.TaskPlacement)) }},
+	handFused := func(rt *jade.Runtime) {
+		o := rt.Alloc("o", 1024, nil, jade.OnProcessor(0))
+		work := 0.0
+		for i := 0; i < n; i++ {
+			work += 10e-6 // summed the way the pass sums, so the float is identical
+		}
+		rt.WithOnly(func(s *jade.Spec) { s.RdWr(o) }, work, nil, jade.PlaceOn(0))
+		rt.WithOnly(func(s *jade.Spec) { s.Rd(o) }, 10e-6, nil, jade.PlaceOn(1))
+		rt.Wait()
 	}
-	vars := make([]Variant, len(makes))
-	for i, m := range makes {
-		vars[i] = Variant{Platform: m.make, Cfg: cfg}
-	}
-	res := NewVariantSet(fg, vars).Run()
-	for i, m := range makes {
-		t.Run(m.name, func(t *testing.T) {
-			seq, err := fg.Replay(m.make(), cfg)
+	for _, machine := range machines {
+		t.Run(machine, func(t *testing.T) {
+			rt := jade.New(newMachine(machine, 2), jade.Config{})
+			handFused(rt)
+			direct := runJSON(t, rt.Finish())
+			r, err := fg.Replay(newMachine(machine, 2), jade.Config{})
 			if err != nil {
 				t.Fatalf("Replay: %v", err)
 			}
-			planned, err := fg.ReplayPlanned(m.make(), cfg)
-			if err != nil {
-				t.Fatalf("ReplayPlanned: %v", err)
-			}
-			if res[i].Err != nil {
-				t.Fatalf("VariantSet: %v", res[i].Err)
-			}
-			sj := runJSON(t, seq)
-			if pj := runJSON(t, planned); !bytes.Equal(sj, pj) {
-				t.Fatalf("planned replay of fused graph diverged:\nsequential:\n%s\nplanned:\n%s", sj, pj)
-			}
-			if bj := runJSON(t, res[i].Run); !bytes.Equal(sj, bj) {
-				t.Fatalf("batched replay of fused graph diverged:\nsequential:\n%s\nbatched:\n%s", sj, bj)
+			if replayed := runJSON(t, r); !bytes.Equal(direct, replayed) {
+				t.Fatalf("fused replay diverged from the hand-fused program:\ndirect:\n%s\nreplay:\n%s", direct, replayed)
 			}
 		})
 	}

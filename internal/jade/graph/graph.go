@@ -17,8 +17,8 @@
 // access, segment, and serial-phase descriptors indexed by spans, plus
 // a byte-per-event op stream. Nothing in the graph aliases runtime
 // state, so one Graph can be replayed concurrently from many
-// goroutines; each replay materializes the arenas into fresh slices
-// (a handful of allocations per run, not per task).
+// goroutines; the arenas are materialized once into a shared read-only
+// plan (plan.go), and each replay adds only a few flat state slices.
 //
 // Replay reproduces measurements, not application outputs: task and
 // segment bodies are not recorded (a captured body closure would be
@@ -108,10 +108,9 @@ type Graph struct {
 
 	// planOnce lazily builds the shared replay plan (see plan.go): one
 	// materialization of objects, tasks, and synchronization structure
-	// that every plan-backed replay of this graph borrows read-only.
+	// that every replay of this graph borrows read-only.
 	planOnce sync.Once
 	plan     *replayPlan
-	planErr  error
 }
 
 // Procs returns the processor count the graph was captured at. Apps
@@ -152,20 +151,14 @@ var ErrPlatformReused = errors.New("graph: platform already ran a runtime; repla
 // that don't implement it (e.g. test doubles) skip the freshness check.
 type attachChecker interface{ Attached() bool }
 
-// checkFresh enforces Replay's documented "platform must be fresh"
-// precondition where the platform can report it.
-func checkFresh(p jade.Platform) error {
-	if c, ok := p.(attachChecker); ok && c.Attached() {
-		return ErrPlatformReused
-	}
-	return nil
-}
-
 // Replay feeds the captured graph into the platform and returns the
 // run's measurements, exactly as if the original program had been
 // executed against it. The platform must be fresh (no prior runs) and
 // match the capture's processor count; cfg must match the capture's
-// work-free setting.
+// work-free setting. It is the one function that drives a platform
+// from the op stream: the runtime rides the graph's shared plan (see
+// plan.go), so per-run cost is a few flat state slices, not a
+// synchronizer re-walk.
 func (g *Graph) Replay(p jade.Platform, cfg jade.Config) (*metrics.Run, error) {
 	if g.hasBodies {
 		return nil, ErrNotReplayable
@@ -176,85 +169,24 @@ func (g *Graph) Replay(p jade.Platform, cfg jade.Config) (*metrics.Run, error) {
 	if cfg.WorkFree != g.workFree {
 		return nil, fmt.Errorf("graph: captured with work-free=%t, replay asked work-free=%t", g.workFree, cfg.WorkFree)
 	}
-	if err := checkFresh(p); err != nil {
-		return nil, err
+	if c, ok := p.(attachChecker); ok && c.Attached() {
+		return nil, ErrPlatformReused
 	}
-
-	rt := jade.New(p, cfg)
-
-	// Per-replay arenas. The synchronizer rewrites RequiredVersion in
-	// place and tasks keep their access slices, so the immutable graph
-	// is materialized into a handful of whole-run slices — one
-	// allocation each — instead of a Spec, closure, and access slice
-	// per task the way a direct front-end run allocates.
-	objs := make([]*jade.Object, len(g.objects))
-	accs := make([]jade.Access, len(g.accs))
-	segs := make([]jade.Segment, len(g.segments))
-	rels := make([]*jade.Object, len(g.releases))
-
-	// Placement and home options are closures; intern one per
-	// processor actually used so tasks don't allocate them repeatedly.
-	var placeOpts [][]jade.TaskOpt
-	place := func(p int32) []jade.TaskOpt {
-		if p < 0 {
-			return nil
-		}
-		if placeOpts == nil {
-			placeOpts = make([][]jade.TaskOpt, g.procs)
-		}
-		if placeOpts[p] == nil {
-			placeOpts[p] = []jade.TaskOpt{jade.PlaceOn(int(p))}
-		}
-		return placeOpts[p]
-	}
-	var homeOpts [][]jade.AllocOpt
-	home := func(p int32) []jade.AllocOpt {
-		if p == 0 {
-			return nil // Alloc's default home
-		}
-		if homeOpts == nil {
-			homeOpts = make([][]jade.AllocOpt, g.procs)
-		}
-		if homeOpts[p] == nil {
-			homeOpts[p] = []jade.AllocOpt{jade.OnProcessor(int(p))}
-		}
-		return homeOpts[p]
-	}
-	fill := func(a0, aN int32) []jade.Access {
-		for i := a0; i < aN; i++ {
-			d := &g.accs[i]
-			accs[i] = jade.Access{Obj: objs[d.obj], Mode: d.mode}
-		}
-		return accs[a0:aN:aN]
-	}
-
+	pl := g.sharedPlan()
+	rt := jade.NewReplay(p, cfg, pl.rp)
 	oi, ti, si := 0, 0, 0
 	for _, op := range g.ops {
 		switch op {
 		case opAlloc:
-			d := &g.objects[oi]
-			objs[oi] = rt.Alloc(d.name, d.size, nil, home(d.home)...)
+			rt.ReplayObject(pl.rp.Objects[oi])
 			oi++
 		case opTask:
-			d := &g.tasks[ti]
+			rt.ReplayTask(pl.rp.Tasks[ti])
 			ti++
-			ta := fill(d.acc0, d.accN)
-			if d.seg0 == d.segN {
-				rt.WithAccesses(ta, d.work, nil, place(d.placed)...)
-				continue
-			}
-			for k := d.seg0; k < d.segN; k++ {
-				sd := &g.segments[k]
-				for j := sd.rel0; j < sd.relN; j++ {
-					rels[j] = objs[g.releases[j]]
-				}
-				segs[k] = jade.Segment{Work: sd.work, Release: rels[sd.rel0:sd.relN:sd.relN]}
-			}
-			rt.WithStagedAccesses(ta, segs[d.seg0:d.segN:d.segN], place(d.placed)...)
 		case opSerial:
 			d := &g.serials[si]
 			si++
-			rt.SerialAccesses(d.work, nil, fill(d.acc0, d.accN))
+			rt.ReplaySerial(d.work, pl.accs[d.acc0:d.accN:d.accN])
 		case opWait:
 			rt.Wait()
 		case opReset:

@@ -10,11 +10,28 @@ import (
 
 	"repro/internal/apps/tomo"
 	"repro/internal/apps/water"
+	"repro/internal/cluster"
 	"repro/internal/dash"
 	"repro/internal/ipsc"
 	"repro/internal/jade"
 	"repro/internal/metrics"
+	"repro/internal/pgas"
 )
+
+// machines is every platform model, at its highest locality level.
+var machines = []string{"dash", "ipsc", "pgas", "cluster"}
+
+func newMachine(name string, procs int) jade.Platform {
+	switch name {
+	case "dash":
+		return dash.New(dash.DefaultConfig(procs, dash.TaskPlacement))
+	case "ipsc":
+		return ipsc.New(ipsc.DefaultConfig(procs, ipsc.TaskPlacement))
+	case "pgas":
+		return pgas.New(pgas.DefaultConfig(procs, pgas.TaskPlacement))
+	}
+	return cluster.New(cluster.DefaultConfig(procs))
+}
 
 // stencil is a small body-free program exercising everything a capture
 // must preserve: placed allocations, placed tasks, an untimed init
@@ -90,23 +107,20 @@ func TestCaptureShape(t *testing.T) {
 	}
 }
 
+// TestReplayByteIdentical pins Replay against direct execution, the
+// only oracle, on every machine: the barrier-heavy stencil both timed
+// and work-free. (TestStagedReleaseOrderingReplay adds early releases.)
 func TestReplayByteIdentical(t *testing.T) {
 	for _, workFree := range []bool{false, true} {
-		for _, machine := range []string{"dash", "ipsc"} {
+		for _, machine := range machines {
 			t.Run(fmt.Sprintf("%s/workFree=%t", machine, workFree), func(t *testing.T) {
-				newPlatform := func() jade.Platform {
-					if machine == "dash" {
-						return dash.New(dash.DefaultConfig(4, dash.TaskPlacement))
-					}
-					return ipsc.New(ipsc.DefaultConfig(4, ipsc.TaskPlacement))
-				}
 				cfg := jade.Config{WorkFree: workFree}
-				rt := jade.New(newPlatform(), cfg)
+				rt := jade.New(newMachine(machine, 4), cfg)
 				stencil(rt)
 				direct := runJSON(t, rt.Finish())
 
 				g := Capture(4, workFree, stencil)
-				r, err := g.Replay(newPlatform(), cfg)
+				r, err := g.Replay(newMachine(machine, 4), cfg)
 				if err != nil {
 					t.Fatalf("Replay: %v", err)
 				}
@@ -147,14 +161,9 @@ func TestStagedReleaseOrderingReplay(t *testing.T) {
 		t.Fatalf("captured %d releases, want 1", nr)
 	}
 
-	for _, machine := range []string{"dash", "ipsc"} {
+	for _, machine := range machines {
 		t.Run(machine, func(t *testing.T) {
-			newPlatform := func() jade.Platform {
-				if machine == "dash" {
-					return dash.New(dash.DefaultConfig(2, dash.Locality))
-				}
-				return ipsc.New(ipsc.DefaultConfig(2, ipsc.Locality))
-			}
+			newPlatform := func() jade.Platform { return newMachine(machine, 2) }
 			rt := jade.New(newPlatform(), jade.Config{})
 			staged(rt)
 			direct := rt.Finish()
@@ -171,6 +180,11 @@ func TestStagedReleaseOrderingReplay(t *testing.T) {
 			// The release must matter: serializing the same program with
 			// no early release must finish later, proving the replay
 			// path carries the release and not just the total work.
+			// (Not on pgas: affinity runs a's reader on a's home locale,
+			// behind the staged writer, so the release buys nothing.)
+			if machine == "pgas" {
+				return
+			}
 			rt2 := jade.New(newPlatform(), jade.Config{})
 			a := rt2.Alloc("a", 8192, nil)
 			b := rt2.Alloc("b", 8192, nil, jade.OnProcessor(1))
@@ -246,9 +260,6 @@ func TestReplayRejectsReusedPlatform(t *testing.T) {
 	if _, err := g.Replay(p, cfg); !errors.Is(err, ErrPlatformReused) {
 		t.Fatalf("second Replay error = %v, want ErrPlatformReused", err)
 	}
-	if _, err := g.ReplayPlanned(p, cfg); !errors.Is(err, ErrPlatformReused) {
-		t.Fatalf("ReplayPlanned on used platform error = %v, want ErrPlatformReused", err)
-	}
 	res := NewVariantSet(g, []Variant{{
 		Platform: func() jade.Platform { return p },
 		Cfg:      cfg,
@@ -265,54 +276,8 @@ func TestReplayRejectsReusedPlatform(t *testing.T) {
 	}
 }
 
-// TestReplayPlannedByteIdentical pins the plan-backed single replay
-// against the sequential synchronizer-backed one, on both machines,
-// for both the barrier-heavy stencil and the early-release staged
-// program (which exercises completeOn).
-func TestReplayPlannedByteIdentical(t *testing.T) {
-	progs := []struct {
-		name  string
-		procs int
-		run   func(*jade.Runtime)
-	}{
-		{"stencil", 4, stencil},
-		{"staged", 2, staged},
-	}
-	for _, prog := range progs {
-		for _, workFree := range []bool{false, true} {
-			if prog.name == "staged" && workFree {
-				continue // releases are dropped work-free; stencil covers it
-			}
-			g := Capture(prog.procs, workFree, prog.run)
-			cfg := jade.Config{WorkFree: workFree}
-			for _, machine := range []string{"dash", "ipsc"} {
-				t.Run(fmt.Sprintf("%s/%s/workFree=%t", prog.name, machine, workFree), func(t *testing.T) {
-					newPlatform := func() jade.Platform {
-						if machine == "dash" {
-							return dash.New(dash.DefaultConfig(prog.procs, dash.TaskPlacement))
-						}
-						return ipsc.New(ipsc.DefaultConfig(prog.procs, ipsc.TaskPlacement))
-					}
-					seq, err := g.Replay(newPlatform(), cfg)
-					if err != nil {
-						t.Fatalf("Replay: %v", err)
-					}
-					planned, err := g.ReplayPlanned(newPlatform(), cfg)
-					if err != nil {
-						t.Fatalf("ReplayPlanned: %v", err)
-					}
-					sj, pj := runJSON(t, seq), runJSON(t, planned)
-					if !bytes.Equal(sj, pj) {
-						t.Fatalf("planned replay diverged:\nsequential:\n%s\nplanned:\n%s", sj, pj)
-					}
-				})
-			}
-		}
-	}
-}
-
 // panicPlatform wraps a platform and panics on the Nth TaskCreated —
-// a stand-in for a machine-model bug in one variant of a batch.
+// a stand-in for a machine-model bug in one variant of a set.
 type panicPlatform struct {
 	jade.Platform
 	left int
@@ -326,85 +291,44 @@ func (p *panicPlatform) TaskCreated(t *jade.Task, enabled bool) {
 	p.Platform.TaskCreated(t, enabled)
 }
 
-// TestVariantSetByteIdentical drives one graph into many variants —
-// both machines at every locality level — in one batched pass and
-// demands byte-identity with sequential Replay for each. A Sequential
-// variant and a mid-stream panicking variant ride along to prove the
-// fallback path isolates them without corrupting siblings.
+// TestVariantSetByteIdentical pins what is left of VariantSet (a loop
+// over Replay kept for bench/): a variant whose machine panics
+// mid-stream surfaces as that variant's error, its siblings' reports
+// equal solo Replay byte for byte, and each factory is called once.
 func TestVariantSetByteIdentical(t *testing.T) {
 	g := Capture(4, true, stencil)
-
-	type cell struct {
-		name string
-		make func() jade.Platform
-		cfg  jade.Config
-		seq  bool
+	cfg := jade.Config{WorkFree: true, Locality: jade.LocalityFirst}
+	makes := []func() jade.Platform{
+		func() jade.Platform { return newMachine("ipsc", 4) },
+		func() jade.Platform { return &panicPlatform{Platform: newMachine("dash", 4), left: 5} },
+		func() jade.Platform { return newMachine("pgas", 4) },
 	}
-	var cells []cell
-	for _, lvl := range []dash.LocalityLevel{dash.NoLocality, dash.Locality, dash.TaskPlacement} {
-		lvl := lvl
-		cells = append(cells, cell{
-			name: fmt.Sprintf("dash/level=%d", lvl),
-			make: func() jade.Platform { return dash.New(dash.DefaultConfig(4, lvl)) },
-			cfg:  jade.Config{WorkFree: true, Locality: jade.LocalityFirst},
-		})
+	calls := make([]int, len(makes))
+	vars := make([]Variant, len(makes))
+	for i, mk := range makes {
+		vars[i] = Variant{Cfg: cfg, Platform: func() jade.Platform { calls[i]++; return mk() }}
 	}
-	for _, lvl := range []ipsc.LocalityLevel{ipsc.NoLocality, ipsc.Locality, ipsc.TaskPlacement} {
-		lvl := lvl
-		cells = append(cells, cell{
-			name: fmt.Sprintf("ipsc/level=%d", lvl),
-			make: func() jade.Platform { return ipsc.New(ipsc.DefaultConfig(4, lvl)) },
-			cfg:  jade.Config{WorkFree: true, Locality: jade.LocalityFirst},
-		})
-	}
-	// A variant forced off the batched pass (the fault-injection rule).
-	cells = append(cells, cell{
-		name: "ipsc/sequential",
-		make: func() jade.Platform { return ipsc.New(ipsc.DefaultConfig(4, ipsc.Locality)) },
-		cfg:  jade.Config{WorkFree: true, Locality: jade.LocalityFirst},
-		seq:  true,
-	})
-
-	vars := make([]Variant, len(cells))
-	for i, c := range cells {
-		vars[i] = Variant{Platform: c.make, Cfg: c.cfg, Sequential: c.seq}
-	}
-	// One extra variant whose machine panics mid-stream; its fallback
-	// panics too, so it must surface as an error without touching the
-	// others.
-	vars = append(vars, Variant{
-		Platform: func() jade.Platform {
-			return &panicPlatform{Platform: dash.New(dash.DefaultConfig(4, dash.Locality)), left: 5}
-		},
-		Cfg: jade.Config{WorkFree: true, Locality: jade.LocalityFirst},
-	})
-
 	res := NewVariantSet(g, vars).Run()
-	if len(res) != len(cells)+1 {
-		t.Fatalf("got %d results, want %d", len(res), len(cells)+1)
-	}
-	for i, c := range cells {
-		if res[i].Err != nil {
-			t.Fatalf("%s: %v", c.name, res[i].Err)
-		}
-		if c.seq != res[i].Fallback {
-			t.Fatalf("%s: Fallback = %t, want %t", c.name, res[i].Fallback, c.seq)
-		}
-		seq, err := g.Replay(c.make(), c.cfg)
-		if err != nil {
-			t.Fatalf("%s: sequential Replay: %v", c.name, err)
-		}
-		sj, bj := runJSON(t, seq), runJSON(t, res[i].Run)
-		if !bytes.Equal(sj, bj) {
-			t.Fatalf("%s: batched variant diverged:\nsequential:\n%s\nbatched:\n%s", c.name, sj, bj)
+	for i, n := range calls {
+		if n != 1 {
+			t.Fatalf("variant %d: factory called %d times, want 1", i, n)
 		}
 	}
-	bad := res[len(cells)]
-	if bad.Err == nil || bad.Run != nil {
+	if bad := res[1]; bad.Err == nil || bad.Run != nil {
 		t.Fatalf("panicking variant: Run=%v Err=%v, want nil Run and an error", bad.Run, bad.Err)
 	}
-	if !bad.Fallback {
-		t.Fatalf("panicking variant did not report fallback")
+	for _, i := range []int{0, 2} {
+		if res[i].Err != nil {
+			t.Fatalf("variant %d: %v", i, res[i].Err)
+		}
+		solo, err := g.Replay(makes[i](), cfg)
+		if err != nil {
+			t.Fatalf("variant %d: solo Replay: %v", i, err)
+		}
+		sj, bj := runJSON(t, solo), runJSON(t, res[i].Run)
+		if !bytes.Equal(sj, bj) {
+			t.Fatalf("variant %d diverged from solo Replay:\nsolo:\n%s\nset:\n%s", i, sj, bj)
+		}
 	}
 }
 

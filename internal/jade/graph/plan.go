@@ -1,22 +1,16 @@
 package graph
 
-import (
-	"fmt"
-
-	"repro/internal/jade"
-	"repro/internal/metrics"
-)
+import "repro/internal/jade"
 
 // This file builds a graph's shared replay plan: a one-time,
-// structure-of-arrays precomputation of everything Replay re-derives
-// per run. Objects, tasks, segments, and accesses — including the
-// access versions the synchronizer would assign — are materialized
-// once and shared read-only by every plan-backed replay; the dependence
-// structure is flattened into per-task initial pending counts and
-// per-access-entry successor edge lists (see jade.ReplayPlan for why
-// the static edges are exact). A variant then carries only flat
-// per-variant state, and replaying K variants costs one op-stream walk
-// plus K thin runtimes instead of K full synchronizer re-walks.
+// structure-of-arrays precomputation of everything a synchronizer
+// would re-derive per run. Objects, tasks, segments, and accesses —
+// including the access versions the synchronizer would assign — are
+// materialized once and shared read-only by every replay; the
+// dependence structure is flattened into per-task initial pending
+// counts and per-access-entry successor edge lists (see
+// jade.ReplayPlan for why the static edges are exact). A replay then
+// carries only flat per-run state.
 
 // replayPlan pairs the jade-side plan with the access arena it indexes
 // (serial phases reference access spans directly, not through a Task).
@@ -25,17 +19,11 @@ type replayPlan struct {
 	accs []jade.Access
 }
 
-// replayPlanFor returns the graph's shared plan, building it on first
-// use. Concurrent callers share one build.
-func (g *Graph) replayPlanFor() (*replayPlan, error) {
-	g.planOnce.Do(func() {
-		if g.hasBodies {
-			g.planErr = ErrNotReplayable
-			return
-		}
-		g.plan = g.buildPlan()
-	})
-	return g.plan, g.planErr
+// sharedPlan returns the graph's replay plan, building it on first use.
+// Concurrent callers share one build.
+func (g *Graph) sharedPlan() *replayPlan {
+	g.planOnce.Do(func() { g.plan = g.buildPlan() })
+	return g.plan
 }
 
 // buildPlan walks the op stream once, mirroring exactly what the
@@ -185,56 +173,4 @@ func (g *Graph) buildPlan() *replayPlan {
 		},
 		accs: accs,
 	}
-}
-
-// validateReplay is the shared precondition check for every replay
-// entry point: body-free capture, matching processor count and
-// work-free setting, and a platform that has never run.
-func (g *Graph) validateReplay(p jade.Platform, cfg jade.Config) error {
-	if g.hasBodies {
-		return ErrNotReplayable
-	}
-	if n := p.Processors(); n != g.procs {
-		return fmt.Errorf("graph: captured at %d processors, platform has %d", g.procs, n)
-	}
-	if cfg.WorkFree != g.workFree {
-		return fmt.Errorf("graph: captured with work-free=%t, replay asked work-free=%t", g.workFree, cfg.WorkFree)
-	}
-	return checkFresh(p)
-}
-
-// ReplayPlanned feeds the captured graph into the platform through the
-// shared replay plan: the synchronizer re-walk Replay performs per run
-// is skipped entirely, and the platform sees the identical call
-// sequence. Like Replay, the platform must be fresh and match the
-// capture; unlike Replay, per-run cost is a few flat state slices.
-func (g *Graph) ReplayPlanned(p jade.Platform, cfg jade.Config) (*metrics.Run, error) {
-	pl, err := g.replayPlanFor()
-	if err != nil {
-		return nil, err
-	}
-	if err := g.validateReplay(p, cfg); err != nil {
-		return nil, err
-	}
-	rt := jade.NewReplay(p, cfg, pl.rp)
-	oi, ti, si := 0, 0, 0
-	for _, op := range g.ops {
-		switch op {
-		case opAlloc:
-			rt.ReplayObject(pl.rp.Objects[oi])
-			oi++
-		case opTask:
-			rt.ReplayTask(pl.rp.Tasks[ti])
-			ti++
-		case opSerial:
-			d := &g.serials[si]
-			si++
-			rt.ReplaySerial(d.work, pl.accs[d.acc0:d.accN:d.accN])
-		case opWait:
-			rt.Wait()
-		case opReset:
-			rt.ResetMetrics()
-		}
-	}
-	return rt.Finish(), nil
 }
