@@ -96,6 +96,16 @@ echo "== jadebench -json smoke =="
 go run ./cmd/jadebench -experiment table4 -scale small -json |
     go run ./internal/tools/jsoncheck schema scale experiments runs
 
+echo "== jadebench serial vs parallel =="
+# -experiment all is one planned fan-out over every distinct cell of
+# the registry, so serial and default-width output must be identical.
+cmpdir=$(mktemp -d)
+go build -o "$cmpdir/jadebench" ./cmd/jadebench
+"$cmpdir/jadebench" -experiment all -scale small -markdown -parallel 1 >"$cmpdir/serial.md"
+"$cmpdir/jadebench" -experiment all -scale small -markdown >"$cmpdir/parallel.md"
+cmp "$cmpdir/serial.md" "$cmpdir/parallel.md"
+rm -rf "$cmpdir"
+
 echo "== jadebench pgas smoke =="
 # The three-machine comparison document must parse and carry the
 # jade-pgas/v1 keys: the app × machine grid, the SpMV aggregation

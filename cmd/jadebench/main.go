@@ -13,10 +13,12 @@
 // a single jadebench/v1 JSON document on stdout (see EXPERIMENTS.md
 // for the schema).
 //
-// Independent simulation runs fan out across -parallel workers
-// (default GOMAXPROCS; 1 forces serial execution). The machine models
-// are deterministic and results are assembled in input order, so the
-// output is byte-identical at every width.
+// The selected experiments are one planned execution: every distinct
+// simulation run they read executes once, fanned out across a runner
+// -parallel workers wide (default GOMAXPROCS; 1 forces serial
+// execution). The machine models are deterministic and results are
+// assembled in input order, so the output is byte-identical at every
+// width.
 //
 // With -fault (e.g. -fault seed=7,drop=0.05,straggle=2), the
 // instrumented runs in the JSON report execute under deterministic
@@ -90,7 +92,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "jadebench: -parallel must be >= 0 (got %d)\n", *parallel)
 		os.Exit(2)
 	}
-	experiments.SetParallelism(*parallel)
+	runner := experiments.NewRunner(*parallel)
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -125,14 +127,14 @@ func main() {
 		os.Exit(2)
 	}
 	if *granReport {
-		if err := experiments.BuildGranularityReport(scale).WriteJSON(os.Stdout); err != nil {
+		if err := experiments.BuildGranularityReport(runner, scale).WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "jadebench: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *pgasReport {
-		rep, err := experiments.BuildPgasReport(scale)
+		rep, err := experiments.BuildPgasReport(runner, scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jadebench: %v\n", err)
 			os.Exit(2)
@@ -191,13 +193,13 @@ func main() {
 			runs = kept
 		}
 		if *spansOut != "" {
-			if err := runTraced(ids, runs, scale, *spansOut); err != nil {
+			if err := runTraced(ids, runs, scale, *parallel, *spansOut); err != nil {
 				fmt.Fprintf(os.Stderr, "jadebench: %v\n", err)
 				os.Exit(1)
 			}
 			return
 		}
-		rep, err := experiments.BuildReportWithRuns(ids, runs, scale)
+		rep, err := runner.Report(ids, runs, scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "jadebench: %v\n", err)
 			os.Exit(2)
@@ -208,12 +210,12 @@ func main() {
 		}
 		return
 	}
-	for _, id := range ids {
-		res, err := experiments.Run(id, scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "jadebench: %v\n", err)
-			os.Exit(2)
-		}
+	results, _, err := runner.Execute(ids, nil, scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jadebench: %v\n", err)
+		os.Exit(2)
+	}
+	for _, res := range results {
 		var sb strings.Builder
 		if *markdown {
 			res.Markdown(&sb)
@@ -230,8 +232,8 @@ func main() {
 // spansPath and the report document to stdout. The result is
 // byte-identical to the direct path — same engine, same spec — with
 // the request lifecycle recorded around it.
-func runTraced(ids []string, runs []experiments.RunSpec, scale experiments.Scale, spansPath string) error {
-	s := serve.New(serve.Config{Workers: 1, CacheEntries: -1, Spans: true})
+func runTraced(ids []string, runs []experiments.RunSpec, scale experiments.Scale, parallel int, spansPath string) error {
+	s := serve.New(serve.Config{Workers: 1, CacheEntries: -1, Spans: true, RunParallelism: parallel})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

@@ -13,109 +13,119 @@ import (
 
 func init() {
 	// ---- Table 1 / Table 6: serial and stripped times ----
-	register("table1", "Serial and Stripped Execution Times on DASH (seconds)",
-		func(scale Scale) *Result { return serialTable("table1", scale, 1.0) })
-	register("table6", "Serial and Stripped Execution Times on the iPSC/860 (seconds)",
-		func(scale Scale) *Result {
+	registerBespoke("table1", "Serial and Stripped Execution Times on DASH (seconds)",
+		func(_ Runner, scale Scale) *Result { return serialTable("table1", scale, 1.0) })
+	registerBespoke("table6", "Serial and Stripped Execution Times on the iPSC/860 (seconds)",
+		func(_ Runner, scale Scale) *Result {
 			return serialTable("table6", scale, ipsc.DefaultConfig(1, ipsc.Locality).SpeedFactor)
 		})
 
 	// ---- Tables 2–5: execution times on DASH ----
 	for i, a := range allApps {
 		id := fmt.Sprintf("table%d", 2+i)
-		a := a
 		register(id, fmt.Sprintf("Execution Times for %s on DASH (seconds)", a.name),
-			func(scale Scale) *Result { return dashExecTable(id, a, scale) })
+			levelSweep(a, "dash"), levelTable(id, a, execTime, ""))
 	}
 
-	// ---- Tables 7–10: execution times on the iPSC/860 ----
+	// ---- Tables 7–10: execution times on the iPSC/860 (baseline:
+	// broadcast + replication + concurrent fetch on, latency hiding off) ----
 	for i, a := range allApps {
 		id := fmt.Sprintf("table%d", 7+i)
-		a := a
 		register(id, fmt.Sprintf("Execution Times for %s on the iPSC/860 (seconds)", a.name),
-			func(scale Scale) *Result { return ipscExecTable(id, a, scale) })
+			levelSweep(a, "ipsc"), levelTable(id, a, execTime, ""))
 	}
 
 	// ---- Tables 11–14: adaptive broadcast on/off ----
 	for i, a := range allApps {
 		id := fmt.Sprintf("table%d", 11+i)
-		a := a
 		register(id, fmt.Sprintf("Execution Times for %s on the iPSC/860 with/without Adaptive Broadcast (seconds)", a.name),
-			func(scale Scale) *Result { return broadcastTable(id, a, scale) })
+			broadcastCells(a), broadcastTable(id))
 	}
 
 	// ---- Figures 2–5: task locality percentage on DASH ----
 	for i, a := range allApps {
 		id := fmt.Sprintf("fig%d", 2+i)
-		a := a
 		register(id, fmt.Sprintf("Task Locality Percentage for %s on DASH", a.name),
-			func(scale Scale) *Result { return dashMetricFigure(id, a, scale, "task locality %", localityMetric) })
+			levelSweep(a, "dash"), levelTable(id, a, (*metrics.Run).LocalityPct, "task locality %"))
 	}
 
 	// ---- Figures 6–9: total task execution time on DASH ----
 	for i, a := range allApps {
 		id := fmt.Sprintf("fig%d", 6+i)
-		a := a
 		register(id, fmt.Sprintf("Total Task Execution Time for %s on DASH (seconds)", a.name),
-			func(scale Scale) *Result { return dashMetricFigure(id, a, scale, "task time (s)", taskExecMetric) })
+			levelSweep(a, "dash"), levelTable(id, a, taskExecTime, "task time (s)"))
 	}
 
 	// ---- Figures 10–11: task management percentage on DASH ----
 	for i, a := range []*appSpec{oceanApp, choleskyApp} {
 		id := fmt.Sprintf("fig%d", 10+i)
-		a := a
 		register(id, fmt.Sprintf("Task Management Percentage for %s on DASH", a.name),
-			func(scale Scale) *Result { return mgmtFigure(id, a, scale, true) })
+			mgmtCells(a, "dash"), mgmtFigure(id))
 	}
 
 	// ---- Figures 12–15: task locality percentage on the iPSC/860 ----
 	for i, a := range allApps {
 		id := fmt.Sprintf("fig%d", 12+i)
-		a := a
 		register(id, fmt.Sprintf("Task Locality Percentage for %s on the iPSC/860", a.name),
-			func(scale Scale) *Result { return ipscMetricFigure(id, a, scale, "task locality %", localityMetric) })
+			levelSweep(a, "ipsc"), levelTable(id, a, (*metrics.Run).LocalityPct, "task locality %"))
 	}
 
 	// ---- Figures 16–19: communication-to-computation ratio ----
 	for i, a := range allApps {
 		id := fmt.Sprintf("fig%d", 16+i)
-		a := a
 		register(id, fmt.Sprintf("Communication to Computation Ratio for %s on the iPSC/860 (Mbytes/second)", a.name),
-			func(scale Scale) *Result { return ipscMetricFigure(id, a, scale, "MB / compute s", commCompMetric) })
+			levelSweep(a, "ipsc"), levelTable(id, a, (*metrics.Run).CommCompRatio, "MB / compute s"))
 	}
 
 	// ---- Figures 20–21: task management percentage on the iPSC/860 ----
 	for i, a := range []*appSpec{oceanApp, choleskyApp} {
 		id := fmt.Sprintf("fig%d", 20+i)
-		a := a
 		register(id, fmt.Sprintf("Task Management Percentage for %s on the iPSC/860", a.name),
-			func(scale Scale) *Result { return mgmtFigure(id, a, scale, false) })
+			mgmtCells(a, "ipsc"), mgmtFigure(id))
 	}
 
 	// ---- §5.1, §5.4, §5.5 and the design-choice ablations ----
-	register("sec5.1", "Replication: read sharing per application (iPSC/860, 8 processors)", replicationStudy)
-	register("sec5.4", "Latency Hiding: target tasks per processor (Panel Cholesky, iPSC/860)", latencyHidingStudy)
-	register("sec5.5", "Concurrent Fetch: object latency / task latency at the highest locality level", concurrentFetchStudy)
-	register("ablation-steal", "Ablation: steal from tail vs head of the object task queues (DASH)", stealAblation)
-	register("ablation-locality-policy", "Ablation: locality-object policy (iPSC/860, Panel Cholesky)", localityPolicyAblation)
-	register("ablation-sticky", "Extension (§5.6): scheduler less eager to move tasks off target (iPSC/860)", stickyAblation)
-	register("ablation-ordering", "Ablation: natural vs reverse Cuthill-McKee ordering (Panel Cholesky)", orderingAblation)
-	register("extension-update", "Extension (§6): eager update protocol vs demand fetch (iPSC/860, broadcast off)", updateExtension)
-	register("extension-portability", "Portability: the same programs on all three machine models (8 processors)", portabilityStudy)
-	register("ablation-panels", "Ablation: blind vs supernodal panel partitioning (Panel Cholesky)", panelsAblation)
-	register("utilization", "Processor utilization breakdown (Ocean, 8 processors)", utilizationStudy)
+	register("sec5.1", "Replication: read sharing per application (iPSC/860, 8 processors)",
+		perApp(func(a *appSpec) RunSpec {
+			return RunSpec{App: a.key, Machine: "ipsc", Procs: 8, Level: LevelLocality}
+		}), replicationStudy)
+	register("sec5.4", "Latency Hiding: target tasks per processor (Panel Cholesky, iPSC/860)",
+		latencyHidingCells, latencyHidingStudy)
+	register("sec5.5", "Concurrent Fetch: object latency / task latency at the highest locality level",
+		perApp(func(a *appSpec) RunSpec {
+			return RunSpec{App: a.key, Machine: "ipsc", Procs: 8, Level: defaultLevelOf(a)}
+		}), concurrentFetchStudy)
+	registerBespoke("ablation-steal", "Ablation: steal from tail vs head of the object task queues (DASH)", stealAblation)
+	registerBespoke("ablation-locality-policy", "Ablation: locality-object policy (iPSC/860, Panel Cholesky)", localityPolicyAblation)
+	register("ablation-sticky", "Extension (§5.6): scheduler less eager to move tasks off target (iPSC/860)",
+		stickyCells, stickyAblation)
+	registerBespoke("ablation-ordering", "Ablation: natural vs reverse Cuthill-McKee ordering (Panel Cholesky)", orderingAblation)
+	register("extension-update", "Extension (§6): eager update protocol vs demand fetch (iPSC/860, broadcast off)",
+		updateCells, updateExtension)
+	register("extension-portability", "Portability: the same programs on all three machine models (8 processors)",
+		portabilityCells, portabilityStudy)
+	registerBespoke("ablation-panels", "Ablation: blind vs supernodal panel partitioning (Panel Cholesky)", panelsAblation)
+	register("utilization", "Processor utilization breakdown (Ocean, 8 processors)",
+		func(Scale) []RunSpec {
+			return []RunSpec{
+				{App: "ocean", Machine: "dash", Procs: 8, Level: LevelPlacement},
+				{App: "ocean", Machine: "ipsc", Procs: 8, Level: LevelPlacement},
+			}
+		}, utilizationStudy)
 }
 
-type rowMetric func(*metricsRow) float64
+func taskExecTime(r *metrics.Run) float64 { return r.TaskExecTotal }
 
-// metricsRow wraps a run result for metric extraction.
-type metricsRow struct {
-	exec, taskExec, locality, comm, mgmt float64
+// perApp lists one cell per paper application, in paper order.
+func perApp(cell func(a *appSpec) RunSpec) func(Scale) []RunSpec {
+	return func(Scale) []RunSpec {
+		cells := make([]RunSpec, len(allApps))
+		for i, a := range allApps {
+			cells[i] = cell(a)
+		}
+		return cells
+	}
 }
-
-func localityMetric(r *metricsRow) float64 { return r.locality }
-func taskExecMetric(r *metricsRow) float64 { return r.taskExec }
-func commCompMetric(r *metricsRow) float64 { return r.comm }
 
 // serialTable builds Table 1/6: serial and stripped times per app.
 func serialTable(id string, scale Scale, speed float64) *Result {
@@ -133,148 +143,122 @@ func serialTable(id string, scale Scale, speed float64) *Result {
 			"(original vs Jade data structures), scaled by the machine's processor speed"}
 }
 
-// dashExecTable builds Tables 2–5.
-func dashExecTable(id string, a *appSpec, scale Scale) *Result {
-	levels := dashLevels(a)
-	grid := parGrid(len(levels), func(r, _, p int) float64 {
-		return dashRun(a, scale, p, levels[r], false).ExecTime
-	})
-	var rows [][]string
-	for r, level := range levels {
-		rows = append(rows, sweepRow(level.String(), grid[r]))
+// levelSweep is the (locality level, processors) grid an app is
+// evaluated on: Tables 2–5 and Figures 2–9 read the DASH grid, Tables
+// 7–10 and Figures 12–19 the iPSC one.
+func levelSweep(a *appSpec, machine string) func(Scale) []RunSpec {
+	return func(Scale) []RunSpec {
+		lv := levels(a)
+		return sweepCells(len(lv), func(r, p int) RunSpec {
+			return RunSpec{App: a.key, Machine: machine, Procs: p, Level: lv[r]}
+		})
 	}
-	return &Result{ID: id, Title: registry[id].Title, Head: procHead("level \\ procs"), Rows: rows}
 }
 
-// ipscExecTable builds Tables 7–10 (baseline: broadcast + replication
-// + concurrent fetch on, latency hiding off).
-func ipscExecTable(id string, a *appSpec, scale Scale) *Result {
-	levels := ipscLevels(a)
-	grid := parGrid(len(levels), func(r, _, p int) float64 {
-		return ipscRun(a, scale, p, levels[r], false, nil).ExecTime
-	})
-	var rows [][]string
-	for r, level := range levels {
-		rows = append(rows, sweepRow(level.String(), grid[r]))
+// levelTable renders one metric of a level sweep, one row per level;
+// a non-empty ylabel adds the figure's plot.
+func levelTable(id string, a *appSpec, metric func(*metrics.Run) float64, ylabel string) func(Scale, []*metrics.Run) *Result {
+	return func(_ Scale, runs []*metrics.Run) *Result {
+		grid := sweepGrid(runs, metric)
+		var rows [][]string
+		var labels []string
+		for r, level := range levels(a) {
+			// DASH and the iPSC name their levels alike.
+			labels = append(labels, dashLevel(level).String())
+			rows = append(rows, sweepRow(labels[r], grid[r]))
+		}
+		res := &Result{ID: id, Title: registry[id].Title, Head: procHead("level \\ procs"), Rows: rows}
+		if ylabel != "" {
+			res.Plot = plotOf(res.Title, ylabel, labels, grid)
+		}
+		return res
 	}
-	return &Result{ID: id, Title: registry[id].Title, Head: procHead("level \\ procs"), Rows: rows}
 }
 
-// broadcastTable builds Tables 11–14: adaptive broadcast on/off at the
+// broadcastCells is Tables 11–14's grid: adaptive broadcast on (the
+// default, so the row is the top row of Tables 7–10) and off, at the
 // app's highest locality level.
-func broadcastTable(id string, a *appSpec, scale Scale) *Result {
-	level := ipsc.Locality
-	if a.hasPlacement {
-		level = ipsc.TaskPlacement
-	}
-	variants := []bool{true, false}
-	grid := parGrid(len(variants), func(r, _, p int) float64 {
-		ab := variants[r]
-		return ipscRun(a, scale, p, level, false,
-			func(c *ipsc.Config) { c.AdaptiveBroadcast = ab }).ExecTime
-	})
-	var rows [][]string
-	for r, ab := range variants {
-		label := "Adaptive Broadcast"
-		if !ab {
-			label = "No Adaptive Broadcast"
-		}
-		rows = append(rows, sweepRow(label, grid[r]))
-	}
-	return &Result{ID: id, Title: registry[id].Title, Head: procHead("variant \\ procs"), Rows: rows}
-}
-
-// dashMetricFigure builds Figures 2–9.
-func dashMetricFigure(id string, a *appSpec, scale Scale, ylabel string, metric rowMetric) *Result {
-	levels := dashLevels(a)
-	grid := parGrid(len(levels), func(r, _, p int) float64 {
-		run := dashRun(a, scale, p, levels[r], false)
-		return metric(&metricsRow{
-			exec: run.ExecTime, taskExec: run.TaskExecTotal,
-			locality: run.LocalityPct(), comm: run.CommCompRatio(),
+func broadcastCells(a *appSpec) func(Scale) []RunSpec {
+	return func(Scale) []RunSpec {
+		off := false
+		return sweepCells(2, func(r, p int) RunSpec {
+			s := RunSpec{App: a.key, Machine: "ipsc", Procs: p, Level: defaultLevelOf(a)}
+			if r == 1 {
+				s.AdaptiveBroadcast = &off
+			}
+			return s
 		})
-	})
-	var rows [][]string
-	var labels []string
-	for r, level := range levels {
-		labels = append(labels, level.String())
-		rows = append(rows, sweepRow(level.String(), grid[r]))
 	}
-	return &Result{ID: id, Title: registry[id].Title, Head: procHead("level \\ procs"),
-		Rows: rows, Plot: plotOf(registry[id].Title, ylabel, labels, grid)}
 }
 
-// ipscMetricFigure builds Figures 12–19.
-func ipscMetricFigure(id string, a *appSpec, scale Scale, ylabel string, metric rowMetric) *Result {
-	levels := ipscLevels(a)
-	grid := parGrid(len(levels), func(r, _, p int) float64 {
-		run := ipscRun(a, scale, p, levels[r], false, nil)
-		return metric(&metricsRow{
-			exec: run.ExecTime, taskExec: run.TaskExecTotal,
-			locality: run.LocalityPct(), comm: run.CommCompRatio(),
+func broadcastTable(id string) func(Scale, []*metrics.Run) *Result {
+	return func(_ Scale, runs []*metrics.Run) *Result {
+		grid := sweepGrid(runs, execTime)
+		rows := [][]string{
+			sweepRow("Adaptive Broadcast", grid[0]),
+			sweepRow("No Adaptive Broadcast", grid[1]),
+		}
+		return &Result{ID: id, Title: registry[id].Title, Head: procHead("variant \\ procs"), Rows: rows}
+	}
+}
+
+// mgmtCells is Figures 10/11/20/21's grid: the full and the work-free
+// run at the Task Placement level.
+func mgmtCells(a *appSpec, machine string) func(Scale) []RunSpec {
+	return func(Scale) []RunSpec {
+		return sweepCells(2, func(r, p int) RunSpec {
+			return RunSpec{App: a.key, Machine: machine, Procs: p, Level: LevelPlacement, WorkFree: r == 1}
 		})
-	})
-	var rows [][]string
-	var labels []string
-	for r, level := range levels {
-		labels = append(labels, level.String())
-		rows = append(rows, sweepRow(level.String(), grid[r]))
 	}
-	return &Result{ID: id, Title: registry[id].Title, Head: procHead("level \\ procs"),
-		Rows: rows, Plot: plotOf(registry[id].Title, ylabel, labels, grid)}
 }
 
-// mgmtFigure builds Figures 10/11/20/21: the work-free execution time
-// as a percentage of the full run at the Task Placement level. The
-// full and stripped sweeps fan out as one 2 x len(Procs) grid.
-func mgmtFigure(id string, a *appSpec, scale Scale, onDash bool) *Result {
-	grid := parGrid(2, func(r, _, p int) float64 {
-		workFree := r == 1
-		if onDash {
-			return dashRun(a, scale, p, dash.TaskPlacement, workFree).ExecTime
+// mgmtFigure renders the work-free execution time as a percentage of
+// the full run.
+func mgmtFigure(id string) func(Scale, []*metrics.Run) *Result {
+	return func(_ Scale, runs []*metrics.Run) *Result {
+		grid := sweepGrid(runs, execTime)
+		vals := make([]float64, len(Procs))
+		for i := range Procs {
+			if full := grid[0][i]; full > 0 {
+				vals[i] = 100 * grid[1][i] / full
+			}
 		}
-		return ipscRun(a, scale, p, ipsc.TaskPlacement, workFree, nil).ExecTime
-	})
-	vals := make([]float64, len(Procs))
-	for i := range Procs {
-		if full := grid[0][i]; full > 0 {
-			vals[i] = 100 * grid[1][i] / full
-		}
+		rows := [][]string{sweepRow("Task Placement", vals)}
+		return &Result{ID: id, Title: registry[id].Title, Head: procHead("level \\ procs"),
+			Rows: rows, Plot: plotOf(registry[id].Title, "task mgmt %", []string{"Task Placement"}, [][]float64{vals})}
 	}
-	rows := [][]string{sweepRow("Task Placement", vals)}
-	return &Result{ID: id, Title: registry[id].Title, Head: procHead("level \\ procs"),
-		Rows: rows, Plot: plotOf(registry[id].Title, "task mgmt %", []string{"Task Placement"}, [][]float64{vals})}
 }
 
 // replicationStudy quantifies §5.1: read sharing and replicated
 // copies per application.
-func replicationStudy(scale Scale) *Result {
+func replicationStudy(_ Scale, runs []*metrics.Run) *Result {
 	head := []string{"application", "tasks", "object msgs", "replicated reads", "broadcasts"}
-	rows := make([][]string, len(allApps))
-	each(len(allApps), func(k int) {
-		a := allApps[k]
-		r := ipscRun(a, scale, 8, ipsc.Locality, false, nil)
-		rows[k] = []string{a.name,
+	var rows [][]string
+	for i, a := range allApps {
+		r := runs[i]
+		rows = append(rows, []string{a.name,
 			fmt.Sprint(r.TaskCount), fmt.Sprint(r.MsgCount),
-			fmt.Sprint(r.ReplicatedReads), fmt.Sprint(r.BroadcastCount)}
-	})
+			fmt.Sprint(r.ReplicatedReads), fmt.Sprint(r.BroadcastCount)})
+	}
 	return &Result{ID: "sec5.1", Title: registry["sec5.1"].Title, Head: head, Rows: rows,
 		Notes: "every application reads at least one object on all processors; " +
 			"without replication those reads would serialize (§5.1)"}
 }
 
-// latencyHidingStudy reproduces §5.4: Panel Cholesky with the target
-// number of tasks per processor set to one (off) and two (on).
-func latencyHidingStudy(scale Scale) *Result {
-	targets := []int{1, 2}
-	grid := parGrid(len(targets), func(r, _, p int) float64 {
-		target := targets[r]
-		return ipscRun(choleskyApp, scale, p, ipsc.Locality, false,
-			func(c *ipsc.Config) { c.TargetTasks = target }).ExecTime
+// latencyHidingCells is §5.4's grid: Panel Cholesky with the target
+// number of tasks per processor at one (off) and two (on). Target one
+// is the default, so that row is Table 10's Locality row.
+func latencyHidingCells(Scale) []RunSpec {
+	return sweepCells(2, func(r, p int) RunSpec {
+		return RunSpec{App: "cholesky", Machine: "ipsc", Procs: p, Level: LevelLocality, TargetTasks: 2 * r}
 	})
-	var rows [][]string
-	for r, target := range targets {
-		rows = append(rows, sweepRow(fmt.Sprintf("target tasks = %d", target), grid[r]))
+}
+
+func latencyHidingStudy(_ Scale, runs []*metrics.Run) *Result {
+	grid := sweepGrid(runs, execTime)
+	rows := [][]string{
+		sweepRow("target tasks = 1", grid[0]),
+		sweepRow("target tasks = 2", grid[1]),
 	}
 	return &Result{ID: "sec5.4", Title: registry["sec5.4"].Title,
 		Head: procHead("variant \\ procs"), Rows: rows,
@@ -283,30 +267,25 @@ func latencyHidingStudy(scale Scale) *Result {
 
 // concurrentFetchStudy reproduces §5.5: the ratio of object latency to
 // task latency at the highest locality optimization level.
-func concurrentFetchStudy(scale Scale) *Result {
+func concurrentFetchStudy(_ Scale, runs []*metrics.Run) *Result {
 	head := []string{"application", "object msgs", "object/task latency ratio"}
-	rows := make([][]string, len(allApps))
-	each(len(allApps), func(k int) {
-		a := allApps[k]
-		level := ipsc.Locality
-		if a.hasPlacement {
-			level = ipsc.TaskPlacement
-		}
-		r := ipscRun(a, scale, 8, level, false, nil)
-		rows[k] = []string{a.name, fmt.Sprint(r.MsgCount),
-			table.Cell(r.ObjectToTaskLatencyRatio())}
-	})
+	var rows [][]string
+	for i, a := range allApps {
+		rows = append(rows, []string{a.name, fmt.Sprint(runs[i].MsgCount),
+			table.Cell(runs[i].ObjectToTaskLatencyRatio())})
+	}
 	return &Result{ID: "sec5.5", Title: registry["sec5.5"].Title, Head: head, Rows: rows,
 		Notes: "a ratio near one means almost all tasks fetch at most one remote object " +
 			"per communication point, so there is nothing to parallelize (§5.5)"}
 }
 
 // panelsAblation compares blind fixed-width panels with
-// supernode-aligned panels for Panel Cholesky on the iPSC model.
-func panelsAblation(scale Scale) *Result {
+// supernode-aligned panels for Panel Cholesky on the iPSC model. The
+// supernodal workload is not an app a RunSpec names, so it is bespoke.
+func panelsAblation(r Runner, scale Scale) *Result {
 	head := []string{"partitioning", "panels", "tasks", "exec 8p (s)", "exec 32p (s)"}
 	rows := make([][]string, 2)
-	each(2, func(v int) {
+	r.Each(2, func(v int) {
 		super := v == 1
 		label := "fixed width (paper)"
 		if super {
@@ -333,26 +312,15 @@ func panelsAblation(scale Scale) *Result {
 // at the Task Placement level on both machines — the view behind the
 // task-management figures: the main processor is busy managing while
 // the workers compute.
-func utilizationStudy(scale Scale) *Result {
+func utilizationStudy(_ Scale, runs []*metrics.Run) *Result {
 	head := []string{"machine"}
 	for i := 0; i < 8; i++ {
 		head = append(head, fmt.Sprintf("p%d", i))
 	}
 	var rows [][]string
-	var d, i *metrics.Run
-	each(2, func(k int) {
-		if k == 0 {
-			d = dashRun(oceanApp, scale, 8, dash.TaskPlacement, false)
-		} else {
-			i = ipscRun(oceanApp, scale, 8, ipsc.TaskPlacement, false, nil)
-		}
-	})
-	for _, v := range []struct {
-		name string
-		u    []float64
-	}{{"DASH", d.Utilization()}, {"iPSC/860", i.Utilization()}} {
-		row := []string{v.name}
-		for _, f := range v.u {
+	for i, name := range []string{"DASH", "iPSC/860"} {
+		row := []string{name}
+		for _, f := range runs[i].Utilization() {
 			row = append(row, fmt.Sprintf("%.0f%%", 100*f))
 		}
 		rows = append(rows, row)
@@ -363,32 +331,31 @@ func utilizationStudy(scale Scale) *Result {
 			"keep it busy while it executes no application tasks at this level"}
 }
 
-// portabilityStudy runs every application, unmodified, on the three
-// simulated platforms — the paper's portability claim made
-// measurable. The heterogeneous cluster row also compares naive vs
-// speed-aware scheduling.
-func portabilityStudy(scale Scale) *Result {
+// portabilityCells runs every application, unmodified, on the three
+// simulated platforms — the paper's portability claim made measurable —
+// four cells per app: DASH, iPSC, and the heterogeneous cluster with
+// naive and speed-aware scheduling.
+func portabilityCells(Scale) []RunSpec {
+	var cells []RunSpec
+	for _, a := range allApps {
+		cells = append(cells,
+			RunSpec{App: a.key, Machine: "dash", Procs: 8, Level: LevelLocality},
+			RunSpec{App: a.key, Machine: "ipsc", Procs: 8, Level: LevelLocality},
+			RunSpec{App: a.key, Machine: "cluster", Procs: 8},
+			RunSpec{App: a.key, Machine: "cluster", Procs: 8, SpeedAware: true})
+	}
+	return cells
+}
+
+func portabilityStudy(_ Scale, runs []*metrics.Run) *Result {
 	head := []string{"application", "DASH (s)", "iPSC/860 (s)", "cluster (s)", "cluster speed-aware (s)"}
-	// One fan-out over the full app x platform grid (4 x 4 cells).
-	cells := make([][4]float64, len(allApps))
-	each(len(allApps)*4, func(k int) {
-		a, v := allApps[k/4], k%4
-		switch v {
-		case 0:
-			cells[k/4][v] = dashRun(a, scale, 8, dash.Locality, false).ExecTime
-		case 1:
-			cells[k/4][v] = ipscRun(a, scale, 8, ipsc.Locality, false, nil).ExecTime
-		case 2:
-			cells[k/4][v] = clusterRun(a, scale, 8, false).ExecTime
-		case 3:
-			cells[k/4][v] = clusterRun(a, scale, 8, true).ExecTime
-		}
-	})
 	var rows [][]string
 	for i, a := range allApps {
-		rows = append(rows, []string{a.name,
-			table.Cell(cells[i][0]), table.Cell(cells[i][1]),
-			table.Cell(cells[i][2]), table.Cell(cells[i][3])})
+		row := []string{a.name}
+		for _, r := range runs[4*i : 4*i+4] {
+			row = append(row, table.Cell(r.ExecTime))
+		}
+		rows = append(rows, row)
 	}
 	return &Result{ID: "extension-portability", Title: registry["extension-portability"].Title,
 		Head: head, Rows: rows,
@@ -397,59 +364,51 @@ func portabilityStudy(scale Scale) *Result {
 }
 
 // stealAblation compares tail-stealing (the paper's design) with
-// head-stealing on DASH for Panel Cholesky.
-func stealAblation(scale Scale) *Result {
-	run := func(fromHead bool, p int) float64 {
-		m := dash.New(dash.DefaultConfig(p, dash.Locality))
-		m.StealFromHead = fromHead
-		rt := newDashRuntime(m)
-		choleskyApp.run(rt, scale, false)
-		return rt.Finish().ExecTime
-	}
+// head-stealing on DASH for Panel Cholesky. StealFromHead is a machine
+// field no RunSpec sets, so it is bespoke.
+func stealAblation(r Runner, scale Scale) *Result {
 	variants := []bool{false, true}
-	grid := parGrid(len(variants), func(r, _, p int) float64 {
-		return run(variants[r], p)
+	vals := make([]float64, len(variants)*len(Procs))
+	r.Each(len(vals), func(k int) {
+		m := dash.New(dash.DefaultConfig(Procs[k%len(Procs)], dash.Locality))
+		m.StealFromHead = variants[k/len(Procs)]
+		rt := jade.New(m, jade.Config{})
+		choleskyApp.run(rt, scale, false)
+		vals[k] = rt.Finish().ExecTime
 	})
 	var rows [][]string
-	for r, fromHead := range variants {
+	for v, fromHead := range variants {
 		label := "steal last of last OTQ (paper)"
 		if fromHead {
 			label = "steal first of first OTQ"
 		}
-		rows = append(rows, sweepRow(label, grid[r]))
+		rows = append(rows, sweepRow(label, vals[v*len(Procs):(v+1)*len(Procs)]))
 	}
 	return &Result{ID: "ablation-steal", Title: registry["ablation-steal"].Title,
 		Head: procHead("variant \\ procs"), Rows: rows}
 }
 
-// localityPolicyAblation compares locality-object policies.
-func localityPolicyAblation(scale Scale) *Result {
+// localityPolicyAblation compares locality-object policies, a runtime
+// setting (jade.Config.Locality) no RunSpec carries, so it is bespoke.
+func localityPolicyAblation(r Runner, scale Scale) *Result {
 	policies := []struct {
 		label  string
-		policy int
+		policy jade.LocalityPolicy
 	}{
 		{"first declared access (paper)", 0},
 		{"largest declared object", 1},
 		{"first written object", 2},
 	}
-	runs := make([][]*metrics.Run, len(policies))
-	for r := range runs {
-		runs[r] = make([]*metrics.Run, len(Procs))
-	}
-	each(len(policies)*len(Procs), func(k int) {
-		r, i := k/len(Procs), k%len(Procs)
-		runs[r][i] = ipscRunWithPolicy(choleskyApp, scale, Procs[i], policies[r].policy)
+	runs := make([]*metrics.Run, len(policies)*len(Procs))
+	r.Each(len(runs), func(k int) {
+		m := ipsc.New(ipsc.DefaultConfig(Procs[k%len(Procs)], ipsc.Locality))
+		runs[k] = runApp(m, jade.Config{Locality: policies[k/len(Procs)].policy}, choleskyApp, scale, false)
 	})
+	times, locs := sweepGrid(runs, execTime), sweepGrid(runs, (*metrics.Run).LocalityPct)
 	var rows [][]string
-	for r, pol := range policies {
-		vals := make([]float64, len(Procs))
-		locs := make([]float64, len(Procs))
-		for i := range Procs {
-			vals[i] = runs[r][i].ExecTime
-			locs[i] = runs[r][i].LocalityPct()
-		}
-		rows = append(rows, sweepRow(pol.label+" [time]", vals))
-		rows = append(rows, sweepRow(pol.label+" [loc%]", locs))
+	for p, pol := range policies {
+		rows = append(rows, sweepRow(pol.label+" [time]", times[p]))
+		rows = append(rows, sweepRow(pol.label+" [loc%]", locs[p]))
 	}
 	return &Result{ID: "ablation-locality-policy", Title: registry["ablation-locality-policy"].Title,
 		Head: procHead("variant \\ procs"), Rows: rows}
@@ -457,11 +416,12 @@ func localityPolicyAblation(scale Scale) *Result {
 
 // orderingAblation compares the natural grid ordering with reverse
 // Cuthill-McKee: fill, modeled flops, and execution time at the
-// Locality level on the iPSC model.
-func orderingAblation(scale Scale) *Result {
+// Locality level on the iPSC model. The RCM workload is not an app a
+// RunSpec names, so it is bespoke.
+func orderingAblation(r Runner, scale Scale) *Result {
 	head := []string{"ordering", "nnz(L)", "modeled serial s", "exec 8p (s)", "exec 32p (s)"}
 	rows := make([][]string, 2)
-	each(2, func(v int) {
+	r.Each(2, func(v int) {
 		rcm := v == 1
 		label := "natural (default)"
 		if rcm {
@@ -487,25 +447,27 @@ func orderingAblation(scale Scale) *Result {
 			"panel dependence structure and the total work"}
 }
 
-// updateExtension evaluates the §6 eager-update protocol against
-// demand fetching with adaptive broadcast disabled, per application.
-func updateExtension(scale Scale) *Result {
-	head := []string{"application", "demand 16p (s)", "update 16p (s)", "demand MB", "update MB"}
-	runs := make([][2]*metrics.Run, len(allApps))
-	each(len(allApps)*2, func(k int) {
-		a, update := allApps[k/2], k%2 == 1
-		level := ipsc.Locality
-		if a.hasPlacement {
-			level = ipsc.TaskPlacement
+// updateCells evaluates the §6 eager-update protocol against demand
+// fetching with adaptive broadcast disabled, per application: two cells
+// per app at 16 processors. The demand cell is the 16-processor cell of
+// the app's "No Adaptive Broadcast" row in Tables 11–14.
+func updateCells(Scale) []RunSpec {
+	off := false
+	var cells []RunSpec
+	for _, a := range allApps {
+		for _, update := range []bool{false, true} {
+			cells = append(cells, RunSpec{App: a.key, Machine: "ipsc", Procs: 16, Level: defaultLevelOf(a),
+				AdaptiveBroadcast: &off, EagerUpdate: update})
 		}
-		runs[k/2][k%2] = ipscRun(a, scale, 16, level, false, func(c *ipsc.Config) {
-			c.AdaptiveBroadcast = false
-			c.EagerUpdate = update
-		})
-	})
+	}
+	return cells
+}
+
+func updateExtension(_ Scale, runs []*metrics.Run) *Result {
+	head := []string{"application", "demand 16p (s)", "update 16p (s)", "demand MB", "update MB"}
 	var rows [][]string
 	for i, a := range allApps {
-		demand, upd := runs[i][0], runs[i][1]
+		demand, upd := runs[2*i], runs[2*i+1]
 		rows = append(rows, []string{a.name,
 			table.Cell(demand.ExecTime), table.Cell(upd.ExecTime),
 			table.Cell(float64(demand.MsgBytes) / 1e6), table.Cell(float64(upd.MsgBytes) / 1e6)})
@@ -516,35 +478,32 @@ func updateExtension(scale Scale) *Result {
 			"generated excessive communication for the others"}
 }
 
-// stickyAblation evaluates the §5.6 suggestion of a scheduler less
-// eager to move tasks off their target processor.
-func stickyAblation(scale Scale) *Result {
-	apps := []*appSpec{oceanApp, choleskyApp}
-	runs := make([][]*metrics.Run, 4) // (app, sticky) pairs in row order
-	for r := range runs {
-		runs[r] = make([]*metrics.Run, len(Procs))
-	}
-	each(4*len(Procs), func(k int) {
-		r, i := k/len(Procs), k%len(Procs)
-		a, sticky := apps[r/2], r%2 == 1
-		runs[r][i] = ipscRun(a, scale, Procs[i], ipsc.Locality, false,
-			func(c *ipsc.Config) { c.StickyTarget = sticky })
+// stickyApps are the apps of the §5.6 sticky-target ablation; each
+// contributes an eager (the paper's scheduler) and a sticky row.
+func stickyApps() []*appSpec { return []*appSpec{oceanApp, choleskyApp} }
+
+// stickyCells evaluates the §5.6 suggestion of a scheduler less eager
+// to move tasks off their target processor. The eager rows are Tables
+// 9–10's Locality rows.
+func stickyCells(Scale) []RunSpec {
+	apps := stickyApps()
+	return sweepCells(2*len(apps), func(r, p int) RunSpec {
+		return RunSpec{App: apps[r/2].key, Machine: "ipsc", Procs: p, Level: LevelLocality,
+			StickyTarget: r%2 == 1}
 	})
+}
+
+func stickyAblation(_ Scale, runs []*metrics.Run) *Result {
+	times, locs := sweepGrid(runs, execTime), sweepGrid(runs, (*metrics.Run).LocalityPct)
 	var rows [][]string
-	for r := range runs {
-		a, sticky := apps[r/2], r%2 == 1
+	for r := range times {
+		a, sticky := stickyApps()[r/2], r%2 == 1
 		label := a.name + " eager (paper)"
 		if sticky {
 			label = a.name + " sticky target"
 		}
-		vals := make([]float64, len(Procs))
-		locs := make([]float64, len(Procs))
-		for i := range Procs {
-			vals[i] = runs[r][i].ExecTime
-			locs[i] = runs[r][i].LocalityPct()
-		}
-		rows = append(rows, sweepRow(label+" [time]", vals))
-		rows = append(rows, sweepRow(label+" [loc%]", locs))
+		rows = append(rows, sweepRow(label+" [time]", times[r]))
+		rows = append(rows, sweepRow(label+" [loc%]", locs[r]))
 	}
 	return &Result{ID: "ablation-sticky", Title: registry["ablation-sticky"].Title,
 		Head: procHead("variant \\ procs"), Rows: rows}

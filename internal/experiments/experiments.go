@@ -1,9 +1,15 @@
 // Package experiments contains one driver per table and figure in the
-// paper's evaluation section (§5). Each driver builds the application
-// at the requested scale, sweeps processor counts and optimization
-// levels on the simulated machines, and returns the same rows/series
-// the paper reports. cmd/jadebench and the repository benchmarks are
-// thin wrappers around this package.
+// paper's evaluation section (§5), plus the extension studies. Most
+// drivers are projections: they declare the RunSpec cells they read (an
+// app, a machine, a processor count, a locality level, the toggles) and
+// render the paper's rows and series from those runs. Runner.Execute
+// plans the union of the cells of every experiment requested in one
+// call, runs each distinct cell once, and hands each view its runs — so
+// Table 2, Figure 2 and Figure 6 read the same DASH runs instead of
+// executing them three times. The few drivers whose machines no RunSpec
+// describes execute their own runs on the same pool. cmd/jadebench,
+// jaded and the repository benchmarks are thin wrappers around this
+// package.
 package experiments
 
 import (
@@ -11,10 +17,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cluster"
-	"repro/internal/dash"
-	"repro/internal/ipsc"
-	"repro/internal/jade"
 	"repro/internal/metrics"
 	"repro/internal/table"
 )
@@ -73,18 +75,37 @@ func (r *Result) Markdown(w *strings.Builder) {
 	w.WriteString("\n")
 }
 
-// Experiment is a registered driver.
+// Experiment is a registered table, figure or study. A planned
+// experiment declares the RunSpec cells it reads and renders its result
+// from their runs, so Runner.Execute can share a cell between every view
+// that reads it. A bespoke experiment drives machines no RunSpec
+// describes (fields set after New, runtime policies, alternate
+// workloads) and executes them itself.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(scale Scale) *Result
+	// cells lists the runs a planned experiment reads; nil marks a
+	// bespoke driver.
+	cells func(scale Scale) []RunSpec
+	// render builds the result; runs[i] is the read-only run of
+	// cells(scale)[i].
+	render func(scale Scale, runs []*metrics.Run) *Result
+	// drive executes a bespoke experiment on the runner's pool.
+	drive func(r Runner, scale Scale) *Result
 }
 
 var registry = map[string]*Experiment{}
 var order []string
 
-func register(id, title string, run func(scale Scale) *Result) {
-	registry[id] = &Experiment{ID: id, Title: title, Run: run}
+// register adds a planned experiment.
+func register(id, title string, cells func(Scale) []RunSpec, render func(Scale, []*metrics.Run) *Result) {
+	registry[id] = &Experiment{ID: id, Title: title, cells: cells, render: render}
+	order = append(order, id)
+}
+
+// registerBespoke adds an experiment that executes its own machines.
+func registerBespoke(id, title string, drive func(Runner, Scale) *Result) {
+	registry[id] = &Experiment{ID: id, Title: title, drive: drive}
 	order = append(order, id)
 }
 
@@ -102,49 +123,49 @@ func Get(id string) (*Experiment, error) {
 	return e, nil
 }
 
-// Run executes the experiment with the given ID at the given scale.
+// Run executes the experiment with the given ID at the given scale on a
+// GOMAXPROCS-wide runner.
 func Run(id string, scale Scale) (*Result, error) {
-	e, err := Get(id)
+	res, _, err := Runner{}.Execute([]string{id}, nil, scale)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(scale), nil
+	return res[0], nil
 }
 
-// ---- shared runners ----
+// ---- shared cell and row builders ----
 
-// dashRun executes one app on the DASH model (work-free runs replay
-// the cached task graph; see runApp).
-func dashRun(a *appSpec, scale Scale, procs int, level dash.LocalityLevel, workFree bool) *metrics.Run {
-	m := dash.New(dash.DefaultConfig(procs, level))
-	return runApp(m, jade.Config{WorkFree: workFree}, a, scale, level == dash.TaskPlacement && a.hasPlacement)
-}
-
-// ipscRun executes one app on the iPSC model with a config hook.
-func ipscRun(a *appSpec, scale Scale, procs int, level ipsc.LocalityLevel, workFree bool, mod func(*ipsc.Config)) *metrics.Run {
-	cfg := ipsc.DefaultConfig(procs, level)
-	if mod != nil {
-		mod(&cfg)
-	}
-	m := ipsc.New(cfg)
-	return runApp(m, jade.Config{WorkFree: workFree}, a, scale, level == ipsc.TaskPlacement && a.hasPlacement)
-}
-
-// dashLevels returns the locality levels an app is evaluated at on
-// DASH, highest first (matching the paper's table row order).
-func dashLevels(a *appSpec) []dash.LocalityLevel {
+// levels returns the locality levels an app is evaluated at, highest
+// first (matching the paper's table row order).
+func levels(a *appSpec) []string {
 	if a.hasPlacement {
-		return []dash.LocalityLevel{dash.TaskPlacement, dash.Locality, dash.NoLocality}
+		return []string{LevelPlacement, LevelLocality, LevelNone}
 	}
-	return []dash.LocalityLevel{dash.Locality, dash.NoLocality}
+	return []string{LevelLocality, LevelNone}
 }
 
-func ipscLevels(a *appSpec) []ipsc.LocalityLevel {
-	if a.hasPlacement {
-		return []ipsc.LocalityLevel{ipsc.TaskPlacement, ipsc.Locality, ipsc.NoLocality}
+// sweepCells lists one cell per (row, processor count), row-major, so
+// sweepGrid can fold the runs back into rows.
+func sweepCells(rows int, cell func(r, procs int) RunSpec) []RunSpec {
+	cells := make([]RunSpec, 0, rows*len(Procs))
+	for r := 0; r < rows; r++ {
+		for _, p := range Procs {
+			cells = append(cells, cell(r, p))
+		}
 	}
-	return []ipsc.LocalityLevel{ipsc.Locality, ipsc.NoLocality}
+	return cells
 }
+
+// sweepGrid folds sweepCells' runs into rows of one metric.
+func sweepGrid(runs []*metrics.Run, metric func(*metrics.Run) float64) [][]float64 {
+	grid := make([][]float64, len(runs)/len(Procs))
+	for k, run := range runs {
+		grid[k/len(Procs)] = append(grid[k/len(Procs)], metric(run))
+	}
+	return grid
+}
+
+func execTime(r *metrics.Run) float64 { return r.ExecTime }
 
 // procHead builds the "level, 1, 2, 4, ..." table header.
 func procHead(first string) []string {
@@ -178,25 +199,4 @@ func plotOf(title, ylabel string, labels []string, series [][]float64) *table.Pl
 		})
 	}
 	return p
-}
-
-// clusterRun executes one app on the workstation-cluster model.
-func clusterRun(a *appSpec, scale Scale, stations int, speedAware bool) *metrics.Run {
-	cfg := cluster.DefaultConfig(stations)
-	cfg.SpeedAware = speedAware
-	m := cluster.New(cfg)
-	return runApp(m, jade.Config{}, a, scale, false)
-}
-
-// newDashRuntime binds a fresh runtime to a pre-configured DASH
-// machine (used by ablations that tweak machine fields after New).
-func newDashRuntime(m *dash.Machine) *jade.Runtime {
-	return jade.New(m, jade.Config{})
-}
-
-// ipscRunWithPolicy runs an app on the iPSC model under an alternate
-// locality-object policy.
-func ipscRunWithPolicy(a *appSpec, scale Scale, procs int, policy int) *metrics.Run {
-	m := ipsc.New(ipsc.DefaultConfig(procs, ipsc.Locality))
-	return runApp(m, jade.Config{Locality: jade.LocalityPolicy(policy)}, a, scale, false)
 }

@@ -18,15 +18,39 @@ const faultSweepSeed = 1995
 func init() {
 	register("fault-sweep",
 		"Degradation Sweep: optimization benefit under message loss (iPSC/860, 8 processors)",
-		faultSweep)
+		faultSweepCells, faultSweep)
 }
 
 // faultVariant pairs a run with an optimization against the same run
-// without it; the benefit is the execution-time difference.
+// without it; the benefit is the execution-time difference. The specs
+// name the app and toggles; faultCell places them on the machine.
 type faultVariant struct {
-	name    string
-	with    func(drop float64) RunSpec
-	without func(drop float64) RunSpec
+	name          string
+	with, without RunSpec
+}
+
+func faultVariants() []faultVariant {
+	off := false
+	water := RunSpec{App: "water", Level: LevelLocality}
+	return []faultVariant{
+		{"locality scheduling (Water)", water, RunSpec{App: "water", Level: LevelNone}},
+		{"adaptive broadcast (Water)", water, RunSpec{App: "water", Level: LevelLocality, AdaptiveBroadcast: &off}},
+		{"locality scheduling (Ocean)", RunSpec{App: "ocean", Level: LevelLocality}, RunSpec{App: "ocean", Level: LevelNone}},
+		// The granularity knobs under loss. SpMV is the one app whose
+		// tasks gather several remote objects per communication point,
+		// so it is where coalescing has batches to build — and where a
+		// dropped coalesced message loses a whole batch that the
+		// retransmit protocol then resends whole.
+		{"message coalescing (SpMV)",
+			RunSpec{App: "spmv", Level: LevelLocality, Coalescing: true}, RunSpec{App: "spmv", Level: LevelLocality}},
+		// Cholesky is the one paper app with serially dependent
+		// consecutive task chains for fusion to collapse. Fusion needs a
+		// replayable graph, so its pair runs stripped (work-free): the
+		// benefit measured is pure management and communication time.
+		{"task fusion (Cholesky, stripped)",
+			RunSpec{App: "cholesky", Level: LevelLocality, WorkFree: true, Fusion: true},
+			RunSpec{App: "cholesky", Level: LevelLocality, WorkFree: true}},
+	}
 }
 
 // faultSpecAt returns the spec's fault block for one drop rate (nil at
@@ -38,12 +62,23 @@ func faultSpecAt(drop float64) *fault.Spec {
 	return &fault.Spec{Seed: faultSweepSeed, DropPct: drop}
 }
 
-func faultIPSC(app, level string, drop float64, mod func(*RunSpec)) RunSpec {
-	s := RunSpec{App: app, Machine: "ipsc", Procs: 8, Level: level, Fault: faultSpecAt(drop)}
-	if mod != nil {
-		mod(&s)
-	}
+// faultCell places one variant spec on the 8-processor iPSC at one
+// drop rate.
+func faultCell(s RunSpec, drop float64) RunSpec {
+	s.Machine, s.Procs, s.Fault = "ipsc", 8, faultSpecAt(drop)
 	return s
+}
+
+// faultSweepCells lists a (with, without) pair per variant and drop
+// rate. The two Water variants share their "with" cells.
+func faultSweepCells(Scale) []RunSpec {
+	var cells []RunSpec
+	for _, v := range faultVariants() {
+		for _, d := range faultDropRates {
+			cells = append(cells, faultCell(v.with, d), faultCell(v.without, d))
+		}
+	}
+	return cells
 }
 
 // faultSweep measures how much of each communication optimization's
@@ -51,64 +86,8 @@ func faultIPSC(app, level string, drop float64, mod func(*RunSpec)) RunSpec {
 // protocol keeps runs correct, but every retry burns wire time, so the
 // absolute benefit of avoiding communication should grow while the
 // relative benefit stays measurable.
-func faultSweep(scale Scale) *Result {
-	off := false
-	variants := []faultVariant{
-		{
-			name:    "locality scheduling (Water)",
-			with:    func(d float64) RunSpec { return faultIPSC("water", LevelLocality, d, nil) },
-			without: func(d float64) RunSpec { return faultIPSC("water", LevelNone, d, nil) },
-		},
-		{
-			name: "adaptive broadcast (Water)",
-			with: func(d float64) RunSpec { return faultIPSC("water", LevelLocality, d, nil) },
-			without: func(d float64) RunSpec {
-				return faultIPSC("water", LevelLocality, d, func(s *RunSpec) { s.AdaptiveBroadcast = &off })
-			},
-		},
-		{
-			name:    "locality scheduling (Ocean)",
-			with:    func(d float64) RunSpec { return faultIPSC("ocean", LevelLocality, d, nil) },
-			without: func(d float64) RunSpec { return faultIPSC("ocean", LevelNone, d, nil) },
-		},
-		// The granularity knobs under loss. SpMV is the one app whose
-		// tasks gather several remote objects per communication point,
-		// so it is where coalescing has batches to build — and where a
-		// dropped coalesced message loses a whole batch that the
-		// retransmit protocol then resends whole.
-		{
-			name: "message coalescing (SpMV)",
-			with: func(d float64) RunSpec {
-				return faultIPSC("spmv", LevelLocality, d, func(s *RunSpec) { s.Coalescing = true })
-			},
-			without: func(d float64) RunSpec { return faultIPSC("spmv", LevelLocality, d, nil) },
-		},
-		// Cholesky is the one paper app with serially dependent
-		// consecutive task chains for fusion to collapse. Fusion needs a
-		// replayable graph, so its pair runs stripped (work-free): the
-		// benefit measured is pure management and communication time.
-		{
-			name: "task fusion (Cholesky, stripped)",
-			with: func(d float64) RunSpec {
-				return faultIPSC("cholesky", LevelLocality, d, func(s *RunSpec) { s.WorkFree = true; s.Fusion = true })
-			},
-			without: func(d float64) RunSpec {
-				return faultIPSC("cholesky", LevelLocality, d, func(s *RunSpec) { s.WorkFree = true })
-			},
-		},
-	}
-
-	type cell struct {
-		with, without *metrics.Run
-	}
-	grid := make([]cell, len(variants)*len(faultDropRates))
-	each(len(grid), func(k int) {
-		v, d := variants[k/len(faultDropRates)], faultDropRates[k%len(faultDropRates)]
-		w := mustExecute(v.with(d), scale)
-		wo := mustExecute(v.without(d), scale)
-		grid[k] = cell{with: w, without: wo}
-	})
-
+func faultSweep(_ Scale, runs []*metrics.Run) *Result {
+	variants := faultVariants()
 	head := []string{"optimization \\ drop rate"}
 	for _, d := range faultDropRates {
 		head = append(head, fmt.Sprintf("%.0f%%", d*100))
@@ -121,9 +100,10 @@ func faultSweep(scale Scale) *Result {
 		var series []float64
 		base := 0.0
 		for j := range faultDropRates {
-			c := grid[i*len(faultDropRates)+j]
-			benefit := c.without.ExecTime - c.with.ExecTime
-			totalRetx += c.with.MsgRetransmits + c.without.MsgRetransmits
+			k := 2 * (i*len(faultDropRates) + j)
+			with, without := runs[k], runs[k+1]
+			benefit := without.ExecTime - with.ExecTime
+			totalRetx += with.MsgRetransmits + without.MsgRetransmits
 			if j == 0 {
 				base = benefit
 			}
@@ -164,14 +144,4 @@ func faultPlot(title string, labels []string, series [][]float64) *table.Plot {
 		p.Series = append(p.Series, table.Series{Label: lab, X: xs, Y: series[i], Marker: markers[i%len(markers)]})
 	}
 	return p
-}
-
-// mustExecute runs a spec that the driver itself constructed; any
-// error is a programming bug, not an input problem.
-func mustExecute(s RunSpec, scale Scale) *metrics.Run {
-	r, err := s.Execute(scale)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: fault sweep spec failed: %v", err))
-	}
-	return r
 }

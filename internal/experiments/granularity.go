@@ -28,7 +28,7 @@ import (
 const GranularitySchema = "jade-granularity/v1"
 
 func init() {
-	register("granularity-sweep",
+	registerBespoke("granularity-sweep",
 		"Granularity: task size vs fusion and coalescing (iPSC/860 and PGAS, 8 processors)",
 		granularitySweep)
 }
@@ -256,10 +256,11 @@ func granCell(scale Scale, machine string, w float64, fusion, coalescing bool) *
 }
 
 // BuildGranularityReport runs the sweep at one scale and assembles the
-// jade-granularity/v1 document. All cells fan out across the package
-// worker pool into pre-indexed slots, so the document is byte-identical
-// at any parallelism.
-func BuildGranularityReport(scale Scale) *GranularityReport {
+// jade-granularity/v1 document. All cells fan out across the runner's
+// pool into pre-indexed slots, so the document is byte-identical at any
+// width. The synthetic workload is no app a RunSpec names, so the sweep
+// is a bespoke experiment.
+func BuildGranularityReport(runner Runner, scale Scale) *GranularityReport {
 	sh := granShapeFor(scale)
 	type cellKey struct {
 		mi, vi, wi int
@@ -273,7 +274,7 @@ func BuildGranularityReport(scale Scale) *GranularityReport {
 		}
 	}
 	runs := make([]*metrics.Run, len(keys))
-	each(len(keys), func(k int) {
+	runner.Each(len(keys), func(k int) {
 		c := keys[k]
 		runs[k] = granCell(scale, granMachines[c.mi], granSizes[c.wi],
 			granVariants[c.vi].fusion, granVariants[c.vi].coalescing)
@@ -344,8 +345,8 @@ func granVariantLabel(fusion, coalescing bool) string {
 }
 
 // granularitySweep renders the sweep as the registered experiment.
-func granularitySweep(scale Scale) *Result {
-	rep := BuildGranularityReport(scale)
+func granularitySweep(runner Runner, scale Scale) *Result {
+	rep := BuildGranularityReport(runner, scale)
 	head := []string{"machine", "variant"}
 	for _, w := range rep.TaskSizesSec {
 		head = append(head, fmt.Sprintf("%gµs", w*1e6))

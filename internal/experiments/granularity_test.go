@@ -10,7 +10,7 @@ import (
 func granReportJSON(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := BuildGranularityReport(Small).WriteJSON(&buf); err != nil {
+	if err := BuildGranularityReport(Runner{}, Small).WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	return buf.Bytes()
@@ -23,7 +23,7 @@ func TestGranularityReportDeterministic(t *testing.T) {
 }
 
 func TestGranularityReportShape(t *testing.T) {
-	rep := BuildGranularityReport(Small)
+	rep := BuildGranularityReport(Runner{}, Small)
 	if rep.Schema != GranularitySchema {
 		t.Fatalf("schema = %q, want %q", rep.Schema, GranularitySchema)
 	}
@@ -64,7 +64,7 @@ func crossoverFor(t *testing.T, rep *GranularityReport, machine string, fusion, 
 // the pass on, parallelism must pay at a strictly smaller task size
 // than with it off, on both machines.
 func TestGranularityPassMovesCrossover(t *testing.T) {
-	rep := BuildGranularityReport(Small)
+	rep := BuildGranularityReport(Runner{}, Small)
 	for _, machine := range granMachines {
 		off := crossoverFor(t, rep, machine, false, false)
 		on := crossoverFor(t, rep, machine, true, true)
@@ -82,7 +82,7 @@ func TestGranularityPassMovesCrossover(t *testing.T) {
 // at the finest task size on the iPSC, fusion+coalescing cuts messages
 // by at least 30% and execution time measurably.
 func TestGranularityFinestSizeMessageCut(t *testing.T) {
-	rep := BuildGranularityReport(Small)
+	rep := BuildGranularityReport(Runner{}, Small)
 	finest := granSizes[0]
 	find := func(fusion, coalescing bool) GranularityCell {
 		for _, c := range rep.Cells {

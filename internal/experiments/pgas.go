@@ -28,7 +28,7 @@ const pgasComparePct = 1.0
 func init() {
 	register("pgas-compare",
 		"Three Machines: DASH vs iPSC/860 vs PGAS (all apps, 8 processors)",
-		pgasCompare)
+		func(Scale) []RunSpec { specs, _ := pgasLayout(); return specs }, pgasCompare)
 }
 
 // PgasCell is one app × machine cell of the comparison grid.
@@ -116,69 +116,69 @@ func defaultLevelOf(a *appSpec) string {
 	return LevelLocality
 }
 
-// BuildPgasReport runs the three-machine comparison at one scale and
-// assembles the jade-pgas/v1 document. All runs fan out across the
-// package worker pool into pre-indexed slots, so the document is
-// byte-identical at any parallelism.
-func BuildPgasReport(scale Scale) (*PgasReport, error) {
+// pgasSlots indexes the comparison's flat cell list.
+type pgasSlots struct {
+	grid                          [][]int // [app][machine], default level
+	aggOff                        []int   // [app], pgas with aggregation off
+	oceanLoc, oceanNone, spmvNone []int   // [machine]
+}
+
+// pgasLayout lists the comparison's cells and where each part sits.
+func pgasLayout() ([]RunSpec, pgasSlots) {
 	apps := pgasApps()
 	off := false
-
-	// One flat spec list; named index ranges keep assembly readable.
 	var specs []RunSpec
+	var at pgasSlots
 	add := func(s RunSpec) int {
+		s.Procs = instrumentedProcs
 		specs = append(specs, s)
 		return len(specs) - 1
 	}
 
 	// The grid: every app on every machine at its default level.
-	cellIdx := make([][]int, len(apps))
+	at.grid = make([][]int, len(apps))
 	for i, a := range apps {
-		cellIdx[i] = make([]int, len(pgasMachines))
-		for j, machine := range pgasMachines {
-			cellIdx[i][j] = add(RunSpec{
-				App: a.key, Machine: machine, Procs: instrumentedProcs,
-				Level: defaultLevelOf(a),
-			})
+		for _, machine := range pgasMachines {
+			at.grid[i] = append(at.grid[i], add(RunSpec{App: a.key, Machine: machine, Level: defaultLevelOf(a)}))
 		}
 	}
 	// Every app on pgas with aggregation off: the SpMV pair feeds the
 	// aggregation study, the regular apps the neutrality check.
-	aggOffIdx := make([]int, len(apps))
-	for i, a := range apps {
-		aggOffIdx[i] = add(RunSpec{
-			App: a.key, Machine: "pgas", Procs: instrumentedProcs,
-			Level: defaultLevelOf(a), Aggregation: &off,
-		})
+	for _, a := range apps {
+		at.aggOff = append(at.aggOff, add(RunSpec{App: a.key, Machine: "pgas", Level: defaultLevelOf(a), Aggregation: &off}))
 	}
 	// The transfer study's extra baselines: locality vs none for one
 	// regular app with placement (ocean) and the irregular one (spmv),
 	// on every machine.
-	oceanLoc := make([]int, len(pgasMachines))
-	oceanNone := make([]int, len(pgasMachines))
-	spmvNone := make([]int, len(pgasMachines))
-	for j, machine := range pgasMachines {
-		oceanLoc[j] = add(RunSpec{App: "ocean", Machine: machine, Procs: instrumentedProcs, Level: LevelLocality})
-		oceanNone[j] = add(RunSpec{App: "ocean", Machine: machine, Procs: instrumentedProcs, Level: LevelNone})
-		spmvNone[j] = add(RunSpec{App: "spmv", Machine: machine, Procs: instrumentedProcs, Level: LevelNone})
+	for _, machine := range pgasMachines {
+		at.oceanLoc = append(at.oceanLoc, add(RunSpec{App: "ocean", Machine: machine, Level: LevelLocality}))
+		at.oceanNone = append(at.oceanNone, add(RunSpec{App: "ocean", Machine: machine, Level: LevelNone}))
+		at.spmvNone = append(at.spmvNone, add(RunSpec{App: "spmv", Machine: machine, Level: LevelNone}))
 	}
+	return specs, at
+}
 
-	runs := make([]*metrics.Run, len(specs))
-	errs := make([]error, len(specs))
-	each(len(specs), func(k int) {
-		runs[k], errs[k] = specs[k].Execute(scale)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+// BuildPgasReport runs the three-machine comparison at one scale on
+// the runner's pool and assembles the jade-pgas/v1 document, which is
+// byte-identical at any width.
+func BuildPgasReport(r Runner, scale Scale) (*PgasReport, error) {
+	specs, _ := pgasLayout()
+	runs, err := r.ExecuteRuns(specs, scale)
+	if err != nil {
+		return nil, err
 	}
+	return pgasReport(scale, runs)
+}
 
+// pgasReport assembles the document from the runs of pgasLayout's cells.
+func pgasReport(scale Scale, runs []*metrics.Run) (*PgasReport, error) {
+	apps := pgasApps()
+	_, at := pgasLayout()
 	rep := &PgasReport{Schema: PgasSchema, Scale: string(scale), Procs: instrumentedProcs}
 	aggOn := true
 	for i, a := range apps {
 		for j, machine := range pgasMachines {
-			r := runs[cellIdx[i][j]]
+			r := runs[at.grid[i][j]]
 			cell := PgasCell{
 				App: a.key, Machine: machine, Procs: instrumentedProcs,
 				Level:            defaultLevelOf(a),
@@ -201,8 +201,8 @@ func BuildPgasReport(scale Scale) (*PgasReport, error) {
 
 	// Aggregation study: SpMV on/off plus the neutrality list.
 	spmvI := len(apps) - 1
-	on := runs[cellIdx[spmvI][2]]
-	offRun := runs[aggOffIdx[spmvI]]
+	on := runs[at.grid[spmvI][2]]
+	offRun := runs[at.aggOff[spmvI]]
 	rep.SpMVAggregation = PgasAggregation{
 		App:             "spmv",
 		MsgCountOn:      on.MsgCount,
@@ -215,11 +215,11 @@ func BuildPgasReport(scale Scale) (*PgasReport, error) {
 		AggBenefitBytes: on.AggBenefitBytes,
 	}
 	for i, a := range apps[:spmvI] {
-		onJSON, err := json.Marshal(runs[cellIdx[i][2]].Report())
+		onJSON, err := json.Marshal(runs[at.grid[i][2]].Report())
 		if err != nil {
 			return nil, err
 		}
-		offJSON, err := json.Marshal(runs[aggOffIdx[i]].Report())
+		offJSON, err := json.Marshal(runs[at.aggOff[i]].Report())
 		if err != nil {
 			return nil, err
 		}
@@ -245,21 +245,21 @@ func BuildPgasReport(scale Scale) (*PgasReport, error) {
 	}
 	oceanI := 2 // allApps order: water, string, ocean, cholesky
 	for j, machine := range pgasMachines {
-		transfer("locality scheduling", "ocean", machine, runs[oceanLoc[j]], runs[oceanNone[j]])
+		transfer("locality scheduling", "ocean", machine, runs[at.oceanLoc[j]], runs[at.oceanNone[j]])
 	}
 	for j, machine := range pgasMachines {
-		transfer("task placement", "ocean", machine, runs[cellIdx[oceanI][j]], runs[oceanLoc[j]])
+		transfer("task placement", "ocean", machine, runs[at.grid[oceanI][j]], runs[at.oceanLoc[j]])
 	}
 	for j, machine := range pgasMachines {
-		transfer("locality scheduling", "spmv", machine, runs[cellIdx[spmvI][j]], runs[spmvNone[j]])
+		transfer("locality scheduling", "spmv", machine, runs[at.grid[spmvI][j]], runs[at.spmvNone[j]])
 	}
 	transfer("remote-get aggregation", "spmv", "pgas", on, offRun)
 	return rep, nil
 }
 
 // pgasCompare renders the comparison as the registered experiment.
-func pgasCompare(scale Scale) *Result {
-	rep, err := BuildPgasReport(scale)
+func pgasCompare(scale Scale, runs []*metrics.Run) *Result {
+	rep, err := pgasReport(scale, runs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: pgas comparison failed: %v", err))
 	}

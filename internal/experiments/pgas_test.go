@@ -44,7 +44,7 @@ func TestPgasSpecCanonicalBytesDistinct(t *testing.T) {
 // leaving every regular app untouched.
 func TestPgasReportDeterministic(t *testing.T) {
 	build := func() []byte {
-		rep, err := BuildPgasReport(Small)
+		rep, err := BuildPgasReport(Runner{}, Small)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,50 +56,42 @@ func BuildReport(ids []string, scale Scale) (*BenchReport, error) {
 	return BuildReportWithRuns(ids, DefaultRunSpecs(), scale)
 }
 
-// BuildReportWithRuns runs the given experiment IDs and the given run
-// specs at one scale and assembles the jadebench/v1 report. Both
-// lists may be empty; the report preserves their order. This is the
-// entry point the jaded job service drives: every part of the request
-// is serializable data, and on the deterministic machine models the
-// same inputs always produce a byte-identical document.
-//
-// Experiments and runs fan out together across the package worker
-// pool (see SetParallelism); results land in pre-indexed slots, so
-// the document bytes are identical to serial execution, and the first
-// error by input position — not completion order — wins.
+// BuildReportWithRuns is Report on a GOMAXPROCS-wide runner.
 func BuildReportWithRuns(ids []string, specs []RunSpec, scale Scale) (*BenchReport, error) {
+	return Runner{}.Report(ids, specs, scale)
+}
+
+// Report runs the given experiment IDs and the given run specs at one
+// scale and assembles the jadebench/v1 report. Both lists may be empty;
+// the report preserves their order. This is the entry point the jaded
+// job service drives: every part of the request is serializable data,
+// and on the deterministic machine models the same inputs always
+// produce a byte-identical document.
+//
+// Experiments and runs are one planned execution (Execute): every
+// distinct cell runs once across the runner's pool into a pre-indexed
+// slot, so the document bytes are identical to serial execution, and
+// the first error by input position — not completion order — wins.
+func (r Runner) Report(ids []string, specs []RunSpec, scale Scale) (*BenchReport, error) {
+	p, err := newPlan(ids, specs, scale)
+	if err != nil {
+		return nil, err
+	}
+	results, runs := r.execute(p, scale)
 	rep := &BenchReport{
 		Schema:      BenchSchema,
 		Scale:       string(scale),
 		Experiments: make([]ResultJSON, len(ids)),
 		Runs:        make([]InstrumentedRun, len(specs)),
 	}
-	errs := make([]error, len(ids)+len(specs))
-	each(len(ids)+len(specs), func(k int) {
-		if k < len(ids) {
-			res, err := Run(ids[k], scale)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			rep.Experiments[k] = ResultJSON{
-				ID: res.ID, Title: res.Title, Head: res.Head,
-				Rows: res.Rows, Notes: res.Notes,
-			}
-			return
+	for i, res := range results {
+		rep.Experiments[i] = ResultJSON{
+			ID: res.ID, Title: res.Title, Head: res.Head,
+			Rows: res.Rows, Notes: res.Notes,
 		}
-		i := k - len(ids)
-		ir, err := specs[i].Instrumented(scale)
-		if err != nil {
-			errs[k] = err
-			return
-		}
-		rep.Runs[i] = ir
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	}
+	for j, run := range runs {
+		rep.Runs[j] = p.cells[p.specSlots[j]].instrumented(run)
 	}
 	return rep, nil
 }

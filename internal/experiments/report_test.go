@@ -101,10 +101,8 @@ func TestExperimentTablesUnchangedByObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range DefaultRunSpecs() {
-		if _, err := spec.Instrumented(Small); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := BuildReportWithRuns(nil, DefaultRunSpecs(), Small); err != nil {
+		t.Fatal(err)
 	}
 	after, err := Run("table4", Small)
 	if err != nil {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,45 +11,21 @@ import (
 )
 
 // The simulated machines are single-goroutine deterministic state
-// machines, and every RunSpec / table cell builds its own machine and
-// runtime — so independent runs are embarrassingly parallel. The
-// runner here fans that work out across a bounded pool while keeping
-// every output byte-identical to serial execution: workers write
-// results into pre-indexed slots, so assembly order never depends on
-// completion order.
-
-// parWidth holds the package-wide fan-out width; 0 selects
-// GOMAXPROCS. cmd/jadebench's -parallel flag and the jaded server
-// config set it once at startup.
-var parWidth atomic.Int32
-
-// SetParallelism sets the fan-out width for independent simulation
-// runs. n <= 0 restores the default of GOMAXPROCS; n == 1 forces
-// serial execution.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parWidth.Store(int32(n))
-}
-
-// Parallelism reports the current fan-out width.
-func Parallelism() int {
-	if n := parWidth.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// machines, and every RunSpec builds its own machine and runtime — so
+// independent runs are embarrassingly parallel. The runner fans that
+// work out across a bounded pool while keeping every output
+// byte-identical to serial execution: workers write results into
+// pre-indexed slots, so assembly order never depends on completion
+// order.
 
 // Runner executes independent pieces of work across a bounded worker
-// pool. The zero value runs at the package parallelism; NewRunner
-// pins an explicit width.
+// pool. The zero value runs GOMAXPROCS wide; NewRunner pins a width.
 type Runner struct {
 	workers int
 }
 
 // NewRunner returns a runner with the given pool width; workers <= 0
-// selects the package parallelism (default GOMAXPROCS).
+// selects GOMAXPROCS and 1 forces serial execution.
 func NewRunner(workers int) Runner { return Runner{workers: workers} }
 
 // Workers reports the effective pool width.
@@ -55,7 +33,7 @@ func (r Runner) Workers() int {
 	if r.workers > 0 {
 		return r.workers
 	}
-	return Parallelism()
+	return runtime.GOMAXPROCS(0)
 }
 
 // Each runs fn(i) for every i in [0, n) across at most Workers()
@@ -104,78 +82,111 @@ func (r Runner) Each(n int, fn func(i int)) {
 	}
 }
 
-// executeAll canonicalizes a copy of every spec, then runs the valid
-// ones across the pool into pre-indexed slots. The first error by spec
-// index (not completion order) is returned, which keeps failures
-// deterministic. Only Canonicalize produces errors: a panic while a cell
-// executes (a machine bug, Fault.Panic) is not converted into one but
-// re-raised on the caller by Each, as Execute on that spec alone would.
-func (r Runner) executeAll(specs []RunSpec, scale Scale) ([]RunSpec, []*metrics.Run, error) {
-	canon := append([]RunSpec(nil), specs...)
-	errs := make([]error, len(canon))
-	for i := range canon {
-		errs[i] = canon[i].Canonicalize()
-	}
-	runs := make([]*metrics.Run, len(canon))
-	r.Each(len(canon), func(i int) {
-		if errs[i] == nil {
-			runs[i] = canon[i].execute(scale)
+// plan is the work of one Execute call: every cell the requested
+// experiments read plus every explicit spec, canonicalized and
+// deduplicated by canonical JSON, so a run several views share executes
+// once. The scope is the call; nothing is remembered across calls.
+type plan struct {
+	exps      []*Experiment
+	cells     []RunSpec // distinct canonical cells, in first-request order
+	expSlots  [][]int   // expSlots[e][i] indexes cells: exps[e]'s i-th cell
+	specSlots []int     // specSlots[j] indexes cells: explicit spec j
+}
+
+// newPlan resolves the ids and canonicalizes every cell without
+// executing anything. The first error by position — ids, then specs —
+// is returned.
+func newPlan(ids []string, specs []RunSpec, scale Scale) (*plan, error) {
+	p := &plan{}
+	slot := map[string]int{}
+	add := func(s RunSpec) (int, error) {
+		if err := s.Canonicalize(); err != nil {
+			return 0, err
 		}
-	})
-	for _, err := range errs {
+		key, _ := json.Marshal(s) // a RunSpec always marshals
+		i, ok := slot[string(key)]
+		if !ok {
+			i = len(p.cells)
+			slot[string(key)] = i
+			p.cells = append(p.cells, s)
+		}
+		return i, nil
+	}
+	for _, id := range ids {
+		e, err := Get(id)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
+		}
+		p.exps = append(p.exps, e)
+	}
+	for _, e := range p.exps {
+		var slots []int
+		if e.cells != nil {
+			for _, s := range e.cells(scale) {
+				i, err := add(s)
+				if err != nil {
+					panic(fmt.Sprintf("experiments: %s built an invalid cell: %v", e.ID, err))
+				}
+				slots = append(slots, i)
+			}
+		}
+		p.expSlots = append(p.expSlots, slots)
+	}
+	for _, s := range specs {
+		i, err := add(s)
+		if err != nil {
+			return nil, err
+		}
+		p.specSlots = append(p.specSlots, i)
+	}
+	return p, nil
+}
+
+// Execute is the one way this package executes runs. It plans the
+// union of the experiments' cells and the explicit specs, runs every
+// distinct cell once in a single fan-out across the pool, then renders
+// each experiment from its runs. results[i] is experiment ids[i] and
+// runs[j] is the run of specs[j]; views that share a cell share its
+// *metrics.Run, which is read-only. Bespoke experiments, whose machines
+// no RunSpec describes, run after the fan-out on the same pool. A
+// panicking cell panics the call; serve recovers per job.
+func (r Runner) Execute(ids []string, specs []RunSpec, scale Scale) (results []*Result, runs []*metrics.Run, err error) {
+	p, err := newPlan(ids, specs, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, runs = r.execute(p, scale)
+	return results, runs, nil
+}
+
+// execute runs a plan: one fan-out over its distinct cells, then each
+// experiment in request order.
+func (r Runner) execute(p *plan, scale Scale) ([]*Result, []*metrics.Run) {
+	all := make([]*metrics.Run, len(p.cells))
+	r.Each(len(all), func(i int) { all[i] = p.cells[i].execute(scale) })
+	results := make([]*Result, len(p.exps))
+	for k, e := range p.exps {
+		if e.cells == nil {
+			results[k] = e.drive(r, scale)
+		} else {
+			results[k] = e.render(scale, pick(all, p.expSlots[k]))
 		}
 	}
-	return canon, runs, nil
+	return results, pick(all, p.specSlots)
 }
 
-// ExecuteRuns executes every spec at the given scale across the pool
-// and returns bare runs in spec order, byte-identical to calling
-// Execute per spec — including that a panicking cell panics the call;
-// callers that need isolation recover around it, as serve does per job.
+// pick gathers the runs at the given plan slots.
+func pick(all []*metrics.Run, slots []int) []*metrics.Run {
+	runs := make([]*metrics.Run, len(slots))
+	for i, s := range slots {
+		runs[i] = all[s]
+	}
+	return runs
+}
+
+// ExecuteRuns executes the specs at the given scale and returns their
+// runs in spec order; identical specs share one run.
 func (r Runner) ExecuteRuns(specs []RunSpec, scale Scale) ([]*metrics.Run, error) {
-	_, runs, err := r.executeAll(specs, scale)
+	_, runs, err := r.Execute(nil, specs, scale)
 	return runs, err
-}
-
-// ExecuteSpecs is ExecuteRuns with each run wrapped in the jadebench/v1
-// runs[] entry shape.
-func (r Runner) ExecuteSpecs(specs []RunSpec, scale Scale) ([]InstrumentedRun, error) {
-	canon, res, err := r.executeAll(specs, scale)
-	if err != nil {
-		return nil, err
-	}
-	runs := make([]InstrumentedRun, len(canon))
-	for i := range canon {
-		runs[i] = canon[i].instrumented(res[i])
-	}
-	return runs, nil
-}
-
-// each is the package-width fan-out the experiment drivers use for
-// their sweep loops.
-func each(n int, fn func(i int)) { Runner{}.Each(n, fn) }
-
-// parSweep fills one processor-sweep row concurrently: fn receives
-// the sweep index and the processor count at that index.
-func parSweep(fn func(i, procs int) float64) []float64 {
-	vals := make([]float64, len(Procs))
-	each(len(Procs), func(i int) { vals[i] = fn(i, Procs[i]) })
-	return vals
-}
-
-// parGrid evaluates fn over a rows x len(Procs) grid concurrently,
-// flattening both dimensions into one fan-out so narrow sweeps still
-// fill the pool.
-func parGrid(rows int, fn func(r, i, procs int) float64) [][]float64 {
-	grid := make([][]float64, rows)
-	for r := range grid {
-		grid[r] = make([]float64, len(Procs))
-	}
-	each(rows*len(Procs), func(k int) {
-		r, i := k/len(Procs), k%len(Procs)
-		grid[r][i] = fn(r, i, Procs[i])
-	})
-	return grid
 }

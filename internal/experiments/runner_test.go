@@ -7,16 +7,6 @@ import (
 	"testing"
 )
 
-// withParallelism runs the body at a fixed fan-out width and restores
-// the package default afterwards. Tests that touch the width must not
-// run in parallel with each other.
-func withParallelism(t *testing.T, n int, body func()) {
-	t.Helper()
-	SetParallelism(n)
-	defer SetParallelism(0)
-	body()
-}
-
 func TestRunnerEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 64} {
 		r := NewRunner(workers)
@@ -54,24 +44,24 @@ func TestRunnerEachPropagatesPanic(t *testing.T) {
 	})
 }
 
-func TestRunnerExecuteSpecsOrderAndError(t *testing.T) {
+func TestRunnerExecuteRunsOrderAndError(t *testing.T) {
 	specs := []RunSpec{
 		{App: "water", Machine: "dash", Procs: 2},
-		{App: "ocean", Machine: "ipsc", Procs: 2},
-		{App: "string", Machine: "cluster", Procs: 2},
+		{App: "ocean", Machine: "ipsc", Procs: 3},
+		{App: "string", Machine: "cluster", Procs: 4},
 	}
-	runs, err := NewRunner(3).ExecuteSpecs(specs, Small)
+	runs, err := NewRunner(3).ExecuteRuns(specs, Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []string{"water", "ocean", "string"} {
-		if runs[i].App != want {
-			t.Fatalf("slot %d holds %q, want %q (completion order leaked into results)", i, runs[i].App, want)
+	for i, s := range specs {
+		if runs[i].Procs != s.Procs {
+			t.Fatalf("slot %d holds a %d-processor run, want %d (completion order leaked into results)", i, runs[i].Procs, s.Procs)
 		}
 	}
 
 	bad := append(append([]RunSpec(nil), specs...), RunSpec{App: "nope", Machine: "dash"})
-	if _, err := NewRunner(4).ExecuteSpecs(bad, Small); err == nil || !strings.Contains(err.Error(), "unknown app") {
+	if _, err := NewRunner(4).ExecuteRuns(bad, Small); err == nil || !strings.Contains(err.Error(), "unknown app") {
 		t.Fatalf("bad spec error = %v", err)
 	}
 }
@@ -92,13 +82,14 @@ func TestSerialVsParallelReportsByteIdentical(t *testing.T) {
 		{"default runspecs only", nil, DefaultRunSpecs()},
 		{"table sweep only", []string{"table2", "table7"}, nil},
 		{"tables figures and runs", []string{"table2", "fig2", "sec5.1"}, DefaultRunSpecs()[:3]},
+		{"overlapping views", []string{"table2", "fig2", "fig6", "table11", "table7"}, nil},
 		{"ablations", []string{"ablation-steal", "extension-portability"}, nil},
 		{"empty request", nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			build := func() []byte {
-				rep, err := BuildReportWithRuns(tc.ids, tc.specs, Small)
+			build := func(runner Runner) []byte {
+				rep, err := runner.Report(tc.ids, tc.specs, Small)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,10 +99,7 @@ func TestSerialVsParallelReportsByteIdentical(t *testing.T) {
 				}
 				return buf.Bytes()
 			}
-			var serial, parallel []byte
-			withParallelism(t, 1, func() { serial = build() })
-			withParallelism(t, 8, func() { parallel = build() })
-			if !bytes.Equal(serial, parallel) {
+			if serial, parallel := build(NewRunner(1)), build(NewRunner(8)); !bytes.Equal(serial, parallel) {
 				t.Fatalf("serial and parallel(8) documents differ (%d vs %d bytes)", len(serial), len(parallel))
 			}
 		})
@@ -124,19 +112,16 @@ func TestRunDriversParallelMatchSerial(t *testing.T) {
 	ids := []string{"table2", "table11", "fig2", "fig10", "sec5.4", "ablation-locality-policy", "utilization"}
 	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
-			render := func() string {
-				res, err := Run(id, Small)
+			render := func(runner Runner) string {
+				res, _, err := runner.Execute([]string{id}, nil, Small)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var sb strings.Builder
-				res.Render(&sb)
+				res[0].Render(&sb)
 				return sb.String()
 			}
-			var serial, parallel string
-			withParallelism(t, 1, func() { serial = render() })
-			withParallelism(t, 8, func() { parallel = render() })
-			if serial != parallel {
+			if serial, parallel := render(NewRunner(1)), render(NewRunner(8)); serial != parallel {
 				t.Fatalf("driver %s renders differently under parallel execution:\n--- serial ---\n%s\n--- parallel ---\n%s", id, serial, parallel)
 			}
 		})

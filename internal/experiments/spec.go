@@ -330,16 +330,11 @@ func (s *RunSpec) execute(scale Scale) *metrics.Run {
 		r = runApp(s.newPlatform(), cfg, a, scale, place)
 	}
 	accumulateFuse(r)
-	return r
-}
-
-// Instrumented executes the spec and wraps the result in the
-// jadebench/v1 runs[] entry shape.
-func (s RunSpec) Instrumented(scale Scale) (InstrumentedRun, error) {
-	if err := s.Canonicalize(); err != nil {
-		return InstrumentedRun{}, err
-	}
-	return s.instrumented(s.execute(scale)), nil
+	// Platforms return a pointer into the machine; copy the run out so
+	// a plan holding many runs until it renders does not keep every
+	// machine alive with them.
+	detached := *r
+	return &detached
 }
 
 // instrumented wraps a canonical spec's run in its runs[] entry.

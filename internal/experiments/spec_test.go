@@ -136,10 +136,11 @@ func TestRunSpecExecuteAllMachines(t *testing.T) {
 
 func TestRunSpecObserve(t *testing.T) {
 	spec := RunSpec{App: "water", Machine: "ipsc", Procs: 4, Observe: true}
-	ir, err := spec.Instrumented(Small)
+	rep, err := BuildReportWithRuns(nil, []RunSpec{spec}, Small)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ir := rep.Runs[0]
 	if ir.Metrics == nil || ir.Metrics.Observability == nil {
 		t.Fatal("Observe: true produced no observability section")
 	}

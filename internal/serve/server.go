@@ -9,8 +9,8 @@
 //
 // Two further layers cut duplicate and serial work: jobs identical to
 // one already executing are single-flighted onto it (one simulation,
-// shared result), and the independent runs inside a single job fan
-// out across the experiment engine's worker pool (Config.
+// shared result), and the distinct runs inside a single job execute
+// once each, fanned out across the server's experiment runner (Config.
 // RunParallelism), so one large job can use the whole machine.
 //
 // The serving path is itself observable (internal/svcobs): every
@@ -74,10 +74,10 @@ type Config struct {
 	// JobTimeout fails a job still executing after this long
 	// (default 2m).
 	JobTimeout time.Duration
-	// RunParallelism sets the experiment engine's fan-out width for
-	// the independent simulation runs inside a single job, so one job
-	// can use the whole machine. 0 keeps the engine default
-	// (GOMAXPROCS); 1 forces serial execution.
+	// RunParallelism sets this server's fan-out width for the
+	// independent simulation runs inside a single job, so one job can
+	// use the whole machine. 0 selects GOMAXPROCS; 1 forces serial
+	// execution. Servers in one process keep their own widths.
 	RunParallelism int
 	// MaxRetries bounds re-executions of a job whose runner failed
 	// with an error wrapping ErrTransient (default 2 retries, i.e. 3
@@ -203,6 +203,8 @@ type Server struct {
 	logger *slog.Logger
 	slo    *svcobs.SLO
 
+	// runner is this server's experiment fan-out (Config.RunParallelism).
+	runner experiments.Runner
 	// runFn executes a canonical job spec; tests substitute a
 	// controllable runner. The context carries the job deadline.
 	runFn func(context.Context, *JobSpec) ([]byte, error)
@@ -235,18 +237,16 @@ type Server struct {
 
 // New creates a server and starts its worker pool.
 func New(cfg Config) *Server {
-	return newServer(cfg, runJobSpec)
+	return newServer(cfg, nil)
 }
 
 // newServer wires a server around an arbitrary runner; tests inject
-// controllable ones.
+// controllable ones, and nil runs jobs on the experiment engine.
 func newServer(cfg Config, runFn func(context.Context, *JobSpec) ([]byte, error)) *Server {
 	cfg.fillDefaults()
-	if cfg.RunParallelism > 0 {
-		experiments.SetParallelism(cfg.RunParallelism)
-	}
 	s := &Server{
 		cfg:      cfg,
+		runner:   experiments.NewRunner(cfg.RunParallelism),
 		queue:    NewQueue[*Job](cfg.QueueCap),
 		cache:    NewCache(cfg.CacheEntries),
 		start:    time.Now(),
@@ -257,6 +257,9 @@ func newServer(cfg Config, runFn func(context.Context, *JobSpec) ([]byte, error)
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 		latency:  make(map[string]*obsv.Histogram),
+	}
+	if s.runFn == nil {
+		s.runFn = s.runJobSpec
 	}
 	s.breaker.onTransition = s.noteBreakerTransition
 	s.mux = http.NewServeMux()
@@ -284,12 +287,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// runJobSpec executes a canonical job spec against the experiment
-// engine and returns the encoded jadebench/v1 document. The engine has
-// no cancellation points mid-simulation, so ctx is consulted only by
-// the caller.
-func runJobSpec(_ context.Context, spec *JobSpec) ([]byte, error) {
-	rep, err := experiments.BuildReportWithRuns(spec.Experiments, spec.Runs, experiments.Scale(spec.Scale))
+// runJobSpec executes a canonical job spec on the server's runner and
+// returns the encoded jadebench/v1 document. The engine has no
+// cancellation points mid-simulation, so ctx is consulted only by the
+// caller.
+func (s *Server) runJobSpec(_ context.Context, spec *JobSpec) ([]byte, error) {
+	rep, err := s.runner.Report(spec.Experiments, spec.Runs, experiments.Scale(spec.Scale))
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -35,6 +36,22 @@ func newTestServer(t *testing.T, cfg Config, runFn func(context.Context, *JobSpe
 		_ = s.Shutdown(ctx)
 	})
 	return s, ts
+}
+
+// Each server fans out at its own Config.RunParallelism: two servers in
+// one process keep their widths, and neither moves the engine default.
+func TestRunParallelismPerServer(t *testing.T) {
+	a, _ := newTestServer(t, Config{RunParallelism: 3}, nil)
+	b, _ := newTestServer(t, Config{RunParallelism: 1}, nil)
+	if got := a.runner.Workers(); got != 3 {
+		t.Errorf("first server runs %d wide, want 3", got)
+	}
+	if got := b.runner.Workers(); got != 1 {
+		t.Errorf("second server runs %d wide, want 1", got)
+	}
+	if got, want := (experiments.Runner{}).Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("zero Runner runs %d wide after constructing servers, want GOMAXPROCS %d", got, want)
+	}
 }
 
 // submit POSTs a job spec and decodes the response.
