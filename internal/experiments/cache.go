@@ -20,9 +20,11 @@ import (
 // counters on /metricz.
 
 // runCacheCap bounds the shared cache. Graphs are keyed per
-// (app, scale, place, procs): four apps across two scales and the
-// seven-point processor sweep is ~60 residencies, so 128 leaves
-// headroom without letting a pathological caller grow it unboundedly.
+// (app, scale, place, procs, work-free), beside the fused and
+// granularity graphs and the two workloads: every registered experiment
+// at one scale leaves 75 residencies (TestSecondPassCapturesNothing),
+// so 128 holds one scale's full set with headroom without letting a
+// pathological caller grow it unboundedly.
 const runCacheCap = 128
 
 // cacheEntry is one key's slot. The value is built outside the cache
@@ -146,11 +148,12 @@ func GraphCacheStats() CacheStats { return sharedCache.stats() }
 // applications shape their structure around Runtime.Processors
 // (per-processor replicas, block distributions), so the graph is not
 // procs-invariant even though the machine models downstream of it are
-// interchangeable.
-func capturedGraph(a *appSpec, scale Scale, procs int, place bool) *graph.Graph {
-	key := fmt.Sprintf("graph/%s/%s/place=%t/procs=%d", a.key, scale, place, procs)
+// interchangeable. A timed capture (workFree false) is where the task
+// bodies run, once, in serial order.
+func capturedGraph(a *appSpec, scale Scale, procs int, place, workFree bool) *graph.Graph {
+	key := fmt.Sprintf("graph/%s/%s/place=%t/procs=%d/workfree=%t", a.key, scale, place, procs, workFree)
 	return sharedCache.get(key, func() any {
-		return graph.Capture(procs, true, func(rt *jade.Runtime) { a.run(rt, scale, place) })
+		return graph.Capture(procs, workFree, func(rt *jade.Runtime) { a.run(rt, scale, place) })
 	}).(*graph.Graph)
 }
 
@@ -161,17 +164,13 @@ type fusedEntry struct {
 	st graph.FuseStats
 }
 
-// fusedGraph returns the task-fusion pass's output for one captured
-// graph, cached alongside the unfused capture under a /fused=true key.
+// fusedGraph returns the task-fusion pass's output for one work-free
+// graph (fusion specs are work-free), cached alongside the unfused
+// capture under a /fused=true key.
 func fusedGraph(a *appSpec, scale Scale, procs int, place bool) fusedEntry {
 	key := fmt.Sprintf("graph/%s/%s/place=%t/procs=%d/fused=true", a.key, scale, place, procs)
 	return sharedCache.get(key, func() any {
-		g, st, err := capturedGraph(a, scale, procs, place).Fuse(fuse.DefaultOptions())
-		if err != nil {
-			// Work-free captures carry no task bodies, so they are
-			// always fusable; refusing one is a pass bug.
-			panic(err)
-		}
+		g, st, _ := capturedGraph(a, scale, procs, place, true).Fuse(fuse.DefaultOptions())
 		return fusedEntry{g: g, st: st}
 	}).(fusedEntry)
 }
@@ -222,29 +221,22 @@ func runAppFused(p jade.Platform, cfg jade.Config, machine string, a *appSpec, s
 	fe := fusedGraph(a, scale, p.Processors(), place)
 	r, err := fe.g.Replay(p, cfg)
 	if err != nil {
-		// Fused work-free graphs always replay onto a fresh platform.
-		panic(err)
+		panic(err) // see runApp
 	}
 	stampFusion(r, machine, fe.st)
 	return r
 }
 
-// runApp executes one application run against the platform. There are
-// exactly two paths: a work-free run replays the cached task graph —
-// the front-end builds once per (app, scale, place, procs) instead of
-// once per sweep cell, byte-identical to direct execution — and a
-// body-bearing run executes the front-end directly.
+// runApp executes one application run against the platform by
+// replaying the cached task graph: the front-end and the task bodies run
+// once per (app, scale, place, procs, work-free) capture instead of once
+// per cell, and the replay is byte-identical to direct execution.
 func runApp(p jade.Platform, cfg jade.Config, a *appSpec, scale Scale, place bool) *metrics.Run {
-	if !cfg.WorkFree {
-		rt := jade.New(p, cfg)
-		a.run(rt, scale, place)
-		return rt.Finish()
-	}
-	r, err := capturedGraph(a, scale, p.Processors(), place).Replay(p, cfg)
+	r, err := capturedGraph(a, scale, p.Processors(), place, cfg.WorkFree).Replay(p, cfg)
 	if err != nil {
-		// A work-free capture carries no bodies, so a refusal is a
-		// caller bug (a reused platform, say). Re-running directly
-		// would hide it behind a slow, correct-looking run.
+		// Every capture replays onto a fresh platform, so a refusal is a
+		// caller bug (a reused platform, say). Re-running directly would
+		// hide it behind a slow, correct-looking run.
 		panic(err)
 	}
 	return r

@@ -67,12 +67,43 @@ func faultedSpecs() []RunSpec {
 	}
 }
 
+// timedFaultedSpecs are body-bearing cells under fault injection, one per
+// machine with a fault model: they replay the timed graph, captured
+// clean.
+func timedFaultedSpecs() []RunSpec {
+	return []RunSpec{
+		{App: "ocean", Machine: "dash", Procs: 8, Observe: true,
+			Fault: &fault.Spec{Seed: 7, VictimClusters: 1, InvalidatePct: 0.2}},
+		{App: "cholesky", Machine: "ipsc", Procs: 8, Observe: true,
+			Fault: &fault.Spec{Seed: 42, DropPct: 0.1, DupPct: 0.05, DegradedLinkPct: 0.25, Stragglers: 2}},
+		{App: "water", Machine: "pgas", Procs: 8, Observe: true,
+			Fault: &fault.Spec{Seed: 42, DegradedLinkPct: 0.25, Stragglers: 2, VictimClusters: 1}},
+	}
+}
+
+// paperTableCells are the distinct cells of Tables 2-5 and 7-14 (168 at
+// either scale): every body-bearing cell of the paper's timing tables.
+func paperTableCells(scale Scale) []RunSpec {
+	var ids []string
+	for i := 2; i <= 14; i++ {
+		if i != 6 {
+			ids = append(ids, fmt.Sprintf("table%d", i))
+		}
+	}
+	p, err := newPlan(ids, nil, scale)
+	if err != nil {
+		panic(err)
+	}
+	return p.cells
+}
+
 // replayRows is the differential table at one scale. Small carries the
 // whole workfree-sweep shape — every app, machine, level and processor
 // count — plus the pgas aggregation-off, iPSC coalescing-on, fused and
-// faulted cells and the body-bearing DefaultRunSpecs (which must stay on
-// direct execution); PaperScale repeats the procs = 8 cells of the two
-// paper machines.
+// faulted cells; and body-bearing rows, which replay timed graphs: every
+// distinct Table 2-14 cell, every app, machine and level at procs = 8,
+// faulted cells and the DefaultRunSpecs. PaperScale repeats the
+// work-free procs = 8 cells of the two paper machines.
 func replayRows(scale Scale) []RunSpec {
 	var rows []RunSpec
 	cell := func(app, machine, level string, procs int) RunSpec {
@@ -95,6 +126,9 @@ func replayRows(scale Scale) []RunSpec {
 				for _, procs := range []int{1, 2, 4, 8, 16, 32} {
 					rows = append(rows, cell(app, machine, level, procs))
 				}
+				timed := cell(app, machine, level, 8)
+				timed.WorkFree = false
+				rows = append(rows, timed)
 				switch machine {
 				case "pgas":
 					s := cell(app, machine, level, 8)
@@ -114,14 +148,16 @@ func replayRows(scale Scale) []RunSpec {
 	both.Coalescing = true
 	rows = append(rows, fused, both)
 	rows = append(rows, faultedSpecs()...)
+	rows = append(rows, timedFaultedSpecs()...)
+	rows = append(rows, paperTableCells(scale)...)
 	return append(rows, DefaultRunSpecs()...)
 }
 
 // TestReplayMatchesDirect is the one differential table: every cell is
 // executed directly (the oracle), through Execute, and as part of one
 // whole-table ExecuteRuns, and all three reports must be byte-identical.
-// Work-free cells thereby pin capture -> shared plan -> Replay; the
-// body-bearing ones pin that they never leave direct execution. No
+// Work-free and body-bearing cells alike thereby pin capture -> plan ->
+// Replay, the body-bearing ones on timed graphs whose bodies ran once. No
 // program expresses a fused graph directly, so the fused cells check the
 // two entry points against each other and that the fusion stamp is there.
 func TestReplayMatchesDirect(t *testing.T) {
@@ -161,7 +197,9 @@ func TestReplayMatchesDirect(t *testing.T) {
 // faulted run captures, its healthy twin replays that same graph and
 // must still match healthy direct execution. (Serial on purpose: the
 // cache reset must not race the parallel table.)
-func TestGraphReplayFaultedRuns(t *testing.T) { captureUnderFault(t, faultedSpecs()[:2]) }
+func TestGraphReplayFaultedRuns(t *testing.T) {
+	captureUnderFault(t, append(faultedSpecs()[:2], timedFaultedSpecs()[1]))
+}
 
 func captureUnderFault(t *testing.T, specs []RunSpec) {
 	for _, spec := range specs {
@@ -295,4 +333,24 @@ func TestCholeskyWorkloadShared(t *testing.T) {
 	if choleskyWorkload(Small) != choleskyWorkload(Small) {
 		t.Fatal("choleskyWorkload built two instances for one scale")
 	}
+}
+
+// After one pass over every registered experiment at Small, the shared
+// cache holds every graph and workload they read, so a second pass —
+// body-bearing cells included — misses nothing: no front-end and no task
+// body runs again.
+func TestSecondPassCapturesNothing(t *testing.T) {
+	sharedCache.reset()
+	pass := func() {
+		if _, _, err := (Runner{}).Execute(IDs(), DefaultRunSpecs(), Small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass()
+	warm := GraphCacheStats()
+	pass()
+	if st := GraphCacheStats(); st.Misses != warm.Misses {
+		t.Fatalf("second pass missed %d times (%d of %d entries resident)", st.Misses-warm.Misses, st.Entries, st.Capacity)
+	}
+	t.Logf("%d of %d entries resident", warm.Entries, warm.Capacity)
 }

@@ -365,16 +365,15 @@ func portabilityStudy(_ Scale, runs []*metrics.Run) *Result {
 
 // stealAblation compares tail-stealing (the paper's design) with
 // head-stealing on DASH for Panel Cholesky. StealFromHead is a machine
-// field no RunSpec sets, so it is bespoke.
+// field no RunSpec sets, so it is bespoke, but its cells replay the same
+// timed graphs as Table 5's Locality row.
 func stealAblation(r Runner, scale Scale) *Result {
 	variants := []bool{false, true}
 	vals := make([]float64, len(variants)*len(Procs))
 	r.Each(len(vals), func(k int) {
 		m := dash.New(dash.DefaultConfig(Procs[k%len(Procs)], dash.Locality))
 		m.StealFromHead = variants[k/len(Procs)]
-		rt := jade.New(m, jade.Config{})
-		choleskyApp.run(rt, scale, false)
-		vals[k] = rt.Finish().ExecTime
+		vals[k] = runApp(m, jade.Config{}, choleskyApp, scale, false).ExecTime
 	})
 	var rows [][]string
 	for v, fromHead := range variants {

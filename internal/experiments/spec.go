@@ -62,9 +62,10 @@ type RunSpec struct {
 	// Fusion enables the task-fusion half of the granularity pass:
 	// chains of tiny tasks with identical-or-nested access specs in
 	// the captured task graph collapse into single scheduled units
-	// before replay (internal/fuse defaults). Requires work_free —
-	// task bodies make a graph non-replayable, and fusion is a graph
-	// rewrite. Off by default; the paper has no equivalent pass.
+	// before replay (internal/fuse defaults). Requires work_free: the
+	// pass targets task-management overhead, which is what the
+	// work-free run measures. Off by default; the paper has no
+	// equivalent pass.
 	Fusion bool `json:"fusion,omitempty"`
 	// Coalescing batches a task's same-owner object fetches on the
 	// iPSC machine into one request/reply message pair (the other
@@ -187,7 +188,7 @@ func (s *RunSpec) Canonicalize() error {
 		return fmt.Errorf("run spec: aggregation applies only to the pgas machine (got %q)", s.Machine)
 	}
 	if s.Fusion && !s.WorkFree {
-		return fmt.Errorf("run spec: fusion requires work_free (task bodies make the graph non-replayable)")
+		return fmt.Errorf("run spec: fusion requires work_free (the pass targets task-management overhead, which work-free runs measure)")
 	}
 	if s.Coalescing && s.Machine != "ipsc" {
 		return fmt.Errorf("run spec: coalescing applies only to the ipsc machine (got %q); "+

@@ -12,7 +12,8 @@ import (
 // captured graph. The recording platform executes any task bodies
 // serially in task-creation order during each drain — a valid
 // dependence-respecting schedule — so a capture is itself a correct
-// execution of the program, just an unmeasured one.
+// execution of the program, just an unmeasured one, and the only one
+// that ever runs its bodies.
 //
 // procs matters: applications shape their task structure around
 // Runtime.Processors (per-processor replicas, block distributions,
@@ -21,24 +22,29 @@ func Capture(procs int, workFree bool, run func(*jade.Runtime)) *Graph {
 	if procs < 1 {
 		panic(fmt.Sprintf("graph: capture with %d processors", procs))
 	}
-	rec := &recorder{g: &Graph{procs: procs, workFree: workFree}}
+	rec := &recorder{procs: procs}
 	rt := jade.New(rec, jade.Config{WorkFree: workFree})
 	run(rt)
 	rt.Finish()
-	return rec.finish()
+	return rec.finish(workFree)
 }
 
 // recorder is the capturing jade.Platform. It appends one op per
-// runtime event and retains the created *jade.Task values so task
-// descriptors can be built after the run: WithOnlyStaged attaches
-// Segments to a task after TaskCreated fires, so segment structure is
-// only safe to read once execution is over.
+// runtime event and retains the created tasks, which finish copies,
+// body-free, into the graph once the run is over: WithOnlyStaged
+// attaches Segments to a task after TaskCreated fires, so segment
+// structure is only safe to read then.
 type recorder struct {
 	rt    *jade.Runtime
-	g     *Graph
+	procs int
 	tasks []*jade.Task
 	next  int // first task Drain has not yet executed
 
+	ops     []opKind
+	serials []serialDef
+	// serialAccs holds the serial phases' accesses; Obj points at the
+	// runtime's object until finish.
+	serialAccs []jade.Access
 	// Serial accesses arrive via MainTouches immediately before the
 	// matching SerialWork; the span waits here between the two calls.
 	pendAcc0, pendAccN int32
@@ -48,32 +54,27 @@ type recorder struct {
 
 func (r *recorder) Attach(rt *jade.Runtime) { r.rt = rt }
 
-func (r *recorder) Processors() int { return r.g.procs }
+func (r *recorder) Processors() int { return r.procs }
 
-func (r *recorder) ObjectAllocated(o *jade.Object) {
-	r.g.objects = append(r.g.objects, objectDef{name: o.Name, size: o.Size, home: int32(o.Home)})
-	r.g.ops = append(r.g.ops, opAlloc)
-}
+func (r *recorder) ObjectAllocated(*jade.Object) { r.ops = append(r.ops, opAlloc) }
 
 func (r *recorder) TaskCreated(t *jade.Task, enabled bool) {
 	r.tasks = append(r.tasks, t)
-	r.g.ops = append(r.g.ops, opTask)
+	r.ops = append(r.ops, opTask)
 }
 
-func (r *recorder) TaskEnabled(t *jade.Task) {}
+func (r *recorder) TaskEnabled(*jade.Task) {}
 
 func (r *recorder) MainTouches(accs []jade.Access) {
-	r.pendAcc0 = int32(len(r.g.accs))
-	for _, a := range accs {
-		r.g.accs = append(r.g.accs, accessDef{obj: int32(a.Obj.ID), mode: a.Mode})
-	}
-	r.pendAccN = int32(len(r.g.accs))
+	r.pendAcc0 = int32(len(r.serialAccs))
+	r.serialAccs = append(r.serialAccs, accs...)
+	r.pendAccN = int32(len(r.serialAccs))
 }
 
 func (r *recorder) SerialWork(d float64) {
-	r.g.serials = append(r.g.serials, serialDef{acc0: r.pendAcc0, accN: r.pendAccN, work: d})
+	r.serials = append(r.serials, serialDef{acc0: r.pendAcc0, accN: r.pendAccN, work: d})
 	r.pendAcc0, r.pendAccN = 0, 0
-	r.g.ops = append(r.g.ops, opSerial)
+	r.ops = append(r.ops, opSerial)
 }
 
 // Drain executes every not-yet-executed task in creation order.
@@ -92,7 +93,7 @@ func (r *recorder) Drain() {
 		}
 		r.rt.TaskDone(t)
 	}
-	r.g.ops = append(r.g.ops, opWait)
+	r.ops = append(r.ops, opWait)
 }
 
 func (r *recorder) Stats() *metrics.Run { return &r.stats }
@@ -100,54 +101,59 @@ func (r *recorder) Stats() *metrics.Run { return &r.stats }
 func (r *recorder) ResetStats() {
 	// Runtime.ResetMetrics always drains first, so the previous op is
 	// the drain's wait; fold the pair into a single reset event.
-	if n := len(r.g.ops); n > 0 && r.g.ops[n-1] == opWait {
-		r.g.ops[n-1] = opReset
+	if n := len(r.ops); n > 0 && r.ops[n-1] == opWait {
+		r.ops[n-1] = opReset
 		return
 	}
 	panic("graph: ResetStats without a preceding Drain")
 }
 
-// finish builds the task descriptors from the retained tasks and
-// returns the completed graph.
-func (r *recorder) finish() *Graph {
-	g := r.g
+// finish copies the runtime's objects and tasks into the graph — no
+// payloads, no bodies, every object pointer redirected to the copy —
+// and links them into the replay plan.
+func (r *recorder) finish(workFree bool) *Graph {
 	// Runtime.Finish ends every run with one more drain; Replay ends
 	// with Runtime.Finish too, so drop the trailing wait rather than
 	// replaying it twice. (Draining an idle machine is a no-op on
 	// every platform, but the op would still be redundant.)
-	if n := len(g.ops); n == 0 || g.ops[n-1] != opWait {
+	if n := len(r.ops); n == 0 || r.ops[n-1] != opWait {
 		panic("graph: capture did not end in a drain")
 	}
-	g.ops = g.ops[:len(g.ops)-1]
+	g := &Graph{procs: r.procs, workFree: workFree, ops: r.ops[:len(r.ops)-1],
+		serials: r.serials, serialAccs: r.serialAccs}
 
+	src := r.rt.Objects()
+	arena := make([]jade.Object, len(src))
+	objs := make([]*jade.Object, len(src))
+	for i, o := range src {
+		arena[i] = jade.Object{ID: o.ID, Name: o.Name, Size: o.Size, Home: o.Home}
+		objs[i] = &arena[i]
+	}
+	for i := range g.serialAccs {
+		g.serialAccs[i].Obj = objs[g.serialAccs[i].Obj.ID]
+	}
+
+	n := 0
 	for _, t := range r.tasks {
-		d := taskDef{
-			acc0:   int32(len(g.accs)),
-			work:   t.Work,
-			placed: int32(t.Placed),
-		}
+		n += len(t.Accesses)
+	}
+	accs := make([]jade.Access, 0, n)
+	tasks := make([]jade.Task, len(r.tasks))
+	for i, t := range r.tasks {
+		a0 := len(accs)
 		for _, a := range t.Accesses {
-			g.accs = append(g.accs, accessDef{obj: int32(a.Obj.ID), mode: a.Mode})
+			accs = append(accs, jade.Access{Obj: objs[a.Obj.ID], Mode: a.Mode})
 		}
-		d.accN = int32(len(g.accs))
-		d.seg0 = int32(len(g.segments))
+		tasks[i] = jade.Task{Accesses: accs[a0:len(accs):len(accs)], Work: t.Work, Placed: t.Placed}
 		for _, sg := range t.Segments {
-			if sg.Body != nil {
-				g.hasBodies = true
-			}
-			sd := segmentDef{rel0: int32(len(g.releases)), work: sg.Work}
+			cp := jade.Segment{Work: sg.Work}
 			for _, o := range sg.Release {
-				g.releases = append(g.releases, int32(o.ID))
+				cp.Release = append(cp.Release, objs[o.ID])
 			}
-			sd.relN = int32(len(g.releases))
-			g.segments = append(g.segments, sd)
+			tasks[i].Segments = append(tasks[i].Segments, cp)
 		}
-		d.segN = int32(len(g.segments))
-		if t.Body != nil {
-			g.hasBodies = true
-		}
-		g.tasks = append(g.tasks, d)
 	}
 	r.tasks = nil
+	g.link(objs, tasks)
 	return g
 }

@@ -32,8 +32,9 @@ type FuseStats struct {
 
 // Fuse returns a copy of the graph with chains of tiny tasks collapsed
 // into single tasks, plus statistics about what was fused. The
-// receiver is not modified. Fusing requires a replayable (body-free)
-// capture: a body cannot be merged because it was never recorded.
+// receiver is not modified, and the copy shares its objects. The error
+// is always nil: any capture can be fused, because a graph never
+// retains a body that fusing would have to merge.
 //
 // Two consecutive opTask events fuse when every rule below holds; any
 // other op (allocation, serial phase, barrier) ends the current chain.
@@ -62,100 +63,93 @@ type FuseStats struct {
 // unfused program, minus the per-task management overhead being
 // removed.
 func (g *Graph) Fuse(opt fuse.Options) (*Graph, FuseStats, error) {
-	if g.hasBodies {
-		return nil, FuseStats{}, ErrNotReplayable
+	out := &Graph{procs: g.procs, workFree: g.workFree,
+		ops:        make([]opKind, 0, len(g.ops)),
+		serials:    make([]serialDef, 0, len(g.serials)),
+		serialAccs: make([]jade.Access, 0, len(g.serialAccs)),
 	}
-	out := &Graph{procs: g.procs, workFree: g.workFree}
 	var st FuseStats
-	if len(g.ops) > 0 {
-		out.ops = make([]opKind, 0, len(g.ops))
+	src := g.plan.Tasks
+	tasks := make([]jade.Task, 0, len(src))
+	// A fused task keeps its head's access list, so the input's access
+	// count bounds the output's and the arena never reallocates.
+	accs := make([]jade.Access, 0, g.plan.EntryStart[len(src)])
+	// emit appends a task with t's accesses, placement and segments; a
+	// non-nil modes overrides the access modes.
+	emit := func(t *jade.Task, work float64, modes []jade.Mode) {
+		a0 := len(accs)
+		for i, a := range t.Accesses {
+			if modes != nil {
+				a.Mode = modes[i]
+			}
+			accs = append(accs, jade.Access{Obj: a.Obj, Mode: a.Mode})
+		}
+		tasks = append(tasks, jade.Task{Accesses: accs[a0:len(accs):len(accs)], Work: work,
+			Placed: t.Placed, Segments: t.Segments})
+		out.ops = append(out.ops, opTask)
 	}
-	// Objects, segments, and releases are position-independent of task
-	// fusion; copy the arenas wholesale. Accesses are rebuilt because
-	// fused tasks get new spans.
-	out.objects = append([]objectDef(nil), g.objects...)
-	out.segments = append([]segmentDef(nil), g.segments...)
-	out.releases = append([]int32(nil), g.releases...)
-	out.accs = make([]accessDef, 0, len(g.accs))
-	out.tasks = make([]taskDef, 0, len(g.tasks))
-	out.serials = make([]serialDef, 0, len(g.serials))
 
-	// chain state: the pending fused task, plus the accumulated mode
-	// per object of the head's access list.
+	// chain state: the open chain's head (nil: none), the accumulated
+	// mode per head access, the members absorbed and their summed work.
 	var (
-		open  bool
-		head  taskDef // head's spans into g (acc span rewritten on flush)
+		head  *jade.Task
 		modes []jade.Mode
-		objAt []int32 // object index per head access
-		count int     // members absorbed so far
+		count int
 		work  float64
 	)
 	flush := func() {
-		if !open {
+		if head == nil {
 			return
 		}
-		d := taskDef{acc0: int32(len(out.accs)), work: work, placed: head.placed,
-			seg0: head.seg0, segN: head.segN}
-		for i, oi := range objAt {
-			out.accs = append(out.accs, accessDef{obj: oi, mode: modes[i]})
-		}
-		d.accN = int32(len(out.accs))
-		out.tasks = append(out.tasks, d)
-		out.ops = append(out.ops, opTask)
+		emit(head, work, modes)
 		if count > 1 {
 			st.Chains++
 			st.TasksFused += count - 1
 		}
-		open = false
+		head = nil
 	}
-	// start opens a fresh chain at task d.
-	start := func(d taskDef) {
-		open, head, count, work = true, d, 1, d.work
+	// start opens a fresh chain at task t.
+	start := func(t *jade.Task) {
+		head, count, work = t, 1, t.Work
 		modes = modes[:0]
-		objAt = objAt[:0]
-		for k := d.acc0; k < d.accN; k++ {
-			modes = append(modes, g.accs[k].mode)
-			objAt = append(objAt, g.accs[k].obj)
+		for _, a := range t.Accesses {
+			modes = append(modes, a.Mode)
 		}
 	}
-	// absorb tries to add d to the open chain; it reports success.
-	absorb := func(d taskDef) bool {
-		if !open || count >= opt.MaxChain || d.work > opt.MaxWork ||
-			d.placed != head.placed || d.seg0 != d.segN {
+	// headIndex is the position of o in the head's access list, or -1.
+	headIndex := func(o *jade.Object) int {
+		for i, a := range head.Accesses {
+			if a.Obj == o {
+				return i
+			}
+		}
+		return -1
+	}
+	// absorb tries to add t to the open chain; it reports success.
+	absorb := func(t *jade.Task) bool {
+		if head == nil || count >= opt.MaxChain || t.Work > opt.MaxWork ||
+			t.Placed != head.Placed || len(t.Segments) > 0 {
 			return false
 		}
 		// Subset + conflict check against the accumulated head list.
 		conflict := false
-		for k := d.acc0; k < d.accN; k++ {
-			a := &g.accs[k]
-			at := -1
-			for i, oi := range objAt {
-				if oi == a.obj {
-					at = i
-					break
-				}
-			}
+		for _, a := range t.Accesses {
+			at := headIndex(a.Obj)
 			if at < 0 {
 				return false // not nested in the head's object set
 			}
-			if (modes[at]|a.mode)&jade.Write != 0 {
+			if (modes[at]|a.Mode)&jade.Write != 0 {
 				conflict = true
 			}
 		}
 		if !conflict {
 			return false
 		}
-		for k := d.acc0; k < d.accN; k++ {
-			a := &g.accs[k]
-			for i, oi := range objAt {
-				if oi == a.obj {
-					modes[i] |= a.mode
-					break
-				}
-			}
+		for _, a := range t.Accesses {
+			modes[headIndex(a.Obj)] |= a.Mode
 		}
 		count++
-		work += d.work
+		work += t.Work
 		return true
 	}
 
@@ -163,42 +157,32 @@ func (g *Graph) Fuse(opt fuse.Options) (*Graph, FuseStats, error) {
 	for _, op := range g.ops {
 		switch op {
 		case opTask:
-			d := g.tasks[ti]
+			t := src[ti]
 			ti++
-			plain := d.seg0 == d.segN
-			if absorb(d) {
+			if absorb(t) {
 				continue
 			}
 			flush()
-			if opt.Enabled() && plain && d.work <= opt.MaxWork {
-				start(d)
+			if opt.Enabled() && len(t.Segments) == 0 && t.Work <= opt.MaxWork {
+				start(t)
 				continue
 			}
-			// Ineligible to head a chain: emit as-is (access span
-			// copied so the output arena stays self-contained).
-			nd := d
-			nd.acc0 = int32(len(out.accs))
-			out.accs = append(out.accs, g.accs[d.acc0:d.accN]...)
-			nd.accN = int32(len(out.accs))
-			out.tasks = append(out.tasks, nd)
-			out.ops = append(out.ops, opTask)
+			emit(t, t.Work, nil) // ineligible to head a chain: as-is
 		case opSerial:
 			flush()
 			d := g.serials[si]
 			si++
-			nd := serialDef{acc0: int32(len(out.accs)), work: d.work}
-			out.accs = append(out.accs, g.accs[d.acc0:d.accN]...)
-			nd.accN = int32(len(out.accs))
+			nd := serialDef{acc0: int32(len(out.serialAccs)), work: d.work}
+			out.serialAccs = append(out.serialAccs, g.serialAccs[d.acc0:d.accN]...)
+			nd.accN = int32(len(out.serialAccs))
 			out.serials = append(out.serials, nd)
 			out.ops = append(out.ops, opSerial)
-		case opAlloc:
-			flush()
-			out.ops = append(out.ops, opAlloc)
-		case opWait, opReset:
+		default: // allocation or barrier
 			flush()
 			out.ops = append(out.ops, op)
 		}
 	}
 	flush()
+	out.link(g.plan.Objects, tasks)
 	return out, st, nil
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/apps/water"
 	"repro/internal/cluster"
 	"repro/internal/dash"
+	"repro/internal/fuse"
 	"repro/internal/ipsc"
 	"repro/internal/jade"
 	"repro/internal/metrics"
@@ -78,9 +79,6 @@ func runJSON(t *testing.T, r *metrics.Run) []byte {
 
 func TestCaptureShape(t *testing.T) {
 	g := Capture(4, false, stencil)
-	if !g.Replayable() {
-		t.Fatalf("body-free capture not replayable")
-	}
 	if g.Procs() != 4 || g.WorkFree() {
 		t.Fatalf("capture config mismatch: procs=%d workFree=%t", g.Procs(), g.WorkFree())
 	}
@@ -151,13 +149,11 @@ func staged(rt *jade.Runtime) {
 
 func TestStagedReleaseOrderingReplay(t *testing.T) {
 	g := Capture(2, false, staged)
-	if !g.Replayable() {
-		t.Fatalf("body-free staged capture not replayable")
+	segs := g.plan.Tasks[0].Segments
+	if len(segs) != 2 {
+		t.Fatalf("staged task captured %d segments, want 2", len(segs))
 	}
-	if got := g.tasks[0].segN - g.tasks[0].seg0; got != 2 {
-		t.Fatalf("staged task captured %d segments, want 2", got)
-	}
-	if nr := len(g.releases); nr != 1 {
+	if nr := len(segs[0].Release) + len(segs[1].Release); nr != 1 {
 		t.Fatalf("captured %d releases, want 1", nr)
 	}
 
@@ -203,37 +199,81 @@ func TestStagedReleaseOrderingReplay(t *testing.T) {
 	}
 }
 
-func TestReplayRefusesBodies(t *testing.T) {
-	g := Capture(2, false, func(rt *jade.Runtime) {
-		o := rt.Alloc("o", 64, nil)
-		rt.WithOnly(func(s *jade.Spec) { s.Wr(o) }, 1e-3, func() {})
-		rt.Wait()
-	})
-	if g.Replayable() {
-		t.Fatalf("body-bearing capture claims to be replayable")
-	}
-	_, err := g.Replay(dash.New(dash.DefaultConfig(2, dash.Locality)), jade.Config{})
-	if !errors.Is(err, ErrNotReplayable) {
-		t.Fatalf("Replay error = %v, want ErrNotReplayable", err)
+// withBodies is a program whose task, segment and serial bodies do real
+// work on the objects' payloads and count their executions in *ran. The
+// serial phase reads what the tasks wrote, so it fails unless every
+// body before it ran first.
+func withBodies(ran *int) func(*jade.Runtime) {
+	return func(rt *jade.Runtime) {
+		n := rt.Processors()
+		parts := make([]*jade.Object, n)
+		for i := range parts {
+			parts[i] = rt.Alloc(fmt.Sprintf("part[%d]", i), 2048, new(float64), jade.OnProcessor(i))
+		}
+		total := rt.Alloc("total", 64, new(float64))
+		for iter := 1; iter <= 2; iter++ {
+			for i, o := range parts {
+				o := o
+				rt.WithOnly(func(s *jade.Spec) { s.RdWr(o) }, 1e-3,
+					func() { *ran++; *o.Data.(*float64) += 1 }, jade.PlaceOn(i))
+			}
+			sum := 0.0
+			rt.WithOnlyStaged(func(s *jade.Spec) {
+				s.RdWr(total)
+				for _, o := range parts {
+					s.Rd(o)
+				}
+			}, []jade.Segment{
+				{Work: 1e-3, Release: parts, Body: func() {
+					*ran++
+					for _, o := range parts {
+						sum += *o.Data.(*float64)
+					}
+				}},
+				{Work: 2e-3, Body: func() { *ran++; *total.Data.(*float64) = sum }},
+			})
+			rt.Wait()
+			want := float64(iter * n)
+			rt.Serial(5e-4, func() {
+				*ran++
+				if got := *total.Data.(*float64); got != want {
+					panic(fmt.Sprintf("serial phase read total %g, want %g: a body ran late", got, want))
+				}
+			}, func(s *jade.Spec) { s.Rd(total) })
+		}
 	}
 }
 
-func TestCaptureExecutesBodies(t *testing.T) {
-	// A capture is itself a correct execution: bodies run (serially, in
-	// creation order) during each drain.
+// A capture with real bodies runs each of them exactly once, and the
+// timed graph then replays — bodies and all skipped — byte-identical to
+// direct execution on every machine.
+func TestTimedCaptureRunsBodiesOnce(t *testing.T) {
+	const procs = 4
 	ran := 0
-	Capture(2, false, func(rt *jade.Runtime) {
-		o := rt.Alloc("o", 64, nil)
-		for i := 0; i < 3; i++ {
-			rt.WithOnly(func(s *jade.Spec) { s.RdWr(o) }, 1e-3, func() { ran++ })
-		}
-		rt.Wait()
-		if ran != 3 {
-			panic("bodies did not run before Wait returned")
-		}
-	})
-	if ran != 3 {
-		t.Fatalf("capture ran %d bodies, want 3", ran)
+	g := Capture(procs, false, withBodies(&ran))
+	want := 2 * (procs + 3) // per iteration: one body per part, two segments, one serial phase
+	if ran != want {
+		t.Fatalf("capture ran %d bodies, want %d", ran, want)
+	}
+	if _, _, err := g.Fuse(fuse.DefaultOptions()); err != nil {
+		t.Fatalf("Fuse of a timed capture: %v", err)
+	}
+	for _, machine := range machines {
+		t.Run(machine, func(t *testing.T) {
+			rt := jade.New(newMachine(machine, procs), jade.Config{})
+			withBodies(new(int))(rt)
+			direct := runJSON(t, rt.Finish())
+			r, err := g.Replay(newMachine(machine, procs), jade.Config{})
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if replayed := runJSON(t, r); !bytes.Equal(direct, replayed) {
+				t.Fatalf("timed replay diverged from direct run:\ndirect:\n%s\nreplay:\n%s", direct, replayed)
+			}
+		})
+	}
+	if ran != want {
+		t.Fatalf("replay ran bodies: %d executions, want the capture's %d", ran, want)
 	}
 }
 
@@ -384,7 +424,7 @@ func TestReplayAllocations(t *testing.T) {
 		Capture(8, true, func(rt *jade.Runtime) { tomo.Run(rt, tomoCfg) })
 	})
 	replay := testing.AllocsPerRun(10, func() {
-		rec := &recorder{g: &Graph{procs: 8, workFree: true}}
+		rec := &recorder{procs: 8}
 		if _, err := g.Replay(rec, wf); err != nil {
 			panic(err)
 		}

@@ -2,175 +2,127 @@ package graph
 
 import "repro/internal/jade"
 
-// This file builds a graph's shared replay plan: a one-time,
-// structure-of-arrays precomputation of everything a synchronizer
-// would re-derive per run. Objects, tasks, segments, and accesses —
-// including the access versions the synchronizer would assign — are
-// materialized once and shared read-only by every replay; the
-// dependence structure is flattened into per-task initial pending
-// counts and per-access-entry successor edge lists (see
-// jade.ReplayPlan for why the static edges are exact). A replay then
-// carries only flat per-run state.
+// This file builds a graph's replay plan: a one-time, structure-of-
+// arrays precomputation of everything a synchronizer would re-derive
+// per run. Objects, tasks, segments, and accesses — including the
+// access versions the synchronizer would assign — are materialized once
+// and shared read-only by every replay; the dependence structure is
+// flattened into per-task initial pending counts and per-access-entry
+// successor edge lists (see jade.ReplayPlan for why static edges are
+// exact). A replay then carries only flat per-run state.
 
-// replayPlan pairs the jade-side plan with the access arena it indexes
-// (serial phases reference access spans directly, not through a Task).
-type replayPlan struct {
-	rp   *jade.ReplayPlan
-	accs []jade.Access
-}
-
-// sharedPlan returns the graph's replay plan, building it on first use.
-// Concurrent callers share one build.
-func (g *Graph) sharedPlan() *replayPlan {
-	g.planOnce.Do(func() { g.plan = g.buildPlan() })
-	return g.plan
-}
-
-// buildPlan walks the op stream once, mirroring exactly what the
-// synchronizer observes on a sequential replay: accesses are assigned
-// versions in program order, and each task's conflicting predecessors
-// within its barrier epoch become initial pending counts plus successor
-// edges on the predecessor's access entries. Barriers (opWait, opReset)
-// clear the per-object queues, matching the fact that everything before
-// a barrier has completed before anything after it registers.
-func (g *Graph) buildPlan() *replayPlan {
-	objArena := make([]jade.Object, len(g.objects))
-	objs := make([]*jade.Object, len(g.objects))
-	for i := range g.objects {
-		d := &g.objects[i]
-		o := &objArena[i]
-		*o = jade.Object{ID: jade.ObjectID(i), Name: d.name, Size: d.size, Home: int(d.home)}
-		objs[i] = o
+// link makes tasks the graph's plan: it numbers them, assigns every
+// access its version in program order (serial phases included), and
+// derives each task's initial pending count and the successor edges of
+// every access entry. Barriers (opWait, opReset) reset the dependence
+// state, matching the fact that everything before a barrier has
+// completed before anything after it registers.
+//
+// The edges are the transitive reduction of the synchronizer's
+// conflict relation, per object: a read waits only on the last write,
+// and a write waits on the reads since the last write, or on the last
+// write if there are none. Every dropped edge runs from an entry that
+// must complete before one of the kept predecessors can even be
+// enabled, so each task still enables at exactly the completion the
+// full relation enables it at.
+func (g *Graph) link(objs []*jade.Object, tasks []jade.Task) {
+	ptrs := make([]*jade.Task, len(tasks))
+	entryStart := make([]int32, len(tasks)+1)
+	for i := range tasks {
+		tasks[i].ID = jade.TaskID(i)
+		ptrs[i] = &tasks[i]
+		entryStart[i+1] = entryStart[i] + int32(len(tasks[i].Accesses))
 	}
+	nEntries := entryStart[len(tasks)]
+	initPending := make([]int32, len(tasks))
 
-	rels := make([]*jade.Object, len(g.releases))
-	for i, oi := range g.releases {
-		rels[i] = objs[oi]
-	}
-	segs := make([]jade.Segment, len(g.segments))
-	for i := range g.segments {
-		sd := &g.segments[i]
-		segs[i] = jade.Segment{Work: sd.work, Release: rels[sd.rel0:sd.relN:sd.relN]}
-	}
-
-	accs := make([]jade.Access, len(g.accs))
-	taskArena := make([]jade.Task, len(g.tasks))
-	tasks := make([]*jade.Task, len(g.tasks))
-
-	// Entry space: one entry per task access, in task order.
-	entryStart := make([]int32, len(g.tasks)+1)
-	total := int32(0)
-	for i := range g.tasks {
-		entryStart[i] = total
-		total += g.tasks[i].accN - g.tasks[i].acc0
-	}
-	entryStart[len(g.tasks)] = total
-
-	initPending := make([]int32, len(g.tasks))
-	edgeLists := make([][]int32, total)
-
-	// Per-object state: writes counts versions across the whole run;
-	// queues hold the current epoch's access entries per object and are
-	// cleared at each barrier. touched tracks which queues are live so
-	// clearing is O(epoch), not O(objects).
-	writes := make([]int32, len(g.objects))
-	type qent struct {
-		mode  jade.Mode
-		entry int32
-	}
-	queues := make([][]qent, len(g.objects))
-	var touched []int32
-	clearQueues := func() {
-		for _, oi := range touched {
-			queues[oi] = queues[oi][:0]
-		}
-		touched = touched[:0]
-	}
-	// fillVersions assigns versions to an access span in program order,
-	// shared by serial phases and tasks.
-	fillVersions := func(a0, aN int32) {
-		for k := a0; k < aN; k++ {
-			ad := &g.accs[k]
-			accs[k] = jade.Access{
-				Obj:             objs[ad.obj],
-				Mode:            ad.mode,
-				RequiredVersion: jade.Version(writes[ad.obj]),
-			}
-			if ad.mode&jade.Write != 0 {
-				writes[ad.obj]++
+	writes := make([]jade.Version, len(objs))
+	version := func(accs []jade.Access) {
+		for i := range accs {
+			a := &accs[i]
+			a.RequiredVersion = writes[a.Obj.ID]
+			if a.Writes() {
+				writes[a.Obj.ID]++
 			}
 		}
 	}
 
-	oi, ti, si := 0, 0, 0
+	// Per-object state within the current barrier epoch: lastWrite is
+	// the last write's entry + 1 (0: none yet), readers the read entries
+	// since it. touched lists the objects to reset at the next barrier,
+	// so a reset is O(epoch), not O(objects).
+	lastWrite := make([]int32, len(objs))
+	readers := make([][]int32, len(objs))
+	var touched []jade.ObjectID
+	// Edges in discovery order: from entry src[i] to task dst[i].
+	var src, dst []int32
+	ti, si := 0, 0
+	waitOn := func(e int32) {
+		src, dst = append(src, e), append(dst, int32(ti))
+		initPending[ti]++
+	}
+
 	for _, op := range g.ops {
 		switch op {
-		case opAlloc:
-			oi++
 		case opSerial:
 			d := &g.serials[si]
 			si++
-			fillVersions(d.acc0, d.accN)
+			version(g.serialAccs[d.acc0:d.accN])
 		case opTask:
-			d := &g.tasks[ti]
-			fillVersions(d.acc0, d.accN)
-			e := entryStart[ti]
-			for k := d.acc0; k < d.accN; k++ {
-				ad := &g.accs[k]
-				q := queues[ad.obj]
-				if len(q) == 0 {
-					touched = append(touched, ad.obj)
+			accs := tasks[ti].Accesses
+			version(accs)
+			for i, a := range accs {
+				e, o := entryStart[ti]+int32(i), a.Obj.ID
+				if lastWrite[o] == 0 && len(readers[o]) == 0 {
+					touched = append(touched, o)
 				}
-				for _, prev := range q {
-					if (prev.mode|ad.mode)&jade.Write != 0 {
-						initPending[ti]++
-						edgeLists[prev.entry] = append(edgeLists[prev.entry], int32(ti))
+				switch {
+				case !a.Writes():
+					if w := lastWrite[o]; w != 0 {
+						waitOn(w - 1)
 					}
+					readers[o] = append(readers[o], e)
+					continue
+				case len(readers[o]) > 0:
+					for _, r := range readers[o] {
+						waitOn(r)
+					}
+				case lastWrite[o] != 0:
+					waitOn(lastWrite[o] - 1)
 				}
-				queues[ad.obj] = append(q, qent{mode: ad.mode, entry: e})
-				e++
+				lastWrite[o], readers[o] = e+1, readers[o][:0]
 			}
-			t := &taskArena[ti]
-			*t = jade.Task{
-				ID:       jade.TaskID(ti),
-				Accesses: accs[d.acc0:d.accN:d.accN],
-				Work:     d.work,
-				Placed:   int(d.placed),
-			}
-			if d.seg0 != d.segN && !g.workFree {
-				// Work-free runs drop segments (WithStagedAccesses does
-				// the same), and work-free captures never record them —
-				// the guard only matters if that invariant ever changes.
-				t.Segments = segs[d.seg0:d.segN:d.segN]
-			}
-			tasks[ti] = t
 			ti++
 		case opWait, opReset:
-			clearQueues()
+			for _, o := range touched {
+				lastWrite[o], readers[o] = 0, readers[o][:0]
+			}
+			touched = touched[:0]
 		}
 	}
 
-	edgeStart := make([]int32, total+1)
-	n := 0
-	for i, l := range edgeLists {
-		edgeStart[i] = int32(n)
-		n += len(l)
+	// Group the edges by source entry. The counting sort is stable, so
+	// each entry's successors stay in creation order.
+	edgeStart := make([]int32, nEntries+1)
+	for _, s := range src {
+		edgeStart[s+1]++
 	}
-	edgeStart[total] = int32(n)
-	edges := make([]int32, 0, n)
-	for _, l := range edgeLists {
-		edges = append(edges, l...)
+	for e := int32(0); e < nEntries; e++ {
+		edgeStart[e+1] += edgeStart[e]
+	}
+	next := append([]int32(nil), edgeStart[:nEntries]...)
+	edges := make([]int32, len(dst))
+	for i, s := range src {
+		edges[next[s]] = dst[i]
+		next[s]++
 	}
 
-	return &replayPlan{
-		rp: &jade.ReplayPlan{
-			Objects:     objs,
-			Tasks:       tasks,
-			InitPending: initPending,
-			EntryStart:  entryStart,
-			EdgeStart:   edgeStart,
-			Edges:       edges,
-		},
-		accs: accs,
+	g.plan = &jade.ReplayPlan{
+		Objects:     objs,
+		Tasks:       ptrs,
+		InitPending: initPending,
+		EntryStart:  entryStart,
+		EdgeStart:   edgeStart,
+		Edges:       edges,
 	}
 }

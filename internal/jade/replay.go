@@ -2,15 +2,14 @@ package jade
 
 import "fmt"
 
-// This file is the runtime half of batched graph replay. A ReplayPlan
-// is a structure-of-arrays precomputation of everything the
-// synchronizer would derive while re-walking a captured op stream:
-// access versions (already baked into the shared Access slices),
-// initial pending counts, and the exact successor edges each access
-// entry fires when it completes. The plan depends only on the op
-// stream, so one plan drives any number of runtimes — sequentially or
-// concurrently — each carrying only a few flat per-variant slices of
-// mutable state.
+// This file is the runtime half of graph replay. A ReplayPlan is a
+// structure-of-arrays precomputation of everything the synchronizer
+// would derive while re-walking a captured op stream: access versions
+// (already baked into the shared Access slices), initial pending
+// counts, and the successor edges each access entry fires when it
+// completes. The plan depends only on the op stream, so one plan drives
+// any number of runtimes — sequentially or concurrently — each carrying
+// only a few flat per-variant slices of mutable state.
 //
 // Why a static plan is exact: platforms only complete tasks inside
 // Drain, and tasks are only created between Drains, so at registration
@@ -19,8 +18,12 @@ import "fmt"
 // (its task could not have been enabled), so the synchronizer's
 // "skip completed successors" check never fires and the pending
 // decrements a completing entry performs are exactly its static edge
-// list. Serial phases create no queue entries (they require an empty
-// graph), so they affect the plan only through version numbering.
+// list. The same fact lets the plan keep only the transitive reduction
+// of those edges: an entry whose completion is implied by a later
+// conflicting one can never be the last to complete, so dropping its
+// edge never changes when a task enables. Serial phases create no queue
+// entries (they require an empty graph), so they affect the plan only
+// through version numbering.
 
 // ReplayPlan is the immutable, shareable precomputation for replaying
 // one captured graph. Objects and Tasks are fully materialized —
@@ -32,8 +35,8 @@ type ReplayPlan struct {
 	Objects []*Object
 	Tasks   []*Task
 
-	// InitPending[t] is task t's conflicting-predecessor count at
-	// creation time: the task is enabled immediately iff it is zero.
+	// InitPending[t] is task t's predecessor count at creation time:
+	// the task is enabled immediately iff it is zero.
 	InitPending []int32
 
 	// EntryStart indexes the per-access entry space: task t's i-th
@@ -42,7 +45,8 @@ type ReplayPlan struct {
 	EntryStart []int32
 
 	// Edges[EdgeStart[e]:EdgeStart[e+1]] lists the task IDs whose
-	// pending count drops by one when entry e completes.
+	// pending count drops by one when entry e completes; InitPending[t]
+	// counts t's incoming edges.
 	EdgeStart []int32
 	Edges     []int32
 }

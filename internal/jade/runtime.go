@@ -229,7 +229,7 @@ func (rt *Runtime) Wait() {
 // synchronizer guarantees all conflicting predecessors have completed.
 func (rt *Runtime) RunBody(t *Task) {
 	if rp := rt.rp; rp != nil {
-		// Replayable graphs carry no bodies; only the executed flag —
+		// Captured graphs carry no bodies; only the executed flag —
 		// kept per-variant, off the shared Task — needs maintaining.
 		rp.markExecuted(t)
 		return

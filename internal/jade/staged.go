@@ -121,26 +121,9 @@ func (s *Synchronizer) CompleteEntry(t *Task, o *Object) []*Task {
 	defer s.mu.Unlock()
 
 	var newly []*Task
-	for _, e := range t.entries {
-		if e.obj != o || e.done {
-			continue
-		}
-		e.done = true
-		for j := e.index + 1; j < len(o.queue); j++ {
-			later := o.queue[j]
-			if later.done {
-				continue
-			}
-			if conflicts(e.mode, later.mode) {
-				later.task.pending--
-				if later.task.pending == 0 && !later.task.enabled {
-					later.task.enabled = true
-					newly = append(newly, later.task)
-				}
-			}
-		}
-		for o.head < len(o.queue) && o.queue[o.head].done {
-			o.head++
+	for _, e := range s.entries[t.ID] {
+		if e.obj == o && !e.done {
+			newly = s.finish(e, newly)
 		}
 	}
 	sortTasksByID(newly)

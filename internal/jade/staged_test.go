@@ -107,7 +107,7 @@ func TestCompleteEntryIdempotent(t *testing.T) {
 		{Release: []*Object{a}},
 	})
 	rt.Wait() // drain: release fires once, TaskDone skips done entry
-	if task.pending != 0 {
+	if rt.sync.pending[task.ID] != 0 {
 		t.Fatal("pending should be settled")
 	}
 	// A second CompleteEntry on the same object is a no-op.

@@ -36,6 +36,14 @@ type Synchronizer struct {
 	// monotonically and a returned slice is never handed out twice —
 	// safe for callers that iterate it after releasing mu.
 	taskSlab []*Task
+
+	// Per-task state, indexed by TaskID: the entries mirroring the
+	// task's Accesses in the per-object queues, its count of
+	// unsatisfied dependences (it is enabled when that reaches zero),
+	// and whether it has been enabled, which guards double submission.
+	entries [][]*entry
+	pending []int32
+	enabled []bool
 }
 
 // entrySlabSize is the entry-arena chunk size; at 4–8 accesses per
@@ -75,8 +83,14 @@ func (s *Synchronizer) Register(t *Task) (enabled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	t.pending = 0
-	t.entries = s.entrySlice(len(t.Accesses))[:0]
+	id := int(t.ID)
+	for len(s.pending) <= id {
+		s.entries = append(s.entries, nil)
+		s.pending = append(s.pending, 0)
+		s.enabled = append(s.enabled, false)
+	}
+	entries := s.entrySlice(len(t.Accesses))[:0]
+	pending := int32(0)
 	for i := range t.Accesses {
 		a := &t.Accesses[i]
 		o := a.Obj
@@ -92,17 +106,14 @@ func (s *Synchronizer) Register(t *Task) (enabled bool) {
 		for j := o.head; j < len(o.queue); j++ {
 			prev := o.queue[j]
 			if !prev.done && conflicts(prev.mode, e.mode) {
-				t.pending++
+				pending++
 			}
 		}
 		o.queue = append(o.queue, e)
-		t.entries = append(t.entries, e)
+		entries = append(entries, e)
 	}
-	if t.pending == 0 {
-		t.enabled = true
-		return true
-	}
-	return false
+	s.entries[id], s.pending[id], s.enabled[id] = entries, pending, pending == 0
+	return pending == 0
 }
 
 // conflicts reports whether two access modes on the same object imply
@@ -125,29 +136,9 @@ func (s *Synchronizer) Complete(t *Task) []*Task {
 	}
 	k := len(s.taskSlab)
 	newly := s.taskSlab[k:k]
-	for _, e := range t.entries {
-		if e.done {
-			continue
-		}
-		e.done = true
-		o := e.obj
-		// Release later conflicting entries.
-		for j := e.index + 1; j < len(o.queue); j++ {
-			later := o.queue[j]
-			if later.done {
-				continue
-			}
-			if conflicts(e.mode, later.mode) {
-				later.task.pending--
-				if later.task.pending == 0 && !later.task.enabled {
-					later.task.enabled = true
-					newly = append(newly, later.task)
-				}
-			}
-		}
-		// Advance the completed prefix so Register scans stay short.
-		for o.head < len(o.queue) && o.queue[o.head].done {
-			o.head++
+	for _, e := range s.entries[t.ID] {
+		if !e.done {
+			newly = s.finish(e, newly)
 		}
 	}
 	if len(newly) <= cap(s.taskSlab)-k {
@@ -156,6 +147,31 @@ func (s *Synchronizer) Complete(t *Task) []*Task {
 		s.taskSlab = s.taskSlab[:k+len(newly)]
 	}
 	sortTasksByID(newly)
+	return newly
+}
+
+// finish marks entry e done and appends to newly the tasks its
+// completion enables: later conflicting entries release their tasks'
+// dependences. Callers must hold mu.
+func (s *Synchronizer) finish(e *entry, newly []*Task) []*Task {
+	e.done = true
+	o := e.obj
+	for j := e.index + 1; j < len(o.queue); j++ {
+		later := o.queue[j]
+		if later.done || !conflicts(e.mode, later.mode) {
+			continue
+		}
+		id := later.task.ID
+		s.pending[id]--
+		if s.pending[id] == 0 && !s.enabled[id] {
+			s.enabled[id] = true
+			newly = append(newly, later.task)
+		}
+	}
+	// Advance the completed prefix so Register scans stay short.
+	for o.head < len(o.queue) && o.queue[o.head].done {
+		o.head++
+	}
 	return newly
 }
 

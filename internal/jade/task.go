@@ -64,14 +64,9 @@ type Task struct {
 	// Work is the summed segment work.
 	Segments []Segment
 
-	// entries mirror Accesses in the per-object synchronizer queues.
-	entries []*entry
-	// pending counts unsatisfied dependences; the task is enabled
-	// when it reaches zero.
-	pending int
-	// enabled guards against double submission.
-	enabled bool
-	// executed guards against running the body twice.
+	// executed guards against running the body twice. (The
+	// synchronizer keeps its own per-task state, indexed by ID, so a
+	// Task a replay plan shares stays small.)
 	executed bool
 }
 
