@@ -1,0 +1,226 @@
+package main
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/fault"
+	"repro/internal/jade"
+	"repro/internal/metrics"
+)
+
+// wantDigests pins the first 8 bytes (hex) of the SHA-256 of every
+// output below. The machine models' instrumentation may be rebuilt
+// freely as long as none of these bytes move; a deliberate change
+// regenerates the table (the failure message prints it) and says why.
+var wantDigests = map[string]string{
+	"jadetrace/cholesky/dash/locality":  "4509eaec5e551b7c",
+	"jadetrace/cholesky/dash/none":      "95aed70b903708c5",
+	"jadetrace/cholesky/dash/placement": "ec59d414c2d6f238",
+	"jadetrace/cholesky/ipsc/locality":  "e24a4731b3696047",
+	"jadetrace/cholesky/ipsc/none":      "7a33c988c34e4c36",
+	"jadetrace/cholesky/ipsc/placement": "9d62288a24a121e6",
+	"jadetrace/ocean/dash/locality":     "50b698df6f5e5350",
+	"jadetrace/ocean/dash/none":         "d316be8d60cc2892",
+	"jadetrace/ocean/dash/placement":    "478ffdd7feb53b74",
+	"jadetrace/ocean/ipsc/locality":     "fba6aa94359338e6",
+	"jadetrace/ocean/ipsc/none":         "230a774649c19016",
+	"jadetrace/ocean/ipsc/placement":    "178ee3a587fa2e59",
+	"jadetrace/string/dash/locality":    "1b0a48438c455e7c",
+	"jadetrace/string/dash/none":        "1b5c87b25aced3d0",
+	"jadetrace/string/dash/placement":   "1b0a48438c455e7c",
+	"jadetrace/string/ipsc/locality":    "3b0e7e5dece3825a",
+	"jadetrace/string/ipsc/none":        "abf5b2390b5a59e3",
+	"jadetrace/string/ipsc/placement":   "3b0e7e5dece3825a",
+	"jadetrace/water/dash/locality":     "c9dcab4ee37f0e36",
+	"jadetrace/water/dash/none":         "8c7f6c1bfe088110",
+	"jadetrace/water/dash/placement":    "c9dcab4ee37f0e36",
+	"jadetrace/water/ipsc/locality":     "e71006ead5568d57",
+	"jadetrace/water/ipsc/none":         "d3bdede5a51fb708",
+	"jadetrace/water/ipsc/placement":    "e71006ead5568d57",
+	"metrics/cholesky/dash/8":           "0dce2a97fdba3921",
+	"metrics/cholesky/ipsc/8":           "a1f52319f7907fe8",
+	"metrics/ocean/cluster/4":           "8b347fee2eaf1b5b",
+	"metrics/ocean/dash/8":              "b3216ff19e482a1d",
+	"metrics/ocean/ipsc/8":              "fa30b8f318194c27",
+	"metrics/spmv/dash/8":               "b42bea159f8b659d",
+	"metrics/spmv/ipsc/8":               "daa6bc5f8b131742",
+	"metrics/spmv/pgas/8":               "473dcaf92ed8a587",
+	"metrics/string/dash/8":             "a1e5ed2c2fd4866d",
+	"metrics/string/ipsc/8":             "4a0211e3cad37747",
+	"metrics/water/dash/8":              "165ae1a11bd4fc1d",
+	"metrics/water/ipsc/8":              "33f183f7483c05d7",
+	"metrics/water/ipsc/8/faulted":      "9f4af28a213e1369",
+	"perfetto/cholesky/dash/locality":   "0263d279439be3c2",
+	"perfetto/cholesky/dash/none":       "ce4828b135d9baf7",
+	"perfetto/cholesky/dash/placement":  "ff8b9164353a9d03",
+	"perfetto/cholesky/ipsc/locality":   "0a8979aa5d38a6f4",
+	"perfetto/cholesky/ipsc/none":       "324ada30fbfa85a3",
+	"perfetto/cholesky/ipsc/placement":  "fb662a688fabb6f2",
+	"perfetto/ocean/dash/locality":      "58982767b980148c",
+	"perfetto/ocean/dash/none":          "ebee24a32c034aad",
+	"perfetto/ocean/dash/placement":     "a315793386eb310d",
+	"perfetto/ocean/ipsc/locality":      "ab890113d9bab636",
+	"perfetto/ocean/ipsc/none":          "bdd2d3077c18ae5d",
+	"perfetto/ocean/ipsc/placement":     "90c41895e33b5bd8",
+	"perfetto/string/dash/locality":     "bdf122f02dba4f8c",
+	"perfetto/string/dash/none":         "ff23099b76a0e7f5",
+	"perfetto/string/dash/placement":    "bdf122f02dba4f8c",
+	"perfetto/string/ipsc/locality":     "bdf4b831cf6855e8",
+	"perfetto/string/ipsc/none":         "d93bbcc37286491f",
+	"perfetto/string/ipsc/placement":    "bdf4b831cf6855e8",
+	"perfetto/water/dash/locality":      "a251e12302f6f404",
+	"perfetto/water/dash/none":          "29818861d05ef06d",
+	"perfetto/water/dash/placement":     "a251e12302f6f404",
+	"perfetto/water/ipsc/locality":      "c0fde121c8aa7aca",
+	"perfetto/water/ipsc/none":          "0af49419fcc4f156",
+	"perfetto/water/ipsc/placement":     "c0fde121c8aa7aca",
+	"staged/cluster":                    "b79f1949ef9b0a3b",
+	"staged/dash":                       "2bd91354081525ab",
+	"staged/ipsc":                       "55caf2c6771902bc",
+	"staged/pgas":                       "d345dbeae3dc60e7",
+}
+
+// TestEventStreamDigests pins everything the simulated machines'
+// instrumentation feeds:
+//   - jadetrace's stdout (hot objects, event log, Gantt chart, summary)
+//     and Perfetto export, for every app × machine × level it accepts;
+//   - the jade-metrics/v1 report with the observer attached, for the
+//     default observed run specs, an observed cluster cell, a faulted
+//     iPSC cell (delivery attempts), and a staged program on each of
+//     the four machines.
+func TestEventStreamDigests(t *testing.T) {
+	got := map[string]string{}
+	pf := filepath.Join(t.TempDir(), "perfetto.json")
+	for _, app := range []string{"water", "string", "ocean", "cholesky"} {
+		for _, machine := range []string{"dash", "ipsc"} {
+			for _, level := range []string{"none", "locality", "placement"} {
+				name := app + "/" + machine + "/" + level
+				var stdout, stderr bytes.Buffer
+				args := []string{"-app", app, "-machine", machine, "-level", level,
+					"-log", "-hot", "10", "-perfetto", pf}
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("jadetrace %s: exit %d: %s", strings.Join(args, " "), code, stderr.String())
+				}
+				perfetto, err := os.ReadFile(pf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got["jadetrace/"+name] = digest(bytes.ReplaceAll(stdout.Bytes(), []byte(pf), []byte("OUT")))
+				got["perfetto/"+name] = digest(perfetto)
+			}
+		}
+	}
+
+	faulted := experiments.RunSpec{App: "water", Machine: "ipsc", Procs: 8, Observe: true,
+		Fault: &fault.Spec{Seed: 7, DropPct: 0.05, DupPct: 0.02}}
+	specs := append(experiments.DefaultRunSpecs(),
+		experiments.RunSpec{App: "ocean", Machine: "cluster", Procs: 4, Observe: true}, faulted)
+	for _, s := range specs {
+		r, err := s.Execute(experiments.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Obsv == nil {
+			t.Fatalf("%s/%s: observed run carries no snapshot", s.App, s.Machine)
+		}
+		name := fmt.Sprintf("metrics/%s/%s/%d", s.App, s.Machine, s.Procs)
+		if s.Fault != nil {
+			name += "/faulted"
+			if r.Obsv.DeliveryAttempts == nil {
+				t.Fatalf("%s: faulted run recorded no delivery attempts", name)
+			}
+		}
+		got[name] = digest(metricsJSON(t, r))
+	}
+
+	for _, machine := range []string{"dash", "ipsc", "pgas", "cluster"} {
+		p, snapshot := observedMachine(machine, 4)
+		rt := jade.New(p, jade.Config{})
+		stagedProgram(rt)
+		r := rt.Finish()
+		r.Obsv = snapshot()
+		got["staged/"+machine] = digest(metricsJSON(t, r))
+	}
+
+	failed := false
+	for name, d := range got {
+		if want := wantDigests[name]; want != d {
+			t.Errorf("%s: digest %s, want %q", name, d, want)
+			failed = true
+		}
+	}
+	for name := range wantDigests {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s: pinned output no longer produced", name)
+			failed = true
+		}
+	}
+	if failed {
+		names := make([]string, 0, len(got))
+		for name := range got {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		var sb strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&sb, "\t%q: %q,\n", name, got[name])
+		}
+		t.Logf("current digests:\n%s", sb.String())
+	}
+}
+
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
+}
+
+func metricsJSON(t *testing.T, r *metrics.Run) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// stagedProgram is a small pipeline: a warm-up phase the metrics reset
+// drops, then rounds of two-segment producers that release their input
+// at the first segment boundary, a reader per produced block, and a
+// serial phase that pulls every block back to the main processor.
+func stagedProgram(rt *jade.Runtime) {
+	const n = 4
+	blocks := make([]*jade.Object, n)
+	for i := range blocks {
+		blocks[i] = rt.Alloc(fmt.Sprintf("block%d", i), 2048*(i+1), nil, jade.OnProcessor(i%rt.Processors()))
+	}
+	for _, b := range blocks {
+		b := b
+		rt.WithOnly(func(s *jade.Spec) { s.Wr(b) }, 1e-4, func() {})
+	}
+	rt.ResetMetrics()
+	for round := 0; round < 3; round++ {
+		for i, b := range blocks {
+			b, next := b, blocks[(i+1)%n]
+			rt.WithOnlyStaged(func(s *jade.Spec) { s.Rd(next); s.Wr(b) }, []jade.Segment{
+				{Work: 5e-4, Release: []*jade.Object{next}},
+				{Work: 1e-3},
+			})
+			rt.WithOnly(func(s *jade.Spec) { s.Rd(b) }, 3e-4, func() {})
+		}
+		rt.Wait()
+		rt.Serial(1e-4, func() {}, func(s *jade.Spec) {
+			for _, b := range blocks {
+				s.Rd(b)
+			}
+		})
+	}
+}
