@@ -126,6 +126,25 @@ go run ./cmd/jadebench -granularity-report -scale small |
         crossovers.0.machine crossovers.0.crossover_work_sec
 go test -run '^TestGranularity(FinestSizeMessageCut|PassMovesCrossover)$' ./internal/experiments
 
+echo "== jadetrace smoke =="
+# The simulated-event stream's consumers end to end on both traceable
+# machines: event log, hot-object report, Gantt chart and Perfetto
+# export. jadetrace exits 1 when the recorded schedule fails
+# check.Validate, and 2 on a bad flag value such as an unknown level.
+trdir=$(mktemp -d)
+go build -o "$trdir/jadetrace" ./cmd/jadetrace
+go build -o "$trdir/jsoncheck" ./internal/tools/jsoncheck
+for machine in dash ipsc; do
+    "$trdir/jadetrace" -app ocean -machine "$machine" -procs 4 -log -hot 5 \
+        -perfetto "$trdir/$machine.json" >"$trdir/$machine.txt"
+    "$trdir/jsoncheck" traceEvents.0.ph displayTimeUnit <"$trdir/$machine.json"
+done
+status=0
+"$trdir/jadetrace" -level bogus >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] ||
+    { echo "jadetrace: -level bogus exited $status, want 2" >&2; exit 1; }
+rm -rf "$trdir"
+
 echo "== jaded smoke =="
 # Start the server on an ephemeral port, submit the same small sync
 # job twice, and check the second response is served from the cache.

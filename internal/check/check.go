@@ -2,9 +2,9 @@
 // correctness contract: tasks whose access specifications conflict
 // (they share an object and at least one writes it) must execute
 // without overlap and in serial program order. It consumes the
-// execution spans recorded by internal/trace, giving an independent
-// end-to-end verification of the synchronizer + scheduler stack on
-// any platform.
+// execution spans internal/trace renders from a machine's
+// simulated-event stream, giving an independent end-to-end
+// verification of the synchronizer + scheduler stack on any platform.
 package check
 
 import (
@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"repro/internal/jade"
+	"repro/internal/obsv"
 	"repro/internal/trace"
 )
 
@@ -29,7 +30,7 @@ func Spans(tr *trace.Trace) (map[int]Span, error) {
 	open := map[int]float64{}
 	for _, e := range tr.Events() {
 		switch e.Kind {
-		case trace.ExecStart:
+		case obsv.ExecStart:
 			if _, ok := open[e.Task]; ok {
 				return nil, fmt.Errorf("check: task %d started twice", e.Task)
 			}
@@ -37,7 +38,7 @@ func Spans(tr *trace.Trace) (map[int]Span, error) {
 				return nil, fmt.Errorf("check: task %d re-executed", e.Task)
 			}
 			open[e.Task] = e.At
-		case trace.ExecEnd:
+		case obsv.ExecEnd:
 			s, ok := open[e.Task]
 			if !ok {
 				return nil, fmt.Errorf("check: task %d ended without starting", e.Task)

@@ -3,20 +3,15 @@ package check
 import (
 	"fmt"
 
+	"repro/internal/obsv"
 	"repro/internal/trace"
 )
 
 // lifecycleOrder is the per-task event sequence every machine model
 // must respect. Not every model emits every kind (the shared-memory
-// model has no TaskAssigned, the message-passing model has no
-// TaskEnabled), so absent kinds are simply skipped.
-var lifecycleOrder = []trace.Kind{
-	trace.TaskCreated,
-	trace.TaskEnabled,
-	trace.TaskAssigned,
-	trace.ExecStart,
-	trace.ExecEnd,
-}
+// model has no Assigned, the message-passing models have no Enabled),
+// so absent kinds are simply skipped.
+var lifecycleOrder = []obsv.Kind{obsv.Created, obsv.Enabled, obsv.Assigned, obsv.ExecStart, obsv.ExecEnd}
 
 // EventOrdering verifies the per-task lifecycle invariant
 // created ≤ enabled ≤ assigned ≤ exec-start ≤ exec-end on the
@@ -24,42 +19,33 @@ var lifecycleOrder = []trace.Kind{
 // occurrence is used, except exec-end, which uses the last, so staged
 // tasks with several execution segments still validate.
 func EventOrdering(tr *trace.Trace) error {
-	type mark struct {
-		at  float64
-		set bool
-	}
-	first := map[int]map[trace.Kind]mark{}
+	marks := map[int]map[obsv.Kind]float64{}
 	for _, e := range tr.Events() {
 		if e.Task < 0 {
 			continue
 		}
-		marks, ok := first[e.Task]
+		m, ok := marks[e.Task]
 		if !ok {
-			marks = map[trace.Kind]mark{}
-			first[e.Task] = marks
+			m = map[obsv.Kind]float64{}
+			marks[e.Task] = m
 		}
-		m, seen := marks[e.Kind]
-		if !seen {
-			marks[e.Kind] = mark{at: e.At, set: true}
-		} else if e.Kind == trace.ExecEnd && e.At > m.at {
-			marks[e.Kind] = mark{at: e.At, set: true}
+		if at, seen := m[e.Kind]; !seen || e.Kind == obsv.ExecEnd && e.At > at {
+			m[e.Kind] = e.At
 		}
 	}
-	for task, marks := range first {
-		prevAt := 0.0
-		prevKind := trace.Kind(-1)
-		started := false
+	for task, m := range marks {
+		prevAt, prevKind, started := 0.0, obsv.Kind(0), false
 		for _, k := range lifecycleOrder {
-			m, ok := marks[k]
+			at, ok := m[k]
 			if !ok {
 				continue
 			}
-			if started && m.at < prevAt {
+			if started && at < prevAt {
 				return fmt.Errorf(
 					"check: task %d lifecycle out of order: %s at %.9f before %s at %.9f",
-					task, k, m.at, prevKind, prevAt)
+					task, k, at, prevKind, prevAt)
 			}
-			prevAt, prevKind, started = m.at, k, true
+			prevAt, prevKind, started = at, k, true
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dash"
 	"repro/internal/ipsc"
 	"repro/internal/jade"
+	"repro/internal/obsv"
 	"repro/internal/trace"
 )
 
@@ -20,7 +21,7 @@ func oceanTrace(t *testing.T, m jade.Platform, tr *trace.Trace) *trace.Trace {
 	cfg.Iterations = 4
 	ocean.Run(rt, cfg)
 	rt.Finish()
-	if tr.Len() == 0 {
+	if len(tr.Events()) == 0 {
 		t.Fatal("trace recorded no events")
 	}
 	return tr
@@ -29,7 +30,7 @@ func oceanTrace(t *testing.T, m jade.Platform, tr *trace.Trace) *trace.Trace {
 func TestEventOrderingOceanOnDash(t *testing.T) {
 	tr := trace.New()
 	m := dash.New(dash.DefaultConfig(4, dash.Locality))
-	m.Trace = tr
+	m.Sink = tr
 	if err := EventOrdering(oceanTrace(t, m, tr)); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestEventOrderingOceanOnDash(t *testing.T) {
 func TestEventOrderingOceanOnIpsc(t *testing.T) {
 	tr := trace.New()
 	m := ipsc.New(ipsc.DefaultConfig(4, ipsc.Locality))
-	m.Trace = tr
+	m.Sink = tr
 	if err := EventOrdering(oceanTrace(t, m, tr)); err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +47,8 @@ func TestEventOrderingOceanOnIpsc(t *testing.T) {
 
 func TestEventOrderingCatchesRegression(t *testing.T) {
 	tr := trace.New()
-	tr.Add(0.5, trace.TaskCreated, 7, 0, "")
-	tr.Add(0.4, trace.ExecStart, 7, 0, "") // starts before creation
-	tr.Add(0.6, trace.ExecEnd, 7, 0, "")
+	tr.Record(obsv.Event{Kind: obsv.Created, Task: 7, At: 0.5})
+	tr.Record(obsv.Event{Kind: obsv.Exec, Task: 7, At: 0.4, End: 0.6}) // starts before creation
 	if err := EventOrdering(tr); err == nil {
 		t.Fatal("exec before creation not detected")
 	}
@@ -58,22 +58,19 @@ func TestEventOrderingToleratesAbsentKinds(t *testing.T) {
 	// A model that emits only exec spans (no created/enabled/assigned)
 	// must still pass: absent kinds are skipped, not required.
 	tr := trace.New()
-	tr.Add(0.1, trace.ExecStart, 0, 0, "")
-	tr.Add(0.2, trace.ExecEnd, 0, 0, "")
+	tr.Record(obsv.Event{Kind: obsv.Exec, At: 0.1, End: 0.2})
 	if err := EventOrdering(tr); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEventOrderingStagedExecEnd(t *testing.T) {
-	// Staged tasks emit several exec segments; the last exec-end is the
-	// one that must follow everything else.
+	// A task with several exec-end lines is validated against the last
+	// one, which must follow everything else.
 	tr := trace.New()
-	tr.Add(0.0, trace.TaskCreated, 3, 0, "")
-	tr.Add(0.1, trace.ExecStart, 3, 0, "")
-	tr.Add(0.2, trace.ExecEnd, 3, 0, "")
-	tr.Add(0.3, trace.ExecStart, 3, 0, "")
-	tr.Add(0.4, trace.ExecEnd, 3, 0, "")
+	tr.Record(obsv.Event{Kind: obsv.Created, Task: 3, At: 0.0})
+	tr.Record(obsv.Event{Kind: obsv.Exec, Task: 3, At: 0.1, End: 0.2})
+	tr.Record(obsv.Event{Kind: obsv.Exec, Task: 3, At: 0.3, End: 0.4})
 	if err := EventOrdering(tr); err != nil {
 		t.Fatal(err)
 	}

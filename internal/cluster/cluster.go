@@ -115,9 +115,9 @@ type Machine struct {
 	pool        []*taskState
 	createdDone map[jade.TaskID]sim.Time
 
-	// Obs, when non-nil, collects structured observability data
-	// (per-object stats, latency histograms, state timelines).
-	Obs *obsv.Observer
+	// Sink, when non-nil, receives the run's simulated-event stream
+	// (obsv.Observer, trace.Trace); nil costs nothing.
+	Sink obsv.Sink
 
 	stats    metrics.Run
 	execBase sim.Time
@@ -165,15 +165,9 @@ func (m *Machine) ObjectAllocated(o *jade.Object) {
 }
 
 // submitMgmt charges d seconds of task-management work to the main
-// workstation, recording a mgmt span when observability is on.
+// workstation and emits it as a Mgmt span.
 func (m *Machine) submitMgmt(at sim.Time, d float64) sim.Time {
-	var done func(start, end sim.Time)
-	if m.Obs.Enabled() {
-		done = func(start, end sim.Time) {
-			m.Obs.Span(0, obsv.StateMgmt, float64(start), float64(end))
-		}
-	}
-	return m.stations[0].cpu.Submit(at, sim.Time(d), done)
+	return m.stations[0].cpu.Submit(at, sim.Time(d), obsv.Span(m.Sink, obsv.Event{Kind: obsv.Mgmt}))
 }
 
 // TaskCreated implements jade.Platform.
@@ -181,6 +175,7 @@ func (m *Machine) TaskCreated(t *jade.Task, enabled bool) {
 	done := m.submitMgmt(m.eng.Now(), m.cfg.TaskCreateSec)
 	m.stats.TaskMgmtTime += m.cfg.TaskCreateSec
 	m.createdDone[t.ID] = done
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
 	if enabled {
 		m.eng.At(done, func() { m.schedule(t) })
 	}
@@ -215,10 +210,9 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 				main.store[o.ID] = a.RequiredVersion
 				m.stats.MsgBytes += int64(o.Size)
 				m.stats.MsgCount++
-				if m.Obs.Enabled() {
-					m.Obs.ObjectFetch(int(o.ID), o.Name, o.Size, float64(arrive-issued), m.owner[o.ID] != 0)
-					m.Obs.Span(0, obsv.StateFetch, float64(issued), float64(arrive))
-				}
+				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+					At: float64(issued), End: float64(arrive), Flag: m.owner[o.ID] != 0})
+				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
 			}
 		}
 		if a.Writes() {
@@ -245,7 +239,6 @@ func (m *Machine) Stats() *metrics.Run {
 		}
 		m.stats.ProcBusy = append(m.stats.ProcBusy, b)
 	}
-	m.stats.Obsv = m.Obs.Snapshot(0)
 	return &m.stats
 }
 
@@ -257,7 +250,7 @@ func (m *Machine) ResetStats() {
 	for _, st := range m.stations {
 		m.busyBase = append(m.busyBase, float64(st.cpu.BusyTime()))
 	}
-	m.Obs.Reset()
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Reset})
 }
 
 // schedule assigns an enabled task: to the target owner's workstation
@@ -302,6 +295,7 @@ func (m *Machine) assign(ts *taskState, p int) {
 	ts.proc = p
 	st := m.stations[p]
 	st.load++
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Assigned, Proc: p, Task: int(ts.t.ID), N: ts.target, At: float64(m.eng.Now())})
 	st.queued += ts.t.Work / m.cfg.Speeds[p]
 	m.stats.TaskMgmtTime += m.cfg.AssignSec
 	decided := m.submitMgmt(m.eng.Now(), m.cfg.AssignSec)
@@ -337,6 +331,7 @@ func (m *Machine) taskArrived(ts *taskState) {
 	}
 	ts.needed = len(toFetch)
 	ts.firstReq = m.eng.Now()
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchStart, Proc: p, Task: int(ts.t.ID), N: len(toFetch), At: float64(ts.firstReq)})
 	for _, a := range toFetch {
 		a := a
 		issued := m.eng.Now()
@@ -347,19 +342,15 @@ func (m *Machine) taskArrived(ts *taskState) {
 			m.stats.MsgBytes += int64(a.Obj.Size)
 			m.stats.MsgCount++
 			m.stats.ReplicatedReads++
-			if m.Obs.Enabled() {
-				m.Obs.ObjectFetch(int(a.Obj.ID), a.Obj.Name, a.Obj.Size,
-					float64(m.eng.Now()-issued), m.owner[a.Obj.ID] != p)
-			}
+			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
+				At: float64(issued), End: float64(m.eng.Now()), Flag: m.owner[a.Obj.ID] != p})
 			if m.eng.Now() > ts.lastArrive {
 				ts.lastArrive = m.eng.Now()
 			}
 			ts.needed--
 			if ts.needed == 0 {
-				if m.Obs.Enabled() {
-					m.Obs.TaskWait(float64(ts.lastArrive - ts.firstReq))
-					m.Obs.Span(p, obsv.StateFetch, float64(ts.firstReq), float64(ts.lastArrive))
-				}
+				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Proc: p, Task: int(ts.t.ID),
+					At: float64(ts.firstReq), End: float64(ts.lastArrive)})
 				m.ready(ts)
 			}
 		})
@@ -387,7 +378,7 @@ func (m *Machine) ready(ts *taskState) {
 				d += m.cfg.DispatchSec
 			}
 			m.stations[p].cpu.Submit(m.eng.Now(), sim.Time(d), func(start, end sim.Time) {
-				m.Obs.Span(p, obsv.StateTask, float64(start), float64(end))
+				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(ts.t.ID), At: float64(start), End: float64(end)})
 				for _, o := range segs[i].Release {
 					if a, ok := ts.t.AccessOn(o); ok && a.Writes() {
 						m.owner[o.ID] = p
@@ -409,7 +400,7 @@ func (m *Machine) ready(ts *taskState) {
 	}
 	m.rt.RunBody(ts.t)
 	m.stations[p].cpu.Submit(m.eng.Now(), sim.Time(m.cfg.DispatchSec+work), func(start, end sim.Time) {
-		m.Obs.Span(p, obsv.StateTask, float64(start), float64(end))
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Exec, Proc: p, Task: int(ts.t.ID), At: float64(start), End: float64(end)})
 		m.completed(ts)
 	})
 }
@@ -428,8 +419,7 @@ func (m *Machine) completed(ts *taskState) {
 	m.rt.TaskDone(ts.t)
 	notify := func() {
 		m.stats.TaskMgmtTime += m.cfg.CompleteHandleSec
-		m.stations[0].cpu.Submit(m.eng.Now(), sim.Time(m.cfg.CompleteHandleSec), func(start, end sim.Time) {
-			m.Obs.Span(0, obsv.StateMgmt, float64(start), float64(end))
+		m.eng.At(m.submitMgmt(m.eng.Now(), m.cfg.CompleteHandleSec), func() {
 			st.load--
 			st.queued -= ts.t.Work / m.cfg.Speeds[p]
 			m.drainPool(p)

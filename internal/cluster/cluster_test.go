@@ -180,25 +180,21 @@ func TestObserverOnCluster(t *testing.T) {
 	cfg.N = 32
 	cfg.Iterations = 4
 
-	run := func(obs *obsv.Observer) *metrics.Run {
+	run := func(sink obsv.Sink) *metrics.Run {
 		m := New(DefaultConfig(4))
-		m.Obs = obs
+		m.Sink = sink
 		rt := jade.New(m, jade.Config{})
 		ocean.Run(rt, cfg)
 		return rt.Finish()
 	}
 
 	base := run(nil)
-	if base.Obsv != nil {
-		t.Fatal("observer-free run carries a snapshot")
-	}
-
 	obs := obsv.New(4)
 	res := run(obs)
 	if res.ExecTime != base.ExecTime {
 		t.Fatalf("observer changed virtual time: %.12f vs %.12f", res.ExecTime, base.ExecTime)
 	}
-	snap := res.Obsv
+	snap := obs.Snapshot(0)
 	if snap == nil {
 		t.Fatal("instrumented run has no snapshot")
 	}

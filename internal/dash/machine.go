@@ -1,14 +1,11 @@
 package dash
 
 import (
-	"fmt"
-
 	"repro/internal/fault"
 	"repro/internal/jade"
 	"repro/internal/metrics"
 	"repro/internal/obsv"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // writerInfo tracks the last writer of an object for the dirty-line
@@ -43,19 +40,18 @@ type Machine struct {
 	// dispatchH is the registered dispatch event handler and
 	// execDoneCallH the task-completion handler; both take the
 	// processor index as their int32 argument, so events on the hot
-	// paths stay pointer-free. curTask is the task each processor's
-	// completion reports on: a processor runs one task at a time, so
-	// the handler needs no per-task state.
+	// paths stay pointer-free. curTask and curStart are the task each
+	// processor's completion reports on and when it started: a
+	// processor runs one task at a time, so the handler needs no
+	// per-task state.
 	dispatchH     sim.Handler
 	execDoneCallH sim.Handler
 	curTask       []*jade.Task
+	curStart      []sim.Time
 	// enqueueH is the registered handler for deferred task enqueues
 	// (creation completing, dependence satisfied); its argument is the
 	// task ID, resolved through the dense task table.
 	enqueueH sim.Handler
-	// execDoneFns are the span-recording completion variants, needed
-	// only under observability or tracing; built on first use.
-	execDoneFns []func(start, end sim.Time)
 
 	// tasks is the dense task table, indexed by task ID (creation
 	// order): the scheduling queues store pointer-free task IDs and
@@ -73,21 +69,15 @@ type Machine struct {
 	// StealFromHead flips the steal path to take the first task of
 	// the first object task queue (ablation; see DESIGN.md §6).
 	StealFromHead bool
-	// Trace, when non-nil, records scheduling and execution events.
-	Trace *trace.Trace
-	// Obs, when non-nil, collects structured observability data
-	// (per-object stats, latency histograms, state timelines). All
-	// instrumentation is nil-safe and free when disabled.
-	Obs *obsv.Observer
+	// Sink, when non-nil, receives the run's simulated-event stream
+	// (obsv.Observer, trace.Trace); nil costs nothing.
+	Sink obsv.Sink
 	// Inj, when non-nil, injects deterministic faults: elevated
 	// remote-access latency on seed-chosen victim clusters (a
 	// congested mesh segment) and transient cache-invalidation storms
 	// that force cached accesses back to memory. A nil injector leaves
 	// every code path byte-identical to the healthy machine.
 	Inj *fault.Injector
-	// enqAt records each task's enqueue time for queue-wait latency;
-	// allocated lazily, only when Obs is attached.
-	enqAt map[jade.TaskID]sim.Time
 
 	stats    metrics.Run
 	execBase sim.Time
@@ -111,6 +101,7 @@ func New(cfg Config) *Machine {
 		dispatchAt: make([]sim.Time, cfg.Procs),
 	}
 	m.curTask = make([]*jade.Task, cfg.Procs)
+	m.curStart = make([]sim.Time, cfg.Procs)
 	m.enqueueH = m.eng.RegisterHandler(func(tid int32) { m.enqueue(m.tasks[tid]) })
 	m.dispatchH = m.eng.RegisterHandler(func(v int32) {
 		p := int(v)
@@ -124,6 +115,7 @@ func New(cfg Config) *Machine {
 	m.execDoneCallH = m.eng.RegisterHandler(func(v int32) {
 		p := int(v)
 		t := m.curTask[p]
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(m.curStart[p]), End: float64(m.eng.Now())})
 		m.curTask[p] = nil
 		m.running[p] = false
 		m.rt.TaskDone(t)
@@ -139,27 +131,6 @@ func New(cfg Config) *Machine {
 	}
 	m.stats.Procs = cfg.Procs
 	return m
-}
-
-// spanExecDoneFns builds the per-processor span-recording completion
-// handlers on first use; only traced or observed runs need them.
-func (m *Machine) spanExecDoneFns() []func(start, end sim.Time) {
-	if m.execDoneFns == nil {
-		m.execDoneFns = make([]func(start, end sim.Time), m.cfg.Procs)
-		for i := range m.execDoneFns {
-			p := i
-			m.execDoneFns[i] = func(start, end sim.Time) {
-				t := m.curTask[p]
-				m.curTask[p] = nil
-				m.running[p] = false
-				m.traceEvent(float64(end), trace.ExecEnd, int(t.ID), p, "")
-				m.Obs.Span(p, obsv.StateTask, float64(start), float64(end))
-				m.rt.TaskDone(t)
-				m.dispatch(p)
-			}
-		}
-	}
-	return m.execDoneFns
 }
 
 // Attach implements jade.Platform.
@@ -198,15 +169,9 @@ func (m *Machine) ObjectAllocated(o *jade.Object) {
 }
 
 // submitMgmt charges d seconds of task-management work to the main
-// processor, recording a mgmt span when observability is on.
+// processor and emits it as a Mgmt span.
 func (m *Machine) submitMgmt(at sim.Time, d float64) sim.Time {
-	var done func(start, end sim.Time)
-	if m.Obs.Enabled() {
-		done = func(start, end sim.Time) {
-			m.Obs.Span(0, obsv.StateMgmt, float64(start), float64(end))
-		}
-	}
-	return m.procs[0].Submit(at, sim.Time(d), done)
+	return m.procs[0].Submit(at, sim.Time(d), obsv.Span(m.Sink, obsv.Event{Kind: obsv.Mgmt}))
 }
 
 // TaskCreated implements jade.Platform: charge creation overhead to
@@ -217,7 +182,7 @@ func (m *Machine) TaskCreated(t *jade.Task, enabled bool) {
 	m.stats.TaskMgmtTime += m.cfg.TaskCreateSec
 	m.tasks = append(m.tasks, t)
 	m.createdDone = append(m.createdDone, done)
-	m.traceEvent(float64(done), trace.TaskCreated, int(t.ID), 0, "")
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
 	if enabled {
 		m.eng.AtCall(done, m.enqueueH, int32(t.ID))
 	}
@@ -269,7 +234,6 @@ func (m *Machine) Stats() *metrics.Run {
 		}
 		m.stats.ProcBusy = append(m.stats.ProcBusy, b)
 	}
-	m.stats.Obsv = m.Obs.Snapshot(0)
 	return &m.stats
 }
 
@@ -281,7 +245,7 @@ func (m *Machine) ResetStats() {
 	for _, p := range m.procs {
 		m.busyBase = append(m.busyBase, float64(p.BusyTime()))
 	}
-	m.Obs.Reset()
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Reset})
 }
 
 // target returns the processor that owns the task's locality object
@@ -302,13 +266,7 @@ func (m *Machine) target(t *jade.Task) int {
 // peers displace them (the paper's Water/String runs execute 100% of
 // tasks on target), while sustained imbalance still triggers steals.
 func (m *Machine) enqueue(t *jade.Task) {
-	m.traceEvent(float64(m.eng.Now()), trace.TaskEnabled, int(t.ID), -1, "")
-	if m.Obs.Enabled() {
-		if m.enqAt == nil {
-			m.enqAt = make(map[jade.TaskID]sim.Time)
-		}
-		m.enqAt[t.ID] = m.eng.Now()
-	}
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Enabled, Proc: -1, Task: int(t.ID), At: float64(m.eng.Now())})
 	switch {
 	case m.cfg.Level == NoLocality:
 		m.global = append(m.global, int32(t.ID))
@@ -420,15 +378,7 @@ func (m *Machine) execute(p int, t *jade.Task, stole bool) {
 	m.stats.TaskExecTotal += app
 
 	m.running[p] = true
-	if m.Trace.Enabled() {
-		m.Trace.Add(float64(m.eng.Now()), trace.ExecStart, int(t.ID), p, fmt.Sprintf("stole=%v", stole))
-	}
-	if m.Obs.Enabled() {
-		if at, ok := m.enqAt[t.ID]; ok {
-			m.Obs.TaskWait(float64(m.eng.Now() - at))
-			delete(m.enqAt, t.ID)
-		}
-	}
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecStart, Proc: p, Task: int(t.ID), At: float64(m.eng.Now()), Flag: stole})
 	if len(t.Segments) > 0 && !m.rt.Config().WorkFree {
 		// Staged task: memory and dispatch costs are charged with the
 		// first segment; each segment boundary may release accesses.
@@ -438,22 +388,11 @@ func (m *Machine) execute(p int, t *jade.Task, stole bool) {
 	m.rt.RunBody(t)
 	// One task runs per processor at a time (the running flag guards
 	// dispatch), so the completion handler is interned per processor and
-	// reads the task from curTask instead of capturing it. When neither
-	// tracing nor observability wants the span's start time, the
-	// closure-free SubmitCall path avoids even the Submit wrapper.
+	// reads the task and its start from curTask and curStart instead of
+	// capturing them.
 	m.curTask[p] = t
-	if m.Obs.Enabled() || m.Trace.Enabled() {
-		m.procs[p].Submit(m.eng.Now(), sim.Time(mgmt+app), m.spanExecDoneFns()[p])
-	} else {
-		m.procs[p].SubmitCall(m.eng.Now(), sim.Time(mgmt+app), m.execDoneCallH, int32(p))
-	}
-}
-
-// traceEvent records an event when tracing is enabled.
-func (m *Machine) traceEvent(at float64, k trace.Kind, task, proc int, detail string) {
-	if m.Trace != nil {
-		m.Trace.Add(at, k, task, proc, detail)
-	}
+	m.curStart[p] = m.procs[p].Start(m.eng.Now())
+	m.procs[p].SubmitCall(m.eng.Now(), sim.Time(mgmt+app), m.execDoneCallH, int32(p))
 }
 
 // executeStaged runs a multi-synchronization-point task: segments
@@ -469,7 +408,7 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 			d += baseCost
 		}
 		m.procs[p].Submit(m.eng.Now(), sim.Time(d), func(start, end sim.Time) {
-			m.Obs.Span(p, obsv.StateTask, float64(start), float64(end))
+			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
 			for _, o := range segs[i].Release {
 				for _, n := range m.rt.ReleaseEarly(t, o) {
 					m.TaskEnabled(n)
@@ -480,7 +419,7 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 				return
 			}
 			m.running[p] = false
-			m.traceEvent(float64(end), trace.ExecEnd, int(t.ID), p, "staged")
+			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(end), End: float64(end), Flag: true})
 			m.rt.TaskDone(t)
 			m.dispatch(p)
 		})
@@ -564,9 +503,10 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 	}
 	cost := m.cfg.lineTime(o.Size, cycles)
 	// On the shared-memory model a "fetch" is a cache miss: the line
-	// transfer from local or remote memory into p's cache.
-	if !hit && m.Obs.Enabled() {
-		m.Obs.ObjectFetch(int(o.ID), o.Name, o.Size, cost, remote)
+	// transfer from local or remote memory into p's cache. It is priced
+	// inside the task's execution, so only its latency is known.
+	if !hit {
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size, End: cost, Flag: remote})
 	}
 	return cost
 }

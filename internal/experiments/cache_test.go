@@ -24,9 +24,12 @@ func executeDirect(t *testing.T, s RunSpec, scale Scale) *metrics.Run {
 		t.Fatalf("Canonicalize(%+v): %v", s, err)
 	}
 	a := appKeys[s.App]
-	rt := jade.New(s.newPlatform(), jade.Config{WorkFree: s.WorkFree})
+	p, obs := s.newPlatform()
+	rt := jade.New(p, jade.Config{WorkFree: s.WorkFree})
 	a.run(rt, scale, s.Level == LevelPlacement && a.hasPlacement)
-	return rt.Finish()
+	r := rt.Finish()
+	r.Obsv = obs.Snapshot(0)
+	return r
 }
 
 func runBytes(t *testing.T, r *metrics.Run) []byte {
@@ -227,7 +230,8 @@ func TestRunAppRejectsReusedPlatform(t *testing.T) {
 	if err := spec.Canonicalize(); err != nil {
 		t.Fatal(err)
 	}
-	p, cfg := spec.newPlatform(), jade.Config{WorkFree: true}
+	p, _ := spec.newPlatform()
+	cfg := jade.Config{WorkFree: true}
 	jade.New(p, cfg) // attach: the platform is no longer fresh
 	defer func() {
 		if err, _ := recover().(error); !errors.Is(err, graph.ErrPlatformReused) {

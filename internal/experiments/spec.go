@@ -242,12 +242,19 @@ func pgasLevel(level string) pgas.LocalityLevel {
 }
 
 // newPlatform builds a fresh platform for a canonical spec, with fault
-// injection and observation attached. Each call returns a new machine;
-// a platform is never reused across runs.
-func (s *RunSpec) newPlatform() jade.Platform {
+// injection attached, and the observer its event stream feeds when the
+// spec observes (nil otherwise). Each call returns a new machine; a
+// platform is never reused across runs.
+func (s *RunSpec) newPlatform() (jade.Platform, *obsv.Observer) {
 	var inj *fault.Injector
 	if s.Fault != nil {
 		inj = fault.NewInjector(*s.Fault, s.Procs)
+	}
+	var obs *obsv.Observer
+	var sink obsv.Sink
+	if s.Observe {
+		obs = obsv.New(s.Procs)
+		sink = obs
 	}
 	// Fault injection and observation live in the machine, not the
 	// task graph, so faulted and observed runs replay cached graphs
@@ -257,9 +264,7 @@ func (s *RunSpec) newPlatform() jade.Platform {
 	case "dash":
 		m := dash.New(dash.DefaultConfig(s.Procs, dashLevel(s.Level)))
 		m.Inj = inj
-		if s.Observe {
-			m.Obs = obsv.New(s.Procs)
-		}
+		m.Sink = sink
 		p = m
 	case "ipsc":
 		cfg := ipsc.DefaultConfig(s.Procs, ipscLevel(s.Level))
@@ -277,17 +282,13 @@ func (s *RunSpec) newPlatform() jade.Platform {
 		}
 		m := ipsc.New(cfg)
 		m.Inj = inj
-		if s.Observe {
-			m.Obs = obsv.New(s.Procs)
-		}
+		m.Sink = sink
 		p = m
 	case "cluster":
 		cfg := cluster.DefaultConfig(s.Procs)
 		cfg.SpeedAware = s.SpeedAware
 		m := cluster.New(cfg)
-		if s.Observe {
-			m.Obs = obsv.New(s.Procs)
-		}
+		m.Sink = sink
 		p = m
 	case "pgas":
 		cfg := pgas.DefaultConfig(s.Procs, pgasLevel(s.Level))
@@ -296,12 +297,10 @@ func (s *RunSpec) newPlatform() jade.Platform {
 		}
 		m := pgas.New(cfg)
 		m.Inj = inj
-		if s.Observe {
-			m.Obs = obsv.New(s.Procs)
-		}
+		m.Sink = sink
 		p = m
 	}
-	return p
+	return p, obs
 }
 
 // Execute canonicalizes a copy of the spec and runs it at the given
@@ -324,12 +323,14 @@ func (s *RunSpec) execute(scale Scale) *metrics.Run {
 		panic(fmt.Sprintf("fault: injected panic (app=%s machine=%s)", s.App, s.Machine))
 	}
 	cfg := jade.Config{WorkFree: s.WorkFree}
+	p, obs := s.newPlatform()
 	var r *metrics.Run
 	if s.Fusion {
-		r = runAppFused(s.newPlatform(), cfg, s.Machine, a, scale, place)
+		r = runAppFused(p, cfg, s.Machine, a, scale, place)
 	} else {
-		r = runApp(s.newPlatform(), cfg, a, scale, place)
+		r = runApp(p, cfg, a, scale, place)
 	}
+	r.Obsv = obs.Snapshot(0)
 	accumulateFuse(r)
 	// Platforms return a pointer into the machine; copy the run out so
 	// a plan holding many runs until it renders does not keep every

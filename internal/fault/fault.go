@@ -6,10 +6,10 @@
 // message index): the same seed always produces byte-identical traces,
 // so faulted runs stay as reproducible and cacheable as healthy ones.
 //
-// The injector is nil-safe in the style of obsv.Observer: machine
-// models consult it unconditionally, and a nil injector answers "no
-// fault" everywhere at effectively zero cost, keeping the healthy path
-// byte-identical to a build without this package.
+// The injector is nil-safe: machine models consult it unconditionally,
+// and a nil injector answers "no fault" everywhere at effectively zero
+// cost, keeping the healthy path byte-identical to a build without
+// this package.
 package fault
 
 import "fmt"

@@ -1,7 +1,6 @@
 package ipsc
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/fault"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obsv"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // node is one hypercube node: a CPU that executes tasks (and, on node
@@ -45,6 +43,8 @@ type taskState struct {
 	proc   int   // node it was assigned to
 	// needed counts outstanding object fetches.
 	needed int
+	// start is when the task's execution starts on its node's CPU.
+	start sim.Time
 	// fetch latency accounting (§5.5).
 	firstReq   sim.Time
 	lastArrive sim.Time
@@ -115,22 +115,13 @@ type Machine struct {
 	execDoneCallH     sim.Handler
 	scheduleH         sim.Handler
 	taskArrivedH      sim.Handler
-	// completeDoneFns and execDoneFns are the span-recording variants,
-	// needed only under observability or tracing; they are built on
-	// first use (see spanCompleteDoneFns/spanExecDoneFns).
-	completeDoneFns []func(start, end sim.Time)
-	execDoneFns     []func(start, end sim.Time)
 	// osSlab is a chunked arena for objState values (one per object;
 	// pointers into a chunk stay stable because chunks never grow).
 	osSlab []objState
 
-	// Trace, when non-nil, records scheduling, communication and
-	// execution events.
-	Trace *trace.Trace
-	// Obs, when non-nil, collects structured observability data
-	// (per-object stats, latency histograms, state timelines). All
-	// instrumentation is nil-safe and free when disabled.
-	Obs *obsv.Observer
+	// Sink, when non-nil, receives the run's simulated-event stream
+	// (obsv.Observer, trace.Trace); nil costs nothing.
+	Sink obsv.Sink
 	// Inj, when non-nil, injects deterministic faults: message drops
 	// recovered by the retransmit protocol, in-flight duplicates,
 	// per-link bandwidth degradation, and straggling processors. A nil
@@ -168,15 +159,13 @@ func New(cfg Config) *Machine {
 		m.drainPool(p)
 	})
 	m.execDoneCallH = m.eng.RegisterHandler(func(v int32) {
-		m.completed(m.popInflight(int(v)))
+		ts := m.popInflight(int(v))
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Exec, Proc: int(v), Task: int(ts.t.ID), At: float64(ts.start), End: float64(m.eng.Now())})
+		m.completed(ts)
 	})
 	m.notifyH = m.eng.RegisterHandler(func(v int32) {
 		m.stats.TaskMgmtTime += m.cfg.CompleteHandleSec
-		if m.Obs.Enabled() {
-			m.nodes[0].cpu.Submit(m.eng.Now(), sim.Time(m.cfg.CompleteHandleSec), m.spanCompleteDoneFns()[v])
-		} else {
-			m.nodes[0].cpu.SubmitCall(m.eng.Now(), sim.Time(m.cfg.CompleteHandleSec), m.completeDoneCallH, v)
-		}
+		m.eng.AtCall(m.submitMgmt(m.eng.Now(), m.cfg.CompleteHandleSec), m.completeDoneCallH, v)
 	})
 	nslab := make([]node, cfg.Procs)
 	for i := 0; i < cfg.Procs; i++ {
@@ -199,42 +188,6 @@ func (m *Machine) popInflight(p int) *taskState {
 		n.inflightHead = 0
 	}
 	return ts
-}
-
-// spanCompleteDoneFns builds the per-processor span-recording
-// completion handlers on first use; only observability runs need them.
-func (m *Machine) spanCompleteDoneFns() []func(start, end sim.Time) {
-	if m.completeDoneFns == nil {
-		m.completeDoneFns = make([]func(start, end sim.Time), m.cfg.Procs)
-		for i := range m.completeDoneFns {
-			p := i
-			m.completeDoneFns[i] = func(start, end sim.Time) {
-				m.Obs.Span(0, obsv.StateMgmt, float64(start), float64(end))
-				m.nodes[p].load--
-				m.drainPool(p)
-			}
-		}
-	}
-	return m.completeDoneFns
-}
-
-// spanExecDoneFns builds the per-node span-recording execution
-// handlers on first use; only traced or observed runs need them.
-func (m *Machine) spanExecDoneFns() []func(start, end sim.Time) {
-	if m.execDoneFns == nil {
-		m.execDoneFns = make([]func(start, end sim.Time), m.cfg.Procs)
-		for i := range m.execDoneFns {
-			p := i
-			m.execDoneFns[i] = func(start, end sim.Time) {
-				ts := m.popInflight(p)
-				m.traceEvent(float64(start), trace.ExecStart, int(ts.t.ID), p, "")
-				m.traceEvent(float64(end), trace.ExecEnd, int(ts.t.ID), p, "")
-				m.Obs.Span(p, obsv.StateTask, float64(start), float64(end))
-				m.completed(ts)
-			}
-		}
-	}
-	return m.execDoneFns
 }
 
 // Attach implements jade.Platform.
@@ -288,15 +241,9 @@ func (m *Machine) ObjectAllocated(o *jade.Object) {
 }
 
 // submitMgmt charges d seconds of task-management work to node 0's
-// CPU, recording a mgmt span when observability is on.
+// CPU and emits it as a Mgmt span.
 func (m *Machine) submitMgmt(at sim.Time, d float64) sim.Time {
-	var done func(start, end sim.Time)
-	if m.Obs.Enabled() {
-		done = func(start, end sim.Time) {
-			m.Obs.Span(0, obsv.StateMgmt, float64(start), float64(end))
-		}
-	}
-	return m.nodes[0].cpu.Submit(at, sim.Time(d), done)
+	return m.nodes[0].cpu.Submit(at, sim.Time(d), obsv.Span(m.Sink, obsv.Event{Kind: obsv.Mgmt}))
 }
 
 // TaskCreated implements jade.Platform.
@@ -305,7 +252,7 @@ func (m *Machine) TaskCreated(t *jade.Task, enabled bool) {
 	m.stats.TaskMgmtTime += m.cfg.TaskCreateSec
 	m.tasks = append(m.tasks, t)
 	m.createdDone = append(m.createdDone, done)
-	m.traceEvent(float64(done), trace.TaskCreated, int(t.ID), 0, "")
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
 	if enabled {
 		m.eng.AtCall(done, m.scheduleH, int32(t.ID))
 	}
@@ -343,7 +290,6 @@ func (m *Machine) Stats() *metrics.Run {
 		}
 		m.stats.ProcBusy = append(m.stats.ProcBusy, b)
 	}
-	m.stats.Obsv = m.Obs.Snapshot(0)
 	return &m.stats
 }
 
@@ -355,7 +301,7 @@ func (m *Machine) ResetStats() {
 	for _, n := range m.nodes {
 		m.busyBase = append(m.busyBase, float64(n.cpu.BusyTime()))
 	}
-	m.Obs.Reset()
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Reset})
 }
 
 // maxSendAttempts bounds the retransmit protocol: after this many
@@ -402,7 +348,7 @@ func (m *Machine) send(at sim.Time, from, to, bytes int, deliver func()) {
 			m.stats.MsgDuplicates++
 			m.nodes[from].nic.Submit(sent, occ, nil)
 		}
-		m.Obs.MsgDelivery(attempt + 1)
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Delivery, N: attempt + 1})
 		m.eng.At(sent+lat, deliver)
 	}
 	try(at, 0)
@@ -518,10 +464,7 @@ func (m *Machine) pickLeastLoaded(ts *taskState) int {
 func (m *Machine) assign(ts *taskState, p int) {
 	ts.proc = p
 	m.nodes[p].load++
-	if m.Trace.Enabled() {
-		m.Trace.Add(float64(m.eng.Now()), trace.TaskAssigned, int(ts.t.ID), p,
-			fmt.Sprintf("target=p%d", ts.target))
-	}
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Assigned, Proc: p, Task: int(ts.t.ID), N: ts.target, At: float64(m.eng.Now())})
 	m.stats.TaskMgmtTime += m.cfg.AssignSec
 	decided := m.submitMgmt(m.eng.Now(), m.cfg.AssignSec)
 	if p == 0 {
@@ -561,10 +504,7 @@ func (m *Machine) taskArrived(ts *taskState) {
 	}, m.cfg.Coalescing)
 	ts.needed = len(batches)
 	ts.firstReq = m.eng.Now()
-	if m.Trace.Enabled() {
-		m.Trace.Add(float64(m.eng.Now()), trace.FetchStart, int(ts.t.ID), p,
-			fmt.Sprintf("%d objects", len(toFetch)))
-	}
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchStart, Proc: p, Task: int(ts.t.ID), N: len(toFetch), At: float64(ts.firstReq)})
 	if m.cfg.ConcurrentFetch {
 		for _, b := range batches {
 			m.fetchBatch(ts, b, nil)
@@ -618,7 +558,8 @@ func (m *Machine) fetchBatch(ts *taskState, batch []jade.Access, then func()) {
 					m.stats.ReplicatedReads++
 				}
 				m.stats.ObjectLatency += float64(now - issued)
-				m.Obs.ObjectFetch(int(o.ID), o.Name, o.Size, float64(now-issued), owner != p)
+				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+					At: float64(issued), End: float64(now), Flag: owner != p})
 			}
 			m.stats.MsgCount++
 			m.stats.MsgsCoalesced += int64(len(batch) - 1)
@@ -631,11 +572,8 @@ func (m *Machine) fetchBatch(ts *taskState, batch []jade.Access, then func()) {
 			}
 			if ts.needed == 0 {
 				m.stats.TaskLatency += float64(ts.lastArrive - ts.firstReq)
-				if m.Obs.Enabled() {
-					m.Obs.TaskWait(float64(ts.lastArrive - ts.firstReq))
-					m.Obs.Span(p, obsv.StateFetch, float64(ts.firstReq), float64(ts.lastArrive))
-				}
-				m.traceEvent(float64(now), trace.FetchEnd, int(ts.t.ID), p, "")
+				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Proc: p, Task: int(ts.t.ID),
+					At: float64(ts.firstReq), End: float64(ts.lastArrive)})
 				m.ready(ts)
 			}
 		})
@@ -676,18 +614,8 @@ func (m *Machine) ready(ts *taskState) {
 	m.rt.RunBody(ts.t)
 	n := m.nodes[p]
 	n.inflight = append(n.inflight, ts)
-	if m.Obs.Enabled() || m.Trace.Enabled() {
-		n.cpu.Submit(m.eng.Now(), sim.Time(m.cfg.DispatchSec+work), m.spanExecDoneFns()[p])
-	} else {
-		n.cpu.SubmitCall(m.eng.Now(), sim.Time(m.cfg.DispatchSec+work), m.execDoneCallH, int32(p))
-	}
-}
-
-// traceEvent records an event when tracing is enabled.
-func (m *Machine) traceEvent(at float64, k trace.Kind, task, proc int, detail string) {
-	if m.Trace != nil {
-		m.Trace.Add(at, k, task, proc, detail)
-	}
+	ts.start = n.cpu.Start(m.eng.Now())
+	n.cpu.SubmitCall(m.eng.Now(), sim.Time(m.cfg.DispatchSec+work), m.execDoneCallH, int32(p))
 }
 
 // readyStaged executes a multi-synchronization-point task on its
@@ -706,7 +634,7 @@ func (m *Machine) readyStaged(ts *taskState) {
 			d += m.cfg.DispatchSec
 		}
 		m.nodes[p].cpu.Submit(m.eng.Now(), sim.Time(d), func(start, end sim.Time) {
-			m.Obs.Span(p, obsv.StateTask, float64(start), float64(end))
+			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(ts.t.ID), At: float64(start), End: float64(end)})
 			for _, o := range segs[i].Release {
 				if a, ok := ts.t.AccessOn(o); ok && a.Writes() {
 					m.produce(o, a.RequiredVersion+1, p)
@@ -774,11 +702,8 @@ func (m *Machine) produce(o *jade.Object, v jade.Version, p int) {
 	// spanning-tree broadcast of the new version. Setup and the buffer
 	// copy cost producer CPU; the tree transmissions occupy its NIC.
 	m.stats.BroadcastCount++
-	if m.Trace.Enabled() {
-		m.Trace.Add(float64(m.eng.Now()), trace.Broadcast, -1, p,
-			fmt.Sprintf("%s v%d (%d bytes)", o.Name, v, o.Size))
-	}
-	m.Obs.ObjectBroadcast(int(o.ID), o.Name, o.Size, m.cfg.Procs-1)
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Broadcast, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+		N: int(v), At: float64(m.eng.Now())})
 	cpuDone := m.nodes[p].cpu.Submit(m.eng.Now(),
 		sim.Time(m.cfg.BcastSetupSec+m.cfg.byteTime(o.Size)), nil)
 	steps := m.cfg.bcastSteps()
@@ -886,10 +811,9 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 				main.store[o.ID] = a.RequiredVersion
 				m.stats.MsgBytes += int64(o.Size)
 				m.stats.MsgCount++
-				if m.Obs.Enabled() {
-					m.Obs.ObjectFetch(int(o.ID), o.Name, o.Size, float64(arrive-issued), st.owner != 0)
-					m.Obs.Span(0, obsv.StateFetch, float64(issued), float64(arrive))
-				}
+				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+					At: float64(issued), End: float64(arrive), Flag: st.owner != 0})
+				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
 			}
 			m.noteAccess(o.ID, a.RequiredVersion, 0)
 		}

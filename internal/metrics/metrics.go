@@ -96,8 +96,9 @@ type Run struct {
 	ProcBusy []float64
 
 	// Obsv holds the structured observability snapshot (per-object
-	// stats, latency distributions, utilization timeline) collected
-	// when the platform ran with an Observer attached; nil otherwise.
+	// stats, latency distributions, utilization timeline) of an
+	// obsv.Observer fed the run's event stream, set by the code that
+	// attached it; nil otherwise.
 	Obsv *obsv.Snapshot
 }
 

@@ -38,8 +38,8 @@ func TestOverBusy(t *testing.T) {
 
 func TestReportJSONSchema(t *testing.T) {
 	obs := obsv.New(2)
-	obs.ObjectFetch(3, "grid", 4096, 1e-4, true)
-	obs.TaskWait(2e-4)
+	obs.Record(obsv.Event{Kind: obsv.Fetch, Obj: 3, Name: "grid", Bytes: 4096, End: 1e-4, Flag: true})
+	obs.Record(obsv.Event{Kind: obsv.FetchEnd, At: 1e-4, End: 3e-4})
 	r := &Run{
 		Procs: 2, ExecTime: 1.5, TaskCount: 10, TasksOnTarget: 9,
 		TaskExecTotal: 2.5, MsgBytes: 1e6, MsgCount: 7,

@@ -1,0 +1,111 @@
+package obsv
+
+import "repro/internal/sim"
+
+// Kind classifies a simulated event. Instants happen at At; spans
+// cover [At, End).
+type Kind uint8
+
+const (
+	// Created: a task's creation finishes on the main processor Proc.
+	Created Kind = iota
+	// Enabled: a task enters DASH's ready queues (Proc -1: no
+	// processor yet).
+	Enabled
+	// Assigned: the scheduler hands a task to Proc; N is the task's
+	// target processor.
+	Assigned
+	// FetchStart: a task on Proc requests N remote objects.
+	FetchStart
+	// FetchEnd: the fetch stall of a task on Proc, from its first
+	// request to its last arrival, ends. Task -1 is the main program's
+	// synchronous fetch in a serial phase.
+	FetchEnd
+	// ExecStart: DASH dispatches a task on Proc; Flag marks a steal.
+	ExecStart
+	// Exec: a task executes on Proc.
+	Exec
+	// ExecEnd: a task dispatched with ExecStart finishes its execution
+	// span on Proc. Flag marks a staged task, whose time its Segment
+	// events already carry.
+	ExecEnd
+	// Segment: one segment of a staged task runs on Proc.
+	Segment
+	// Mgmt: task-management work (creation, assignment, completion
+	// handling) occupies Proc.
+	Mgmt
+	// Fetch: object Obj (Name, Bytes) reaches Proc with latency
+	// End−At; Flag marks an additional read copy (replication, §5.1).
+	Fetch
+	// Broadcast: Proc broadcasts version N of object Obj (Name, Bytes)
+	// to every other processor (adaptive broadcast, §3.4.2).
+	Broadcast
+	// Delivery: a protocol message was delivered after N transmission
+	// attempts under fault injection.
+	Delivery
+	// Reset: the platform's measurements restart
+	// (Runtime.ResetMetrics).
+	Reset
+)
+
+var kindNames = [...]string{"created", "enabled", "assigned", "fetch-start", "fetch-end",
+	"exec-start", "exec", "exec-end", "segment", "mgmt", "fetch", "broadcast", "delivery", "reset"}
+
+// String implements fmt.Stringer; the names are the event log's.
+func (k Kind) String() string { return kindNames[k] }
+
+// Event is one simulated fact, emitted by a machine model at the
+// virtual time it happens. It is a plain value (Name shares the
+// object's string), so emitting one allocates nothing.
+type Event struct {
+	Kind Kind
+	Flag bool
+	Proc int
+	Task int
+	// Obj and Name identify the object of Fetch and Broadcast events.
+	Obj   int
+	Name  string
+	Bytes int
+	// N is a count: target processor, objects requested, version, or
+	// transmission attempts, by kind.
+	N       int
+	At, End float64
+}
+
+// Sink consumes one run's event stream. Each machine model holds one
+// nil-able Sink; *Observer and *trace.Trace are its consumers.
+type Sink interface{ Record(Event) }
+
+// Tee fans one stream out to several sinks, in order.
+type Tee []Sink
+
+// Record implements Sink.
+func (t Tee) Record(e Event) {
+	for _, s := range t {
+		s.Record(e)
+	}
+}
+
+// Emit records e on s; a nil sink records nothing.
+func Emit(s Sink, e Event) {
+	if s != nil {
+		s.Record(e)
+	}
+}
+
+// Span returns a sim.Processor completion callback that emits e as the
+// span [start, end), or nil — no callback, no closure — when s is nil.
+func Span(s Sink, e Event) func(start, end sim.Time) {
+	if s == nil {
+		return nil
+	}
+	// The closure captures a copy made past the nil check, and never
+	// writes it, so only a real sink pays for the one closure object
+	// that carries the event by value.
+	span := e
+	return func(start, end sim.Time) {
+		e := span
+		e.At, e.End = float64(start), float64(end)
+		s.Record(e)
+	}
+}

@@ -1,10 +1,11 @@
-// Package obsv is the structured observability layer for the machine
-// models: per-object communication statistics, streaming latency
-// histograms, and per-processor state timelines. All of it hangs off a
-// nil-safe Observer so that instrumentation costs nothing when it is
-// disabled — the machine models call Observer methods unconditionally
-// on possibly-nil receivers, and guard only work that would otherwise
-// allocate (map updates, string formatting) behind Enabled().
+// Package obsv is the simulated-event stream of the machine models and
+// its structured consumer. Each machine emits one typed Event per fact
+// (a task created, assigned, fetching, executing; an object fetched or
+// broadcast; a management span) into one nil-able Sink, which costs
+// nothing when it is nil. Observer folds the stream into per-object
+// communication statistics, streaming latency histograms and
+// per-processor state timelines; internal/trace and internal/check
+// consume the same stream.
 //
 // The package deliberately knows nothing about the jade runtime: it
 // works in plain ints, strings, and seconds, so internal/metrics can

@@ -20,13 +20,17 @@ type ObjectStat struct {
 	WaitSec         float64 `json:"wait_sec"`
 }
 
-// Observer collects structured observability data from one machine
-// model run. All methods are safe on a nil receiver and do nothing, so
-// platforms can instrument unconditionally; the hot paths stay
-// allocation-free when observability is off.
+// Observer is the event-stream consumer behind the jade-metrics/v1
+// observability block: it folds a run's events into per-object
+// statistics, streaming latency histograms and per-processor state
+// timelines.
 type Observer struct {
 	mu      sync.Mutex
+	procs   int
 	objects map[int]*ObjectStat
+	// enabled holds, per task, the time it entered DASH's ready
+	// queues, until its ExecStart turns the interval into a task wait.
+	enabled map[int]float64
 	fetch   Histogram
 	wait    Histogram
 	deliv   Histogram
@@ -35,12 +39,9 @@ type Observer struct {
 
 // New returns an Observer for a machine with the given processor count.
 func New(procs int) *Observer {
-	return &Observer{objects: make(map[int]*ObjectStat), tl: newTimeline(procs)}
+	return &Observer{procs: procs, objects: make(map[int]*ObjectStat),
+		enabled: make(map[int]float64), tl: newTimeline(procs)}
 }
-
-// Enabled reports whether observability is on. Guard any call-site
-// work (string formatting, map lookups) with it.
-func (o *Observer) Enabled() bool { return o != nil }
 
 func (o *Observer) object(id int, name string) *ObjectStat {
 	st, ok := o.objects[id]
@@ -51,86 +52,54 @@ func (o *Observer) object(id int, name string) *ObjectStat {
 	return st
 }
 
-// ObjectFetch records one object transfer to a requesting processor:
-// bytes moved, the request-to-arrival latency, and whether the fetch
-// created an additional read copy (replication, §5.1).
-func (o *Observer) ObjectFetch(id int, name string, bytes int, latencySec float64, replicated bool) {
-	if o == nil {
-		return
-	}
+// Record implements Sink. Task wait is a DASH task's ready-queue wait
+// (Enabled to ExecStart) and a message-passing task's fetch stall
+// (FetchEnd); a broadcast moves the object to every other processor.
+func (o *Observer) Record(e Event) {
 	o.mu.Lock()
-	st := o.object(id, name)
-	st.Fetches++
-	st.Bytes += int64(bytes)
-	if replicated {
-		st.ReplicatedReads++
+	switch e.Kind {
+	case Enabled:
+		o.enabled[e.Task] = e.At
+	case ExecStart:
+		if at, ok := o.enabled[e.Task]; ok {
+			o.wait.Record(e.At - at)
+			delete(o.enabled, e.Task)
+		}
+	case FetchEnd:
+		if e.Task >= 0 {
+			o.wait.Record(e.End - e.At)
+		}
+		o.tl.add(e.Proc, StateFetch, e.At, e.End)
+	case Exec, Segment:
+		o.tl.add(e.Proc, StateTask, e.At, e.End)
+	case ExecEnd:
+		if !e.Flag {
+			o.tl.add(e.Proc, StateTask, e.At, e.End)
+		}
+	case Mgmt:
+		o.tl.add(e.Proc, StateMgmt, e.At, e.End)
+	case Fetch:
+		st := o.object(e.Obj, e.Name)
+		st.Fetches++
+		st.Bytes += int64(e.Bytes)
+		if e.Flag {
+			st.ReplicatedReads++
+		}
+		st.WaitSec += e.End - e.At
+		o.fetch.Record(e.End - e.At)
+	case Broadcast:
+		st := o.object(e.Obj, e.Name)
+		st.Broadcasts++
+		st.Bytes += int64(e.Bytes) * int64(o.procs-1)
+	case Delivery:
+		o.deliv.Record(float64(e.N))
+	case Reset:
+		o.objects = make(map[int]*ObjectStat)
+		o.fetch.Reset()
+		o.wait.Reset()
+		o.deliv.Reset()
+		o.tl = newTimeline(o.procs)
 	}
-	st.WaitSec += latencySec
-	o.fetch.Record(latencySec)
-	o.mu.Unlock()
-}
-
-// ObjectBroadcast records one adaptive-broadcast of the object to
-// copies receivers.
-func (o *Observer) ObjectBroadcast(id int, name string, bytes, copies int) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	st := o.object(id, name)
-	st.Broadcasts++
-	st.Bytes += int64(bytes) * int64(copies)
-	o.mu.Unlock()
-}
-
-// TaskWait records one task's communication stall: the time from its
-// first object request to its last object arrival (§5.5).
-func (o *Observer) TaskWait(latencySec float64) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.wait.Record(latencySec)
-	o.mu.Unlock()
-}
-
-// MsgDelivery records how many transmission attempts one protocol
-// message needed before it was delivered (1 = no retransmit). Machine
-// models call it from the fault-injected retransmit path; the
-// distribution is the delivery-count metric surfaced in snapshots.
-func (o *Observer) MsgDelivery(attempts int) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.deliv.Record(float64(attempts))
-	o.mu.Unlock()
-}
-
-// Span records that processor proc spent [startSec, endSec) in the
-// given state on the virtual clock.
-func (o *Observer) Span(proc int, st State, startSec, endSec float64) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.tl.add(proc, st, startSec, endSec)
-	o.mu.Unlock()
-}
-
-// Reset zeroes all collected data (keeping the processor count), for
-// use from Platform.ResetStats.
-func (o *Observer) Reset() {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	procs := len(o.tl.vals) / int(numStates)
-	o.objects = make(map[int]*ObjectStat)
-	o.fetch.Reset()
-	o.wait.Reset()
-	o.deliv.Reset()
-	o.tl = newTimeline(procs)
 	o.mu.Unlock()
 }
 
@@ -143,7 +112,9 @@ type Snapshot struct {
 	ObjectCount int `json:"object_count"`
 	// FetchLatency is the distribution of per-object fetch latencies.
 	FetchLatency LatencySummary `json:"fetch_latency"`
-	// TaskWait is the distribution of per-task communication stalls.
+	// TaskWait is the distribution of per-task waits: ready-queue wait
+	// on DASH, the communication stall (first object request to last
+	// arrival) on the message-passing machines.
 	TaskWait LatencySummary `json:"task_wait"`
 	// DeliveryAttempts is the distribution of transmission attempts
 	// per delivered protocol message under fault injection (values are

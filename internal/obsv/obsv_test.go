@@ -75,34 +75,35 @@ func TestHistogramFixedMemoryBuckets(t *testing.T) {
 	}
 }
 
-func TestObserverNilSafe(t *testing.T) {
-	var o *Observer
-	if o.Enabled() {
-		t.Fatal("nil observer must report disabled")
+func TestNilSinkRecordsNothing(t *testing.T) {
+	Emit(nil, Event{Kind: Fetch}) // must not panic
+	if Span(nil, Event{Kind: Mgmt}) != nil {
+		t.Fatal("a nil sink must not get a span callback")
 	}
-	// None of these may panic.
-	o.ObjectFetch(1, "x", 10, 1e-3, true)
-	o.ObjectBroadcast(1, "x", 10, 3)
-	o.TaskWait(1e-3)
-	o.Span(0, StateTask, 0, 1)
-	o.Reset()
+	var o *Observer
 	if o.Snapshot(5) != nil {
 		t.Fatal("nil observer snapshot must be nil")
 	}
 }
 
+// fetch is one object transfer of the given latency.
+func fetch(id int, name string, bytes int, latency float64, replicated bool) Event {
+	return Event{Kind: Fetch, Obj: id, Name: name, Bytes: bytes, End: latency, Flag: replicated}
+}
+
 func TestObserverHotObjects(t *testing.T) {
 	o := New(2)
 	// Object 2 moves the most bytes; object 0 the fewest.
-	o.ObjectFetch(0, "cold", 8, 1e-6, false)
+	o.Record(fetch(0, "cold", 8, 1e-6, false))
 	for i := 0; i < 3; i++ {
-		o.ObjectFetch(1, "warm", 100, 1e-5, true)
+		o.Record(fetch(1, "warm", 100, 1e-5, true))
 	}
 	for i := 0; i < 5; i++ {
-		o.ObjectFetch(2, "hot", 1000, 1e-4, false)
+		o.Record(fetch(2, "hot", 1000, 1e-4, false))
 	}
-	o.ObjectBroadcast(2, "hot", 1000, 1)
-	o.TaskWait(2e-4)
+	// A broadcast reaches the one other processor.
+	o.Record(Event{Kind: Broadcast, Obj: 2, Name: "hot", Bytes: 1000})
+	o.Record(Event{Kind: FetchEnd, Task: 7, At: 1e-4, End: 3e-4})
 
 	s := o.Snapshot(2)
 	if s.ObjectCount != 3 {
@@ -134,14 +135,51 @@ func TestObserverHotObjects(t *testing.T) {
 
 func TestObserverReset(t *testing.T) {
 	o := New(1)
-	o.ObjectFetch(0, "x", 10, 1e-3, false)
-	o.Span(0, StateTask, 0, 1)
-	o.Reset()
+	o.Record(fetch(0, "x", 10, 1e-3, false))
+	o.Record(Event{Kind: Exec, At: 0, End: 1})
+	o.Record(Event{Kind: Reset})
 	s := o.Snapshot(5)
 	if s.ObjectCount != 0 || s.FetchLatency.Count != 0 || s.Timeline.Bins != 0 {
 		t.Fatalf("reset did not clear: %+v", s)
 	}
 }
+
+// Task wait is queue wait on DASH (Enabled → ExecStart) and the fetch
+// stall elsewhere (FetchEnd); the main program's fetches are no task's
+// wait but still show on the timeline.
+func TestObserverTaskWait(t *testing.T) {
+	o := New(2)
+	o.Record(Event{Kind: Enabled, Task: 3, Proc: -1, At: 1})
+	o.Record(Event{Kind: ExecStart, Task: 3, Proc: 1, At: 4})
+	o.Record(Event{Kind: ExecStart, Task: 4, Proc: 1, At: 5}) // never enabled: no wait
+	o.Record(Event{Kind: FetchEnd, Task: 5, Proc: 0, At: 2, End: 2.5})
+	o.Record(Event{Kind: FetchEnd, Task: -1, Proc: 0, At: 6, End: 8})
+	s := o.Snapshot(0)
+	if s.TaskWait.Count != 2 || s.TaskWait.MaxSec != 3 {
+		t.Fatalf("task wait = %+v, want the 3s queue wait and the 0.5s stall", s.TaskWait)
+	}
+	var fetchSec float64
+	for _, v := range s.Timeline.Procs[0].FetchSec {
+		fetchSec += v
+	}
+	if math.Abs(fetchSec-2.5) > 1e-9 {
+		t.Fatalf("p0 fetch time = %v, want 2.5", fetchSec)
+	}
+}
+
+func TestTeeFansOutInOrder(t *testing.T) {
+	var got []Kind
+	rec := sinkFunc(func(e Event) { got = append(got, e.Kind) })
+	Emit(Tee{rec, rec}, Event{Kind: Created})
+	Emit(Tee{rec}, Event{Kind: Reset})
+	if len(got) != 3 || got[0] != Created || got[1] != Created || got[2] != Reset {
+		t.Fatalf("tee delivered %v", got)
+	}
+}
+
+type sinkFunc func(Event)
+
+func (f sinkFunc) Record(e Event) { f(e) }
 
 func TestTimelineBinningAndRescale(t *testing.T) {
 	tl := newTimeline(2)
@@ -184,5 +222,16 @@ func TestStateStrings(t *testing.T) {
 		if st.String() != want {
 			t.Fatalf("State(%d).String() = %q, want %q", st, st.String(), want)
 		}
+	}
+}
+
+func TestKindStrings(t *testing.T) {
+	seen := map[string]bool{}
+	for k := Created; k <= Reset; k++ {
+		s := k.String()
+		if s == "" || seen[s] {
+			t.Fatalf("bad or duplicate kind string %q for kind %d", s, k)
+		}
+		seen[s] = true
 	}
 }

@@ -2,8 +2,8 @@ package obsv_test
 
 // Benchmarks guarding the cost of the observability layer on a full
 // simulator run (Ocean on the message-passing model). The Off variant
-// exercises exactly what every ordinary run pays — nil-receiver
-// checks on the instrumentation points — and must stay within noise
+// exercises exactly what every ordinary run pays — nil-sink checks on
+// the instrumentation points — and must stay within noise
 // (<2%) of the pre-instrumentation simulator. The On variant bounds
 // the cost of collection itself.
 //
@@ -16,13 +16,14 @@ import (
 	"repro/internal/ipsc"
 	"repro/internal/jade"
 	"repro/internal/obsv"
+	"repro/internal/trace"
 )
 
 const benchProcs = 8
 
-func runOceanIpsc(obs *obsv.Observer) float64 {
+func runOceanIpsc(sink obsv.Sink) float64 {
 	m := ipsc.New(ipsc.DefaultConfig(benchProcs, ipsc.Locality))
-	m.Obs = obs
+	m.Sink = sink
 	rt := jade.New(m, jade.Config{})
 	cfg := ocean.Small()
 	ocean.Run(rt, cfg)
@@ -50,12 +51,12 @@ func BenchmarkSimulatorObsvOn(b *testing.B) {
 }
 
 // TestObserverDoesNotPerturbSimulation pins the core soundness
-// property: attaching the observer must not change the simulated
-// schedule. Virtual time with and without observability must match
+// property: attaching the event stream's consumers must not change the
+// simulated schedule. Virtual time with and without them must match
 // exactly.
 func TestObserverDoesNotPerturbSimulation(t *testing.T) {
 	off := runOceanIpsc(nil)
-	on := runOceanIpsc(obsv.New(benchProcs))
+	on := runOceanIpsc(obsv.Tee{obsv.New(benchProcs), trace.New()})
 	if off != on {
 		t.Fatalf("observer changed virtual time: off=%.12f on=%.12f", off, on)
 	}

@@ -60,9 +60,9 @@ type Machine struct {
 	pool        []*taskState
 	createdDone []sim.Time // dense by task ID
 
-	// Obs, when non-nil, collects structured observability data
-	// (per-object stats, latency histograms, state timelines).
-	Obs *obsv.Observer
+	// Sink, when non-nil, receives the run's simulated-event stream
+	// (obsv.Observer, trace.Trace); nil costs nothing.
+	Sink obsv.Sink
 	// Inj, when non-nil, injects deterministic faults: remote-op
 	// latency inflation on victim locales, degraded links, and
 	// straggler cores.
@@ -128,15 +128,9 @@ func (m *Machine) latency(remote int) sim.Time {
 }
 
 // submitMgmt charges d seconds of task-management work to the main
-// locale, recording a mgmt span when observability is on.
+// locale and emits it as a Mgmt span.
 func (m *Machine) submitMgmt(at sim.Time, d float64) sim.Time {
-	var done func(start, end sim.Time)
-	if m.Obs.Enabled() {
-		done = func(start, end sim.Time) {
-			m.Obs.Span(0, obsv.StateMgmt, float64(start), float64(end))
-		}
-	}
-	return m.locs[0].cpu.Submit(at, sim.Time(d), done)
+	return m.locs[0].cpu.Submit(at, sim.Time(d), obsv.Span(m.Sink, obsv.Event{Kind: obsv.Mgmt}))
 }
 
 // TaskCreated implements jade.Platform.
@@ -147,6 +141,7 @@ func (m *Machine) TaskCreated(t *jade.Task, enabled bool) {
 		m.createdDone = append(m.createdDone, 0)
 	}
 	m.createdDone[t.ID] = done
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
 	if enabled {
 		m.eng.At(done, func() { m.schedule(t) })
 	}
@@ -206,13 +201,10 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 		m.stats.RemoteBytes += int64(bytes)
 		for _, a := range batch {
 			main.store[a.Obj.ID] = a.RequiredVersion
-			if m.Obs.Enabled() {
-				m.Obs.ObjectFetch(int(a.Obj.ID), a.Obj.Name, a.Obj.Size, float64(arrive-issued), true)
-			}
+			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
+				At: float64(issued), End: float64(arrive), Flag: true})
 		}
-		if m.Obs.Enabled() {
-			m.Obs.Span(0, obsv.StateFetch, float64(issued), float64(arrive))
-		}
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
 	}
 	var flush []wbItem
 	for _, a := range accs {
@@ -246,7 +238,6 @@ func (m *Machine) Stats() *metrics.Run {
 		}
 		m.stats.ProcBusy = append(m.stats.ProcBusy, b)
 	}
-	m.stats.Obsv = m.Obs.Snapshot(0)
 	return &m.stats
 }
 
@@ -258,7 +249,7 @@ func (m *Machine) ResetStats() {
 	for _, lc := range m.locs {
 		m.busyBase = append(m.busyBase, float64(lc.cpu.BusyTime()))
 	}
-	m.Obs.Reset()
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Reset})
 }
 
 // schedule assigns an enabled task. The affinity target is the home
@@ -298,6 +289,7 @@ func (m *Machine) schedule(t *jade.Task) {
 func (m *Machine) assign(ts *taskState, p int) {
 	ts.proc = p
 	m.locs[p].load++
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Assigned, Proc: p, Task: int(ts.t.ID), N: ts.target, At: float64(m.eng.Now())})
 	m.stats.TaskMgmtTime += m.cfg.AssignSec
 	decided := m.submitMgmt(m.eng.Now(), m.cfg.AssignSec)
 	if p == 0 {
@@ -351,6 +343,7 @@ func (m *Machine) taskArrived(ts *taskState) {
 		return
 	}
 	ts.firstReq = m.eng.Now()
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchStart, Proc: p, Task: int(ts.t.ID), N: len(fetch), At: float64(ts.firstReq)})
 	batches := groupByHome(fetch, accessHome, m.cfg.Aggregation)
 	ts.needed = len(batches)
 	for _, b := range batches {
@@ -375,14 +368,14 @@ func (m *Machine) get(ts *taskState, batch []jade.Access) {
 	m.stats.RemoteGets += int64(len(batch))
 	m.stats.RemoteBytes += int64(bytes)
 	m.eng.At(rep+m.latency(h), func() {
-		lat := float64(m.eng.Now() - issued)
+		now := m.eng.Now()
+		lat := float64(now - issued)
 		for _, a := range batch {
 			m.locs[p].store[a.Obj.ID] = a.RequiredVersion
 			m.stats.ReplicatedReads++
 			m.stats.ObjectLatency += lat
-			if m.Obs.Enabled() {
-				m.Obs.ObjectFetch(int(a.Obj.ID), a.Obj.Name, a.Obj.Size, lat, true)
-			}
+			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
+				At: float64(issued), End: float64(now), Flag: true})
 		}
 		if m.eng.Now() > ts.lastArrive {
 			ts.lastArrive = m.eng.Now()
@@ -390,10 +383,8 @@ func (m *Machine) get(ts *taskState, batch []jade.Access) {
 		ts.needed--
 		if ts.needed == 0 {
 			m.stats.TaskLatency += float64(ts.lastArrive - ts.firstReq)
-			if m.Obs.Enabled() {
-				m.Obs.TaskWait(float64(ts.lastArrive - ts.firstReq))
-				m.Obs.Span(p, obsv.StateFetch, float64(ts.firstReq), float64(ts.lastArrive))
-			}
+			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Proc: p, Task: int(ts.t.ID),
+				At: float64(ts.firstReq), End: float64(ts.lastArrive)})
 			m.ready(ts)
 		}
 	})
@@ -420,7 +411,7 @@ func (m *Machine) ready(ts *taskState) {
 				d += m.cfg.DispatchSec
 			}
 			m.locs[p].cpu.Submit(m.eng.Now(), sim.Time(d), func(start, end sim.Time) {
-				m.Obs.Span(p, obsv.StateTask, float64(start), float64(end))
+				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(ts.t.ID), At: float64(start), End: float64(end)})
 				var flush []wbItem
 				for _, o := range segs[i].Release {
 					if a, ok := ts.t.AccessOn(o); ok && a.Writes() {
@@ -449,7 +440,7 @@ func (m *Machine) ready(ts *taskState) {
 	}
 	m.rt.RunBody(ts.t)
 	m.locs[p].cpu.Submit(m.eng.Now(), sim.Time(m.cfg.DispatchSec+work), func(start, end sim.Time) {
-		m.Obs.Span(p, obsv.StateTask, float64(start), float64(end))
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Exec, Proc: p, Task: int(ts.t.ID), At: float64(start), End: float64(end)})
 		m.completed(ts)
 	})
 }
@@ -480,8 +471,7 @@ func (m *Machine) completed(ts *taskState) {
 	m.rt.TaskDone(ts.t)
 	notify := func() {
 		m.stats.TaskMgmtTime += m.cfg.CompleteHandleSec
-		m.locs[0].cpu.Submit(m.eng.Now(), sim.Time(m.cfg.CompleteHandleSec), func(start, end sim.Time) {
-			m.Obs.Span(0, obsv.StateMgmt, float64(start), float64(end))
+		m.eng.At(m.submitMgmt(m.eng.Now(), m.cfg.CompleteHandleSec), func() {
 			lc.load--
 			m.drainPool(p)
 		})

@@ -27,12 +27,16 @@ func runSpmv(t *testing.T, procs int, level LocalityLevel, agg bool, inj *fault.
 	cfg.Aggregation = agg
 	m := New(cfg)
 	m.Inj = inj
+	var o *obsv.Observer
 	if obs {
-		m.Obs = obsv.New(procs)
+		o = obsv.New(procs)
+		m.Sink = o
 	}
 	rt := jade.New(m, jade.Config{})
 	spmv.Run(rt, spmvCfg(), spmv.NewWorkload(spmvCfg()))
-	return m, rt.Finish()
+	r := rt.Finish()
+	r.Obsv = o.Snapshot(0)
+	return m, r
 }
 
 func reportJSON(t *testing.T, r *metrics.Run) []byte {

@@ -30,10 +30,10 @@ func (p *Processor) FreeAt() Time { return p.freeAt }
 // BusyTime returns the total time the resource has been occupied.
 func (p *Processor) BusyTime() Time { return p.busy }
 
-// Submit occupies the resource for d seconds starting no earlier than
-// both `earliest` and the resource's free time, then invokes done (if
-// non-nil) at the completion time. It returns the completion time.
-func (p *Processor) Submit(earliest Time, d Time, done func(start, end Time)) Time {
+// Start returns when work submitted now, no earlier than earliest,
+// would start: the latest of earliest, the resource's free time and
+// the current time.
+func (p *Processor) Start(earliest Time) Time {
 	start := p.freeAt
 	if earliest > start {
 		start = earliest
@@ -41,6 +41,14 @@ func (p *Processor) Submit(earliest Time, d Time, done func(start, end Time)) Ti
 	if start < p.eng.Now() {
 		start = p.eng.Now()
 	}
+	return start
+}
+
+// Submit occupies the resource for d seconds starting no earlier than
+// both `earliest` and the resource's free time, then invokes done (if
+// non-nil) at the completion time. It returns the completion time.
+func (p *Processor) Submit(earliest Time, d Time, done func(start, end Time)) Time {
+	start := p.Start(earliest)
 	end := start + d
 	p.freeAt = end
 	p.busy += d
@@ -52,18 +60,10 @@ func (p *Processor) Submit(earliest Time, d Time, done func(start, end Time)) Ti
 
 // SubmitCall occupies the resource exactly like Submit and schedules
 // registered handler h applied to arg at the completion time. It is
-// the pointer-free counterpart of Submit for callers that do not need
-// the span's start time in the callback (those that do — e.g.
-// observability spans — keep Submit).
+// the pointer-free counterpart of Submit; a caller that needs the
+// span's start in the handler takes it from Start just before.
 func (p *Processor) SubmitCall(earliest Time, d Time, h Handler, arg int32) Time {
-	start := p.freeAt
-	if earliest > start {
-		start = earliest
-	}
-	if start < p.eng.Now() {
-		start = p.eng.Now()
-	}
-	end := start + d
+	end := p.Start(earliest) + d
 	p.freeAt = end
 	p.busy += d
 	p.eng.AtCall(end, h, arg)

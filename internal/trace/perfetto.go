@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/obsv"
 )
 
 // This file exports a Trace in the Chrome trace-event JSON format
@@ -36,7 +38,7 @@ type perfettoFile struct {
 func usec(at float64) float64 { return at * 1e6 }
 
 // schedulerTid is the synthetic thread that carries events with no
-// processor (Proc < 0), e.g. TaskEnabled on the shared-memory model.
+// processor (Proc < 0), e.g. obsv.Enabled on the shared-memory model.
 const schedulerTid = 1000000
 
 // WritePerfetto writes the trace in Chrome trace-event JSON. Exec and
@@ -96,9 +98,9 @@ func WritePerfetto(w io.Writer, t *Trace) error {
 	for _, e := range events {
 		k := key{e.Task, e.Proc}
 		switch e.Kind {
-		case ExecStart:
+		case obsv.ExecStart:
 			execOpen[k] = e
-		case ExecEnd:
+		case obsv.ExecEnd:
 			if s, ok := execOpen[k]; ok {
 				delete(execOpen, k)
 				out.TraceEvents = append(out.TraceEvents, perfettoEvent{
@@ -107,9 +109,9 @@ func WritePerfetto(w io.Writer, t *Trace) error {
 					Pid: 0, Tid: tid(e.Proc), Args: args(s),
 				})
 			}
-		case FetchStart:
+		case obsv.FetchStart:
 			fetchOpen[k] = e
-		case FetchEnd:
+		case obsv.FetchEnd:
 			if s, ok := fetchOpen[k]; ok {
 				delete(fetchOpen, k)
 				out.TraceEvents = append(out.TraceEvents, perfettoEvent{

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/obsv"
 )
 
 // perfettoDoc mirrors the Chrome trace-event format for validation.
@@ -35,14 +37,14 @@ func writeAndParse(t *testing.T, tr *Trace) *perfettoDoc {
 }
 
 func TestWritePerfettoValidFormat(t *testing.T) {
-	tr := New()
-	tr.Add(0.0, TaskCreated, 0, 0, "")
-	tr.Add(0.1, TaskAssigned, 0, 1, "target=p1")
-	tr.Add(0.2, FetchStart, 0, 1, "2 objects")
-	tr.Add(0.3, FetchEnd, 0, 1, "")
-	tr.Add(0.3, ExecStart, 0, 1, "")
-	tr.Add(0.5, ExecEnd, 0, 1, "")
-	tr.Add(0.6, Broadcast, -1, 1, "grid v2")
+	tr := record(
+		obsv.Event{Kind: obsv.Created, Task: 0, Proc: 0, At: 0.0},
+		obsv.Event{Kind: obsv.Assigned, Task: 0, Proc: 1, N: 1, At: 0.1},
+		obsv.Event{Kind: obsv.FetchStart, Task: 0, Proc: 1, N: 2, At: 0.2},
+		obsv.Event{Kind: obsv.FetchEnd, Task: 0, Proc: 1, At: 0.2, End: 0.3},
+		obsv.Event{Kind: obsv.Exec, Task: 0, Proc: 1, At: 0.3, End: 0.5},
+		obsv.Event{Kind: obsv.Broadcast, Proc: 1, Name: "grid", N: 2, Bytes: 8, At: 0.6},
+	)
 
 	doc := writeAndParse(t, tr)
 	if doc.DisplayTimeUnit != "ms" {
@@ -74,7 +76,7 @@ func TestWritePerfettoValidFormat(t *testing.T) {
 	if exec != 1 || fetch != 1 {
 		t.Fatalf("exec=%d fetch=%d spans, want 1 each", exec, fetch)
 	}
-	// TaskCreated, TaskAssigned, Broadcast.
+	// Created, Assigned, Broadcast.
 	if instants != 3 {
 		t.Fatalf("instants = %d, want 3", instants)
 	}
@@ -92,9 +94,10 @@ func TestWritePerfettoValidFormat(t *testing.T) {
 }
 
 func TestWritePerfettoUnpairedAndSchedulerEvents(t *testing.T) {
-	tr := New()
-	tr.Add(0.0, ExecStart, 0, 0, "") // never ends: dropped
-	tr.Add(0.1, TaskEnabled, 1, -1, "")
+	tr := record(
+		obsv.Event{Kind: obsv.ExecStart, Task: 0, Proc: 0, At: 0.0}, // never ends: dropped
+		obsv.Event{Kind: obsv.Enabled, Task: 1, Proc: -1, At: 0.1},
+	)
 	doc := writeAndParse(t, tr)
 	sawScheduler := false
 	for _, e := range doc.TraceEvents {
@@ -114,29 +117,5 @@ func TestWritePerfettoEmpty(t *testing.T) {
 	doc := writeAndParse(t, New())
 	if doc.TraceEvents == nil {
 		t.Fatal("traceEvents must be an array, not null")
-	}
-}
-
-func TestEnabledNilSafe(t *testing.T) {
-	var tr *Trace
-	if tr.Enabled() {
-		t.Fatal("nil trace must be disabled")
-	}
-	if !New().Enabled() {
-		t.Fatal("non-nil trace must be enabled")
-	}
-}
-
-func TestWithCapacity(t *testing.T) {
-	tr := New(WithCapacity(128))
-	for i := 0; i < 100; i++ {
-		tr.Add(float64(i), ExecStart, i, 0, "")
-	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	// Zero/negative capacities are ignored, not fatal.
-	if New(WithCapacity(0)).Len() != 0 || New(WithCapacity(-1)).Len() != 0 {
-		t.Fatal("degenerate capacity mishandled")
 	}
 }
