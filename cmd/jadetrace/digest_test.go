@@ -11,10 +11,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps/ocean"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/ipsc"
 	"repro/internal/jade"
 	"repro/internal/metrics"
+	"repro/internal/obsv"
+	"repro/internal/pgas"
 )
 
 // wantDigests pins the first 8 bytes (hex) of the SHA-256 of every
@@ -87,6 +91,20 @@ var wantDigests = map[string]string{
 	"staged/dash":                       "2bd91354081525ab",
 	"staged/ipsc":                       "55caf2c6771902bc",
 	"staged/pgas":                       "d345dbeae3dc60e7",
+
+	// Scheduler and cost-model paths the rows above miss.
+	"direct/ocean/pgas/none/target2":      "4df0c1ce04409161",
+	"direct/ocean/pgas/placement/target2": "462106290f46b19c",
+	"metrics/ocean/pgas/8/links":          "1a7561edbb093bbd",
+	"metrics/ocean/pgas/8/none":           "b3381d3daee12eaf",
+	"metrics/ocean/pgas/8/stragglers":     "1dec4abe159a9746",
+	"metrics/ocean/pgas/8/victims":        "46f3ffb6620136a6",
+	"metrics/water/cluster/1":             "317c08b27ef829b7",
+	"metrics/water/cluster/1/speed-aware": "317c08b27ef829b7",
+	"metrics/water/cluster/3":             "3d31c27943882bf0",
+	"metrics/water/cluster/3/speed-aware": "1808d74b1086b92b",
+	"metrics/water/ipsc/8/none/eager":     "8d14c7e5f5df2d1e",
+	"staged/ipsc/drop":                    "d7df273942d8bc45",
 }
 
 // TestEventStreamDigests pins everything the simulated machines'
@@ -96,7 +114,12 @@ var wantDigests = map[string]string{
 //   - the jade-metrics/v1 report with the observer attached, for the
 //     default observed run specs, an observed cluster cell, a faulted
 //     iPSC cell (delivery attempts), and a staged program on each of
-//     the four machines.
+//     the four machines;
+//   - the same report for the scheduler and cost-model paths those
+//     miss: pgas under each fault kind, at no affinity and with two
+//     tasks per locale; cluster at 1 and 3 workstations with and
+//     without the speed-aware pick; the iPSC update protocol at no
+//     locality; and the staged program on a lossy iPSC.
 func TestEventStreamDigests(t *testing.T) {
 	got := map[string]string{}
 	pf := filepath.Join(t.TempDir(), "perfetto.json")
@@ -142,6 +165,47 @@ func TestEventStreamDigests(t *testing.T) {
 		got[name] = digest(metricsJSON(t, r))
 	}
 
+	// Scheduler and cost-model paths the default specs miss: pgas under
+	// each fault kind and with no affinity, cluster at odd sizes with and
+	// without the speed-aware pick, and the iPSC update protocol.
+	for name, s := range map[string]experiments.RunSpec{
+		"metrics/ocean/pgas/8/stragglers":     {App: "ocean", Machine: "pgas", Fault: &fault.Spec{Seed: 7, Stragglers: 2}},
+		"metrics/ocean/pgas/8/links":          {App: "ocean", Machine: "pgas", Fault: &fault.Spec{Seed: 7, DegradedLinkPct: 0.3}},
+		"metrics/ocean/pgas/8/victims":        {App: "ocean", Machine: "pgas", Fault: &fault.Spec{Seed: 7, VictimClusters: 2}},
+		"metrics/ocean/pgas/8/none":           {App: "ocean", Machine: "pgas", Level: "none"},
+		"metrics/water/cluster/1":             {App: "water", Machine: "cluster", Procs: 1},
+		"metrics/water/cluster/1/speed-aware": {App: "water", Machine: "cluster", Procs: 1, SpeedAware: true},
+		"metrics/water/cluster/3":             {App: "water", Machine: "cluster", Procs: 3},
+		"metrics/water/cluster/3/speed-aware": {App: "water", Machine: "cluster", Procs: 3, SpeedAware: true},
+		"metrics/water/ipsc/8/none/eager":     {App: "water", Machine: "ipsc", Level: "none", EagerUpdate: true},
+	} {
+		s.Observe = true
+		if s.Procs == 0 {
+			s.Procs = 8
+		}
+		r, err := s.Execute(experiments.Small)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = digest(metricsJSON(t, r))
+	}
+
+	// pgas with two tasks per locale, which RunSpec offers only on ipsc.
+	for name, level := range map[string]pgas.LocalityLevel{"none": pgas.NoAffinity, "placement": pgas.TaskPlacement} {
+		cfg := pgas.DefaultConfig(8, level)
+		cfg.TargetTasks = 2
+		m := pgas.New(cfg)
+		obs := obsv.New(8)
+		m.Sink = obs
+		rt := jade.New(m, jade.Config{})
+		oc := ocean.Small()
+		oc.Place = level == pgas.TaskPlacement
+		ocean.Run(rt, oc)
+		r := rt.Finish()
+		r.Obsv = obs.Snapshot(0)
+		got["direct/ocean/pgas/"+name+"/target2"] = digest(metricsJSON(t, r))
+	}
+
 	for _, machine := range []string{"dash", "ipsc", "pgas", "cluster"} {
 		p, snapshot := observedMachine(machine, 4)
 		rt := jade.New(p, jade.Config{})
@@ -150,6 +214,23 @@ func TestEventStreamDigests(t *testing.T) {
 		r.Obsv = snapshot()
 		got["staged/"+machine] = digest(metricsJSON(t, r))
 	}
+
+	// The staged program on a lossy iPSC: retransmits straddle segment
+	// boundaries and early releases.
+	p, snapshot := observedMachine("ipsc", 4)
+	drop := fault.Spec{Seed: 11, DropPct: 0.3}
+	if err := drop.Canonicalize(); err != nil {
+		t.Fatal(err)
+	}
+	p.(*ipsc.Machine).Inj = fault.NewInjector(drop, 4)
+	rt := jade.New(p, jade.Config{})
+	stagedProgram(rt)
+	r := rt.Finish()
+	if r.MsgRetransmits == 0 {
+		t.Fatal("staged/ipsc/drop: no message was retransmitted")
+	}
+	r.Obsv = snapshot()
+	got["staged/ipsc/drop"] = digest(metricsJSON(t, r))
 
 	failed := false
 	for name, d := range got {
