@@ -3,7 +3,7 @@ package dash
 import (
 	"repro/internal/fault"
 	"repro/internal/jade"
-	"repro/internal/metrics"
+	"repro/internal/machine"
 	"repro/internal/obsv"
 	"repro/internal/sim"
 )
@@ -19,13 +19,11 @@ type writerInfo struct {
 // Machine is the DASH-style shared-memory platform. It implements
 // jade.Platform: a deterministic discrete-event model of the machine
 // running the Jade shared-memory implementation (synchronizer +
-// scheduler + dispatcher of §3.1–3.2).
+// scheduler + dispatcher of §3.1–3.2) over the kit's Core.
 type Machine struct {
+	machine.Core
 	cfg Config
-	eng *sim.Engine
-	rt  *jade.Runtime
 
-	procs  []sim.Processor
 	queues []*procQueue
 	// global is the NoLocality shared queue of task IDs; globalHead
 	// indexes its first live entry so pops reuse the backing array's
@@ -48,40 +46,22 @@ type Machine struct {
 	execDoneCallH sim.Handler
 	curTask       []*jade.Task
 	curStart      []sim.Time
-	// enqueueH is the registered handler for deferred task enqueues
-	// (creation completing, dependence satisfied); its argument is the
-	// task ID, resolved through the dense task table.
-	enqueueH sim.Handler
 
-	// tasks is the dense task table, indexed by task ID (creation
-	// order): the scheduling queues store pointer-free task IDs and
-	// resolve them here on dispatch.
-	tasks []*jade.Task
-
-	// createdDone is indexed by task ID and lastWriter by object ID
-	// (both dense, in creation/allocation order). A zero-valued
-	// writerInfo (dirty=false) is indistinguishable from "never
-	// written", which is exactly the semantics the dirty-line check
-	// needs.
-	createdDone []sim.Time
-	lastWriter  []writerInfo
+	// lastWriter is indexed by object ID (dense, allocation order). A
+	// zero-valued writerInfo (dirty=false) is indistinguishable from
+	// "never written", which is exactly the semantics the dirty-line
+	// check needs.
+	lastWriter []writerInfo
 
 	// StealFromHead flips the steal path to take the first task of
 	// the first object task queue (ablation; see DESIGN.md §6).
 	StealFromHead bool
-	// Sink, when non-nil, receives the run's simulated-event stream
-	// (obsv.Observer, trace.Trace); nil costs nothing.
-	Sink obsv.Sink
 	// Inj, when non-nil, injects deterministic faults: elevated
 	// remote-access latency on seed-chosen victim clusters (a
 	// congested mesh segment) and transient cache-invalidation storms
 	// that force cached accesses back to memory. A nil injector leaves
 	// every code path byte-identical to the healthy machine.
 	Inj *fault.Injector
-
-	stats    metrics.Run
-	execBase sim.Time
-	busyBase []float64
 }
 
 var _ jade.Platform = (*Machine)(nil)
@@ -93,59 +73,49 @@ func New(cfg Config) *Machine {
 	}
 	m := &Machine{
 		cfg:        cfg,
-		eng:        sim.New(),
 		queues:     make([]*procQueue, cfg.Procs),
 		caches:     make([]*cache, cfg.Procs),
 		running:    make([]bool, cfg.Procs),
 		idle:       make([]bool, cfg.Procs),
 		dispatchAt: make([]sim.Time, cfg.Procs),
+		curTask:    make([]*jade.Task, cfg.Procs),
+		curStart:   make([]sim.Time, cfg.Procs),
 	}
-	m.curTask = make([]*jade.Task, cfg.Procs)
-	m.curStart = make([]sim.Time, cfg.Procs)
-	m.enqueueH = m.eng.RegisterHandler(func(tid int32) { m.enqueue(m.tasks[tid]) })
-	m.dispatchH = m.eng.RegisterHandler(func(v int32) {
+	// Enabled tasks (creation finished, dependences satisfied) go to
+	// the scheduling queues.
+	m.Init(cfg.Procs, cfg.TaskCreateSec, m.enqueue)
+	m.dispatchH = m.Eng.RegisterHandler(func(v int32) {
 		p := int(v)
 		// Fires at the scheduled time, so Now() is the `at` the
 		// event was enqueued with.
-		if m.dispatchAt[p] == m.eng.Now() {
+		if m.dispatchAt[p] == m.Eng.Now() {
 			m.dispatchAt[p] = -1
 		}
 		m.dispatch(p)
 	})
-	m.execDoneCallH = m.eng.RegisterHandler(func(v int32) {
+	m.execDoneCallH = m.Eng.RegisterHandler(func(v int32) {
 		p := int(v)
 		t := m.curTask[p]
-		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(m.curStart[p]), End: float64(m.eng.Now())})
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(m.curStart[p]), End: float64(m.Eng.Now())})
 		m.curTask[p] = nil
 		m.running[p] = false
-		m.rt.TaskDone(t)
+		m.Done(t)
 		m.dispatch(p)
 	})
 	qslab := make([]procQueue, cfg.Procs)
-	m.procs = make([]sim.Processor, cfg.Procs)
 	for i := 0; i < cfg.Procs; i++ {
-		m.procs[i] = sim.MakeProcessor(m.eng)
 		m.queues[i] = &qslab[i]
 		m.idle[i] = true
 		m.dispatchAt[i] = -1
 	}
-	m.stats.Procs = cfg.Procs
 	return m
 }
-
-// Attach implements jade.Platform.
-func (m *Machine) Attach(rt *jade.Runtime) { m.rt = rt }
-
-// Attached reports whether a runtime has ever been bound to the
-// machine; graph replay uses it to refuse reused platforms.
-func (m *Machine) Attached() bool { return m.rt != nil }
 
 // ReserveCapacity implements the replay capacity hint: size the dense
 // per-object and per-task structures for the counts the plan already
 // knows, so the run appends without ever growing them.
 func (m *Machine) ReserveCapacity(objects, tasks int) {
-	m.tasks = make([]*jade.Task, 0, tasks)
-	m.createdDone = make([]sim.Time, 0, tasks)
+	m.Core.ReserveCapacity(objects, tasks)
 	m.lastWriter = make([]writerInfo, 0, objects)
 	// One backing array for every queue's by-object index: each queue
 	// extends within its own fixed-capacity window.
@@ -155,12 +125,6 @@ func (m *Machine) ReserveCapacity(objects, tasks int) {
 	}
 }
 
-// Processors implements jade.Platform.
-func (m *Machine) Processors() int { return m.cfg.Procs }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // ObjectAllocated implements jade.Platform. Placement is entirely
 // captured by Object.Home; the machine only extends its per-object
 // last-writer table.
@@ -168,40 +132,9 @@ func (m *Machine) ObjectAllocated(o *jade.Object) {
 	m.lastWriter = append(m.lastWriter, writerInfo{})
 }
 
-// submitMgmt charges d seconds of task-management work to the main
-// processor and emits it as a Mgmt span.
-func (m *Machine) submitMgmt(at sim.Time, d float64) sim.Time {
-	return m.procs[0].Submit(at, sim.Time(d), obsv.Span(m.Sink, obsv.Event{Kind: obsv.Mgmt}))
-}
-
-// TaskCreated implements jade.Platform: charge creation overhead to
-// the main processor; if the task is already enabled, enqueue it when
-// its creation completes.
-func (m *Machine) TaskCreated(t *jade.Task, enabled bool) {
-	done := m.submitMgmt(m.eng.Now(), m.cfg.TaskCreateSec)
-	m.stats.TaskMgmtTime += m.cfg.TaskCreateSec
-	m.tasks = append(m.tasks, t)
-	m.createdDone = append(m.createdDone, done)
-	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
-	if enabled {
-		m.eng.AtCall(done, m.enqueueH, int32(t.ID))
-	}
-}
-
-// TaskEnabled implements jade.Platform: a dependence was satisfied
-// during Drain; the task becomes schedulable once its creation has
-// also finished.
-func (m *Machine) TaskEnabled(t *jade.Task) {
-	at := m.eng.Now()
-	if cd := m.createdDone[t.ID]; cd > at {
-		at = cd
-	}
-	m.eng.AtCall(at, m.enqueueH, int32(t.ID))
-}
-
 // SerialWork implements jade.Platform.
 func (m *Machine) SerialWork(d float64) {
-	m.procs[0].Submit(m.eng.Now(), sim.Time(d*m.cfg.SpeedFactor), nil)
+	m.CPUs[0].Submit(m.Eng.Now(), sim.Time(d*m.cfg.SpeedFactor), nil)
 }
 
 // MainTouches implements jade.Platform: the main program's own object
@@ -212,46 +145,14 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 		total += m.accessCost(0, a)
 	}
 	if total > 0 {
-		m.procs[0].Submit(m.eng.Now(), sim.Time(total), nil)
+		m.CPUs[0].Submit(m.Eng.Now(), sim.Time(total), nil)
 	}
-}
-
-// Drain implements jade.Platform: run the event loop to completion and
-// synchronize the main processor with the final virtual time.
-func (m *Machine) Drain() {
-	end := m.eng.Run()
-	m.procs[0].Advance(end)
-}
-
-// Stats implements jade.Platform.
-func (m *Machine) Stats() *metrics.Run {
-	m.stats.ExecTime = float64(m.procs[0].FreeAt() - m.execBase)
-	m.stats.ProcBusy = m.stats.ProcBusy[:0]
-	for i, p := range m.procs {
-		b := float64(p.BusyTime())
-		if i < len(m.busyBase) {
-			b -= m.busyBase[i]
-		}
-		m.stats.ProcBusy = append(m.stats.ProcBusy, b)
-	}
-	return &m.stats
-}
-
-// ResetStats implements jade.Platform.
-func (m *Machine) ResetStats() {
-	m.stats = metrics.Run{Procs: m.cfg.Procs}
-	m.execBase = m.procs[0].FreeAt()
-	m.busyBase = m.busyBase[:0]
-	for _, p := range m.procs {
-		m.busyBase = append(m.busyBase, float64(p.BusyTime()))
-	}
-	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Reset})
 }
 
 // target returns the processor that owns the task's locality object
 // (the memory module it is allocated in).
 func (m *Machine) target(t *jade.Task) int {
-	lobj := t.LocalityObject(m.rt.Config().Locality)
+	lobj := t.LocalityObject(m.RT.Config().Locality)
 	if lobj == nil {
 		return 0
 	}
@@ -266,7 +167,7 @@ func (m *Machine) target(t *jade.Task) int {
 // peers displace them (the paper's Water/String runs execute 100% of
 // tasks on target), while sustained imbalance still triggers steals.
 func (m *Machine) enqueue(t *jade.Task) {
-	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Enabled, Proc: -1, Task: int(t.ID), At: float64(m.eng.Now())})
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Enabled, Proc: -1, Task: int(t.ID), At: float64(m.Eng.Now())})
 	switch {
 	case m.cfg.Level == NoLocality:
 		m.global = append(m.global, int32(t.ID))
@@ -275,7 +176,7 @@ func (m *Machine) enqueue(t *jade.Task) {
 		m.queues[t.Placed].pushPlaced(int32(t.ID))
 		m.poke(t.Placed, 0)
 	default:
-		lobj := t.LocalityObject(m.rt.Config().Locality)
+		lobj := t.LocalityObject(m.RT.Config().Locality)
 		tgt := m.target(t)
 		m.queues[tgt].push(int32(t.ID), lobj)
 		m.poke(tgt, 0)
@@ -291,15 +192,15 @@ func (m *Machine) poke(p int, delay sim.Time) {
 	if m.running[p] {
 		return // the completion handler dispatches
 	}
-	at := m.eng.Now() + delay
-	if f := m.procs[p].FreeAt(); f > at {
+	at := m.Eng.Now() + delay
+	if f := m.CPUs[p].FreeAt(); f > at {
 		at = f
 	}
 	if d := m.dispatchAt[p]; d >= 0 && d <= at {
 		return
 	}
 	m.dispatchAt[p] = at
-	m.eng.AtCall(at, m.dispatchH, int32(p))
+	m.Eng.AtCall(at, m.dispatchH, int32(p))
 }
 
 func (m *Machine) pokeAllIdle(delay sim.Time) {
@@ -351,7 +252,7 @@ func (m *Machine) dispatch(p int) {
 		return
 	}
 	m.idle[p] = false
-	m.execute(p, m.tasks[tid], stole)
+	m.execute(p, m.Tasks[tid], stole)
 }
 
 // execute runs task t on processor p: dispatch overhead plus memory
@@ -361,38 +262,38 @@ func (m *Machine) execute(p int, t *jade.Task, stole bool) {
 	if stole {
 		mgmt += m.cfg.StealSec
 	}
-	m.stats.TaskMgmtTime += mgmt
+	m.Metrics.TaskMgmtTime += mgmt
 
 	var app float64
-	if !m.rt.Config().WorkFree {
+	if !m.RT.Config().WorkFree {
 		for _, a := range t.Accesses {
 			app += m.accessCost(p, a)
 		}
 		app += t.Work * m.cfg.SpeedFactor
 		app *= m.jitter(t.ID)
 	}
-	m.stats.TaskCount++
+	m.Metrics.TaskCount++
 	if p == m.target(t) {
-		m.stats.TasksOnTarget++
+		m.Metrics.TasksOnTarget++
 	}
-	m.stats.TaskExecTotal += app
+	m.Metrics.TaskExecTotal += app
 
 	m.running[p] = true
-	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecStart, Proc: p, Task: int(t.ID), At: float64(m.eng.Now()), Flag: stole})
-	if len(t.Segments) > 0 && !m.rt.Config().WorkFree {
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecStart, Proc: p, Task: int(t.ID), At: float64(m.Eng.Now()), Flag: stole})
+	if len(t.Segments) > 0 && !m.RT.Config().WorkFree {
 		// Staged task: memory and dispatch costs are charged with the
 		// first segment; each segment boundary may release accesses.
 		m.executeStaged(p, t, mgmt+app-t.Work*m.cfg.SpeedFactor*m.jitter(t.ID))
 		return
 	}
-	m.rt.RunBody(t)
+	m.RT.RunBody(t)
 	// One task runs per processor at a time (the running flag guards
 	// dispatch), so the completion handler is interned per processor and
 	// reads the task and its start from curTask and curStart instead of
 	// capturing them.
 	m.curTask[p] = t
-	m.curStart[p] = m.procs[p].Start(m.eng.Now())
-	m.procs[p].SubmitCall(m.eng.Now(), sim.Time(mgmt+app), m.execDoneCallH, int32(p))
+	m.curStart[p] = m.CPUs[p].Start(m.Eng.Now())
+	m.CPUs[p].SubmitCall(m.Eng.Now(), sim.Time(mgmt+app), m.execDoneCallH, int32(p))
 }
 
 // executeStaged runs a multi-synchronization-point task: segments
@@ -402,17 +303,15 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 	segs := t.Segments
 	var run func(i int)
 	run = func(i int) {
-		m.rt.RunSegmentBody(t, i)
+		m.RT.RunSegmentBody(t, i)
 		d := segs[i].Work * m.cfg.SpeedFactor * m.jitter(t.ID)
 		if i == 0 {
 			d += baseCost
 		}
-		m.procs[p].Submit(m.eng.Now(), sim.Time(d), func(start, end sim.Time) {
+		m.CPUs[p].Submit(m.Eng.Now(), sim.Time(d), func(start, end sim.Time) {
 			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
 			for _, o := range segs[i].Release {
-				for _, n := range m.rt.ReleaseEarly(t, o) {
-					m.TaskEnabled(n)
-				}
+				m.EnableReleased(t, o)
 			}
 			if i+1 < len(segs) {
 				run(i + 1)
@@ -420,7 +319,7 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 			}
 			m.running[p] = false
 			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(end), End: float64(end), Flag: true})
-			m.rt.TaskDone(t)
+			m.Done(t)
 			m.dispatch(p)
 		})
 	}
@@ -464,7 +363,7 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 		// previous access and this one: the hit becomes a miss and pays
 		// the full memory latency again.
 		hit = false
-		m.stats.FaultInvalidations++
+		m.Metrics.FaultInvalidations++
 	}
 	switch {
 	case hit:
@@ -493,9 +392,9 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 		cycles *= m.Inj.RemoteFactor(m.cfg.cluster(p), m.cfg.clusters())
 	}
 	if remote {
-		m.stats.RemoteBytes += int64(o.Size)
+		m.Metrics.RemoteBytes += int64(o.Size)
 	} else {
-		m.stats.LocalBytes += int64(o.Size)
+		m.Metrics.LocalBytes += int64(o.Size)
 	}
 	c.insert(o, resulting)
 	if a.Writes() {

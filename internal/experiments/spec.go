@@ -50,7 +50,9 @@ type RunSpec struct {
 	// target (latency hiding, §3.4.3); 0 keeps the default of 1.
 	TargetTasks int `json:"target_tasks,omitempty"`
 
-	// SpeedAware enables the cluster model's speed-weighted scheduler.
+	// SpeedAware makes the cluster scheduler hand a task whose target
+	// workstation is busy to the fastest idle workstation rather than
+	// the lowest-numbered one.
 	SpeedAware bool `json:"speed_aware,omitempty"`
 
 	// Aggregation toggles the PGAS machine's software-managed

@@ -1,0 +1,318 @@
+package machine
+
+import (
+	"fmt"
+
+	"repro/internal/fuse"
+	"repro/internal/jade"
+	"repro/internal/obsv"
+	"repro/internal/sim"
+)
+
+// Model is what a centrally scheduled machine adds to the kit: its
+// scheduling policy, its message and compute costs, its fetch protocol
+// and its write policy. Central calls it at each step of the life
+// cycle.
+type Model interface {
+	// Schedule is the admission decision for an enabled task: it sets
+	// ts.Target and returns the processor to assign ts to, or -1 to pool
+	// it.
+	Schedule(ts *TaskState) int
+	// PickPooled returns the index in Pool of the task to hand to
+	// processor p, which has headroom, or -1 to leave p short.
+	PickPooled(p int) int
+	// Send prices one protocol message of the given size from processor
+	// from to processor to, leaving no earlier than at, and schedules
+	// h(arg) for its arrival.
+	Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32)
+	// Arrive runs when ts reaches processor ts.Proc in a run with work.
+	// It fetches what the task reads (StartFetch, then Fetched as each
+	// message lands) or, if nothing is missing, calls Ready.
+	Arrive(ts *TaskState)
+	// CPUTime is how long processor p takes for w seconds of
+	// reference-processor work.
+	CPUTime(p int, w float64) float64
+	// Release publishes the writes a staged task releases at a segment
+	// boundary and enables their waiters (EnableReleased).
+	Release(ts *TaskState, objs []*jade.Object)
+	// Complete publishes the finished task's remaining writes.
+	Complete(ts *TaskState)
+}
+
+// Params are a centrally scheduled machine's task-management prices
+// and limits.
+type Params struct {
+	// CreateSec, AssignSec and CompleteSec are main-processor time to
+	// create a task, to decide and send an assignment, and to handle a
+	// completion notice; DispatchSec is the executing processor's time
+	// to start a task.
+	CreateSec, AssignSec, CompleteSec, DispatchSec float64
+	// TaskMsgBytes and CompletionBytes size the assignment message and
+	// the completion notice.
+	TaskMsgBytes, CompletionBytes int
+	// TargetTasks is how many assigned tasks a processor holds before
+	// the scheduler pools the rest.
+	TargetTasks int
+	// FetchStall adds each task's fetch stall to Metrics.TaskLatency.
+	FetchStall bool
+}
+
+// TaskState is the scheduler's and communicator's bookkeeping for one
+// task.
+type TaskState struct {
+	T *jade.Task
+	// Target is the processor the scheduler prefers; Proc is the one
+	// it assigned the task to (-1 while pooled).
+	Target, Proc int
+
+	idx    int32 // position in Central.states, for pointer-free events
+	needed int   // fetch messages outstanding
+	// firstReq and lastArrive bound the fetch stall (§5.5); start is
+	// when execution starts on the CPU.
+	firstReq, lastArrive, start sim.Time
+}
+
+// Central is Core plus the centralized scheduler on processor 0 and
+// the task life cycle: assign → arrive → fetch → run (whole or staged)
+// → complete → completion notice → load−− → pool drain.
+type Central struct {
+	Core
+	// Load counts each processor's tasks assigned and not yet
+	// completed.
+	Load []int
+	// Pool holds enabled tasks waiting for a processor with headroom.
+	Pool []*TaskState
+
+	model  Model
+	par    Params
+	arena  Arena[TaskState]
+	states []*TaskState // by scheduling order
+	// inflight is each processor's FIFO of tasks whose execution is
+	// submitted on its CPU. A CPU's free time only moves forward and
+	// equal-time events fire in scheduling order, so executions finish
+	// in the order they were pushed, and one handler per processor
+	// serves every completion.
+	inflight []fifo
+
+	arrivedH, execDoneH, notifyH, freedH sim.Handler
+}
+
+type fifo struct {
+	idx  []int32
+	head int
+}
+
+// Init builds the kit for procs processors priced by par, with model
+// supplying the policies and costs.
+func (c *Central) Init(procs int, par Params, model Model) {
+	c.Core.Init(procs, par.CreateSec, c.schedule)
+	c.model, c.par = model, par
+	c.Load = make([]int, procs)
+	c.inflight = make([]fifo, procs)
+	c.arrivedH = c.Eng.RegisterHandler(func(i int32) {
+		// Work-free runs measure task management alone: tasks fetch
+		// nothing.
+		if ts := c.states[i]; c.RT.Config().WorkFree {
+			c.Ready(ts)
+		} else {
+			c.model.Arrive(ts)
+		}
+	})
+	c.execDoneH = c.Eng.RegisterHandler(func(v int32) {
+		p := int(v)
+		ts := c.popInflight(p)
+		obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Exec, Proc: p, Task: int(ts.T.ID), At: float64(ts.start), End: float64(c.Eng.Now())})
+		c.complete(ts)
+	})
+	// A completion notice costs the main processor CompleteSec; then
+	// the processor's load drops and the pool refills it.
+	c.notifyH = c.Eng.RegisterHandler(func(v int32) {
+		c.Metrics.TaskMgmtTime += c.par.CompleteSec
+		c.Eng.AtCall(c.submitMgmt(c.Eng.Now(), c.par.CompleteSec), c.freedH, v)
+	})
+	c.freedH = c.Eng.RegisterHandler(func(v int32) {
+		p := int(v)
+		c.Load[p]--
+		c.drainPool(p)
+	})
+}
+
+// ReserveCapacity implements the replay capacity hint.
+func (c *Central) ReserveCapacity(objects, tasks int) {
+	c.Core.ReserveCapacity(objects, tasks)
+	c.arena.Reserve(tasks)
+	c.states = make([]*TaskState, 0, tasks)
+}
+
+// Drain implements jade.Platform, checking also that no task is left
+// pooled or counted against a processor.
+func (c *Central) Drain() {
+	c.Core.Drain()
+	if len(c.Pool) != 0 {
+		panic(fmt.Sprintf("machine: engine emptied with %d tasks pooled", len(c.Pool)))
+	}
+	for p, l := range c.Load {
+		if l != 0 {
+			panic(fmt.Sprintf("machine: engine emptied with processor %d at load %d", p, l))
+		}
+	}
+}
+
+// schedule runs the admission decision on the main processor for one
+// enabled task.
+func (c *Central) schedule(t *jade.Task) {
+	ts := c.arena.New()
+	*ts = TaskState{T: t, Proc: -1, idx: int32(len(c.states))}
+	c.states = append(c.states, ts)
+	if p := c.model.Schedule(ts); p >= 0 {
+		c.assign(ts, p)
+		return
+	}
+	c.Pool = append(c.Pool, ts)
+}
+
+// assign charges the decision to the main CPU and sends the task to p.
+func (c *Central) assign(ts *TaskState, p int) {
+	ts.Proc = p
+	c.Load[p]++
+	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Assigned, Proc: p, Task: int(ts.T.ID), N: ts.Target, At: float64(c.Eng.Now())})
+	c.Metrics.TaskMgmtTime += c.par.AssignSec
+	decided := c.submitMgmt(c.Eng.Now(), c.par.AssignSec)
+	if p == 0 {
+		c.Eng.AtCall(decided, c.arrivedH, ts.idx)
+		return
+	}
+	c.model.Send(decided, 0, p, c.par.TaskMsgBytes, c.arrivedH, ts.idx)
+}
+
+// StartFetch opens ts's fetch stall for the reads it misses: one
+// message per destination when coalesce is on, one per object
+// otherwise. The caller sends the returned messages and calls Fetched
+// as each lands.
+func (c *Central) StartFetch(ts *TaskState, reads []jade.Access, dest func(jade.Access) int, coalesce bool) [][]jade.Access {
+	msgs := fuse.GroupByDest(reads, dest, coalesce)
+	ts.needed = len(msgs)
+	ts.firstReq = c.Eng.Now()
+	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.FetchStart, Proc: ts.Proc, Task: int(ts.T.ID), N: len(reads), At: float64(ts.firstReq)})
+	return msgs
+}
+
+// Fetched records one fetch message's arrival; the last one ends the
+// stall and readies the task.
+func (c *Central) Fetched(ts *TaskState) {
+	if now := c.Eng.Now(); now > ts.lastArrive {
+		ts.lastArrive = now
+	}
+	ts.needed--
+	if ts.needed > 0 {
+		return
+	}
+	if c.par.FetchStall {
+		c.Metrics.TaskLatency += float64(ts.lastArrive - ts.firstReq)
+	}
+	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.FetchEnd, Proc: ts.Proc, Task: int(ts.T.ID),
+		At: float64(ts.firstReq), End: float64(ts.lastArrive)})
+	c.Ready(ts)
+}
+
+// Ready executes ts on its processor: dispatch overhead plus the
+// model's compute time. The body runs at the execution start; the
+// writes and the completion notice follow at its end.
+func (c *Central) Ready(ts *TaskState) {
+	p, t := ts.Proc, ts.T
+	work := c.model.CPUTime(p, t.Work)
+	c.Metrics.TaskMgmtTime += c.par.DispatchSec
+	c.Metrics.TaskCount++
+	if p == ts.Target {
+		c.Metrics.TasksOnTarget++
+	}
+	c.Metrics.TaskExecTotal += work
+	if c.staged(t) {
+		c.runSegment(ts, 0)
+		return
+	}
+	c.RT.RunBody(t)
+	q := &c.inflight[p]
+	q.idx = append(q.idx, ts.idx)
+	ts.start = c.CPUs[p].Start(c.Eng.Now())
+	c.CPUs[p].SubmitCall(c.Eng.Now(), sim.Time(c.par.DispatchSec+work), c.execDoneH, int32(p))
+}
+
+// staged reports whether t runs segment by segment; work-free runs
+// execute staged tasks whole.
+func (c *Central) staged(t *jade.Task) bool {
+	return len(t.Segments) > 0 && !c.RT.Config().WorkFree
+}
+
+// popInflight pops the next finished task from p's execution FIFO.
+func (c *Central) popInflight(p int) *TaskState {
+	q := &c.inflight[p]
+	ts := c.states[q.idx[q.head]]
+	q.head++
+	if q.head == len(q.idx) {
+		q.idx, q.head = q.idx[:0], 0
+	}
+	return ts
+}
+
+// runSegment runs segment i of a staged task; each boundary publishes
+// the segment's releases before the next segment starts.
+func (c *Central) runSegment(ts *TaskState, i int) {
+	p, t := ts.Proc, ts.T
+	c.RT.RunSegmentBody(t, i)
+	d := c.model.CPUTime(p, t.Segments[i].Work)
+	if i == 0 {
+		d += c.par.DispatchSec
+	}
+	c.CPUs[p].Submit(c.Eng.Now(), sim.Time(d), func(start, end sim.Time) {
+		obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
+		c.model.Release(ts, t.Segments[i].Release)
+		if i+1 < len(t.Segments) {
+			c.runSegment(ts, i+1)
+			return
+		}
+		c.complete(ts)
+	})
+}
+
+// ReleasedEarly reports whether ts already released o at one of its
+// segment boundaries.
+func (c *Central) ReleasedEarly(ts *TaskState, o *jade.Object) bool {
+	if !c.staged(ts.T) {
+		return false
+	}
+	for _, s := range ts.T.Segments {
+		for _, r := range s.Release {
+			if r == o {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// complete publishes the task's writes, completes it in the runtime
+// and sends the completion notice to the main processor.
+func (c *Central) complete(ts *TaskState) {
+	c.model.Complete(ts)
+	c.Done(ts.T)
+	if p := ts.Proc; p != 0 {
+		c.model.Send(c.Eng.Now(), p, 0, c.par.CompletionBytes, c.notifyH, int32(p))
+		return
+	}
+	c.Eng.Invoke(c.notifyH, 0)
+}
+
+// drainPool hands pooled tasks to processor p while it has headroom,
+// in the order the model picks them.
+func (c *Central) drainPool(p int) {
+	for c.Load[p] < c.par.TargetTasks && len(c.Pool) > 0 {
+		i := c.model.PickPooled(p)
+		if i < 0 {
+			return
+		}
+		ts := c.Pool[i]
+		c.Pool = append(c.Pool[:i], c.Pool[i+1:]...)
+		c.assign(ts, p)
+	}
+}

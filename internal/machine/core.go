@@ -1,0 +1,179 @@
+// Package machine is the kit every simulated machine embeds: the half
+// of jade.Platform that does not depend on how the machine moves data
+// or picks processors.
+//
+// Core serves all four machines. It owns the event engine, the
+// attached runtime, one CPU per processor (processor 0 runs the main
+// program and the task-management work), the dense task table and the
+// measurements. Central adds the centralized scheduler of the
+// message-passing implementation (§3.4.3), which the ipsc, pgas and
+// cluster machines share: per-processor load, the pool of tasks waiting
+// for headroom, and one task life cycle from assignment through the
+// fetch stall, execution and the completion notice. A machine package
+// keeps only its cost model and policies; Central reaches them through
+// the Model interface.
+package machine
+
+import (
+	"fmt"
+
+	"repro/internal/jade"
+	"repro/internal/metrics"
+	"repro/internal/obsv"
+	"repro/internal/sim"
+)
+
+// Core is the machine-independent front half of jade.Platform. A
+// machine embeds it, calls Init from its constructor and supplies
+// ObjectAllocated, SerialWork and MainTouches itself.
+type Core struct {
+	Eng *sim.Engine
+	RT  *jade.Runtime
+	// CPUs holds one processor per node; CPUs[0] runs the main program
+	// and charges the task-management work.
+	CPUs []sim.Processor
+	// Tasks is the dense task table, indexed by task ID (creation
+	// order), so scheduling events carry task IDs instead of pointers.
+	Tasks []*jade.Task
+	// Metrics accumulates the run's measurements.
+	Metrics metrics.Run
+	// Sink, when non-nil, receives the run's simulated-event stream
+	// (obsv.Observer, trace.Trace); nil costs nothing.
+	Sink obsv.Sink
+
+	createSec   float64
+	createdDone []sim.Time // indexed like Tasks
+	enabledH    sim.Handler
+	completed   int
+
+	execBase sim.Time
+	busyBase []float64
+}
+
+// Init builds the engine and procs CPUs. Creating a task costs
+// createSec of main-processor time; enable receives each task once it
+// is both created and enabled.
+func (c *Core) Init(procs int, createSec float64, enable func(*jade.Task)) {
+	c.Eng = sim.New()
+	c.CPUs = make([]sim.Processor, procs)
+	for i := range c.CPUs {
+		c.CPUs[i] = sim.MakeProcessor(c.Eng)
+	}
+	c.createSec = createSec
+	c.enabledH = c.Eng.RegisterHandler(func(tid int32) { enable(c.Tasks[tid]) })
+	c.Metrics.Procs = procs
+}
+
+// Attach implements jade.Platform.
+func (c *Core) Attach(rt *jade.Runtime) { c.RT = rt }
+
+// Attached reports whether a runtime has ever been bound to the
+// machine; graph replay uses it to refuse reused platforms.
+func (c *Core) Attached() bool { return c.RT != nil }
+
+// Processors implements jade.Platform.
+func (c *Core) Processors() int { return len(c.CPUs) }
+
+// ReserveCapacity implements the replay capacity hint for the task
+// table; machines with dense per-object state size it too.
+func (c *Core) ReserveCapacity(objects, tasks int) {
+	c.Tasks = make([]*jade.Task, 0, tasks)
+	c.createdDone = make([]sim.Time, 0, tasks)
+}
+
+// submitMgmt charges d seconds of task-management work to the main
+// CPU and emits it as a Mgmt span.
+func (c *Core) submitMgmt(at sim.Time, d float64) sim.Time {
+	return c.CPUs[0].Submit(at, sim.Time(d), obsv.Span(c.Sink, obsv.Event{Kind: obsv.Mgmt}))
+}
+
+// TaskCreated implements jade.Platform: charge creation to the main
+// processor; an enabled task reaches the machine when creation ends.
+func (c *Core) TaskCreated(t *jade.Task, enabled bool) {
+	done := c.submitMgmt(c.Eng.Now(), c.createSec)
+	c.Metrics.TaskMgmtTime += c.createSec
+	c.Tasks = append(c.Tasks, t)
+	c.createdDone = append(c.createdDone, done)
+	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
+	if enabled {
+		c.Eng.AtCall(done, c.enabledH, int32(t.ID))
+	}
+}
+
+// TaskEnabled implements jade.Platform: a dependence was satisfied;
+// the task reaches the machine once its creation has also finished.
+func (c *Core) TaskEnabled(t *jade.Task) {
+	at := c.Eng.Now()
+	if cd := c.createdDone[t.ID]; cd > at {
+		at = cd
+	}
+	c.Eng.AtCall(at, c.enabledH, int32(t.ID))
+}
+
+// Done completes t in the runtime, which enables its successors.
+func (c *Core) Done(t *jade.Task) {
+	c.completed++
+	c.RT.TaskDone(t)
+}
+
+// EnableReleased releases t's access to o at a segment boundary and
+// enables the tasks that waited only on it.
+func (c *Core) EnableReleased(t *jade.Task, o *jade.Object) {
+	for _, n := range c.RT.ReleaseEarly(t, o) {
+		c.TaskEnabled(n)
+	}
+}
+
+// Drain implements jade.Platform: run the engine until it empties,
+// bring the main processor up to the final time, and check that every
+// created task completed.
+func (c *Core) Drain() {
+	c.CPUs[0].Advance(c.Eng.Run())
+	if c.completed != len(c.Tasks) {
+		panic(fmt.Sprintf("machine: engine emptied with %d of %d created tasks incomplete",
+			len(c.Tasks)-c.completed, len(c.Tasks)))
+	}
+}
+
+// Stats implements jade.Platform.
+func (c *Core) Stats() *metrics.Run {
+	c.Metrics.ExecTime = float64(c.CPUs[0].FreeAt() - c.execBase)
+	c.Metrics.ProcBusy = c.Metrics.ProcBusy[:0]
+	for i := range c.CPUs {
+		b := float64(c.CPUs[i].BusyTime())
+		if i < len(c.busyBase) {
+			b -= c.busyBase[i]
+		}
+		c.Metrics.ProcBusy = append(c.Metrics.ProcBusy, b)
+	}
+	return &c.Metrics
+}
+
+// ResetStats implements jade.Platform.
+func (c *Core) ResetStats() {
+	c.Metrics = metrics.Run{Procs: len(c.CPUs)}
+	c.execBase = c.CPUs[0].FreeAt()
+	c.busyBase = c.busyBase[:0]
+	for i := range c.CPUs {
+		c.busyBase = append(c.busyBase, float64(c.CPUs[i].BusyTime()))
+	}
+	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Reset})
+}
+
+// Arena hands out pointers to T values that stay valid for its life:
+// values live in chunks that never grow, so no pointer ever moves.
+type Arena[T any] struct{ chunk []T }
+
+// Reserve sizes the next chunk for n values.
+func (a *Arena[T]) Reserve(n int) { a.chunk = make([]T, 0, n) }
+
+// New returns a pointer to a zero T.
+func (a *Arena[T]) New() *T {
+	if len(a.chunk) == cap(a.chunk) {
+		// Double from a small start, so short runs allocate little while
+		// long runs quickly reach a cheap steady state.
+		a.chunk = make([]T, 0, min(max(2*cap(a.chunk), 32), 1024))
+	}
+	a.chunk = a.chunk[:len(a.chunk)+1]
+	return &a.chunk[len(a.chunk)-1]
+}
