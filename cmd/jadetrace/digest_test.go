@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/apps/ocean"
+	"repro/internal/dash"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/ipsc"
@@ -105,6 +106,18 @@ var wantDigests = map[string]string{
 	"metrics/water/cluster/3/speed-aware": "1808d74b1086b92b",
 	"metrics/water/ipsc/8/none/eager":     "8d14c7e5f5df2d1e",
 	"staged/ipsc/drop":                    "d7df273942d8bc45",
+
+	// The timed message paths and the DASH cache under eviction.
+	"direct/ocean/dash/8/cache8k":                    "53b979e13ff9d13d",
+	"metrics/cholesky/cluster/4":                     "709f0648e80da7bc",
+	"metrics/cholesky/ipsc/8/locality/coalescing":    "526d8c00b9518e66",
+	"metrics/cholesky/ipsc/8/none/coalescing/serial": "2dae1a89d4620bc9",
+	"metrics/ocean/ipsc/8/locality/serial":           "94d63a94020bf4e8",
+	"metrics/ocean/ipsc/8/none/coalescing":           "126a48d19f42f333",
+	"metrics/ocean/ipsc/8/none/serial":               "682900325fc2bb1e",
+	"metrics/spmv/ipsc/8/locality/coalescing":        "4951c01733f473b7",
+	"metrics/spmv/pgas/8/no-aggregation":             "0871124b797344dc",
+	"metrics/water/ipsc/8/locality/eager+bcast":      "42fba233fcd9fa63",
 }
 
 // TestEventStreamDigests pins everything the simulated machines'
@@ -119,7 +132,11 @@ var wantDigests = map[string]string{
 //     miss: pgas under each fault kind, at no affinity and with two
 //     tasks per locale; cluster at 1 and 3 workstations with and
 //     without the speed-aware pick; the iPSC update protocol at no
-//     locality; and the staged program on a lossy iPSC.
+//     locality; and the staged program on a lossy iPSC;
+//   - the timed message paths: the iPSC's serial fetch chain, coalesced
+//     fetches, and eager updates beside adaptive broadcasts; pgas
+//     without aggregation; cluster on Cholesky; and DASH with caches
+//     small enough to evict.
 func TestEventStreamDigests(t *testing.T) {
 	got := map[string]string{}
 	pf := filepath.Join(t.TempDir(), "perfetto.json")
@@ -165,6 +182,7 @@ func TestEventStreamDigests(t *testing.T) {
 		got[name] = digest(metricsJSON(t, r))
 	}
 
+	on, off := true, false
 	// Scheduler and cost-model paths the default specs miss: pgas under
 	// each fault kind and with no affinity, cluster at odd sizes with and
 	// without the speed-aware pick, and the iPSC update protocol.
@@ -178,6 +196,20 @@ func TestEventStreamDigests(t *testing.T) {
 		"metrics/water/cluster/3":             {App: "water", Machine: "cluster", Procs: 3},
 		"metrics/water/cluster/3/speed-aware": {App: "water", Machine: "cluster", Procs: 3, SpeedAware: true},
 		"metrics/water/ipsc/8/none/eager":     {App: "water", Machine: "ipsc", Level: "none", EagerUpdate: true},
+
+		// The timed message paths: the serial fetch chain, coalesced
+		// fetches (at levels where some task reads two objects from one
+		// owner), eager pushes beside adaptive broadcasts, unaggregated
+		// PGAS gets and puts, and the cluster's fetch reply.
+		"metrics/ocean/ipsc/8/none/serial":               {App: "ocean", Machine: "ipsc", Level: "none", ConcurrentFetch: &off},
+		"metrics/ocean/ipsc/8/locality/serial":           {App: "ocean", Machine: "ipsc", Level: "locality", ConcurrentFetch: &off},
+		"metrics/ocean/ipsc/8/none/coalescing":           {App: "ocean", Machine: "ipsc", Level: "none", Coalescing: true},
+		"metrics/cholesky/ipsc/8/locality/coalescing":    {App: "cholesky", Machine: "ipsc", Level: "locality", Coalescing: true},
+		"metrics/cholesky/ipsc/8/none/coalescing/serial": {App: "cholesky", Machine: "ipsc", Level: "none", Coalescing: true, ConcurrentFetch: &off},
+		"metrics/spmv/ipsc/8/locality/coalescing":        {App: "spmv", Machine: "ipsc", Level: "locality", Coalescing: true},
+		"metrics/water/ipsc/8/locality/eager+bcast":      {App: "water", Machine: "ipsc", Level: "locality", EagerUpdate: true, AdaptiveBroadcast: &on},
+		"metrics/spmv/pgas/8/no-aggregation":             {App: "spmv", Machine: "pgas", Aggregation: &off},
+		"metrics/cholesky/cluster/4":                     {App: "cholesky", Machine: "cluster", Procs: 4},
 	} {
 		s.Observe = true
 		if s.Procs == 0 {
@@ -186,6 +218,12 @@ func TestEventStreamDigests(t *testing.T) {
 		r, err := s.Execute(experiments.Small)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if strings.Contains(name, "coalescing") && r.MsgsCoalesced == 0 {
+			t.Fatalf("%s: no fetch was coalesced", name)
+		}
+		if strings.Contains(name, "bcast") && r.BroadcastCount == 0 {
+			t.Fatalf("%s: no version was broadcast", name)
 		}
 		got[name] = digest(metricsJSON(t, r))
 	}
@@ -205,6 +243,26 @@ func TestEventStreamDigests(t *testing.T) {
 		r.Obsv = obs.Snapshot(0)
 		got["direct/ocean/pgas/"+name+"/target2"] = digest(metricsJSON(t, r))
 	}
+
+	// DASH with caches small enough that Ocean evicts: the run must
+	// differ from the default-sized one, or nothing was evicted.
+	var dashOcean [2]string
+	for i, cacheBytes := range []int{dash.DefaultConfig(8, dash.Locality).CacheBytes, 8 << 10} {
+		cfg := dash.DefaultConfig(8, dash.Locality)
+		cfg.CacheBytes = cacheBytes
+		m := dash.New(cfg)
+		obs := obsv.New(8)
+		m.Sink = obs
+		rt := jade.New(m, jade.Config{})
+		ocean.Run(rt, ocean.Small())
+		r := rt.Finish()
+		r.Obsv = obs.Snapshot(0)
+		dashOcean[i] = digest(metricsJSON(t, r))
+	}
+	if dashOcean[0] == dashOcean[1] {
+		t.Fatal("direct/ocean/dash/8/cache8k: the small cache changed nothing")
+	}
+	got["direct/ocean/dash/8/cache8k"] = dashOcean[1]
 
 	for _, machine := range []string{"dash", "ipsc", "pgas", "cluster"} {
 		p, snapshot := observedMachine(machine, 4)
