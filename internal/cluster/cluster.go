@@ -93,6 +93,8 @@ type Machine struct {
 	// stores[p][id] is the version workstation p has a copy of, or -1.
 	owner  []int
 	stores [][]jade.Version
+	// replyH lands a fetch reply; it takes a kit message index.
+	replyH sim.Handler
 }
 
 var (
@@ -112,6 +114,7 @@ func New(cfg Config) *Machine {
 		TargetTasks: 1,
 	}, m)
 	m.bus = sim.MakeProcessor(m.Eng)
+	m.replyH = m.Eng.RegisterHandler(m.reply)
 	return m
 }
 
@@ -205,33 +208,37 @@ func (m *Machine) PickPooled(p int) int {
 // on the shared medium).
 func (m *Machine) Arrive(ts *machine.TaskState) {
 	p := ts.Proc
-	var toFetch []jade.Access
 	for _, a := range ts.T.Accesses {
 		if a.Reads() && m.stores[p][a.Obj.ID] != a.RequiredVersion {
-			toFetch = append(toFetch, a)
+			m.Gather(a, m.owner[a.Obj.ID])
 		}
 	}
-	if len(toFetch) == 0 {
+	// Uncoalesced: every message carries one object.
+	msgs := m.StartFetch(ts, false)
+	if len(msgs) == 0 {
 		m.Ready(ts)
 		return
 	}
-	// Uncoalesced: every message carries one object, so no destination
-	// is needed to group them.
-	for _, batch := range m.StartFetch(ts, toFetch, nil, false) {
-		a := batch[0]
-		issued := m.Eng.Now()
-		req := m.bus.Submit(issued, sim.Time(m.cfg.busTime(m.cfg.RequestBytes)), nil)
-		rep := m.bus.Submit(req+sim.Time(m.cfg.MsgLatencySec), sim.Time(m.cfg.busTime(a.Obj.Size)), nil)
-		m.Eng.At(rep+sim.Time(m.cfg.MsgLatencySec), func() {
-			m.stores[p][a.Obj.ID] = a.RequiredVersion
-			m.Metrics.MsgBytes += int64(a.Obj.Size)
-			m.Metrics.MsgCount++
-			m.Metrics.ReplicatedReads++
-			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
-				At: float64(issued), End: float64(m.Eng.Now()), Flag: m.owner[a.Obj.ID] != p})
-			m.Fetched(ts)
-		})
+	for _, i := range msgs {
+		msg := m.Msg(i)
+		msg.Issued = m.Eng.Now()
+		req := m.bus.Submit(msg.Issued, sim.Time(m.cfg.busTime(m.cfg.RequestBytes)), nil)
+		rep := m.bus.Submit(req+sim.Time(m.cfg.MsgLatencySec), sim.Time(m.cfg.busTime(msg.Batch[0].Obj.Size)), nil)
+		m.Eng.AtCall(rep+sim.Time(m.cfg.MsgLatencySec), m.replyH, i)
 	}
+}
+
+// reply lands fetch message i's object at the requesting workstation.
+func (m *Machine) reply(i int32) {
+	msg := m.Msg(i)
+	p, a := msg.TS.Proc, msg.Batch[0]
+	m.stores[p][a.Obj.ID] = a.RequiredVersion
+	m.Metrics.MsgBytes += int64(a.Obj.Size)
+	m.Metrics.MsgCount++
+	m.Metrics.ReplicatedReads++
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
+		At: float64(msg.Issued), End: float64(m.Eng.Now()), Flag: m.owner[a.Obj.ID] != p})
+	m.Fetched(i)
 }
 
 // Release implements machine.Model: the workstation owns each released

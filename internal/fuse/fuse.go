@@ -1,7 +1,6 @@
 // Package fuse holds the shared pieces of the granularity optimization
-// pass: the fusion knobs, the destination coalescer both machine
-// models batch messages with, and the process-wide counters the
-// serving layer exposes.
+// pass: the fusion knobs and the process-wide counters the serving
+// layer exposes.
 //
 // The paper's Figures 10-11 and 20-21 show task-management overhead
 // swamping the communication optimizations at fine granularity — the
@@ -9,12 +8,13 @@
 // task fusion (chains of tiny tasks with nested access specs collapse
 // into one scheduled unit; see graph.Fuse) and message coalescing
 // (same-destination fetches issued in one scheduling quantum share one
-// header; see GroupByDest). Both are toggles, exactly like the paper's
+// header; the machine kit's message records group them, see
+// machine.Central.Group). Both are toggles, exactly like the paper's
 // own optimization levels, so every experiment can measure them on and
 // off.
 //
 // The package is a leaf: it imports nothing from the rest of the
-// repository, so the graph layer, both machine models, the experiment
+// repository, so the graph layer, the machine models, the experiment
 // drivers, and the server can all share it without cycles.
 package fuse
 
@@ -49,52 +49,6 @@ func DefaultOptions() Options {
 
 // Enabled reports whether the options can fuse anything at all.
 func (o Options) Enabled() bool { return o.MaxChain >= 2 }
-
-// GroupByDest partitions items into batches by destination, preserving
-// first-appearance order of both the destinations and the items within
-// each batch, so the result is deterministic for a deterministic input
-// order. With on=false every item becomes its own singleton batch (the
-// uncoalesced shape), which lets call sites keep one code path for
-// both settings.
-//
-// This is the shared coalescer: the PGAS model groups same-home remote
-// gets with it, and the iPSC model groups same-owner object fetches.
-// Each batch then pays one message header instead of one per item.
-func GroupByDest[T any](items []T, dest func(T) int, on bool) [][]T {
-	if len(items) == 0 {
-		return nil
-	}
-	if !on {
-		out := make([][]T, len(items))
-		for i := range items {
-			out[i] = items[i : i+1 : i+1]
-		}
-		return out
-	}
-	var out [][]T
-	// Destination counts here are processor counts (tens), so a linear
-	// scan over the open batches beats a map allocation.
-	idx := make([]int, 0, 8)   // open batch index per seen destination
-	dests := make([]int, 0, 8) // seen destinations, first-appearance order
-	for _, it := range items {
-		d := dest(it)
-		found := -1
-		for k, seen := range dests {
-			if seen == d {
-				found = idx[k]
-				break
-			}
-		}
-		if found < 0 {
-			dests = append(dests, d)
-			idx = append(idx, len(out))
-			out = append(out, []T{it})
-			continue
-		}
-		out[found] = append(out[found], it)
-	}
-	return out
-}
 
 // Counters is a snapshot of the process-wide granularity-pass totals,
 // as exposed through /metricz and the Prometheus exposition.

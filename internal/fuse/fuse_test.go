@@ -1,9 +1,6 @@
 package fuse
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestOptionsEnabled(t *testing.T) {
 	cases := []struct {
@@ -19,59 +16,6 @@ func TestOptionsEnabled(t *testing.T) {
 		if got := c.opt.Enabled(); got != c.want {
 			t.Errorf("Options%+v.Enabled() = %t, want %t", c.opt, got, c.want)
 		}
-	}
-}
-
-func TestGroupByDestEmpty(t *testing.T) {
-	id := func(x int) int { return x }
-	if g := GroupByDest(nil, id, true); g != nil {
-		t.Fatalf("GroupByDest(nil, on) = %v, want nil", g)
-	}
-	if g := GroupByDest([]int{}, id, false); g != nil {
-		t.Fatalf("GroupByDest(empty, off) = %v, want nil", g)
-	}
-}
-
-func TestGroupByDestOffIsSingletons(t *testing.T) {
-	items := []int{3, 1, 3, 2}
-	got := GroupByDest(items, func(x int) int { return x }, false)
-	want := [][]int{{3}, {1}, {3}, {2}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("off-path groups = %v, want %v", got, want)
-	}
-	// Each singleton must be full-capacity so an append by the caller
-	// cannot scribble over the next item in the backing array.
-	for i, b := range got {
-		if cap(b) != 1 {
-			t.Fatalf("batch %d has cap %d, want 1 (full slice expression)", i, cap(b))
-		}
-	}
-}
-
-func TestGroupByDestOnGroupsByFirstAppearance(t *testing.T) {
-	type fetch struct {
-		owner int
-		obj   string
-	}
-	items := []fetch{
-		{2, "a"}, {0, "b"}, {2, "c"}, {1, "d"}, {0, "e"}, {2, "f"},
-	}
-	got := GroupByDest(items, func(f fetch) int { return f.owner }, true)
-	want := [][]fetch{
-		{{2, "a"}, {2, "c"}, {2, "f"}},
-		{{0, "b"}, {0, "e"}},
-		{{1, "d"}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("on-path groups = %v, want %v", got, want)
-	}
-}
-
-func TestGroupByDestSingleDestination(t *testing.T) {
-	items := []int{7, 8, 9}
-	got := GroupByDest(items, func(int) int { return 4 }, true)
-	if len(got) != 1 || !reflect.DeepEqual(got[0], items) {
-		t.Fatalf("single-destination groups = %v, want one batch of all items", got)
 	}
 }
 

@@ -56,6 +56,11 @@ type Machine struct {
 	osSlab   machine.Arena[objState]
 	fcfsNext int // rotating pointer for NoLocality FCFS
 
+	// The message legs, each a registered handler taking a kit message
+	// index: a fetch's request and reply, a broadcast's arrival at
+	// every node, and an eager update's push.
+	requestH, replyH, bcastH, pushH sim.Handler
+
 	// Inj, when non-nil, injects deterministic faults: message drops
 	// recovered by the retransmit protocol, in-flight duplicates,
 	// per-link bandwidth degradation, and straggling processors. A nil
@@ -89,6 +94,10 @@ func New(cfg Config) *Machine {
 	for i := range m.nodes {
 		m.nodes[i].nic = sim.MakeProcessor(m.Eng)
 	}
+	m.requestH = m.Eng.RegisterHandler(m.request)
+	m.replyH = m.Eng.RegisterHandler(m.reply)
+	m.bcastH = m.Eng.RegisterHandler(m.bcastArrived)
+	m.pushH = m.Eng.RegisterHandler(m.pushed)
 	return m
 }
 
@@ -139,22 +148,23 @@ func (m *Machine) CPUTime(p int, w float64) float64 {
 // lossy, not dead, and the simulation must terminate at any drop rate.
 const maxSendAttempts = 12
 
-// send models one point-to-point protocol message from -> to with the
-// given payload: NIC occupancy on the sender (starting no earlier than
-// at), wire latency, then deliver at the receiver. With a fault
-// injector attached the transmission may be dropped — the sender
-// detects the loss by a timeout derived from the cost model (data
-// occupancy + round-trip wire latency + the ack push) and retransmits
-// with exponential backoff and deterministic jitter — or duplicated in
+// Send implements machine.Model: one point-to-point protocol message
+// from -> to with the given payload costs NIC occupancy on the sender
+// (starting no earlier than at) and the wire latency, then h(arg) runs
+// at the receiver as a pointer-free event. With a fault injector
+// attached the transmission may be dropped — the sender detects the
+// loss by a timeout derived from the cost model (data occupancy +
+// round-trip wire latency + the ack push) and retransmits with
+// exponential backoff and deterministic jitter — or duplicated in
 // flight, in which case the receiver discards the extra copy but the
-// sender NIC still pays for it. Without an injector the path is
-// byte-identical to the direct Submit/At sequence it replaced.
-func (m *Machine) send(at sim.Time, from, to, bytes int, deliver func()) {
+// sender NIC still pays for it. Only the retransmit protocol builds
+// closures.
+func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
 	occ := sim.Time(m.cfg.sendOccupancy(bytes))
 	lat := sim.Time(m.cfg.msgLatency(from, to))
 	if m.Inj == nil {
 		sent := m.nodes[from].nic.Submit(at, occ, nil)
-		m.Eng.At(sent+lat, deliver)
+		m.Eng.AtCall(sent+lat, h, arg)
 		return
 	}
 	occ = sim.Time(float64(occ) * m.Inj.LinkFactor(from, to))
@@ -179,24 +189,9 @@ func (m *Machine) send(at sim.Time, from, to, bytes int, deliver func()) {
 			m.nodes[from].nic.Submit(sent, occ, nil)
 		}
 		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Delivery, N: attempt + 1})
-		m.Eng.At(sent+lat, deliver)
+		m.Eng.AtCall(sent+lat, h, arg)
 	}
 	try(at, 0)
-}
-
-// Send implements machine.Model with the closure-free variant of send:
-// on the healthy path the delivery is scheduled as a pointer-free
-// h(arg) event. With an injector attached the retransmit protocol
-// needs its own closures anyway, so it delegates to send.
-func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
-	if m.Inj == nil {
-		occ := sim.Time(m.cfg.sendOccupancy(bytes))
-		lat := sim.Time(m.cfg.msgLatency(from, to))
-		sent := m.nodes[from].nic.Submit(at, occ, nil)
-		m.Eng.AtCall(sent+lat, h, arg)
-		return
-	}
-	m.send(at, from, to, bytes, func() { m.Eng.Invoke(h, arg) })
 }
 
 // Schedule implements machine.Model: the centralized scheduling
@@ -298,7 +293,6 @@ func (m *Machine) PickPooled(p int) int {
 // task will access (§3.4.3), in parallel when ConcurrentFetch is on.
 func (m *Machine) Arrive(ts *machine.TaskState) {
 	p := ts.Proc
-	var toFetch []jade.Access
 	for _, a := range ts.T.Accesses {
 		if !a.Reads() {
 			continue
@@ -307,81 +301,76 @@ func (m *Machine) Arrive(ts *machine.TaskState) {
 			m.noteAccess(a.Obj.ID, a.RequiredVersion, p)
 			continue
 		}
-		toFetch = append(toFetch, a)
+		m.Gather(a, m.objs[a.Obj.ID].owner)
 	}
-	if len(toFetch) == 0 {
+	// With coalescing on, same-owner fetches share one request/reply
+	// pair; off, every message carries one object and the path below is
+	// the classic per-object protocol.
+	msgs := m.StartFetch(ts, m.cfg.Coalescing)
+	if len(msgs) == 0 {
 		m.Ready(ts)
 		return
 	}
-	// With coalescing on, same-owner fetches share one request/reply
-	// pair; off, every batch is a singleton and the path below is the
-	// classic per-object protocol.
-	batches := m.StartFetch(ts, toFetch, func(a jade.Access) int {
-		return m.objs[a.Obj.ID].owner
-	}, m.cfg.Coalescing)
-	if m.cfg.ConcurrentFetch {
-		for _, b := range batches {
-			m.fetchBatch(ts, b, nil)
-		}
-	} else {
-		// Serial fetch chain: issue each request only after the
-		// previous object (batch) arrives.
-		var next func(i int)
-		next = func(i int) {
-			m.fetchBatch(ts, batches[i], func() {
-				if i+1 < len(batches) {
-					next(i + 1)
-				}
-			})
-		}
-		next(0)
+	if !m.cfg.ConcurrentFetch {
+		// Serial fetch chain: each reply issues the next message.
+		msgs = msgs[:1]
+	}
+	for _, i := range msgs {
+		m.fetch(i)
 	}
 }
 
-// fetchBatch issues one request/reply pair for a batch of same-owner
-// accesses; when the task's last batch arrives the task becomes ready.
-// Every batch is a singleton unless coalescing grouped them, so the
-// uncoalesced machine takes exactly the pre-coalescing path. A batch
-// travels as one message: under fault injection a drop loses the whole
-// batch and the retransmit protocol resends all of it (send retries
-// the full payload).
-func (m *Machine) fetchBatch(ts *machine.TaskState, batch []jade.Access, then func()) {
-	p := ts.Proc
-	owner := m.objs[batch[0].Obj.ID].owner
-	issued := m.Eng.Now()
+// fetch issues fetch message i's request to the current owner of its
+// objects. A batch travels as one message: under fault injection a
+// drop loses the whole batch and the retransmit protocol resends all
+// of it (Send retries the full payload).
+func (m *Machine) fetch(i int32) {
+	msg := m.Msg(i)
+	// A serial chain's later messages go to whoever owns their objects
+	// when they leave.
+	msg.Dest = m.objs[msg.Batch[0].Obj.ID].owner
+	msg.Issued = m.Eng.Now()
+	m.Send(msg.Issued, msg.TS.Proc, msg.Dest, m.cfg.RequestBytes, m.requestH, i)
+}
+
+// request handles a fetch request at the owner: it records the
+// accesses and replies with the batch's objects behind one message
+// header.
+func (m *Machine) request(i int32) {
+	msg := m.Msg(i)
+	p := msg.TS.Proc
 	size := 0
-	for _, a := range batch {
+	for _, a := range msg.Batch {
+		m.noteAccess(a.Obj.ID, a.RequiredVersion, p)
 		size += a.Obj.Size
 	}
+	m.Send(m.Eng.Now(), msg.Dest, p, size, m.replyH, i)
+}
 
-	// Request message: p → owner (one per batch).
-	m.send(issued, p, owner, m.cfg.RequestBytes, func() {
-		for _, a := range batch {
-			m.noteAccess(a.Obj.ID, a.RequiredVersion, p)
+// reply lands a fetch reply: the node stores the batch's versions, a
+// serial chain issues its next message, and the task becomes ready
+// when its last message is in.
+func (m *Machine) reply(i int32) {
+	msg := m.Msg(i)
+	p, owner := msg.TS.Proc, msg.Dest
+	now := m.Eng.Now()
+	for _, a := range msg.Batch {
+		o := a.Obj
+		m.nodes[p].store[o.ID] = a.RequiredVersion
+		m.Metrics.MsgBytes += int64(o.Size)
+		if owner != p {
+			m.Metrics.ReplicatedReads++
 		}
-		// Reply: owner → p, carrying the batch's objects behind one
-		// message header.
-		m.send(m.Eng.Now(), owner, p, size, func() {
-			now := m.Eng.Now()
-			for _, a := range batch {
-				o := a.Obj
-				m.nodes[p].store[o.ID] = a.RequiredVersion
-				m.Metrics.MsgBytes += int64(o.Size)
-				if owner != p {
-					m.Metrics.ReplicatedReads++
-				}
-				m.Metrics.ObjectLatency += float64(now - issued)
-				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
-					At: float64(issued), End: float64(now), Flag: owner != p})
-			}
-			m.Metrics.MsgCount++
-			m.Metrics.MsgsCoalesced += int64(len(batch) - 1)
-			if then != nil {
-				then()
-			}
-			m.Fetched(ts)
-		})
-	})
+		m.Metrics.ObjectLatency += float64(now - msg.Issued)
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+			At: float64(msg.Issued), End: float64(now), Flag: owner != p})
+	}
+	m.Metrics.MsgCount++
+	m.Metrics.MsgsCoalesced += int64(len(msg.Batch) - 1)
+	if !m.cfg.ConcurrentFetch && msg.Next >= 0 {
+		m.fetch(msg.Next)
+	}
+	m.Fetched(i)
 }
 
 // noteAccess records that processor p accessed the current version of
@@ -455,14 +444,19 @@ func (m *Machine) produce(o *jade.Object, v jade.Version, p int) {
 		m.Metrics.MsgBytes += int64(o.Size) * int64(m.cfg.Procs-1)
 		m.Metrics.MsgCount += int64(m.cfg.Procs - 1)
 	}
-	m.Eng.At(arrive, func() {
-		if st.version != v {
-			return // already superseded
-		}
+	m.Eng.AtCall(arrive, m.bcastH, m.NewMsg(p, jade.Access{Obj: o, RequiredVersion: v}))
+}
+
+// bcastArrived lands broadcast message i: every node now holds the
+// version, unless a newer one superseded it in flight.
+func (m *Machine) bcastArrived(i int32) {
+	a := m.Msg(i).Batch[0]
+	if m.objs[a.Obj.ID].version == a.RequiredVersion {
 		for q := range m.nodes {
-			m.nodes[q].store[o.ID] = v
+			m.nodes[q].store[a.Obj.ID] = a.RequiredVersion
 		}
-	})
+	}
+	m.FreeMsg(i)
 }
 
 // eagerUpdate implements the §6 update protocol: push the new version
@@ -471,7 +465,6 @@ func (m *Machine) produce(o *jade.Object, v jade.Version, p int) {
 // that never reads the version again makes the transfer pure waste,
 // which is exactly how the protocol degrades irregular applications.
 func (m *Machine) eagerUpdate(o *jade.Object, v jade.Version, p int, readers procSet) {
-	st := m.objs[o.ID]
 	// Deterministic order.
 	for q := 0; q < m.cfg.Procs; q++ {
 		if q == p || !readers.has(q) {
@@ -479,13 +472,18 @@ func (m *Machine) eagerUpdate(o *jade.Object, v jade.Version, p int, readers pro
 		}
 		m.Metrics.MsgBytes += int64(o.Size)
 		m.Metrics.MsgCount++
-		m.send(m.Eng.Now(), p, q, o.Size, func() {
-			if st.version != v {
-				return // superseded in flight
-			}
-			m.nodes[q].store[o.ID] = v
-		})
+		m.Send(m.Eng.Now(), p, q, o.Size, m.pushH, m.NewMsg(q, jade.Access{Obj: o, RequiredVersion: v}))
 	}
+}
+
+// pushed lands update push i at its reader, unless a newer version
+// superseded it in flight.
+func (m *Machine) pushed(i int32) {
+	msg := m.Msg(i)
+	if a := msg.Batch[0]; m.objs[a.Obj.ID].version == a.RequiredVersion {
+		m.nodes[msg.Dest].store[a.Obj.ID] = a.RequiredVersion
+	}
+	m.FreeMsg(i)
 }
 
 // MainTouches implements jade.Platform: serial phases fetch the

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 
-	"repro/internal/fuse"
 	"repro/internal/jade"
 	"repro/internal/obsv"
 	"repro/internal/sim"
@@ -26,8 +25,9 @@ type Model interface {
 	// h(arg) for its arrival.
 	Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32)
 	// Arrive runs when ts reaches processor ts.Proc in a run with work.
-	// It fetches what the task reads (StartFetch, then Fetched as each
-	// message lands) or, if nothing is missing, calls Ready.
+	// It fetches what the task reads (Gather each miss, StartFetch,
+	// then Fetched as each message lands) or, if nothing is missing,
+	// calls Ready.
 	Arrive(ts *TaskState)
 	// CPUTime is how long processor p takes for w seconds of
 	// reference-processor work.
@@ -72,6 +72,37 @@ type TaskState struct {
 	firstReq, lastArrive, start sim.Time
 }
 
+// Msg is one kit-owned protocol message: a batch of object versions
+// bound for one processor. Fetches, update pushes, broadcasts and
+// write-backs all travel as Msgs, and their legs are registered
+// handlers scheduled with the message's index as the int32 argument,
+// so the timed path recycles records instead of allocating a closure
+// and a batch per message.
+type Msg struct {
+	// TS is the task whose fetch sent the message, or nil for traffic
+	// outside any task's fetch stall.
+	TS *TaskState
+	// Dest is the processor the batch was grouped by: the owner or home
+	// its objects come from or go to.
+	Dest int
+	// Batch holds the accesses the message carries: for a fetch, the
+	// versions the task requires; otherwise the versions delivered. A
+	// recycled record keeps the slice's capacity.
+	Batch []jade.Access
+	// Issued is when the message left.
+	Issued sim.Time
+	// Next is the following message of the same Group, or -1; a serial
+	// fetch issues each message once the previous one lands.
+	Next int32
+}
+
+// gathered is an access queued for the next Group, with the
+// destination it is grouped by.
+type gathered struct {
+	a    jade.Access
+	dest int
+}
+
 // Central is Core plus the centralized scheduler on processor 0 and
 // the task life cycle: assign → arrive → fetch → run (whole or staged)
 // → complete → completion notice → load−− → pool drain.
@@ -93,6 +124,14 @@ type Central struct {
 	// in the order they were pushed, and one handler per processor
 	// serves every completion.
 	inflight []fifo
+
+	// msgs is the message slab; freeMsgs lists its recycled records.
+	// gather queues accesses for the next Group, and grouped holds
+	// Group's result; both are reused from call to call.
+	msgs     []Msg
+	freeMsgs []int32
+	gather   []gathered
+	grouped  []int32
 
 	arrivedH, execDoneH, notifyH, freedH sim.Handler
 }
@@ -185,21 +224,97 @@ func (c *Central) assign(ts *TaskState, p int) {
 	c.model.Send(decided, 0, p, c.par.TaskMsgBytes, c.arrivedH, ts.idx)
 }
 
-// StartFetch opens ts's fetch stall for the reads it misses: one
-// message per destination when coalesce is on, one per object
-// otherwise. The caller sends the returned messages and calls Fetched
-// as each lands.
-func (c *Central) StartFetch(ts *TaskState, reads []jade.Access, dest func(jade.Access) int, coalesce bool) [][]jade.Access {
-	msgs := fuse.GroupByDest(reads, dest, coalesce)
+// Gather queues access a, grouped by processor dest, for the next
+// Group or StartFetch.
+func (c *Central) Gather(a jade.Access, dest int) {
+	c.gather = append(c.gather, gathered{a, dest})
+}
+
+// Group turns the gathered accesses into messages and returns their
+// indices, linked through Next in the same order. With coalesce on
+// there is one message per destination, and both the destinations and
+// the accesses within each batch keep their first-appearance order, so
+// the result is deterministic for a deterministic input order; off,
+// every access is a message of its own. The returned slice is reused
+// by the next call.
+func (c *Central) Group(coalesce bool) []int32 {
+	c.grouped = c.grouped[:0]
+	for _, g := range c.gather {
+		i := int32(-1)
+		if coalesce {
+			// Destination counts are processor counts (tens), so a
+			// linear scan over the open batches is cheapest.
+			for _, j := range c.grouped {
+				if c.msgs[j].Dest == g.dest {
+					i = j
+					break
+				}
+			}
+		}
+		if i < 0 {
+			i = c.NewMsg(g.dest)
+			if n := len(c.grouped); n > 0 {
+				c.msgs[c.grouped[n-1]].Next = i
+			}
+			c.grouped = append(c.grouped, i)
+		}
+		c.msgs[i].Batch = append(c.msgs[i].Batch, g.a)
+	}
+	c.gather = c.gather[:0]
+	return c.grouped
+}
+
+// NewMsg returns the index of a message carrying batch to dest,
+// reusing a recycled record when there is one.
+func (c *Central) NewMsg(dest int, batch ...jade.Access) int32 {
+	var i int32
+	if n := len(c.freeMsgs); n > 0 {
+		i = c.freeMsgs[n-1]
+		c.freeMsgs = c.freeMsgs[:n-1]
+	} else {
+		c.msgs = append(c.msgs, Msg{})
+		i = int32(len(c.msgs) - 1)
+	}
+	m := &c.msgs[i]
+	m.TS, m.Dest, m.Batch, m.Issued, m.Next = nil, dest, append(m.Batch[:0], batch...), 0, -1
+	return i
+}
+
+// Msg returns message i. The pointer is valid until the next Group or
+// NewMsg, which may move the slab.
+func (c *Central) Msg(i int32) *Msg { return &c.msgs[i] }
+
+// FreeMsg recycles message i once its last leg has landed.
+func (c *Central) FreeMsg(i int32) {
+	c.msgs[i].TS = nil
+	c.freeMsgs = append(c.freeMsgs, i)
+}
+
+// StartFetch groups the reads of ts gathered as misses into fetch
+// messages, one per destination when coalesce is on, and opens the
+// task's fetch stall. The caller sends the messages (Group's slice)
+// and calls Fetched as each lands. With nothing gathered it returns an
+// empty slice and leaves ts alone.
+func (c *Central) StartFetch(ts *TaskState, coalesce bool) []int32 {
+	reads := len(c.gather)
+	if reads == 0 {
+		return nil
+	}
+	msgs := c.Group(coalesce)
+	for _, i := range msgs {
+		c.msgs[i].TS = ts
+	}
 	ts.needed = len(msgs)
 	ts.firstReq = c.Eng.Now()
-	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.FetchStart, Proc: ts.Proc, Task: int(ts.T.ID), N: len(reads), At: float64(ts.firstReq)})
+	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.FetchStart, Proc: ts.Proc, Task: int(ts.T.ID), N: reads, At: float64(ts.firstReq)})
 	return msgs
 }
 
-// Fetched records one fetch message's arrival; the last one ends the
-// stall and readies the task.
-func (c *Central) Fetched(ts *TaskState) {
+// Fetched records the arrival of fetch message i and recycles it; the
+// task's last message ends the stall and readies the task.
+func (c *Central) Fetched(i int32) {
+	ts := c.msgs[i].TS
+	c.FreeMsg(i)
 	if now := c.Eng.Now(); now > ts.lastArrive {
 		ts.lastArrive = now
 	}

@@ -2,7 +2,6 @@ package pgas
 
 import (
 	"repro/internal/fault"
-	"repro/internal/fuse"
 	"repro/internal/jade"
 	"repro/internal/machine"
 	"repro/internal/obsv"
@@ -11,13 +10,6 @@ import (
 
 // absentVersion marks an object not present in a locale's cache.
 const absentVersion jade.Version = -1
-
-// wbItem is one write-back: a produced object version headed for its
-// home segment.
-type wbItem struct {
-	o *jade.Object
-	v jade.Version
-}
 
 // Machine is the PGAS platform: the kit's centralized scheduler over
 // the one-sided cost model, the owner-computes policy and a software
@@ -35,6 +27,10 @@ type Machine struct {
 	// absentVersion. The home locale always holds the authoritative
 	// copy of its segment's objects.
 	stores [][]jade.Version
+
+	// gotH lands a get's data leg and putH a write-back; both take a
+	// kit message index.
+	gotH, putH sim.Handler
 
 	// Inj, when non-nil, injects deterministic faults: remote-op
 	// latency inflation on victim locales, degraded links, and
@@ -64,6 +60,8 @@ func New(cfg Config) *Machine {
 	for i := range m.nics {
 		m.nics[i] = sim.MakeProcessor(m.Eng)
 	}
+	m.gotH = m.Eng.RegisterHandler(m.got)
+	m.putH = m.Eng.RegisterHandler(m.put)
 	return m
 }
 
@@ -105,7 +103,6 @@ func (m *Machine) SerialWork(d float64) {
 // aggregation is on) and write back produced versions.
 func (m *Machine) MainTouches(accs []jade.Access) {
 	store := m.stores[0]
-	var fetch []jade.Access
 	for _, a := range accs {
 		if !a.Reads() {
 			continue
@@ -120,10 +117,10 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 			m.Metrics.LocalBytes += int64(o.Size)
 			continue
 		}
-		fetch = append(fetch, a)
+		m.Gather(a, o.Home)
 	}
-	for _, batch := range fuse.GroupByDest(fetch, accessHome, m.cfg.Aggregation) {
-		h := batch[0].Obj.Home
+	for _, i := range m.Group(m.cfg.Aggregation) {
+		batch, h := m.Msg(i).Batch, m.Msg(i).Dest
 		bytes := 0
 		for _, a := range batch {
 			bytes += a.Obj.Size
@@ -142,20 +139,16 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 				At: float64(issued), End: float64(arrive), Flag: true})
 		}
 		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
+		m.FreeMsg(i)
 	}
-	var flush []wbItem
 	for _, a := range accs {
-		if !a.Writes() {
-			continue
-		}
-		o := a.Obj
-		v := a.RequiredVersion + 1
-		store[o.ID] = v
-		if o.Home != 0 {
-			flush = append(flush, wbItem{o, v})
+		if a.Writes() {
+			v := a.RequiredVersion + 1
+			store[a.Obj.ID] = v
+			m.writeBack(0, a.Obj, v)
 		}
 	}
-	m.flushWrites(0, flush)
+	m.flushWrites(0)
 }
 
 // Schedule implements machine.Model. The affinity target is the home
@@ -217,7 +210,6 @@ func (m *Machine) countMsg(ops, bytes int) {
 func (m *Machine) Arrive(ts *machine.TaskState) {
 	p := ts.Proc
 	store := m.stores[p]
-	var fetch []jade.Access
 	for _, a := range ts.T.Accesses {
 		if !a.Reads() {
 			continue
@@ -234,62 +226,65 @@ func (m *Machine) Arrive(ts *machine.TaskState) {
 			m.Metrics.LocalBytes += int64(o.Size)
 			continue
 		}
-		fetch = append(fetch, a)
+		m.Gather(a, o.Home)
 	}
-	if len(fetch) == 0 {
+	msgs := m.StartFetch(ts, m.cfg.Aggregation)
+	if len(msgs) == 0 {
 		m.Ready(ts)
 		return
 	}
-	for _, b := range m.StartFetch(ts, fetch, accessHome, m.cfg.Aggregation) {
-		m.get(ts, b)
+	for _, i := range msgs {
+		m.get(i)
 	}
 }
 
-// get issues one one-sided (possibly batched) remote get: the request
-// descriptor occupies the issuing NIC, the data leg the home NIC, and
-// each leg pays the wire latency.
-func (m *Machine) get(ts *machine.TaskState, batch []jade.Access) {
-	p := ts.Proc
-	h := batch[0].Obj.Home
+// get issues fetch message i as one one-sided (possibly batched)
+// remote get: the request descriptor occupies the issuing NIC, the
+// data leg the home NIC, and each leg pays the wire latency.
+func (m *Machine) get(i int32) {
+	msg := m.Msg(i)
+	p, h := msg.TS.Proc, msg.Dest
 	bytes := 0
-	for _, a := range batch {
+	for _, a := range msg.Batch {
 		bytes += a.Obj.Size
 	}
-	issued := m.Eng.Now()
-	req := m.nics[p].Submit(issued, sim.Time(m.cfg.occupancy(0)*m.Inj.LinkFactor(p, h)), nil)
+	msg.Issued = m.Eng.Now()
+	req := m.nics[p].Submit(msg.Issued, sim.Time(m.cfg.occupancy(0)*m.Inj.LinkFactor(p, h)), nil)
 	rep := m.nics[h].Submit(req+m.latency(h), sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(h, p)), nil)
-	m.countMsg(len(batch), bytes)
-	m.Metrics.RemoteGets += int64(len(batch))
+	m.countMsg(len(msg.Batch), bytes)
+	m.Metrics.RemoteGets += int64(len(msg.Batch))
 	m.Metrics.RemoteBytes += int64(bytes)
-	m.Eng.At(rep+m.latency(h), func() {
-		now := m.Eng.Now()
-		lat := float64(now - issued)
-		for _, a := range batch {
-			m.stores[p][a.Obj.ID] = a.RequiredVersion
-			m.Metrics.ReplicatedReads++
-			m.Metrics.ObjectLatency += lat
-			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
-				At: float64(issued), End: float64(now), Flag: true})
-		}
-		m.Fetched(ts)
-	})
+	m.Eng.AtCall(rep+m.latency(h), m.gotH, i)
+}
+
+// got lands get i's data leg at the issuing locale.
+func (m *Machine) got(i int32) {
+	msg := m.Msg(i)
+	p := msg.TS.Proc
+	now := m.Eng.Now()
+	lat := float64(now - msg.Issued)
+	for _, a := range msg.Batch {
+		m.stores[p][a.Obj.ID] = a.RequiredVersion
+		m.Metrics.ReplicatedReads++
+		m.Metrics.ObjectLatency += lat
+		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
+			At: float64(msg.Issued), End: float64(now), Flag: true})
+	}
+	m.Fetched(i)
 }
 
 // Release implements machine.Model: a segment boundary writes the
 // released objects back to their homes, then enables their waiters.
 func (m *Machine) Release(ts *machine.TaskState, objs []*jade.Object) {
 	p := ts.Proc
-	var flush []wbItem
 	for _, o := range objs {
 		if a, ok := ts.T.AccessOn(o); ok && a.Writes() {
 			v := a.RequiredVersion + 1
 			m.stores[p][o.ID] = v
-			if o.Home != p {
-				flush = append(flush, wbItem{o, v})
-			}
+			m.writeBack(p, o, v)
 		}
 	}
-	m.flushWrites(p, flush)
+	m.flushWrites(p)
 	for _, o := range objs {
 		m.EnableReleased(ts.T, o)
 	}
@@ -301,7 +296,6 @@ func (m *Machine) Release(ts *machine.TaskState, objs []*jade.Object) {
 func (m *Machine) Complete(ts *machine.TaskState) {
 	p := ts.Proc
 	store := m.stores[p]
-	var flush []wbItem
 	for _, a := range ts.T.Accesses {
 		if !a.Writes() {
 			continue
@@ -313,45 +307,50 @@ func (m *Machine) Complete(ts *machine.TaskState) {
 			continue
 		}
 		store[o.ID] = v
-		if o.Home != p {
-			flush = append(flush, wbItem{o, v})
-		}
+		m.writeBack(p, o, v)
 	}
-	m.flushWrites(p, flush)
+	m.flushWrites(p)
 }
 
-// flushWrites issues one-sided puts carrying the produced versions to
+// writeBack queues version v of o, produced at locale p, for its home
+// segment; flushWrites sends the queue. Work-free runs still need the
+// version bookkeeping so later phases resolve, but skip the traffic
+// like task-level gets, so the home copy is installed at once.
+func (m *Machine) writeBack(p int, o *jade.Object, v jade.Version) {
+	switch {
+	case o.Home == p:
+	case m.RT.Config().WorkFree:
+		m.stores[o.Home][o.ID] = v
+	default:
+		m.Gather(jade.Access{Obj: o, RequiredVersion: v}, o.Home)
+	}
+}
+
+// flushWrites issues one-sided puts carrying the queued write-backs to
 // their home segments, batched per home when aggregation is on. The
 // puts occupy the issuing NIC and land asynchronously — completion
 // does not wait for them (release consistency); ordering correctness
 // comes from the synchronizer, the puts model the wire cost.
-func (m *Machine) flushWrites(p int, flush []wbItem) {
-	if len(flush) == 0 || m.RT.Config().WorkFree {
-		// Work-free runs still need version bookkeeping so later
-		// phases resolve, but skip the traffic like task-level gets.
-		for _, it := range flush {
-			m.stores[it.o.Home][it.o.ID] = it.v
-		}
-		return
-	}
-	for _, batch := range fuse.GroupByDest(flush, wbHome, m.cfg.Aggregation) {
-		h := batch[0].o.Home
+func (m *Machine) flushWrites(p int) {
+	for _, i := range m.Group(m.cfg.Aggregation) {
+		msg := m.Msg(i)
+		h := msg.Dest
 		bytes := 0
-		for _, it := range batch {
-			bytes += it.o.Size
+		for _, a := range msg.Batch {
+			bytes += a.Obj.Size
 		}
 		sent := m.nics[p].Submit(m.Eng.Now(), sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(p, h)), nil)
-		m.countMsg(len(batch), bytes)
-		m.Metrics.RemotePuts += int64(len(batch))
-		m.Eng.At(sent+m.latency(h), func() {
-			for _, it := range batch {
-				m.stores[h][it.o.ID] = it.v
-			}
-		})
+		m.countMsg(len(msg.Batch), bytes)
+		m.Metrics.RemotePuts += int64(len(msg.Batch))
+		m.Eng.AtCall(sent+m.latency(h), m.putH, i)
 	}
 }
 
-// accessHome and wbHome key the aggregation grouping: per-home
-// batches, in the first-appearance order of homes.
-func accessHome(a jade.Access) int { return a.Obj.Home }
-func wbHome(it wbItem) int         { return it.o.Home }
+// put lands write-back i in its home segment.
+func (m *Machine) put(i int32) {
+	msg := m.Msg(i)
+	for _, a := range msg.Batch {
+		m.stores[msg.Dest][a.Obj.ID] = a.RequiredVersion
+	}
+	m.FreeMsg(i)
+}
