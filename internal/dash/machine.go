@@ -346,8 +346,10 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 	c := m.caches[p]
 	if c == nil {
 		// Caches are built on first access so work-free runs — which
-		// never cost accesses — don't pay a list+map pair per processor.
-		c = newCache(m.cfg.CacheBytes)
+		// never cost accesses — don't pay a slot table per processor.
+		// The table is sized for every object the run has reserved or
+		// allocated so far.
+		c = newCache(m.cfg.CacheBytes, cap(m.lastWriter))
 		m.caches[p] = c
 	}
 	resulting := a.RequiredVersion
