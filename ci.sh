@@ -87,7 +87,8 @@ echo "== go test -race (concurrent packages) =="
 # one graph is exercised under -race here as well. The routing tier
 # (hedged attempts racing each other, health transitions under
 # concurrent requests) and the load generator's worker pool join the
-# set.
+# set. The graph package's timed-replay allocation guard builds only
+# without -race (the detector instruments allocation); go test runs it.
 go test -race ./internal/native ./internal/jade ./internal/jade/graph ./internal/serve ./internal/experiments ./internal/fault ./internal/fuse ./internal/pgas ./internal/apps/spmv ./internal/router ./internal/load
 
 echo "== jadebench -json smoke =="

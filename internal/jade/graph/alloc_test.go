@@ -1,0 +1,54 @@
+//go:build !race
+
+package graph
+
+import (
+	"testing"
+
+	"repro/internal/apps/cholesky"
+	"repro/internal/dash"
+	"repro/internal/ipsc"
+	"repro/internal/jade"
+)
+
+// TestTimedReplayAllocations guards the timed message path. Replaying
+// a captured timed graph onto a fresh machine allocates the machine,
+// the runtime's replay state and a few recycled message records, but
+// nothing per message: fetches, replies and pushes are kit records
+// driven by registered handlers, and DASH caches are dense LRUs. Each
+// bound is 1.25× the count measured when it was set (on Go 1.24); the
+// per-message design allocated 3–18× more, and one closure per fetch
+// message breaks every iPSC bound. The race detector instruments
+// allocation, so the test builds only without it.
+func TestTimedReplayAllocations(t *testing.T) {
+	cfg := cholesky.Small()
+	w := cholesky.NewWorkload(cfg)
+	g := Capture(8, false, func(rt *jade.Runtime) { cholesky.Run(rt, cfg, w) })
+	check := func(name string, bound float64, fresh func() jade.Platform) {
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := g.Replay(fresh(), jade.Config{}); err != nil {
+				panic(err)
+			}
+		})
+		if got > bound {
+			t.Errorf("%s: %.0f allocations per timed replay, bound %.0f", name, got, bound)
+		}
+	}
+	for _, c := range []struct {
+		name                   string
+		coalescing, concurrent bool
+		bound                  float64
+	}{
+		{"ipsc", false, true, 93},
+		{"ipsc/coalescing", true, true, 98},
+		{"ipsc/serial", false, false, 98},
+		{"ipsc/coalescing/serial", true, false, 98},
+	} {
+		check(c.name, c.bound, func() jade.Platform {
+			mc := ipsc.DefaultConfig(8, ipsc.Locality)
+			mc.Coalescing, mc.ConcurrentFetch = c.coalescing, c.concurrent
+			return ipsc.New(mc)
+		})
+	}
+	check("dash", 159, func() jade.Platform { return dash.New(dash.DefaultConfig(8, dash.Locality)) })
+}
