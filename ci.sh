@@ -252,7 +252,8 @@ grep -q '"status": "done"' "$tmp/postchaos.json" ||
 echo "== jaderouter smoke =="
 # The routing tier in front of three embedded jaded backends: a routed
 # submission must name its serving backend, echo the caller's trace ID,
-# and the router must export the jaderouter_* metric families.
+# an async job must round-trip through the router's own job table, and
+# the router must export the jaderouter_* metric families.
 go build -o "$tmp/jaderouter" ./cmd/jaderouter
 "$tmp/jaderouter" -addr 127.0.0.1:0 -embed 3 -workers 1 \
     >"$tmp/router.log" 2>"$tmp/router.stderr" &
@@ -278,6 +279,24 @@ grep -qi '^X-Jade-Backend: jaded-' "$tmp/routed.hdr" ||
     { echo "jaderouter: response does not name its backend" >&2; cat "$tmp/routed.hdr" >&2; exit 1; }
 grep -qi '^X-Jade-Trace: ' "$tmp/routed.hdr" ||
     { echo "jaderouter: response carried no trace ID" >&2; cat "$tmp/routed.hdr" >&2; exit 1; }
+# An async submission gets 202 and a job ID the router minted; the
+# router runs the job itself and answers the poll from its own table.
+async_spec='{"schema":"jade-job/v1","experiments":["table2"],"scale":"small"}'
+code=$(curl -sS -o "$tmp/async.json" -w '%{http_code}' -X POST -d "$async_spec" "http://$raddr/v1/jobs")
+[ "$code" = 202 ] ||
+    { echo "jaderouter: async submit returned $code, want 202" >&2; cat "$tmp/async.json" >&2; exit 1; }
+async_id=$(sed -n 's/^  "id": "\([^"]*\)",$/\1/p' "$tmp/async.json")
+[ -n "$async_id" ] || { echo "jaderouter: no job id in the 202" >&2; cat "$tmp/async.json" >&2; exit 1; }
+i=0
+while [ $i -lt 100 ]; do
+    curl -fsS "http://$raddr/v1/jobs/$async_id" >"$tmp/polled.json"
+    grep -q -e '"status": "done"' -e '"status": "failed"' "$tmp/polled.json" && break
+    sleep 0.1
+    i=$((i + 1))
+done
+grep -q '"status": "done"' "$tmp/polled.json" ||
+    { echo "jaderouter: async job $async_id did not finish" >&2; cat "$tmp/polled.json" >&2; exit 1; }
+"$tmp/jsoncheck" schema id status result.schema <"$tmp/polled.json"
 curl -fsS "http://$raddr/metricz" |
     "$tmp/jsoncheck" schema counters.routed counters.failovers backends
 curl -fsS "http://$raddr/metricz?format=prom" |

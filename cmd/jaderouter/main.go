@@ -28,8 +28,13 @@
 //
 //	POST /v1/jobs        submit (?sync=1 blocks); X-Jade-Backend names
 //	                     the serving backend, X-Jade-Hedged/-Stale
-//	                     report hedging and degraded mode
-//	GET  /v1/jobs/{id}   async status poll, routed to the job's owner
+//	                     report hedging and degraded mode. Without
+//	                     ?sync=1 the router answers 202 with its own
+//	                     job ID (no backend named) and runs the job
+//	                     itself, with the same hedging and failover,
+//	                     bounded by -request-timeout
+//	GET  /v1/jobs/{id}   async status poll, answered from the router's
+//	                     job table (no backend involved)
 //	GET  /v1/experiments jade-catalog/v1
 //	GET  /healthz        jaderouter-health/v1 per-backend states
 //	GET  /metricz        jaderouter-metrics/v1 (?format=prom)
@@ -64,7 +69,7 @@ func main() {
 		vnodes        = flag.Int("vnodes", router.DefaultVNodes, "virtual nodes per backend on the hash ring")
 		hedgeAfter    = flag.Duration("hedge-after", 25*time.Millisecond, "hedge delay before latency history exists")
 		noHedging     = flag.Bool("no-hedging", false, "disable request hedging")
-		reqTimeout    = flag.Duration("request-timeout", 30*time.Second, "end-to-end routed request timeout")
+		reqTimeout    = flag.Duration("request-timeout", 30*time.Second, "end-to-end routed request timeout (async jobs included)")
 		staleEntries  = flag.Int("stale-entries", 512, "stale-result cache entries for degraded mode (negative disables)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "active health-probe cadence (negative disables)")
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "per-probe timeout")

@@ -341,7 +341,7 @@ func runTopology(cfg *Config, p *plan, n int) (*TopologyReport, error) {
 				switch {
 				case res.Err != nil:
 					o.failed = true
-				case p.sync[i] || res.Doc.Status == serve.StatusDone:
+				case p.sync[i]:
 					o.cacheHit = res.Doc.CacheHit
 				default:
 					o.cacheHit, o.failed = pollToCompletion(tp.rt, cfg, res.Doc.ID)

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/serve"
 	"repro/internal/svcobs"
 )
@@ -25,10 +27,9 @@ type Backend interface {
 	Healthz(ctx context.Context) error
 	// Submit routes one canonical job spec; sync blocks for the
 	// terminal status document. The trace ID travels with the request
-	// so the backend's span tree correlates with the router's.
+	// so the backend's span tree correlates with the router's. The
+	// router always submits with sync true: it runs async jobs itself.
 	Submit(ctx context.Context, spec *serve.JobSpec, sync bool, traceID string) (*serve.JobStatus, error)
-	// Status polls a previously submitted async job.
-	Status(ctx context.Context, jobID string) (*serve.JobStatus, error)
 }
 
 // BackendError is a failed backend interaction, carrying the HTTP
@@ -84,14 +85,6 @@ func (b *LocalBackend) Submit(ctx context.Context, spec *serve.JobSpec, sync boo
 	return doc, nil
 }
 
-func (b *LocalBackend) Status(ctx context.Context, jobID string) (*serve.JobStatus, error) {
-	doc, ok := b.srv.Status(jobID)
-	if !ok {
-		return nil, &BackendError{Backend: b.name, Code: http.StatusNotFound, Msg: "unknown job " + jobID}
-	}
-	return doc, nil
-}
-
 // ---- HTTP backend ----
 
 // HTTPBackend is a jaded node reached over its HTTP API.
@@ -133,13 +126,16 @@ func (b *HTTPBackend) Healthz(ctx context.Context) error {
 	return nil
 }
 
+// Submit posts the spec to jaded. jaded serves ?sync=1 only at small
+// scale, so a sync submit at any other scale posts async and polls the
+// job on this backend until it ends.
 func (b *HTTPBackend) Submit(ctx context.Context, spec *serve.JobSpec, sync bool, traceID string) (*serve.JobStatus, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, &BackendError{Backend: b.name, Msg: "marshal spec: " + err.Error()}
 	}
 	url := b.base + "/v1/jobs"
-	if sync {
+	if sync && spec.Scale == string(experiments.Small) {
 		url += "?sync=1"
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
@@ -154,10 +150,16 @@ func (b *HTTPBackend) Submit(ctx context.Context, spec *serve.JobSpec, sync bool
 	if err != nil {
 		return nil, &BackendError{Backend: b.name, Msg: err.Error()}
 	}
-	return b.decodeStatus(resp)
+	doc, err := b.decodeStatus(resp)
+	for err == nil && sync && doc.Status != serve.StatusDone && doc.Status != serve.StatusFailed {
+		time.Sleep(10 * time.Millisecond)
+		doc, err = b.poll(ctx, doc.ID)
+	}
+	return doc, err
 }
 
-func (b *HTTPBackend) Status(ctx context.Context, jobID string) (*serve.JobStatus, error) {
+// poll reads an async job's status document from this backend.
+func (b *HTTPBackend) poll(ctx context.Context, jobID string) (*serve.JobStatus, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/v1/jobs/"+jobID, nil)
 	if err != nil {
 		return nil, &BackendError{Backend: b.name, Msg: err.Error()}
@@ -258,11 +260,4 @@ func (c *ChaosBackend) Submit(ctx context.Context, spec *serve.JobSpec, sync boo
 		return nil, err
 	}
 	return c.Backend.Submit(ctx, spec, sync, traceID)
-}
-
-func (c *ChaosBackend) Status(ctx context.Context, jobID string) (*serve.JobStatus, error) {
-	if err := c.intercept(ctx); err != nil {
-		return nil, err
-	}
-	return c.Backend.Status(ctx, jobID)
 }

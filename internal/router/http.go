@@ -64,7 +64,8 @@ type RouterMetrics struct {
 // Handler wraps a Router with its HTTP API:
 //
 //	POST /v1/jobs            submit (?sync=1 blocks); mirrors jaded's API
-//	GET  /v1/jobs/{id}       async status poll, routed to the owner
+//	                         (without ?sync=1: 202 and a router job ID)
+//	GET  /v1/jobs/{id}       async status poll, answered by the router
 //	GET  /v1/experiments     jade-catalog/v1 (served locally)
 //	GET  /healthz            jaderouter-health/v1 backend states
 //	GET  /metricz            jaderouter-metrics/v1 (?format=prom)
@@ -153,12 +154,7 @@ func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) {
 	doc, err := h.rt.Status(r.Context(), r.PathValue("id"))
 	if err != nil {
-		code := http.StatusBadGateway
-		var be *BackendError
-		if asBackendError(err, &be) && be.Code != 0 {
-			code = be.Code
-		}
-		writeErr(w, code, err.Error())
+		writeErr(w, http.StatusNotFound, err.Error())
 		return
 	}
 	code := http.StatusOK

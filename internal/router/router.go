@@ -31,15 +31,13 @@ type Config struct {
 	HedgeMax time.Duration
 	// DisableHedging turns hedged requests off; requests then wait for
 	// the primary alone (failover still applies on explicit failure).
-	// Hedging covers async submissions too: a submission is idempotent
-	// across replicas (each backend dedupes on the canonical hash), so
-	// the hedge costs at most one duplicate run — the same price sync
-	// hedging pays — and keeps submit latency bounded when the primary
-	// hangs.
+	// A hedge costs at most one duplicate run. Async jobs pay it too:
+	// the router runs each one as a sync request of its own.
 	DisableHedging bool
 
 	// RequestTimeout bounds one routed request end to end, hedges and
-	// failovers included (default 30s).
+	// failovers included, and is the deadline of every async job
+	// (default 30s).
 	RequestTimeout time.Duration
 
 	// StaleEntries sizes the stale-result cache backing degraded mode
@@ -126,8 +124,9 @@ type Result struct {
 	// Backend names the backend that answered ("" for stale serves
 	// and total failures).
 	Backend string
-	// Code is the HTTP status the router should relay (200/202 on
-	// success, the backend's refusal code, or 503).
+	// Code is the HTTP status the router should relay (200, or 202
+	// for an accepted async job; the backend's refusal code, 429 when
+	// every async slot is taken, or 503).
 	Code int
 	// Stale marks a degraded-mode response served from the stale
 	// cache after every replica failed.
@@ -139,30 +138,41 @@ type Result struct {
 	Err      error
 }
 
+// asyncSlots bounds the async jobs the router runs at once. Each one
+// holds a goroutine and up to two backend attempts until it ends, at
+// most RequestTimeout after its submit; past the bound a submit is
+// refused with 429 rather than queued, like a full jaded queue.
+const asyncSlots = 256
+
 // Router fronts a fixed set of jaded backends: consistent-hash
 // placement, health checking, hedged failover, and stale-serving
-// degradation. Create with NewRouter, stop with Close.
+// degradation. It runs async jobs itself, so a poll never depends on
+// a backend. Create with NewRouter, stop with Close.
 type Router struct {
 	cfg      Config
 	ring     *Ring
 	backends map[string]Backend
 	health   *healthTracker
 
-	stale  *serve.Cache // spec hash → result bytes (degraded mode)
-	owners *serve.Cache // async job ID → backend name
+	stale *serve.Cache // spec hash → result bytes (degraded mode)
+	jobs  *serve.Cache // async job ID → JSON status document
 
 	mu       sync.Mutex
 	counters Counters
 	inflight map[string]int
 	windows  map[string]*rollingWindow
+	nextJob  int
+
+	// ctx is the parent of the async jobs and the health checker;
+	// Close cancels it and waits on wg for all of them.
+	ctx    context.Context
+	cancel context.CancelFunc
+	slots  chan struct{} // one token per running async job
+	wg     sync.WaitGroup
 
 	traceMu    sync.Mutex
 	traces     map[string]*svcobs.Doc
 	traceOrder []string
-
-	stop     chan struct{}
-	checker  sync.WaitGroup
-	stopOnce sync.Once
 }
 
 // NewRouter builds a router over the given backends (at least one).
@@ -189,12 +199,13 @@ func NewRouter(cfg Config, backends ...Backend) (*Router, error) {
 		inflight: make(map[string]int, len(names)),
 		windows:  make(map[string]*rollingWindow, len(names)),
 		traces:   make(map[string]*svcobs.Doc),
-		stop:     make(chan struct{}),
+		slots:    make(chan struct{}, asyncSlots),
 	}
 	if cfg.StaleEntries > 0 {
 		rt.stale = serve.NewCache(cfg.StaleEntries)
 	}
-	rt.owners = serve.NewCache(4096)
+	rt.jobs = serve.NewCache(4096)
+	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	for _, n := range names {
 		rt.windows[n] = newRollingWindow()
 	}
@@ -211,17 +222,22 @@ func NewRouter(cfg Config, backends ...Backend) (*Router, error) {
 		}
 	}
 	if cfg.Health.ProbeInterval > 0 {
-		rt.checker.Add(1)
+		rt.wg.Add(1)
 		go rt.checkLoop()
 	}
 	return rt, nil
 }
 
-// Close stops the background health checker. Backends are not owned
-// by the router and stay up.
+// Close cancels the running async jobs and the background health
+// checker and waits for them to end. Backends are not owned by the
+// router and stay up.
 func (rt *Router) Close() {
-	rt.stopOnce.Do(func() { close(rt.stop) })
-	rt.checker.Wait()
+	// Under mu, so no startAsync can pass its ctx check and add to wg
+	// once Wait has begun.
+	rt.mu.Lock()
+	rt.cancel()
+	rt.mu.Unlock()
+	rt.wg.Wait()
 }
 
 // Backends returns the ring membership, sorted.
@@ -243,12 +259,12 @@ func (rt *Router) HealthSnapshot() map[string]HealthStatus { return rt.health.sn
 // ---- health checking ----
 
 func (rt *Router) checkLoop() {
-	defer rt.checker.Done()
+	defer rt.wg.Done()
 	t := time.NewTicker(rt.cfg.Health.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-rt.stop:
+		case <-rt.ctx.Done():
 			return
 		case <-t.C:
 			rt.ProbeNow()
@@ -373,7 +389,7 @@ func (rt *Router) hedgeDelay(name string) time.Duration {
 // everywhere.
 func failoverEligible(err error) bool {
 	var be *BackendError
-	if !asBackendError(err, &be) {
+	if !errors.As(err, &be) {
 		return true // transport-level or context error
 	}
 	return be.Code == 0 || be.Code >= 500 || be.Code == http.StatusTooManyRequests
@@ -384,14 +400,10 @@ func failoverEligible(err error) bool {
 // is alive but full).
 func healthPenalty(err error) bool {
 	var be *BackendError
-	if !asBackendError(err, &be) {
+	if !errors.As(err, &be) {
 		return true
 	}
 	return be.Code == 0 || be.Code >= 500
-}
-
-func asBackendError(err error, out **BackendError) bool {
-	return errors.As(err, out)
 }
 
 type attemptOutcome struct {
@@ -407,8 +419,14 @@ type attemptOutcome struct {
 
 // Do routes one canonicalized job spec. The spec must already be
 // canonical (Canonicalize called); Do never mutates it — each backend
-// attempt gets its own clone.
+// attempt gets its own clone. A sync request returns the terminal
+// status document. An async one returns 202 with a job ID the router
+// mints, and the job runs as a sync request in the background; poll
+// it with Status.
 func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceID string) *Result {
+	if !sync {
+		return rt.startAsync(spec, traceID)
+	}
 	hash := spec.Hash()
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
@@ -444,16 +462,13 @@ func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceI
 		if i+1 < len(cands) {
 			hedge = cands[i+1]
 		}
-		out := rt.attempt(ctx, spec, sync, traceID, target, hedge, root)
+		out := rt.attempt(ctx, spec, traceID, target, hedge, root)
 		if out.hedged {
 			res.Hedged = true
 		}
 		if out.err == nil {
 			res.Doc, res.Backend = out.doc, out.backend
 			res.Code = http.StatusOK
-			if !sync && out.doc.Status != serve.StatusDone && out.doc.Status != serve.StatusFailed {
-				res.Code = http.StatusAccepted
-			}
 			if out.doc.Status == serve.StatusFailed && out.doc.ErrorCode == serve.ErrCodeTimeout {
 				res.Code = http.StatusGatewayTimeout
 			}
@@ -468,7 +483,9 @@ func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceI
 			if out.backend != primary && !out.isHedge {
 				rt.bump(func(c *Counters) { c.Failovers++ })
 			}
-			rt.noteSuccess(hash, out.doc, out.backend)
+			if rt.stale != nil && out.doc.Status == serve.StatusDone && len(out.doc.Result) > 0 {
+				rt.stale.Put(hash, out.doc.Result)
+			}
 			return res
 		}
 		if firstErr == nil {
@@ -488,7 +505,7 @@ func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceI
 	if deg.Err != nil {
 		deg.Err = firstErr
 		var be *BackendError
-		if asBackendError(firstErr, &be) && be.Code != 0 && be.Code < 500 && be.Code != http.StatusTooManyRequests {
+		if errors.As(firstErr, &be) && be.Code != 0 && be.Code < 500 && be.Code != http.StatusTooManyRequests {
 			deg.Code = be.Code
 		}
 	}
@@ -499,7 +516,7 @@ func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceI
 // replica. First success wins and the loser is cancelled. A hedge win
 // counts a passive health failure against the primary — that is how a
 // hung backend gets ejected without ever returning an error.
-func (rt *Router) attempt(ctx context.Context, spec *serve.JobSpec, sync bool, traceID, primary, hedge string, parent *svcobs.Span) attemptOutcome {
+func (rt *Router) attempt(ctx context.Context, spec *serve.JobSpec, traceID, primary, hedge string, parent *svcobs.Span) attemptOutcome {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan attemptOutcome, 2)
@@ -514,7 +531,7 @@ func (rt *Router) attempt(ctx context.Context, spec *serve.JobSpec, sync bool, t
 			rt.addInflight(name, 1)
 			defer rt.addInflight(name, -1)
 			start := time.Now()
-			doc, err := rt.backends[name].Submit(actx, cloneSpec(spec), sync, traceID)
+			doc, err := rt.backends[name].Submit(actx, cloneSpec(spec), true, traceID)
 			ch <- attemptOutcome{backend: name, doc: doc, err: err, sec: time.Since(start).Seconds(), isHedge: isHedge}
 		}()
 	}
@@ -595,18 +612,6 @@ func (rt *Router) degrade(hash string, parent *svcobs.Span) *Result {
 	}
 }
 
-// noteSuccess records the side effects of a successful routed
-// request: completed results feed the stale cache, async submissions
-// record their owner for status polling.
-func (rt *Router) noteSuccess(hash string, doc *serve.JobStatus, backend string) {
-	if rt.stale != nil && doc.Status == serve.StatusDone && len(doc.Result) > 0 {
-		rt.stale.Put(hash, doc.Result)
-	}
-	if doc.ID != "" && doc.Status != serve.StatusDone && doc.Status != serve.StatusFailed {
-		rt.owners.Put(doc.ID, []byte(backend))
-	}
-}
-
 func (rt *Router) recordLatency(name string, sec float64) {
 	rt.mu.Lock()
 	w := rt.windows[name]
@@ -616,25 +621,64 @@ func (rt *Router) recordLatency(name string, sec float64) {
 	}
 }
 
-// Status routes an async status poll to the backend that owns the
-// job. Unknown jobs (or jobs owned by an ejected backend) fail with a
-// BackendError carrying 404/503.
+// startAsync accepts an async job: it mints the job's ID, records the
+// job as running and runs it through Do's sync path under the
+// router's own context, so the job hedges, fails over and serves
+// stale results like any sync request.
+func (rt *Router) startAsync(spec *serve.JobSpec, traceID string) *Result {
+	rt.mu.Lock()
+	if rt.ctx.Err() != nil {
+		rt.mu.Unlock()
+		return &Result{Code: http.StatusServiceUnavailable, Err: errors.New("router: shutting down")}
+	}
+	select {
+	case rt.slots <- struct{}{}:
+	default:
+		rt.mu.Unlock()
+		return &Result{Code: http.StatusTooManyRequests, Err: fmt.Errorf("router: all %d async job slots are busy", asyncSlots)}
+	}
+	rt.nextJob++
+	id := fmt.Sprintf("route-%06d", rt.nextJob)
+	rt.wg.Add(1)
+	rt.mu.Unlock()
+
+	doc := &serve.JobStatus{Schema: serve.StatusSchema, ID: id, Status: serve.StatusRunning, SpecHash: spec.Hash(), Spec: spec}
+	if rt.cfg.Spans {
+		doc.TraceID = traceID
+	}
+	rt.putJob(doc)
+	go func() {
+		defer func() { <-rt.slots; rt.wg.Done() }()
+		res := rt.Do(rt.ctx, spec, true, traceID)
+		end := res.Doc
+		if res.Err != nil {
+			end = &serve.JobStatus{Status: serve.StatusFailed, Error: res.Err.Error(), ErrorCode: serve.ErrCodeFailed}
+		}
+		end.Schema, end.ID, end.SpecHash, end.Spec, end.TraceID = doc.Schema, id, doc.SpecHash, spec, doc.TraceID
+		rt.putJob(end)
+	}()
+	return &Result{Doc: doc, Code: http.StatusAccepted}
+}
+
+func (rt *Router) putJob(doc *serve.JobStatus) {
+	data, err := json.Marshal(doc)
+	if err != nil {
+		panic(fmt.Sprintf("router: marshal job status: %v", err))
+	}
+	rt.jobs.Put(doc.ID, data)
+}
+
+// Status answers an async status poll from the router's job table; no
+// backend is involved. An unknown or evicted job ID fails with a
+// BackendError carrying 404.
 func (rt *Router) Status(ctx context.Context, jobID string) (*serve.JobStatus, error) {
-	owner, ok := rt.owners.Get(jobID)
+	data, ok := rt.jobs.Get(jobID)
 	if !ok {
-		return nil, &BackendError{Backend: "", Code: http.StatusNotFound, Msg: "unknown job " + jobID}
+		return nil, &BackendError{Code: http.StatusNotFound, Msg: "unknown job " + jobID}
 	}
-	name := string(owner)
-	b := rt.backends[name]
-	if b == nil {
-		return nil, &BackendError{Backend: name, Code: http.StatusNotFound, Msg: "unknown backend for job " + jobID}
-	}
-	if !rt.health.routable(name) {
-		return nil, &BackendError{Backend: name, Code: http.StatusServiceUnavailable, Msg: "owning backend is not routable"}
-	}
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
-	defer cancel()
-	return b.Status(ctx, jobID)
+	var doc serve.JobStatus
+	err := json.Unmarshal(data, &doc)
+	return &doc, err
 }
 
 // ---- trace store ----

@@ -13,8 +13,8 @@ import (
 )
 
 // fakeBackend is a controllable Backend for router unit tests: a
-// per-call latency, a switchable failure mode, and an in-memory async
-// job table.
+// per-call latency and a switchable failure mode. Every submit it
+// answers is a finished job, because the router only submits sync.
 type fakeBackend struct {
 	name string
 
@@ -22,12 +22,10 @@ type fakeBackend struct {
 	mode    string // ChaosPass, ChaosHang, ChaosDown
 	delay   time.Duration
 	submits int
-	jobs    map[string]*serve.JobStatus
-	nextJob int
 }
 
 func newFakeBackend(name string) *fakeBackend {
-	return &fakeBackend{name: name, mode: ChaosPass, jobs: map[string]*serve.JobStatus{}}
+	return &fakeBackend{name: name, mode: ChaosPass}
 }
 
 func (f *fakeBackend) setMode(mode string)      { f.mu.Lock(); f.mode = mode; f.mu.Unlock() }
@@ -71,33 +69,10 @@ func (f *fakeBackend) Submit(ctx context.Context, spec *serve.JobSpec, sync bool
 			return nil, &BackendError{Backend: f.name, Msg: ctx.Err().Error()}
 		}
 	}
-	hash := spec.Hash()
-	if sync {
-		return &serve.JobStatus{
-			Schema: serve.StatusSchema, ID: f.name + "-sync", Status: serve.StatusDone,
-			SpecHash: hash, Result: json.RawMessage(fmt.Sprintf(`{"served_by":%q}`, f.name)),
-		}, nil
-	}
-	f.mu.Lock()
-	f.nextJob++
-	id := fmt.Sprintf("%s-job-%d", f.name, f.nextJob)
-	doc := &serve.JobStatus{Schema: serve.StatusSchema, ID: id, Status: serve.StatusQueued, SpecHash: hash}
-	f.jobs[id] = &serve.JobStatus{
-		Schema: serve.StatusSchema, ID: id, Status: serve.StatusDone, SpecHash: hash,
-		Result: json.RawMessage(fmt.Sprintf(`{"served_by":%q}`, f.name)),
-	}
-	f.mu.Unlock()
-	return doc, nil
-}
-
-func (f *fakeBackend) Status(ctx context.Context, jobID string) (*serve.JobStatus, error) {
-	f.mu.Lock()
-	doc, ok := f.jobs[jobID]
-	f.mu.Unlock()
-	if !ok {
-		return nil, &BackendError{Backend: f.name, Code: http.StatusNotFound, Msg: "unknown job"}
-	}
-	return doc, nil
+	return &serve.JobStatus{
+		Schema: serve.StatusSchema, ID: f.name + "-sync", Status: serve.StatusDone,
+		SpecHash: spec.Hash(), Result: json.RawMessage(fmt.Sprintf(`{"served_by":%q}`, f.name)),
+	}, nil
 }
 
 // testRouter builds a router over fake backends with the background
@@ -355,30 +330,6 @@ func TestRouterRecoveryThroughProbes(t *testing.T) {
 	res := rt.Do(context.Background(), spec, true, "")
 	if res.Err != nil || res.Backend != primary {
 		t.Fatalf("recovered primary not serving its key: backend=%s err=%v", res.Backend, res.Err)
-	}
-}
-
-// TestRouterAsyncOwnerRouting: async submissions record their owner so
-// status polls land on the backend that holds the job.
-func TestRouterAsyncOwnerRouting(t *testing.T) {
-	rt, _ := testRouter(t, nil, "n1", "n2", "n3")
-	spec := testSpec(t, "table4")
-	res := rt.Do(context.Background(), spec, false, "")
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Code != http.StatusAccepted || res.Doc.Status != serve.StatusQueued {
-		t.Fatalf("async submit: code=%d status=%s, want 202 queued", res.Code, res.Doc.Status)
-	}
-	doc, err := rt.Status(context.Background(), res.Doc.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Status != serve.StatusDone || servedBy(t, doc) != res.Backend {
-		t.Fatalf("status poll = %s served_by=%s, want done from %s", doc.Status, servedBy(t, doc), res.Backend)
-	}
-	if _, err := rt.Status(context.Background(), "no-such-job"); err == nil {
-		t.Fatal("unknown job ID did not error")
 	}
 }
 

@@ -743,7 +743,7 @@ func (s *Server) RunSync(ctx context.Context, spec *JobSpec, traceID string) (*J
 // Submit is the in-process submission path the router's embedded
 // backends use: the general form of RunSync. sync blocks for the
 // terminal state; async returns the queued status document
-// immediately (poll it via Status). Refusals (queue backpressure,
+// immediately (poll its ID at GET /v1/jobs/{id}). Refusals (queue backpressure,
 // open circuit, shutdown) come back as errors classifiable with
 // AdmitStatus.
 func (s *Server) Submit(ctx context.Context, spec *JobSpec, sync bool, traceID string) (*JobStatus, error) {
@@ -777,18 +777,6 @@ func (s *Server) Submit(ctx context.Context, spec *JobSpec, sync bool, traceID s
 		val.root.End()
 	}
 	return s.statusDoc(j, true), nil
-}
-
-// Status returns the status document for a retained job ID (false for
-// unknown or evicted IDs) — the in-process mirror of GET /v1/jobs/{id}.
-func (s *Server) Status(jobID string) (*JobStatus, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[jobID]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return s.statusDoc(j, true), true
 }
 
 // Healthy mirrors GET /healthz for embedded callers: false while the
