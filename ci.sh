@@ -100,11 +100,17 @@ go run ./cmd/jadebench -experiment table4 -scale small -json |
 echo "== jadebench serial vs parallel =="
 # -experiment all is one planned fan-out over every distinct cell of
 # the registry, so serial and default-width output must be identical.
+# Each worker resets and reuses its own machines, so which machine a
+# cell runs on depends on scheduling; the -json pair (every run's full
+# metrics, proc_busy included) proves that leaks into no output.
 cmpdir=$(mktemp -d)
 go build -o "$cmpdir/jadebench" ./cmd/jadebench
 "$cmpdir/jadebench" -experiment all -scale small -markdown -parallel 1 >"$cmpdir/serial.md"
 "$cmpdir/jadebench" -experiment all -scale small -markdown >"$cmpdir/parallel.md"
 cmp "$cmpdir/serial.md" "$cmpdir/parallel.md"
+"$cmpdir/jadebench" -experiment all -scale small -json -parallel 1 >"$cmpdir/serial.json"
+"$cmpdir/jadebench" -experiment all -scale small -json -parallel 3 >"$cmpdir/parallel.json"
+cmp "$cmpdir/serial.json" "$cmpdir/parallel.json"
 rm -rf "$cmpdir"
 
 echo "== jadebench pgas smoke =="

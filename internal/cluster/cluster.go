@@ -104,18 +104,34 @@ var (
 
 // New builds a cluster machine.
 func New(cfg Config) *Machine {
+	m := &Machine{}
+	m.Reset(cfg)
+	return m
+}
+
+// Reset returns the machine to the state New(cfg) builds, for any
+// workstation count, keeping the storage of its ownership tables and
+// the kit's records; the sink is cleared.
+func (m *Machine) Reset(cfg Config) {
 	if len(cfg.Speeds) < 1 {
 		panic("cluster: need at least one workstation")
 	}
-	m := &Machine{cfg: cfg, stores: make([][]jade.Version, len(cfg.Speeds))}
-	m.Init(len(cfg.Speeds), machine.Params{
+	fresh := m.Eng == nil
+	m.cfg = cfg
+	m.Central.Reset(len(cfg.Speeds), machine.Params{
 		CreateSec: cfg.TaskCreateSec, AssignSec: cfg.AssignSec, CompleteSec: cfg.CompleteHandleSec,
 		DispatchSec: cfg.DispatchSec, TaskMsgBytes: cfg.TaskMsgBytes, CompletionBytes: cfg.CompletionBytes,
 		TargetTasks: 1,
 	}, m)
+	if fresh {
+		m.replyH = m.Eng.RegisterHandler(m.reply)
+	}
 	m.bus = sim.MakeProcessor(m.Eng)
-	m.replyH = m.Eng.RegisterHandler(m.reply)
-	return m
+	m.owner = m.owner[:0]
+	m.stores = machine.Resize(m.stores, len(cfg.Speeds))
+	for i := range m.stores {
+		m.stores[i] = m.stores[i][:0]
+	}
 }
 
 // ObjectAllocated implements jade.Platform: main initializes all data.

@@ -24,12 +24,16 @@ type cache struct {
 	// head is the most and tail the least recently used object, or -1
 	// when the cache is empty.
 	head, tail int32
+	// ready is false until reset empties the cache for the current run.
+	ready bool
 }
 
-// newCache builds a cache of capacity bytes with slots for objects
-// objects; later objects grow the table on first insert.
-func newCache(capacity, objects int) *cache {
-	return &cache{capacity: capacity, slots: make([]cacheSlot, objects), head: -1, tail: -1}
+// reset empties the cache and sets its capacity to capacity bytes,
+// with slots for objects objects (later objects grow the table on
+// first insert), keeping the slot table's storage.
+func (c *cache) reset(capacity, objects int) {
+	c.capacity, c.used, c.head, c.tail, c.ready = capacity, 0, -1, -1, true
+	c.slots = append(c.slots[:0], make([]cacheSlot, objects)...)
 }
 
 // has reports whether the cache holds object o at exactly version v.

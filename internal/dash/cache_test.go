@@ -13,6 +13,12 @@ func obj(id int, size int) *jade.Object {
 	return &jade.Object{ID: jade.ObjectID(id), Name: "o", Size: size}
 }
 
+func newCache(capacity, objects int) *cache {
+	c := &cache{}
+	c.reset(capacity, objects)
+	return c
+}
+
 func TestCacheHitRequiresExactVersion(t *testing.T) {
 	c := newCache(1024, 0)
 	o := obj(1, 100)

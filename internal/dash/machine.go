@@ -24,13 +24,19 @@ type Machine struct {
 	machine.Core
 	cfg Config
 
-	queues []*procQueue
+	queues []procQueue
+	// stealable counts the tasks in every processor's object task
+	// queues (Σ count): a processor with an empty queue skips the
+	// victim search when it is zero.
+	stealable int
+	// byObjFlat backs every queue's by-object index (ReserveCapacity).
+	byObjFlat []int32
 	// global is the NoLocality shared queue of task IDs; globalHead
 	// indexes its first live entry so pops reuse the backing array's
 	// capacity.
 	global     []int32
 	globalHead int
-	caches     []*cache
+	caches     []cache
 
 	running    []bool
 	idle       []bool
@@ -68,22 +74,53 @@ var _ jade.Platform = (*Machine)(nil)
 
 // New builds a DASH machine from cfg.
 func New(cfg Config) *Machine {
+	m := &Machine{}
+	m.Reset(cfg)
+	return m
+}
+
+// Reset returns the machine to the state New(cfg) builds, for any
+// processor count, keeping the storage of its queues, caches and
+// per-object tables; the fault injector, the sink and StealFromHead
+// are cleared.
+func (m *Machine) Reset(cfg Config) {
 	if cfg.Procs < 1 {
 		panic("dash: need at least one processor")
 	}
-	m := &Machine{
-		cfg:        cfg,
-		queues:     make([]*procQueue, cfg.Procs),
-		caches:     make([]*cache, cfg.Procs),
-		running:    make([]bool, cfg.Procs),
-		idle:       make([]bool, cfg.Procs),
-		dispatchAt: make([]sim.Time, cfg.Procs),
-		curTask:    make([]*jade.Task, cfg.Procs),
-		curStart:   make([]sim.Time, cfg.Procs),
-	}
+	fresh := m.Eng == nil
+	m.cfg = cfg
 	// Enabled tasks (creation finished, dependences satisfied) go to
 	// the scheduling queues.
-	m.Init(cfg.Procs, cfg.TaskCreateSec, m.enqueue)
+	m.Core.Reset(cfg.Procs, cfg.TaskCreateSec, m.enqueue)
+	if fresh {
+		m.register()
+	}
+	m.queues = machine.Resize(m.queues, cfg.Procs)
+	for i := range m.queues {
+		m.queues[i].reset()
+	}
+	m.stealable = 0
+	m.global, m.globalHead = m.global[:0], 0
+	m.caches = machine.Resize(m.caches, cfg.Procs)
+	for i := range m.caches {
+		m.caches[i].ready = false
+	}
+	m.running = machine.Resize(m.running, cfg.Procs)
+	m.idle = machine.Resize(m.idle, cfg.Procs)
+	m.dispatchAt = machine.Resize(m.dispatchAt, cfg.Procs)
+	m.curTask = machine.Resize(m.curTask, cfg.Procs)
+	m.curStart = machine.Resize(m.curStart, cfg.Procs)
+	for i := 0; i < cfg.Procs; i++ {
+		m.running[i], m.idle[i], m.dispatchAt[i] = false, true, -1
+		m.curTask[i], m.curStart[i] = nil, 0
+	}
+	m.lastWriter = m.lastWriter[:0]
+	m.StealFromHead = false
+	m.Inj = nil
+}
+
+// register adds the dispatch and completion handlers to a new engine.
+func (m *Machine) register() {
 	m.dispatchH = m.Eng.RegisterHandler(func(v int32) {
 		p := int(v)
 		// Fires at the scheduled time, so Now() is the `at` the
@@ -102,13 +139,6 @@ func New(cfg Config) *Machine {
 		m.Done(t)
 		m.dispatch(p)
 	})
-	qslab := make([]procQueue, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
-		m.queues[i] = &qslab[i]
-		m.idle[i] = true
-		m.dispatchAt[i] = -1
-	}
-	return m
 }
 
 // ReserveCapacity implements the replay capacity hint: size the dense
@@ -116,12 +146,13 @@ func New(cfg Config) *Machine {
 // knows, so the run appends without ever growing them.
 func (m *Machine) ReserveCapacity(objects, tasks int) {
 	m.Core.ReserveCapacity(objects, tasks)
-	m.lastWriter = make([]writerInfo, 0, objects)
+	m.lastWriter = machine.Reserve(m.lastWriter, objects)
 	// One backing array for every queue's by-object index: each queue
 	// extends within its own fixed-capacity window.
-	flat := make([]int32, 0, objects*len(m.queues))
-	for i, q := range m.queues {
-		q.byObj = flat[i*objects : i*objects : (i+1)*objects]
+	m.byObjFlat = machine.Reserve(m.byObjFlat, objects*len(m.queues))
+	flat := m.byObjFlat[:cap(m.byObjFlat)]
+	for i := range m.queues {
+		m.queues[i].byObj = flat[i*objects : i*objects : (i+1)*objects]
 	}
 }
 
@@ -176,9 +207,8 @@ func (m *Machine) enqueue(t *jade.Task) {
 		m.queues[t.Placed].pushPlaced(int32(t.ID))
 		m.poke(t.Placed, 0)
 	default:
-		lobj := t.LocalityObject(m.RT.Config().Locality)
 		tgt := m.target(t)
-		m.queues[tgt].push(int32(t.ID), lobj)
+		m.push(tgt, int32(t.ID), t.LocalityObject(m.RT.Config().Locality))
 		m.poke(tgt, 0)
 		m.pokeAllIdle(sim.Time(m.cfg.StealDelaySec))
 	}
@@ -211,48 +241,69 @@ func (m *Machine) pokeAllIdle(delay sim.Time) {
 	}
 }
 
-// dispatch gives processor p its next task (§3.2.1): first the first
-// task of the first object task queue in its own queue, else a cyclic
-// search stealing the last task of the last object task queue of the
-// first non-empty victim.
+// push queues task tid on processor p's object task queue for obj.
+func (m *Machine) push(p int, tid int32, obj *jade.Object) {
+	m.queues[p].push(tid, obj)
+	m.stealable++
+}
+
+// dispatch gives processor p its next task, or marks it idle.
 func (m *Machine) dispatch(p int) {
 	if m.running[p] {
 		return
 	}
-	tid := noTask
-	stole := false
-	if m.cfg.Level == NoLocality {
-		if m.globalHead < len(m.global) {
-			tid = m.global[m.globalHead]
-			m.globalHead++
-			if m.globalHead == len(m.global) {
-				m.global = m.global[:0]
-				m.globalHead = 0
-			}
-		}
-	} else {
-		tid = m.queues[p].popFirst()
-		if tid == noTask {
-			for i := 1; i < m.cfg.Procs; i++ {
-				victim := m.queues[(p+i)%m.cfg.Procs]
-				if m.StealFromHead {
-					tid = victim.stealFirst()
-				} else {
-					tid = victim.stealLast()
-				}
-				if tid != noTask {
-					stole = true
-					break
-				}
-			}
-		}
-	}
+	tid, stole := m.next(p)
 	if tid == noTask {
 		m.idle[p] = true
 		return
 	}
 	m.idle[p] = false
 	m.execute(p, m.Tasks[tid], stole)
+}
+
+// next removes processor p's next task (§3.2.1): a placed task, else
+// the first task of the first object task queue in its own queue, else
+// a cyclic search stealing the last task of the last object task queue
+// of the first non-empty victim. It reports noTask when there is none
+// and whether the task was stolen. The stealable count makes a failed
+// search O(1) and lets the search skip empty victims; the victim it
+// picks is the one a full scan would.
+func (m *Machine) next(p int) (tid int32, stole bool) {
+	if m.cfg.Level == NoLocality {
+		if m.globalHead == len(m.global) {
+			return noTask, false
+		}
+		tid = m.global[m.globalHead]
+		m.globalHead++
+		if m.globalHead == len(m.global) {
+			m.global = m.global[:0]
+			m.globalHead = 0
+		}
+		return tid, false
+	}
+	q := &m.queues[p]
+	if tid = q.popPlaced(); tid != noTask {
+		return tid, false
+	}
+	if q.count > 0 {
+		m.stealable--
+		return q.stealFirst(), false
+	}
+	if m.stealable == 0 {
+		return noTask, false
+	}
+	for i := 1; i < m.cfg.Procs; i++ {
+		victim := &m.queues[(p+i)%m.cfg.Procs]
+		if victim.count == 0 {
+			continue
+		}
+		m.stealable--
+		if m.StealFromHead {
+			return victim.stealFirst(), true
+		}
+		return victim.stealLast(), true
+	}
+	panic("dash: stealable tasks counted but no queue holds one")
 }
 
 // execute runs task t on processor p: dispatch overhead plus memory
@@ -343,14 +394,13 @@ func (m *Machine) jitter(id jade.TaskID) float64 {
 // local/remote traffic.
 func (m *Machine) accessCost(p int, a jade.Access) float64 {
 	o := a.Obj
-	c := m.caches[p]
-	if c == nil {
-		// Caches are built on first access so work-free runs — which
+	c := &m.caches[p]
+	if !c.ready {
+		// Caches are emptied on first access so work-free runs — which
 		// never cost accesses — don't pay a slot table per processor.
 		// The table is sized for every object the run has reserved or
 		// allocated so far.
-		c = newCache(m.cfg.CacheBytes, cap(m.lastWriter))
-		m.caches[p] = c
+		c.reset(m.cfg.CacheBytes, cap(m.lastWriter))
 	}
 	resulting := a.RequiredVersion
 	if a.Writes() {

@@ -1,6 +1,9 @@
 package dash
 
-import "repro/internal/jade"
+import (
+	"repro/internal/jade"
+	"repro/internal/machine"
+)
 
 // noTask is the "queue is empty" sentinel returned by the pop/steal
 // paths. Queues hold task IDs, not task pointers: the machine resolves
@@ -44,15 +47,27 @@ type procQueue struct {
 	count int
 }
 
+// reset empties the queue, keeping its storage: the object task
+// queues in slab keep their task slices for reuse.
+func (q *procQueue) reset() {
+	q.placed, q.placedHead = q.placed[:0], 0
+	q.otqs, q.otqsHead = q.otqs[:0], 0
+	q.byObj = q.byObj[:0]
+	q.slab = q.slab[:0]
+	q.count = 0
+}
+
 // pushPlaced appends an explicitly placed task.
 func (q *procQueue) pushPlaced(tid int32) { q.placed = append(q.placed, tid) }
 
 // push inserts a task into the object task queue of its locality
 // object, creating and appending the OTQ if it was empty.
 func (q *procQueue) push(tid int32, obj *jade.Object) {
-	if len(q.byObj) <= int(obj.ID) {
+	if n := len(q.byObj); n <= int(obj.ID) {
 		if cap(q.byObj) > int(obj.ID) {
+			// Storage kept across a reset may hold old entries.
 			q.byObj = q.byObj[:int(obj.ID)+1]
+			clear(q.byObj[n:])
 		} else {
 			grown := make([]int32, int(obj.ID)+1, 2*(int(obj.ID)+1))
 			copy(grown, q.byObj)
@@ -60,44 +75,44 @@ func (q *procQueue) push(tid int32, obj *jade.Object) {
 		}
 	}
 	oi := q.byObj[obj.ID]
-	if oi == 0 {
-		q.slab = append(q.slab, objQueue{})
+	added := oi == 0
+	if added {
+		q.slab = machine.Resize(q.slab, len(q.slab)+1)
 		oi = int32(len(q.slab))
 		q.byObj[obj.ID] = oi
 	}
 	otq := &q.slab[oi-1]
-	if otq.size() == 0 {
-		otq.tasks = otq.tasks[:0]
-		otq.head = 0
+	// An added entry may be an object task queue from before a reset:
+	// it keeps its task storage, not its tasks.
+	if added || otq.size() == 0 {
+		otq.tasks, otq.head = otq.tasks[:0], 0
+		if q.otqsHead == len(q.otqs) {
+			// The FIFO drained: restart it at the front.
+			q.otqs, q.otqsHead = q.otqs[:0], 0
+		}
 		q.otqs = append(q.otqs, oi-1)
 	}
 	otq.tasks = append(otq.tasks, tid)
 	q.count++
 }
 
-// liveOtqs returns the live window of the OTQ FIFO, resetting the
-// backing array once it drains.
-func (q *procQueue) liveOtqs() []int32 {
-	if q.otqsHead == len(q.otqs) {
-		q.otqs = q.otqs[:0]
-		q.otqsHead = 0
-	}
-	return q.otqs[q.otqsHead:]
-}
+// liveOtqs returns the live window of the OTQ FIFO.
+func (q *procQueue) liveOtqs() []int32 { return q.otqs[q.otqsHead:] }
 
-// popFirst removes and returns the first task of the first object task
-// queue (the dispatch path), or the first placed task if any.
-func (q *procQueue) popFirst() int32 {
-	if q.placedHead < len(q.placed) {
-		tid := q.placed[q.placedHead]
-		q.placedHead++
-		if q.placedHead == len(q.placed) {
-			q.placed = q.placed[:0]
-			q.placedHead = 0
-		}
-		return tid
+// popPlaced removes and returns the first placed task, or noTask.
+// The dispatch path takes a placed task before the first task of the
+// first object task queue (stealFirst).
+func (q *procQueue) popPlaced() int32 {
+	if q.placedHead == len(q.placed) {
+		return noTask
 	}
-	return q.stealFirst()
+	tid := q.placed[q.placedHead]
+	q.placedHead++
+	if q.placedHead == len(q.placed) {
+		q.placed = q.placed[:0]
+		q.placedHead = 0
+	}
+	return tid
 }
 
 // stealLast removes and returns the last task of the last object task

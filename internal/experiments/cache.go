@@ -234,9 +234,10 @@ func runAppFused(p jade.Platform, cfg jade.Config, machine string, a *appSpec, s
 func runApp(p jade.Platform, cfg jade.Config, a *appSpec, scale Scale, place bool) *metrics.Run {
 	r, err := capturedGraph(a, scale, p.Processors(), place, cfg.WorkFree).Replay(p, cfg)
 	if err != nil {
-		// Every capture replays onto a fresh platform, so a refusal is a
-		// caller bug (a reused platform, say). Re-running directly would
-		// hide it behind a slow, correct-looking run.
+		// Every capture replays onto a fresh or reset platform, so a
+		// refusal is a caller bug (a platform that already ran, say).
+		// Re-running directly would hide it behind a slow,
+		// correct-looking run.
 		panic(err)
 	}
 	return r

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,12 +12,12 @@ import (
 )
 
 // The simulated machines are single-goroutine deterministic state
-// machines, and every RunSpec builds its own machine and runtime — so
-// independent runs are embarrassingly parallel. The runner fans that
-// work out across a bounded pool while keeping every output
-// byte-identical to serial execution: workers write results into
-// pre-indexed slots, so assembly order never depends on completion
-// order.
+// machines, and every RunSpec replays onto a fresh or reset machine of
+// its worker's own — so independent runs are embarrassingly parallel.
+// The runner fans that work out across a bounded pool while keeping
+// every output byte-identical to serial execution: workers write
+// results into pre-indexed slots, so assembly order never depends on
+// completion order.
 
 // Runner executes independent pieces of work across a bounded worker
 // pool. The zero value runs GOMAXPROCS wide; NewRunner pins a width.
@@ -42,13 +43,20 @@ func (r Runner) Workers() int {
 // keeps parallel output byte-identical to serial. A panic in any call
 // is re-raised on the caller's goroutine.
 func (r Runner) Each(n int, fn func(i int)) {
-	w := r.Workers()
-	if w > n {
-		w = n
-	}
+	r.each(n, func(_, i int) { fn(i) })
+}
+
+// width is how many workers each starts for n calls.
+func (r Runner) width(n int) int { return min(r.Workers(), n) }
+
+// each is Each with the worker: fn(w, i) runs on worker w in
+// [0, width(n)), and one worker's calls never overlap, so fn may keep
+// per-worker state indexed by w.
+func (r Runner) each(n int, fn func(w, i int)) {
+	w := r.width(n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -72,7 +80,7 @@ func (r Runner) Each(n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(g, i)
 			}
 		}()
 	}
@@ -160,10 +168,27 @@ func (r Runner) Execute(ids []string, specs []RunSpec, scale Scale) (results []*
 }
 
 // execute runs a plan: one fan-out over its distinct cells, then each
-// experiment in request order.
+// experiment in request order. Each worker replays its cells onto
+// machines from a free list of its own, so the call builds at most one
+// machine per kind per worker and resets it between cells. The lists
+// live only as long as the fan-out: no machine is shared across calls
+// or kept in package state, and which machine a cell gets leaks into
+// no output (a reset machine behaves exactly like a new one). Cells
+// start in order of decreasing processor count, so a reused machine
+// reaches its largest size on its first cell instead of growing with
+// every step of a sweep.
 func (r Runner) execute(p *plan, scale Scale) ([]*Result, []*metrics.Run) {
 	all := make([]*metrics.Run, len(p.cells))
-	r.Each(len(all), func(i int) { all[i] = p.cells[i].execute(scale) })
+	free := make([]machines, r.width(len(all)))
+	order := make([]int, len(all))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return p.cells[b].Procs - p.cells[a].Procs })
+	r.each(len(all), func(w, k int) {
+		i := order[k]
+		all[i] = p.cells[i].execute(scale, &free[w])
+	})
 	results := make([]*Result, len(p.exps))
 	for k, e := range p.exps {
 		if e.cells == nil {

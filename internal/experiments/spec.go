@@ -243,11 +243,54 @@ func pgasLevel(level string) pgas.LocalityLevel {
 	return pgas.Affinity
 }
 
-// newPlatform builds a fresh platform for a canonical spec, with fault
-// injection attached, and the observer its event stream feeds when the
-// spec observes (nil otherwise). Each call returns a new machine; a
-// platform is never reused across runs.
-func (s *RunSpec) newPlatform() (jade.Platform, *obsv.Observer) {
+// machines is one worker's free list of machines within one
+// Runner.execute call: at most one of each kind, taken for a cell and
+// put back when its run is copied out.
+type machines struct {
+	dash    *dash.Machine
+	ipsc    *ipsc.Machine
+	pgas    *pgas.Machine
+	cluster *cluster.Machine
+}
+
+// take empties slot and returns its machine reset to cfg, or a new
+// machine built from cfg when the slot is empty.
+func take[M interface {
+	comparable
+	Reset(C)
+}, C any](slot *M, cfg C, build func(C) M) M {
+	var none M
+	m := *slot
+	if m == none {
+		return build(cfg)
+	}
+	*slot = none
+	m.Reset(cfg)
+	return m
+}
+
+// put returns a machine taken by newPlatform to the list.
+func (f *machines) put(p jade.Platform) {
+	switch m := p.(type) {
+	case *dash.Machine:
+		f.dash = m
+	case *ipsc.Machine:
+		f.ipsc = m
+	case *pgas.Machine:
+		f.pgas = m
+	case *cluster.Machine:
+		f.cluster = m
+	}
+}
+
+// newPlatform returns a fresh or reset platform for a canonical spec,
+// taken from free (nil builds a new one), with fault injection
+// attached, and the observer its event stream feeds when the spec
+// observes (nil otherwise).
+func (s *RunSpec) newPlatform(free *machines) (jade.Platform, *obsv.Observer) {
+	if free == nil {
+		free = &machines{}
+	}
 	var inj *fault.Injector
 	if s.Fault != nil {
 		inj = fault.NewInjector(*s.Fault, s.Procs)
@@ -264,7 +307,7 @@ func (s *RunSpec) newPlatform() (jade.Platform, *obsv.Observer) {
 	var p jade.Platform
 	switch s.Machine {
 	case "dash":
-		m := dash.New(dash.DefaultConfig(s.Procs, dashLevel(s.Level)))
+		m := take(&free.dash, dash.DefaultConfig(s.Procs, dashLevel(s.Level)), dash.New)
 		m.Inj = inj
 		m.Sink = sink
 		p = m
@@ -282,14 +325,14 @@ func (s *RunSpec) newPlatform() (jade.Platform, *obsv.Observer) {
 		if s.TargetTasks > 0 {
 			cfg.TargetTasks = s.TargetTasks
 		}
-		m := ipsc.New(cfg)
+		m := take(&free.ipsc, cfg, ipsc.New)
 		m.Inj = inj
 		m.Sink = sink
 		p = m
 	case "cluster":
 		cfg := cluster.DefaultConfig(s.Procs)
 		cfg.SpeedAware = s.SpeedAware
-		m := cluster.New(cfg)
+		m := take(&free.cluster, cfg, cluster.New)
 		m.Sink = sink
 		p = m
 	case "pgas":
@@ -297,7 +340,7 @@ func (s *RunSpec) newPlatform() (jade.Platform, *obsv.Observer) {
 		if s.Aggregation != nil {
 			cfg.Aggregation = *s.Aggregation
 		}
-		m := pgas.New(cfg)
+		m := take(&free.pgas, cfg, pgas.New)
 		m.Inj = inj
 		m.Sink = sink
 		p = m
@@ -312,11 +355,12 @@ func (s RunSpec) Execute(scale Scale) (*metrics.Run, error) {
 	if err := s.Canonicalize(); err != nil {
 		return nil, err
 	}
-	return s.execute(scale), nil
+	return s.execute(scale, nil), nil
 }
 
-// execute runs an already-canonical spec.
-func (s *RunSpec) execute(scale Scale) *metrics.Run {
+// execute runs an already-canonical spec on a machine from free (nil
+// builds a new one) and puts the machine back after the run.
+func (s *RunSpec) execute(scale Scale, free *machines) *metrics.Run {
 	a := appKeys[s.App]
 	place := s.Level == LevelPlacement && a.hasPlacement
 	if s.Fault != nil && s.Fault.Panic {
@@ -325,7 +369,7 @@ func (s *RunSpec) execute(scale Scale) *metrics.Run {
 		panic(fmt.Sprintf("fault: injected panic (app=%s machine=%s)", s.App, s.Machine))
 	}
 	cfg := jade.Config{WorkFree: s.WorkFree}
-	p, obs := s.newPlatform()
+	p, obs := s.newPlatform(free)
 	var r *metrics.Run
 	if s.Fusion {
 		r = runAppFused(p, cfg, s.Machine, a, scale, place)
@@ -334,10 +378,14 @@ func (s *RunSpec) execute(scale Scale) *metrics.Run {
 	}
 	r.Obsv = obs.Snapshot(0)
 	accumulateFuse(r)
-	// Platforms return a pointer into the machine; copy the run out so
-	// a plan holding many runs until it renders does not keep every
-	// machine alive with them.
+	// Platforms return a pointer into the machine, which the worker's
+	// next cell resets: copy the run out, and hand its one slice over
+	// so the machine allocates a new one instead of reusing it.
 	detached := *r
+	r.ProcBusy = nil
+	if free != nil {
+		free.put(p)
+	}
 	return &detached
 }
 

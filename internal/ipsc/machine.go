@@ -50,6 +50,8 @@ type Machine struct {
 	cfg Config
 
 	nodes []node
+	// storeFlat backs every node's store (ReserveCapacity).
+	storeFlat []jade.Version
 	// objs is indexed by object ID (dense, allocation order); its
 	// values live in osSlab, so pointers to them stay stable.
 	objs     []*objState
@@ -76,6 +78,15 @@ var (
 
 // New builds an iPSC machine from cfg.
 func New(cfg Config) *Machine {
+	m := &Machine{}
+	m.Reset(cfg)
+	return m
+}
+
+// Reset returns the machine to the state New(cfg) builds, for any
+// processor count, keeping the storage of its nodes, object states and
+// the kit's records; the fault injector and the sink are cleared.
+func (m *Machine) Reset(cfg Config) {
 	if cfg.Procs < 1 {
 		panic("ipsc: need at least one processor")
 	}
@@ -85,20 +96,28 @@ func New(cfg Config) *Machine {
 	if cfg.TargetTasks < 1 {
 		cfg.TargetTasks = 1
 	}
-	m := &Machine{cfg: cfg, nodes: make([]node, cfg.Procs)}
-	m.Init(cfg.Procs, machine.Params{
+	fresh := m.Eng == nil
+	m.cfg = cfg
+	m.Central.Reset(cfg.Procs, machine.Params{
 		CreateSec: cfg.TaskCreateSec, AssignSec: cfg.AssignSec, CompleteSec: cfg.CompleteHandleSec,
 		DispatchSec: cfg.DispatchSec, TaskMsgBytes: cfg.TaskMsgBytes, CompletionBytes: cfg.CompletionBytes,
 		TargetTasks: cfg.TargetTasks, FetchStall: true,
 	}, m)
-	for i := range m.nodes {
-		m.nodes[i].nic = sim.MakeProcessor(m.Eng)
+	if fresh {
+		m.requestH = m.Eng.RegisterHandler(m.request)
+		m.replyH = m.Eng.RegisterHandler(m.reply)
+		m.bcastH = m.Eng.RegisterHandler(m.bcastArrived)
+		m.pushH = m.Eng.RegisterHandler(m.pushed)
 	}
-	m.requestH = m.Eng.RegisterHandler(m.request)
-	m.replyH = m.Eng.RegisterHandler(m.reply)
-	m.bcastH = m.Eng.RegisterHandler(m.bcastArrived)
-	m.pushH = m.Eng.RegisterHandler(m.pushed)
-	return m
+	m.nodes = machine.Resize(m.nodes, cfg.Procs)
+	for i := range m.nodes {
+		m.nodes[i] = node{nic: sim.MakeProcessor(m.Eng), store: m.nodes[i].store[:0]}
+	}
+	clear(m.objs)
+	m.objs = m.objs[:0]
+	m.osSlab.Reset()
+	m.fcfsNext = 0
+	m.Inj = nil
 }
 
 // ReserveCapacity implements the replay capacity hint: size the dense
@@ -106,11 +125,12 @@ func New(cfg Config) *Machine {
 // knows, so the run appends without ever growing them.
 func (m *Machine) ReserveCapacity(objects, tasks int) {
 	m.Central.ReserveCapacity(objects, tasks)
-	m.objs = make([]*objState, 0, objects)
+	m.objs = machine.Reserve(m.objs, objects)
 	m.osSlab.Reserve(objects)
 	// One backing array for every node's store: each node appends
 	// within its own fixed-capacity window.
-	flat := make([]jade.Version, 0, objects*len(m.nodes))
+	m.storeFlat = machine.Reserve(m.storeFlat, objects*len(m.nodes))
+	flat := m.storeFlat[:cap(m.storeFlat)]
 	for i := range m.nodes {
 		m.nodes[i].store = flat[i*objects : i*objects : (i+1)*objects]
 	}

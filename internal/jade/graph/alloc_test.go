@@ -15,18 +15,20 @@ import (
 // a captured timed graph onto a fresh machine allocates the machine,
 // the runtime's replay state and a few recycled message records, but
 // nothing per message: fetches, replies and pushes are kit records
-// driven by registered handlers, and DASH caches are dense LRUs. Each
-// bound is 1.25× the count measured when it was set (on Go 1.24); the
-// per-message design allocated 3–18× more, and one closure per fetch
-// message breaks every iPSC bound. The race detector instruments
+// driven by registered handlers, and DASH caches are dense LRUs. A
+// replay onto a reset machine allocates only the runtime's replay
+// state: the machine's tables, queues, caches and records are reused.
+// Each bound is 1.25× the count measured when it was set (on Go 1.24);
+// the per-message design allocated 3–18× more, and one closure per
+// fetch message breaks every iPSC bound. The race detector instruments
 // allocation, so the test builds only without it.
 func TestTimedReplayAllocations(t *testing.T) {
 	cfg := cholesky.Small()
 	w := cholesky.NewWorkload(cfg)
 	g := Capture(8, false, func(rt *jade.Runtime) { cholesky.Run(rt, cfg, w) })
-	check := func(name string, bound float64, fresh func() jade.Platform) {
+	check := func(name string, bound float64, platform func() jade.Platform) {
 		got := testing.AllocsPerRun(5, func() {
-			if _, err := g.Replay(fresh(), jade.Config{}); err != nil {
+			if _, err := g.Replay(platform(), jade.Config{}); err != nil {
 				panic(err)
 			}
 		})
@@ -37,18 +39,21 @@ func TestTimedReplayAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name                   string
 		coalescing, concurrent bool
-		bound                  float64
+		bound, resetBound      float64
 	}{
-		{"ipsc", false, true, 93},
-		{"ipsc/coalescing", true, true, 98},
-		{"ipsc/serial", false, false, 98},
-		{"ipsc/coalescing/serial", true, false, 98},
+		{"ipsc", false, true, 93, 12},
+		{"ipsc/coalescing", true, true, 98, 12},
+		{"ipsc/serial", false, false, 98, 12},
+		{"ipsc/coalescing/serial", true, false, 98, 12},
 	} {
-		check(c.name, c.bound, func() jade.Platform {
-			mc := ipsc.DefaultConfig(8, ipsc.Locality)
-			mc.Coalescing, mc.ConcurrentFetch = c.coalescing, c.concurrent
-			return ipsc.New(mc)
-		})
+		mc := ipsc.DefaultConfig(8, ipsc.Locality)
+		mc.Coalescing, mc.ConcurrentFetch = c.coalescing, c.concurrent
+		check(c.name, c.bound, func() jade.Platform { return ipsc.New(mc) })
+		m := ipsc.New(mc)
+		check(c.name+"/reset", c.resetBound, func() jade.Platform { m.Reset(mc); return m })
 	}
-	check("dash", 159, func() jade.Platform { return dash.New(dash.DefaultConfig(8, dash.Locality)) })
+	dc := dash.DefaultConfig(8, dash.Locality)
+	check("dash", 159, func() jade.Platform { return dash.New(dc) })
+	m := dash.New(dc)
+	check("dash/reset", 12, func() jade.Platform { m.Reset(dc); return m })
 }

@@ -86,22 +86,23 @@ func (g *Graph) TaskCount() int { return len(g.plan.Tasks) }
 func (g *Graph) ObjectCount() int { return len(g.plan.Objects) }
 
 // ErrPlatformReused is returned when a platform handed to Replay (or a
-// Variant factory) has already been attached to a runtime. A machine
-// model accumulates virtual time and statistics across its life, so
-// replaying into a used one would silently fold two runs' measurements
-// together.
-var ErrPlatformReused = errors.New("graph: platform already ran a runtime; replay needs a fresh platform")
+// Variant factory) has been attached to a runtime since it was built
+// or reset. A machine model accumulates virtual time and statistics
+// over a run, so replaying into a used one would silently fold two
+// runs' measurements together; the machines' Reset detaches them.
+var ErrPlatformReused = errors.New("graph: platform already ran a runtime; replay needs a fresh or reset platform")
 
 // attachChecker is implemented by the machine models: Attached reports
-// whether a runtime has ever been bound to the platform. Platforms
-// that don't implement it (e.g. test doubles) skip the freshness check.
+// whether a runtime has been bound to the platform since it was built
+// or reset. Platforms that don't implement it (e.g. test doubles) skip
+// the check.
 type attachChecker interface{ Attached() bool }
 
 // Replay feeds the captured graph into the platform and returns the
 // run's measurements, exactly as if the original program had been
-// executed against it. The platform must be fresh (no prior runs) and
-// match the capture's processor count; cfg must match the capture's
-// work-free setting. It is the one function that drives a platform
+// executed against it. The platform must be fresh or reset (no run
+// since) and match the capture's processor count; cfg must match the
+// capture's work-free setting. It is the one function that drives a platform
 // from the op stream: the runtime rides the graph's plan, so per-run
 // cost is a few flat state slices, not a synchronizer re-walk.
 func (g *Graph) Replay(p jade.Platform, cfg jade.Config) (*metrics.Run, error) {

@@ -316,6 +316,37 @@ func TestReplayRejectsReusedPlatform(t *testing.T) {
 	}
 }
 
+// A reset machine is as good as a new one: Reset detaches the runtime,
+// so Replay accepts it and reproduces a fresh machine's run, even after
+// running at another processor count.
+func TestReplayAcceptsResetPlatform(t *testing.T) {
+	g := Capture(4, true, stencil)
+	cfg := jade.Config{WorkFree: true}
+	dc := dash.DefaultConfig(4, dash.TaskPlacement)
+	want, err := g.Replay(dash.New(dc), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := dash.New(dash.DefaultConfig(8, dash.Locality))
+	if _, err := Capture(8, true, stencil).Replay(p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	p.Reset(dc)
+	got, err := g.Replay(p, cfg)
+	if err != nil {
+		t.Fatalf("Replay after Reset: %v", err)
+	}
+	if a, b := runJSON(t, want), runJSON(t, got); !bytes.Equal(a, b) {
+		t.Fatalf("replay onto a reset machine diverged:\nnew:\n%s\nreset:\n%s", a, b)
+	}
+	p2 := ipsc.New(ipsc.DefaultConfig(4, ipsc.Locality))
+	jade.New(p2, cfg)
+	p2.Reset(ipsc.DefaultConfig(4, ipsc.Locality))
+	if _, err := g.Replay(p2, cfg); err != nil {
+		t.Fatalf("Replay on a reset platform: %v", err)
+	}
+}
+
 // panicPlatform wraps a platform and panics on the Nth TaskCreated —
 // a stand-in for a machine-model bug in one variant of a set.
 type panicPlatform struct {

@@ -141,13 +141,42 @@ type fifo struct {
 	head int
 }
 
-// Init builds the kit for procs processors priced by par, with model
-// supplying the policies and costs.
-func (c *Central) Init(procs int, par Params, model Model) {
-	c.Core.Init(procs, par.CreateSec, c.schedule)
+// Reset returns the kit to its freshly built state for procs
+// processors priced by par, with model supplying the policies and
+// costs, keeping the storage of the task states, the message records
+// and their batches (see Core.Reset). model must be the same on every
+// Reset: the first one registers the life cycle's handlers.
+func (c *Central) Reset(procs int, par Params, model Model) {
+	fresh := c.Eng == nil
+	c.Core.Reset(procs, par.CreateSec, c.schedule)
 	c.model, c.par = model, par
-	c.Load = make([]int, procs)
-	c.inflight = make([]fifo, procs)
+	c.Load = Resize(c.Load, procs)
+	clear(c.Load)
+	clear(c.Pool)
+	c.Pool = c.Pool[:0]
+	c.arena.Reset()
+	clear(c.states)
+	c.states = c.states[:0]
+	c.inflight = Resize(c.inflight, procs)
+	for i := range c.inflight {
+		c.inflight[i] = fifo{idx: c.inflight[i].idx[:0]}
+	}
+	for i := range c.msgs {
+		c.msgs[i].TS = nil
+		clear(c.msgs[i].Batch)
+	}
+	c.msgs = c.msgs[:0]
+	c.freeMsgs = c.freeMsgs[:0]
+	clear(c.gather)
+	c.gather = c.gather[:0]
+	c.grouped = c.grouped[:0]
+	if fresh {
+		c.register()
+	}
+}
+
+// register adds the life cycle's handlers to a new engine.
+func (c *Central) register() {
 	c.arrivedH = c.Eng.RegisterHandler(func(i int32) {
 		// Work-free runs measure task management alone: tasks fetch
 		// nothing.
@@ -180,7 +209,7 @@ func (c *Central) Init(procs int, par Params, model Model) {
 func (c *Central) ReserveCapacity(objects, tasks int) {
 	c.Core.ReserveCapacity(objects, tasks)
 	c.arena.Reserve(tasks)
-	c.states = make([]*TaskState, 0, tasks)
+	c.states = Reserve(c.states, tasks)
 }
 
 // Drain implements jade.Platform, checking also that no task is left
@@ -268,10 +297,15 @@ func (c *Central) Group(coalesce bool) []int32 {
 // reusing a recycled record when there is one.
 func (c *Central) NewMsg(dest int, batch ...jade.Access) int32 {
 	var i int32
-	if n := len(c.freeMsgs); n > 0 {
+	switch n := len(c.freeMsgs); {
+	case n > 0:
 		i = c.freeMsgs[n-1]
 		c.freeMsgs = c.freeMsgs[:n-1]
-	} else {
+	case len(c.msgs) < cap(c.msgs):
+		// A record left from before a Reset: reuse its batch storage.
+		c.msgs = c.msgs[:len(c.msgs)+1]
+		i = int32(len(c.msgs) - 1)
+	default:
 		c.msgs = append(c.msgs, Msg{})
 		i = int32(len(c.msgs) - 1)
 	}

@@ -24,7 +24,7 @@ import (
 )
 
 // Core is the machine-independent front half of jade.Platform. A
-// machine embeds it, calls Init from its constructor and supplies
+// machine embeds it, calls Reset from its own Reset and supplies
 // ObjectAllocated, SerialWork and MainTouches itself.
 type Core struct {
 	Eng *sim.Engine
@@ -50,35 +50,55 @@ type Core struct {
 	busyBase []float64
 }
 
-// Init builds the engine and procs CPUs. Creating a task costs
-// createSec of main-processor time; enable receives each task once it
-// is both created and enabled.
-func (c *Core) Init(procs int, createSec float64, enable func(*jade.Task)) {
-	c.Eng = sim.New()
-	c.CPUs = make([]sim.Processor, procs)
+// Reset returns the core to its freshly built state with procs CPUs:
+// an empty engine at time zero, no runtime, sink or tasks, and zeroed
+// measurements. Storage is kept, so a machine that replays one run
+// after another stops allocating once its slices reach the largest
+// run's size. Creating a task costs createSec of main-processor time;
+// enable receives each task once it is both created and enabled. The
+// first Reset of a zero Core builds the engine and registers enable;
+// later ones keep the handler registry, so a machine passes the same
+// enable every time.
+func (c *Core) Reset(procs int, createSec float64, enable func(*jade.Task)) {
+	if c.Eng == nil {
+		c.Eng = sim.New()
+		c.enabledH = c.Eng.RegisterHandler(func(tid int32) { enable(c.Tasks[tid]) })
+	} else {
+		c.Eng.Reset()
+	}
+	c.CPUs = Resize(c.CPUs, procs)
 	for i := range c.CPUs {
 		c.CPUs[i] = sim.MakeProcessor(c.Eng)
 	}
+	c.RT, c.Sink = nil, nil
+	clear(c.Tasks)
+	c.Tasks = c.Tasks[:0]
+	c.Metrics = metrics.Run{Procs: procs, ProcBusy: c.Metrics.ProcBusy[:0]}
 	c.createSec = createSec
-	c.enabledH = c.Eng.RegisterHandler(func(tid int32) { enable(c.Tasks[tid]) })
-	c.Metrics.Procs = procs
+	c.createdDone = c.createdDone[:0]
+	c.completed = 0
+	c.execBase = 0
+	c.busyBase = c.busyBase[:0]
 }
 
 // Attach implements jade.Platform.
 func (c *Core) Attach(rt *jade.Runtime) { c.RT = rt }
 
-// Attached reports whether a runtime has ever been bound to the
-// machine; graph replay uses it to refuse reused platforms.
+// Attached reports whether a runtime has been bound to the machine
+// since it was built or last reset; graph replay uses it to refuse
+// platforms that already ran.
 func (c *Core) Attached() bool { return c.RT != nil }
 
 // Processors implements jade.Platform.
 func (c *Core) Processors() int { return len(c.CPUs) }
 
 // ReserveCapacity implements the replay capacity hint for the task
-// table; machines with dense per-object state size it too.
+// table; machines with dense per-object state size it too. It runs
+// before the first object or task, and keeps storage that is already
+// large enough.
 func (c *Core) ReserveCapacity(objects, tasks int) {
-	c.Tasks = make([]*jade.Task, 0, tasks)
-	c.createdDone = make([]sim.Time, 0, tasks)
+	c.Tasks = Reserve(c.Tasks, tasks)
+	c.createdDone = Reserve(c.createdDone, tasks)
 }
 
 // submitMgmt charges d seconds of task-management work to the main
@@ -151,7 +171,7 @@ func (c *Core) Stats() *metrics.Run {
 
 // ResetStats implements jade.Platform.
 func (c *Core) ResetStats() {
-	c.Metrics = metrics.Run{Procs: len(c.CPUs)}
+	c.Metrics = metrics.Run{Procs: len(c.CPUs), ProcBusy: c.Metrics.ProcBusy[:0]}
 	c.execBase = c.CPUs[0].FreeAt()
 	c.busyBase = c.busyBase[:0]
 	for i := range c.CPUs {
@@ -164,8 +184,20 @@ func (c *Core) ResetStats() {
 // values live in chunks that never grow, so no pointer ever moves.
 type Arena[T any] struct{ chunk []T }
 
-// Reserve sizes the next chunk for n values.
-func (a *Arena[T]) Reserve(n int) { a.chunk = make([]T, 0, n) }
+// Reserve makes room for n more values in the current chunk, starting
+// a new chunk only when the current one has less room left.
+func (a *Arena[T]) Reserve(n int) {
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]T, 0, n)
+	}
+}
+
+// Reset forgets every value handed out, keeping the current chunk for
+// reuse; pointers from before the reset must no longer be used.
+func (a *Arena[T]) Reset() {
+	clear(a.chunk)
+	a.chunk = a.chunk[:0]
+}
 
 // New returns a pointer to a zero T.
 func (a *Arena[T]) New() *T {
@@ -176,4 +208,23 @@ func (a *Arena[T]) New() *T {
 	}
 	a.chunk = a.chunk[:len(a.chunk)+1]
 	return &a.chunk[len(a.chunk)-1]
+}
+
+// Reserve returns s emptied with room for n elements: s itself when
+// its capacity suffices, otherwise a new slice.
+func Reserve[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make([]T, 0, n)
+}
+
+// Resize returns s with length n, keeping its elements (and the
+// storage they own) up to n; elements past the old capacity are zero.
+// The caller resets every element it keeps.
+func Resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }

@@ -76,7 +76,7 @@ type toy struct {
 
 func newToy(procs int) *toy {
 	m := &toy{}
-	m.Init(procs, Params{CreateSec: 1e-6, AssignSec: 1e-6, CompleteSec: 1e-6, DispatchSec: 1e-6, TargetTasks: 1}, m)
+	m.Reset(procs, Params{CreateSec: 1e-6, AssignSec: 1e-6, CompleteSec: 1e-6, DispatchSec: 1e-6, TargetTasks: 1}, m)
 	return m
 }
 

@@ -45,24 +45,41 @@ var (
 
 // New builds a PGAS machine.
 func New(cfg Config) *Machine {
+	m := &Machine{}
+	m.Reset(cfg)
+	return m
+}
+
+// Reset returns the machine to the state New(cfg) builds, for any
+// locale count, keeping the storage of its stores and the kit's
+// records; the fault injector and the sink are cleared.
+func (m *Machine) Reset(cfg Config) {
 	if cfg.Procs < 1 {
 		panic("pgas: need at least one locale")
 	}
 	if cfg.TargetTasks < 1 {
 		cfg.TargetTasks = 1
 	}
-	m := &Machine{cfg: cfg, nics: make([]sim.Processor, cfg.Procs), stores: make([][]jade.Version, cfg.Procs)}
-	m.Init(cfg.Procs, machine.Params{
+	fresh := m.Eng == nil
+	m.cfg = cfg
+	m.Central.Reset(cfg.Procs, machine.Params{
 		CreateSec: cfg.TaskCreateSec, AssignSec: cfg.AssignSec, CompleteSec: cfg.CompleteHandleSec,
 		DispatchSec: cfg.DispatchSec, TaskMsgBytes: cfg.TaskMsgBytes, CompletionBytes: cfg.CompletionBytes,
 		TargetTasks: cfg.TargetTasks, FetchStall: true,
 	}, m)
+	if fresh {
+		m.gotH = m.Eng.RegisterHandler(m.got)
+		m.putH = m.Eng.RegisterHandler(m.put)
+	}
+	m.nics = machine.Resize(m.nics, cfg.Procs)
 	for i := range m.nics {
 		m.nics[i] = sim.MakeProcessor(m.Eng)
 	}
-	m.gotH = m.Eng.RegisterHandler(m.got)
-	m.putH = m.Eng.RegisterHandler(m.put)
-	return m
+	m.stores = machine.Resize(m.stores, cfg.Procs)
+	for i := range m.stores {
+		m.stores[i] = m.stores[i][:0]
+	}
+	m.Inj = nil
 }
 
 // ObjectAllocated implements jade.Platform: the object's segment is

@@ -84,6 +84,9 @@ func (f *fifo) pop() event {
 	return ev
 }
 
+// reset empties the buffer, keeping its storage.
+func (f *fifo) reset() { f.head, f.n = 0, 0 }
+
 // grow doubles the buffer, re-linearizing live entries at the front.
 func (f *fifo) grow() {
 	old := f.buf
@@ -173,9 +176,29 @@ type Engine struct {
 // engines, so paying a handful of amortized growth steps beats
 // pre-sizing every engine for the largest run.
 func New() *Engine {
-	e := &Engine{lastTail: -1}
+	e := &Engine{}
 	e.handlers = append(e.handlers, e.runClosure)
+	e.Reset()
 	return e
+}
+
+// Reset empties the engine and sets the clock back to zero, keeping
+// the storage of its queues and the handler registry: a reset engine
+// fires the same events in the same order as a new one with the same
+// handlers registered. Pending events and closures are dropped.
+func (e *Engine) Reset() {
+	e.nowq.reset()
+	e.bucket.reset()
+	e.bucketAt = 0
+	e.entries = e.entries[:0]
+	e.slots = e.slots[:0]
+	e.free = e.free[:0]
+	e.heapN = 0
+	e.lastAt, e.lastTail = 0, -1
+	clear(e.closures)
+	e.closures = e.closures[:0]
+	e.closureFree = e.closureFree[:0]
+	e.now, e.seq = 0, 0
 }
 
 // RegisterHandler adds h to the engine's callback registry and returns
