@@ -111,6 +111,22 @@ cmp "$cmpdir/serial.md" "$cmpdir/parallel.md"
 "$cmpdir/jadebench" -experiment all -scale small -json -parallel 1 >"$cmpdir/serial.json"
 "$cmpdir/jadebench" -experiment all -scale small -json -parallel 3 >"$cmpdir/parallel.json"
 cmp "$cmpdir/serial.json" "$cmpdir/parallel.json"
+
+echo "== jadebench paper-scale digests =="
+# Every experiment at paper scale, pinned by digest: a refactor of the
+# capture/replay path or of a machine must leave both renderings
+# byte-identical. A change that alters a report on purpose updates the
+# digest here and says why.
+paper_md_sha=c034679c3d5780eb75ca5c7b0fc4c46c14b67bcf29f9c0c8707adb3031fad3fe
+paper_json_sha=8146cc25aab87aca13bd3bf72f2384563b27243587c455d4bd94711b0b4c0f55
+"$cmpdir/jadebench" -experiment all -scale paper -markdown >"$cmpdir/paper.md"
+"$cmpdir/jadebench" -experiment all -scale paper -json >"$cmpdir/paper.json"
+for pair in "paper.md $paper_md_sha" "paper.json $paper_json_sha"; do
+    set -- $pair
+    got=$(sha256sum "$cmpdir/$1" | cut -d' ' -f1)
+    [ "$got" = "$2" ] ||
+        { echo "jadebench: -scale paper $1 digest $got, want $2" >&2; exit 1; }
+done
 rm -rf "$cmpdir"
 
 echo "== jadebench pgas smoke =="
