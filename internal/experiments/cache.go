@@ -20,11 +20,11 @@ import (
 // counters on /metricz.
 
 // runCacheCap bounds the shared cache. Graphs are keyed per
-// (app, scale, place, procs, work-free), beside the fused and
-// granularity graphs and the two workloads: every registered experiment
-// at one scale leaves 75 residencies (TestSecondPassCapturesNothing),
-// so 128 holds one scale's full set with headroom without letting a
-// pathological caller grow it unboundedly.
+// (app, scale, place, procs), beside the fused and granularity graphs
+// and the workloads: every registered experiment at one scale leaves
+// 66 residencies (TestSecondPassCapturesNothing), so 128 holds one
+// scale's full set with headroom without letting a pathological caller
+// grow it unboundedly.
 const runCacheCap = 128
 
 // cacheEntry is one key's slot. The value is built outside the cache
@@ -148,12 +148,12 @@ func GraphCacheStats() CacheStats { return sharedCache.stats() }
 // applications shape their structure around Runtime.Processors
 // (per-processor replicas, block distributions), so the graph is not
 // procs-invariant even though the machine models downstream of it are
-// interchangeable. A timed capture (workFree false) is where the task
-// bodies run, once, in serial order.
-func capturedGraph(a *appSpec, scale Scale, procs int, place, workFree bool) *graph.Graph {
-	key := fmt.Sprintf("graph/%s/%s/place=%t/procs=%d/workfree=%t", a.key, scale, place, procs, workFree)
+// interchangeable. The work-free setting is not: one graph replays
+// both timed and work-free cells.
+func capturedGraph(a *appSpec, scale Scale, procs int, place bool) *graph.Graph {
+	key := fmt.Sprintf("graph/%s/%s/place=%t/procs=%d", a.key, scale, place, procs)
 	return sharedCache.get(key, func() any {
-		return graph.Capture(procs, workFree, func(rt *jade.Runtime) { a.run(rt, scale, place) })
+		return graph.Capture(procs, false, func(rt *jade.Runtime) { a.run(rt, scale, place) })
 	}).(*graph.Graph)
 }
 
@@ -164,13 +164,13 @@ type fusedEntry struct {
 	st graph.FuseStats
 }
 
-// fusedGraph returns the task-fusion pass's output for one work-free
-// graph (fusion specs are work-free), cached alongside the unfused
-// capture under a /fused=true key.
+// fusedGraph returns the task-fusion pass's output for the work-free
+// view of one graph (fusion specs are work-free), cached alongside the
+// unfused capture under a /fused=true key.
 func fusedGraph(a *appSpec, scale Scale, procs int, place bool) fusedEntry {
 	key := fmt.Sprintf("graph/%s/%s/place=%t/procs=%d/fused=true", a.key, scale, place, procs)
 	return sharedCache.get(key, func() any {
-		g, st, _ := capturedGraph(a, scale, procs, place, true).Fuse(fuse.DefaultOptions())
+		g, st, _ := capturedGraph(a, scale, procs, place).WorkFreeView().Fuse(fuse.DefaultOptions())
 		return fusedEntry{g: g, st: st}
 	}).(fusedEntry)
 }
@@ -214,30 +214,21 @@ func accumulateFuse(r *metrics.Run) {
 	}
 }
 
-// runAppFused replays the fused task graph against the platform. The
-// fusion pass operates on the captured op stream, so there is no direct
-// path that could express the fused program.
-func runAppFused(p jade.Platform, cfg jade.Config, machine string, a *appSpec, scale Scale, place bool) *metrics.Run {
-	fe := fusedGraph(a, scale, p.Processors(), place)
-	r, err := fe.g.Replay(p, cfg)
-	if err != nil {
-		panic(err) // see runApp
-	}
-	stampFusion(r, machine, fe.st)
-	return r
+// runApp executes one application run against the platform by
+// replaying the cached task graph: the front-end runs once per
+// (app, scale, place, procs) capture instead of once per cell, no body
+// runs at all, and the replay is byte-identical to direct execution.
+func runApp(p jade.Platform, cfg jade.Config, a *appSpec, scale Scale, place bool) *metrics.Run {
+	return replay(capturedGraph(a, scale, p.Processors(), place), p, cfg)
 }
 
-// runApp executes one application run against the platform by
-// replaying the cached task graph: the front-end and the task bodies run
-// once per (app, scale, place, procs, work-free) capture instead of once
-// per cell, and the replay is byte-identical to direct execution.
-func runApp(p jade.Platform, cfg jade.Config, a *appSpec, scale Scale, place bool) *metrics.Run {
-	r, err := capturedGraph(a, scale, p.Processors(), place, cfg.WorkFree).Replay(p, cfg)
+// replay replays g against the platform. Every graph replays onto a
+// fresh or reset platform, so a refusal is a caller bug (a platform
+// that already ran, say). Re-running directly would hide it behind a
+// slow, correct-looking run.
+func replay(g *graph.Graph, p jade.Platform, cfg jade.Config) *metrics.Run {
+	r, err := g.Replay(p, cfg)
 	if err != nil {
-		// Every capture replays onto a fresh or reset platform, so a
-		// refusal is a caller bug (a platform that already ran, say).
-		// Re-running directly would hide it behind a slow,
-		// correct-looking run.
 		panic(err)
 	}
 	return r

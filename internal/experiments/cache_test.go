@@ -334,7 +334,7 @@ func TestGraphCacheConcurrentRuns(t *testing.T) {
 // The Cholesky symbolic workload now lives in the shared cache; runs
 // at one scale must keep sharing a single instance.
 func TestCholeskyWorkloadShared(t *testing.T) {
-	if choleskyWorkload(Small) != choleskyWorkload(Small) {
+	if choleskyWorkload("cholesky", Small) != choleskyWorkload("cholesky", Small) {
 		t.Fatal("choleskyWorkload built two instances for one scale")
 	}
 }

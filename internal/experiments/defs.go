@@ -99,12 +99,29 @@ func init() {
 	registerBespoke("ablation-locality-policy", "Ablation: locality-object policy (iPSC/860, Panel Cholesky)", localityPolicyAblation)
 	register("ablation-sticky", "Extension (§5.6): scheduler less eager to move tasks off target (iPSC/860)",
 		stickyCells, stickyAblation)
-	registerBespoke("ablation-ordering", "Ablation: natural vs reverse Cuthill-McKee ordering (Panel Cholesky)", orderingAblation)
+	registerBespoke("ablation-ordering", "Ablation: natural vs reverse Cuthill-McKee ordering (Panel Cholesky)",
+		choleskyAblation("ablation-ordering",
+			[]string{"ordering", "nnz(L)", "modeled serial s", "exec 8p (s)", "exec 32p (s)"},
+			[2]string{"natural (default)", "reverse Cuthill-McKee"},
+			newCholeskyApp("Panel Cholesky, RCM ordering", "cholesky-rcm"),
+			func(a *appSpec, s Scale) []string {
+				return []string{fmt.Sprint(choleskyWorkload(a.key, s).Sym.NNZL()), table.Cell(a.serialWork(s))}
+			},
+			"the paper's BCSSTK15 runs use a pre-ordered matrix; ordering changes the "+
+				"panel dependence structure and the total work"))
 	register("extension-update", "Extension (§6): eager update protocol vs demand fetch (iPSC/860, broadcast off)",
 		updateCells, updateExtension)
 	register("extension-portability", "Portability: the same programs on all three machine models (8 processors)",
 		portabilityCells, portabilityStudy)
-	registerBespoke("ablation-panels", "Ablation: blind vs supernodal panel partitioning (Panel Cholesky)", panelsAblation)
+	registerBespoke("ablation-panels", "Ablation: blind vs supernodal panel partitioning (Panel Cholesky)",
+		choleskyAblation("ablation-panels",
+			[]string{"partitioning", "panels", "tasks", "exec 8p (s)", "exec 32p (s)"},
+			[2]string{"fixed width (paper)", "supernode-aligned"},
+			newCholeskyApp("Panel Cholesky, supernodal panels", "cholesky-supernodal"),
+			func(a *appSpec, s Scale) []string {
+				w := choleskyWorkload(a.key, s)
+				return []string{fmt.Sprint(w.Sym.NumPanels()), fmt.Sprint(cholesky.TaskCount(w))}
+			}, ""))
 	register("utilization", "Processor utilization breakdown (Ocean, 8 processors)",
 		func(Scale) []RunSpec {
 			return []RunSpec{
@@ -279,35 +296,6 @@ func concurrentFetchStudy(_ Scale, runs []*metrics.Run) *Result {
 			"per communication point, so there is nothing to parallelize (§5.5)"}
 }
 
-// panelsAblation compares blind fixed-width panels with
-// supernode-aligned panels for Panel Cholesky on the iPSC model. The
-// supernodal workload is not an app a RunSpec names, so it is bespoke.
-func panelsAblation(r Runner, scale Scale) *Result {
-	head := []string{"partitioning", "panels", "tasks", "exec 8p (s)", "exec 32p (s)"}
-	rows := make([][]string, 2)
-	r.Each(2, func(v int) {
-		super := v == 1
-		label := "fixed width (paper)"
-		if super {
-			label = "supernode-aligned"
-		}
-		cfg := choleskyCfg(scale)
-		cfg.Supernodal = super
-		w := cholesky.NewWorkload(cfg)
-		run := func(p int) float64 {
-			m := ipsc.New(ipsc.DefaultConfig(p, ipsc.Locality))
-			rt := jade.New(m, jade.Config{})
-			cholesky.Run(rt, cfg, w)
-			return rt.Finish().ExecTime
-		}
-		rows[v] = []string{label,
-			fmt.Sprint(w.Sym.NumPanels()), fmt.Sprint(cholesky.TaskCount(w)),
-			table.Cell(run(8)), table.Cell(run(32))}
-	})
-	return &Result{ID: "ablation-panels", Title: registry["ablation-panels"].Title,
-		Head: head, Rows: rows}
-}
-
 // utilizationStudy reports the per-processor busy fraction for Ocean
 // at the Task Placement level on both machines — the view behind the
 // task-management figures: the main processor is busy managing while
@@ -413,37 +401,28 @@ func localityPolicyAblation(r Runner, scale Scale) *Result {
 		Head: procHead("variant \\ procs"), Rows: rows}
 }
 
-// orderingAblation compares the natural grid ordering with reverse
-// Cuthill-McKee: fill, modeled flops, and execution time at the
-// Locality level on the iPSC model. The RCM workload is not an app a
-// RunSpec names, so it is bespoke.
-func orderingAblation(r Runner, scale Scale) *Result {
-	head := []string{"ordering", "nnz(L)", "modeled serial s", "exec 8p (s)", "exec 32p (s)"}
-	rows := make([][]string, 2)
-	r.Each(2, func(v int) {
-		rcm := v == 1
-		label := "natural (default)"
-		if rcm {
-			label = "reverse Cuthill-McKee"
+// choleskyAblation compares Table 5's Panel Cholesky workload with one
+// structural variant on the iPSC model at the Locality level, at 8 and
+// 32 processors. Like ablation-steal it is bespoke, because the variant
+// is an appSpec no RunSpec names (it is not in appKeys), but its cells
+// replay cached graphs through runApp: the default's are Table 5's.
+// stats renders the columns a workload fixes before any run.
+func choleskyAblation(id string, head []string, labels [2]string, variant *appSpec,
+	stats func(*appSpec, Scale) []string, notes string) func(Runner, Scale) *Result {
+	return func(r Runner, scale Scale) *Result {
+		apps, procs := [2]*appSpec{choleskyApp, variant}, [2]int{8, 32}
+		times := make([]float64, 4)
+		r.Each(len(times), func(k int) {
+			m := ipsc.New(ipsc.DefaultConfig(procs[k%2], ipsc.Locality))
+			times[k] = runApp(m, jade.Config{}, apps[k/2], scale, false).ExecTime
+		})
+		rows := make([][]string, 2)
+		for v, a := range apps {
+			rows[v] = append(append([]string{labels[v]}, stats(a, scale)...),
+				table.Cell(times[2*v]), table.Cell(times[2*v+1]))
 		}
-		cfg := choleskyCfg(scale)
-		cfg.UseRCM = rcm
-		w := cholesky.NewWorkload(cfg)
-		run := func(p int) float64 {
-			m := ipsc.New(ipsc.DefaultConfig(p, ipsc.Locality))
-			rt := jade.New(m, jade.Config{})
-			cholesky.Run(rt, cfg, w)
-			return rt.Finish().ExecTime
-		}
-		rows[v] = []string{label,
-			fmt.Sprint(w.Sym.NNZL()),
-			table.Cell(cholesky.SerialWorkSec(cfg, w)),
-			table.Cell(run(8)), table.Cell(run(32))}
-	})
-	return &Result{ID: "ablation-ordering", Title: registry["ablation-ordering"].Title,
-		Head: head, Rows: rows,
-		Notes: "the paper's BCSSTK15 runs use a pre-ordered matrix; ordering changes the " +
-			"panel dependence structure and the total work"}
+		return &Result{ID: id, Title: registry[id].Title, Head: head, Rows: rows, Notes: notes}
+	}
 }
 
 // updateCells evaluates the §6 eager-update protocol against demand

@@ -241,10 +241,7 @@ func granCell(scale Scale, machine string, w float64, fusion, coalescing bool) *
 		fe := granFusedGraph(scale, w)
 		g, st = fe.g, fe.st
 	}
-	r, err := g.Replay(granPlatform(machine, coalescing), jade.Config{})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: granularity replay failed: %v", err))
-	}
+	r := replay(g, granPlatform(machine, coalescing), jade.Config{})
 	if fusion {
 		stampFusion(r, machine, st)
 	}

@@ -7,13 +7,14 @@ import (
 	"repro/internal/metrics"
 )
 
-// Capture executes run once against a recording platform with the
-// given processor count and work-free setting, and returns the
-// captured graph. The recording platform executes any task bodies
-// serially in task-creation order during each drain — a valid
-// dependence-respecting schedule — so a capture is itself a correct
-// execution of the program, just an unmeasured one, and the only one
-// that ever runs its bodies.
+// Capture executes run's front-end once against a recording platform
+// with the given processor count, and returns the captured graph. The
+// front-end runs under a work-free runtime, so no task, segment or
+// serial body ever runs: a task's simulated cost is the work it
+// declared, and Jade programs declare their task structure
+// independently of body results. The graph records that declared work
+// and the staged segments, so it replays both timed and work-free runs.
+// With workFree set, Capture returns the graph's WorkFreeView instead.
 //
 // procs matters: applications shape their task structure around
 // Runtime.Processors (per-processor replicas, block distributions,
@@ -23,10 +24,14 @@ func Capture(procs int, workFree bool, run func(*jade.Runtime)) *Graph {
 		panic(fmt.Sprintf("graph: capture with %d processors", procs))
 	}
 	rec := &recorder{procs: procs}
-	rt := jade.New(rec, jade.Config{WorkFree: workFree})
+	rt := jade.New(rec, jade.Config{WorkFree: true})
 	run(rt)
 	rt.Finish()
-	return rec.finish(workFree)
+	g := rec.finish()
+	if workFree {
+		return g.WorkFreeView()
+	}
+	return g
 }
 
 // recorder is the capturing jade.Platform. It appends one op per
@@ -77,21 +82,16 @@ func (r *recorder) SerialWork(d float64) {
 	r.ops = append(r.ops, opSerial)
 }
 
-// Drain executes every not-yet-executed task in creation order.
-// Dependences only flow from lower task IDs to higher ones, so serial
-// ID order is always a legal schedule; early releases need no special
-// handling because full completion subsumes them.
+// Drain completes every not-yet-executed task in creation order; the
+// work-free runtime has nil'd every task body, so RunBody only marks a
+// task, staged or not, executed. Dependences only flow from lower task
+// IDs to higher ones, so serial ID order is always a legal schedule;
+// early releases need no special handling because full completion
+// subsumes them.
 func (r *recorder) Drain() {
 	for ; r.next < len(r.tasks); r.next++ {
-		t := r.tasks[r.next]
-		if n := len(t.Segments); n > 0 {
-			for i := 0; i < n; i++ {
-				r.rt.RunSegmentBody(t, i)
-			}
-		} else {
-			r.rt.RunBody(t)
-		}
-		r.rt.TaskDone(t)
+		r.rt.RunBody(r.tasks[r.next])
+		r.rt.TaskDone(r.tasks[r.next])
 	}
 	r.ops = append(r.ops, opWait)
 }
@@ -111,7 +111,7 @@ func (r *recorder) ResetStats() {
 // finish copies the runtime's objects and tasks into the graph — no
 // payloads, no bodies, every object pointer redirected to the copy —
 // and links them into the replay plan.
-func (r *recorder) finish(workFree bool) *Graph {
+func (r *recorder) finish() *Graph {
 	// Runtime.Finish ends every run with one more drain; Replay ends
 	// with Runtime.Finish too, so drop the trailing wait rather than
 	// replaying it twice. (Draining an idle machine is a no-op on
@@ -119,7 +119,7 @@ func (r *recorder) finish(workFree bool) *Graph {
 	if n := len(r.ops); n == 0 || r.ops[n-1] != opWait {
 		panic("graph: capture did not end in a drain")
 	}
-	g := &Graph{procs: r.procs, workFree: workFree, ops: r.ops[:len(r.ops)-1],
+	g := &Graph{procs: r.procs, ops: r.ops[:len(r.ops)-1],
 		serials: r.serials, serialAccs: r.serialAccs}
 
 	src := r.rt.Objects()

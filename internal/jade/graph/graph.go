@@ -8,12 +8,12 @@
 // compute costs, segment structure, serial phases, and synchronization
 // points — is a pure function of the program and its inputs,
 // independent of the machine model and optimization toggles. Capture
-// runs the program once against a recording platform, executing every
-// task body serially in creation order (a legal schedule, by Jade's
-// serial-equivalence guarantee); Replay re-issues the recorded runtime
-// calls against a real machine model, skipping the front-end and the
-// bodies entirely. A sweep over machine models and locality levels then
-// builds and executes each application once instead of once per cell.
+// runs the program's front-end once against a recording platform under
+// a work-free runtime, so no body runs at all; Replay re-issues the
+// recorded runtime calls against a real machine model, skipping the
+// front-end too. One graph replays both timed and work-free runs, so a
+// sweep over machine models, locality levels and the work-free setting
+// builds each application once instead of once per cell.
 //
 // A graph is its replay plan (plan.go): the materialized objects and
 // tasks, their access lists with versions, and the transitively reduced
@@ -23,10 +23,8 @@
 // few flat state slices.
 //
 // Replay reproduces measurements, not application outputs: a graph
-// never retains a body (a captured closure would be tied to the capture
-// run's heap), and no platform reads one — a task's simulated cost is
-// the work it declared. Serial-phase bodies execute inside the Runtime
-// and are invisible to platforms; they too run during capture only.
+// never retains a body, and no platform reads one — a task's simulated
+// cost is the work it declared. Bodies run only in direct execution.
 package graph
 
 import (
@@ -74,10 +72,26 @@ type Graph struct {
 // platform with the same count.
 func (g *Graph) Procs() int { return g.procs }
 
-// WorkFree reports whether the graph was captured under a work-free
-// configuration. Replay requires the same setting: machine models gate
-// access costing on it.
+// WorkFree reports whether the graph is a work-free view: its tasks
+// carry no work and no segments, so it replays work-free runs only.
 func (g *Graph) WorkFree() bool { return g.workFree }
+
+// WorkFreeView returns the graph as a work-free run sees it: every
+// task's work zeroed and its segments dropped, everything else shared.
+// A work-free run replays identically from either graph; the view
+// matters to passes that read work or segments, such as Fuse, which
+// should judge every task of a work-free run tiny.
+func (g *Graph) WorkFreeView() *Graph {
+	v, plan := *g, *g.plan
+	tasks := make([]jade.Task, len(plan.Tasks))
+	plan.Tasks = make([]*jade.Task, len(tasks))
+	for i, t := range g.plan.Tasks {
+		tasks[i] = jade.Task{ID: t.ID, Accesses: t.Accesses, Placed: t.Placed}
+		plan.Tasks[i] = &tasks[i]
+	}
+	v.workFree, v.plan = true, &plan
+	return &v
+}
 
 // TaskCount returns the number of captured tasks.
 func (g *Graph) TaskCount() int { return len(g.plan.Tasks) }
@@ -101,16 +115,16 @@ type attachChecker interface{ Attached() bool }
 // Replay feeds the captured graph into the platform and returns the
 // run's measurements, exactly as if the original program had been
 // executed against it. The platform must be fresh or reset (no run
-// since) and match the capture's processor count; cfg must match the
-// capture's work-free setting. It is the one function that drives a platform
+// since) and match the capture's processor count; a work-free view
+// replays work-free runs only. It is the one function that drives a platform
 // from the op stream: the runtime rides the graph's plan, so per-run
 // cost is a few flat state slices, not a synchronizer re-walk.
 func (g *Graph) Replay(p jade.Platform, cfg jade.Config) (*metrics.Run, error) {
 	if n := p.Processors(); n != g.procs {
 		return nil, fmt.Errorf("graph: captured at %d processors, platform has %d", g.procs, n)
 	}
-	if cfg.WorkFree != g.workFree {
-		return nil, fmt.Errorf("graph: captured with work-free=%t, replay asked work-free=%t", g.workFree, cfg.WorkFree)
+	if g.workFree && !cfg.WorkFree {
+		return nil, errors.New("graph: a work-free view cannot replay a timed run")
 	}
 	if c, ok := p.(attachChecker); ok && c.Attached() {
 		return nil, ErrPlatformReused

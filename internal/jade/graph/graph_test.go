@@ -12,7 +12,6 @@ import (
 	"repro/internal/apps/water"
 	"repro/internal/cluster"
 	"repro/internal/dash"
-	"repro/internal/fuse"
 	"repro/internal/ipsc"
 	"repro/internal/jade"
 	"repro/internal/metrics"
@@ -244,36 +243,49 @@ func withBodies(ran *int) func(*jade.Runtime) {
 	}
 }
 
-// A capture with real bodies runs each of them exactly once, and the
-// timed graph then replays — bodies and all skipped — byte-identical to
-// direct execution on every machine.
-func TestTimedCaptureRunsBodiesOnce(t *testing.T) {
+// A capture runs no task, segment or serial body, and its one graph
+// replays timed and work-free runs byte-identical to direct execution
+// on every machine. withBodies is the only program with staged tasks
+// whose work-free runs replay from a timed graph, so this also pins
+// that the machines price neither work nor segments in a work-free run:
+// such a run must match the work-free view and charge no task time.
+func TestCaptureRunsNoBodies(t *testing.T) {
 	const procs = 4
 	ran := 0
 	g := Capture(procs, false, withBodies(&ran))
-	want := 2 * (procs + 3) // per iteration: one body per part, two segments, one serial phase
-	if ran != want {
-		t.Fatalf("capture ran %d bodies, want %d", ran, want)
-	}
-	if _, _, err := g.Fuse(fuse.DefaultOptions()); err != nil {
-		t.Fatalf("Fuse of a timed capture: %v", err)
+	view := Capture(procs, true, withBodies(&ran))
+	if ran != 0 {
+		t.Fatalf("capture ran %d bodies, want 0", ran)
 	}
 	for _, machine := range machines {
-		t.Run(machine, func(t *testing.T) {
-			rt := jade.New(newMachine(machine, procs), jade.Config{})
-			withBodies(new(int))(rt)
-			direct := runJSON(t, rt.Finish())
-			r, err := g.Replay(newMachine(machine, procs), jade.Config{})
-			if err != nil {
-				t.Fatalf("Replay: %v", err)
-			}
-			if replayed := runJSON(t, r); !bytes.Equal(direct, replayed) {
-				t.Fatalf("timed replay diverged from direct run:\ndirect:\n%s\nreplay:\n%s", direct, replayed)
-			}
-		})
-	}
-	if ran != want {
-		t.Fatalf("replay ran bodies: %d executions, want the capture's %d", ran, want)
+		for _, workFree := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/workFree=%t", machine, workFree), func(t *testing.T) {
+				cfg := jade.Config{WorkFree: workFree}
+				rt := jade.New(newMachine(machine, procs), cfg)
+				withBodies(new(int))(rt)
+				direct := runJSON(t, rt.Finish())
+				r, err := g.Replay(newMachine(machine, procs), cfg)
+				if err != nil {
+					t.Fatalf("Replay: %v", err)
+				}
+				if replayed := runJSON(t, r); !bytes.Equal(direct, replayed) {
+					t.Fatalf("replay diverged from direct run:\ndirect:\n%s\nreplay:\n%s", direct, replayed)
+				}
+				if !workFree {
+					return
+				}
+				if r.TaskExecTotal != 0 {
+					t.Fatalf("work-free run charged %g s of task execution", r.TaskExecTotal)
+				}
+				rv, err := view.Replay(newMachine(machine, procs), cfg)
+				if err != nil {
+					t.Fatalf("Replay of the work-free view: %v", err)
+				}
+				if fromView := runJSON(t, rv); !bytes.Equal(direct, fromView) {
+					t.Fatalf("work-free view diverged from direct run:\ndirect:\n%s\nview:\n%s", direct, fromView)
+				}
+			})
+		}
 	}
 }
 
@@ -283,7 +295,11 @@ func TestReplayValidatesConfig(t *testing.T) {
 		t.Fatalf("replay onto mismatched processor count succeeded")
 	}
 	if _, err := g.Replay(dash.New(dash.DefaultConfig(4, dash.Locality)), jade.Config{}); err == nil {
-		t.Fatalf("replay with mismatched work-free setting succeeded")
+		t.Fatalf("timed replay of a work-free view succeeded")
+	}
+	timed := Capture(4, false, stencil)
+	if _, err := timed.Replay(dash.New(dash.DefaultConfig(4, dash.Locality)), jade.Config{WorkFree: true}); err != nil {
+		t.Fatalf("work-free replay of a timed graph: %v", err)
 	}
 }
 

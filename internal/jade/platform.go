@@ -45,10 +45,11 @@ type Platform interface {
 
 // Config holds runtime-level options shared by all platforms.
 type Config struct {
-	// WorkFree, when set, skips task bodies and zeroes their work,
+	// WorkFree, when set, means the runtime runs no task, segment or
+	// serial body and the machines price no work and no traffic,
 	// leaving only task-management activity — the paper's "work-free
 	// version" used to measure task management percentage (Figures
-	// 10, 11, 20, 21).
+	// 10, 11, 20, 21). Tasks keep their declared work and segments.
 	WorkFree bool
 	// Locality selects the locality-object policy.
 	Locality LocalityPolicy

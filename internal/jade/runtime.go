@@ -164,7 +164,6 @@ func (rt *Runtime) WithAccesses(accs []Access, work float64, body func(), opts .
 		panic(fmt.Sprintf("jade: task placed on processor %d of %d", t.Placed, rt.platform.Processors()))
 	}
 	if rt.cfg.WorkFree {
-		t.Work = 0
 		t.Body = nil
 	}
 	rt.tasks = append(rt.tasks, t)

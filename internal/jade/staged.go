@@ -47,9 +47,6 @@ func (rt *Runtime) WithStagedAccesses(accs []Access, segs []Segment, opts ...Tas
 		total += sg.Work
 	}
 	t := rt.WithAccesses(accs, total, nil, opts...)
-	if rt.cfg.WorkFree {
-		return t // bodies and releases are dropped with the work
-	}
 	// Validate releases against the declaration.
 	declared := map[ObjectID]bool{}
 	for _, a := range t.Accesses {
@@ -85,7 +82,8 @@ func (rt *Runtime) ReleaseEarly(t *Task, o *Object) []*Task {
 }
 
 // RunSegmentBody executes segment i's body (the first segment marks
-// the task as executed). Platforms call it at each segment's start.
+// the task as executed); a work-free runtime runs none. Platforms call
+// it at each segment's start.
 func (rt *Runtime) RunSegmentBody(t *Task, i int) {
 	if rp := rt.rp; rp != nil {
 		if i == 0 {
@@ -99,7 +97,7 @@ func (rt *Runtime) RunSegmentBody(t *Task, i int) {
 		}
 		t.executed = true
 	}
-	if b := t.Segments[i].Body; b != nil {
+	if b := t.Segments[i].Body; b != nil && !rt.cfg.WorkFree {
 		b()
 	}
 }

@@ -83,23 +83,6 @@ func TestStagedWorkSums(t *testing.T) {
 	}
 }
 
-func TestStagedWorkFreeDegradesToPlainTask(t *testing.T) {
-	p := &mockPlatform{}
-	rt := New(p, Config{WorkFree: true})
-	a := rt.Alloc("a", 8, nil)
-	ran := false
-	task := rt.WithOnlyStaged(func(s *Spec) { s.Wr(a) }, []Segment{
-		{Work: 1, Body: func() { ran = true }},
-	})
-	rt.Wait()
-	if task.Segments != nil {
-		t.Fatal("work-free staged task kept its segments")
-	}
-	if ran {
-		t.Fatal("work-free staged task ran a body")
-	}
-}
-
 func TestCompleteEntryIdempotent(t *testing.T) {
 	rt, _ := newMock()
 	a := rt.Alloc("a", 8, nil)

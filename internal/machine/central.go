@@ -365,11 +365,15 @@ func (c *Central) Fetched(i int32) {
 }
 
 // Ready executes ts on its processor: dispatch overhead plus the
-// model's compute time. The body runs at the execution start; the
-// writes and the completion notice follow at its end.
+// model's compute time, none in a work-free run. The body runs at the
+// execution start; the writes and the completion notice follow at its
+// end.
 func (c *Central) Ready(ts *TaskState) {
 	p, t := ts.Proc, ts.T
-	work := c.model.CPUTime(p, t.Work)
+	var work float64
+	if !c.RT.Config().WorkFree {
+		work = c.model.CPUTime(p, t.Work)
+	}
 	c.Metrics.TaskMgmtTime += c.par.DispatchSec
 	c.Metrics.TaskCount++
 	if p == ts.Target {
