@@ -90,6 +90,11 @@ echo "== go test -race (concurrent packages) =="
 # set. The graph package's timed-replay allocation guard builds only
 # without -race (the detector instruments allocation); go test runs it.
 go test -race ./internal/native ./internal/jade ./internal/jade/graph ./internal/serve ./internal/experiments ./internal/fault ./internal/fuse ./internal/pgas ./internal/apps/spmv ./internal/router ./internal/load
+# Native workers complete tasks, and release staged segments early,
+# while the main program registers more: the only place the dependence
+# engine runs concurrently. Both packages take well under a second per
+# run, so repeat them to give the scheduler more interleavings.
+go test -race -count=20 ./internal/native ./internal/jade
 
 echo "== jadebench -json smoke =="
 # The emitted document must parse and carry the jadebench/v1 keys;

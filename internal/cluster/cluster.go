@@ -264,7 +264,7 @@ func (m *Machine) Release(ts *machine.TaskState, objs []*jade.Object) {
 		if a, ok := ts.T.AccessOn(o); ok && a.Writes() {
 			m.publish(a, ts.Proc)
 		}
-		m.EnableReleased(ts.T, o)
+		m.RT.ReleaseEarly(ts.T, o)
 	}
 }
 

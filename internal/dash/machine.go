@@ -362,7 +362,7 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 		m.CPUs[p].Submit(m.Eng.Now(), sim.Time(d), func(start, end sim.Time) {
 			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
 			for _, o := range segs[i].Release {
-				m.EnableReleased(t, o)
+				m.RT.ReleaseEarly(t, o)
 			}
 			if i+1 < len(segs) {
 				run(i + 1)

@@ -414,7 +414,7 @@ func (m *Machine) Release(ts *machine.TaskState, objs []*jade.Object) {
 		if a, ok := ts.T.AccessOn(o); ok && a.Writes() {
 			m.produce(o, a.RequiredVersion+1, ts.Proc)
 		}
-		m.EnableReleased(ts.T, o)
+		m.RT.ReleaseEarly(ts.T, o)
 	}
 }
 

@@ -3,8 +3,8 @@ package jade
 import "testing"
 
 // BenchmarkSynchronizerChain measures dependence tracking for a long
-// write-after-write chain on one object (worst case: every completion
-// scans the queue tail).
+// read-write chain on one object: each task waits on exactly one
+// predecessor, the last write.
 func BenchmarkSynchronizerChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rt, _ := newMock()

@@ -36,9 +36,7 @@ func Capture(procs int, workFree bool, run func(*jade.Runtime)) *Graph {
 
 // recorder is the capturing jade.Platform. It appends one op per
 // runtime event and retains the created tasks, which finish copies,
-// body-free, into the graph once the run is over: WithOnlyStaged
-// attaches Segments to a task after TaskCreated fires, so segment
-// structure is only safe to read then.
+// body-free, into the graph once the run is over.
 type recorder struct {
 	rt    *jade.Runtime
 	procs int
@@ -82,12 +80,12 @@ func (r *recorder) SerialWork(d float64) {
 	r.ops = append(r.ops, opSerial)
 }
 
-// Drain completes every not-yet-executed task in creation order; the
-// work-free runtime has nil'd every task body, so RunBody only marks a
-// task, staged or not, executed. Dependences only flow from lower task
-// IDs to higher ones, so serial ID order is always a legal schedule;
-// early releases need no special handling because full completion
-// subsumes them.
+// Drain completes every not-yet-completed task in creation order, so
+// tasks registered after it skip everything before it, as on any
+// platform. The work-free runtime has nil'd every task body, so RunBody
+// runs nothing. Dependences only flow from lower task IDs to higher
+// ones, so serial ID order is always a legal schedule; early releases
+// need no special handling because full completion subsumes them.
 func (r *recorder) Drain() {
 	for ; r.next < len(r.tasks); r.next++ {
 		r.rt.RunBody(r.tasks[r.next])
@@ -110,7 +108,8 @@ func (r *recorder) ResetStats() {
 
 // finish copies the runtime's objects and tasks into the graph — no
 // payloads, no bodies, every object pointer redirected to the copy —
-// and links them into the replay plan.
+// and freezes the runtime's synchronizer over the copies as the
+// graph's replay plan.
 func (r *recorder) finish() *Graph {
 	// Runtime.Finish ends every run with one more drain; Replay ends
 	// with Runtime.Finish too, so drop the trailing wait rather than
@@ -138,22 +137,25 @@ func (r *recorder) finish() *Graph {
 		n += len(t.Accesses)
 	}
 	accs := make([]jade.Access, 0, n)
-	tasks := make([]jade.Task, len(r.tasks))
+	taskArena := make([]jade.Task, len(r.tasks))
+	tasks := make([]*jade.Task, len(r.tasks))
 	for i, t := range r.tasks {
 		a0 := len(accs)
 		for _, a := range t.Accesses {
-			accs = append(accs, jade.Access{Obj: objs[a.Obj.ID], Mode: a.Mode})
+			a.Obj = objs[a.Obj.ID]
+			accs = append(accs, a)
 		}
-		tasks[i] = jade.Task{Accesses: accs[a0:len(accs):len(accs)], Work: t.Work, Placed: t.Placed}
+		taskArena[i] = jade.Task{ID: t.ID, Accesses: accs[a0:len(accs):len(accs)], Work: t.Work, Placed: t.Placed}
+		tasks[i] = &taskArena[i]
 		for _, sg := range t.Segments {
 			cp := jade.Segment{Work: sg.Work}
 			for _, o := range sg.Release {
 				cp.Release = append(cp.Release, objs[o.ID])
 			}
-			tasks[i].Segments = append(tasks[i].Segments, cp)
+			taskArena[i].Segments = append(taskArena[i].Segments, cp)
 		}
 	}
 	r.tasks = nil
-	g.link(objs, tasks)
+	g.plan = r.rt.Plan(objs, tasks)
 	return g
 }

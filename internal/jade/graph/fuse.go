@@ -13,8 +13,8 @@ import (
 //
 // Fusion is a graph-to-graph transformation, not a replay mode: the
 // fused result is an ordinary immutable Graph that replays through
-// Replay like any capture, with the dependence plan recomputed from
-// the fused access spans. Keeping the
+// Replay like any capture, its plan frozen from a synchronizer the
+// fused tasks register with in program order. Keeping the
 // pass here — rather than inside a machine model — means every
 // platform benefits identically and the unfused graph stays untouched
 // for side-by-side sweeps.
@@ -70,12 +70,19 @@ func (g *Graph) Fuse(opt fuse.Options) (*Graph, FuseStats, error) {
 	}
 	var st FuseStats
 	src := g.plan.Tasks
+	// A fused task keeps its head's access list, so the input's task
+	// and access counts bound the output's and neither arena
+	// reallocates: the synchronizer keeps pointers into both.
+	n := 0
+	for _, t := range src {
+		n += len(t.Accesses)
+	}
 	tasks := make([]jade.Task, 0, len(src))
-	// A fused task keeps its head's access list, so the input's access
-	// count bounds the output's and the arena never reallocates.
-	accs := make([]jade.Access, 0, g.plan.EntryStart[len(src)])
-	// emit appends a task with t's accesses, placement and segments; a
-	// non-nil modes overrides the access modes.
+	accs := make([]jade.Access, 0, n)
+	sy := jade.NewSynchronizer()
+	drained := 0 // tasks before this one have completed in sy
+	// emit registers a task with t's accesses, placement and segments;
+	// a non-nil modes overrides the access modes.
 	emit := func(t *jade.Task, work float64, modes []jade.Mode) {
 		a0 := len(accs)
 		for i, a := range t.Accesses {
@@ -84,8 +91,9 @@ func (g *Graph) Fuse(opt fuse.Options) (*Graph, FuseStats, error) {
 			}
 			accs = append(accs, jade.Access{Obj: a.Obj, Mode: a.Mode})
 		}
-		tasks = append(tasks, jade.Task{Accesses: accs[a0:len(accs):len(accs)], Work: work,
-			Placed: t.Placed, Segments: t.Segments})
+		tasks = append(tasks, jade.Task{ID: jade.TaskID(len(tasks)), Accesses: accs[a0:len(accs):len(accs)],
+			Work: work, Placed: t.Placed, Segments: t.Segments})
+		sy.Register(&tasks[len(tasks)-1])
 		out.ops = append(out.ops, opTask)
 	}
 
@@ -175,14 +183,27 @@ func (g *Graph) Fuse(opt fuse.Options) (*Graph, FuseStats, error) {
 			nd := serialDef{acc0: int32(len(out.serialAccs)), work: d.work}
 			out.serialAccs = append(out.serialAccs, g.serialAccs[d.acc0:d.accN]...)
 			nd.accN = int32(len(out.serialAccs))
+			sy.RegisterSerial(out.serialAccs[nd.acc0:nd.accN])
 			out.serials = append(out.serials, nd)
 			out.ops = append(out.ops, opSerial)
-		default: // allocation or barrier
+		case opWait, opReset:
+			// Everything before a barrier completes before anything
+			// after it registers.
+			flush()
+			for ; drained < len(tasks); drained++ {
+				sy.Complete(&tasks[drained])
+			}
+			out.ops = append(out.ops, op)
+		default: // allocation
 			flush()
 			out.ops = append(out.ops, op)
 		}
 	}
 	flush()
-	out.link(g.plan.Objects, tasks)
+	ptrs := make([]*jade.Task, len(tasks))
+	for i := range tasks {
+		ptrs[i] = &tasks[i]
+	}
+	out.plan = sy.Plan(g.plan.Objects, ptrs)
 	return out, st, nil
 }

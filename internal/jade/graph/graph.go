@@ -15,10 +15,10 @@
 // sweep over machine models, locality levels and the work-free setting
 // builds each application once instead of once per cell.
 //
-// A graph is its replay plan (plan.go): the materialized objects and
-// tasks, their access lists with versions, and the transitively reduced
-// dependence edges, plus the op stream and serial phases that order
-// them. Nothing in the graph aliases runtime state, so one Graph can be
+// A graph is its replay plan — the capture runtime's synchronizer,
+// frozen: the materialized objects and tasks, their access lists with
+// versions, and the transitively reduced dependence edges — plus the op
+// stream and serial phases that order them. Nothing in the graph aliases runtime state, so one Graph can be
 // replayed concurrently from many goroutines; each replay adds only a
 // few flat state slices.
 //
@@ -117,8 +117,9 @@ type attachChecker interface{ Attached() bool }
 // executed against it. The platform must be fresh or reset (no run
 // since) and match the capture's processor count; a work-free view
 // replays work-free runs only. It is the one function that drives a platform
-// from the op stream: the runtime rides the graph's plan, so per-run
-// cost is a few flat state slices, not a synchronizer re-walk.
+// from the op stream: the runtime is the synchronizer rebuilt from the
+// graph's plan, so per-run cost is a few flat state slices, not a
+// re-registration.
 func (g *Graph) Replay(p jade.Platform, cfg jade.Config) (*metrics.Run, error) {
 	if n := p.Processors(); n != g.procs {
 		return nil, fmt.Errorf("graph: captured at %d processors, platform has %d", g.procs, n)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apps/ocean"
 	"repro/internal/apps/tomo"
 	"repro/internal/apps/water"
 	"repro/internal/cluster"
@@ -500,5 +501,17 @@ func TestReplayAllocations(t *testing.T) {
 	t.Logf("water machine-inclusive allocs/run: direct=%.0f replay=%.0f", wDirect, wReplay)
 	if wReplay >= wDirect {
 		t.Fatalf("water replay allocates %.0f/run, not below direct's %.0f/run", wReplay, wDirect)
+	}
+}
+
+// The synchronizer's reduction keeps a captured plan small: a read keeps
+// one edge, and a write one edge per read it follows. On Ocean, the most
+// edge-heavy app (the full conflict relation has 13 665 edges over its
+// 583 accesses at procs = 8), the edges stay within the access count.
+func TestReducedEdgesBounded(t *testing.T) {
+	pl := Capture(8, true, func(rt *jade.Runtime) { ocean.Run(rt, ocean.Small()) }).plan
+	edges, accs := len(pl.Succ), len(pl.First)
+	if edges > accs {
+		t.Fatalf("ocean procs=8: %d edges for %d accesses", edges, accs)
 	}
 }

@@ -12,10 +12,11 @@ import (
 // order, on a single conceptual processor. It exists to test the
 // runtime/synchronizer semantics independent of any machine model.
 type mockPlatform struct {
-	rt    *Runtime
-	queue []*Task
-	stats metrics.Run
-	order []TaskID
+	rt      *Runtime
+	queue   []*Task
+	stats   metrics.Run
+	order   []TaskID
+	enabled map[TaskID]int // TaskEnabled calls per task
 }
 
 func (m *mockPlatform) Attach(rt *Runtime)        { m.rt = rt }
@@ -25,7 +26,10 @@ func (m *mockPlatform) SerialWork(d float64)      {}
 func (m *mockPlatform) MainTouches(accs []Access) {}
 func (m *mockPlatform) Stats() *metrics.Run       { return &m.stats }
 func (m *mockPlatform) ResetStats()               { m.stats = metrics.Run{} }
-func (m *mockPlatform) TaskEnabled(t *Task)       { m.queue = append(m.queue, t) }
+func (m *mockPlatform) TaskEnabled(t *Task) {
+	m.queue = append(m.queue, t)
+	m.enabled[t.ID]++
+}
 func (m *mockPlatform) TaskCreated(t *Task, enabled bool) {
 	if enabled {
 		m.queue = append(m.queue, t)
@@ -40,7 +44,7 @@ func (m *mockPlatform) Drain() {
 			for i := range segs {
 				m.rt.RunSegmentBody(t, i)
 				for _, o := range segs[i].Release {
-					m.queue = append(m.queue, m.rt.ReleaseEarly(t, o)...)
+					m.rt.ReleaseEarly(t, o)
 				}
 			}
 		} else {
@@ -51,7 +55,7 @@ func (m *mockPlatform) Drain() {
 }
 
 func newMock() (*Runtime, *mockPlatform) {
-	p := &mockPlatform{}
+	p := &mockPlatform{enabled: map[TaskID]int{}}
 	rt := New(p, Config{})
 	return rt, p
 }

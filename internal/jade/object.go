@@ -29,13 +29,6 @@ type Object struct {
 	// initial allocation. The owner of later versions is the last
 	// writer.
 	Home int
-
-	// Synchronizer state: the pending access-declaration queue in
-	// serial program order, and the count of write declarations
-	// created so far (which numbers versions).
-	queue         []*entry
-	head          int // entries before head are completed and trimmed
-	writesCreated int
 }
 
 // Version numbers an object's state: version 0 is the initial

@@ -22,7 +22,9 @@ type Platform interface {
 	TaskCreated(t *Task, enabled bool)
 	// TaskEnabled notifies the platform that a previously created
 	// task's dependences were satisfied by the completion of another
-	// task (always called during Drain, at the current virtual time).
+	// task or an early release (from within TaskDone or ReleaseEarly,
+	// at the current virtual time). It must not call back into the
+	// runtime.
 	TaskEnabled(t *Task)
 	// SerialWork charges d seconds of serial-phase computation to the
 	// main processor.

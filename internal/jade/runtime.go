@@ -2,6 +2,7 @@ package jade
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
@@ -24,8 +25,10 @@ type Runtime struct {
 	cfg      Config
 
 	objects []*Object
-	tasks   []*Task
-	sync    *Synchronizer
+	// mu guards sync against completions on other goroutines (see
+	// Locker).
+	mu   sync.Mutex
+	sync Synchronizer
 
 	// taskSlab and objSlab are chunked arenas for Task and Object
 	// values: structs are handed out from fixed-size chunks so each
@@ -34,12 +37,9 @@ type Runtime struct {
 	taskSlab []Task
 	objSlab  []Object
 
-	// rp, when non-nil, puts the runtime in replay mode: objects and
-	// tasks are shared read-only materializations of a captured graph
-	// (see replay.go) and all synchronization state lives in rp's flat
-	// per-variant slices instead of the Synchronizer and the Task and
-	// Object structs. sync is nil in this mode.
-	rp *replayState
+	// plan, when non-nil, makes this a replay runtime (replay.go): the
+	// plan supplies every object and task.
+	plan *ReplayPlan
 
 	outstanding atomic.Int64
 	finished    bool
@@ -51,7 +51,7 @@ const slabSize = 256
 
 // New creates a runtime bound to the given platform.
 func New(p Platform, cfg Config) *Runtime {
-	rt := &Runtime{platform: p, cfg: cfg, sync: NewSynchronizer()}
+	rt := &Runtime{platform: p, cfg: cfg}
 	p.Attach(rt)
 	return rt
 }
@@ -70,7 +70,7 @@ func (rt *Runtime) Alloc(name string, size int, data interface{}, opts ...AllocO
 	if rt.finished {
 		panic("jade: Alloc after Finish")
 	}
-	if rt.rp != nil {
+	if rt.plan != nil {
 		panic("jade: Alloc on a replay runtime (objects come from the plan)")
 	}
 	if len(rt.objSlab) == 0 {
@@ -132,14 +132,21 @@ func (rt *Runtime) WithOnly(spec func(*Spec), work float64, body func(), opts ..
 
 // WithAccesses creates a task from a pre-built access list, taking
 // ownership of accs (RequiredVersion fields are overwritten by the
-// synchronizer). This is the closure-free core of WithOnly; the graph
-// replayer uses it to feed captured specifications back through the
-// synchronizer without rebuilding Spec values per task.
+// synchronizer). It is the closure-free core of WithOnly, for front-ends
+// that build access lists themselves; the granularity sweep's synthetic
+// program is the one outside this package. Graph replay does not come
+// through here: it announces planned tasks with ReplayTask.
 func (rt *Runtime) WithAccesses(accs []Access, work float64, body func(), opts ...TaskOpt) *Task {
+	return rt.create(accs, work, body, nil, opts)
+}
+
+// create builds a task, staged when segs is non-nil, registers it with
+// the synchronizer and announces it to the platform.
+func (rt *Runtime) create(accs []Access, work float64, body func(), segs []Segment, opts []TaskOpt) *Task {
 	if rt.finished {
 		panic("jade: WithOnly after Finish")
 	}
-	if rt.rp != nil {
+	if rt.plan != nil {
 		panic("jade: task created on a replay runtime (tasks come from the plan)")
 	}
 	if len(accs) == 0 {
@@ -151,11 +158,12 @@ func (rt *Runtime) WithAccesses(accs []Access, work float64, body func(), opts .
 	t := &rt.taskSlab[0]
 	rt.taskSlab = rt.taskSlab[1:]
 	*t = Task{
-		ID:       TaskID(len(rt.tasks)),
+		ID:       TaskID(len(rt.sync.tasks)),
 		Accesses: accs,
 		Body:     body,
 		Work:     work,
 		Placed:   -1,
+		Segments: segs,
 	}
 	for _, opt := range opts {
 		opt(t)
@@ -166,9 +174,10 @@ func (rt *Runtime) WithAccesses(accs []Access, work float64, body func(), opts .
 	if rt.cfg.WorkFree {
 		t.Body = nil
 	}
-	rt.tasks = append(rt.tasks, t)
 	rt.outstanding.Add(1)
+	rt.mu.Lock()
 	enabled := rt.sync.Register(t)
+	rt.mu.Unlock()
 	rt.platform.TaskCreated(t, enabled)
 	return t
 }
@@ -187,10 +196,11 @@ func (rt *Runtime) Serial(work float64, body func(), spec ...func(*Spec)) {
 }
 
 // SerialAccesses is the closure-free core of Serial: it runs a serial
-// phase whose access list is pre-built, taking ownership of accs. The
-// graph replayer uses it to re-issue captured serial phases.
+// phase whose access list is pre-built, taking ownership of accs. Its
+// one caller outside this package is the granularity sweep's synthetic
+// program; graph replay uses ReplaySerial.
 func (rt *Runtime) SerialAccesses(work float64, body func(), accs []Access) {
-	if rt.rp != nil {
+	if rt.plan != nil {
 		panic("jade: SerialAccesses on a replay runtime (use ReplaySerial)")
 	}
 	if rt.outstanding.Load() != 0 {
@@ -198,13 +208,7 @@ func (rt *Runtime) SerialAccesses(work float64, body func(), accs []Access) {
 	}
 	if len(accs) > 0 {
 		// Serial phases see and produce versions too.
-		for i := range accs {
-			a := &accs[i]
-			a.RequiredVersion = Version(a.Obj.writesCreated)
-			if a.Writes() {
-				a.Obj.writesCreated++
-			}
-		}
+		rt.sync.RegisterSerial(accs)
 		rt.platform.MainTouches(accs)
 	}
 	if !rt.cfg.WorkFree && body != nil {
@@ -223,20 +227,10 @@ func (rt *Runtime) Wait() {
 	}
 }
 
-// RunBody executes the task's body (exactly once). Platforms call it
-// at the virtual time the task starts executing; by then the
-// synchronizer guarantees all conflicting predecessors have completed.
+// RunBody executes the task's body. Platforms call it once, at the
+// virtual time the task starts executing; by then the synchronizer
+// guarantees all conflicting predecessors have completed.
 func (rt *Runtime) RunBody(t *Task) {
-	if rp := rt.rp; rp != nil {
-		// Captured graphs carry no bodies; only the executed flag —
-		// kept per-variant, off the shared Task — needs maintaining.
-		rp.markExecuted(t)
-		return
-	}
-	if t.executed {
-		panic(fmt.Sprintf("jade: task %d body executed twice", t.ID))
-	}
-	t.executed = true
 	if t.Body != nil {
 		t.Body()
 	}
@@ -244,26 +238,24 @@ func (rt *Runtime) RunBody(t *Task) {
 
 // TaskDone records the task's completion in the synchronizer and
 // notifies the platform of each newly enabled task. Platforms call it
-// at the task's completion time.
+// at the task's completion time; it panics unless the task was enabled
+// and has not completed before.
 func (rt *Runtime) TaskDone(t *Task) {
-	if rp := rt.rp; rp != nil {
-		if !bitGet(rp.executed, int(t.ID)) {
-			panic(fmt.Sprintf("jade: task %d completed without executing", t.ID))
-		}
-		rt.outstanding.Add(-1)
-		for _, n := range rp.completeAll(t) {
-			rt.platform.TaskEnabled(n)
-		}
-		return
-	}
-	if !t.executed {
-		panic(fmt.Sprintf("jade: task %d completed without executing", t.ID))
-	}
+	rt.sync.finish(t)
 	rt.outstanding.Add(-1)
 	for _, n := range rt.sync.Complete(t) {
 		rt.platform.TaskEnabled(n)
 	}
 }
+
+// Locker returns the lock that guards the runtime's dependence state.
+// A Runtime is driven from one goroutine at a time, with one exception:
+// a platform may complete tasks on other goroutines while the main
+// program creates more, as the native runtime does. Task creation
+// holds this lock, and such a platform must hold it around each
+// TaskDone and ReleaseEarly call. Platforms that complete tasks
+// only inside Drain, on the main program's goroutine, never take it.
+func (rt *Runtime) Locker() sync.Locker { return &rt.mu }
 
 // ResetMetrics zeroes the platform's measurements and restarts its
 // execution-time baseline. Call it after untimed initialization
@@ -275,7 +267,7 @@ func (rt *Runtime) ResetMetrics() {
 }
 
 // Tasks returns the created tasks in creation order.
-func (rt *Runtime) Tasks() []*Task { return rt.tasks }
+func (rt *Runtime) Tasks() []*Task { return rt.sync.tasks }
 
 // Objects returns the allocated objects in allocation order.
 func (rt *Runtime) Objects() []*Object { return rt.objects }

@@ -1,6 +1,9 @@
 package jade
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the paper's "more advanced construct and
 // additional access specification statements" (§2): tasks with
@@ -35,9 +38,12 @@ func (rt *Runtime) WithOnlyStaged(spec func(*Spec), segs []Segment, opts ...Task
 }
 
 // WithStagedAccesses is the closure-free core of WithOnlyStaged: it
-// creates a staged task from pre-built access and segment lists,
-// taking ownership of both. The graph replayer uses it to re-issue
-// captured staged tasks.
+// creates a staged task from pre-built access and segment lists, taking
+// ownership of both. Graph replay does not come through here: it
+// announces planned tasks, segments included, with ReplayTask. The
+// releases are checked against the declaration before the task is
+// registered, so the platform is told of valid staged tasks only, with
+// their segments attached.
 func (rt *Runtime) WithStagedAccesses(accs []Access, segs []Segment, opts ...TaskOpt) *Task {
 	if len(segs) == 0 {
 		panic("jade: staged task needs at least one segment")
@@ -45,58 +51,43 @@ func (rt *Runtime) WithStagedAccesses(accs []Access, segs []Segment, opts ...Tas
 	var total float64
 	for _, sg := range segs {
 		total += sg.Work
-	}
-	t := rt.WithAccesses(accs, total, nil, opts...)
-	// Validate releases against the declaration.
-	declared := map[ObjectID]bool{}
-	for _, a := range t.Accesses {
-		declared[a.Obj.ID] = true
-	}
-	released := map[ObjectID]bool{}
-	for _, sg := range segs {
 		for _, o := range sg.Release {
-			if !declared[o.ID] {
+			if !slices.ContainsFunc(accs, func(a Access) bool { return a.Obj == o }) {
 				panic(fmt.Sprintf("jade: staged task releases undeclared object %q", o.Name))
 			}
-			if released[o.ID] {
+			if releases(segs, o) > 1 {
 				panic(fmt.Sprintf("jade: staged task releases %q twice", o.Name))
 			}
-			released[o.ID] = true
 		}
 	}
-	t.Segments = segs
-	return t
+	return rt.create(accs, total, nil, segs, opts)
+}
+
+// releases counts the segments' releases of o.
+func releases(segs []Segment, o *Object) (n int) {
+	for _, sg := range segs {
+		for _, r := range sg.Release {
+			if r == o {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // ReleaseEarly completes the task's declared access on o before the
-// task finishes, returning the tasks newly enabled by the release.
-// Platforms call it at each segment boundary's virtual time and
-// schedule the returned tasks.
-func (rt *Runtime) ReleaseEarly(t *Task, o *Object) []*Task {
-	if rp := rt.rp; rp != nil {
-		// The returned slice is scratch, valid until the next
-		// completion — platforms consume it before scheduling on.
-		return rp.completeOn(t, o)
+// task finishes and notifies the platform of each newly enabled task,
+// like TaskDone. Platforms call it at each segment boundary's virtual
+// time.
+func (rt *Runtime) ReleaseEarly(t *Task, o *Object) {
+	for _, n := range rt.sync.CompleteEntry(t, o) {
+		rt.platform.TaskEnabled(n)
 	}
-	return rt.sync.CompleteEntry(t, o)
 }
 
-// RunSegmentBody executes segment i's body (the first segment marks
-// the task as executed); a work-free runtime runs none. Platforms call
-// it at each segment's start.
+// RunSegmentBody executes segment i's body; a work-free runtime runs
+// none. Platforms call it at each segment's start.
 func (rt *Runtime) RunSegmentBody(t *Task, i int) {
-	if rp := rt.rp; rp != nil {
-		if i == 0 {
-			rp.markExecuted(t)
-		}
-		return
-	}
-	if i == 0 {
-		if t.executed {
-			panic(fmt.Sprintf("jade: staged task %d started twice", t.ID))
-		}
-		t.executed = true
-	}
 	if b := t.Segments[i].Body; b != nil && !rt.cfg.WorkFree {
 		b()
 	}
@@ -110,20 +101,4 @@ func (t *Task) AccessOn(o *Object) (Access, bool) {
 		}
 	}
 	return Access{}, false
-}
-
-// CompleteEntry marks the task's declaration on object o as finished
-// and returns the tasks that newly became enabled, in task-ID order.
-func (s *Synchronizer) CompleteEntry(t *Task, o *Object) []*Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	var newly []*Task
-	for _, e := range s.entries[t.ID] {
-		if e.obj == o && !e.done {
-			newly = s.finish(e, newly)
-		}
-	}
-	sortTasksByID(newly)
-	return newly
 }

@@ -1,6 +1,9 @@
 package jade
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestStagedReleaseEnablesSuccessorEarly(t *testing.T) {
 	rt, p := newMock()
@@ -47,6 +50,43 @@ func TestStagedReleaseUndeclaredPanics(t *testing.T) {
 	})
 }
 
+// segmentsSeen records each task's segment count as TaskCreated
+// announces it.
+type segmentsSeen struct {
+	*mockPlatform
+	created []int
+}
+
+func (p *segmentsSeen) TaskCreated(t *Task, enabled bool) {
+	p.created = append(p.created, len(t.Segments))
+	p.mockPlatform.TaskCreated(t, enabled)
+}
+
+// A staged task reaches the platform with its segments attached, and
+// only once its releases are validated.
+func TestStagedTaskCreatedWithSegments(t *testing.T) {
+	p := &segmentsSeen{mockPlatform: &mockPlatform{enabled: map[TaskID]int{}}}
+	rt := New(p, Config{})
+	a := rt.Alloc("a", 8, nil)
+	b := rt.Alloc("b", 8, nil)
+	rt.WithOnlyStaged(func(s *Spec) { s.Wr(a); s.Wr(b) }, []Segment{{Release: []*Object{a}}, {}})
+	if !slices.Equal(p.created, []int{2}) {
+		t.Fatalf("TaskCreated saw segment counts %v, want [2]", p.created)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("releasing an undeclared object did not panic")
+			}
+		}()
+		rt.WithOnlyStaged(func(s *Spec) { s.Wr(a) }, []Segment{{Release: []*Object{b}}})
+	}()
+	if len(p.created) != 1 {
+		t.Fatalf("TaskCreated fired %d times; the invalid staged task reached the platform", len(p.created))
+	}
+	rt.Wait()
+}
+
 func TestStagedDoubleReleasePanics(t *testing.T) {
 	rt, _ := newMock()
 	a := rt.Alloc("a", 8, nil)
@@ -83,19 +123,19 @@ func TestStagedWorkSums(t *testing.T) {
 	}
 }
 
+// A release fires its entry once: the successor is enabled exactly
+// once, and neither TaskDone nor a repeated release fires it again.
 func TestCompleteEntryIdempotent(t *testing.T) {
-	rt, _ := newMock()
+	rt, p := newMock()
 	a := rt.Alloc("a", 8, nil)
 	task := rt.WithOnlyStaged(func(s *Spec) { s.Wr(a) }, []Segment{
 		{Release: []*Object{a}},
 	})
-	rt.Wait() // drain: release fires once, TaskDone skips done entry
-	if rt.sync.pending[task.ID] != 0 {
-		t.Fatal("pending should be settled")
-	}
-	// A second CompleteEntry on the same object is a no-op.
-	if newly := rt.ReleaseEarly(task, a); len(newly) != 0 {
-		t.Fatalf("idempotent release enabled %d tasks", len(newly))
+	reader := rt.WithOnly(func(s *Spec) { s.Rd(a) }, 0, nil)
+	rt.Wait() // the release enables the reader; TaskDone skips the done entry
+	rt.ReleaseEarly(task, a)
+	if got := p.enabled[reader.ID]; got != 1 {
+		t.Fatalf("reader enabled %d times, want 1", got)
 	}
 }
 

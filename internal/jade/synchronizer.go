@@ -1,187 +1,272 @@
 package jade
 
-import "sync"
+import (
+	"fmt"
+	"slices"
+)
 
-// entry is one access declaration in an object's dependence queue.
-type entry struct {
-	task *Task
-	mode Mode
-	done bool
-	// index is the entry's absolute position in the object's queue.
-	index int
-	obj   *Object
-}
-
-// Synchronizer implements Jade's queue-based dependence analysis
-// (§3.1/§3.3 of the paper). Each object carries a queue of access
-// declarations in serial program order. A declared read is satisfied
-// when every earlier write on that object has completed; a declared
-// write is satisfied when every earlier access has completed. A task
-// is enabled when all its declarations are satisfied.
+// Synchronizer is Jade's dependence engine (§3.1/§3.3 of the paper). A
+// task is enabled once every conflicting access declared before it in
+// serial program order has completed: a read waits for the object's
+// earlier writes, a write for all its earlier accesses.
 //
-// The Synchronizer is safe for concurrent use (the native runtime
-// completes tasks from multiple goroutines); the simulated platforms
-// drive it single-threaded.
+// The engine keeps that relation transitively reduced, as counted
+// predecessors. Each declared access is an entry. Per object, Register
+// remembers only the last write's entry and the reads since it: a read
+// waits on that write, and a write waits on those reads, or on the last
+// write if there are none. Every dropped edge runs from an entry that
+// must complete before one of the kept predecessors can even be
+// enabled, so each task still enables at exactly the completion the
+// full relation enables it at. Register skips entries already done: the
+// native runtime completes tasks while the program creates more, and
+// after a Wait every earlier entry is done.
+//
+// Completing an entry decrements the pending count of each task on its
+// successor list; a task whose count reaches zero is enabled. The same
+// flat arrays, frozen into a ReplayPlan, drive every replay of a
+// captured graph (see NewReplay).
+//
+// A Synchronizer is not safe for concurrent use.
 type Synchronizer struct {
-	mu sync.Mutex
-	// slab is the arena the entries live in: chunked so pointers stay
-	// stable, sized so task creation costs one allocation per chunk
-	// rather than one per access. Entries live exactly as long as the
-	// synchronizer (one run), so nothing is ever freed. ptrSlab arenas
-	// the per-task entry-pointer slices the same way.
-	slab    []entry
-	ptrSlab []*entry
-	// taskSlab arenas the newly-enabled slices Complete returns. A
-	// task is enabled at most once per run, so the arena advances
-	// monotonically and a returned slice is never handed out twice —
-	// safe for callers that iterate it after releasing mu.
-	taskSlab []*Task
+	// Per task, indexed by TaskID: the task, its first entry (its i-th
+	// access is entry entryStart[t]+i) and its pending count — the
+	// edges still to fire into it while positive, 0 once enabled,
+	// finished once completed.
+	tasks      []*Task
+	entryStart []int32
+	pending    []int32
 
-	// Per-task state, indexed by TaskID: the entries mirroring the
-	// task's Accesses in the per-object queues, its count of
-	// unsatisfied dependences (it is enabled when that reaches zero),
-	// and whether it has been enabled, which guards double submission.
-	entries [][]*entry
-	pending []int32
-	enabled []bool
+	// Per entry: whether it completed, and the first edge of its
+	// successor list. Per edge: the next edge of the same list and the
+	// successor task. Edge indices are stored +1, so 0 ends a list.
+	done  []uint64
+	first []int32
+	next  []int32
+	succ  []int32
+
+	// newly is the scratch Complete and CompleteEntry return.
+	newly []*Task
+
+	// reg is the state only Register reads; a replay has none.
+	reg *registry
 }
 
-// entrySlabSize is the entry-arena chunk size; at 4–8 accesses per
-// task one chunk covers tens of task creations.
-const entrySlabSize = 256
+// registry holds, per entry, the last edge of its successor list and
+// the previous read of the same object since its last write (+1), and
+// per ObjectID the object's state.
+type registry struct {
+	last, prevRead []int32
+	objs           []objState
+}
+
+// objState is an object's last write and last read since it (+1), and
+// its count of writes, which numbers versions.
+type objState struct {
+	lastWrite, lastRead int32
+	writes              Version
+}
+
+// finished is the pending count of a completed task.
+const finished = -1
 
 // NewSynchronizer returns an empty synchronizer.
 func NewSynchronizer() *Synchronizer { return &Synchronizer{} }
 
-// newEntry allocates an entry from the arena. Callers must hold mu.
-func (s *Synchronizer) newEntry() *entry {
-	if len(s.slab) == cap(s.slab) {
-		s.slab = make([]entry, 0, entrySlabSize)
+func bitGet(bits []uint64, i int32) bool { return bits[i>>6]&(1<<(i&63)) != 0 }
+func bitSet(bits []uint64, i int32)      { bits[i>>6] |= 1 << (i & 63) }
+
+// registry returns the registration state, creating it on first use.
+func (s *Synchronizer) registry() *registry {
+	if s.reg == nil {
+		s.reg = &registry{}
 	}
-	s.slab = s.slab[:len(s.slab)+1]
-	return &s.slab[len(s.slab)-1]
+	return s.reg
 }
 
-// entrySlice allocates a full-capacity n-pointer slice from the arena.
-// Callers must hold mu.
-func (s *Synchronizer) entrySlice(n int) []*entry {
-	if cap(s.ptrSlab)-len(s.ptrSlab) < n {
-		s.ptrSlab = make([]*entry, 0, max(entrySlabSize, n))
+// object returns the state of object id.
+func (r *registry) object(id ObjectID) *objState {
+	for int(id) >= len(r.objs) {
+		r.objs = append(r.objs, objState{})
 	}
-	k := len(s.ptrSlab)
-	s.ptrSlab = s.ptrSlab[:k+n]
-	return s.ptrSlab[k : k+n : k+n]
+	return &r.objs[id]
 }
 
-// Register adds the task's access declarations to the object queues,
-// assigns required versions, and computes the task's initial pending
-// count. It reports whether the task is immediately enabled.
+// Register adds the task's access declarations, assigns their required
+// versions, and links the task behind its unfinished predecessors. It
+// reports whether the task is immediately enabled.
 //
-// Register must be called in serial program order: it defines the
+// Register must be called in serial program order, with t.ID equal to
+// the number of tasks registered before it: the order defines the
 // dependence semantics.
 func (s *Synchronizer) Register(t *Task) (enabled bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	id := int(t.ID)
-	for len(s.pending) <= id {
-		s.entries = append(s.entries, nil)
-		s.pending = append(s.pending, 0)
-		s.enabled = append(s.enabled, false)
+	id := int32(len(s.tasks))
+	if t.ID != TaskID(id) {
+		panic(fmt.Sprintf("jade: task %d registered as task %d", t.ID, id))
 	}
-	entries := s.entrySlice(len(t.Accesses))[:0]
+	r, e0 := s.registry(), int32(len(s.first))
+	s.tasks = append(s.tasks, t)
+	s.entryStart = append(s.entryStart, e0)
 	pending := int32(0)
 	for i := range t.Accesses {
-		a := &t.Accesses[i]
-		o := a.Obj
-		// Version assignment: reads see the last created write;
-		// writes produce the next version.
-		a.RequiredVersion = Version(o.writesCreated)
-		if a.Writes() {
-			o.writesCreated++
+		a, e := &t.Accesses[i], e0+int32(i)
+		if int(e>>6) == len(s.done) {
+			s.done = append(s.done, 0)
 		}
-		e := s.newEntry()
-		*e = entry{task: t, mode: a.Mode, index: len(o.queue), obj: o}
-		// Count conflicting earlier incomplete entries.
-		for j := o.head; j < len(o.queue); j++ {
-			prev := o.queue[j]
-			if !prev.done && conflicts(prev.mode, e.mode) {
-				pending++
+		s.first, r.last, r.prevRead = append(s.first, 0), append(r.last, 0), append(r.prevRead, 0)
+		o := r.object(a.Obj.ID)
+		a.RequiredVersion = o.writes
+		if !a.Writes() {
+			if o.lastWrite != 0 {
+				pending += s.link(o.lastWrite-1, id)
 			}
+			r.prevRead[e], o.lastRead = o.lastRead, e+1
+			continue
 		}
-		o.queue = append(o.queue, e)
-		entries = append(entries, e)
+		if o.lastRead != 0 {
+			for k := o.lastRead; k != 0; k = r.prevRead[k-1] {
+				pending += s.link(k-1, id)
+			}
+		} else if o.lastWrite != 0 {
+			pending += s.link(o.lastWrite-1, id)
+		}
+		o.lastWrite, o.lastRead = e+1, 0
+		o.writes++
 	}
-	s.entries[id], s.pending[id], s.enabled[id] = entries, pending, pending == 0
+	s.pending = append(s.pending, pending)
 	return pending == 0
 }
 
-// conflicts reports whether two access modes on the same object imply
-// a dependence (at least one writes).
-func conflicts(a, b Mode) bool {
-	return a&Write != 0 || b&Write != 0
+// link appends task t to entry e's successor list unless e is done, and
+// returns the pending count that adds to t.
+func (s *Synchronizer) link(e, t int32) int32 {
+	if bitGet(s.done, e) {
+		return 0
+	}
+	s.succ, s.next = append(s.succ, t), append(s.next, 0)
+	k, last := int32(len(s.succ)), s.reg.last
+	if last[e] == 0 {
+		s.first[e] = k
+	} else {
+		s.next[last[e]-1] = k
+	}
+	last[e] = k
+	return 1
 }
 
-// Complete marks the task's declared accesses as finished and returns
-// the tasks newly enabled by its completion, ordered by task ID
-// (serial program order) for deterministic scheduling.
-func (s *Synchronizer) Complete(t *Task) []*Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	// Start the result in the arena's spare capacity; append falls
-	// back to a plain heap slice on the rare overflow past the chunk.
-	if len(s.taskSlab) == cap(s.taskSlab) {
-		s.taskSlab = make([]*Task, 0, entrySlabSize)
-	}
-	k := len(s.taskSlab)
-	newly := s.taskSlab[k:k]
-	for _, e := range s.entries[t.ID] {
-		if !e.done {
-			newly = s.finish(e, newly)
+// RegisterSerial assigns a serial phase's accesses their versions. The
+// main program's own reads and writes number versions like a task's,
+// but create no entries: a serial phase runs with no task outstanding.
+func (s *Synchronizer) RegisterSerial(accs []Access) {
+	r := s.registry()
+	for i := range accs {
+		a := &accs[i]
+		o := r.object(a.Obj.ID)
+		a.RequiredVersion = o.writes
+		if a.Writes() {
+			o.writes++
 		}
 	}
-	if len(newly) <= cap(s.taskSlab)-k {
-		// append never outgrew the chunk, so newly still aliases the
-		// arena: claim its span so the next call starts past it.
-		s.taskSlab = s.taskSlab[:k+len(newly)]
-	}
-	sortTasksByID(newly)
-	return newly
 }
 
-// finish marks entry e done and appends to newly the tasks its
-// completion enables: later conflicting entries release their tasks'
-// dependences. Callers must hold mu.
-func (s *Synchronizer) finish(e *entry, newly []*Task) []*Task {
-	e.done = true
-	o := e.obj
-	for j := e.index + 1; j < len(o.queue); j++ {
-		later := o.queue[j]
-		if later.done || !conflicts(e.mode, later.mode) {
+// Complete marks the task's declared accesses finished and returns the
+// tasks newly enabled by its completion, ordered by task ID (serial
+// program order) for deterministic scheduling. The slice is scratch,
+// valid until the next completion.
+func (s *Synchronizer) Complete(t *Task) []*Task { return s.complete(t, nil) }
+
+// CompleteEntry marks the task's declaration on object o finished and
+// returns the tasks newly enabled, like Complete.
+func (s *Synchronizer) CompleteEntry(t *Task, o *Object) []*Task { return s.complete(t, o) }
+
+// complete finishes t's not-yet-done entries, only the one on o when o
+// is non-nil. Each entry fires once, and a task's pending count is
+// exactly its number of incoming edges, so it reaches zero once.
+func (s *Synchronizer) complete(t *Task, o *Object) []*Task {
+	s.newly = s.newly[:0]
+	e0 := s.entryStart[t.ID]
+	for i := range t.Accesses {
+		e := e0 + int32(i)
+		if (o != nil && t.Accesses[i].Obj != o) || bitGet(s.done, e) {
 			continue
 		}
-		id := later.task.ID
-		s.pending[id]--
-		if s.pending[id] == 0 && !s.enabled[id] {
-			s.enabled[id] = true
-			newly = append(newly, later.task)
+		bitSet(s.done, e)
+		for k := s.first[e]; k != 0; k = s.next[k-1] {
+			n := s.succ[k-1]
+			if s.pending[n]--; s.pending[n] == 0 {
+				s.newly = append(s.newly, s.tasks[n])
+			}
 		}
 	}
-	// Advance the completed prefix so Register scans stay short.
-	for o.head < len(o.queue) && o.queue[o.head].done {
-		o.head++
-	}
-	return newly
+	sortTasksByID(s.newly)
+	return s.newly
 }
 
-// sortTasksByID orders tasks by creation order. The slices are tiny,
-// so insertion sort suffices. A task appears at most once (the enabled
-// flag guards duplicate release), so no dedup is needed.
+// finish marks t completed; it panics unless t is enabled and has not
+// completed before.
+func (s *Synchronizer) finish(t *Task) {
+	switch p := &s.pending[t.ID]; *p {
+	case 0:
+		*p = finished
+	case finished:
+		panic(fmt.Sprintf("jade: task %d completed twice", t.ID))
+	default:
+		panic(fmt.Sprintf("jade: task %d completed with %d dependences unsatisfied", t.ID, *p))
+	}
+}
+
+// sortTasksByID orders tasks by creation order. The slices are tiny and
+// each completed entry appends its successors in ID order, so insertion
+// sort suffices. A task appears at most once, so no dedup is needed.
 func sortTasksByID(ts []*Task) {
 	for i := 1; i < len(ts); i++ {
 		for j := i; j > 0 && ts[j-1].ID > ts[j].ID; j-- {
 			ts[j-1], ts[j] = ts[j], ts[j-1]
 		}
 	}
+}
+
+// ReplayPlan is a frozen Synchronizer: the dependence arrays of one
+// registered program, shared read-only by every replay of it. Objects
+// and Tasks are fully materialized — access lists with RequiredVersion
+// filled in — and no platform mutates them, so concurrent replay
+// runtimes share them without copying.
+type ReplayPlan struct {
+	// Objects and Tasks in creation order; IDs equal slice indices.
+	Objects []*Object
+	Tasks   []*Task
+
+	// InitPending[t] is task t's pending count at creation, its number
+	// of incoming edges: the task is enabled immediately iff it is zero.
+	InitPending []int32
+	// EntryStart, First, Next and Succ are the Synchronizer's arrays of
+	// the same names: task t's i-th access is entry EntryStart[t]+i, and
+	// entry e's successors are Succ[k-1] for k = First[e], Next[k-1], …
+	// until k is 0.
+	EntryStart, First, Next, Succ []int32
+}
+
+// Plan freezes the registered program into a replay plan over objects
+// and tasks, which must mirror the registered ones ID for ID (copies
+// that drop payloads and bodies). The plan copies the arrays it keeps
+// at their exact length.
+func (s *Synchronizer) Plan(objects []*Object, tasks []*Task) *ReplayPlan {
+	if len(tasks) != len(s.tasks) {
+		panic(fmt.Sprintf("jade: plan over %d tasks, %d registered", len(tasks), len(s.tasks)))
+	}
+	init := make([]int32, len(tasks))
+	for _, n := range s.succ {
+		init[n]++
+	}
+	return &ReplayPlan{Objects: objects, Tasks: tasks, InitPending: init,
+		EntryStart: slices.Clone(s.entryStart), First: slices.Clone(s.first),
+		Next: slices.Clone(s.next), Succ: slices.Clone(s.succ)}
+}
+
+// replaySynchronizer is the engine a plan was frozen from, reset to the
+// moment every task was registered and none had completed.
+func replaySynchronizer(p *ReplayPlan) Synchronizer {
+	return Synchronizer{tasks: p.Tasks, entryStart: p.EntryStart,
+		pending: append([]int32(nil), p.InitPending...),
+		done:    make([]uint64, (len(p.First)+63)/64),
+		first:   p.First, next: p.Next, succ: p.Succ}
 }

@@ -63,11 +63,6 @@ type Task struct {
 	// synchronization points (see WithOnlyStaged); Body is nil and
 	// Work is the summed segment work.
 	Segments []Segment
-
-	// executed guards against running the body twice. (The
-	// synchronizer keeps its own per-task state, indexed by ID, so a
-	// Task a replay plan shares stays small.)
-	executed bool
 }
 
 // LocalityObject returns the task's locality object under the given

@@ -33,7 +33,7 @@ type Model interface {
 	// reference-processor work.
 	CPUTime(p int, w float64) float64
 	// Release publishes the writes a staged task releases at a segment
-	// boundary and enables their waiters (EnableReleased).
+	// boundary and enables their waiters (Runtime.ReleaseEarly).
 	Release(ts *TaskState, objs []*jade.Object)
 	// Complete publishes the finished task's remaining writes.
 	Complete(ts *TaskState)

@@ -136,14 +136,6 @@ func (c *Core) Done(t *jade.Task) {
 	c.RT.TaskDone(t)
 }
 
-// EnableReleased releases t's access to o at a segment boundary and
-// enables the tasks that waited only on it.
-func (c *Core) EnableReleased(t *jade.Task, o *jade.Object) {
-	for _, n := range c.RT.ReleaseEarly(t, o) {
-		c.TaskEnabled(n)
-	}
-}
-
 // Drain implements jade.Platform: run the engine until it empties,
 // bring the main processor up to the final time, and check that every
 // created task completed.

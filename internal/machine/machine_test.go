@@ -111,7 +111,7 @@ func (m *toy) Complete(*TaskState)              {}
 
 func (m *toy) Release(ts *TaskState, objs []*jade.Object) {
 	for _, o := range objs {
-		m.EnableReleased(ts.T, o)
+		m.RT.ReleaseEarly(ts.T, o)
 	}
 }
 

@@ -136,21 +136,25 @@ func (m *Machine) worker(id int) {
 		m.queue = m.queue[1:]
 		m.mu.Unlock()
 
+		// Completions run under the runtime's lock: the main program
+		// creates tasks while workers complete them.
 		busyStart := time.Now()
+		lock := m.rt.Locker()
 		if segs := t.Segments; len(segs) > 0 {
 			for i := range segs {
 				m.rt.RunSegmentBody(t, i)
+				lock.Lock()
 				for _, o := range segs[i].Release {
-					for _, n := range m.rt.ReleaseEarly(t, o) {
-						m.TaskEnabled(n)
-					}
+					m.rt.ReleaseEarly(t, o)
 				}
+				lock.Unlock()
 			}
-			m.rt.TaskDone(t)
 		} else {
 			m.rt.RunBody(t)
-			m.rt.TaskDone(t)
 		}
+		lock.Lock()
+		m.rt.TaskDone(t)
+		lock.Unlock()
 		busy := time.Since(busyStart).Seconds()
 
 		m.mu.Lock()

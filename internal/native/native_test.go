@@ -221,3 +221,43 @@ func TestDrainWithNoTasks(t *testing.T) {
 	rt.Serial(0, func() {})
 	rt.Finish()
 }
+
+// A staged producer releases each buffer as it fills it, while the main
+// program is still creating the buffers' readers and the next round's
+// producer: early releases and completions race task creation. Every
+// reader must see its buffer from its own round.
+func TestStagedReleasesRaceCreation(t *testing.T) {
+	m := New(4)
+	defer m.Close()
+	rt := jade.New(m, jade.Config{})
+	const n = 16
+	bufs := make([]*jade.Object, n)
+	for i := range bufs {
+		bufs[i] = rt.Alloc("buf", 8, new(int64))
+	}
+	var wrong atomic.Int64
+	for round := int64(1); round <= 8; round++ {
+		segs := make([]jade.Segment, n)
+		for i, b := range bufs {
+			v := b.Data.(*int64)
+			segs[i] = jade.Segment{Body: func() { *v = round }, Release: []*jade.Object{b}}
+		}
+		rt.WithOnlyStaged(func(s *jade.Spec) {
+			for _, b := range bufs {
+				s.RdWr(b)
+			}
+		}, segs)
+		for _, b := range bufs {
+			v := b.Data.(*int64)
+			rt.WithOnly(func(s *jade.Spec) { s.Rd(b) }, 0, func() {
+				if *v != round {
+					wrong.Add(1)
+				}
+			})
+		}
+	}
+	rt.Finish()
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d readers saw another round's buffer", n)
+	}
+}

@@ -303,7 +303,7 @@ func (m *Machine) Release(ts *machine.TaskState, objs []*jade.Object) {
 	}
 	m.flushWrites(p)
 	for _, o := range objs {
-		m.EnableReleased(ts.T, o)
+		m.RT.ReleaseEarly(ts.T, o)
 	}
 }
 
