@@ -68,6 +68,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== fuzz: report encoder =="
+# The reflection-free report appender against encoding/json on
+# reflection-filled jade-metrics/v1 and jadebench/v1 values, starting
+# from the committed seed corpus (internal/experiments/testdata/fuzz).
+go test -run '^$' -fuzz '^FuzzReportJSON$' -fuzztime 10s ./internal/experiments
+
 echo "== bench short tests =="
 # bench/ is a module of its own, so ./... above does not see it. Its
 # short tests check every workload's output against golden.json and

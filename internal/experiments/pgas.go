@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -214,16 +215,17 @@ func pgasReport(scale Scale, runs []*metrics.Run) (*PgasReport, error) {
 		AggregatedMsgs:  on.AggregatedMsgs,
 		AggBenefitBytes: on.AggBenefitBytes,
 	}
+	var onJSON, offJSON bytes.Buffer
 	for i, a := range apps[:spmvI] {
-		onJSON, err := json.Marshal(runs[at.grid[i][2]].Report())
-		if err != nil {
+		onJSON.Reset()
+		offJSON.Reset()
+		if err := runs[at.grid[i][2]].WriteJSON(&onJSON); err != nil {
 			return nil, err
 		}
-		offJSON, err := json.Marshal(runs[at.aggOff[i]].Report())
-		if err != nil {
+		if err := runs[at.aggOff[i]].WriteJSON(&offJSON); err != nil {
 			return nil, err
 		}
-		if string(onJSON) == string(offJSON) {
+		if bytes.Equal(onJSON.Bytes(), offJSON.Bytes()) {
 			rep.SpMVAggregation.NeutralApps = append(rep.SpMVAggregation.NeutralApps, a.key)
 		}
 	}

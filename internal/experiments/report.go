@@ -1,10 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"io"
 
 	"repro/internal/fault"
+	"repro/internal/jsonw"
 	"repro/internal/metrics"
 )
 
@@ -96,9 +96,45 @@ func (r Runner) Report(ids []string, specs []RunSpec, scale Scale) (*BenchReport
 	return rep, nil
 }
 
-// WriteJSON writes the report as indented JSON.
+// WriteJSON writes the report as indented JSON, byte-identical to
+// encoding/json's Encoder with a two-space indent. Only the fault
+// echoes and the observability blocks go through encoding/json.
 func (r *BenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	a := jsonw.Start(w)
+	a.Open('{')
+	a.Key("schema").String(r.Schema)
+	a.Key("scale").String(r.Scale)
+	jsonw.Slice(a.Key("experiments"), r.Experiments, appendResult)
+	jsonw.Slice(a.Key("runs"), r.Runs, appendInstrumented)
+	a.Close('}')
+	return a.Finish(w)
+}
+
+func appendResult(a *jsonw.Appender, res ResultJSON) {
+	a.Open('{')
+	a.Key("id").String(res.ID)
+	a.Key("title").String(res.Title)
+	jsonw.Slice(a.Key("head"), res.Head, (*jsonw.Appender).String)
+	jsonw.Slice(a.Key("rows"), res.Rows, appendRow)
+	if res.Notes != "" {
+		a.Key("notes").String(res.Notes)
+	}
+	a.Close('}')
+}
+
+func appendRow(a *jsonw.Appender, row []string) {
+	jsonw.Slice(a, row, (*jsonw.Appender).String)
+}
+
+func appendInstrumented(a *jsonw.Appender, run InstrumentedRun) {
+	a.Open('{')
+	a.Key("app").String(run.App)
+	a.Key("machine").String(run.Machine)
+	a.Key("procs").Int(int64(run.Procs))
+	a.Key("level").String(run.Level)
+	if run.Fault != nil {
+		a.Key("fault").Indented(run.Fault)
+	}
+	run.Metrics.AppendJSON(a.Key("metrics"))
+	a.Close('}')
 }

@@ -105,3 +105,28 @@ func TestObjectToTaskLatencyRatio(t *testing.T) {
 		t.Fatal("zero task latency should report 0")
 	}
 }
+
+// TestWriteJSONAllocations keeps reflection out of the per-run report:
+// into a warmed buffer, WriteJSON of a run without observability
+// allocates at most the utilization slice.
+func TestWriteJSONAllocations(t *testing.T) {
+	r := &Run{
+		Procs: 4, ExecTime: 2, TaskCount: 10, TasksOnTarget: 7,
+		TaskExecTotal: 5.5, MsgBytes: 1 << 20, MsgCount: 42, MsgDropped: 3,
+		AggregatedMsgs: 2, ObjectLatency: 1e-7, TaskLatency: 0.25,
+		ProcBusy: []float64{1, 1.5, 0.5, 2},
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf.Reset()
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("WriteJSON allocates %v times per report, want at most 1", allocs)
+	}
+}

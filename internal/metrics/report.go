@@ -1,9 +1,9 @@
 package metrics
 
 import (
-	"encoding/json"
 	"io"
 
+	"repro/internal/jsonw"
 	"repro/internal/obsv"
 )
 
@@ -58,7 +58,15 @@ type Report struct {
 
 // Report converts the run into its stable machine-readable form.
 func (r *Run) Report() *Report {
-	return &Report{
+	rep := r.report()
+	rep.ProcBusySec = append([]float64(nil), r.ProcBusy...)
+	return &rep
+}
+
+// report is Report sharing the run's ProcBusy slice, which Report
+// copies; an empty one reads as nil, as Report's copy does.
+func (r *Run) report() Report {
+	rep := Report{
 		Schema:             Schema,
 		Procs:              r.Procs,
 		ExecTimeSec:        r.ExecTime,
@@ -86,17 +94,77 @@ func (r *Run) Report() *Report {
 		TaskMgmtSec:        r.TaskMgmtTime,
 		RemoteBytes:        r.RemoteBytes,
 		LocalBytes:         r.LocalBytes,
-		ProcBusySec:        append([]float64(nil), r.ProcBusy...),
 		Utilization:        r.Utilization(),
 		OverBusy:           r.OverBusy(),
 		CommCompMBPerSec:   r.CommCompRatio(),
 		Observability:      r.Obsv,
 	}
+	if len(r.ProcBusy) > 0 {
+		rep.ProcBusySec = r.ProcBusy
+	}
+	return rep
 }
 
-// WriteJSON writes the run's report as indented JSON.
+// WriteJSON writes the run's report as indented JSON, byte-identical
+// to encoding/json's Encoder with a two-space indent.
 func (r *Run) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Report())
+	rep := r.report()
+	a := jsonw.Start(w)
+	rep.AppendJSON(&a)
+	return a.Finish(w)
+}
+
+// AppendJSON appends the report, or null when rep is nil, as one
+// jade-metrics/v1 object with its fields in declaration order. Only the
+// observability block goes through encoding/json.
+func (rep *Report) AppendJSON(a *jsonw.Appender) {
+	if rep == nil {
+		a.Null()
+		return
+	}
+	a.Open('{')
+	a.Key("schema").String(rep.Schema)
+	a.Key("procs").Int(int64(rep.Procs))
+	a.Key("exec_time_sec").Float(rep.ExecTimeSec)
+	a.Key("task_count").Int(int64(rep.TaskCount))
+	a.Key("tasks_on_target").Int(int64(rep.TasksOnTarget))
+	a.Key("locality_pct").Float(rep.LocalityPct)
+	a.Key("task_exec_sec").Float(rep.TaskExecSec)
+	a.Key("msg_bytes").Int(rep.MsgBytes)
+	a.Key("msg_count").Int(rep.MsgCount)
+	a.Key("broadcast_count").Int(int64(rep.BroadcastCount))
+	a.Key("replicated_reads").Int(rep.ReplicatedReads)
+	omitZero(a, "msg_dropped", rep.MsgDropped)
+	omitZero(a, "msg_retransmits", rep.MsgRetransmits)
+	omitZero(a, "msg_duplicates", rep.MsgDuplicates)
+	omitZero(a, "fault_invalidations", rep.FaultInvalidations)
+	omitZero(a, "remote_gets", rep.RemoteGets)
+	omitZero(a, "remote_puts", rep.RemotePuts)
+	omitZero(a, "aggregated_msgs", rep.AggregatedMsgs)
+	omitZero(a, "agg_benefit_bytes", rep.AggBenefitBytes)
+	omitZero(a, "tasks_fused", rep.TasksFused)
+	omitZero(a, "msgs_coalesced", rep.MsgsCoalesced)
+	omitZero(a, "fusion_benefit_bytes", rep.FusionBenefitBytes)
+	a.Key("object_latency_sec").Float(rep.ObjectLatencySec)
+	a.Key("task_latency_sec").Float(rep.TaskLatencySec)
+	a.Key("task_mgmt_sec").Float(rep.TaskMgmtSec)
+	a.Key("remote_bytes").Int(rep.RemoteBytes)
+	a.Key("local_bytes").Int(rep.LocalBytes)
+	a.Key("proc_busy_sec").Floats(rep.ProcBusySec)
+	a.Key("utilization").Floats(rep.Utilization)
+	if len(rep.OverBusy) > 0 {
+		a.Key("over_busy").Ints(rep.OverBusy)
+	}
+	a.Key("comm_comp_mb_per_sec").Float(rep.CommCompMBPerSec)
+	if rep.Observability != nil {
+		a.Key("observability").Indented(rep.Observability)
+	}
+	a.Close('}')
+}
+
+// omitZero appends the omitempty member key unless v is zero.
+func omitZero(a *jsonw.Appender, key string, v int64) {
+	if v != 0 {
+		a.Key(key).Int(v)
+	}
 }
