@@ -52,6 +52,15 @@ type Machine struct {
 	execDoneCallH sim.Handler
 	curTask       []*jade.Task
 	curStart      []sim.Time
+	// burstH is the wake-burst handler: one event dispatches every
+	// processor that one pokeAllIdle woke at now+delay, in processor
+	// order. Its argument is a row of bursts, a pointer-free slab of
+	// Procs-wide processor lists; burstLen is each row's length and
+	// burstFree lists the rows no pending event holds.
+	burstH    sim.Handler
+	bursts    []int32
+	burstLen  []int32
+	burstFree []int32
 
 	// lastWriter is indexed by object ID (dense, allocation order). A
 	// zero-valued writerInfo (dirty=false) is indistinguishable from
@@ -114,21 +123,24 @@ func (m *Machine) Reset(cfg Config) {
 		m.running[i], m.idle[i], m.dispatchAt[i] = false, true, -1
 		m.curTask[i], m.curStart[i] = nil, 0
 	}
+	m.bursts, m.burstLen, m.burstFree = m.bursts[:0], m.burstLen[:0], m.burstFree[:0]
 	m.lastWriter = m.lastWriter[:0]
 	m.StealFromHead = false
 	m.Inj = nil
 }
 
-// register adds the dispatch and completion handlers to a new engine.
+// register adds the dispatch, wake-burst and completion handlers to a
+// new engine.
 func (m *Machine) register() {
-	m.dispatchH = m.Eng.RegisterHandler(func(v int32) {
-		p := int(v)
-		// Fires at the scheduled time, so Now() is the `at` the
-		// event was enqueued with.
-		if m.dispatchAt[p] == m.Eng.Now() {
-			m.dispatchAt[p] = -1
+	m.dispatchH = m.Eng.RegisterHandler(func(v int32) { m.wake(int(v)) })
+	m.burstH = m.Eng.RegisterHandler(func(b int32) {
+		// A nested burst may grow the slab, so each member is read
+		// through it; row b itself is not reused until it is freed.
+		row := int(b) * m.cfg.Procs
+		for i := 0; i < int(m.burstLen[b]); i++ {
+			m.wake(int(m.bursts[row+i]))
 		}
-		m.dispatch(p)
+		m.burstFree = append(m.burstFree, b)
 	})
 	m.execDoneCallH = m.Eng.RegisterHandler(func(v int32) {
 		p := int(v)
@@ -214,31 +226,80 @@ func (m *Machine) enqueue(t *jade.Task) {
 	}
 }
 
-// poke schedules a dispatch attempt on processor p after delay (and no
-// earlier than the processor is free). Redundant pokes that cannot
-// beat an already-scheduled one are dropped; dispatch itself is
-// idempotent while the processor runs a task.
-func (m *Machine) poke(p int, delay sim.Time) {
-	if m.running[p] {
-		return // the completion handler dispatches
+// wake is a dispatch event's body for processor p. It fires at the
+// scheduled time, so Now() is the `at` the event was enqueued with.
+func (m *Machine) wake(p int) {
+	if m.dispatchAt[p] == m.Eng.Now() {
+		m.dispatchAt[p] = -1
 	}
-	at := m.Eng.Now() + delay
-	if f := m.CPUs[p].FreeAt(); f > at {
-		at = f
-	}
-	if d := m.dispatchAt[p]; d >= 0 && d <= at {
-		return
-	}
-	m.dispatchAt[p] = at
-	m.Eng.AtCall(at, m.dispatchH, int32(p))
+	m.dispatch(p)
 }
 
+// wakeAt is when a dispatch attempt on processor p after delay should
+// fire (no earlier than the processor is free), and false when no
+// event is needed: a running processor is dispatched by its completion
+// handler, and a poke that cannot beat an already-scheduled one is
+// dropped. When it reports true it has recorded the time in dispatchAt.
+func (m *Machine) wakeAt(p int, delay sim.Time) (sim.Time, bool) {
+	if m.running[p] {
+		return 0, false
+	}
+	at := max(m.Eng.Now()+delay, m.CPUs[p].FreeAt())
+	if d := m.dispatchAt[p]; d >= 0 && d <= at {
+		return 0, false
+	}
+	m.dispatchAt[p] = at
+	return at, true
+}
+
+// poke schedules a dispatch attempt on processor p after delay;
+// dispatch itself is idempotent while the processor runs a task.
+func (m *Machine) poke(p int, delay sim.Time) {
+	if at, ok := m.wakeAt(p, delay); ok {
+		m.Eng.AtCall(at, m.dispatchH, int32(p))
+	}
+}
+
+// pokeAllIdle pokes every idle processor. Those whose attempt comes
+// out at exactly now+delay share one burst event; a processor whose
+// CPU is free only later keeps an event of its own. The burst is
+// exact: the per-processor events it replaces would have had
+// consecutive seqs at one time, so nothing could fire between them,
+// and whatever they schedule gets a later seq either way.
 func (m *Machine) pokeAllIdle(delay sim.Time) {
+	burstAt := m.Eng.Now() + delay
+	b := int32(-1)
 	for p := 0; p < m.cfg.Procs; p++ {
-		if m.idle[p] && !m.running[p] {
-			m.poke(p, delay)
+		if !m.idle[p] {
+			continue
+		}
+		at, ok := m.wakeAt(p, delay)
+		switch {
+		case !ok:
+		case at != burstAt:
+			m.Eng.AtCall(at, m.dispatchH, int32(p))
+		default:
+			if b < 0 {
+				b = m.newBurst()
+				m.Eng.AtCall(at, m.burstH, b)
+			}
+			m.bursts[int(b)*m.cfg.Procs+int(m.burstLen[b])] = int32(p)
+			m.burstLen[b]++
 		}
 	}
+}
+
+// newBurst returns an empty burst row, recycling a freed one.
+func (m *Machine) newBurst() int32 {
+	if n := len(m.burstFree); n > 0 {
+		b := m.burstFree[n-1]
+		m.burstFree = m.burstFree[:n-1]
+		m.burstLen[b] = 0
+		return b
+	}
+	m.bursts = machine.Resize(m.bursts, len(m.bursts)+m.cfg.Procs)
+	m.burstLen = append(m.burstLen, 0)
+	return int32(len(m.burstLen) - 1)
 }
 
 // push queues task tid on processor p's object task queue for obj.

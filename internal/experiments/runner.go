@@ -169,17 +169,28 @@ func (r Runner) Execute(ids []string, specs []RunSpec, scale Scale) (results []*
 
 // execute runs a plan: one fan-out over its distinct cells, then each
 // experiment in request order. Each worker replays its cells onto
-// machines from a free list of its own, so the call builds at most one
-// machine per kind per worker and resets it between cells. The lists
-// live only as long as the fan-out: no machine is shared across calls
-// or kept in package state, and which machine a cell gets leaks into
-// no output (a reset machine behaves exactly like a new one). Cells
-// start in order of decreasing processor count, so a reused machine
-// reaches its largest size on its first cell instead of growing with
-// every step of a sweep.
+// machines from a free list of its own, taken from machinePool for
+// the fan-out and given back after it, so a call builds a machine only
+// when no earlier call left one of that kind, and resets it between
+// cells. A list is never shared by two workers at once, and which
+// machine a cell gets leaks into no output (a reset machine behaves
+// exactly like a new one). A worker whose cell panicked drops its
+// list. Cells start in order of decreasing processor count, so a
+// reused machine reaches its largest size on its first cell instead of
+// growing with every step of a sweep.
 func (r Runner) execute(p *plan, scale Scale) ([]*Result, []*metrics.Run) {
 	all := make([]*metrics.Run, len(p.cells))
-	free := make([]machines, r.width(len(all)))
+	free := make([]*machines, r.width(len(all)))
+	for w := range free {
+		free[w] = machinePool.Get().(*machines)
+	}
+	defer func() {
+		for _, f := range free {
+			if f != nil {
+				machinePool.Put(f)
+			}
+		}
+	}()
 	order := make([]int, len(all))
 	for i := range order {
 		order[i] = i
@@ -187,7 +198,11 @@ func (r Runner) execute(p *plan, scale Scale) ([]*Result, []*metrics.Run) {
 	slices.SortStableFunc(order, func(a, b int) int { return p.cells[b].Procs - p.cells[a].Procs })
 	r.each(len(all), func(w, k int) {
 		i := order[k]
-		all[i] = p.cells[i].execute(scale, &free[w])
+		// Unset while the cell runs: if it panics, the list is dropped.
+		f := free[w]
+		free[w] = nil
+		all[i] = p.cells[i].execute(scale, f)
+		free[w] = f
 	})
 	results := make([]*Result, len(p.exps))
 	for k, e := range p.exps {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/dash"
@@ -243,15 +244,21 @@ func pgasLevel(level string) pgas.LocalityLevel {
 	return pgas.Affinity
 }
 
-// machines is one worker's free list of machines within one
-// Runner.execute call: at most one of each kind, taken for a cell and
-// put back when its run is copied out.
+// machines is a free list of machines: at most one of each kind,
+// taken for a cell and put back when its run is copied out.
 type machines struct {
 	dash    *dash.Machine
 	ipsc    *ipsc.Machine
 	pgas    *pgas.Machine
 	cluster *cluster.Machine
 }
+
+// machinePool keeps free lists between calls, so a server or a sweep
+// that executes one cell per call stops building its machines anew.
+// A pooled machine is always Reset before use and holds nothing a run
+// can observe: unlike the graph cache, it is no state two callers can
+// see each other through.
+var machinePool = sync.Pool{New: func() any { return new(machines) }}
 
 // take empties slot and returns its machine reset to cfg, or a new
 // machine built from cfg when the slot is empty.
@@ -355,7 +362,10 @@ func (s RunSpec) Execute(scale Scale) (*metrics.Run, error) {
 	if err := s.Canonicalize(); err != nil {
 		return nil, err
 	}
-	return s.execute(scale, nil), nil
+	free := machinePool.Get().(*machines)
+	r := s.execute(scale, free)
+	machinePool.Put(free)
+	return r, nil
 }
 
 // execute runs an already-canonical spec on a machine from free (nil

@@ -158,6 +158,11 @@ func TestRouterRoutesToPrimary(t *testing.T) {
 func TestRouterHedgeWinsAgainstHungPrimary(t *testing.T) {
 	rt, fakes := testRouter(t, func(c *Config) {
 		c.Health.ProbeTimeout = 10 * time.Millisecond
+		// The replica's hedge delay is its p95 clamped to HedgeMin; a
+		// floor as long as HedgeAfter keeps a scheduler hiccup on the
+		// post-ejection request from letting the hedge reach seq[2]
+		// before the replica answers.
+		c.HedgeMin = c.HedgeAfter
 	}, "n1", "n2", "n3")
 	spec := testSpec(t, "table1")
 	seq := rt.Ring().Sequence(spec.Hash())

@@ -353,7 +353,11 @@ func (e *Engine) heapPush(t Time, h Handler, arg int32) {
 		return
 	}
 	e.lastAt, e.lastTail = t, s
-	ks := append(e.entries, heapEntry{at: t, seq: e.seq, chainHead: s})
+	// Appending onto the field itself stores the slice pointer only
+	// when the array grows; a local copy written back would store it
+	// (behind a write barrier) on every push.
+	e.entries = append(e.entries, heapEntry{at: t, seq: e.seq, chainHead: s})
+	ks := e.entries
 	i := len(ks) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -363,7 +367,6 @@ func (e *Engine) heapPush(t Time, h Handler, arg int32) {
 		ks[i], ks[p] = ks[p], ks[i]
 		i = p
 	}
-	e.entries = ks
 }
 
 // heapPop removes and returns the globally next heap event. Popping a
@@ -393,7 +396,7 @@ func (e *Engine) heapPop() event {
 	n := len(ks) - 1
 	ks[0] = ks[n]
 	ks = ks[:n]
-	e.entries = ks
+	e.entries = e.entries[:n] // in place: only the length is stored
 	i := 0
 	for {
 		c := i<<2 + 1
