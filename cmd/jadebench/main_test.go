@@ -1,0 +1,60 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// Bad flag values exit 2 with a message instead of silently running a
+// default or panicking inside the experiments.
+func TestBadFlagsExit2(t *testing.T) {
+	for _, args := range []string{
+		"-parallel -1",
+		"-scale bogus",
+		"-experiment bogus",
+		"-machine bogus",
+		"-machine dash",
+		"-fault seed=1,drop=0.1",
+		"-spans out.json",
+		"-undefined-flag",
+		"-experiment table4 -cell 9999",
+		"-experiment table4 -cell -1",
+		"-experiment table1 -cell 0",
+		"-experiment ablation-steal -cell 0",
+		"-cell 0",
+		"-experiment all -cell 0",
+		"-experiment table4 -cell 0 -json",
+		"-experiment table4 -cell 0 -markdown",
+		"-experiment table4 -cell 0 -pgas-report",
+		"-experiment table4 -cell 0 -granularity-report",
+		"-experiment table4 -log",
+		"-experiment table4 -perfetto out.json",
+		"-experiment table4 -hot 5",
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(args), &stdout, &stderr); code != 2 {
+			t.Errorf("jadebench %s: exit %d, want 2", args, code)
+		}
+		if stderr.Len() == 0 {
+			t.Errorf("jadebench %s: no message on stderr", args)
+		}
+	}
+}
+
+// An out-of-range cell lists the experiment's cells by index, so the
+// error itself shows which N to pass.
+func TestCellOutOfRangeListsCells(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-experiment", "table4", "-cell", "9999"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	for _, want := range []string{
+		`   0  {"app":"ocean","machine":"dash","procs":1,"level":"placement"}`,
+		`  20  {"app":"ocean","machine":"dash","procs":32,"level":"none"}`,
+	} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		}
+	}
+}

@@ -24,7 +24,7 @@ func executeDirect(t *testing.T, s RunSpec, scale Scale) *metrics.Run {
 		t.Fatalf("Canonicalize(%+v): %v", s, err)
 	}
 	a := appKeys[s.App]
-	p, obs := s.newPlatform(nil)
+	p, obs := s.newPlatform(nil, nil)
 	rt := jade.New(p, jade.Config{WorkFree: s.WorkFree})
 	a.run(rt, scale, s.Level == LevelPlacement && a.hasPlacement)
 	r := rt.Finish()
@@ -230,7 +230,7 @@ func TestRunAppRejectsReusedPlatform(t *testing.T) {
 	if err := spec.Canonicalize(); err != nil {
 		t.Fatal(err)
 	}
-	p, _ := spec.newPlatform(nil)
+	p, _ := spec.newPlatform(nil, nil)
 	cfg := jade.Config{WorkFree: true}
 	jade.New(p, cfg) // attach: the platform is no longer fresh
 	defer func() {

@@ -30,7 +30,7 @@ func dashWakeRun(t *testing.T, s RunSpec, fromHead bool, program func(*jade.Runt
 	if err := s.Canonicalize(); err != nil {
 		t.Fatal(err)
 	}
-	p, obs := s.newPlatform(nil)
+	p, obs := s.newPlatform(nil, nil)
 	m := p.(*dash.Machine)
 	m.StealFromHead = fromHead
 	stream := &streamHash{h: sha256.New()}

@@ -32,7 +32,7 @@ func TestPooledMachinesMatchFresh(t *testing.T) {
 	cells := resetCells()
 	want := make([][]byte, len(cells))
 	for i, s := range cells {
-		want[i] = runSignature(t, s.execute(Small, nil))
+		want[i] = runSignature(t, s.execute(Small, nil, nil))
 	}
 	check := func(label string, i int, r *metrics.Run) {
 		if got := runSignature(t, r); !bytes.Equal(got, want[i]) {

@@ -73,8 +73,8 @@ func TestResetMatchesFresh(t *testing.T) {
 		covered.faulted = covered.faulted || s.Fault != nil
 		covered.observed = covered.observed || s.Observe
 		covered.timed = covered.timed || !s.WorkFree
-		reused := s.execute(Small, free)
-		fresh := s.execute(Small, nil)
+		reused := s.execute(Small, free, nil)
+		fresh := s.execute(Small, nil, nil)
 		if !bytes.Equal(runBytes(t, reused), runBytes(t, fresh)) {
 			t.Fatalf("cell %d %+v: report on a reset machine differs from a new machine", i, s)
 		}
@@ -121,7 +121,7 @@ func TestResetMatchesFreshDirect(t *testing.T) {
 		want := runBytes(t, executeDirect(t, s, Small))
 		for rep := 0; rep < 2; rep++ {
 			a := appKeys[s.App]
-			p, obs := s.newPlatform(free)
+			p, obs := s.newPlatform(free, nil)
 			rt := jade.New(p, jade.Config{WorkFree: s.WorkFree})
 			a.run(rt, Small, s.Level == LevelPlacement && a.hasPlacement)
 			r := rt.Finish()

@@ -201,7 +201,7 @@ func (r Runner) execute(p *plan, scale Scale) ([]*Result, []*metrics.Run) {
 		// Unset while the cell runs: if it panics, the list is dropped.
 		f := free[w]
 		free[w] = nil
-		all[i] = p.cells[i].execute(scale, f)
+		all[i] = p.cells[i].execute(scale, f, nil)
 		free[w] = f
 	})
 	results := make([]*Result, len(p.exps))

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -293,8 +295,9 @@ func (f *machines) put(p jade.Platform) {
 // newPlatform returns a fresh or reset platform for a canonical spec,
 // taken from free (nil builds a new one), with fault injection
 // attached, and the observer its event stream feeds when the spec
-// observes (nil otherwise).
-func (s *RunSpec) newPlatform(free *machines) (jade.Platform, *obsv.Observer) {
+// observes (nil otherwise). The event stream also feeds sink, when
+// non-nil (a trace of the run).
+func (s *RunSpec) newPlatform(free *machines, sink obsv.Sink) (jade.Platform, *obsv.Observer) {
 	if free == nil {
 		free = &machines{}
 	}
@@ -303,14 +306,17 @@ func (s *RunSpec) newPlatform(free *machines) (jade.Platform, *obsv.Observer) {
 		inj = fault.NewInjector(*s.Fault, s.Procs)
 	}
 	var obs *obsv.Observer
-	var sink obsv.Sink
 	if s.Observe {
 		obs = obsv.New(s.Procs)
-		sink = obs
+		if sink == nil {
+			sink = obs
+		} else {
+			sink = obsv.Tee{obs, sink}
+		}
 	}
 	// Fault injection and observation live in the machine, not the
 	// task graph, so faulted and observed runs replay cached graphs
-	// like any other (runApp); capture itself always runs clean.
+	// like any other (execute); capture itself always runs clean.
 	var p jade.Platform
 	switch s.Machine {
 	case "dash":
@@ -363,30 +369,72 @@ func (s RunSpec) Execute(scale Scale) (*metrics.Run, error) {
 		return nil, err
 	}
 	free := machinePool.Get().(*machines)
-	r := s.execute(scale, free)
+	r := s.execute(scale, free, nil)
 	machinePool.Put(free)
 	return r, nil
 }
 
-// execute runs an already-canonical spec on a machine from free (nil
-// builds a new one) and puts the machine back after the run.
-func (s *RunSpec) execute(scale Scale, free *machines) *metrics.Run {
+// TraceCell replays the n-th cell experiment id reads at scale, the
+// run its table or figure reports, through the same path as
+// Runner.Execute, with the sink newSink returns for the cell's
+// processor count fed the machine's simulated-event stream. It returns
+// the canonical cell, its run, and the tasks the replay scheduled (for
+// check.Validate). A bespoke experiment has no cells to trace; an n
+// out of range is an error that lists the experiment's cells by index.
+func TraceCell(id string, n int, scale Scale, newSink func(procs int) obsv.Sink) (RunSpec, *metrics.Run, []*jade.Task, error) {
+	e, err := Get(id)
+	if err != nil {
+		return RunSpec{}, nil, nil, err
+	}
+	if e.cells == nil {
+		return RunSpec{}, nil, nil, fmt.Errorf("experiments: %s drives its own machines and has no cells to trace", id)
+	}
+	cells := e.cells(scale)
+	for i := range cells {
+		if err := cells[i].Canonicalize(); err != nil {
+			panic(fmt.Sprintf("experiments: %s built an invalid cell: %v", id, err))
+		}
+	}
+	if n < 0 || n >= len(cells) {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "experiments: %s has no cell %d; its cells are:", id, n)
+		for i, c := range cells {
+			key, _ := json.Marshal(c) // a RunSpec always marshals
+			fmt.Fprintf(&sb, "\n%4d  %s", i, key)
+		}
+		return RunSpec{}, nil, nil, errors.New(sb.String())
+	}
+	cell := cells[n]
+	r := cell.execute(scale, nil, newSink(cell.Procs))
+	return cell, r, cell.taskGraph(scale).g.Tasks(), nil
+}
+
+// taskGraph returns the graph a canonical spec replays: the cached
+// capture of its app, or the capture's fused work-free view.
+func (s *RunSpec) taskGraph(scale Scale) fusedEntry {
 	a := appKeys[s.App]
 	place := s.Level == LevelPlacement && a.hasPlacement
+	if s.Fusion {
+		return fusedGraph(a, scale, s.Procs, place)
+	}
+	return fusedEntry{g: capturedGraph(a, scale, s.Procs, place)}
+}
+
+// execute runs an already-canonical spec on a machine from free (nil
+// builds a new one), with sink (nil for none) fed its event stream,
+// and puts the machine back after the run.
+func (s *RunSpec) execute(scale Scale, free *machines, sink obsv.Sink) *metrics.Run {
 	if s.Fault != nil && s.Fault.Panic {
 		// Chaos hook for the serving stack: a spec can ask its own
 		// execution to panic, exercising per-job panic isolation.
 		panic(fmt.Sprintf("fault: injected panic (app=%s machine=%s)", s.App, s.Machine))
 	}
 	cfg := jade.Config{WorkFree: s.WorkFree}
-	p, obs := s.newPlatform(free)
-	var r *metrics.Run
+	p, obs := s.newPlatform(free, sink)
+	fe := s.taskGraph(scale)
+	r := replay(fe.g, p, cfg)
 	if s.Fusion {
-		fe := fusedGraph(a, scale, p.Processors(), place)
-		r = replay(fe.g, p, cfg)
 		stampFusion(r, s.Machine, fe.st)
-	} else {
-		r = runApp(p, cfg, a, scale, place)
 	}
 	r.Obsv = obs.Snapshot(0)
 	accumulateFuse(r)

@@ -96,6 +96,11 @@ func (g *Graph) WorkFreeView() *Graph {
 // TaskCount returns the number of captured tasks.
 func (g *Graph) TaskCount() int { return len(g.plan.Tasks) }
 
+// Tasks returns the captured tasks in creation order, body-free; a
+// replay schedules exactly these. The slice and the tasks are shared
+// by every replay: read them, never write them.
+func (g *Graph) Tasks() []*jade.Task { return g.plan.Tasks }
+
 // ObjectCount returns the number of captured object allocations.
 func (g *Graph) ObjectCount() int { return len(g.plan.Objects) }
 
