@@ -163,23 +163,27 @@ go run ./cmd/jadebench -granularity-report -scale small |
         crossovers.0.machine crossovers.0.crossover_work_sec
 go test -run '^TestGranularity(FinestSizeMessageCut|PassMovesCrossover)$' ./internal/experiments
 
-echo "== jadetrace smoke =="
-# The simulated-event stream's consumers end to end on both traceable
-# machines: event log, hot-object report, Gantt chart and Perfetto
-# export. jadetrace exits 1 when the recorded schedule fails
-# check.Validate, and 2 on a bad flag value such as an unknown level.
+echo "== jadebench cell-trace smoke =="
+# The simulated-event stream's consumers end to end, on one registered
+# cell per machine: event log, hot-object report, Gantt chart and
+# Perfetto export of the run the table reports. jadebench -cell exits 1
+# when the recorded schedule fails check.Validate, and 2 on a cell
+# index out of range.
 trdir=$(mktemp -d)
-go build -o "$trdir/jadetrace" ./cmd/jadetrace
+go build -o "$trdir/jadebench" ./cmd/jadebench
 go build -o "$trdir/jsoncheck" ./internal/tools/jsoncheck
-for machine in dash ipsc; do
-    "$trdir/jadetrace" -app ocean -machine "$machine" -procs 4 -log -hot 5 \
-        -perfetto "$trdir/$machine.json" >"$trdir/$machine.txt"
-    "$trdir/jsoncheck" traceEvents.0.ph displayTimeUnit <"$trdir/$machine.json"
+for cell in "table4 2 dash" "table9 2 ipsc" "pgas-compare 8 pgas" "extension-portability 10 cluster"; do
+    set -- $cell
+    "$trdir/jadebench" -experiment "$1" -cell "$2" -log -hot 5 \
+        -perfetto "$trdir/$3.json" >"$trdir/$3.txt"
+    grep -q "\"machine\":\"$3\"" "$trdir/$3.txt" ||
+        { echo "jadebench: $1 cell $2 did not run on $3" >&2; exit 1; }
+    "$trdir/jsoncheck" traceEvents.0.ph displayTimeUnit <"$trdir/$3.json"
 done
 status=0
-"$trdir/jadetrace" -level bogus >/dev/null 2>&1 || status=$?
+"$trdir/jadebench" -experiment table4 -cell 9999 >/dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] ||
-    { echo "jadetrace: -level bogus exited $status, want 2" >&2; exit 1; }
+    { echo "jadebench: -cell 9999 exited $status, want 2" >&2; exit 1; }
 rm -rf "$trdir"
 
 echo "== jaded smoke =="
