@@ -483,7 +483,8 @@ func (s *Server) runOnce(ctx context.Context, spec *JobSpec) ([]byte, error) {
 // finish moves a job to its terminal state and wakes waiters. Timeout
 // failures carry the distinct "timeout" error code so clients can tell
 // "retry later" from "this spec fails". The terminal state also feeds
-// the SLO tracker and the job-lifecycle log.
+// the SLO tracker and the job-lifecycle log, before the waiters wake:
+// a sync caller that returns finds its job counted and logged.
 func (s *Server) finish(j *Job, data []byte, cacheHit bool, err error) {
 	fs := j.root.Child("finish")
 	s.mu.Lock()
@@ -504,7 +505,6 @@ func (s *Server) finish(j *Job, data []byte, cacheHit bool, err error) {
 	if j.cancel != nil {
 		j.cancel()
 	}
-	close(j.done)
 	if n := s.cfg.JobRetention; n > 0 {
 		s.doneOrder = append(s.doneOrder, j.ID)
 		if len(s.doneOrder) > n {
@@ -520,6 +520,7 @@ func (s *Server) finish(j *Job, data []byte, cacheHit bool, err error) {
 	latency := time.Since(j.created).Seconds()
 	s.slo.Record(latency, err == nil)
 	s.logJob(j, latency)
+	close(j.done)
 }
 
 // observe records one executed job's wall latency under each
