@@ -101,9 +101,11 @@ go test -race ./internal/native ./internal/jade ./internal/jade/graph ./internal
 # engine runs concurrently. Both packages take well under a second per
 # run, so repeat them to give the scheduler more interleavings.
 go test -race -count=20 ./internal/native ./internal/jade
-# Pooled machines pass between goroutines across Runner calls: repeat
-# the pooled and reset differentials for more interleavings.
-go test -race -count=5 -run 'Pooled|ResetMatches' ./internal/experiments
+# Pooled machines, with the replay runtime and fault injector their
+# free list holds, pass between goroutines across Runner calls: repeat
+# the pooled, reset and reused-runtime differentials for more
+# interleavings.
+go test -race -count=5 -run 'Pooled|ResetMatches|ReusedRuntime' ./internal/experiments
 
 echo "== jadebench -json smoke =="
 # The emitted document must parse and carry the jadebench/v1 keys;

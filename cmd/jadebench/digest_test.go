@@ -29,53 +29,53 @@ import (
 // freely as long as none of these bytes move; a deliberate change
 // regenerates the table (the failure message prints it) and says why.
 var wantDigests = map[string]string{
-	"cell/extension-portability/10":          "c556f0399e2f7974",
+	"cell/extension-portability/10":          "e57bb4801cec92c2",
 	"cell/extension-portability/10/perfetto": "37c786497daee05f",
-	"cell/fault-sweep/42":                    "1e86ec9256bec40d",
+	"cell/fault-sweep/42":                    "cdb422c359409ab7",
 	"cell/fault-sweep/42/perfetto":           "1f18dd6f0b5080b0",
-	"cell/fig10/9":                           "907509ec33c3aee9",
+	"cell/fig10/9":                           "f57b60c10b57a979",
 	"cell/fig10/9/perfetto":                  "788690e3ae1cb118",
-	"cell/pgas-compare/8":                    "3ffa2252c794f625",
+	"cell/pgas-compare/8":                    "c3c2d4ab271f6d9d",
 	"cell/pgas-compare/8/perfetto":           "80fea4d460af91be",
-	"cell/table10/16":                        "51802060c2bbc370",
+	"cell/table10/16":                        "15d9830157e8b66a",
 	"cell/table10/16/perfetto":               "324ada30fbfa85a3",
-	"cell/table10/2":                         "b37f8b2f0f59071f",
+	"cell/table10/2":                         "0e04612ced22a3fa",
 	"cell/table10/2/perfetto":                "fb662a688fabb6f2",
-	"cell/table10/9":                         "711d9b093c9a81c4",
+	"cell/table10/9":                         "6e13d47abf785e7a",
 	"cell/table10/9/perfetto":                "0a8979aa5d38a6f4",
-	"cell/table2/2":                          "fe3daea7099bf31e",
+	"cell/table2/2":                          "bf1bcbd7132926c9",
 	"cell/table2/2/perfetto":                 "b89229f226d3c681",
-	"cell/table2/9":                          "1fa835c8f49a5b6b",
+	"cell/table2/9":                          "508c15854e01c419",
 	"cell/table2/9/perfetto":                 "c8039426ddd23c40",
-	"cell/table3/2":                          "bd53b39304595a43",
+	"cell/table3/2":                          "6d3d7b05d0d579f3",
 	"cell/table3/2/perfetto":                 "5f472c6ad5cd9c31",
-	"cell/table3/9":                          "80abe9be7637c010",
+	"cell/table3/9":                          "8c7230471080a4ed",
 	"cell/table3/9/perfetto":                 "7aef6698f696219d",
-	"cell/table4/16":                         "8c8be3eac55481a9",
+	"cell/table4/16":                         "fd3792ae27d26a5f",
 	"cell/table4/16/perfetto":                "0b579d3c799ec788",
-	"cell/table4/2":                          "c27722c0812ad3f8",
+	"cell/table4/2":                          "45f67fc5b8ca4573",
 	"cell/table4/2/perfetto":                 "5b9ff8fa1f101245",
-	"cell/table4/9":                          "d5a781f86aea53ab",
+	"cell/table4/9":                          "de2bdeb959c87be1",
 	"cell/table4/9/perfetto":                 "394eb4c168246b30",
-	"cell/table5/16":                         "f280a607d86fe056",
+	"cell/table5/16":                         "25319b813cd9b947",
 	"cell/table5/16/perfetto":                "ce4828b135d9baf7",
-	"cell/table5/2":                          "b91cd5c9135c30bb",
+	"cell/table5/2":                          "103c81766f4afc4c",
 	"cell/table5/2/perfetto":                 "ff8b9164353a9d03",
-	"cell/table5/9":                          "e3e5906b11588b49",
+	"cell/table5/9":                          "45ac95549a31a156",
 	"cell/table5/9/perfetto":                 "0263d279439be3c2",
-	"cell/table7/2":                          "c01cb404f826baa3",
+	"cell/table7/2":                          "03946a100ce710b7",
 	"cell/table7/2/perfetto":                 "3c054e956595ee23",
-	"cell/table7/9":                          "fac3468877860756",
+	"cell/table7/9":                          "b95f3ec6d3b734e6",
 	"cell/table7/9/perfetto":                 "db137316eebb3846",
-	"cell/table8/2":                          "afb686680d9e8f42",
+	"cell/table8/2":                          "4ff8bcbe5ed6f2e0",
 	"cell/table8/2/perfetto":                 "4690925f7fcd7480",
-	"cell/table8/9":                          "36fe9369898d3f58",
+	"cell/table8/9":                          "4e5df9aa4fd27bd7",
 	"cell/table8/9/perfetto":                 "0e0c4ee767ab79ba",
-	"cell/table9/16":                         "138adbc1214160f3",
+	"cell/table9/16":                         "51441f38943ab800",
 	"cell/table9/16/perfetto":                "2f75bcac7fa1a0a8",
-	"cell/table9/2":                          "100b423d953857fd",
+	"cell/table9/2":                          "b0f9d483810c61c0",
 	"cell/table9/2/perfetto":                 "307839319ae3d23f",
-	"cell/table9/9":                          "2e20d07f7e80aa21",
+	"cell/table9/9":                          "f88a8c2ba8df48fa",
 	"cell/table9/9/perfetto":                 "6c404be8179ff291",
 
 	"metrics/cholesky/dash/8":      "0dce2a97fdba3921",

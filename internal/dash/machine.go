@@ -98,10 +98,11 @@ func (m *Machine) Reset(cfg Config) {
 	}
 	fresh := m.Eng == nil
 	m.cfg = cfg
-	// Enabled tasks (creation finished, dependences satisfied) go to
-	// the scheduling queues.
-	m.Core.Reset(cfg.Procs, cfg.TaskCreateSec, m.enqueue)
+	m.Core.Reset(cfg.Procs, cfg.TaskCreateSec)
 	if fresh {
+		// Enabled tasks (creation finished, dependences satisfied) go
+		// to the scheduling queues.
+		m.HandleEnabled(m.enqueue)
 		m.register()
 	}
 	m.queues = machine.Resize(m.queues, cfg.Procs)

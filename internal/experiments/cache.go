@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/fuse"
@@ -14,10 +13,10 @@ import (
 
 // This file is the one caching mechanism behind the experiment
 // drivers: a process-wide, bounded, fill-once LRU shared by the task
-// graphs the sweeps replay and the Cholesky symbolic workload. The
-// jaded server inherits it for free — the cache is package state, so
-// every worker and every job shares one copy — and exposes its
-// counters on /metricz.
+// graphs the sweeps replay and the Cholesky and SpMV workloads, each
+// under a typed cacheKey. The jaded server inherits it for free — the
+// cache is package state, so every worker and every job shares one
+// copy — and exposes its counters on /metricz.
 
 // runCacheCap bounds the shared cache. Graphs are keyed per
 // (app, scale, place, procs), beside the fused and granularity graphs
@@ -27,27 +26,53 @@ import (
 // grow it unboundedly.
 const runCacheCap = 128
 
+// cacheKey names one cached value: what kind of value it is, and the
+// inputs it is a pure function of, with the fields a kind does not use
+// left zero. It is a comparable struct rather than a formatted string,
+// so a lookup on the replay path builds its key without allocating.
+type cacheKey struct {
+	kind  cacheKind
+	app   string // appSpec.key, or the workload's configuration key
+	scale Scale
+	place bool
+	procs int
+	work  float64 // the granularity sweep's task size
+}
+
+// cacheKind is what a cacheKey names.
+type cacheKind uint8
+
+const (
+	kindGraph     cacheKind = iota // an application's captured graph
+	kindFused                      // the fusion pass over its work-free view
+	kindGranGraph                  // the granularity program's graph at one task size
+	kindGranFused                  // the fusion pass over it
+	kindWorkload                   // an application's untimed setup data
+)
+
 // cacheEntry is one key's slot. The value is built outside the cache
 // lock, at most once per residency: concurrent getters share the
 // builder's result through once.
 type cacheEntry struct {
-	key        string
+	key        cacheKey
 	once       sync.Once
 	val        any
 	prev, next *cacheEntry
 }
 
-// runCache is a mutex-guarded LRU map with fill-once entries.
+// runCache is a mutex-guarded LRU map with fill-once entries, keyed by
+// cacheKey: a lookup compares struct fields instead of formatting a
+// string, so a hit allocates nothing.
 type runCache struct {
 	mu           sync.Mutex
 	cap          int
-	entries      map[string]*cacheEntry
+	entries      map[cacheKey]*cacheEntry
 	head, tail   *cacheEntry // doubly linked, head = most recent
 	hits, misses uint64
 }
 
 func newRunCache(capacity int) *runCache {
-	return &runCache{cap: capacity, entries: map[string]*cacheEntry{}}
+	return &runCache{cap: capacity, entries: map[cacheKey]*cacheEntry{}}
 }
 
 // sharedCache is the process-wide instance.
@@ -57,7 +82,7 @@ var sharedCache = newRunCache(runCacheCap)
 // residency. If the key is evicted while a holder still builds it, the
 // holder's result stays valid for everyone who grabbed the entry
 // before eviction; the next get simply rebuilds.
-func (c *runCache) get(key string, build func() any) any {
+func (c *runCache) get(key cacheKey, build func() any) any {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if ok {
@@ -126,7 +151,7 @@ func (c *runCache) stats() CacheStats {
 func (c *runCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = map[string]*cacheEntry{}
+	c.entries = map[cacheKey]*cacheEntry{}
 	c.head, c.tail = nil, nil
 	c.hits, c.misses = 0, 0
 }
@@ -151,7 +176,7 @@ func GraphCacheStats() CacheStats { return sharedCache.stats() }
 // interchangeable. The work-free setting is not: one graph replays
 // both timed and work-free cells.
 func capturedGraph(a *appSpec, scale Scale, procs int, place bool) *graph.Graph {
-	key := fmt.Sprintf("graph/%s/%s/place=%t/procs=%d", a.key, scale, place, procs)
+	key := cacheKey{kind: kindGraph, app: a.key, scale: scale, place: place, procs: procs}
 	return sharedCache.get(key, func() any {
 		return graph.Capture(procs, false, func(rt *jade.Runtime) { a.run(rt, scale, place) })
 	}).(*graph.Graph)
@@ -166,9 +191,9 @@ type fusedEntry struct {
 
 // fusedGraph returns the task-fusion pass's output for the work-free
 // view of one graph (fusion specs are work-free), cached alongside the
-// unfused capture under a /fused=true key.
+// unfused capture under the same inputs.
 func fusedGraph(a *appSpec, scale Scale, procs int, place bool) fusedEntry {
-	key := fmt.Sprintf("graph/%s/%s/place=%t/procs=%d/fused=true", a.key, scale, place, procs)
+	key := cacheKey{kind: kindFused, app: a.key, scale: scale, place: place, procs: procs}
 	return sharedCache.get(key, func() any {
 		g, st, _ := capturedGraph(a, scale, procs, place).WorkFreeView().Fuse(fuse.DefaultOptions())
 		return fusedEntry{g: g, st: st}
@@ -219,15 +244,16 @@ func accumulateFuse(r *metrics.Run) {
 // (app, scale, place, procs) capture instead of once per cell, no body
 // runs at all, and the replay is byte-identical to direct execution.
 func runApp(p jade.Platform, cfg jade.Config, a *appSpec, scale Scale, place bool) *metrics.Run {
-	return replay(capturedGraph(a, scale, p.Processors(), place), p, cfg)
+	return replay(capturedGraph(a, scale, p.Processors(), place), new(jade.Runtime), p, cfg)
 }
 
-// replay replays g against the platform. Every graph replays onto a
-// fresh or reset platform, so a refusal is a caller bug (a platform
-// that already ran, say). Re-running directly would hide it behind a
-// slow, correct-looking run.
-func replay(g *graph.Graph, p jade.Platform, cfg jade.Config) *metrics.Run {
-	r, err := g.Replay(p, cfg)
+// replay replays g against the platform through rt (a new runtime, or
+// the worker's reused one). Every graph replays onto a fresh or reset
+// platform, so a refusal is a caller bug (a platform that already ran,
+// say). Re-running directly would hide it behind a slow,
+// correct-looking run.
+func replay(g *graph.Graph, rt *jade.Runtime, p jade.Platform, cfg jade.Config) *metrics.Run {
+	r, err := g.ReplayWith(rt, p, cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -253,7 +253,7 @@ func TestGraphCacheFillOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i] = c.get("k", func() any {
+			vals[i] = c.get(cacheKey{app: "k"}, func() any {
 				mu.Lock()
 				builds++
 				mu.Unlock()
@@ -279,19 +279,19 @@ func TestGraphCacheFillOnce(t *testing.T) {
 func TestGraphCacheBounded(t *testing.T) {
 	c := newRunCache(4)
 	for i := 0; i < 10; i++ {
-		c.get(fmt.Sprintf("k%d", i), func() any { return i })
+		c.get(cacheKey{procs: i}, func() any { return i })
 	}
 	if st := c.stats(); st.Entries != 4 {
 		t.Fatalf("cache holds %d entries, want capacity 4", st.Entries)
 	}
 	// LRU: the most recent keys survive, the oldest were evicted.
 	before := c.stats()
-	c.get("k9", func() any { t.Fatal("k9 was evicted"); return nil })
+	c.get(cacheKey{procs: 9}, func() any { t.Fatal("k9 was evicted"); return nil })
 	if st := c.stats(); st.Hits != before.Hits+1 {
 		t.Fatalf("k9 lookup was not a hit")
 	}
 	rebuilt := false
-	c.get("k0", func() any { rebuilt = true; return 0 })
+	c.get(cacheKey{procs: 0}, func() any { rebuilt = true; return 0 })
 	if !rebuilt {
 		t.Fatal("k0 survived past the capacity bound")
 	}

@@ -124,7 +124,7 @@ func granFuseOptions() fuse.Options {
 // Bodies are nil and work is real (workFree=false), so the capture
 // replays with the full machine cost model.
 func granGraph(scale Scale, w float64) *graph.Graph {
-	key := fmt.Sprintf("graph/granularity/%s/w=%g/procs=%d", scale, w, instrumentedProcs)
+	key := cacheKey{kind: kindGranGraph, scale: scale, procs: instrumentedProcs, work: w}
 	return sharedCache.get(key, func() any {
 		return graph.Capture(instrumentedProcs, false, granularityProgram(granShapeFor(scale), w))
 	}).(*graph.Graph)
@@ -132,7 +132,7 @@ func granGraph(scale Scale, w float64) *graph.Graph {
 
 // granFusedGraph returns the fusion pass's output for one task size.
 func granFusedGraph(scale Scale, w float64) fusedEntry {
-	key := fmt.Sprintf("graph/granularity/%s/w=%g/procs=%d/fused=true", scale, w, instrumentedProcs)
+	key := cacheKey{kind: kindGranFused, scale: scale, procs: instrumentedProcs, work: w}
 	return sharedCache.get(key, func() any {
 		g, st, _ := granGraph(scale, w).Fuse(granFuseOptions())
 		return fusedEntry{g: g, st: st}
@@ -241,7 +241,7 @@ func granCell(scale Scale, machine string, w float64, fusion, coalescing bool) *
 		fe := granFusedGraph(scale, w)
 		g, st = fe.g, fe.st
 	}
-	r := replay(g, granPlatform(machine, coalescing), jade.Config{})
+	r := replay(g, new(jade.Runtime), granPlatform(machine, coalescing), jade.Config{})
 	if fusion {
 		stampFusion(r, machine, st)
 	}

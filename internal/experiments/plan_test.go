@@ -85,7 +85,7 @@ func TestPlanDeduplicatesRegistry(t *testing.T) {
 		}
 		p.exps[k] = &spy
 	}
-	NewRunner(0).execute(p, Small)
+	NewRunner(0).execute(&p, Small)
 	bySlot := make([]*metrics.Run, len(p.cells))
 	for k, runs := range got {
 		for i, r := range runs {

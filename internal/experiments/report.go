@@ -77,7 +77,7 @@ func (r Runner) Report(ids []string, specs []RunSpec, scale Scale) (*BenchReport
 	if err != nil {
 		return nil, err
 	}
-	results, runs := r.execute(p, scale)
+	results, runs := r.execute(&p, scale)
 	rep := &BenchReport{
 		Schema:      BenchSchema,
 		Scale:       string(scale),

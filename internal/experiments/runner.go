@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 )
 
@@ -43,20 +43,10 @@ func (r Runner) Workers() int {
 // keeps parallel output byte-identical to serial. A panic in any call
 // is re-raised on the caller's goroutine.
 func (r Runner) Each(n int, fn func(i int)) {
-	r.each(n, func(_, i int) { fn(i) })
-}
-
-// width is how many workers each starts for n calls.
-func (r Runner) width(n int) int { return min(r.Workers(), n) }
-
-// each is Each with the worker: fn(w, i) runs on worker w in
-// [0, width(n)), and one worker's calls never overlap, so fn may keep
-// per-worker state indexed by w.
-func (r Runner) each(n int, fn func(w, i int)) {
-	w := r.width(n)
+	w := min(r.Workers(), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -80,7 +70,7 @@ func (r Runner) each(n int, fn func(w, i int)) {
 				if i >= n {
 					return
 				}
-				fn(g, i)
+				fn(i)
 			}
 		}()
 	}
@@ -92,8 +82,8 @@ func (r Runner) each(n int, fn func(w, i int)) {
 
 // plan is the work of one Execute call: every cell the requested
 // experiments read plus every explicit spec, canonicalized and
-// deduplicated by canonical JSON, so a run several views share executes
-// once. The scope is the call; nothing is remembered across calls.
+// deduplicated by planKey, so a run several views share executes once.
+// The scope is the call; nothing is remembered across calls.
 type plan struct {
 	exps      []*Experiment
 	cells     []RunSpec // distinct canonical cells, in first-request order
@@ -101,51 +91,113 @@ type plan struct {
 	specSlots []int     // specSlots[j] indexes cells: explicit spec j
 }
 
+// planKey is a canonical RunSpec as a small comparable value: its
+// names, numbers and flags, with each optional bool by value and its
+// fault block numbered among the plan's distinct blocks (0 for none).
+// Two canonical specs of one plan share a key exactly when they marshal
+// to the same JSON (TestPlanKeyCoversEverySpecField). The key stays
+// under the 128 bytes a map stores inline, so building and inserting
+// one allocates nothing.
+type planKey struct {
+	app, machine, level                             string
+	procs, targetTasks                              int32
+	workFree, observe, eagerUpdate, stickyTarget    bool
+	speedAware, fusion, coalescing                  bool
+	adaptiveBroadcast, concurrentFetch, aggregation optBool
+	fault                                           int32
+}
+
+// optBool is an optional bool by value: unset, false or true.
+type optBool uint8
+
+func optOf(b *bool) optBool {
+	switch {
+	case b == nil:
+		return 0
+	case *b:
+		return 2
+	}
+	return 1
+}
+
+// planKey returns the spec's dedup key, numbering its fault block
+// among the distinct blocks in faults, which it extends.
+func (s *RunSpec) planKey(faults map[fault.Spec]int32) planKey {
+	key := planKey{app: s.App, machine: s.Machine, level: s.Level,
+		procs: int32(s.Procs), targetTasks: int32(s.TargetTasks),
+		workFree: s.WorkFree, observe: s.Observe, eagerUpdate: s.EagerUpdate, stickyTarget: s.StickyTarget,
+		speedAware: s.SpeedAware, fusion: s.Fusion, coalescing: s.Coalescing,
+		adaptiveBroadcast: optOf(s.AdaptiveBroadcast), concurrentFetch: optOf(s.ConcurrentFetch),
+		aggregation: optOf(s.Aggregation)}
+	if s.Fault != nil {
+		n, ok := faults[*s.Fault]
+		if !ok {
+			n = int32(len(faults)) + 1
+			faults[*s.Fault] = n
+		}
+		key.fault = n
+	}
+	return key
+}
+
 // newPlan resolves the ids and canonicalizes every cell without
 // executing anything. The first error by position — ids, then specs —
 // is returned.
-func newPlan(ids []string, specs []RunSpec, scale Scale) (*plan, error) {
-	p := &plan{}
-	slot := map[string]int{}
+func newPlan(ids []string, specs []RunSpec, scale Scale) (plan, error) {
+	var p plan
+	for _, id := range ids {
+		e, err := Get(id)
+		if err != nil {
+			return plan{}, err
+		}
+		p.exps = append(p.exps, e)
+	}
+	// Every cell is listed before any is added, so the plan's slices
+	// and its dedup map are sized once.
+	expCells := make([][]RunSpec, len(p.exps))
+	n := len(specs)
+	for k, e := range p.exps {
+		if e.cells != nil {
+			expCells[k] = e.cells(scale)
+			n += len(expCells[k])
+		}
+	}
+	p.cells = make([]RunSpec, 0, n)
+	p.expSlots = make([][]int, len(p.exps))
+	p.specSlots = make([]int, len(specs))
+	slot, faults := make(map[planKey]int, n), map[fault.Spec]int32{}
 	add := func(s RunSpec) (int, error) {
 		if err := s.Canonicalize(); err != nil {
 			return 0, err
 		}
-		key, _ := json.Marshal(s) // a RunSpec always marshals
-		i, ok := slot[string(key)]
+		key := s.planKey(faults)
+		i, ok := slot[key]
 		if !ok {
 			i = len(p.cells)
-			slot[string(key)] = i
+			slot[key] = i
 			p.cells = append(p.cells, s)
 		}
 		return i, nil
 	}
-	for _, id := range ids {
-		e, err := Get(id)
-		if err != nil {
-			return nil, err
+	for k, cells := range expCells {
+		if len(cells) == 0 {
+			continue
 		}
-		p.exps = append(p.exps, e)
-	}
-	for _, e := range p.exps {
-		var slots []int
-		if e.cells != nil {
-			for _, s := range e.cells(scale) {
-				i, err := add(s)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: %s built an invalid cell: %v", e.ID, err))
-				}
-				slots = append(slots, i)
+		p.expSlots[k] = make([]int, len(cells))
+		for j, s := range cells {
+			i, err := add(s)
+			if err != nil {
+				panic(fmt.Sprintf("experiments: %s built an invalid cell: %v", p.exps[k].ID, err))
 			}
+			p.expSlots[k][j] = i
 		}
-		p.expSlots = append(p.expSlots, slots)
 	}
-	for _, s := range specs {
+	for j, s := range specs {
 		i, err := add(s)
 		if err != nil {
-			return nil, err
+			return plan{}, err
 		}
-		p.specSlots = append(p.specSlots, i)
+		p.specSlots[j] = i
 	}
 	return p, nil
 }
@@ -163,46 +215,34 @@ func (r Runner) Execute(ids []string, specs []RunSpec, scale Scale) (results []*
 	if err != nil {
 		return nil, nil, err
 	}
-	results, runs = r.execute(p, scale)
+	results, runs = r.execute(&p, scale)
 	return results, runs, nil
 }
 
 // execute runs a plan: one fan-out over its distinct cells, then each
-// experiment in request order. Each worker replays its cells onto
-// machines from a free list of its own, taken from machinePool for
-// the fan-out and given back after it, so a call builds a machine only
-// when no earlier call left one of that kind, and resets it between
-// cells. A list is never shared by two workers at once, and which
-// machine a cell gets leaks into no output (a reset machine behaves
-// exactly like a new one). A worker whose cell panicked drops its
-// list. Cells start in order of decreasing processor count, so a
-// reused machine reaches its largest size on its first cell instead of
-// growing with every step of a sweep.
+// experiment in request order. Each cell replays onto machines, and
+// through a runtime, from a free list taken from machinePool for the
+// cell and put back after it, so a call builds a machine only when no
+// earlier cell left one of that kind, and resets it between cells. A
+// list is held by one goroutine at a time, and which machine a cell
+// gets leaks into no output (a reset machine behaves exactly like a
+// new one). A cell that panicked drops its list. Cells start in order
+// of decreasing processor count, so a reused machine reaches its
+// largest size on its first cell instead of growing with every step of
+// a sweep.
 func (r Runner) execute(p *plan, scale Scale) ([]*Result, []*metrics.Run) {
-	all := make([]*metrics.Run, len(p.cells))
-	free := make([]*machines, r.width(len(all)))
-	for w := range free {
-		free[w] = machinePool.Get().(*machines)
-	}
-	defer func() {
-		for _, f := range free {
-			if f != nil {
-				machinePool.Put(f)
-			}
-		}
-	}()
-	order := make([]int, len(all))
+	cells := p.cells
+	all := make([]*metrics.Run, len(cells))
+	order := make([]int, len(cells))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return p.cells[b].Procs - p.cells[a].Procs })
-	r.each(len(all), func(w, k int) {
+	slices.SortStableFunc(order, func(a, b int) int { return cells[b].Procs - cells[a].Procs })
+	r.Each(len(cells), func(k int) {
 		i := order[k]
-		// Unset while the cell runs: if it panics, the list is dropped.
-		f := free[w]
-		free[w] = nil
-		all[i] = p.cells[i].execute(scale, f, nil)
-		free[w] = f
+		f := machinePool.Get().(*machines)
+		all[i] = cells[i].execute(scale, f, nil)
+		machinePool.Put(f)
 	})
 	results := make([]*Result, len(p.exps))
 	for k, e := range p.exps {
@@ -211,6 +251,10 @@ func (r Runner) execute(p *plan, scale Scale) ([]*Result, []*metrics.Run) {
 		} else {
 			results[k] = e.render(scale, pick(all, p.expSlots[k]))
 		}
+	}
+	if len(p.exps) == 0 && len(p.specSlots) == len(all) {
+		// Distinct specs alone: spec j is cell j, so the runs are all.
+		return results, all
 	}
 	return results, pick(all, p.specSlots)
 }

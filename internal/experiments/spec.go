@@ -247,19 +247,25 @@ func pgasLevel(level string) pgas.LocalityLevel {
 }
 
 // machines is a free list of machines: at most one of each kind,
-// taken for a cell and put back when its run is copied out.
+// taken for a cell and put back when its run is copied out. It also
+// holds the per-run state its cells share, each reset in place for
+// every cell: the replay runtime (jade.Runtime.ResetReplay) and the
+// fault injector (fault.Injector.Reset). A list, with its runtime and
+// injector, belongs to one goroutine at a time.
 type machines struct {
 	dash    *dash.Machine
 	ipsc    *ipsc.Machine
 	pgas    *pgas.Machine
 	cluster *cluster.Machine
+	rt      jade.Runtime
+	inj     fault.Injector
 }
 
-// machinePool keeps free lists between calls, so a server or a sweep
-// that executes one cell per call stops building its machines anew.
-// A pooled machine is always Reset before use and holds nothing a run
-// can observe: unlike the graph cache, it is no state two callers can
-// see each other through.
+// machinePool keeps free lists between cells and calls, so a server or
+// a sweep stops building its machines, runtime and injector anew. A
+// pooled machine, runtime or injector is always reset before use and
+// holds nothing a run can observe: unlike the graph cache, it is no
+// state two callers can see each other through.
 var machinePool = sync.Pool{New: func() any { return new(machines) }}
 
 // take empties slot and returns its machine reset to cfg, or a new
@@ -303,7 +309,7 @@ func (s *RunSpec) newPlatform(free *machines, sink obsv.Sink) (jade.Platform, *o
 	}
 	var inj *fault.Injector
 	if s.Fault != nil {
-		inj = fault.NewInjector(*s.Fault, s.Procs)
+		inj = free.inj.Reset(*s.Fault, s.Procs)
 	}
 	var obs *obsv.Observer
 	if s.Observe {
@@ -421,18 +427,22 @@ func (s *RunSpec) taskGraph(scale Scale) fusedEntry {
 }
 
 // execute runs an already-canonical spec on a machine from free (nil
-// builds a new one), with sink (nil for none) fed its event stream,
-// and puts the machine back after the run.
+// builds a new one and a new runtime), through free's runtime, with
+// sink (nil for none) fed its event stream, and puts the machine back
+// after the run.
 func (s *RunSpec) execute(scale Scale, free *machines, sink obsv.Sink) *metrics.Run {
 	if s.Fault != nil && s.Fault.Panic {
 		// Chaos hook for the serving stack: a spec can ask its own
 		// execution to panic, exercising per-job panic isolation.
 		panic(fmt.Sprintf("fault: injected panic (app=%s machine=%s)", s.App, s.Machine))
 	}
+	if free == nil {
+		free = &machines{}
+	}
 	cfg := jade.Config{WorkFree: s.WorkFree}
 	p, obs := s.newPlatform(free, sink)
 	fe := s.taskGraph(scale)
-	r := replay(fe.g, p, cfg)
+	r := replay(fe.g, &free.rt, p, cfg)
 	if s.Fusion {
 		stampFusion(r, s.Machine, fe.st)
 	}
@@ -443,9 +453,7 @@ func (s *RunSpec) execute(scale Scale, free *machines, sink obsv.Sink) *metrics.
 	// so the machine allocates a new one instead of reusing it.
 	detached := *r
 	r.ProcBusy = nil
-	if free != nil {
-		free.put(p)
-	}
+	free.put(p)
 	return &detached
 }
 

@@ -3,6 +3,7 @@ package fault
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -110,6 +111,23 @@ func TestNewInjectorInactiveSpecIsNil(t *testing.T) {
 	if inj := NewInjector(Spec{Seed: 3}, 8); inj != nil {
 		t.Fatal("inactive spec built a live injector")
 	}
+	if inj := new(Injector).Reset(Spec{Seed: 3}, 8); inj != nil {
+		t.Fatal("inactive spec reset to a live injector")
+	}
+}
+
+// A reset injector is the one NewInjector builds: the counters an
+// earlier, larger run consumed and its straggler set are gone.
+func TestInjectorResetMatchesNew(t *testing.T) {
+	in := NewInjector(Spec{Seed: 1, DropPct: 0.3, Stragglers: 5, StraggleFactor: 2, InvalidatePct: 0.2}, 16)
+	for i := 0; i < 50; i++ {
+		in.NextMsg(i % 16)
+		in.Invalidate(i % 16)
+	}
+	spec := Spec{Seed: 9, DropPct: 0.1, Stragglers: 1, StraggleFactor: 3}
+	if got, want := in.Reset(spec, 4), NewInjector(spec, 4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset injector %+v, want %+v", got, want)
+	}
 }
 
 func TestNilInjectorIsHealthy(t *testing.T) {
@@ -155,7 +173,7 @@ func TestInjectorDeterministicReplay(t *testing.T) {
 
 func TestPickSelectsExactlyK(t *testing.T) {
 	for _, tc := range []struct{ k, n int }{{0, 8}, {2, 8}, {8, 8}, {12, 8}} {
-		sel := pick(99, kStraggler, tc.k, tc.n)
+		sel := pick(make([]bool, tc.n), 99, kStraggler, tc.k)
 		got := 0
 		for _, s := range sel {
 			if s {

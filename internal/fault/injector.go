@@ -1,5 +1,7 @@
 package fault
 
+import "slices"
+
 // Injector answers a machine model's per-event fault questions for one
 // run. All methods are safe on a nil receiver and answer "healthy", so
 // the models consult it unconditionally; the per-proc counters make
@@ -29,21 +31,38 @@ func NewInjector(spec Spec, procs int) *Injector {
 	if !spec.Active() || procs < 1 {
 		return nil
 	}
-	inj := &Injector{
-		spec:      spec,
-		procs:     procs,
-		msgSeq:    make([]uint64, procs),
-		accSeq:    make([]uint64, procs),
-		straggler: pick(spec.Seed, kStraggler, spec.Stragglers, procs),
-	}
-	return inj
+	return new(Injector).Reset(spec, procs)
 }
 
-// pick deterministically selects k of n indices: rank every index by
-// its keyed hash and take the k smallest. Selection depends only on
-// (seed, tag), never on event order.
-func pick(seed, tag uint64, k, n int) []bool {
-	sel := make([]bool, n)
+// Reset makes in the injector NewInjector(spec, procs) builds, keeping
+// its storage, and returns it; when the spec injects nothing it
+// returns nil and leaves in alone. The run in last served must be over:
+// a caller that replays run after run recycles one injector this way.
+func (in *Injector) Reset(spec Spec, procs int) *Injector {
+	if !spec.Active() || procs < 1 {
+		return nil
+	}
+	in.spec, in.procs = spec, procs
+	in.msgSeq = zeroed(in.msgSeq, procs)
+	in.accSeq = zeroed(in.accSeq, procs)
+	in.straggler = pick(zeroed(in.straggler, procs), spec.Seed, kStraggler, spec.Stragglers)
+	return in
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// pick deterministically selects k of the len(sel) indices, marking
+// them in sel, which must be all false, and returns sel: rank every
+// index by its keyed hash and take the k smallest. Selection depends
+// only on (seed, tag), never on event order.
+func pick(sel []bool, seed, tag uint64, k int) []bool {
+	n := len(sel)
 	if k <= 0 {
 		return sel
 	}

@@ -63,6 +63,14 @@ type Machine struct {
 	// every node, and an eager update's push.
 	requestH, replyH, bcastH, pushH sim.Handler
 
+	// sends is the retransmit protocol's record slab, one record per
+	// message in flight under fault injection; freeSends lists its
+	// recycled records. retryH retransmits the record its argument
+	// indexes.
+	sends     []sendRec
+	freeSends []int32
+	retryH    sim.Handler
+
 	// Inj, when non-nil, injects deterministic faults: message drops
 	// recovered by the retransmit protocol, in-flight duplicates,
 	// per-link bandwidth degradation, and straggling processors. A nil
@@ -108,6 +116,7 @@ func (m *Machine) Reset(cfg Config) {
 		m.replyH = m.Eng.RegisterHandler(m.reply)
 		m.bcastH = m.Eng.RegisterHandler(m.bcastArrived)
 		m.pushH = m.Eng.RegisterHandler(m.pushed)
+		m.retryH = m.Eng.RegisterHandler(func(i int32) { m.transmit(i, m.Eng.Now()) })
 	}
 	m.nodes = machine.Resize(m.nodes, cfg.Procs)
 	for i := range m.nodes {
@@ -117,6 +126,7 @@ func (m *Machine) Reset(cfg Config) {
 	m.objs = m.objs[:0]
 	m.osSlab.Reset()
 	m.fcfsNext = 0
+	m.sends, m.freeSends = m.sends[:0], m.freeSends[:0]
 	m.Inj = nil
 }
 
@@ -172,13 +182,8 @@ const maxSendAttempts = 12
 // from -> to with the given payload costs NIC occupancy on the sender
 // (starting no earlier than at) and the wire latency, then h(arg) runs
 // at the receiver as a pointer-free event. With a fault injector
-// attached the transmission may be dropped — the sender detects the
-// loss by a timeout derived from the cost model (data occupancy +
-// round-trip wire latency + the ack push) and retransmits with
-// exponential backoff and deterministic jitter — or duplicated in
-// flight, in which case the receiver discards the extra copy but the
-// sender NIC still pays for it. Only the retransmit protocol builds
-// closures.
+// attached the message goes through the retransmit protocol
+// (transmit).
 func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
 	occ := sim.Time(m.cfg.sendOccupancy(bytes))
 	lat := sim.Time(m.cfg.msgLatency(from, to))
@@ -188,30 +193,62 @@ func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int3
 		return
 	}
 	occ = sim.Time(float64(occ) * m.Inj.LinkFactor(from, to))
-	msg := m.Inj.NextMsg(from)
-	// Per-message retransmit timeout from the paper's cost model: the
-	// data push, the wire both ways, and the receiver's ack push.
-	rto := occ + 2*lat + sim.Time(m.cfg.sendOccupancy(m.cfg.CompletionBytes))
-	var try func(start sim.Time, attempt int)
-	try = func(start sim.Time, attempt int) {
-		sent := m.nodes[from].nic.Submit(start, occ, nil)
-		if m.Inj.Drop(from, msg, attempt) && attempt < maxSendAttempts-1 {
-			m.Metrics.MsgDropped++
-			m.Metrics.MsgRetransmits++
-			// Exponential backoff with deterministic jitter in [1, 2).
-			backoff := sim.Time(float64(rto) * float64(uint64(1)<<uint(attempt)) *
-				(1 + m.Inj.Jitter(from, msg, attempt)))
-			m.Eng.At(sent+backoff, func() { try(m.Eng.Now(), attempt+1) })
-			return
-		}
-		if m.Inj.Duplicate(from, msg) {
-			m.Metrics.MsgDuplicates++
-			m.nodes[from].nic.Submit(sent, occ, nil)
-		}
-		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Delivery, N: attempt + 1})
-		m.Eng.AtCall(sent+lat, h, arg)
+	rec := sendRec{from: from, occ: occ, lat: lat, msg: m.Inj.NextMsg(from), h: h, arg: arg,
+		// Per-message retransmit timeout from the paper's cost model:
+		// the data push, the wire both ways, and the receiver's ack
+		// push.
+		rto: occ + 2*lat + sim.Time(m.cfg.sendOccupancy(m.cfg.CompletionBytes))}
+	var i int32
+	if n := len(m.freeSends); n > 0 {
+		i = m.freeSends[n-1]
+		m.freeSends = m.freeSends[:n-1]
+		m.sends[i] = rec
+	} else {
+		i = int32(len(m.sends))
+		m.sends = append(m.sends, rec)
 	}
-	try(at, 0)
+	m.transmit(i, at)
+}
+
+// sendRec is one message under the retransmit protocol: its sender,
+// NIC occupancy, wire latency and timeout, its index for the
+// injector's draws, the attempt it is on, and the delivery to schedule.
+type sendRec struct {
+	from          int
+	occ, lat, rto sim.Time
+	msg           uint64
+	attempt       int
+	h             sim.Handler
+	arg           int32
+}
+
+// transmit sends attempt rec.attempt of record i, leaving no earlier
+// than start. The injector may drop the transmission: the sender
+// detects the loss by the record's timeout and retransmits with
+// exponential backoff and deterministic jitter, through retryH, so no
+// closure is built per message. It may instead duplicate it in flight,
+// in which case the receiver discards the extra copy but the sender
+// NIC still pays for it. The delivery frees the record.
+func (m *Machine) transmit(i int32, start sim.Time) {
+	rec := &m.sends[i]
+	sent := m.nodes[rec.from].nic.Submit(start, rec.occ, nil)
+	if m.Inj.Drop(rec.from, rec.msg, rec.attempt) && rec.attempt < maxSendAttempts-1 {
+		m.Metrics.MsgDropped++
+		m.Metrics.MsgRetransmits++
+		// Exponential backoff with deterministic jitter in [1, 2).
+		backoff := sim.Time(float64(rec.rto) * float64(uint64(1)<<uint(rec.attempt)) *
+			(1 + m.Inj.Jitter(rec.from, rec.msg, rec.attempt)))
+		rec.attempt++
+		m.Eng.AtCall(sent+backoff, m.retryH, i)
+		return
+	}
+	if m.Inj.Duplicate(rec.from, rec.msg) {
+		m.Metrics.MsgDuplicates++
+		m.nodes[rec.from].nic.Submit(sent, rec.occ, nil)
+	}
+	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Delivery, N: rec.attempt + 1})
+	m.Eng.AtCall(sent+rec.lat, rec.h, rec.arg)
+	m.freeSends = append(m.freeSends, i)
 }
 
 // Schedule implements machine.Model: the centralized scheduling

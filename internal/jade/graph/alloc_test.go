@@ -3,12 +3,14 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apps/cholesky"
 	"repro/internal/dash"
 	"repro/internal/ipsc"
 	"repro/internal/jade"
+	"repro/internal/metrics"
 )
 
 // TestTimedReplayAllocations guards the timed message path. Replaying
@@ -18,17 +20,24 @@ import (
 // driven by registered handlers, and DASH caches are dense LRUs. A
 // replay onto a reset machine allocates only the runtime's replay
 // state: the machine's tables, queues, caches and records are reused.
-// Each bound is 1.25× the count measured when it was set (on Go 1.24);
-// the per-message design allocated 3–18× more, and one closure per
-// fetch message breaks every iPSC bound. The race detector instruments
+// A replay onto a reset machine through a runtime reused from the last
+// replay (ReplayWith) allocates nothing at all. Each other bound is
+// 1.25× the count measured when it was set (on Go 1.24); the
+// per-message design allocated 3–18× more, and one closure per fetch
+// message breaks every iPSC bound. The race detector instruments
 // allocation, so the test builds only without it.
 func TestTimedReplayAllocations(t *testing.T) {
 	cfg := cholesky.Small()
 	w := cholesky.NewWorkload(cfg)
 	g := Capture(8, false, func(rt *jade.Runtime) { cholesky.Run(rt, cfg, w) })
+	var rt jade.Runtime
 	check := func(name string, bound float64, platform func() jade.Platform) {
+		replay := func(p jade.Platform) (*metrics.Run, error) { return g.Replay(p, jade.Config{}) }
+		if strings.HasSuffix(name, "/reused") {
+			replay = func(p jade.Platform) (*metrics.Run, error) { return g.ReplayWith(&rt, p, jade.Config{}) }
+		}
 		got := testing.AllocsPerRun(5, func() {
-			if _, err := g.Replay(platform(), jade.Config{}); err != nil {
+			if _, err := replay(platform()); err != nil {
 				panic(err)
 			}
 		})
@@ -51,9 +60,11 @@ func TestTimedReplayAllocations(t *testing.T) {
 		check(c.name, c.bound, func() jade.Platform { return ipsc.New(mc) })
 		m := ipsc.New(mc)
 		check(c.name+"/reset", c.resetBound, func() jade.Platform { m.Reset(mc); return m })
+		check(c.name+"/reset/reused", 0, func() jade.Platform { m.Reset(mc); return m })
 	}
 	dc := dash.DefaultConfig(8, dash.Locality)
 	check("dash", 159, func() jade.Platform { return dash.New(dc) })
 	m := dash.New(dc)
 	check("dash/reset", 12, func() jade.Platform { m.Reset(dc); return m })
+	check("dash/reset/reused", 0, func() jade.Platform { m.Reset(dc); return m })
 }

@@ -18,9 +18,10 @@
 // A graph is its replay plan — the capture runtime's synchronizer,
 // frozen: the materialized objects and tasks, their access lists with
 // versions, and the transitively reduced dependence edges — plus the op
-// stream and serial phases that order them. Nothing in the graph aliases runtime state, so one Graph can be
-// replayed concurrently from many goroutines; each replay adds only a
-// few flat state slices.
+// stream and serial phases that order them. Nothing in the graph
+// aliases runtime state, so one Graph can be replayed concurrently from
+// many goroutines; each replay adds only a few flat state slices, which
+// a runtime reused from replay to replay keeps (ReplayWith).
 //
 // Replay reproduces measurements, not application outputs: a graph
 // never retains a body, and no platform reads one — a task's simulated
@@ -121,11 +122,19 @@ type attachChecker interface{ Attached() bool }
 // run's measurements, exactly as if the original program had been
 // executed against it. The platform must be fresh or reset (no run
 // since) and match the capture's processor count; a work-free view
-// replays work-free runs only. It is the one function that drives a platform
-// from the op stream: the runtime is the synchronizer rebuilt from the
-// graph's plan, so per-run cost is a few flat state slices, not a
-// re-registration.
+// replays work-free runs only. It replays through a new runtime; see
+// ReplayWith for one that reuses a runtime.
 func (g *Graph) Replay(p jade.Platform, cfg jade.Config) (*metrics.Run, error) {
+	return g.ReplayWith(new(jade.Runtime), p, cfg)
+}
+
+// ReplayWith is Replay through rt, which it resets in place
+// (jade.Runtime.ResetReplay): a zero runtime, or one an earlier replay
+// finished with. It is the one function that drives a platform from
+// the op stream: the runtime is the synchronizer rebuilt from the
+// graph's plan, so per-run cost is a few flat state slices, not a
+// re-registration, and nothing once rt has replayed a plan as large.
+func (g *Graph) ReplayWith(rt *jade.Runtime, p jade.Platform, cfg jade.Config) (*metrics.Run, error) {
 	if n := p.Processors(); n != g.procs {
 		return nil, fmt.Errorf("graph: captured at %d processors, platform has %d", g.procs, n)
 	}
@@ -135,7 +144,7 @@ func (g *Graph) Replay(p jade.Platform, cfg jade.Config) (*metrics.Run, error) {
 	if c, ok := p.(attachChecker); ok && c.Attached() {
 		return nil, ErrPlatformReused
 	}
-	rt := jade.NewReplay(p, cfg, g.plan)
+	rt.ResetReplay(p, cfg, g.plan)
 	oi, ti, si := 0, 0, 0
 	for _, op := range g.ops {
 		switch op {

@@ -106,6 +106,7 @@ func (s *QueueSynchronizer) complete(t *Task, o *Object) []*Task {
 
 // ReplaySynchronizer returns the engine a replay runtime builds from p.
 func ReplaySynchronizer(p *ReplayPlan) *Synchronizer {
-	s := replaySynchronizer(p)
-	return &s
+	s := &Synchronizer{}
+	s.resetReplay(p)
+	return s
 }

@@ -6,7 +6,8 @@ import "fmt"
 // dependence engine rebuilt from a frozen ReplayPlan: it shares the
 // plan's objects, tasks and successor arrays, and owns only a copy of
 // the initial pending counts and the entries' done bits, so one plan
-// drives any number of runtimes, sequentially or concurrently.
+// drives any number of runtimes, sequentially or concurrently, and one
+// runtime replays any number of plans in turn (ResetReplay).
 //
 // Why a frozen plan is exact: platforms only complete tasks inside
 // Drain, and a replay announces tasks only between Drains, so every
@@ -23,17 +24,25 @@ type capacityHinter interface {
 	ReserveCapacity(objects, tasks int)
 }
 
-// NewReplay creates a runtime that re-issues the planned graph into p.
-// Constructing one is a handful of small allocations regardless of
-// graph size.
-func NewReplay(p Platform, cfg Config, plan *ReplayPlan) *Runtime {
-	rt := &Runtime{platform: p, cfg: cfg, plan: plan,
-		sync: replaySynchronizer(plan), objects: plan.Objects}
+// ResetReplay makes rt a runtime that re-issues the planned graph into
+// p. rt may be new (a zero Runtime) or one an earlier replay finished
+// with: its per-run state — the pending counts, the done bits and the
+// enabled-task scratch — is reset in place, so a worker that replays
+// cell after cell through one runtime stops allocating once that state
+// reaches its largest plan's size. The plan and the platform are never
+// copied. The runtime is the caller's: one replay at a time, and no
+// platform from an earlier replay may still be driving it.
+func (rt *Runtime) ResetReplay(p Platform, cfg Config, plan *ReplayPlan) {
+	rt.platform, rt.cfg, rt.plan = p, cfg, plan
+	rt.objects = plan.Objects
+	rt.sync.resetReplay(plan)
+	rt.taskSlab, rt.objSlab = nil, nil
+	rt.outstanding.Store(0)
+	rt.finished = false
 	p.Attach(rt)
 	if h, ok := p.(capacityHinter); ok {
 		h.ReserveCapacity(len(plan.Objects), len(plan.Tasks))
 	}
-	return rt
 }
 
 // Plan freezes a finished run's dependence engine into a replay plan

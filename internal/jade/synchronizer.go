@@ -24,7 +24,7 @@ import (
 // Completing an entry decrements the pending count of each task on its
 // successor list; a task whose count reaches zero is enabled. The same
 // flat arrays, frozen into a ReplayPlan, drive every replay of a
-// captured graph (see NewReplay).
+// captured graph (see Runtime.ResetReplay).
 //
 // A Synchronizer is not safe for concurrent use.
 type Synchronizer struct {
@@ -262,11 +262,17 @@ func (s *Synchronizer) Plan(objects []*Object, tasks []*Task) *ReplayPlan {
 		Next: slices.Clone(s.next), Succ: slices.Clone(s.succ)}
 }
 
-// replaySynchronizer is the engine a plan was frozen from, reset to the
-// moment every task was registered and none had completed.
-func replaySynchronizer(p *ReplayPlan) Synchronizer {
-	return Synchronizer{tasks: p.Tasks, entryStart: p.EntryStart,
-		pending: append([]int32(nil), p.InitPending...),
-		done:    make([]uint64, (len(p.First)+63)/64),
-		first:   p.First, next: p.Next, succ: p.Succ}
+// resetReplay makes s the engine plan p was frozen from, at the moment
+// every task was registered and none had completed. It shares p's
+// arrays and keeps its own storage for the state a replay mutates.
+func (s *Synchronizer) resetReplay(p *ReplayPlan) {
+	s.tasks, s.entryStart = p.Tasks, p.EntryStart
+	s.first, s.next, s.succ = p.First, p.Next, p.Succ
+	s.pending = append(s.pending[:0], p.InitPending...)
+	n := (len(p.First) + 63) / 64
+	s.done = slices.Grow(s.done[:0], n)[:n]
+	clear(s.done)
+	clear(s.newly)
+	s.newly = s.newly[:0]
+	s.reg = nil
 }

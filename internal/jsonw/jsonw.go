@@ -129,10 +129,16 @@ func (a *Appender) Floats(v []float64) {
 		a.Null()
 		return
 	}
+	a.FloatsFunc(len(v), func(i int) float64 { return v[i] })
+}
+
+// FloatsFunc appends the array [at(0), …, at(n-1)], as Floats appends
+// that slice, for values a caller can compute but has no slice of.
+func (a *Appender) FloatsFunc(n int, at func(i int) float64) {
 	a.Open('[')
-	for _, f := range v {
+	for i := 0; i < n; i++ {
 		a.next()
-		a.Float(f)
+		a.Float(at(i))
 	}
 	a.Close(']')
 }

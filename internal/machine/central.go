@@ -148,7 +148,7 @@ type fifo struct {
 // Reset: the first one registers the life cycle's handlers.
 func (c *Central) Reset(procs int, par Params, model Model) {
 	fresh := c.Eng == nil
-	c.Core.Reset(procs, par.CreateSec, c.schedule)
+	c.Core.Reset(procs, par.CreateSec)
 	c.model, c.par = model, par
 	c.Load = Resize(c.Load, procs)
 	clear(c.Load)
@@ -171,6 +171,7 @@ func (c *Central) Reset(procs int, par Params, model Model) {
 	c.gather = c.gather[:0]
 	c.grouped = c.grouped[:0]
 	if fresh {
+		c.HandleEnabled(c.schedule)
 		c.register()
 	}
 }

@@ -54,15 +54,13 @@ type Core struct {
 // an empty engine at time zero, no runtime, sink or tasks, and zeroed
 // measurements. Storage is kept, so a machine that replays one run
 // after another stops allocating once its slices reach the largest
-// run's size. Creating a task costs createSec of main-processor time;
-// enable receives each task once it is both created and enabled. The
-// first Reset of a zero Core builds the engine and registers enable;
-// later ones keep the handler registry, so a machine passes the same
-// enable every time.
-func (c *Core) Reset(procs int, createSec float64, enable func(*jade.Task)) {
+// run's size. Creating a task costs createSec of main-processor time.
+// The first Reset of a zero Core builds the engine, and the machine
+// then names its enable callback once with HandleEnabled; later Resets
+// keep the handler registry.
+func (c *Core) Reset(procs int, createSec float64) {
 	if c.Eng == nil {
 		c.Eng = sim.New()
-		c.enabledH = c.Eng.RegisterHandler(func(tid int32) { enable(c.Tasks[tid]) })
 	} else {
 		c.Eng.Reset()
 	}
@@ -79,6 +77,14 @@ func (c *Core) Reset(procs int, createSec float64, enable func(*jade.Task)) {
 	c.completed = 0
 	c.execBase = 0
 	c.busyBase = c.busyBase[:0]
+}
+
+// HandleEnabled registers enable, which receives each task once it is
+// both created and enabled. A machine calls it once, after the Reset
+// that built its engine: passing a method value on every Reset would
+// allocate it every time.
+func (c *Core) HandleEnabled(enable func(*jade.Task)) {
+	c.enabledH = c.Eng.RegisterHandler(func(tid int32) { enable(c.Tasks[tid]) })
 }
 
 // Attach implements jade.Platform.
@@ -150,14 +156,20 @@ func (c *Core) Drain() {
 // Stats implements jade.Platform.
 func (c *Core) Stats() *metrics.Run {
 	c.Metrics.ExecTime = float64(c.CPUs[0].FreeAt() - c.execBase)
-	c.Metrics.ProcBusy = c.Metrics.ProcBusy[:0]
-	for i := range c.CPUs {
-		b := float64(c.CPUs[i].BusyTime())
-		if i < len(c.busyBase) {
-			b -= c.busyBase[i]
-		}
-		c.Metrics.ProcBusy = append(c.Metrics.ProcBusy, b)
+	// Sized once: a caller that keeps the run takes the slice with it
+	// (experiments hands it over), and the next run makes one at length.
+	busy := c.Metrics.ProcBusy
+	if cap(busy) < len(c.CPUs) {
+		busy = make([]float64, len(c.CPUs))
 	}
+	busy = busy[:len(c.CPUs)]
+	for i := range c.CPUs {
+		busy[i] = float64(c.CPUs[i].BusyTime())
+		if i < len(c.busyBase) {
+			busy[i] -= c.busyBase[i]
+		}
+	}
+	c.Metrics.ProcBusy = busy
 	return &c.Metrics
 }
 

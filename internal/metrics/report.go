@@ -60,11 +60,14 @@ type Report struct {
 func (r *Run) Report() *Report {
 	rep := r.report()
 	rep.ProcBusySec = append([]float64(nil), r.ProcBusy...)
+	rep.Utilization = r.Utilization()
 	return &rep
 }
 
 // report is Report sharing the run's ProcBusy slice, which Report
-// copies; an empty one reads as nil, as Report's copy does.
+// copies (an empty one reads as nil, as Report's copy does), and
+// without Utilization, which Report builds and WriteJSON encodes in
+// place.
 func (r *Run) report() Report {
 	rep := Report{
 		Schema:             Schema,
@@ -94,7 +97,6 @@ func (r *Run) report() Report {
 		TaskMgmtSec:        r.TaskMgmtTime,
 		RemoteBytes:        r.RemoteBytes,
 		LocalBytes:         r.LocalBytes,
-		Utilization:        r.Utilization(),
 		OverBusy:           r.OverBusy(),
 		CommCompMBPerSec:   r.CommCompRatio(),
 		Observability:      r.Obsv,
@@ -106,18 +108,23 @@ func (r *Run) report() Report {
 }
 
 // WriteJSON writes the run's report as indented JSON, byte-identical
-// to encoding/json's Encoder with a two-space indent.
+// to encoding/json's Encoder with a two-space indent. The utilization
+// array is encoded from ProcBusy and ExecTime, never built.
 func (r *Run) WriteJSON(w io.Writer) error {
 	rep := r.report()
 	a := jsonw.Start(w)
-	rep.AppendJSON(&a)
+	rep.appendJSON(&a, r)
 	return a.Finish(w)
 }
 
 // AppendJSON appends the report, or null when rep is nil, as one
 // jade-metrics/v1 object with its fields in declaration order. Only the
 // observability block goes through encoding/json.
-func (rep *Report) AppendJSON(a *jsonw.Appender) {
+func (rep *Report) AppendJSON(a *jsonw.Appender) { rep.appendJSON(a, nil) }
+
+// appendJSON is AppendJSON with the utilization array taken from run,
+// when it is non-nil, instead of from rep.Utilization.
+func (rep *Report) appendJSON(a *jsonw.Appender, run *Run) {
 	if rep == nil {
 		a.Null()
 		return
@@ -151,7 +158,15 @@ func (rep *Report) AppendJSON(a *jsonw.Appender) {
 	a.Key("remote_bytes").Int(rep.RemoteBytes)
 	a.Key("local_bytes").Int(rep.LocalBytes)
 	a.Key("proc_busy_sec").Floats(rep.ProcBusySec)
-	a.Key("utilization").Floats(rep.Utilization)
+	a.Key("utilization")
+	switch {
+	case run == nil:
+		a.Floats(rep.Utilization)
+	case run.ExecTime <= 0:
+		a.Null() // Run.Utilization's nil
+	default:
+		a.FloatsFunc(len(run.ProcBusy), func(i int) float64 { return run.ProcBusy[i] / run.ExecTime })
+	}
 	if len(rep.OverBusy) > 0 {
 		a.Key("over_busy").Ints(rep.OverBusy)
 	}

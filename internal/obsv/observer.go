@@ -169,16 +169,17 @@ func (o *Observer) Snapshot(topN int) *Snapshot {
 
 // WriteHotObjects renders the hot-object report as text: one row per
 // object, hottest first, with the latency distributions underneath.
+// Each row leads with the object's ID, since objects may share a name.
 func (s *Snapshot) WriteHotObjects(w io.Writer) {
 	if s == nil {
 		return
 	}
 	fmt.Fprintf(w, "hot objects (%d of %d communicating):\n", len(s.HotObjects), s.ObjectCount)
-	fmt.Fprintf(w, "  %-20s %8s %12s %6s %6s %12s\n",
-		"object", "fetches", "bytes", "repl", "bcast", "wait (s)")
+	fmt.Fprintf(w, "  %6s %-20s %8s %12s %6s %6s %12s\n",
+		"id", "object", "fetches", "bytes", "repl", "bcast", "wait (s)")
 	for _, o := range s.HotObjects {
-		fmt.Fprintf(w, "  %-20s %8d %12d %6d %6d %12.6f\n",
-			o.Name, o.Fetches, o.Bytes, o.ReplicatedReads, o.Broadcasts, o.WaitSec)
+		fmt.Fprintf(w, "  %6d %-20s %8d %12d %6d %6d %12.6f\n",
+			o.ID, o.Name, o.Fetches, o.Bytes, o.ReplicatedReads, o.Broadcasts, o.WaitSec)
 	}
 	f, t := s.FetchLatency, s.TaskWait
 	fmt.Fprintf(w, "fetch latency: n=%d mean=%.2gs p50=%.2gs p95=%.2gs max=%.2gs\n",

@@ -133,6 +133,34 @@ func TestObserverHotObjects(t *testing.T) {
 	}
 }
 
+// Distinct objects may share a name (an application's per-processor
+// boundary blocks, say): the text report must tell their rows apart by
+// ID even when every figure is the same.
+func TestHotObjectsSameNameRowsCarryIDs(t *testing.T) {
+	o := New(2)
+	for _, id := range []int{4, 9} {
+		for i := 0; i < 2; i++ {
+			o.Record(fetch(id, "boundary", 512, 1e-5, false))
+		}
+	}
+	var sb strings.Builder
+	o.Snapshot(2).WriteHotObjects(&sb)
+	var rows []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.Contains(line, "boundary") {
+			rows = append(rows, strings.Fields(line)[0])
+		}
+	}
+	if len(rows) != 2 || rows[0] == rows[1] {
+		t.Fatalf("same-name rows lead with IDs %q, want two distinct IDs:\n%s", rows, sb.String())
+	}
+	for _, want := range []string{"4", "9"} {
+		if rows[0] != want && rows[1] != want {
+			t.Fatalf("no row for object %s:\n%s", want, sb.String())
+		}
+	}
+}
+
 func TestObserverReset(t *testing.T) {
 	o := New(1)
 	o.Record(fetch(0, "x", 10, 1e-3, false))
