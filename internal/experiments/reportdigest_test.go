@@ -25,14 +25,17 @@ var reportDigestSpecs = []RunSpec{
 // TestReportJSONDigests pins the bytes of both JSON documents: the
 // jadebench/v1 report of every experiment plus the default
 // observability runs at Small, the jadebench/v1 report of
-// reportDigestSpecs alone, and their concatenated jade-metrics/v1
-// reports. A change here changes what jadebench -json and jaded emit
-// and must be deliberate.
+// reportDigestSpecs alone, their concatenated jade-metrics/v1 reports,
+// and the jade-granularity/v1 and jade-pgas/v1 documents. A change here
+// changes what jadebench -json, -granularity-report, -pgas-report and
+// jaded emit and must be deliberate.
 func TestReportJSONDigests(t *testing.T) {
 	const (
 		benchSHA   = "bfcc057bc41e90d44c33ba5413f09f7fa2c32d5a8a89f45bb31277d792c0b2a8"
 		specsSHA   = "c9814da1a7d9f37cfdff452e13b450c50edd93fd00722d20f8ce1c933735c38e"
 		metricsSHA = "ca08cf405284c7ba7cda4c62d60ab35cf42ec9a2d5f9bd181bfb33335833d333"
+		granSHA    = "64efd378a59da2b76f66b5fbda74cf971bba2288a343ea2f266086dda694dd43"
+		pgasSHA    = "f49286f1f34c8b26b037869cfb6c7d7c093d08d58aaaf4f9b0e1756c0ada8345"
 	)
 	rep, err := BuildReportWithRuns(IDs(), DefaultRunSpecs(), Small)
 	if err != nil {
@@ -85,6 +88,25 @@ func TestReportJSONDigests(t *testing.T) {
 	}
 	if got := sha256Hex(buf.Bytes()); got != metricsSHA {
 		t.Errorf("jade-metrics/v1 reports sha256 %s, want %s", got, metricsSHA)
+	}
+
+	buf.Reset()
+	if err := BuildGranularityReport(NewRunner(0), Small).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(buf.Bytes()); got != granSHA {
+		t.Errorf("jade-granularity/v1 document sha256 %s, want %s", got, granSHA)
+	}
+	pgasRep, err := BuildPgasReport(NewRunner(0), Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := pgasRep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(buf.Bytes()); got != pgasSHA {
+		t.Errorf("jade-pgas/v1 document sha256 %s, want %s", got, pgasSHA)
 	}
 }
 
