@@ -286,6 +286,9 @@ func traceCell(id string, n int, scale experiments.Scale, logEvents bool, perfet
 		return fail(stderr, 2, "%v", err)
 	}
 	spec, _ := json.Marshal(cell) // a RunSpec always marshals
+	if v := cell.Variant(); v != "" {
+		spec = fmt.Appendf(spec, " [%s]", v)
+	}
 	fmt.Fprintf(stdout, "%s cell %d at scale %s: %s\n\n", id, n, scale, spec)
 	if perfetto != "" {
 		if err := writeFile(perfetto, func(w io.Writer) error { return trace.WritePerfetto(w, tr) }); err != nil {

@@ -21,7 +21,6 @@ func TestBadFlagsExit2(t *testing.T) {
 		"-experiment table4 -cell 9999",
 		"-experiment table4 -cell -1",
 		"-experiment table1 -cell 0",
-		"-experiment ablation-steal -cell 0",
 		"-cell 0",
 		"-experiment all -cell 0",
 		"-experiment table4 -cell 0 -json",
@@ -42,19 +41,28 @@ func TestBadFlagsExit2(t *testing.T) {
 	}
 }
 
-// An out-of-range cell lists the experiment's cells by index, so the
-// error itself shows which N to pass.
+// An out-of-range cell lists the experiment's cells by index, each with
+// its variant, so the error itself shows which N to pass even where two
+// cells marshal to the same JSON.
 func TestCellOutOfRangeListsCells(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-experiment", "table4", "-cell", "9999"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	for _, want := range []string{
-		`   0  {"app":"ocean","machine":"dash","procs":1,"level":"placement"}`,
-		`  20  {"app":"ocean","machine":"dash","procs":32,"level":"none"}`,
+	for id, want := range map[string][]string{
+		"table4": {
+			`   0  {"app":"ocean","machine":"dash","procs":1,"level":"placement"}` + "\n",
+			`  20  {"app":"ocean","machine":"dash","procs":32,"level":"none"}`,
+		},
+		"ablation-steal": {
+			`   3  {"app":"cholesky","machine":"dash","procs":8,"level":"locality"}` + "\n",
+			`  10  {"app":"cholesky","machine":"dash","procs":8,"level":"locality"}  [steal-head]`,
+		},
 	} {
-		if !strings.Contains(stderr.String(), want) {
-			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-experiment", id, "-cell", "9999"}, &stdout, &stderr); code != 2 {
+			t.Fatalf("%s: exit %d, want 2", id, code)
+		}
+		for _, w := range want {
+			if !strings.Contains(stderr.String(), w) {
+				t.Errorf("%s: stderr lacks %q:\n%s", id, w, stderr.String())
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/apps/spmv"
 	"repro/internal/apps/tomo"
 	"repro/internal/apps/water"
+	"repro/internal/fuse"
 	"repro/internal/jade"
 )
 
@@ -17,9 +18,16 @@ type appSpec struct {
 	// hasPlacement marks apps the programmer can explicitly place
 	// (Ocean and Panel Cholesky; §5.2).
 	hasPlacement bool
+	// placed marks a front-end that places every task itself, whatever
+	// the level, so one captured graph serves every level.
+	placed       bool
 	run          func(rt *jade.Runtime, scale Scale, place bool)
 	serialWork   func(scale Scale) float64
 	strippedWork func(scale Scale) float64
+	// fuse, when set, is the fusion pass the app's fused cells run, over
+	// the timed graph; unset, fused cells are work-free and fuse the
+	// graph's work-free view under the pass's defaults.
+	fuse *fuse.Options
 }
 
 func waterCfg(scale Scale) water.Config {
@@ -44,8 +52,8 @@ func oceanCfg(scale Scale) ocean.Config {
 }
 
 // choleskyCfg is the Panel Cholesky configuration behind an app key:
-// Table 5's default, or one of the two structural variants the
-// ablations compare with it.
+// Table 5's default, or one of the two structural variants (see
+// variants) the ablations compare with it.
 func choleskyCfg(key string, scale Scale) cholesky.Config {
 	cfg := cholesky.Small()
 	if scale == PaperScale {
@@ -150,7 +158,7 @@ var spmvApp = &appSpec{
 }
 
 // allApps are the paper's four applications, in paper order; they
-// drive the table/figure sweeps. SpMV is deliberately not in this
+// make up the table/figure sweeps. SpMV is deliberately not in this
 // list — the paper's tables do not include it — but it is a full
 // RunSpec app (appKeys) and part of the three-machine comparison.
 var allApps = []*appSpec{waterApp, tomoApp, oceanApp, choleskyApp}

@@ -19,8 +19,8 @@ import (
 // copy — and exposes its counters on /metricz.
 
 // runCacheCap bounds the shared cache. Graphs are keyed per
-// (app, scale, place, procs), beside the fused and granularity graphs
-// and the workloads: every registered experiment at one scale leaves
+// (app, scale, place, procs), beside the fused graphs and the
+// workloads: every registered experiment at one scale leaves
 // 66 residencies (TestSecondPassCapturesNothing), so 128 holds one
 // scale's full set with headroom without letting a pathological caller
 // grow it unboundedly.
@@ -36,18 +36,15 @@ type cacheKey struct {
 	scale Scale
 	place bool
 	procs int
-	work  float64 // the granularity sweep's task size
 }
 
 // cacheKind is what a cacheKey names.
 type cacheKind uint8
 
 const (
-	kindGraph     cacheKind = iota // an application's captured graph
-	kindFused                      // the fusion pass over its work-free view
-	kindGranGraph                  // the granularity program's graph at one task size
-	kindGranFused                  // the fusion pass over it
-	kindWorkload                   // an application's untimed setup data
+	kindGraph    cacheKind = iota // an application's captured graph
+	kindFused                     // the fusion pass over it
+	kindWorkload                  // an application's untimed setup data
 )
 
 // cacheEntry is one key's slot. The value is built outside the cache
@@ -189,13 +186,21 @@ type fusedEntry struct {
 	st graph.FuseStats
 }
 
-// fusedGraph returns the task-fusion pass's output for the work-free
-// view of one graph (fusion specs are work-free), cached alongside the
-// unfused capture under the same inputs.
+// fusedGraph returns the task-fusion pass's output for one graph,
+// cached alongside the unfused capture under the same inputs: the
+// work-free view under the pass's defaults (fusion specs are work-free),
+// or the timed graph under the app's own pass options. The app decides
+// which, so its key names what the pass fused.
 func fusedGraph(a *appSpec, scale Scale, procs int, place bool) fusedEntry {
 	key := cacheKey{kind: kindFused, app: a.key, scale: scale, place: place, procs: procs}
 	return sharedCache.get(key, func() any {
-		g, st, _ := capturedGraph(a, scale, procs, place).WorkFreeView().Fuse(fuse.DefaultOptions())
+		g, opts := capturedGraph(a, scale, procs, place), fuse.DefaultOptions()
+		if a.fuse != nil {
+			opts = *a.fuse
+		} else {
+			g = g.WorkFreeView()
+		}
+		g, st, _ := g.Fuse(opts)
 		return fusedEntry{g: g, st: st}
 	}).(fusedEntry)
 }
@@ -237,14 +242,6 @@ func accumulateFuse(r *metrics.Run) {
 	if r.FusionBenefitBytes > 0 {
 		fuse.AddFusionBenefitBytes(uint64(r.FusionBenefitBytes))
 	}
-}
-
-// runApp executes one application run against the platform by
-// replaying the cached task graph: the front-end runs once per
-// (app, scale, place, procs) capture instead of once per cell, no body
-// runs at all, and the replay is byte-identical to direct execution.
-func runApp(p jade.Platform, cfg jade.Config, a *appSpec, scale Scale, place bool) *metrics.Run {
-	return replay(capturedGraph(a, scale, p.Processors(), place), new(jade.Runtime), p, cfg)
 }
 
 // replay replays g against the platform through rt (a new runtime, or

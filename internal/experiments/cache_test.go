@@ -222,10 +222,10 @@ func captureUnderFault(t *testing.T, specs []RunSpec) {
 	}
 }
 
-// runApp must fail loudly when handed a platform that already ran:
+// replay must fail loudly when handed a platform that already ran:
 // re-running the front-end directly instead would turn a caller bug into
 // a slow, correct-looking run.
-func TestRunAppRejectsReusedPlatform(t *testing.T) {
+func TestReplayRejectsReusedPlatform(t *testing.T) {
 	spec := RunSpec{App: "water", Machine: "dash", WorkFree: true}
 	if err := spec.Canonicalize(); err != nil {
 		t.Fatal(err)
@@ -235,10 +235,10 @@ func TestRunAppRejectsReusedPlatform(t *testing.T) {
 	jade.New(p, cfg) // attach: the platform is no longer fresh
 	defer func() {
 		if err, _ := recover().(error); !errors.Is(err, graph.ErrPlatformReused) {
-			t.Fatalf("runApp on an attached platform: recovered %v, want ErrPlatformReused", err)
+			t.Fatalf("replay on an attached platform: recovered %v, want ErrPlatformReused", err)
 		}
 	}()
-	runApp(p, cfg, waterApp, Small, false)
+	replay(spec.taskGraph(Small).g, new(jade.Runtime), p, cfg)
 }
 
 // The front-end must be built once per (app, scale, place, procs), no
@@ -339,6 +339,12 @@ func TestCholeskyWorkloadShared(t *testing.T) {
 	}
 }
 
+// registryResidency is the shared cache's size after one pass over the
+// registry at Small: every graph, fused graph and workload it reads.
+// The granularity program places its own tasks, so the iPSC's Task
+// Placement cells and PGAS's Affinity cells share one graph per size.
+const registryResidency = 66
+
 // After one pass over every registered experiment at Small, the shared
 // cache holds every graph and workload they read, so a second pass —
 // body-bearing cells included — misses nothing: no front-end and no task
@@ -356,5 +362,7 @@ func TestSecondPassCapturesNothing(t *testing.T) {
 	if st := GraphCacheStats(); st.Misses != warm.Misses {
 		t.Fatalf("second pass missed %d times (%d of %d entries resident)", st.Misses-warm.Misses, st.Entries, st.Capacity)
 	}
-	t.Logf("%d of %d entries resident", warm.Entries, warm.Capacity)
+	if warm.Entries != registryResidency {
+		t.Errorf("one pass left %d entries resident, want %d", warm.Entries, registryResidency)
+	}
 }

@@ -27,12 +27,14 @@ func (s *streamHash) Record(e obsv.Event) { fmt.Fprintf(s.h, "%+v\n", e) }
 func dashWakeRun(t *testing.T, s RunSpec, fromHead bool, program func(*jade.Runtime)) (string, []byte) {
 	t.Helper()
 	s.Observe = true
+	if fromHead {
+		s.variant = stealHead
+	}
 	if err := s.Canonicalize(); err != nil {
 		t.Fatal(err)
 	}
 	p, obs := s.newPlatform(nil, nil)
 	m := p.(*dash.Machine)
-	m.StealFromHead = fromHead
 	stream := &streamHash{h: sha256.New()}
 	m.Sink = obsv.Tee{obs, stream}
 	cfg := jade.Config{WorkFree: s.WorkFree}
@@ -42,8 +44,7 @@ func dashWakeRun(t *testing.T, s RunSpec, fromHead bool, program func(*jade.Runt
 		program(rt)
 		r = rt.Finish()
 	} else {
-		a := appKeys[s.App]
-		r = runApp(m, cfg, a, Small, s.Level == LevelPlacement && a.hasPlacement)
+		r = replay(s.taskGraph(Small).g, new(jade.Runtime), m, cfg)
 	}
 	r.Obsv = obs.Snapshot(0)
 	return hex.EncodeToString(stream.h.Sum(nil)), runBytes(t, r)

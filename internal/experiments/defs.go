@@ -4,21 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/apps/cholesky"
-	"repro/internal/dash"
 	"repro/internal/ipsc"
-	"repro/internal/jade"
 	"repro/internal/metrics"
 	"repro/internal/table"
 )
 
 func init() {
 	// ---- Table 1 / Table 6: serial and stripped times ----
-	registerBespoke("table1", "Serial and Stripped Execution Times on DASH (seconds)",
-		func(_ Runner, scale Scale) *Result { return serialTable("table1", scale, 1.0) })
-	registerBespoke("table6", "Serial and Stripped Execution Times on the iPSC/860 (seconds)",
-		func(_ Runner, scale Scale) *Result {
-			return serialTable("table6", scale, ipsc.DefaultConfig(1, ipsc.Locality).SpeedFactor)
-		})
+	register("table1", "Serial and Stripped Execution Times on DASH (seconds)",
+		noCells, serialTable("table1", 1.0))
+	register("table6", "Serial and Stripped Execution Times on the iPSC/860 (seconds)",
+		noCells, serialTable("table6", ipsc.DefaultConfig(1, ipsc.Locality).SpeedFactor))
 
 	// ---- Tables 2–5: execution times on DASH ----
 	for i, a := range allApps {
@@ -39,7 +35,7 @@ func init() {
 	for i, a := range allApps {
 		id := fmt.Sprintf("table%d", 11+i)
 		register(id, fmt.Sprintf("Execution Times for %s on the iPSC/860 with/without Adaptive Broadcast (seconds)", a.name),
-			broadcastCells(a), broadcastTable(id))
+			broadcastCells(a), variantTable(id, false, "", "Adaptive Broadcast", "No Adaptive Broadcast"))
 	}
 
 	// ---- Figures 2–5: task locality percentage on DASH ----
@@ -90,20 +86,28 @@ func init() {
 			return RunSpec{App: a.key, Machine: "ipsc", Procs: 8, Level: LevelLocality}
 		}), replicationStudy)
 	register("sec5.4", "Latency Hiding: target tasks per processor (Panel Cholesky, iPSC/860)",
-		latencyHidingCells, latencyHidingStudy)
+		latencyHidingCells, variantTable("sec5.4", false,
+			"the paper found virtually no effect; see EXPERIMENTS.md for the analysis",
+			"target tasks = 1", "target tasks = 2"))
 	register("sec5.5", "Concurrent Fetch: object latency / task latency at the highest locality level",
 		perApp(func(a *appSpec) RunSpec {
 			return RunSpec{App: a.key, Machine: "ipsc", Procs: 8, Level: defaultLevelOf(a)}
 		}), concurrentFetchStudy)
-	registerBespoke("ablation-steal", "Ablation: steal from tail vs head of the object task queues (DASH)", stealAblation)
-	registerBespoke("ablation-locality-policy", "Ablation: locality-object policy (iPSC/860, Panel Cholesky)", localityPolicyAblation)
+	register("ablation-steal", "Ablation: steal from tail vs head of the object task queues (DASH)",
+		choleskySweep("dash", noVariant, stealHead),
+		variantTable("ablation-steal", false, "", "steal last of last OTQ (paper)", "steal first of first OTQ"))
+	register("ablation-locality-policy", "Ablation: locality-object policy (iPSC/860, Panel Cholesky)",
+		choleskySweep("ipsc", noVariant, localityLargest, localityFirstWrite),
+		variantTable("ablation-locality-policy", true, "",
+			"first declared access (paper)", "largest declared object", "first written object"))
 	register("ablation-sticky", "Extension (§5.6): scheduler less eager to move tasks off target (iPSC/860)",
-		stickyCells, stickyAblation)
-	registerBespoke("ablation-ordering", "Ablation: natural vs reverse Cuthill-McKee ordering (Panel Cholesky)",
+		stickyCells, variantTable("ablation-sticky", true, "",
+			"Ocean eager (paper)", "Ocean sticky target", "Panel Cholesky eager (paper)", "Panel Cholesky sticky target"))
+	register("ablation-ordering", "Ablation: natural vs reverse Cuthill-McKee ordering (Panel Cholesky)",
+		choleskyVariantCells(choleskyRCM),
 		choleskyAblation("ablation-ordering",
 			[]string{"ordering", "nnz(L)", "modeled serial s", "exec 8p (s)", "exec 32p (s)"},
-			[2]string{"natural (default)", "reverse Cuthill-McKee"},
-			newCholeskyApp("Panel Cholesky, RCM ordering", "cholesky-rcm"),
+			[2]string{"natural (default)", "reverse Cuthill-McKee"}, choleskyRCM,
 			func(a *appSpec, s Scale) []string {
 				return []string{fmt.Sprint(choleskyWorkload(a.key, s).Sym.NNZL()), table.Cell(a.serialWork(s))}
 			},
@@ -113,11 +117,11 @@ func init() {
 		updateCells, updateExtension)
 	register("extension-portability", "Portability: the same programs on all three machine models (8 processors)",
 		portabilityCells, portabilityStudy)
-	registerBespoke("ablation-panels", "Ablation: blind vs supernodal panel partitioning (Panel Cholesky)",
+	register("ablation-panels", "Ablation: blind vs supernodal panel partitioning (Panel Cholesky)",
+		choleskyVariantCells(choleskySupernodal),
 		choleskyAblation("ablation-panels",
 			[]string{"partitioning", "panels", "tasks", "exec 8p (s)", "exec 32p (s)"},
-			[2]string{"fixed width (paper)", "supernode-aligned"},
-			newCholeskyApp("Panel Cholesky, supernodal panels", "cholesky-supernodal"),
+			[2]string{"fixed width (paper)", "supernode-aligned"}, choleskySupernodal,
 			func(a *appSpec, s Scale) []string {
 				w := choleskyWorkload(a.key, s)
 				return []string{fmt.Sprint(w.Sym.NumPanels()), fmt.Sprint(cholesky.TaskCount(w))}
@@ -144,20 +148,26 @@ func perApp(cell func(a *appSpec) RunSpec) func(Scale) []RunSpec {
 	}
 }
 
-// serialTable builds Table 1/6: serial and stripped times per app.
-func serialTable(id string, scale Scale, speed float64) *Result {
-	head := []string{""}
-	serialRow := []string{"Serial"}
-	strippedRow := []string{"Stripped"}
-	for _, a := range allApps {
-		head = append(head, a.name)
-		serialRow = append(serialRow, table.Cell(a.serialWork(scale)*speed))
-		strippedRow = append(strippedRow, table.Cell(a.strippedWork(scale)*speed))
+// noCells is the cell list of an experiment that reads no runs.
+func noCells(Scale) []RunSpec { return nil }
+
+// serialTable renders Table 1/6 from operation counts alone: serial and
+// stripped times per app, scaled by the machine's processor speed.
+func serialTable(id string, speed float64) func(Scale, []*metrics.Run) *Result {
+	return func(scale Scale, _ []*metrics.Run) *Result {
+		head := []string{""}
+		serialRow := []string{"Serial"}
+		strippedRow := []string{"Stripped"}
+		for _, a := range allApps {
+			head = append(head, a.name)
+			serialRow = append(serialRow, table.Cell(a.serialWork(scale)*speed))
+			strippedRow = append(strippedRow, table.Cell(a.strippedWork(scale)*speed))
+		}
+		return &Result{ID: id, Title: registry[id].Title, Head: head,
+			Rows: [][]string{serialRow, strippedRow},
+			Notes: "modeled from operation counts of the two code paths " +
+				"(original vs Jade data structures), scaled by the machine's processor speed"}
 	}
-	return &Result{ID: id, Title: registry[id].Title, Head: head,
-		Rows: [][]string{serialRow, strippedRow},
-		Notes: "modeled from operation counts of the two code paths " +
-			"(original vs Jade data structures), scaled by the machine's processor speed"}
 }
 
 // levelSweep is the (locality level, processors) grid an app is
@@ -205,17 +215,6 @@ func broadcastCells(a *appSpec) func(Scale) []RunSpec {
 			}
 			return s
 		})
-	}
-}
-
-func broadcastTable(id string) func(Scale, []*metrics.Run) *Result {
-	return func(_ Scale, runs []*metrics.Run) *Result {
-		grid := sweepGrid(runs, execTime)
-		rows := [][]string{
-			sweepRow("Adaptive Broadcast", grid[0]),
-			sweepRow("No Adaptive Broadcast", grid[1]),
-		}
-		return &Result{ID: id, Title: registry[id].Title, Head: procHead("variant \\ procs"), Rows: rows}
 	}
 }
 
@@ -269,17 +268,6 @@ func latencyHidingCells(Scale) []RunSpec {
 	return sweepCells(2, func(r, p int) RunSpec {
 		return RunSpec{App: "cholesky", Machine: "ipsc", Procs: p, Level: LevelLocality, TargetTasks: 2 * r}
 	})
-}
-
-func latencyHidingStudy(_ Scale, runs []*metrics.Run) *Result {
-	grid := sweepGrid(runs, execTime)
-	rows := [][]string{
-		sweepRow("target tasks = 1", grid[0]),
-		sweepRow("target tasks = 2", grid[1]),
-	}
-	return &Result{ID: "sec5.4", Title: registry["sec5.4"].Title,
-		Head: procHead("variant \\ procs"), Rows: rows,
-		Notes: "the paper found virtually no effect; see EXPERIMENTS.md for the analysis"}
 }
 
 // concurrentFetchStudy reproduces §5.5: the ratio of object latency to
@@ -351,75 +339,66 @@ func portabilityStudy(_ Scale, runs []*metrics.Run) *Result {
 			"medium and heterogeneous (1.25x/0.6x) workstations shift the tradeoffs"}
 }
 
-// stealAblation compares tail-stealing (the paper's design) with
-// head-stealing on DASH for Panel Cholesky. StealFromHead is a machine
-// field no RunSpec sets, so it is bespoke, but its cells replay the same
-// timed graphs as Table 5's Locality row.
-func stealAblation(r Runner, scale Scale) *Result {
-	variants := []bool{false, true}
-	vals := make([]float64, len(variants)*len(Procs))
-	r.Each(len(vals), func(k int) {
-		m := dash.New(dash.DefaultConfig(Procs[k%len(Procs)], dash.Locality))
-		m.StealFromHead = variants[k/len(Procs)]
-		vals[k] = runApp(m, jade.Config{}, choleskyApp, scale, false).ExecTime
-	})
-	var rows [][]string
-	for v, fromHead := range variants {
-		label := "steal last of last OTQ (paper)"
-		if fromHead {
-			label = "steal first of first OTQ"
-		}
-		rows = append(rows, sweepRow(label, vals[v*len(Procs):(v+1)*len(Procs)]))
-	}
-	return &Result{ID: "ablation-steal", Title: registry["ablation-steal"].Title,
-		Head: procHead("variant \\ procs"), Rows: rows}
-}
-
-// localityPolicyAblation compares locality-object policies, a runtime
-// setting (jade.Config.Locality) no RunSpec carries, so it is bespoke.
-func localityPolicyAblation(r Runner, scale Scale) *Result {
-	policies := []struct {
-		label  string
-		policy jade.LocalityPolicy
-	}{
-		{"first declared access (paper)", 0},
-		{"largest declared object", 1},
-		{"first written object", 2},
-	}
-	runs := make([]*metrics.Run, len(policies)*len(Procs))
-	r.Each(len(runs), func(k int) {
-		m := ipsc.New(ipsc.DefaultConfig(Procs[k%len(Procs)], ipsc.Locality))
-		runs[k] = runApp(m, jade.Config{Locality: policies[k/len(Procs)].policy}, choleskyApp, scale, false)
-	})
-	times, locs := sweepGrid(runs, execTime), sweepGrid(runs, (*metrics.Run).LocalityPct)
-	var rows [][]string
-	for p, pol := range policies {
-		rows = append(rows, sweepRow(pol.label+" [time]", times[p]))
-		rows = append(rows, sweepRow(pol.label+" [loc%]", locs[p]))
-	}
-	return &Result{ID: "ablation-locality-policy", Title: registry["ablation-locality-policy"].Title,
-		Head: procHead("variant \\ procs"), Rows: rows}
-}
-
-// choleskyAblation compares Table 5's Panel Cholesky workload with one
-// structural variant on the iPSC model at the Locality level, at 8 and
-// 32 processors. Like ablation-steal it is bespoke, because the variant
-// is an appSpec no RunSpec names (it is not in appKeys), but its cells
-// replay cached graphs through runApp: the default's are Table 5's.
-// stats renders the columns a workload fixes before any run.
-func choleskyAblation(id string, head []string, labels [2]string, variant *appSpec,
-	stats func(*appSpec, Scale) []string, notes string) func(Runner, Scale) *Result {
-	return func(r Runner, scale Scale) *Result {
-		apps, procs := [2]*appSpec{choleskyApp, variant}, [2]int{8, 32}
-		times := make([]float64, 4)
-		r.Each(len(times), func(k int) {
-			m := ipsc.New(ipsc.DefaultConfig(procs[k%2], ipsc.Locality))
-			times[k] = runApp(m, jade.Config{}, apps[k/2], scale, false).ExecTime
+// choleskySweep is Panel Cholesky on one machine at the Locality level
+// over the processor sweep, one row per variant: the ablation-steal
+// rows on DASH (the paper's tail-steal row is Table 5's Locality row)
+// and the ablation-locality-policy rows on the iPSC (the paper's
+// first-access row is Table 10's).
+func choleskySweep(machine string, vs ...variantID) func(Scale) []RunSpec {
+	return func(Scale) []RunSpec {
+		return sweepCells(len(vs), func(r, p int) RunSpec {
+			return RunSpec{App: "cholesky", Machine: machine, Procs: p, Level: LevelLocality, variant: vs[r]}
 		})
+	}
+}
+
+// variantTable renders a sweep with one row per label, in sweepCells
+// order: each row's exec times or, with loc, its exec times and task
+// locality percentages.
+func variantTable(id string, loc bool, notes string, labels ...string) func(Scale, []*metrics.Run) *Result {
+	return func(_ Scale, runs []*metrics.Run) *Result {
+		times, locs := sweepGrid(runs, execTime), [][]float64(nil)
+		if loc {
+			locs = sweepGrid(runs, (*metrics.Run).LocalityPct)
+		}
+		rows := make([][]string, 0, 2*len(labels))
+		for i, label := range labels {
+			if loc {
+				rows = append(rows, sweepRow(label+" [time]", times[i]), sweepRow(label+" [loc%]", locs[i]))
+			} else {
+				rows = append(rows, sweepRow(label, times[i]))
+			}
+		}
+		return &Result{ID: id, Title: registry[id].Title, Head: procHead("variant \\ procs"), Rows: rows, Notes: notes}
+	}
+}
+
+// choleskyVariantCells compares Table 5's Panel Cholesky workload with
+// the structural variant v on the iPSC model at the Locality level, at
+// 8 and 32 processors: default first, then v. The default's cells are
+// Table 10's.
+func choleskyVariantCells(v variantID) func(Scale) []RunSpec {
+	return func(Scale) []RunSpec {
+		var cells []RunSpec
+		for _, variant := range []variantID{noVariant, v} {
+			for _, p := range []int{8, 32} {
+				cells = append(cells, RunSpec{App: "cholesky", Machine: "ipsc", Procs: p,
+					Level: LevelLocality, variant: variant})
+			}
+		}
+		return cells
+	}
+}
+
+// choleskyAblation renders choleskyVariantCells(v)' runs, one row per
+// workload; stats renders the columns a workload fixes before any run.
+func choleskyAblation(id string, head []string, labels [2]string, v variantID,
+	stats func(*appSpec, Scale) []string, notes string) func(Scale, []*metrics.Run) *Result {
+	return func(scale Scale, runs []*metrics.Run) *Result {
 		rows := make([][]string, 2)
-		for v, a := range apps {
-			rows[v] = append(append([]string{labels[v]}, stats(a, scale)...),
-				table.Cell(times[2*v]), table.Cell(times[2*v+1]))
+		for i, a := range [2]*appSpec{choleskyApp, variants[v].app} {
+			rows[i] = append(append([]string{labels[i]}, stats(a, scale)...),
+				table.Cell(runs[2*i].ExecTime), table.Cell(runs[2*i+1].ExecTime))
 		}
 		return &Result{ID: id, Title: registry[id].Title, Head: head, Rows: rows, Notes: notes}
 	}
@@ -456,33 +435,14 @@ func updateExtension(_ Scale, runs []*metrics.Run) *Result {
 			"generated excessive communication for the others"}
 }
 
-// stickyApps are the apps of the §5.6 sticky-target ablation; each
-// contributes an eager (the paper's scheduler) and a sticky row.
-func stickyApps() []*appSpec { return []*appSpec{oceanApp, choleskyApp} }
-
 // stickyCells evaluates the §5.6 suggestion of a scheduler less eager
-// to move tasks off their target processor. The eager rows are Tables
-// 9–10's Locality rows.
+// to move tasks off their target processor: an eager (the paper's
+// scheduler) and a sticky row for Ocean and Panel Cholesky. The eager
+// rows are Tables 9–10's Locality rows.
 func stickyCells(Scale) []RunSpec {
-	apps := stickyApps()
+	apps := []*appSpec{oceanApp, choleskyApp}
 	return sweepCells(2*len(apps), func(r, p int) RunSpec {
 		return RunSpec{App: apps[r/2].key, Machine: "ipsc", Procs: p, Level: LevelLocality,
 			StickyTarget: r%2 == 1}
 	})
-}
-
-func stickyAblation(_ Scale, runs []*metrics.Run) *Result {
-	times, locs := sweepGrid(runs, execTime), sweepGrid(runs, (*metrics.Run).LocalityPct)
-	var rows [][]string
-	for r := range times {
-		a, sticky := stickyApps()[r/2], r%2 == 1
-		label := a.name + " eager (paper)"
-		if sticky {
-			label = a.name + " sticky target"
-		}
-		rows = append(rows, sweepRow(label+" [time]", times[r]))
-		rows = append(rows, sweepRow(label+" [loc%]", locs[r]))
-	}
-	return &Result{ID: "ablation-sticky", Title: registry["ablation-sticky"].Title,
-		Head: procHead("variant \\ procs"), Rows: rows}
 }

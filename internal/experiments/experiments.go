@@ -1,15 +1,14 @@
 // Package experiments contains one driver per table and figure in the
-// paper's evaluation section (§5), plus the extension studies. Most
-// drivers are projections: they declare the RunSpec cells they read (an
-// app, a machine, a processor count, a locality level, the toggles) and
-// render the paper's rows and series from those runs. Runner.Execute
-// plans the union of the cells of every experiment requested in one
-// call, runs each distinct cell once, and hands each view its runs — so
-// Table 2, Figure 2 and Figure 6 read the same DASH runs instead of
-// executing them three times. The few drivers whose machines no RunSpec
-// describes execute their own runs on the same pool. cmd/jadebench,
-// jaded and the repository benchmarks are thin wrappers around this
-// package.
+// paper's evaluation section (§5), plus the extension studies. Every
+// driver is a projection: it declares the RunSpec cells it reads (an
+// app, a machine, a processor count, a locality level, the toggles,
+// and a variant for what no JSON field names) and renders the paper's
+// rows and series from those runs. Runner.Execute plans the union of
+// the cells of every experiment requested in one call, runs each
+// distinct cell once, and hands each view its runs — so Table 2,
+// Figure 2 and Figure 6 read the same DASH runs instead of executing
+// them three times. cmd/jadebench, jaded and the repository benchmarks
+// are thin wrappers around this package.
 package experiments
 
 import (
@@ -75,37 +74,28 @@ func (r *Result) Markdown(w *strings.Builder) {
 	w.WriteString("\n")
 }
 
-// Experiment is a registered table, figure or study. A planned
-// experiment declares the RunSpec cells it reads and renders its result
-// from their runs, so Runner.Execute can share a cell between every view
-// that reads it. A bespoke experiment drives machines no RunSpec
-// describes (fields set after New, runtime policies, alternate
-// workloads) and executes them itself.
+// Experiment is a registered table, figure or study. It declares the
+// RunSpec cells it reads and renders its result from their runs, so
+// Runner.Execute can share a cell between every view that reads it.
+// What a cell varies beyond its JSON fields (an alternate workload, a
+// runtime policy, a machine field set after New) is its variant.
 type Experiment struct {
 	ID    string
 	Title string
-	// cells lists the runs a planned experiment reads; nil marks a
-	// bespoke driver.
+	// cells lists the runs the experiment reads; Tables 1 and 6,
+	// modeled from operation counts, read none.
 	cells func(scale Scale) []RunSpec
 	// render builds the result; runs[i] is the read-only run of
 	// cells(scale)[i].
 	render func(scale Scale, runs []*metrics.Run) *Result
-	// drive executes a bespoke experiment on the runner's pool.
-	drive func(r Runner, scale Scale) *Result
 }
 
 var registry = map[string]*Experiment{}
 var order []string
 
-// register adds a planned experiment.
+// register adds an experiment.
 func register(id, title string, cells func(Scale) []RunSpec, render func(Scale, []*metrics.Run) *Result) {
 	registry[id] = &Experiment{ID: id, Title: title, cells: cells, render: render}
-	order = append(order, id)
-}
-
-// registerBespoke adds an experiment that executes its own machines.
-func registerBespoke(id, title string, drive func(Runner, Scale) *Result) {
-	registry[id] = &Experiment{ID: id, Title: title, drive: drive}
 	order = append(order, id)
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/fuse"
 	"repro/internal/ipsc"
 	"repro/internal/jade"
-	"repro/internal/jade/graph"
 	"repro/internal/metrics"
 	"repro/internal/pgas"
 	"repro/internal/table"
@@ -28,9 +27,9 @@ import (
 const GranularitySchema = "jade-granularity/v1"
 
 func init() {
-	registerBespoke("granularity-sweep",
+	register("granularity-sweep",
 		"Granularity: task size vs fusion and coalescing (iPSC/860 and PGAS, 8 processors)",
-		granularitySweep)
+		granCells, granularitySweep)
 }
 
 // granShape sizes the synthetic workload: B blocks iterated for C
@@ -65,50 +64,65 @@ const (
 	granSerialSec = 100e-6
 )
 
-// granularityProgram builds the workload closure for one task size:
-// per round, every block runs C consecutive read-modify-write steps on
-// its own state object (the first step also reading the block's
-// ghosts), then a serial phase rewrites every ghost on the main
-// processor. Step tasks within a block are exactly the chains the
-// fusion pass targets — same placement, nested access sets, conflicting
-// on the block state — while the first step's G ghost fetches all come
-// from the main node, which is what coalescing batches.
-func granularityProgram(sh granShape, w float64) func(*jade.Runtime) {
-	return func(rt *jade.Runtime) {
-		procs := rt.Processors()
-		state := make([]*jade.Object, sh.B)
-		ghosts := make([][]*jade.Object, sh.B)
-		for b := 0; b < sh.B; b++ {
-			state[b] = rt.Alloc(fmt.Sprintf("state%d", b), granStateBytes, nil,
+// granularityProgram runs the workload at one task size: per round,
+// every block runs C consecutive read-modify-write steps on its own
+// state object (the first step also reading the block's ghosts), then a
+// serial phase rewrites every ghost on the main processor. Step tasks
+// within a block are exactly the chains the fusion pass targets — same
+// placement, nested access sets, conflicting on the block state — while
+// the first step's G ghost fetches all come from the main node, which
+// is what coalescing batches.
+func granularityProgram(rt *jade.Runtime, sh granShape, w float64) {
+	procs := rt.Processors()
+	state := make([]*jade.Object, sh.B)
+	ghosts := make([][]*jade.Object, sh.B)
+	for b := 0; b < sh.B; b++ {
+		state[b] = rt.Alloc(fmt.Sprintf("state%d", b), granStateBytes, nil,
+			jade.OnProcessor(b%procs))
+		ghosts[b] = make([]*jade.Object, sh.G)
+		for g := 0; g < sh.G; g++ {
+			ghosts[b][g] = rt.Alloc(fmt.Sprintf("ghost%d.%d", b, g), granGhostBytes, nil,
 				jade.OnProcessor(b%procs))
-			ghosts[b] = make([]*jade.Object, sh.G)
-			for g := 0; g < sh.G; g++ {
-				ghosts[b][g] = rt.Alloc(fmt.Sprintf("ghost%d.%d", b, g), granGhostBytes, nil,
-					jade.OnProcessor(b%procs))
-			}
 		}
-		for r := 0; r < sh.R; r++ {
-			for b := 0; b < sh.B; b++ {
-				for c := 0; c < sh.C; c++ {
-					accs := make([]jade.Access, 0, 1+sh.G)
-					accs = append(accs, jade.Access{Obj: state[b], Mode: jade.Read | jade.Write})
-					if c == 0 {
-						for _, gh := range ghosts[b] {
-							accs = append(accs, jade.Access{Obj: gh, Mode: jade.Read})
-						}
+	}
+	for r := 0; r < sh.R; r++ {
+		for b := 0; b < sh.B; b++ {
+			for c := 0; c < sh.C; c++ {
+				accs := make([]jade.Access, 0, 1+sh.G)
+				accs = append(accs, jade.Access{Obj: state[b], Mode: jade.Read | jade.Write})
+				if c == 0 {
+					for _, gh := range ghosts[b] {
+						accs = append(accs, jade.Access{Obj: gh, Mode: jade.Read})
 					}
-					rt.WithAccesses(accs, w, nil, jade.PlaceOn(b%procs))
 				}
+				rt.WithAccesses(accs, w, nil, jade.PlaceOn(b%procs))
 			}
-			rt.Wait()
-			saccs := make([]jade.Access, 0, sh.B*sh.G)
-			for b := 0; b < sh.B; b++ {
-				for _, gh := range ghosts[b] {
-					saccs = append(saccs, jade.Access{Obj: gh, Mode: jade.Write})
-				}
-			}
-			rt.SerialAccesses(granSerialSec, nil, saccs)
 		}
+		rt.Wait()
+		saccs := make([]jade.Access, 0, sh.B*sh.G)
+		for b := 0; b < sh.B; b++ {
+			for _, gh := range ghosts[b] {
+				saccs = append(saccs, jade.Access{Obj: gh, Mode: jade.Write})
+			}
+		}
+		rt.SerialAccesses(granSerialSec, nil, saccs)
+	}
+}
+
+// granApp is the program at one task size as an app, which a variant
+// carries into a RunSpec: its graph is captured and cached like any
+// app's, and its fused cells fuse the timed graph under
+// granFuseOptions. The program places every task itself, so the iPSC's
+// Task Placement cells and PGAS's Affinity cells replay one graph.
+func granApp(w float64) *appSpec {
+	opts := granFuseOptions()
+	key := fmt.Sprintf("granularity %gµs", w*1e6)
+	return &appSpec{
+		name: key, key: key, hasPlacement: true, placed: true,
+		run: func(rt *jade.Runtime, scale Scale, _ bool) {
+			granularityProgram(rt, granShapeFor(scale), w)
+		},
+		fuse: &opts,
 	}
 }
 
@@ -120,44 +134,9 @@ func granFuseOptions() fuse.Options {
 	return fuse.Options{MaxChain: 64, MaxWork: granSizes[len(granSizes)-1]}
 }
 
-// granGraph returns the captured workload graph for one task size.
-// Bodies are nil and work is real (workFree=false), so the capture
-// replays with the full machine cost model.
-func granGraph(scale Scale, w float64) *graph.Graph {
-	key := cacheKey{kind: kindGranGraph, scale: scale, procs: instrumentedProcs, work: w}
-	return sharedCache.get(key, func() any {
-		return graph.Capture(instrumentedProcs, false, granularityProgram(granShapeFor(scale), w))
-	}).(*graph.Graph)
-}
-
-// granFusedGraph returns the fusion pass's output for one task size.
-func granFusedGraph(scale Scale, w float64) fusedEntry {
-	key := cacheKey{kind: kindGranFused, scale: scale, procs: instrumentedProcs, work: w}
-	return sharedCache.get(key, func() any {
-		g, st, _ := granGraph(scale, w).Fuse(granFuseOptions())
-		return fusedEntry{g: g, st: st}
-	}).(fusedEntry)
-}
-
 // granMachines is the sweep's machine list: the two message-passing
 // models with a coalescing layer. (DASH has no messages to coalesce.)
 var granMachines = []string{"ipsc", "pgas"}
-
-// granPlatform builds one machine with the coalescing knob applied —
-// ipsc.Config.Coalescing on the iPSC, the aggregation layer on PGAS.
-func granPlatform(machine string, coalescing bool) jade.Platform {
-	switch machine {
-	case "ipsc":
-		cfg := ipsc.DefaultConfig(instrumentedProcs, ipsc.TaskPlacement)
-		cfg.Coalescing = coalescing
-		return ipsc.New(cfg)
-	case "pgas":
-		cfg := pgas.DefaultConfig(instrumentedProcs, pgas.Affinity)
-		cfg.Aggregation = coalescing
-		return pgas.New(cfg)
-	}
-	panic("experiments: unknown granularity machine " + machine)
-}
 
 // granSpeed is the machine's processor speed factor, for the analytic
 // serial baseline.
@@ -176,8 +155,8 @@ func granSerialTime(sh granShape, w, speed float64) float64 {
 	return (float64(sh.R*sh.B*sh.C)*w + float64(sh.R)*granSerialSec) * speed
 }
 
-// granVariants enumerates the knob grid in report order.
-var granVariants = []struct {
+// granKnobs enumerates the knob grid in report order.
+var granKnobs = []struct {
 	fusion, coalescing bool
 }{
 	{false, false}, {false, true}, {true, false}, {true, true},
@@ -232,56 +211,52 @@ func (r *GranularityReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// granCell executes one sweep cell: replay the (optionally fused)
-// workload graph on one machine with the coalescing knob set.
-func granCell(scale Scale, machine string, w float64, fusion, coalescing bool) *metrics.Run {
-	g := granGraph(scale, w)
-	var st graph.FuseStats
-	if fusion {
-		fe := granFusedGraph(scale, w)
-		g, st = fe.g, fe.st
-	}
-	r := replay(g, new(jade.Runtime), granPlatform(machine, coalescing), jade.Config{})
-	if fusion {
-		stampFusion(r, machine, st)
-	}
-	accumulateFuse(r)
-	return r
-}
-
-// BuildGranularityReport runs the sweep at one scale and assembles the
-// jade-granularity/v1 document. All cells fan out across the runner's
-// pool into pre-indexed slots, so the document is byte-identical at any
-// width. The synthetic workload is no app a RunSpec names, so the sweep
-// is a bespoke experiment.
-func BuildGranularityReport(runner Runner, scale Scale) *GranularityReport {
-	sh := granShapeFor(scale)
-	type cellKey struct {
-		mi, vi, wi int
-	}
-	var keys []cellKey
-	for _, mi := range []int{0, 1} {
-		for vi := range granVariants {
-			for wi := range granSizes {
-				keys = append(keys, cellKey{mi, vi, wi})
+// granCells lists the sweep's cells in report order: machine, then
+// knob combination, then task size. The coalescing knob is
+// ipsc.Config.Coalescing on the iPSC, at the Task Placement level, and
+// the aggregation layer on PGAS, at the Affinity level.
+func granCells(Scale) []RunSpec {
+	var cells []RunSpec
+	for _, machine := range granMachines {
+		for _, k := range granKnobs {
+			for i := range granSizes {
+				s := RunSpec{App: "granularity", Machine: machine, Procs: instrumentedProcs,
+					Fusion: k.fusion, variant: granVariant + variantID(i)}
+				if machine == "ipsc" {
+					s.Level, s.Coalescing = LevelPlacement, k.coalescing
+				} else {
+					agg := k.coalescing
+					s.Level, s.Aggregation = LevelLocality, &agg
+				}
+				cells = append(cells, s)
 			}
 		}
 	}
-	runs := make([]*metrics.Run, len(keys))
-	runner.Each(len(keys), func(k int) {
-		c := keys[k]
-		runs[k] = granCell(scale, granMachines[c.mi], granSizes[c.wi],
-			granVariants[c.vi].fusion, granVariants[c.vi].coalescing)
-	})
+	return cells
+}
 
+// BuildGranularityReport runs the sweep's cells at one scale on the
+// runner's pool and assembles the jade-granularity/v1 document, which
+// is byte-identical at any width.
+func BuildGranularityReport(runner Runner, scale Scale) *GranularityReport {
+	runs, err := runner.ExecuteRuns(granCells(scale), scale)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: granularity-sweep built an invalid cell: %v", err))
+	}
+	return granularityReport(scale, runs)
+}
+
+// granularityReport assembles the document from the runs of granCells.
+func granularityReport(scale Scale, runs []*metrics.Run) *GranularityReport {
+	sh := granShapeFor(scale)
 	rep := &GranularityReport{
 		Schema: GranularitySchema, Scale: string(scale), Procs: instrumentedProcs,
 		TaskSizesSec: append([]float64(nil), granSizes...),
 	}
-	for k, c := range keys {
-		machine, v, w := granMachines[c.mi], granVariants[c.vi], granSizes[c.wi]
+	for k, s := range granCells(scale) {
+		w, coalescing := granSizes[s.variant-granVariant], s.Coalescing || s.Aggregation != nil && *s.Aggregation
 		r := runs[k]
-		serial := granSerialTime(sh, w, granSpeed(machine))
+		serial := granSerialTime(sh, w, granSpeed(s.Machine))
 		speedup := 0.0
 		if r.ExecTime > 0 {
 			speedup = serial / r.ExecTime
@@ -291,8 +266,8 @@ func BuildGranularityReport(runner Runner, scale Scale) *GranularityReport {
 		// coalescing counter so the column means the same thing on
 		// both machines.
 		rep.Cells = append(rep.Cells, GranularityCell{
-			Machine: machine, TaskWorkSec: w,
-			Fusion: v.fusion, Coalescing: v.coalescing,
+			Machine: s.Machine, TaskWorkSec: w,
+			Fusion: s.Fusion, Coalescing: coalescing,
 			Procs:              instrumentedProcs,
 			TaskCount:          r.TaskCount,
 			TasksFused:         r.TasksFused,
@@ -306,27 +281,31 @@ func BuildGranularityReport(runner Runner, scale Scale) *GranularityReport {
 			Speedup:            speedup,
 		})
 	}
-	for _, machine := range granMachines {
-		for _, v := range granVariants {
-			cross := 0.0
-			for _, c := range rep.Cells {
-				if c.Machine == machine && c.Fusion == v.fusion && c.Coalescing == v.coalescing &&
-					c.ExecTimeSec < c.SerialTimeSec {
-					cross = c.TaskWorkSec
-					break
-				}
+	for _, row := range granRows(rep.Cells) {
+		x := GranularityCrossover{Machine: row[0].Machine, Fusion: row[0].Fusion, Coalescing: row[0].Coalescing}
+		for _, c := range row {
+			if c.ExecTimeSec < c.SerialTimeSec {
+				x.CrossoverWorkSec = c.TaskWorkSec
+				break
 			}
-			rep.Crossovers = append(rep.Crossovers, GranularityCrossover{
-				Machine: machine, Fusion: v.fusion, Coalescing: v.coalescing,
-				CrossoverWorkSec: cross,
-			})
 		}
+		rep.Crossovers = append(rep.Crossovers, x)
 	}
 	return rep
 }
 
-// granVariantLabel names a knob combination for table rows.
-func granVariantLabel(fusion, coalescing bool) string {
+// granRows splits the report's cells into one row per machine and knob
+// combination, each over the task-size grid.
+func granRows(cells []GranularityCell) [][]GranularityCell {
+	var rows [][]GranularityCell
+	for i := 0; i < len(cells); i += len(granSizes) {
+		rows = append(rows, cells[i:i+len(granSizes)])
+	}
+	return rows
+}
+
+// granKnobLabel names a knob combination for table rows.
+func granKnobLabel(fusion, coalescing bool) string {
 	switch {
 	case fusion && coalescing:
 		return "fuse+coalesce"
@@ -339,30 +318,24 @@ func granVariantLabel(fusion, coalescing bool) string {
 }
 
 // granularitySweep renders the sweep as the registered experiment.
-func granularitySweep(runner Runner, scale Scale) *Result {
-	rep := BuildGranularityReport(runner, scale)
+func granularitySweep(scale Scale, runs []*metrics.Run) *Result {
+	rep := granularityReport(scale, runs)
 	head := []string{"machine", "variant"}
 	for _, w := range rep.TaskSizesSec {
 		head = append(head, fmt.Sprintf("%gµs", w*1e6))
 	}
-	cell := map[string][]string{}
-	var order []string
-	for _, c := range rep.Cells {
-		k := c.Machine + "/" + granVariantLabel(c.Fusion, c.Coalescing)
-		if _, ok := cell[k]; !ok {
-			order = append(order, k)
-			cell[k] = []string{c.Machine, granVariantLabel(c.Fusion, c.Coalescing)}
-		}
-		cell[k] = append(cell[k], table.Cell(c.ExecTimeSec))
-	}
 	var rows [][]string
-	for _, k := range order {
-		rows = append(rows, cell[k])
+	for _, cells := range granRows(rep.Cells) {
+		row := []string{cells[0].Machine, granKnobLabel(cells[0].Fusion, cells[0].Coalescing)}
+		for _, c := range cells {
+			row = append(row, table.Cell(c.ExecTimeSec))
+		}
+		rows = append(rows, row)
 	}
 	var notes string
 	for _, x := range rep.Crossovers {
 		notes += fmt.Sprintf("%s/%s crossover %gµs; ",
-			x.Machine, granVariantLabel(x.Fusion, x.Coalescing), x.CrossoverWorkSec*1e6)
+			x.Machine, granKnobLabel(x.Fusion, x.Coalescing), x.CrossoverWorkSec*1e6)
 	}
 	notes += "execution time per task size (s); crossover = smallest task size where 8 processors beat the analytic serial time — see jadebench -granularity-report for the full jade-granularity/v1 document"
 	return &Result{

@@ -27,11 +27,11 @@ func TestGranularityReportShape(t *testing.T) {
 	if rep.Schema != GranularitySchema {
 		t.Fatalf("schema = %q, want %q", rep.Schema, GranularitySchema)
 	}
-	wantCells := len(granMachines) * len(granVariants) * len(granSizes)
+	wantCells := len(granMachines) * len(granKnobs) * len(granSizes)
 	if len(rep.Cells) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(rep.Cells), wantCells)
 	}
-	if want := len(granMachines) * len(granVariants); len(rep.Crossovers) != want {
+	if want := len(granMachines) * len(granKnobs); len(rep.Crossovers) != want {
 		t.Fatalf("crossovers = %d, want %d", len(rep.Crossovers), want)
 	}
 	for _, c := range rep.Cells {

@@ -4,33 +4,38 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 )
 
-// The registry's cell counts at Small: every cell the planned
-// experiments read, and the distinct cells one Execute over IDs() runs.
+// The registry's cell counts at Small: every cell the experiments read,
+// and the distinct cells one Execute over IDs() runs. Of the 99 cells
+// the four ablations and the granularity sweep read, 18 are Table 5's
+// and Table 10's (the overlap rows below) and 81 are their own.
 const (
-	registryRequestedCells = 687
-	registryDistinctCells  = 285
+	registryRequestedCells = 786
+	registryDistinctCells  = 366
 )
 
 // TestPlanDeduplicatesRegistry checks the plan of the whole registry:
-// its cells are pairwise distinct under canonical JSON, the views that
-// read the same run map to the same plan slot, and executing the plan
-// hands every view sharing a cell the identical *metrics.Run.
+// its cells are pairwise distinct under planKey (variant cells share
+// their JSON with the cell they vary), the views that read the same run
+// map to the same plan slot, and executing the plan hands every view
+// sharing a cell the identical *metrics.Run.
 func TestPlanDeduplicatesRegistry(t *testing.T) {
 	ids := IDs()
 	p, err := newPlan(ids, nil, Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
+	seen, faults := map[planKey]bool{}, map[fault.Spec]int32{}
 	for _, c := range p.cells {
-		key, _ := json.Marshal(c)
-		if seen[string(key)] {
-			t.Fatalf("plan holds %s twice", key)
+		key := c.planKey(faults)
+		if seen[key] {
+			b, _ := json.Marshal(c)
+			t.Fatalf("plan holds %s [%s] twice", b, c.Variant())
 		}
-		seen[string(key)] = true
+		seen[key] = true
 	}
 	requested := 0
 	for _, slots := range p.expSlots {
@@ -55,6 +60,15 @@ func TestPlanDeduplicatesRegistry(t *testing.T) {
 		{"table2 = fig6", slots("table2", 0, 2*n), slots("fig6", 0, 2*n)},
 		{"table7 top row = table11 adaptive broadcast", slots("table7", 0, n), slots("table11", 0, n)},
 		{"table10 locality row = sec5.4 target tasks 1", slots("table10", n, 2*n), slots("sec5.4", 0, n)},
+		{"table5 locality row = ablation-steal tail-steal row", slots("table5", n, 2*n), slots("ablation-steal", 0, n)},
+		{"table10 locality row = ablation-locality-policy first-access row",
+			slots("table10", n, 2*n), slots("ablation-locality-policy", 0, n)},
+		// Procs is 1, 2, 4, 8, 16, 24, 32: 8 and 32 processors are
+		// columns 3 and 6.
+		{"table10 locality at 8 and 32 = ablation-ordering natural cells",
+			[]int{slots("table10", n+3, n+4)[0], slots("table10", n+6, n+7)[0]}, slots("ablation-ordering", 0, 2)},
+		{"ablation-ordering natural cells = ablation-panels fixed-width cells",
+			slots("ablation-ordering", 0, 2), slots("ablation-panels", 0, 2)},
 		// fault-sweep lists (with, without) per variant and drop rate;
 		// variants 0 and 1 share Water's "with" cell.
 		{"fault-sweep water with-cells", pairWith(slots("fault-sweep", 0, 2*len(faultDropRates))),
@@ -75,9 +89,6 @@ func TestPlanDeduplicatesRegistry(t *testing.T) {
 	// cell yields one run, and views sharing a slot share the pointer.
 	got := make([][]*metrics.Run, len(p.exps))
 	for k, e := range p.exps {
-		if e.render == nil {
-			continue
-		}
 		spy, k := *e, k
 		spy.render = func(scale Scale, runs []*metrics.Run) *Result {
 			got[k] = runs

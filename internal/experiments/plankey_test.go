@@ -42,8 +42,10 @@ func flips(t *testing.T, name string, v reflect.Value) []func(reflect.Value) {
 // TestPlanKeyCoversEverySpecField flips every RunSpec field and every
 // fault.Spec field, one at a time, and checks that each flip gets a
 // dedup key of its own, while a copy of the flipped spec made through
-// JSON (same content, fresh pointers) shares its key. A field planKey
-// forgot would merge two cells that must run apart.
+// JSON (same content, fresh pointers) shares its key. The unexported
+// variant never reaches JSON, so every variant must key apart from the
+// base spec, whose JSON it shares. A field planKey forgot would merge
+// two cells that must run apart.
 func TestPlanKeyCoversEverySpecField(t *testing.T) {
 	base := func() RunSpec {
 		return RunSpec{App: "water", Machine: "ipsc", Procs: 8, Level: LevelLocality,
@@ -72,6 +74,12 @@ func TestPlanKeyCoversEverySpecField(t *testing.T) {
 	fields := func(typ reflect.Type, at func(s *RunSpec) reflect.Value, prefix string) {
 		for i := 0; i < typ.NumField(); i++ {
 			name := prefix + typ.Field(i).Name
+			if !typ.Field(i).IsExported() {
+				if name != "variant" {
+					t.Fatalf("%s: an unexported field the test does not know", name)
+				}
+				continue
+			}
 			probe := base()
 			for _, flip := range flips(t, name, at(&probe).Field(i)) {
 				s := base()
@@ -82,6 +90,15 @@ func TestPlanKeyCoversEverySpecField(t *testing.T) {
 	}
 	fields(reflect.TypeOf(RunSpec{}), func(s *RunSpec) reflect.Value { return reflect.ValueOf(s).Elem() }, "")
 	fields(reflect.TypeOf(fault.Spec{}), func(s *RunSpec) reflect.Value { return reflect.ValueOf(s.Fault).Elem() }, "Fault.")
+	for v := variantID(1); int(v) < len(variants); v++ {
+		s := base()
+		s.variant = v
+		k := s.planKey(faults)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("variant %s gives the key of %s", variants[v].name, prev)
+		}
+		seen[k] = "variant " + variants[v].name
+	}
 }
 
 // TestPlanKeyMatchesCanonicalJSON checks the other direction on specs

@@ -37,12 +37,12 @@ func (r Runner) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Each runs fn(i) for every i in [0, n) across at most Workers()
+// each runs fn(i) for every i in [0, n) across at most Workers()
 // goroutines and returns when all calls have finished. fn must write
-// its result into a pre-indexed slot: slot assembly after Each is what
+// its result into a pre-indexed slot: slot assembly after each is what
 // keeps parallel output byte-identical to serial. A panic in any call
 // is re-raised on the caller's goroutine.
-func (r Runner) Each(n int, fn func(i int)) {
+func (r Runner) each(n int, fn func(i int)) {
 	w := min(r.Workers(), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
@@ -92,18 +92,19 @@ type plan struct {
 }
 
 // planKey is a canonical RunSpec as a small comparable value: its
-// names, numbers and flags, with each optional bool by value and its
-// fault block numbered among the plan's distinct blocks (0 for none).
-// Two canonical specs of one plan share a key exactly when they marshal
-// to the same JSON (TestPlanKeyCoversEverySpecField). The key stays
-// under the 128 bytes a map stores inline, so building and inserting
-// one allocates nothing.
+// names, numbers and flags, with each optional bool by value, its fault
+// block numbered among the plan's distinct blocks (0 for none), and its
+// variant. Two canonical specs of one plan share a key exactly when
+// they marshal to the same JSON and have the same variant
+// (TestPlanKeyCoversEverySpecField). The key stays under the 128 bytes
+// a map stores inline, so building and inserting one allocates nothing.
 type planKey struct {
 	app, machine, level                             string
 	procs, targetTasks                              int32
 	workFree, observe, eagerUpdate, stickyTarget    bool
 	speedAware, fusion, coalescing                  bool
 	adaptiveBroadcast, concurrentFetch, aggregation optBool
+	variant                                         variantID
 	fault                                           int32
 }
 
@@ -128,7 +129,7 @@ func (s *RunSpec) planKey(faults map[fault.Spec]int32) planKey {
 		workFree: s.WorkFree, observe: s.Observe, eagerUpdate: s.EagerUpdate, stickyTarget: s.StickyTarget,
 		speedAware: s.SpeedAware, fusion: s.Fusion, coalescing: s.Coalescing,
 		adaptiveBroadcast: optOf(s.AdaptiveBroadcast), concurrentFetch: optOf(s.ConcurrentFetch),
-		aggregation: optOf(s.Aggregation)}
+		aggregation: optOf(s.Aggregation), variant: s.variant}
 	if s.Fault != nil {
 		n, ok := faults[*s.Fault]
 		if !ok {
@@ -157,10 +158,8 @@ func newPlan(ids []string, specs []RunSpec, scale Scale) (plan, error) {
 	expCells := make([][]RunSpec, len(p.exps))
 	n := len(specs)
 	for k, e := range p.exps {
-		if e.cells != nil {
-			expCells[k] = e.cells(scale)
-			n += len(expCells[k])
-		}
+		expCells[k] = e.cells(scale)
+		n += len(expCells[k])
 	}
 	p.cells = make([]RunSpec, 0, n)
 	p.expSlots = make([][]int, len(p.exps))
@@ -180,9 +179,6 @@ func newPlan(ids []string, specs []RunSpec, scale Scale) (plan, error) {
 		return i, nil
 	}
 	for k, cells := range expCells {
-		if len(cells) == 0 {
-			continue
-		}
 		p.expSlots[k] = make([]int, len(cells))
 		for j, s := range cells {
 			i, err := add(s)
@@ -207,9 +203,9 @@ func newPlan(ids []string, specs []RunSpec, scale Scale) (plan, error) {
 // distinct cell once in a single fan-out across the pool, then renders
 // each experiment from its runs. results[i] is experiment ids[i] and
 // runs[j] is the run of specs[j]; views that share a cell share its
-// *metrics.Run, which is read-only. Bespoke experiments, whose machines
-// no RunSpec describes, run after the fan-out on the same pool. A
-// panicking cell panics the call; serve recovers per job.
+// *metrics.Run, which is read-only. Every registered experiment is
+// planned, so nothing else in this package builds a machine or replays
+// a graph. A panicking cell panics the call; serve recovers per job.
 func (r Runner) Execute(ids []string, specs []RunSpec, scale Scale) (results []*Result, runs []*metrics.Run, err error) {
 	p, err := newPlan(ids, specs, scale)
 	if err != nil {
@@ -238,7 +234,7 @@ func (r Runner) execute(p *plan, scale Scale) ([]*Result, []*metrics.Run) {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cells[b].Procs - cells[a].Procs })
-	r.Each(len(cells), func(k int) {
+	r.each(len(cells), func(k int) {
 		i := order[k]
 		f := machinePool.Get().(*machines)
 		all[i] = cells[i].execute(scale, f, nil)
@@ -246,11 +242,7 @@ func (r Runner) execute(p *plan, scale Scale) ([]*Result, []*metrics.Run) {
 	})
 	results := make([]*Result, len(p.exps))
 	for k, e := range p.exps {
-		if e.cells == nil {
-			results[k] = e.drive(r, scale)
-		} else {
-			results[k] = e.render(scale, pick(all, p.expSlots[k]))
-		}
+		results[k] = e.render(scale, pick(all, p.expSlots[k]))
 	}
 	if len(p.exps) == 0 && len(p.specSlots) == len(all) {
 		// Distinct specs alone: spec j is cell j, so the runs are all.

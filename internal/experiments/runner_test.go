@@ -12,7 +12,7 @@ func TestRunnerEachCoversAllIndices(t *testing.T) {
 		r := NewRunner(workers)
 		const n = 100
 		var hits [n]atomic.Int32
-		r.Each(n, func(i int) { hits[i].Add(1) })
+		r.each(n, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times, want 1", workers, i, got)
@@ -23,9 +23,9 @@ func TestRunnerEachCoversAllIndices(t *testing.T) {
 
 func TestRunnerEachZeroAndOne(t *testing.T) {
 	r := NewRunner(4)
-	r.Each(0, func(i int) { t.Fatal("fn called for n=0") })
+	r.each(0, func(i int) { t.Fatal("fn called for n=0") })
 	calls := 0
-	r.Each(1, func(i int) { calls++ })
+	r.each(1, func(i int) { calls++ })
 	if calls != 1 {
 		t.Fatalf("n=1 ran fn %d times", calls)
 	}
@@ -37,7 +37,7 @@ func TestRunnerEachPropagatesPanic(t *testing.T) {
 			t.Fatal("panic in a worker did not propagate to the caller")
 		}
 	}()
-	NewRunner(4).Each(16, func(i int) {
+	NewRunner(4).each(16, func(i int) {
 		if i == 7 {
 			panic("boom")
 		}

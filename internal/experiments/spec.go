@@ -85,6 +85,68 @@ type RunSpec struct {
 	// block that enables no fault is canonicalized away, so inert
 	// blocks hash like healthy specs.
 	Fault *fault.Spec `json:"fault,omitempty"`
+
+	// variant selects a row of variants (0 for none): a setting of the
+	// run that no field above names. encoding/json never sees it, so a
+	// job cannot set it and it changes neither canonical JSON nor a
+	// job's hash; only the experiments' own cells carry one.
+	variant variantID
+}
+
+// A runVariant is what an experiment cell can vary that no RunSpec
+// JSON field names.
+type runVariant struct {
+	name          string              // tells the cell apart in listings
+	app           *appSpec            // the workload, in place of App's
+	locality      jade.LocalityPolicy // the runtime's locality-object policy
+	stealFromHead bool                // dash.Machine.StealFromHead
+}
+
+// variantID indexes variants.
+type variantID uint8
+
+const (
+	noVariant variantID = iota
+	stealHead
+	localityLargest
+	localityFirstWrite
+	choleskyRCM
+	choleskySupernodal
+	// granVariant is the granularity program at granSizes[0]; the
+	// program at granSizes[i] is granVariant + i.
+	granVariant
+)
+
+// variants is the table RunSpec.variant indexes, in variantID order.
+var variants = func() []runVariant {
+	v := []runVariant{
+		noVariant:          {},
+		stealHead:          {name: "steal-head", stealFromHead: true},
+		localityLargest:    {name: "locality-largest", locality: jade.LocalityLargest},
+		localityFirstWrite: {name: "locality-first-write", locality: jade.LocalityFirstWrite},
+		choleskyRCM: {name: "cholesky-rcm",
+			app: newCholeskyApp("Panel Cholesky, RCM ordering", "cholesky-rcm")},
+		choleskySupernodal: {name: "cholesky-supernodal",
+			app: newCholeskyApp("Panel Cholesky, supernodal panels", "cholesky-supernodal")},
+	}
+	for _, w := range granSizes {
+		a := granApp(w)
+		v = append(v, runVariant{name: a.key, app: a})
+	}
+	return v
+}()
+
+// Variant names the spec's variant, "" for none: what sets an
+// experiment cell apart from a spec that marshals to the same JSON.
+func (s *RunSpec) Variant() string { return variants[s.variant].name }
+
+// app returns the workload the spec runs, its variant's or App's; nil
+// when App names none.
+func (s *RunSpec) app() *appSpec {
+	if a := variants[s.variant].app; a != nil {
+		return a
+	}
+	return appKeys[s.App]
 }
 
 // Level names accepted by RunSpec.
@@ -132,8 +194,8 @@ func (s *RunSpec) Canonicalize() error {
 	s.Machine = strings.ToLower(strings.TrimSpace(s.Machine))
 	s.Level = strings.ToLower(strings.TrimSpace(s.Level))
 
-	a, ok := appKeys[s.App]
-	if !ok {
+	a := s.app()
+	if a == nil {
 		return fmt.Errorf("run spec: unknown app %q (valid: %s)", s.App, appKeyNames())
 	}
 	if s.App == "tomo" {
@@ -192,7 +254,7 @@ func (s *RunSpec) Canonicalize() error {
 	if s.Machine != "pgas" && s.Aggregation != nil {
 		return fmt.Errorf("run spec: aggregation applies only to the pgas machine (got %q)", s.Machine)
 	}
-	if s.Fusion && !s.WorkFree {
+	if s.Fusion && !s.WorkFree && a.fuse == nil {
 		return fmt.Errorf("run spec: fusion requires work_free (the pass targets task-management overhead, which work-free runs measure)")
 	}
 	if s.Coalescing && s.Machine != "ipsc" {
@@ -327,6 +389,7 @@ func (s *RunSpec) newPlatform(free *machines, sink obsv.Sink) (jade.Platform, *o
 	switch s.Machine {
 	case "dash":
 		m := take(&free.dash, dash.DefaultConfig(s.Procs, dashLevel(s.Level)), dash.New)
+		m.StealFromHead = variants[s.variant].stealFromHead
 		m.Inj = inj
 		m.Sink = sink
 		p = m
@@ -385,15 +448,12 @@ func (s RunSpec) Execute(scale Scale) (*metrics.Run, error) {
 // Runner.Execute, with the sink newSink returns for the cell's
 // processor count fed the machine's simulated-event stream. It returns
 // the canonical cell, its run, and the tasks the replay scheduled (for
-// check.Validate). A bespoke experiment has no cells to trace; an n
-// out of range is an error that lists the experiment's cells by index.
+// check.Validate). An n out of range is an error that lists the
+// experiment's cells by index, each with its variant.
 func TraceCell(id string, n int, scale Scale, newSink func(procs int) obsv.Sink) (RunSpec, *metrics.Run, []*jade.Task, error) {
 	e, err := Get(id)
 	if err != nil {
 		return RunSpec{}, nil, nil, err
-	}
-	if e.cells == nil {
-		return RunSpec{}, nil, nil, fmt.Errorf("experiments: %s drives its own machines and has no cells to trace", id)
 	}
 	cells := e.cells(scale)
 	for i := range cells {
@@ -401,12 +461,18 @@ func TraceCell(id string, n int, scale Scale, newSink func(procs int) obsv.Sink)
 			panic(fmt.Sprintf("experiments: %s built an invalid cell: %v", id, err))
 		}
 	}
+	if len(cells) == 0 {
+		return RunSpec{}, nil, nil, fmt.Errorf("experiments: %s reads no runs, so it has no cell to trace", id)
+	}
 	if n < 0 || n >= len(cells) {
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "experiments: %s has no cell %d; its cells are:", id, n)
 		for i, c := range cells {
 			key, _ := json.Marshal(c) // a RunSpec always marshals
 			fmt.Fprintf(&sb, "\n%4d  %s", i, key)
+			if v := c.Variant(); v != "" {
+				fmt.Fprintf(&sb, "  [%s]", v)
+			}
 		}
 		return RunSpec{}, nil, nil, errors.New(sb.String())
 	}
@@ -416,10 +482,10 @@ func TraceCell(id string, n int, scale Scale, newSink func(procs int) obsv.Sink)
 }
 
 // taskGraph returns the graph a canonical spec replays: the cached
-// capture of its app, or the capture's fused work-free view.
+// capture of its app, or that capture fused.
 func (s *RunSpec) taskGraph(scale Scale) fusedEntry {
-	a := appKeys[s.App]
-	place := s.Level == LevelPlacement && a.hasPlacement
+	a := s.app()
+	place := s.Level == LevelPlacement && a.hasPlacement && !a.placed
 	if s.Fusion {
 		return fusedGraph(a, scale, s.Procs, place)
 	}
@@ -439,7 +505,7 @@ func (s *RunSpec) execute(scale Scale, free *machines, sink obsv.Sink) *metrics.
 	if free == nil {
 		free = &machines{}
 	}
-	cfg := jade.Config{WorkFree: s.WorkFree}
+	cfg := jade.Config{WorkFree: s.WorkFree, Locality: variants[s.variant].locality}
 	p, obs := s.newPlatform(free, sink)
 	fe := s.taskGraph(scale)
 	r := replay(fe.g, &free.rt, p, cfg)

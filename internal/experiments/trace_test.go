@@ -24,6 +24,8 @@ func TestTraceCellMatchesTable(t *testing.T) {
 		{"table9", 17, "ipsc", 2, 4},                   // No Locality at 8 processors
 		{"pgas-compare", 8, "pgas", 8, 2},              // Ocean on pgas
 		{"extension-portability", 10, "cluster", 2, 3}, // Ocean on the cluster
+		{"ablation-steal", 10, "dash", 1, 4},           // head-steal at 8 processors
+		{"granularity-sweep", 14, "ipsc", 2, 2},        // fused, finest task size
 	} {
 		tr := trace.New()
 		cell, run, tasks, err := TraceCell(c.id, c.n, Small, func(int) obsv.Sink { return tr })
