@@ -83,9 +83,11 @@ echo "== bench short tests =="
 
 echo "== go test -race (concurrent packages) =="
 # The packages with real goroutine concurrency: the native machine,
-# the runtime that drives it, the jaded server/queue/cache (including
-# the retry/breaker paths), the parallel experiment fan-out, the
-# graph cache shared by concurrent runs, and the fault injector. The
+# the runtime that drives it, the bounded LRU store every cache and
+# retention table is built on, the jaded server/queue (including the
+# panic-isolation, deadline and breaker paths), the parallel experiment
+# fan-out, the graph cache shared by concurrent runs, and the fault
+# injector. The
 # pgas machine and the spmv app ride along: both run inside the
 # parallel fan-out, so their determinism must hold under -race too.
 # The differential table (experiments.TestReplayMatchesDirect) runs its
@@ -95,7 +97,7 @@ echo "== go test -race (concurrent packages) =="
 # concurrent requests) and the load generator's worker pool join the
 # set. The graph package's timed-replay allocation guard builds only
 # without -race (the detector instruments allocation); go test runs it.
-go test -race ./internal/native ./internal/jade ./internal/jade/graph ./internal/serve ./internal/experiments ./internal/fault ./internal/fuse ./internal/pgas ./internal/apps/spmv ./internal/router ./internal/load
+go test -race ./internal/lru ./internal/native ./internal/jade ./internal/jade/graph ./internal/serve ./internal/experiments ./internal/fault ./internal/fuse ./internal/pgas ./internal/apps/spmv ./internal/router ./internal/load
 # Native workers complete tasks, and release staged segments early,
 # while the main program registers more: the only place the dependence
 # engine runs concurrently. Both packages take well under a second per

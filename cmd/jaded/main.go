@@ -7,7 +7,7 @@
 // Usage:
 //
 //	jaded [-addr 127.0.0.1:8274] [-workers 2] [-queue 32] [-cache 128] [-job-timeout 2m] [-parallel 0]
-//	      [-retries 2] [-retry-backoff 50ms] [-breaker-threshold 5] [-breaker-cooldown 30s]
+//	      [-breaker-threshold 5] [-breaker-cooldown 30s]
 //	      [-log-level info] [-log-format json] [-spans] [-pprof] [-retention 4096]
 //	      [-slo-window 0] [-slo-availability 0] [-slo-p99 0]
 //
@@ -19,9 +19,7 @@
 //	GET  /v1/experiments     experiment catalog
 //	GET  /healthz            liveness + SLO budget (503 when exhausted)
 //	GET  /metricz            queue depth, worker utilization, cache hit
-//	                         rate, per-experiment latency p50/p95/p99,
-//	                         granularity-pass totals (tasks fused,
-//	                         messages coalesced, benefit bytes)
+//	                         rate, per-experiment latency p50/p95/p99
 //	                         (?format=prom for Prometheus text)
 //
 //	GET  /debug/pprof/...    runtime profiles (only with -pprof)
@@ -67,11 +65,9 @@ func main() {
 		cacheEntries = flag.Int("cache", 128, "result cache entries (negative disables caching)")
 		jobTimeout   = flag.Duration("job-timeout", 2*time.Minute, "per-job deadline covering queue wait plus execution")
 		parallel     = flag.Int("parallel", 0, "fan-out width for the runs inside one job (0 = GOMAXPROCS, 1 = serial)")
-		retries      = flag.Int("retries", 2, "max retries of transiently-failing jobs (negative disables)")
-		retryBackoff = flag.Duration("retry-backoff", 50*time.Millisecond, "delay before the first retry, doubling each time")
 		brkThreshold = flag.Int("breaker-threshold", 5, "consecutive failures that trip an experiment's circuit breaker (negative disables)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 30*time.Second, "how long a tripped circuit refuses submissions before a half-open probe")
-		retention    = flag.Int("retention", 4096, "terminal jobs kept pollable, oldest evicted first (negative retains all)")
+		retention    = flag.Int("retention", 4096, "terminal jobs kept pollable, oldest evicted first (negative keeps none)")
 
 		logLevel  = flag.String("log-level", "", "structured log level: debug, info, warn, error (empty disables logging)")
 		logFormat = flag.String("log-format", "json", "structured log format: json or text")
@@ -90,8 +86,6 @@ func main() {
 		CacheEntries:     *cacheEntries,
 		JobTimeout:       *jobTimeout,
 		RunParallelism:   *parallel,
-		MaxRetries:       *retries,
-		RetryBackoff:     *retryBackoff,
 		BreakerThreshold: *brkThreshold,
 		BreakerCooldown:  *brkCooldown,
 		JobRetention:     *retention,

@@ -68,7 +68,7 @@ func choleskyCfg(key string, scale Scale) cholesky.Config {
 // the timings. It lives in the same bounded cache as the captured
 // task graphs (see cache.go) — one caching mechanism, not two.
 func choleskyWorkload(key string, scale Scale) *cholesky.Workload {
-	return sharedCache.get(cacheKey{kind: kindWorkload, app: key, scale: scale}, func() any {
+	return cached(sharedCache, cacheKey{kind: kindWorkload, app: key, scale: scale}, func() any {
 		return cholesky.NewWorkload(choleskyCfg(key, scale))
 	}).(*cholesky.Workload)
 }
@@ -138,7 +138,7 @@ func spmvCfg(scale Scale) spmv.Config {
 // The SpMV matrix generation is untimed setup shared across runs of a
 // scale, like the Cholesky symbolic factorization.
 func spmvWorkload(scale Scale) *spmv.Workload {
-	return sharedCache.get(cacheKey{kind: kindWorkload, app: "spmv", scale: scale}, func() any {
+	return cached(sharedCache, cacheKey{kind: kindWorkload, app: "spmv", scale: scale}, func() any {
 		return spmv.NewWorkload(spmvCfg(scale))
 	}).(*spmv.Workload)
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/jade"
 	"repro/internal/jade/graph"
+	"repro/internal/lru"
 	"repro/internal/metrics"
 )
 
@@ -206,7 +207,7 @@ func TestGraphReplayFaultedRuns(t *testing.T) {
 
 func captureUnderFault(t *testing.T, specs []RunSpec) {
 	for _, spec := range specs {
-		sharedCache.reset()
+		resetSharedCache()
 		if _, err := spec.Execute(Small); err != nil {
 			t.Fatal(err)
 		}
@@ -241,10 +242,14 @@ func TestReplayRejectsReusedPlatform(t *testing.T) {
 	replay(spec.taskGraph(Small).g, new(jade.Runtime), p, cfg)
 }
 
+// resetSharedCache empties the shared cache and zeroes its counters.
+// Callers run serially: no run may hold the old cache.
+func resetSharedCache() { sharedCache = lru.New[cacheKey, *slot](graphCacheCap) }
+
 // The front-end must be built once per (app, scale, place, procs), no
 // matter how many sweep cells or goroutines ask for it.
 func TestGraphCacheFillOnce(t *testing.T) {
-	c := newRunCache(8)
+	c := lru.New[cacheKey, *slot](8)
 	var builds int32
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -253,7 +258,7 @@ func TestGraphCacheFillOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i] = c.get(cacheKey{app: "k"}, func() any {
+			vals[i] = cached(c, cacheKey{app: "k"}, func() any {
 				mu.Lock()
 				builds++
 				mu.Unlock()
@@ -270,28 +275,28 @@ func TestGraphCacheFillOnce(t *testing.T) {
 			t.Fatalf("goroutine %d got a different value", i)
 		}
 	}
-	st := c.stats()
-	if st.Misses != 1 || st.Hits != 31 || st.Entries != 1 {
+	st := c.Stats()
+	if st.Misses != 1 || st.Hits != 31 || st.Len != 1 {
 		t.Fatalf("stats = %+v, want 1 miss, 31 hits, 1 entry", st)
 	}
 }
 
 func TestGraphCacheBounded(t *testing.T) {
-	c := newRunCache(4)
+	c := lru.New[cacheKey, *slot](4)
 	for i := 0; i < 10; i++ {
-		c.get(cacheKey{procs: i}, func() any { return i })
+		cached(c, cacheKey{procs: i}, func() any { return i })
 	}
-	if st := c.stats(); st.Entries != 4 {
-		t.Fatalf("cache holds %d entries, want capacity 4", st.Entries)
+	if n := c.Len(); n != 4 {
+		t.Fatalf("cache holds %d entries, want capacity 4", n)
 	}
 	// LRU: the most recent keys survive, the oldest were evicted.
-	before := c.stats()
-	c.get(cacheKey{procs: 9}, func() any { t.Fatal("k9 was evicted"); return nil })
-	if st := c.stats(); st.Hits != before.Hits+1 {
+	before := c.Stats()
+	cached(c, cacheKey{procs: 9}, func() any { t.Fatal("k9 was evicted"); return nil })
+	if st := c.Stats(); st.Hits != before.Hits+1 {
 		t.Fatalf("k9 lookup was not a hit")
 	}
 	rebuilt := false
-	c.get(cacheKey{procs: 0}, func() any { rebuilt = true; return 0 })
+	cached(c, cacheKey{procs: 0}, func() any { rebuilt = true; return 0 })
 	if !rebuilt {
 		t.Fatal("k0 survived past the capacity bound")
 	}
@@ -300,7 +305,7 @@ func TestGraphCacheBounded(t *testing.T) {
 // Concurrent sweep cells sharing one graph: the canonical parallel
 // fan-out path, run under -race in CI.
 func TestGraphCacheConcurrentRuns(t *testing.T) {
-	sharedCache.reset()
+	resetSharedCache()
 	spec := RunSpec{App: "ocean", Machine: "dash", Procs: 8, Level: LevelPlacement, WorkFree: true}
 	want := reportJSON(t, spec)
 	var wg sync.WaitGroup
@@ -350,7 +355,7 @@ const registryResidency = 66
 // body-bearing cells included — misses nothing: no front-end and no task
 // body runs again.
 func TestSecondPassCapturesNothing(t *testing.T) {
-	sharedCache.reset()
+	resetSharedCache()
 	pass := func() {
 		if _, _, err := (Runner{}).Execute(IDs(), DefaultRunSpecs(), Small); err != nil {
 			t.Fatal(err)

@@ -513,7 +513,6 @@ func (s *RunSpec) execute(scale Scale, free *machines, sink obsv.Sink) *metrics.
 		stampFusion(r, s.Machine, fe.st)
 	}
 	r.Obsv = obs.Snapshot(0)
-	accumulateFuse(r)
 	// Platforms return a pointer into the machine, which the worker's
 	// next cell resets: copy the run out, and hand its one slice over
 	// so the machine allocates a new one instead of reusing it.

@@ -1,6 +1,7 @@
-// Package fuse holds the shared pieces of the granularity optimization
-// pass: the fusion knobs and the process-wide counters the serving
-// layer exposes.
+// Package fuse holds the granularity optimization pass's fusion knobs.
+// It holds no mutable state: what a pass accomplished travels on each
+// run's own document (tasks_fused, msgs_coalesced,
+// fusion_benefit_bytes).
 //
 // The paper's Figures 10-11 and 20-21 show task-management overhead
 // swamping the communication optimizations at fine granularity — the
@@ -14,11 +15,9 @@
 // off.
 //
 // The package is a leaf: it imports nothing from the rest of the
-// repository, so the graph layer, the machine models, the experiment
-// drivers, and the server can all share it without cycles.
+// repository, so the graph layer and the experiment drivers can share
+// it without cycles.
 package fuse
-
-import "sync/atomic"
 
 // Options are the task-fusion knobs. The zero value disables fusion
 // (MaxChain < 2 fuses nothing); DefaultOptions is what RunSpec and the
@@ -49,45 +48,3 @@ func DefaultOptions() Options {
 
 // Enabled reports whether the options can fuse anything at all.
 func (o Options) Enabled() bool { return o.MaxChain >= 2 }
-
-// Counters is a snapshot of the process-wide granularity-pass totals,
-// as exposed through /metricz and the Prometheus exposition.
-type Counters struct {
-	// TasksFused counts tasks eliminated by fusion: a chain of n tasks
-	// collapsing into one scheduled unit adds n-1.
-	TasksFused uint64 `json:"tasks_fused"`
-	// MsgsCoalesced counts messages eliminated by coalescing: a batch
-	// of n same-destination fetches sharing one message adds n-1.
-	MsgsCoalesced uint64 `json:"msgs_coalesced"`
-	// FusionBenefitBytes counts task-management message bytes fusion
-	// avoided sending (one task message + one completion per
-	// eliminated task, priced by the machine's cost model).
-	FusionBenefitBytes uint64 `json:"fusion_benefit_bytes"`
-}
-
-var (
-	tasksFused         atomic.Uint64
-	msgsCoalesced      atomic.Uint64
-	fusionBenefitBytes atomic.Uint64
-)
-
-// AddTasksFused adds eliminated-task count to the process totals.
-func AddTasksFused(n uint64) { tasksFused.Add(n) }
-
-// AddMsgsCoalesced adds eliminated-message count to the process totals.
-func AddMsgsCoalesced(n uint64) { msgsCoalesced.Add(n) }
-
-// AddFusionBenefitBytes adds avoided task-management bytes to the
-// process totals.
-func AddFusionBenefitBytes(n uint64) { fusionBenefitBytes.Add(n) }
-
-// Snapshot returns the current process-wide totals. Each counter is an
-// independent atomic read; like every other /metricz gauge pair they
-// are point-in-time, monotone values.
-func Snapshot() Counters {
-	return Counters{
-		TasksFused:         tasksFused.Load(),
-		MsgsCoalesced:      msgsCoalesced.Load(),
-		FusionBenefitBytes: fusionBenefitBytes.Load(),
-	}
-}

@@ -219,9 +219,7 @@ func (h *Handler) metricsDoc() RouterMetrics {
 		Counters: h.rt.Counters(),
 		Backends: make(map[string]BackendMetrics, len(snap)),
 	}
-	if h.rt.stale != nil {
-		doc.StaleEntries = h.rt.stale.Len()
-	}
+	doc.StaleEntries = h.rt.stale.Len()
 	for name, st := range snap {
 		bm := BackendMetrics{State: st.State}
 		h.rt.mu.Lock()

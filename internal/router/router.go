@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/serve"
 	"repro/internal/svcobs"
 )
@@ -154,8 +155,9 @@ type Router struct {
 	backends map[string]Backend
 	health   *healthTracker
 
-	stale *serve.Cache // spec hash → result bytes (degraded mode)
-	jobs  *serve.Cache // async job ID → JSON status document
+	stale  *lru.Cache[string, []byte]           // spec hash → result bytes (degraded mode)
+	jobs   *lru.Cache[string, *serve.JobStatus] // async job ID → immutable status document
+	traces *lru.Cache[string, *svcobs.Doc]      // trace ID → request trace
 
 	mu       sync.Mutex
 	counters Counters
@@ -169,10 +171,6 @@ type Router struct {
 	cancel context.CancelFunc
 	slots  chan struct{} // one token per running async job
 	wg     sync.WaitGroup
-
-	traceMu    sync.Mutex
-	traces     map[string]*svcobs.Doc
-	traceOrder []string
 }
 
 // NewRouter builds a router over the given backends (at least one).
@@ -198,13 +196,11 @@ func NewRouter(cfg Config, backends ...Backend) (*Router, error) {
 		backends: byName,
 		inflight: make(map[string]int, len(names)),
 		windows:  make(map[string]*rollingWindow, len(names)),
-		traces:   make(map[string]*svcobs.Doc),
+		stale:    lru.New[string, []byte](cfg.StaleEntries),
+		jobs:     lru.New[string, *serve.JobStatus](4096),
+		traces:   lru.New[string, *svcobs.Doc](cfg.TraceRetention),
 		slots:    make(chan struct{}, asyncSlots),
 	}
-	if cfg.StaleEntries > 0 {
-		rt.stale = serve.NewCache(cfg.StaleEntries)
-	}
-	rt.jobs = serve.NewCache(4096)
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	for _, n := range names {
 		rt.windows[n] = newRollingWindow()
@@ -483,7 +479,7 @@ func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceI
 			if out.backend != primary && !out.isHedge {
 				rt.bump(func(c *Counters) { c.Failovers++ })
 			}
-			if rt.stale != nil && out.doc.Status == serve.StatusDone && len(out.doc.Result) > 0 {
+			if out.doc.Status == serve.StatusDone && len(out.doc.Result) > 0 {
 				rt.stale.Put(hash, out.doc.Result)
 			}
 			return res
@@ -590,21 +586,19 @@ func (rt *Router) attempt(ctx context.Context, spec *serve.JobSpec, traceID, pri
 // key (marked Stale) instead of a 5xx, or fail with 503 when the key
 // was never cached.
 func (rt *Router) degrade(hash string, parent *svcobs.Span) *Result {
-	if rt.stale != nil {
-		if data, ok := rt.stale.Get(hash); ok {
-			span := parent.Child("stale-serve")
-			span.End()
-			rt.bump(func(c *Counters) { c.StaleServed++ })
-			doc := &serve.JobStatus{
-				Schema:   serve.StatusSchema,
-				ID:       "stale-" + hash[:12],
-				Status:   serve.StatusDone,
-				SpecHash: hash,
-				CacheHit: true,
-				Result:   json.RawMessage(data),
-			}
-			return &Result{Doc: doc, Code: http.StatusOK, Stale: true}
+	if data, ok := rt.stale.Get(hash); ok {
+		span := parent.Child("stale-serve")
+		span.End()
+		rt.bump(func(c *Counters) { c.StaleServed++ })
+		doc := &serve.JobStatus{
+			Schema:   serve.StatusSchema,
+			ID:       "stale-" + hash[:12],
+			Status:   serve.StatusDone,
+			SpecHash: hash,
+			CacheHit: true,
+			Result:   json.RawMessage(data),
 		}
+		return &Result{Doc: doc, Code: http.StatusOK, Stale: true}
 	}
 	return &Result{
 		Code: http.StatusServiceUnavailable,
@@ -646,7 +640,7 @@ func (rt *Router) startAsync(spec *serve.JobSpec, traceID string) *Result {
 	if rt.cfg.Spans {
 		doc.TraceID = traceID
 	}
-	rt.putJob(doc)
+	rt.jobs.Put(id, doc)
 	go func() {
 		defer func() { <-rt.slots; rt.wg.Done() }()
 		res := rt.Do(rt.ctx, spec, true, traceID)
@@ -655,30 +649,22 @@ func (rt *Router) startAsync(spec *serve.JobSpec, traceID string) *Result {
 			end = &serve.JobStatus{Status: serve.StatusFailed, Error: res.Err.Error(), ErrorCode: serve.ErrCodeFailed}
 		}
 		end.Schema, end.ID, end.SpecHash, end.Spec, end.TraceID = doc.Schema, id, doc.SpecHash, spec, doc.TraceID
-		rt.putJob(end)
+		rt.jobs.Put(id, end)
 	}()
 	return &Result{Doc: doc, Code: http.StatusAccepted}
 }
 
-func (rt *Router) putJob(doc *serve.JobStatus) {
-	data, err := json.Marshal(doc)
-	if err != nil {
-		panic(fmt.Sprintf("router: marshal job status: %v", err))
-	}
-	rt.jobs.Put(doc.ID, data)
-}
-
 // Status answers an async status poll from the router's job table; no
-// backend is involved. An unknown or evicted job ID fails with a
-// BackendError carrying 404.
+// backend is involved. The table's documents are never written after
+// they are stored, so the caller gets a copy it may modify. An unknown
+// or evicted job ID fails with a BackendError carrying 404.
 func (rt *Router) Status(ctx context.Context, jobID string) (*serve.JobStatus, error) {
-	data, ok := rt.jobs.Get(jobID)
+	doc, ok := rt.jobs.Get(jobID)
 	if !ok {
 		return nil, &BackendError{Code: http.StatusNotFound, Msg: "unknown job " + jobID}
 	}
-	var doc serve.JobStatus
-	err := json.Unmarshal(data, &doc)
-	return &doc, err
+	cp := *doc
+	return &cp, nil
 }
 
 // ---- trace store ----
@@ -688,23 +674,9 @@ func (rt *Router) storeTrace(trace *svcobs.Trace) {
 	if doc == nil {
 		return
 	}
-	rt.traceMu.Lock()
-	defer rt.traceMu.Unlock()
-	if _, exists := rt.traces[trace.ID()]; !exists {
-		rt.traceOrder = append(rt.traceOrder, trace.ID())
-	}
-	rt.traces[trace.ID()] = doc
-	for len(rt.traceOrder) > rt.cfg.TraceRetention {
-		drop := rt.traceOrder[0]
-		rt.traceOrder = rt.traceOrder[1:]
-		delete(rt.traces, drop)
-	}
+	rt.traces.Put(trace.ID(), doc)
 }
 
-// Trace returns a stored request trace by ID.
-func (rt *Router) Trace(id string) (*svcobs.Doc, bool) {
-	rt.traceMu.Lock()
-	defer rt.traceMu.Unlock()
-	doc, ok := rt.traces[id]
-	return doc, ok
-}
+// Trace returns a stored request trace by ID. Lookups Peek, so the
+// store evicts the least recently stored trace first.
+func (rt *Router) Trace(id string) (*svcobs.Doc, bool) { return rt.traces.Peek(id) }

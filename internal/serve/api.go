@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"repro/internal/experiments"
-	"repro/internal/fuse"
 	"repro/internal/obsv"
 	"repro/internal/svcobs"
 )
@@ -98,10 +97,8 @@ type Metrics struct {
 	// a job already executing, so they shared its result instead of
 	// running again.
 	JobsDeduped int64 `json:"jobs_deduped"`
-	// JobsRetried counts re-executions after transient runner
-	// failures; JobsPanicked counts runner panics caught and turned
-	// into job failures (the worker survives both).
-	JobsRetried  int64 `json:"jobs_retried"`
+	// JobsPanicked counts runner panics caught and turned into job
+	// failures (the worker survives them).
 	JobsPanicked int64 `json:"jobs_panicked"`
 	// BreakerTransitions counts circuit state changes (closed→open,
 	// open→half-open, half-open→closed/open) across all experiments.
@@ -115,10 +112,6 @@ type Metrics struct {
 	// graphs instead of rebuilding front-ends (see
 	// experiments.GraphCacheStats).
 	GraphCache experiments.CacheStats `json:"graph_cache"`
-	// Fuse reports the process-wide granularity-pass totals: tasks
-	// eliminated by fusion, messages eliminated by coalescing, and the
-	// task-management bytes fusion avoided (see fuse.Snapshot).
-	Fuse fuse.Counters `json:"fuse"`
 	// ExperimentLatency reports wall-clock job execution latency
 	// (seconds) per experiment ID, plus the "_job" aggregate over all
 	// executed jobs. Cache hits are excluded — they measure the

@@ -99,9 +99,7 @@ func BenchmarkSpanCapture(b *testing.B) {
 		}
 		q := root.Child("queue_wait")
 		q.End()
-		ex := root.Child("execute")
-		ex.Child("attempt-1").End()
-		ex.End()
+		root.Child("execute").End()
 		root.Child("finish").End()
 		root.End()
 	}

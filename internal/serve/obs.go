@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fuse"
 	"repro/internal/obsv"
 	"repro/internal/svcobs"
 )
@@ -172,9 +171,7 @@ func (s *Server) noteBreakerTransition(key, from, to string) {
 
 // TraceDoc exports a job's span tree as its jade-span/v1 document.
 func (s *Server) TraceDoc(id string) (*svcobs.Doc, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("unknown job %q", id)
 	}
@@ -211,7 +208,7 @@ const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 func (s *Server) writeProm(w http.ResponseWriter) {
 	s.mu.Lock()
 	accepted, completed, failed := s.accepted, s.completed, s.failed
-	rejected, deduped, retried, panicked := s.rejected, s.deduped, s.retried, s.panicked
+	rejected, deduped, panicked := s.rejected, s.deduped, s.panicked
 	transitions := s.breakerTransitions
 	busy := s.busy
 	latency := make(map[string]obsv.Histogram, len(s.latency))
@@ -219,9 +216,8 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 		latency[id] = *h // value copy: scrape-stable snapshot
 	}
 	s.mu.Unlock()
-	hits, misses := s.cache.Stats()
+	rc := s.cache.Stats()
 	gc := experiments.GraphCacheStats()
-	fz := fuse.Snapshot()
 
 	w.Header().Set("Content-Type", promContentType)
 	p := svcobs.NewPromWriter(w)
@@ -230,23 +226,19 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 	p.Counter("jaded_jobs_failed_total", "Jobs finished in failure (timeouts included).", float64(failed))
 	p.Counter("jaded_jobs_rejected_total", "Submissions refused by queue backpressure.", float64(rejected))
 	p.Counter("jaded_jobs_deduped_total", "Jobs finished by singleflight onto an identical in-flight job.", float64(deduped))
-	p.Counter("jaded_jobs_retried_total", "Re-executions after transient runner failures.", float64(retried))
 	p.Counter("jaded_jobs_panicked_total", "Runner panics caught and turned into job failures.", float64(panicked))
 	p.Counter("jaded_breaker_transitions_total", "Circuit breaker state transitions.", float64(transitions))
-	p.Counter("jaded_result_cache_hits_total", "Result cache hits.", float64(hits))
-	p.Counter("jaded_result_cache_misses_total", "Result cache misses.", float64(misses))
+	p.Counter("jaded_result_cache_hits_total", "Result cache hits.", float64(rc.Hits))
+	p.Counter("jaded_result_cache_misses_total", "Result cache misses.", float64(rc.Misses))
 	p.Counter("jaded_graph_cache_hits_total", "Task-graph cache hits.", float64(gc.Hits))
 	p.Counter("jaded_graph_cache_misses_total", "Task-graph cache misses.", float64(gc.Misses))
-	p.Counter("jaded_tasks_fused_total", "Tasks eliminated by the fusion pass.", float64(fz.TasksFused))
-	p.Counter("jaded_msgs_coalesced_total", "Messages eliminated by coalescing same-destination fetches.", float64(fz.MsgsCoalesced))
-	p.Counter("jaded_fusion_benefit_bytes_total", "Task-management message bytes avoided by fusion.", float64(fz.FusionBenefitBytes))
 
 	p.Gauge("jaded_uptime_seconds", "Process uptime.", time.Since(s.start).Seconds())
 	p.Gauge("jaded_queue_depth", "Jobs waiting in the queue.", float64(s.queue.Len()))
 	p.Gauge("jaded_queue_capacity", "Queue capacity.", float64(s.queue.Cap()))
 	p.Gauge("jaded_workers", "Configured worker count.", float64(s.cfg.Workers))
 	p.Gauge("jaded_busy_workers", "Workers executing a job right now.", float64(busy))
-	p.Gauge("jaded_result_cache_entries", "Result cache entries.", float64(s.cache.Len()))
+	p.Gauge("jaded_result_cache_entries", "Result cache entries.", float64(rc.Len))
 	p.Gauge("jaded_graph_cache_entries", "Task-graph cache entries.", float64(gc.Entries))
 
 	if brk := s.breaker.snapshot(); len(brk) > 0 {

@@ -48,71 +48,6 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestTransientRetrySucceeds: failures wrapping ErrTransient are
-// retried with backoff until the runner recovers.
-func TestTransientRetrySucceeds(t *testing.T) {
-	var runs atomic.Int32
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
-		if runs.Add(1) < 3 {
-			return nil, fmt.Errorf("flaky dependency: %w", ErrTransient)
-		}
-		return []byte(`{"schema":"jadebench/v1"}`), nil
-	}
-	_, ts := newTestServer(t, Config{Workers: 1, MaxRetries: 2, RetryBackoff: time.Millisecond}, runFn)
-
-	code, doc, _ := submit(t, ts.URL, `{"experiments":["table1"]}`, true)
-	if code != http.StatusOK || doc.Status != StatusDone {
-		t.Fatalf("job = %d/%s (%s), want done after retries", code, doc.Status, doc.Error)
-	}
-	if got := runs.Load(); got != 3 {
-		t.Fatalf("runner executed %d times, want 3", got)
-	}
-	if m := metricz(t, ts.URL); m.JobsRetried != 2 {
-		t.Fatalf("jobs_retried = %d, want 2", m.JobsRetried)
-	}
-}
-
-// TestTransientRetryExhausted: a persistently transient failure gives
-// up after the configured attempts and reports how many were made.
-func TestTransientRetryExhausted(t *testing.T) {
-	var runs atomic.Int32
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
-		runs.Add(1)
-		return nil, fmt.Errorf("still flaky: %w", ErrTransient)
-	}
-	_, ts := newTestServer(t, Config{Workers: 1, MaxRetries: 2, RetryBackoff: time.Millisecond}, runFn)
-
-	_, doc, _ := submit(t, ts.URL, `{"experiments":["table1"]}`, true)
-	if doc.Status != StatusFailed || !strings.Contains(doc.Error, "gave up after 3 attempts") {
-		t.Fatalf("doc = %+v, want failure naming the attempt budget", doc)
-	}
-	if got := runs.Load(); got != 3 {
-		t.Fatalf("runner executed %d times, want 3", got)
-	}
-}
-
-// TestPermanentErrorNotRetried: errors not wrapping ErrTransient fail
-// on the first attempt.
-func TestPermanentErrorNotRetried(t *testing.T) {
-	var runs atomic.Int32
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
-		runs.Add(1)
-		return nil, errRunnerBroken
-	}
-	_, ts := newTestServer(t, Config{Workers: 1, MaxRetries: 3, RetryBackoff: time.Millisecond}, runFn)
-
-	_, doc, _ := submit(t, ts.URL, `{"experiments":["table1"]}`, true)
-	if doc.Status != StatusFailed || doc.ErrorCode != ErrCodeFailed {
-		t.Fatalf("doc = %+v", doc)
-	}
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("permanent error ran %d times, want 1", got)
-	}
-	if m := metricz(t, ts.URL); m.JobsRetried != 0 {
-		t.Fatalf("jobs_retried = %d, want 0", m.JobsRetried)
-	}
-}
-
 // TestDeadlineCoversQueueWait: the job deadline starts at submission,
 // so a job whose deadline expired while it sat queued fails without
 // ever reaching the runner.

@@ -47,15 +47,10 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/fuse"
+	"repro/internal/lru"
 	"repro/internal/obsv"
 	"repro/internal/svcobs"
 )
-
-// ErrTransient marks runner errors worth retrying: wrap (or join) it
-// into an error to tell the server the failure is not inherent to the
-// spec. Anything else fails the job on the first attempt.
-var ErrTransient = errors.New("transient error")
 
 // errTimeout marks deadline expiries so finish can report the distinct
 // "timeout" error code (and sync submits can answer 504 + Retry-After).
@@ -79,13 +74,6 @@ type Config struct {
 	// use the whole machine. 0 selects GOMAXPROCS; 1 forces serial
 	// execution. Servers in one process keep their own widths.
 	RunParallelism int
-	// MaxRetries bounds re-executions of a job whose runner failed
-	// with an error wrapping ErrTransient (default 2 retries, i.e. 3
-	// attempts; negative disables retrying).
-	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubling on
-	// each subsequent one (default 50ms).
-	RetryBackoff time.Duration
 	// BreakerThreshold trips an experiment's circuit breaker after
 	// this many consecutive execution failures (default 5; negative
 	// disables the breaker).
@@ -96,9 +84,8 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// JobRetention bounds how many terminal (done or failed) jobs stay
 	// pollable under their IDs, spans included; the oldest are evicted
-	// first. 0 selects the default of 4096, negative retains
-	// everything (the pre-retention behavior — the jobs map then grows
-	// without bound).
+	// first. 0 selects the default of 4096, negative keeps none. Queued
+	// and running jobs stay pollable whatever the bound.
 	JobRetention int
 	// Logger receives structured access and job-lifecycle logs
 	// (log/slog); nil disables logging entirely.
@@ -126,15 +113,6 @@ func (c *Config) fillDefaults() {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 2 * time.Minute
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
 	}
@@ -146,9 +124,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.JobRetention == 0 {
 		c.JobRetention = 4096
-	}
-	if c.JobRetention < 0 {
-		c.JobRetention = 0 // retain everything
 	}
 }
 
@@ -177,9 +152,9 @@ type Job struct {
 	cancel context.CancelFunc
 
 	// Observability: the request's trace travels with the job so the
-	// lifecycle phases (queue wait, execution attempts, finish) land
-	// in the same span tree the HTTP middleware rooted. All nil when
-	// span capture is off.
+	// lifecycle phases (queue wait, execution, finish) land in the same
+	// span tree the HTTP middleware rooted. All nil when span capture
+	// is off.
 	trace     *svcobs.Trace
 	root      *svcobs.Span
 	spanQueue *svcobs.Span // queue_wait: enqueue → worker pickup
@@ -197,7 +172,7 @@ type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
 	queue  *Queue[*Job]
-	cache  *Cache
+	cache  *lru.Cache[string, []byte] // spec hash → jadebench/v1 bytes
 	start  time.Time
 	wg     sync.WaitGroup
 	logger *slog.Logger
@@ -212,8 +187,12 @@ type Server struct {
 	// breaker refuses submissions for experiments that keep failing.
 	breaker *breaker
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// jobs holds the live (queued or running) jobs; finish moves each
+	// into done, the terminal jobs kept pollable under
+	// Config.JobRetention. Lookups Peek done, so it evicts oldest-first.
 	jobs      map[string]*Job
+	done      *lru.Cache[string, *Job]
 	inflight  map[string]*Job // singleflight: hash -> executing job
 	seq       int
 	busy      int
@@ -223,16 +202,11 @@ type Server struct {
 	failed    int64
 	rejected  int64
 	deduped   int64
-	retried   int64
 	panicked  int64
 	// breakerTransitions counts circuit state changes (see
 	// noteBreakerTransition); monotonic, like every counter above.
 	breakerTransitions int64
 	latency            map[string]*obsv.Histogram
-	// doneOrder lists terminal job IDs oldest-first; finishLocked
-	// evicts from its head once Config.JobRetention is exceeded, so
-	// finished jobs (and their span trees) don't accumulate forever.
-	doneOrder []string
 }
 
 // New creates a server and starts its worker pool.
@@ -248,13 +222,14 @@ func newServer(cfg Config, runFn func(context.Context, *JobSpec) ([]byte, error)
 		cfg:      cfg,
 		runner:   experiments.NewRunner(cfg.RunParallelism),
 		queue:    NewQueue[*Job](cfg.QueueCap),
-		cache:    NewCache(cfg.CacheEntries),
+		cache:    lru.New[string, []byte](cfg.CacheEntries),
 		start:    time.Now(),
 		logger:   cfg.Logger,
 		slo:      svcobs.NewSLO(cfg.SLO),
 		runFn:    runFn,
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		jobs:     make(map[string]*Job),
+		done:     lru.New[string, *Job](cfg.JobRetention),
 		inflight: make(map[string]*Job),
 		latency:  make(map[string]*obsv.Histogram),
 	}
@@ -381,7 +356,7 @@ func (s *Server) execute(j *Job) {
 	started := time.Now()
 
 	execSpan := j.root.Child("execute")
-	data, err := s.run(j, execSpan)
+	data, err := s.runOnce(j.ctx, j.Spec)
 	if err != nil {
 		execSpan.SetAttr("error", err.Error())
 	}
@@ -410,42 +385,6 @@ func (s *Server) execute(j *Job) {
 			s.finish(f, data, true, nil)
 		}
 	}
-}
-
-// run executes the job's spec, retrying transient failures with
-// exponential backoff inside the job deadline. Each attempt gets its
-// own sub-span under the execute span.
-func (s *Server) run(j *Job, execSpan *svcobs.Span) ([]byte, error) {
-	attempts := s.cfg.MaxRetries + 1
-	backoff := s.cfg.RetryBackoff
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-j.ctx.Done():
-				return nil, fmt.Errorf("%w: the job deadline expired during retry backoff: %v", errTimeout, err)
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			s.mu.Lock()
-			s.retried++
-			s.mu.Unlock()
-		}
-		attSpan := execSpan.Child(fmt.Sprintf("attempt-%d", attempt+1))
-		var data []byte
-		data, err = s.runOnce(j.ctx, j.Spec)
-		if err != nil {
-			attSpan.SetAttr("error", err.Error())
-		}
-		attSpan.End()
-		if err == nil {
-			return data, nil
-		}
-		if errors.Is(err, errTimeout) || !errors.Is(err, ErrTransient) {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("gave up after %d attempts: %w", attempts, err)
 }
 
 // runOnce runs the spec on a fresh goroutine with panic isolation: a
@@ -505,16 +444,8 @@ func (s *Server) finish(j *Job, data []byte, cacheHit bool, err error) {
 	if j.cancel != nil {
 		j.cancel()
 	}
-	if n := s.cfg.JobRetention; n > 0 {
-		s.doneOrder = append(s.doneOrder, j.ID)
-		if len(s.doneOrder) > n {
-			evict := len(s.doneOrder) - n
-			for _, id := range s.doneOrder[:evict] {
-				delete(s.jobs, id)
-			}
-			s.doneOrder = append(s.doneOrder[:0], s.doneOrder[evict:]...)
-		}
-	}
+	delete(s.jobs, j.ID)
+	s.done.Put(j.ID, j)
 	s.mu.Unlock()
 	fs.End()
 	latency := time.Since(j.created).Seconds()
@@ -906,11 +837,19 @@ func (s *Server) statusDoc(j *Job, includeResult bool) *JobStatus {
 	return doc
 }
 
+// lookup finds a job by ID: live, or terminal and still retained.
+func (s *Server) lookup(id string) (*Job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[id]; ok {
+		return j, true
+	}
+	return s.done.Peek(id)
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 		return
@@ -958,7 +897,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // (never jobs_completed > jobs_accepted); queue, cache, breaker, and
 // SLO gauges have their own locks and are point-in-time reads.
 func (s *Server) metricsDoc() Metrics {
-	hits, misses := s.cache.Stats()
+	rc := s.cache.Stats()
 	s.mu.Lock()
 	m := Metrics{
 		Schema:             MetricsSchema,
@@ -973,18 +912,16 @@ func (s *Server) metricsDoc() Metrics {
 		JobsFailed:         s.failed,
 		JobsRejected:       s.rejected,
 		JobsDeduped:        s.deduped,
-		JobsRetried:        s.retried,
 		JobsPanicked:       s.panicked,
 		BreakerTransitions: s.breakerTransitions,
-		CacheEntries:       s.cache.Len(),
-		CacheHits:          hits,
-		CacheMisses:        misses,
+		CacheEntries:       rc.Len,
+		CacheHits:          rc.Hits,
+		CacheMisses:        rc.Misses,
 		GraphCache:         experiments.GraphCacheStats(),
-		Fuse:               fuse.Snapshot(),
 		ExperimentLatency:  make(map[string]obsv.LatencySummary, len(s.latency)),
 	}
-	if hits+misses > 0 {
-		m.CacheHitRate = float64(hits) / float64(hits+misses)
+	if rc.Hits+rc.Misses > 0 {
+		m.CacheHitRate = float64(rc.Hits) / float64(rc.Hits+rc.Misses)
 	}
 	for id, h := range s.latency {
 		m.ExperimentLatency[id] = h.Summary()
