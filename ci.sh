@@ -171,23 +171,30 @@ go test -run '^TestGranularity(FinestSizeMessageCut|PassMovesCrossover)$' ./inte
 
 echo "== jadebench cell-trace smoke =="
 # The simulated-event stream's consumers end to end, on one registered
-# cell per machine plus two variant cells (a head-steal DASH cell and a
-# fused granularity cell on PGAS): event log, hot-object report, Gantt
-# chart and Perfetto export of the run the table reports. jadebench -cell exits 1
-# when the recorded schedule fails check.Validate, and 2 on a cell
-# index out of range.
+# cell per machine plus three variant cells (a head-steal DASH cell, a
+# fused granularity cell on PGAS, and an iPSC cell losing 20% of its
+# transmissions, whose retransmits the consumers and the machine kit's
+# message conservation check must carry): event log, hot-object report,
+# Gantt chart and Perfetto export of the run the table reports. Each
+# entry names the experiment, the cell, the machine and, when another
+# entry already runs on that machine, its output file. jadebench -cell
+# exits 1 when the recorded schedule fails check.Validate, and 2 on a
+# cell index out of range.
 trdir=$(mktemp -d)
 go build -o "$trdir/jadebench" ./cmd/jadebench
 go build -o "$trdir/jsoncheck" ./internal/tools/jsoncheck
 for cell in "table4 2 dash" "table9 2 ipsc" "pgas-compare 8 pgas" "extension-portability 10 cluster" \
-    "ablation-steal 10 dash" "granularity-sweep 42 pgas"; do
+    "ablation-steal 10 dash" "granularity-sweep 42 pgas" "fault-sweep 39 ipsc ipsc-drop20"; do
     set -- $cell
+    out="$trdir/${4:-$3}"
     "$trdir/jadebench" -experiment "$1" -cell "$2" -log -hot 5 \
-        -perfetto "$trdir/$3.json" >"$trdir/$3.txt"
-    grep -q "\"machine\":\"$3\"" "$trdir/$3.txt" ||
+        -perfetto "$out.json" >"$out.txt"
+    grep -q "\"machine\":\"$3\"" "$out.txt" ||
         { echo "jadebench: $1 cell $2 did not run on $3" >&2; exit 1; }
-    "$trdir/jsoncheck" traceEvents.0.ph displayTimeUnit <"$trdir/$3.json"
+    "$trdir/jsoncheck" traceEvents.0.ph displayTimeUnit <"$out.json"
 done
+grep -q '"drop_pct":0.2' "$trdir/ipsc-drop20.txt" ||
+    { echo "jadebench: fault-sweep cell 39 is not the 20% drop cell" >&2; exit 1; }
 status=0
 "$trdir/jadebench" -experiment table4 -cell 9999 >/dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] ||

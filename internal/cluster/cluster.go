@@ -146,6 +146,7 @@ func (m *Machine) ObjectAllocated(o *jade.Object) {
 // Send implements machine.Model: every message serializes on the bus.
 func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
 	sent := m.bus.Submit(at, sim.Time(m.cfg.busTime(bytes)), nil)
+	m.Sent(bytes)
 	m.Eng.AtCall(sent+sim.Time(m.cfg.MsgLatencySec), h, arg)
 }
 
@@ -169,11 +170,11 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 			arrive := rep + sim.Time(m.cfg.MsgLatencySec)
 			m.CPUs[0].Advance(arrive)
 			store[o.ID] = a.RequiredVersion
-			m.Metrics.MsgBytes += int64(o.Size)
-			m.Metrics.MsgCount++
-			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+			m.Sent(o.Size)
+			m.Arrived(o.Size, 1)
+			m.Record(obsv.Event{Kind: obsv.Fetch, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
 				At: float64(issued), End: float64(arrive), Flag: m.owner[o.ID] != 0})
-			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
+			m.Record(obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
 		}
 		if a.Writes() {
 			m.owner[o.ID] = 0
@@ -240,6 +241,7 @@ func (m *Machine) Arrive(ts *machine.TaskState) {
 		msg.Issued = m.Eng.Now()
 		req := m.bus.Submit(msg.Issued, sim.Time(m.cfg.busTime(m.cfg.RequestBytes)), nil)
 		rep := m.bus.Submit(req+sim.Time(m.cfg.MsgLatencySec), sim.Time(m.cfg.busTime(msg.Batch[0].Obj.Size)), nil)
+		m.Sent(msg.Batch[0].Obj.Size)
 		m.Eng.AtCall(rep+sim.Time(m.cfg.MsgLatencySec), m.replyH, i)
 	}
 }
@@ -249,11 +251,10 @@ func (m *Machine) reply(i int32) {
 	msg := m.Msg(i)
 	p, a := msg.TS.Proc, msg.Batch[0]
 	m.stores[p][a.Obj.ID] = a.RequiredVersion
-	m.Metrics.MsgBytes += int64(a.Obj.Size)
-	m.Metrics.MsgCount++
-	m.Metrics.ReplicatedReads++
-	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
+	m.Record(obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
 		At: float64(msg.Issued), End: float64(m.Eng.Now()), Flag: m.owner[a.Obj.ID] != p})
+	// Every fetched object is a read copy here, whoever owns it now.
+	m.Replied(a.Obj.Size, 1, true, float64(msg.Issued), float64(m.Eng.Now()))
 	m.Fetched(i)
 }
 

@@ -146,10 +146,10 @@ func (m *Machine) register() {
 	m.execDoneCallH = m.Eng.RegisterHandler(func(v int32) {
 		p := int(v)
 		t := m.curTask[p]
-		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(m.curStart[p]), End: float64(m.Eng.Now())})
+		m.Record(obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(m.curStart[p]), End: float64(m.Eng.Now())})
 		m.curTask[p] = nil
 		m.running[p] = false
-		m.Done(t)
+		m.RT.TaskDone(t)
 		m.dispatch(p)
 	})
 }
@@ -211,7 +211,7 @@ func (m *Machine) target(t *jade.Task) int {
 // peers displace them (the paper's Water/String runs execute 100% of
 // tasks on target), while sustained imbalance still triggers steals.
 func (m *Machine) enqueue(t *jade.Task) {
-	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Enabled, Proc: -1, Task: int(t.ID), At: float64(m.Eng.Now())})
+	m.Record(obsv.Event{Kind: obsv.Enabled, Proc: -1, Task: int(t.ID), At: float64(m.Eng.Now())})
 	switch {
 	case m.cfg.Level == NoLocality:
 		m.global = append(m.global, int32(t.ID))
@@ -375,7 +375,6 @@ func (m *Machine) execute(p int, t *jade.Task, stole bool) {
 	if stole {
 		mgmt += m.cfg.StealSec
 	}
-	m.Metrics.TaskMgmtTime += mgmt
 
 	var app float64
 	if !m.RT.Config().WorkFree {
@@ -385,14 +384,10 @@ func (m *Machine) execute(p int, t *jade.Task, stole bool) {
 		app += t.Work * m.cfg.SpeedFactor
 		app *= m.jitter(t.ID)
 	}
-	m.Metrics.TaskCount++
-	if p == m.target(t) {
-		m.Metrics.TasksOnTarget++
-	}
-	m.Metrics.TaskExecTotal += app
+	m.Dispatched(p, int(t.ID), m.target(t), mgmt, app)
 
 	m.running[p] = true
-	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecStart, Proc: p, Task: int(t.ID), At: float64(m.Eng.Now()), Flag: stole})
+	m.Record(obsv.Event{Kind: obsv.ExecStart, Proc: p, Task: int(t.ID), At: float64(m.Eng.Now()), Flag: stole})
 	if len(t.Segments) > 0 && !m.RT.Config().WorkFree {
 		// Staged task: memory and dispatch costs are charged with the
 		// first segment; each segment boundary may release accesses.
@@ -422,7 +417,7 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 			d += baseCost
 		}
 		m.CPUs[p].Submit(m.Eng.Now(), sim.Time(d), func(start, end sim.Time) {
-			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
+			m.Record(obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
 			for _, o := range segs[i].Release {
 				m.RT.ReleaseEarly(t, o)
 			}
@@ -431,8 +426,8 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 				return
 			}
 			m.running[p] = false
-			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(end), End: float64(end), Flag: true})
-			m.Done(t)
+			m.Record(obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(end), End: float64(end), Flag: true})
+			m.RT.TaskDone(t)
 			m.dispatch(p)
 		})
 	}
@@ -477,7 +472,7 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 		// previous access and this one: the hit becomes a miss and pays
 		// the full memory latency again.
 		hit = false
-		m.Metrics.FaultInvalidations++
+		m.Invalidated()
 	}
 	switch {
 	case hit:
@@ -505,11 +500,7 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 		// remote access from them pays the elevated latency factor.
 		cycles *= m.Inj.RemoteFactor(m.cfg.cluster(p), m.cfg.clusters())
 	}
-	if remote {
-		m.Metrics.RemoteBytes += int64(o.Size)
-	} else {
-		m.Metrics.LocalBytes += int64(o.Size)
-	}
+	m.Accessed(o.Size, remote, hit)
 	c.insert(o, resulting)
 	if a.Writes() {
 		m.lastWriter[o.ID] = writerInfo{proc: p, version: resulting, dirty: true}
@@ -519,7 +510,7 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 	// transfer from local or remote memory into p's cache. It is priced
 	// inside the task's execution, so only its latency is known.
 	if !hit {
-		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size, End: cost, Flag: remote})
+		m.Record(obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size, End: cost, Flag: remote})
 	}
 	return cost
 }

@@ -509,6 +509,9 @@ func (s *RunSpec) execute(scale Scale, free *machines, sink obsv.Sink) *metrics.
 	p, obs := s.newPlatform(free, sink)
 	fe := s.taskGraph(scale)
 	r := replay(fe.g, &free.rt, p, cfg)
+	if obs != nil {
+		s.agree(r, p, obs)
+	}
 	if s.Fusion {
 		stampFusion(r, s.Machine, fe.st)
 	}
@@ -520,6 +523,29 @@ func (s *RunSpec) execute(scale Scale, free *machines, sink obsv.Sink) *metrics.
 	r.ProcBusy = nil
 	free.put(p)
 	return &detached
+}
+
+// agree panics unless the run's two views of its traffic agree: the
+// bytes obs attributes to objects, from Fetch and Broadcast events,
+// equal the fold's byte counters less the bytes no such event carries
+// (machine.Core.Unfetched), DASH cache hits and iPSC update pushes.
+func (s *RunSpec) agree(r *metrics.Run, p jade.Platform, obs *obsv.Observer) {
+	cacheHits, pushes := p.(interface{ Unfetched() (int64, int64) }).Unfetched()
+	var fold int64
+	switch s.Machine {
+	case "dash":
+		fold = r.LocalBytes + r.RemoteBytes - cacheHits
+	case "ipsc":
+		fold = r.MsgBytes - pushes
+	case "pgas":
+		fold = r.RemoteBytes
+	case "cluster":
+		fold = r.MsgBytes
+	}
+	if b := obs.Bytes(); b != fold {
+		panic(fmt.Sprintf("experiments: %s/%s: the observer attributes %d bytes to objects, the run's counters %d",
+			s.App, s.Machine, b, fold))
+	}
 }
 
 // instrumented wraps a canonical spec's run in its runs[] entry.

@@ -188,12 +188,13 @@ func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int3
 	occ := sim.Time(m.cfg.sendOccupancy(bytes))
 	lat := sim.Time(m.cfg.msgLatency(from, to))
 	if m.Inj == nil {
+		m.Sent(bytes)
 		sent := m.nodes[from].nic.Submit(at, occ, nil)
 		m.Eng.AtCall(sent+lat, h, arg)
 		return
 	}
 	occ = sim.Time(float64(occ) * m.Inj.LinkFactor(from, to))
-	rec := sendRec{from: from, occ: occ, lat: lat, msg: m.Inj.NextMsg(from), h: h, arg: arg,
+	rec := sendRec{from: from, bytes: bytes, occ: occ, lat: lat, msg: m.Inj.NextMsg(from), h: h, arg: arg,
 		// Per-message retransmit timeout from the paper's cost model:
 		// the data push, the wire both ways, and the receiver's ack
 		// push.
@@ -210,11 +211,12 @@ func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int3
 	m.transmit(i, at)
 }
 
-// sendRec is one message under the retransmit protocol: its sender,
-// NIC occupancy, wire latency and timeout, its index for the
-// injector's draws, the attempt it is on, and the delivery to schedule.
+// sendRec is one message under the retransmit protocol: its sender
+// and payload, NIC occupancy, wire latency and timeout, its index for
+// the injector's draws, the attempt it is on, and the delivery to
+// schedule.
 type sendRec struct {
-	from          int
+	from, bytes   int
 	occ, lat, rto sim.Time
 	msg           uint64
 	attempt       int
@@ -232,9 +234,9 @@ type sendRec struct {
 func (m *Machine) transmit(i int32, start sim.Time) {
 	rec := &m.sends[i]
 	sent := m.nodes[rec.from].nic.Submit(start, rec.occ, nil)
+	m.Sent(rec.bytes)
 	if m.Inj.Drop(rec.from, rec.msg, rec.attempt) && rec.attempt < maxSendAttempts-1 {
-		m.Metrics.MsgDropped++
-		m.Metrics.MsgRetransmits++
+		m.Dropped(rec.bytes)
 		// Exponential backoff with deterministic jitter in [1, 2).
 		backoff := sim.Time(float64(rec.rto) * float64(uint64(1)<<uint(rec.attempt)) *
 			(1 + m.Inj.Jitter(rec.from, rec.msg, rec.attempt)))
@@ -243,10 +245,11 @@ func (m *Machine) transmit(i int32, start sim.Time) {
 		return
 	}
 	if m.Inj.Duplicate(rec.from, rec.msg) {
-		m.Metrics.MsgDuplicates++
 		m.nodes[rec.from].nic.Submit(sent, rec.occ, nil)
+		m.Sent(rec.bytes)
+		m.Duplicated(rec.bytes)
 	}
-	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Delivery, N: rec.attempt + 1})
+	m.Record(obsv.Event{Kind: obsv.Delivery, N: rec.attempt + 1})
 	m.Eng.AtCall(sent+rec.lat, rec.h, rec.arg)
 	m.freeSends = append(m.freeSends, i)
 }
@@ -396,6 +399,7 @@ func (m *Machine) fetch(i int32) {
 func (m *Machine) request(i int32) {
 	msg := m.Msg(i)
 	p := msg.TS.Proc
+	m.Arrived(m.cfg.RequestBytes, 0)
 	size := 0
 	for _, a := range msg.Batch {
 		m.noteAccess(a.Obj.ID, a.RequiredVersion, p)
@@ -411,19 +415,15 @@ func (m *Machine) reply(i int32) {
 	msg := m.Msg(i)
 	p, owner := msg.TS.Proc, msg.Dest
 	now := m.Eng.Now()
+	size := 0
 	for _, a := range msg.Batch {
 		o := a.Obj
 		m.nodes[p].store[o.ID] = a.RequiredVersion
-		m.Metrics.MsgBytes += int64(o.Size)
-		if owner != p {
-			m.Metrics.ReplicatedReads++
-		}
-		m.Metrics.ObjectLatency += float64(now - msg.Issued)
-		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+		size += o.Size
+		m.Record(obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
 			At: float64(msg.Issued), End: float64(now), Flag: owner != p})
 	}
-	m.Metrics.MsgCount++
-	m.Metrics.MsgsCoalesced += int64(len(msg.Batch) - 1)
+	m.Replied(size, len(msg.Batch), owner != p, float64(msg.Issued), float64(now))
 	if !m.cfg.ConcurrentFetch && msg.Next >= 0 {
 		m.fetch(msg.Next)
 	}
@@ -488,8 +488,8 @@ func (m *Machine) produce(o *jade.Object, v jade.Version, p int) {
 	// Adaptive broadcast (§3.4.2): the producer initiates a
 	// spanning-tree broadcast of the new version. Setup and the buffer
 	// copy cost producer CPU; the tree transmissions occupy its NIC.
-	m.Metrics.BroadcastCount++
-	obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Broadcast, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+	m.Broadcasted(o.Size)
+	m.Record(obsv.Event{Kind: obsv.Broadcast, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
 		N: int(v), At: float64(m.Eng.Now())})
 	cpuDone := m.CPUs[p].Submit(m.Eng.Now(),
 		sim.Time(m.cfg.BcastSetupSec+m.cfg.byteTime(o.Size)), nil)
@@ -497,10 +497,6 @@ func (m *Machine) produce(o *jade.Object, v jade.Version, p int) {
 	nicDone := m.nodes[p].nic.Submit(cpuDone,
 		sim.Time(float64(steps)*m.cfg.sendOccupancy(o.Size)), nil)
 	arrive := nicDone + sim.Time(m.cfg.MsgLatencySec)
-	if m.cfg.Procs > 1 {
-		m.Metrics.MsgBytes += int64(o.Size) * int64(m.cfg.Procs-1)
-		m.Metrics.MsgCount += int64(m.cfg.Procs - 1)
-	}
 	m.Eng.AtCall(arrive, m.bcastH, m.NewMsg(p, jade.Access{Obj: o, RequiredVersion: v}))
 }
 
@@ -527,8 +523,6 @@ func (m *Machine) eagerUpdate(o *jade.Object, v jade.Version, p int, readers pro
 		if q == p || !readers.has(q) {
 			continue
 		}
-		m.Metrics.MsgBytes += int64(o.Size)
-		m.Metrics.MsgCount++
 		m.Send(m.Eng.Now(), p, q, o.Size, m.pushH, m.NewMsg(q, jade.Access{Obj: o, RequiredVersion: v}))
 	}
 }
@@ -537,7 +531,9 @@ func (m *Machine) eagerUpdate(o *jade.Object, v jade.Version, p int, readers pro
 // superseded it in flight.
 func (m *Machine) pushed(i int32) {
 	msg := m.Msg(i)
-	if a := msg.Batch[0]; m.objs[a.Obj.ID].version == a.RequiredVersion {
+	a := msg.Batch[0]
+	m.Pushed(a.Obj.Size)
+	if m.objs[a.Obj.ID].version == a.RequiredVersion {
 		m.nodes[msg.Dest].store[a.Obj.ID] = a.RequiredVersion
 	}
 	m.FreeMsg(i)
@@ -562,11 +558,11 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 				arrive := repSent + sim.Time(m.cfg.MsgLatencySec)
 				m.CPUs[0].Advance(arrive)
 				main.store[o.ID] = a.RequiredVersion
-				m.Metrics.MsgBytes += int64(o.Size)
-				m.Metrics.MsgCount++
-				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+				m.Sent(o.Size)
+				m.Arrived(o.Size, 1)
+				m.Record(obsv.Event{Kind: obsv.Fetch, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
 					At: float64(issued), End: float64(arrive), Flag: st.owner != 0})
-				obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
+				m.Record(obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
 			}
 			m.noteAccess(o.ID, a.RequiredVersion, 0)
 		}

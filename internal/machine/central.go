@@ -22,7 +22,9 @@ type Model interface {
 	PickPooled(p int) int
 	// Send prices one protocol message of the given size from processor
 	// from to processor to, leaving no earlier than at, and schedules
-	// h(arg) for its arrival.
+	// h(arg) for its arrival, where the receiver folds it (Arrived or
+	// one of its refinements). Send folds each transmission it prices
+	// (Core.Sent), and a lossy transport each loss and duplicate too.
 	Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32)
 	// Arrive runs when ts reaches processor ts.Proc in a run with work.
 	// It fetches what the task reads (Gather each miss, StartFetch,
@@ -53,8 +55,13 @@ type Params struct {
 	// TargetTasks is how many assigned tasks a processor holds before
 	// the scheduler pools the rest.
 	TargetTasks int
-	// FetchStall adds each task's fetch stall to Metrics.TaskLatency.
+	// FetchStall makes the fold sum each task's fetch stall into
+	// Metrics.TaskLatency and each object's fetch latency into
+	// Metrics.ObjectLatency (§5.5).
 	FetchStall bool
+	// HeaderBytes is the wire header of a one-sided message: one that
+	// carries n operations saves n−1 of them (Metrics.AggBenefitBytes).
+	HeaderBytes int
 }
 
 // TaskState is the scheduler's and communicator's bookkeeping for one
@@ -149,6 +156,7 @@ type fifo struct {
 func (c *Central) Reset(procs int, par Params, model Model) {
 	fresh := c.Eng == nil
 	c.Core.Reset(procs, par.CreateSec)
+	c.ledger.stall, c.ledger.header = par.FetchStall, par.HeaderBytes
 	c.model, c.par = model, par
 	c.Load = Resize(c.Load, procs)
 	clear(c.Load)
@@ -179,9 +187,13 @@ func (c *Central) Reset(procs int, par Params, model Model) {
 // register adds the life cycle's handlers to a new engine.
 func (c *Central) register() {
 	c.arrivedH = c.Eng.RegisterHandler(func(i int32) {
+		ts := c.states[i]
+		if ts.Proc != 0 {
+			c.Arrived(c.par.TaskMsgBytes, 0)
+		}
 		// Work-free runs measure task management alone: tasks fetch
 		// nothing.
-		if ts := c.states[i]; c.RT.Config().WorkFree {
+		if c.RT.Config().WorkFree {
 			c.Ready(ts)
 		} else {
 			c.model.Arrive(ts)
@@ -190,13 +202,17 @@ func (c *Central) register() {
 	c.execDoneH = c.Eng.RegisterHandler(func(v int32) {
 		p := int(v)
 		ts := c.popInflight(p)
-		obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Exec, Proc: p, Task: int(ts.T.ID), At: float64(ts.start), End: float64(c.Eng.Now())})
+		c.Record(obsv.Event{Kind: obsv.Exec, Proc: p, Task: int(ts.T.ID), At: float64(ts.start), End: float64(c.Eng.Now())})
 		c.complete(ts)
 	})
-	// A completion notice costs the main processor CompleteSec; then
-	// the processor's load drops and the pool refills it.
+	// A completion notice, a message unless processor 0 ran the task,
+	// costs the main processor CompleteSec; then the processor's load
+	// drops and the pool refills it.
 	c.notifyH = c.Eng.RegisterHandler(func(v int32) {
-		c.Metrics.TaskMgmtTime += c.par.CompleteSec
+		if v != 0 {
+			c.Arrived(c.par.CompletionBytes, 0)
+		}
+		c.charged(c.par.CompleteSec)
 		c.Eng.AtCall(c.submitMgmt(c.Eng.Now(), c.par.CompleteSec), c.freedH, v)
 	})
 	c.freedH = c.Eng.RegisterHandler(func(v int32) {
@@ -244,8 +260,8 @@ func (c *Central) schedule(t *jade.Task) {
 func (c *Central) assign(ts *TaskState, p int) {
 	ts.Proc = p
 	c.Load[p]++
-	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Assigned, Proc: p, Task: int(ts.T.ID), N: ts.Target, At: float64(c.Eng.Now())})
-	c.Metrics.TaskMgmtTime += c.par.AssignSec
+	c.charged(c.par.AssignSec)
+	c.Record(obsv.Event{Kind: obsv.Assigned, Proc: p, Task: int(ts.T.ID), N: ts.Target, At: float64(c.Eng.Now())})
 	decided := c.submitMgmt(c.Eng.Now(), c.par.AssignSec)
 	if p == 0 {
 		c.Eng.AtCall(decided, c.arrivedH, ts.idx)
@@ -341,7 +357,7 @@ func (c *Central) StartFetch(ts *TaskState, coalesce bool) []int32 {
 	}
 	ts.needed = len(msgs)
 	ts.firstReq = c.Eng.Now()
-	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.FetchStart, Proc: ts.Proc, Task: int(ts.T.ID), N: reads, At: float64(ts.firstReq)})
+	c.Record(obsv.Event{Kind: obsv.FetchStart, Proc: ts.Proc, Task: int(ts.T.ID), N: reads, At: float64(ts.firstReq)})
 	return msgs
 }
 
@@ -357,10 +373,8 @@ func (c *Central) Fetched(i int32) {
 	if ts.needed > 0 {
 		return
 	}
-	if c.par.FetchStall {
-		c.Metrics.TaskLatency += float64(ts.lastArrive - ts.firstReq)
-	}
-	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.FetchEnd, Proc: ts.Proc, Task: int(ts.T.ID),
+	c.stalled(float64(ts.firstReq), float64(ts.lastArrive))
+	c.Record(obsv.Event{Kind: obsv.FetchEnd, Proc: ts.Proc, Task: int(ts.T.ID),
 		At: float64(ts.firstReq), End: float64(ts.lastArrive)})
 	c.Ready(ts)
 }
@@ -375,12 +389,7 @@ func (c *Central) Ready(ts *TaskState) {
 	if !c.RT.Config().WorkFree {
 		work = c.model.CPUTime(p, t.Work)
 	}
-	c.Metrics.TaskMgmtTime += c.par.DispatchSec
-	c.Metrics.TaskCount++
-	if p == ts.Target {
-		c.Metrics.TasksOnTarget++
-	}
-	c.Metrics.TaskExecTotal += work
+	c.Dispatched(p, int(t.ID), ts.Target, c.par.DispatchSec, work)
 	if c.staged(t) {
 		c.runSegment(ts, 0)
 		return
@@ -419,7 +428,7 @@ func (c *Central) runSegment(ts *TaskState, i int) {
 		d += c.par.DispatchSec
 	}
 	c.CPUs[p].Submit(c.Eng.Now(), sim.Time(d), func(start, end sim.Time) {
-		obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
+		c.Record(obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
 		c.model.Release(ts, t.Segments[i].Release)
 		if i+1 < len(t.Segments) {
 			c.runSegment(ts, i+1)
@@ -449,7 +458,7 @@ func (c *Central) ReleasedEarly(ts *TaskState, o *jade.Object) bool {
 // and sends the completion notice to the main processor.
 func (c *Central) complete(ts *TaskState) {
 	c.model.Complete(ts)
-	c.Done(ts.T)
+	c.RT.TaskDone(ts.T)
 	if p := ts.Proc; p != 0 {
 		c.model.Send(c.Eng.Now(), p, 0, c.par.CompletionBytes, c.notifyH, int32(p))
 		return

@@ -15,8 +15,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"repro/internal/jade"
 	"repro/internal/metrics"
 	"repro/internal/obsv"
@@ -35,16 +33,20 @@ type Core struct {
 	// Tasks is the dense task table, indexed by task ID (creation
 	// order), so scheduling events carry task IDs instead of pointers.
 	Tasks []*jade.Task
-	// Metrics accumulates the run's measurements.
+	// Metrics is the fold of what the machine describes (ledger.go),
+	// with ExecTime and ProcBusy read from the CPUs by Stats.
 	Metrics metrics.Run
 	// Sink, when non-nil, receives the run's simulated-event stream
-	// (obsv.Observer, trace.Trace); nil costs nothing.
+	// (obsv.Observer, trace.Trace) through Record; nil costs nothing.
 	Sink obsv.Sink
+
+	// ledger holds the conservation tallies Drain checks and the
+	// machine's parameters the fold reads.
+	ledger ledger
 
 	createSec   float64
 	createdDone []sim.Time // indexed like Tasks
 	enabledH    sim.Handler
-	completed   int
 
 	execBase sim.Time
 	busyBase []float64
@@ -72,9 +74,9 @@ func (c *Core) Reset(procs int, createSec float64) {
 	clear(c.Tasks)
 	c.Tasks = c.Tasks[:0]
 	c.Metrics = metrics.Run{Procs: procs, ProcBusy: c.Metrics.ProcBusy[:0]}
+	c.ledger.reset()
 	c.createSec = createSec
 	c.createdDone = c.createdDone[:0]
-	c.completed = 0
 	c.execBase = 0
 	c.busyBase = c.busyBase[:0]
 }
@@ -105,22 +107,41 @@ func (c *Core) Processors() int { return len(c.CPUs) }
 func (c *Core) ReserveCapacity(objects, tasks int) {
 	c.Tasks = Reserve(c.Tasks, tasks)
 	c.createdDone = Reserve(c.createdDone, tasks)
+	c.ledger.ran = Reserve(c.ledger.ran, tasks)
 }
 
-// submitMgmt charges d seconds of task-management work to the main
-// CPU and emits it as a Mgmt span.
+// submitMgmt occupies the main CPU with d seconds of task-management
+// work, which a sink sees as a Mgmt span. The caller folds the charge.
 func (c *Core) submitMgmt(at sim.Time, d float64) sim.Time {
-	return c.CPUs[0].Submit(at, sim.Time(d), obsv.Span(c.Sink, obsv.Event{Kind: obsv.Mgmt}))
+	return c.CPUs[0].Submit(at, sim.Time(d), c.span(obsv.Event{Kind: obsv.Mgmt}))
+}
+
+// span returns a CPU completion callback that passes e to the sink as
+// the span [start, end), or nil when no sink is attached, so a run
+// without a sink builds no closure.
+func (c *Core) span(e obsv.Event) func(start, end sim.Time) {
+	if c.Sink == nil {
+		return nil
+	}
+	// The closure captures a copy made past the nil check, so the
+	// parameter itself never escapes and a sinkless call allocates
+	// nothing.
+	span := e
+	return func(start, end sim.Time) {
+		e := span
+		e.At, e.End = float64(start), float64(end)
+		c.Sink.Record(e)
+	}
 }
 
 // TaskCreated implements jade.Platform: charge creation to the main
 // processor; an enabled task reaches the machine when creation ends.
 func (c *Core) TaskCreated(t *jade.Task, enabled bool) {
 	done := c.submitMgmt(c.Eng.Now(), c.createSec)
-	c.Metrics.TaskMgmtTime += c.createSec
 	c.Tasks = append(c.Tasks, t)
 	c.createdDone = append(c.createdDone, done)
-	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
+	c.created()
+	c.Record(obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
 	if enabled {
 		c.Eng.AtCall(done, c.enabledH, int32(t.ID))
 	}
@@ -136,21 +157,12 @@ func (c *Core) TaskEnabled(t *jade.Task) {
 	c.Eng.AtCall(at, c.enabledH, int32(t.ID))
 }
 
-// Done completes t in the runtime, which enables its successors.
-func (c *Core) Done(t *jade.Task) {
-	c.completed++
-	c.RT.TaskDone(t)
-}
-
 // Drain implements jade.Platform: run the engine until it empties,
-// bring the main processor up to the final time, and check that every
-// created task completed.
+// bring the main processor up to the final time, and check the
+// conservation laws (ledger.check).
 func (c *Core) Drain() {
 	c.CPUs[0].Advance(c.Eng.Run())
-	if c.completed != len(c.Tasks) {
-		panic(fmt.Sprintf("machine: engine emptied with %d of %d created tasks incomplete",
-			len(c.Tasks)-c.completed, len(c.Tasks)))
-	}
+	c.ledger.check(c.Stats())
 }
 
 // Stats implements jade.Platform.
@@ -173,15 +185,16 @@ func (c *Core) Stats() *metrics.Run {
 	return &c.Metrics
 }
 
-// ResetStats implements jade.Platform.
+// ResetStats implements jade.Platform: the fold's measurements and the
+// CPUs' time restart.
 func (c *Core) ResetStats() {
-	c.Metrics = metrics.Run{Procs: len(c.CPUs), ProcBusy: c.Metrics.ProcBusy[:0]}
+	c.resetMetrics()
 	c.execBase = c.CPUs[0].FreeAt()
 	c.busyBase = c.busyBase[:0]
 	for i := range c.CPUs {
 		c.busyBase = append(c.busyBase, float64(c.CPUs[i].BusyTime()))
 	}
-	obsv.Emit(c.Sink, obsv.Event{Kind: obsv.Reset})
+	c.Record(obsv.Event{Kind: obsv.Reset})
 }
 
 // Arena hands out pointers to T values that stay valid for its life:

@@ -9,13 +9,15 @@ import (
 	"testing"
 
 	"repro/internal/jade"
+	"repro/internal/obsv"
 	"repro/internal/sim"
 )
 
 // TestLifeCycleDefinedOnce fails if a machine package declares what
 // the kit owns: the front half of jade.Platform on all four machines,
-// and the centralized scheduler's life cycle on the three that embed
-// Central.
+// the centralized scheduler's life cycle on the three that embed
+// Central, and the accounting on all four: a machine writes no Metrics
+// field, and emits no event except through Core.Record.
 func TestLifeCycleDefinedOnce(t *testing.T) {
 	core := []string{"TaskCreated", "TaskEnabled", "Drain", "Stats", "ResetStats",
 		"Attach", "Attached", "submitMgmt", "drainPool"}
@@ -61,6 +63,30 @@ func TestLifeCycleDefinedOnce(t *testing.T) {
 					}
 				}
 			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Emit" || sel.Sel.Name == "Span") {
+						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "obsv" {
+							t.Errorf("%s: calls obsv.%s; record events through Core.Record", fset.Position(n.Pos()), sel.Sel.Name)
+						}
+					}
+				}
+				for _, x := range lhs {
+					if sel, ok := x.(*ast.SelectorExpr); ok {
+						if field, ok := sel.X.(*ast.SelectorExpr); ok && field.Sel.Name == "Metrics" {
+							t.Errorf("%s: writes Metrics.%s; the kit folds it from the event stream",
+								fset.Position(x.Pos()), sel.Sel.Name)
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 }
@@ -102,6 +128,7 @@ func (m *toy) PickPooled(p int) int {
 }
 
 func (m *toy) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
+	m.Sent(bytes)
 	m.Eng.AtCall(at, h, arg)
 }
 
@@ -141,9 +168,86 @@ func TestDrainPanicsOnStrandedPool(t *testing.T) {
 	rt := readers(m, 3)
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.HasPrefix(msg, "machine: engine emptied with 2 of 3 created tasks incomplete") {
+		if !strings.HasPrefix(msg, "machine: engine emptied with 2 of 3 created tasks never dispatched") {
 			t.Fatalf("Drain panic = %q, want the kit's conservation check", msg)
 		}
 	}()
 	rt.Wait()
+}
+
+// TestConservationLaws drives the fold through the kit's entry points.
+// The consistent sequence passes Drain even with a ResetStats in its
+// middle, which restarts the measurements but not the laws' tallies;
+// each other row breaks one law, and Drain must panic naming it.
+func TestConservationLaws(t *testing.T) {
+	type step func(c *Core)
+	consistent := []step{
+		func(c *Core) { c.created() },
+		func(c *Core) { c.created() },
+		func(c *Core) { c.Sent(64) }, // task 0's assignment
+		func(c *Core) { c.Arrived(64, 0) },
+		func(c *Core) { c.Dispatched(1, 0, 1, 0, 2) },
+		func(c *Core) { c.Sent(100) }, // a reply, lost once
+		func(c *Core) { c.Dropped(100) },
+		func(c *Core) { c.Sent(100) },
+		func(c *Core) { c.ResetStats() },
+		func(c *Core) { c.Sent(100) }, // duplicated in flight
+		func(c *Core) { c.Duplicated(100) },
+		func(c *Core) { c.Replied(100, 1, false, 1, 3) },
+		func(c *Core) { c.Dispatched(0, 1, 1, 0, 1) },
+	}
+	with := func(steps ...step) []step { return append(consistent[:len(consistent):len(consistent)], steps...) }
+	rows := []struct {
+		name  string
+		steps []step
+		law   string
+	}{
+		{name: "consistent", steps: consistent},
+		{name: "a created task never runs", law: lawTasks, steps: with(func(c *Core) { c.created() })},
+		{name: "a task runs twice", law: lawTasks, steps: with(consistent[len(consistent)-1])},
+		{name: "a reply under-reports its bytes", law: lawMessages,
+			steps: with(func(c *Core) { c.Sent(100) }, func(c *Core) { c.Replied(99, 1, false, 3, 4) })},
+		{name: "a transmission never lands", law: lawMessages, steps: with(func(c *Core) { c.Sent(8) })},
+		{name: "a processor is charged past the run", law: lawBusy,
+			steps: with(func(c *Core) { c.CPUs[1].Submit(0, 1, nil) })},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c := &Core{}
+			c.Reset(2, 0)
+			for _, s := range row.steps {
+				s(c)
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if row.law == "" {
+					if msg != "" {
+						t.Fatalf("Drain panicked: %s", msg)
+					}
+					// Only what followed the reset is measured.
+					if m := c.Metrics; m.TaskCount != 1 || m.TaskExecTotal != 1 || m.MsgCount != 1 ||
+						m.MsgBytes != 100 || m.MsgDuplicates != 1 || m.MsgDropped != 0 {
+						t.Fatalf("measured %+v after the reset", m)
+					}
+					return
+				}
+				if !strings.Contains(msg, row.law) {
+					t.Fatalf("Drain panic = %q, want the law %q", msg, row.law)
+				}
+			}()
+			c.Drain()
+		})
+	}
+}
+
+// A sinkless run builds no span callback: the fold reads no span.
+func TestSpanNeedsASink(t *testing.T) {
+	c := &Core{}
+	c.Reset(1, 0)
+	if c.span(obsv.Event{Kind: obsv.Mgmt}) != nil {
+		t.Fatal("a nil sink got a span callback")
+	}
+	if testing.AllocsPerRun(100, func() { c.submitMgmt(0, 1) }) != 0 {
+		t.Fatal("a sinkless management charge allocates")
+	}
 }

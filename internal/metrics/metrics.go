@@ -7,7 +7,12 @@ package metrics
 import "repro/internal/obsv"
 
 // Run accumulates measurements for one execution of a Jade program on
-// one platform configuration.
+// one platform configuration. On a simulated machine every counter is
+// folded in one place, the machine kit (internal/machine), from what
+// the machine reports happened; each field names the machine.Core
+// methods that fold it. ExecTime and ProcBusy are read from the
+// processors instead, and the granularity pass stamps its own fields
+// after the run.
 type Run struct {
 	// Procs is the number of processors in the configuration.
 	Procs int
@@ -15,49 +20,59 @@ type Run struct {
 	// (virtual wall clock at Finish).
 	ExecTime float64
 
-	// TaskCount is the number of tasks executed.
+	// TaskCount is the number of tasks executed (Dispatched).
 	TaskCount int
 	// TasksOnTarget counts tasks that executed on their target
 	// processor (the owner of their locality object) — Figures 2–5
-	// and 12–15.
+	// and 12–15 (Dispatched).
 	TasksOnTarget int
 
 	// TaskExecTotal is the summed execution time of task bodies, in
-	// seconds. On the shared-memory model this includes the memory
-	// access time, so communication shows up here (Figures 6–9); on
-	// the message-passing model it is pure compute (the paper notes
-	// the iPSC task times include no communication).
+	// seconds (Dispatched). On the shared-memory model this includes the
+	// memory access time, so communication shows up here (Figures
+	// 6–9); on the message-passing model it is pure compute (the paper
+	// notes the iPSC task times include no communication).
 	TaskExecTotal float64
 
-	// MsgBytes and MsgCount measure shared-object communication on
-	// the message-passing model (Figures 16–19 use
-	// MsgBytes/TaskExecTotal).
+	// MsgBytes and MsgCount measure the messages that carry shared
+	// objects on the ipsc, pgas and cluster machines (Arrived with
+	// objects, and Replied, Pushed, Got and Put); task assignments,
+	// completion notices and fetch requests count toward neither. An
+	// iPSC adaptive broadcast counts as P−1 messages of the object's
+	// size (Broadcasted). Figures 16–19 use MsgBytes/TaskExecTotal.
 	MsgBytes int64
 	MsgCount int64
-	// BroadcastCount counts adaptive-broadcast operations performed.
+	// BroadcastCount counts adaptive-broadcast operations performed
+	// (Broadcasted).
 	BroadcastCount int
 	// ReplicatedReads counts object fetches satisfied by creating an
-	// additional read copy (the replication optimization, §5.1).
+	// additional read copy (the replication optimization, §5.1):
+	// Replied when replicated, and a task's Got.
 	ReplicatedReads int64
 
 	// ObjectLatency is the sum over object requests of the time from
-	// request send to object arrival; TaskLatency is the sum over
-	// tasks of the time from first request to last arrival (§5.5).
+	// request send to object arrival (each object of Replied or a
+	// task's Got); TaskLatency is the sum over tasks of the time from
+	// first request to last arrival (the kit's fetch tail). Both are
+	// kept where the machine measures fetch stalls (§5.5).
 	ObjectLatency float64
 	TaskLatency   float64
 
 	// TaskMgmtTime is the time the implementation (as opposed to
 	// application code) spends creating, scheduling, and dispatching
-	// tasks, summed over processors.
+	// tasks, summed over processors: the kit charges creation,
+	// assignment and completion handling at the machine's prices, and
+	// the machine each dispatch (Dispatched).
 	TaskMgmtTime float64
 
 	// Fault-injection accounting (internal/fault); all zero on a
 	// healthy run. MsgDropped counts transmissions lost in flight on
 	// the message-passing model, MsgRetransmits the timeout-driven
-	// resends that recovered them, and MsgDuplicates in-flight
-	// duplicates discarded by the receiver. FaultInvalidations counts
-	// cache hits the shared-memory model forced back to memory during
-	// injected invalidation storms.
+	// resends that recovered them (both Dropped), and MsgDuplicates
+	// in-flight duplicates discarded by the receiver (Duplicated).
+	// FaultInvalidations counts cache hits the shared-memory model
+	// forced back to memory during injected invalidation storms
+	// (Invalidated).
 	MsgDropped         int64
 	MsgRetransmits     int64
 	MsgDuplicates      int64
@@ -65,10 +80,10 @@ type Run struct {
 
 	// PGAS one-sided-communication accounting (internal/pgas); all
 	// zero on the other machines. RemoteGets/RemotePuts count
-	// one-sided operations (each batched message carries several);
-	// AggregatedMsgs counts wire messages that coalesced more than one
-	// operation, and AggBenefitBytes the header bytes that coalescing
-	// saved.
+	// one-sided operations, the objects of each Got and Put (one
+	// batched message carries several); AggregatedMsgs counts gets and
+	// puts that coalesced more than one operation, and AggBenefitBytes
+	// the header bytes that coalescing saved.
 	RemoteGets      int64
 	RemotePuts      int64
 	AggregatedMsgs  int64
@@ -76,19 +91,22 @@ type Run struct {
 
 	// Granularity-pass accounting (internal/fuse); all zero when both
 	// knobs are off. TasksFused counts tasks eliminated by fusing
-	// chains into single scheduled units, MsgsCoalesced messages
-	// eliminated by batching same-destination fetches, and
-	// FusionBenefitBytes the task-management message bytes (task
-	// message + completion notice per eliminated task) fusion avoided.
+	// chains into single scheduled units, and FusionBenefitBytes the
+	// task-management message bytes (task message + completion notice
+	// per eliminated task) fusion avoided; the pass stamps both after
+	// the run. MsgsCoalesced counts messages eliminated by batching
+	// same-destination fetches: the objects of each reply beyond its
+	// first (Replied).
 	TasksFused         int64
 	MsgsCoalesced      int64
 	FusionBenefitBytes int64
 
 	// RemoteBytes counts bytes satisfied from remote memory on the
-	// shared-memory model (and, on the PGAS model, bytes moved by
-	// remote gets).
+	// shared-memory model (Accessed) and, on the PGAS model, bytes
+	// moved by remote gets (Got).
 	RemoteBytes int64
-	// LocalBytes counts bytes satisfied from local memory or cache.
+	// LocalBytes counts bytes satisfied from local memory or cache
+	// (Accessed).
 	LocalBytes int64
 
 	// ProcBusy records each processor's total busy time in seconds

@@ -1,9 +1,9 @@
 package obsv
 
-import "repro/internal/sim"
-
 // Kind classifies a simulated event. Instants happen at At; spans
-// cover [At, End).
+// cover [At, End). The stream carries what its consumers read: a
+// run's counters, message traffic included, are folded apart from it
+// in the machine kit (internal/machine).
 type Kind uint8
 
 const (
@@ -35,7 +35,8 @@ const (
 	// handling) occupies Proc.
 	Mgmt
 	// Fetch: object Obj (Name, Bytes) reaches Proc with latency
-	// End−At; Flag marks an additional read copy (replication, §5.1).
+	// End−At; Flag marks an additional read copy (replication, §5.1),
+	// or on DASH a line from remote memory.
 	Fetch
 	// Broadcast: Proc broadcasts version N of object Obj (Name, Bytes)
 	// to every other processor (adaptive broadcast, §3.4.2).
@@ -82,30 +83,6 @@ type Tee []Sink
 // Record implements Sink.
 func (t Tee) Record(e Event) {
 	for _, s := range t {
-		s.Record(e)
-	}
-}
-
-// Emit records e on s; a nil sink records nothing.
-func Emit(s Sink, e Event) {
-	if s != nil {
-		s.Record(e)
-	}
-}
-
-// Span returns a sim.Processor completion callback that emits e as the
-// span [start, end), or nil — no callback, no closure — when s is nil.
-func Span(s Sink, e Event) func(start, end sim.Time) {
-	if s == nil {
-		return nil
-	}
-	// The closure captures a copy made past the nil check, and never
-	// writes it, so only a real sink pays for the one closure object
-	// that carries the event by value.
-	span := e
-	return func(start, end sim.Time) {
-		e := span
-		e.At, e.End = float64(start), float64(end)
 		s.Record(e)
 	}
 }

@@ -103,6 +103,18 @@ func (o *Observer) Record(e Event) {
 	o.mu.Unlock()
 }
 
+// Bytes returns the bytes the stream attributed to objects: those of
+// every Fetch, and of every Broadcast once per other processor.
+func (o *Observer) Bytes() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var n int64
+	for _, st := range o.objects {
+		n += st.Bytes
+	}
+	return n
+}
+
 // Snapshot is the exported, JSON-stable view of one run's
 // observability data, embedded in metrics reports.
 type Snapshot struct {

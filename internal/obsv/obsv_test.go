@@ -76,10 +76,6 @@ func TestHistogramFixedMemoryBuckets(t *testing.T) {
 }
 
 func TestNilSinkRecordsNothing(t *testing.T) {
-	Emit(nil, Event{Kind: Fetch}) // must not panic
-	if Span(nil, Event{Kind: Mgmt}) != nil {
-		t.Fatal("a nil sink must not get a span callback")
-	}
 	var o *Observer
 	if o.Snapshot(5) != nil {
 		t.Fatal("nil observer snapshot must be nil")
@@ -198,8 +194,8 @@ func TestObserverTaskWait(t *testing.T) {
 func TestTeeFansOutInOrder(t *testing.T) {
 	var got []Kind
 	rec := sinkFunc(func(e Event) { got = append(got, e.Kind) })
-	Emit(Tee{rec, rec}, Event{Kind: Created})
-	Emit(Tee{rec}, Event{Kind: Reset})
+	Tee{rec, rec}.Record(Event{Kind: Created})
+	Tee{rec}.Record(Event{Kind: Reset})
 	if len(got) != 3 || got[0] != Created || got[1] != Created || got[2] != Reset {
 		t.Fatalf("tee delivered %v", got)
 	}

@@ -65,7 +65,7 @@ func (m *Machine) Reset(cfg Config) {
 	m.Central.Reset(cfg.Procs, machine.Params{
 		CreateSec: cfg.TaskCreateSec, AssignSec: cfg.AssignSec, CompleteSec: cfg.CompleteHandleSec,
 		DispatchSec: cfg.DispatchSec, TaskMsgBytes: cfg.TaskMsgBytes, CompletionBytes: cfg.CompletionBytes,
-		TargetTasks: cfg.TargetTasks, FetchStall: true,
+		TargetTasks: cfg.TargetTasks, FetchStall: true, HeaderBytes: cfg.HeaderBytes,
 	}, m)
 	if fresh {
 		m.gotH = m.Eng.RegisterHandler(m.got)
@@ -101,6 +101,7 @@ func (m *Machine) latency(remote int) sim.Time {
 // and pays the wire latency of its destination.
 func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
 	sent := m.nics[from].Submit(at, sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(from, to)), nil)
+	m.Sent(bytes)
 	m.Eng.AtCall(sent+m.latency(to), h, arg)
 }
 
@@ -121,20 +122,9 @@ func (m *Machine) SerialWork(d float64) {
 func (m *Machine) MainTouches(accs []jade.Access) {
 	store := m.stores[0]
 	for _, a := range accs {
-		if !a.Reads() {
-			continue
+		if a.Reads() && !m.local(0, a) {
+			m.Gather(a, a.Obj.Home)
 		}
-		o := a.Obj
-		if store[o.ID] == a.RequiredVersion {
-			m.Metrics.LocalBytes += int64(o.Size)
-			continue
-		}
-		if o.Home == 0 {
-			store[o.ID] = a.RequiredVersion
-			m.Metrics.LocalBytes += int64(o.Size)
-			continue
-		}
-		m.Gather(a, o.Home)
 	}
 	for _, i := range m.Group(m.cfg.Aggregation) {
 		batch, h := m.Msg(i).Batch, m.Msg(i).Dest
@@ -147,15 +137,14 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 		rep := m.nics[h].Submit(req+m.latency(h), sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(h, 0)), nil)
 		arrive := rep + m.latency(h)
 		m.CPUs[0].Advance(arrive)
-		m.countMsg(len(batch), bytes)
-		m.Metrics.RemoteGets += int64(len(batch))
-		m.Metrics.RemoteBytes += int64(bytes)
+		m.Sent(bytes)
+		m.Got(bytes, len(batch), false, 0, 0)
 		for _, a := range batch {
 			store[a.Obj.ID] = a.RequiredVersion
-			obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
+			m.Record(obsv.Event{Kind: obsv.Fetch, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
 				At: float64(issued), End: float64(arrive), Flag: true})
 		}
-		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
+		m.Record(obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
 		m.FreeMsg(i)
 	}
 	for _, a := range accs {
@@ -210,15 +199,18 @@ func (m *Machine) PickPooled(p int) int {
 	return -1
 }
 
-// countMsg accounts one wire message carrying ops coalesced remote
-// operations and bytes of payload.
-func (m *Machine) countMsg(ops, bytes int) {
-	m.Metrics.MsgCount++
-	m.Metrics.MsgBytes += int64(bytes)
-	if ops > 1 {
-		m.Metrics.AggregatedMsgs++
-		m.Metrics.AggBenefitBytes += int64((ops - 1) * m.cfg.HeaderBytes)
+// local reports whether locale p reads a from its cache or its own
+// segment, where the authoritative copy is already local once
+// predecessors wrote it back, and records the read if so.
+func (m *Machine) local(p int, a jade.Access) bool {
+	o, store := a.Obj, m.stores[p]
+	cached := store[o.ID] == a.RequiredVersion
+	if !cached && o.Home != p {
+		return false
 	}
+	store[o.ID] = a.RequiredVersion
+	m.Accessed(o.Size, false, cached)
+	return true
 }
 
 // Arrive implements machine.Model: resolve the task's declared reads
@@ -226,24 +218,10 @@ func (m *Machine) countMsg(ops, bytes int) {
 // for the rest — batched per home locale when aggregation is on.
 func (m *Machine) Arrive(ts *machine.TaskState) {
 	p := ts.Proc
-	store := m.stores[p]
 	for _, a := range ts.T.Accesses {
-		if !a.Reads() {
-			continue
+		if a.Reads() && !m.local(p, a) {
+			m.Gather(a, a.Obj.Home)
 		}
-		o := a.Obj
-		if store[o.ID] == a.RequiredVersion {
-			m.Metrics.LocalBytes += int64(o.Size)
-			continue
-		}
-		if o.Home == p {
-			// The locale's own segment: the authoritative copy is
-			// already local once predecessors wrote it back.
-			store[o.ID] = a.RequiredVersion
-			m.Metrics.LocalBytes += int64(o.Size)
-			continue
-		}
-		m.Gather(a, o.Home)
 	}
 	msgs := m.StartFetch(ts, m.cfg.Aggregation)
 	if len(msgs) == 0 {
@@ -268,9 +246,7 @@ func (m *Machine) get(i int32) {
 	msg.Issued = m.Eng.Now()
 	req := m.nics[p].Submit(msg.Issued, sim.Time(m.cfg.occupancy(0)*m.Inj.LinkFactor(p, h)), nil)
 	rep := m.nics[h].Submit(req+m.latency(h), sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(h, p)), nil)
-	m.countMsg(len(msg.Batch), bytes)
-	m.Metrics.RemoteGets += int64(len(msg.Batch))
-	m.Metrics.RemoteBytes += int64(bytes)
+	m.Sent(bytes)
 	m.Eng.AtCall(rep+m.latency(h), m.gotH, i)
 }
 
@@ -279,14 +255,14 @@ func (m *Machine) got(i int32) {
 	msg := m.Msg(i)
 	p := msg.TS.Proc
 	now := m.Eng.Now()
-	lat := float64(now - msg.Issued)
+	bytes := 0
 	for _, a := range msg.Batch {
 		m.stores[p][a.Obj.ID] = a.RequiredVersion
-		m.Metrics.ReplicatedReads++
-		m.Metrics.ObjectLatency += lat
-		obsv.Emit(m.Sink, obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
-			At: float64(msg.Issued), End: float64(now), Flag: true})
+		bytes += a.Obj.Size
+		m.Record(obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name,
+			Bytes: a.Obj.Size, At: float64(msg.Issued), End: float64(now), Flag: true})
 	}
+	m.Got(bytes, len(msg.Batch), true, float64(msg.Issued), float64(now))
 	m.Fetched(i)
 }
 
@@ -357,8 +333,7 @@ func (m *Machine) flushWrites(p int) {
 			bytes += a.Obj.Size
 		}
 		sent := m.nics[p].Submit(m.Eng.Now(), sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(p, h)), nil)
-		m.countMsg(len(msg.Batch), bytes)
-		m.Metrics.RemotePuts += int64(len(msg.Batch))
+		m.Sent(bytes)
 		m.Eng.AtCall(sent+m.latency(h), m.putH, i)
 	}
 }
@@ -366,8 +341,11 @@ func (m *Machine) flushWrites(p int) {
 // put lands write-back i in its home segment.
 func (m *Machine) put(i int32) {
 	msg := m.Msg(i)
+	bytes := 0
 	for _, a := range msg.Batch {
 		m.stores[msg.Dest][a.Obj.ID] = a.RequiredVersion
+		bytes += a.Obj.Size
 	}
+	m.Put(bytes, len(msg.Batch))
 	m.FreeMsg(i)
 }
