@@ -114,6 +114,10 @@ echo "== jadebench -json smoke =="
 # jsoncheck avoids a jq/python dependency.
 go run ./cmd/jadebench -experiment table4 -scale small -json |
     go run ./internal/tools/jsoncheck schema scale experiments runs
+# The documented fault command: runs.1 is water/ipsc, which models
+# message loss, so its echoed fault block keeps the drop rate.
+go run ./cmd/jadebench -experiment table4 -scale small -json -fault seed=7,drop=0.05,straggle=2 |
+    go run ./internal/tools/jsoncheck schema runs.1.fault.drop_pct
 
 echo "== jadebench serial vs parallel =="
 # -experiment all is one planned fan-out over every distinct cell of

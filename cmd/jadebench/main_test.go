@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // Bad flag values exit 2 with a message instead of silently running a
@@ -64,5 +67,43 @@ func TestCellOutOfRangeListsCells(t *testing.T) {
 				t.Errorf("%s: stderr lacks %q:\n%s", id, w, stderr.String())
 			}
 		}
+	}
+}
+
+// The documented fault command degrades only the machines that model
+// its faults: no DASH run, which models neither loss nor stragglers,
+// carries a fault block, and every iPSC run carries the drop rate.
+func TestFaultFlagSkipsUnmodeledMachines(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := "-experiment table4 -scale small -json -fault seed=7,drop=0.05,straggle=2"
+	if code := run(strings.Fields(args), &stdout, &stderr); code != 0 {
+		t.Fatalf("jadebench %s: exit %d: %s", args, code, stderr.String())
+	}
+	var doc struct {
+		Runs []struct {
+			App, Machine string
+			Fault        *fault.Spec
+		}
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var dash, ipsc int
+	for _, r := range doc.Runs {
+		switch r.Machine {
+		case "dash":
+			dash++
+			if r.Fault != nil {
+				t.Errorf("%s/dash carries fault %+v", r.App, *r.Fault)
+			}
+		case "ipsc":
+			ipsc++
+			if r.Fault == nil || r.Fault.DropPct != 0.05 {
+				t.Errorf("%s/ipsc carries fault %+v, want drop_pct 0.05", r.App, r.Fault)
+			}
+		}
+	}
+	if dash == 0 || ipsc == 0 {
+		t.Fatalf("%d DASH and %d iPSC runs; want both", dash, ipsc)
 	}
 }

@@ -143,11 +143,9 @@ func (m *Machine) ObjectAllocated(o *jade.Object) {
 	m.stores[0][o.ID] = 0
 }
 
-// Send implements machine.Model: every message serializes on the bus.
-func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
-	sent := m.bus.Submit(at, sim.Time(m.cfg.busTime(bytes)), nil)
-	m.Sent(bytes)
-	m.Eng.AtCall(sent+sim.Time(m.cfg.MsgLatencySec), h, arg)
+// Link implements machine.Model: every message serializes on the bus.
+func (m *Machine) Link(from, to, bytes int) machine.Leg {
+	return machine.Leg{Res: &m.bus, Occ: sim.Time(m.cfg.busTime(bytes)), Lat: sim.Time(m.cfg.MsgLatencySec)}
 }
 
 // CPUTime implements machine.Model: the workstation's speed.
@@ -164,17 +162,11 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 	for _, a := range accs {
 		o := a.Obj
 		if a.Reads() && store[o.ID] != a.RequiredVersion {
-			issued := m.CPUs[0].FreeAt()
-			req := m.bus.Submit(issued, sim.Time(m.cfg.busTime(m.cfg.RequestBytes)), nil)
-			rep := m.bus.Submit(req+sim.Time(m.cfg.MsgLatencySec), sim.Time(m.cfg.busTime(o.Size)), nil)
-			arrive := rep + sim.Time(m.cfg.MsgLatencySec)
-			m.CPUs[0].Advance(arrive)
+			owner := m.owner[o.ID]
+			m.MainFetch(m.Route(0, owner, m.cfg.RequestBytes), m.Route(owner, 0, o.Size), o.Size,
+				[]jade.Access{a}, owner != 0)
 			store[o.ID] = a.RequiredVersion
-			m.Sent(o.Size)
 			m.Arrived(o.Size, 1)
-			m.Record(obsv.Event{Kind: obsv.Fetch, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
-				At: float64(issued), End: float64(arrive), Flag: m.owner[o.ID] != 0})
-			m.Record(obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
 		}
 		if a.Writes() {
 			m.owner[o.ID] = 0
@@ -239,10 +231,9 @@ func (m *Machine) Arrive(ts *machine.TaskState) {
 	for _, i := range msgs {
 		msg := m.Msg(i)
 		msg.Issued = m.Eng.Now()
-		req := m.bus.Submit(msg.Issued, sim.Time(m.cfg.busTime(m.cfg.RequestBytes)), nil)
-		rep := m.bus.Submit(req+sim.Time(m.cfg.MsgLatencySec), sim.Time(m.cfg.busTime(msg.Batch[0].Obj.Size)), nil)
-		m.Sent(msg.Batch[0].Obj.Size)
-		m.Eng.AtCall(rep+sim.Time(m.cfg.MsgLatencySec), m.replyH, i)
+		size := msg.Batch[0].Obj.Size
+		m.Eng.AtCall(m.RoundTrip(msg.Issued, m.Route(p, msg.Dest, m.cfg.RequestBytes), m.Route(msg.Dest, p, size), size),
+			m.replyH, i)
 	}
 }
 

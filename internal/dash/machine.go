@@ -1,7 +1,6 @@
 package dash
 
 import (
-	"repro/internal/fault"
 	"repro/internal/jade"
 	"repro/internal/machine"
 	"repro/internal/obsv"
@@ -71,12 +70,6 @@ type Machine struct {
 	// StealFromHead flips the steal path to take the first task of
 	// the first object task queue (ablation; see DESIGN.md §6).
 	StealFromHead bool
-	// Inj, when non-nil, injects deterministic faults: elevated
-	// remote-access latency on seed-chosen victim clusters (a
-	// congested mesh segment) and transient cache-invalidation storms
-	// that force cached accesses back to memory. A nil injector leaves
-	// every code path byte-identical to the healthy machine.
-	Inj *fault.Injector
 }
 
 var _ jade.Platform = (*Machine)(nil)
@@ -127,7 +120,6 @@ func (m *Machine) Reset(cfg Config) {
 	m.bursts, m.burstLen, m.burstFree = m.bursts[:0], m.burstLen[:0], m.burstFree[:0]
 	m.lastWriter = m.lastWriter[:0]
 	m.StealFromHead = false
-	m.Inj = nil
 }
 
 // register adds the dispatch, wake-burst and completion handlers to a

@@ -117,6 +117,16 @@ func TestPlanKeyMatchesCanonicalJSON(t *testing.T) {
 			{App: "water", Machine: "ipsc", Fault: &fault.Spec{Schema: fault.Schema, Seed: 7, DropPct: 0.05}}},
 		{{App: "water", Machine: "pgas", Fault: &fault.Spec{Seed: 7, DegradedLinkPct: 0.4}},
 			{App: "water", Machine: "pgas", Fault: &fault.Spec{Seed: 7, DegradedLinkPct: 0.4, LinkSlowdown: 4}}},
+		// A fault the machine does not model is canonicalized away.
+		{{App: "ocean", Machine: "dash", Fault: &fault.Spec{Seed: 7, DropPct: 0.3, Stragglers: 2}},
+			{App: "ocean", Machine: "dash"}},
+		{{App: "water", Machine: "pgas", Fault: &fault.Spec{Seed: 7, DropPct: 0.3, DegradedLinkPct: 0.4}},
+			{App: "water", Machine: "pgas", Fault: &fault.Spec{Seed: 7, DegradedLinkPct: 0.4}}},
+		{{App: "water", Machine: "ipsc", Fault: &fault.Spec{Seed: 7, DropPct: 0.05, VictimClusters: 1, InvalidatePct: 0.2}},
+			{App: "water", Machine: "ipsc", Fault: &fault.Spec{Seed: 7, DropPct: 0.05}}},
+		// So is a factor whose own fault is absent.
+		{{App: "water", Machine: "ipsc", Fault: &fault.Spec{Seed: 7, DropPct: 0.05, LinkSlowdown: 8, StraggleFactor: 2}},
+			{App: "water", Machine: "ipsc", Fault: &fault.Spec{Seed: 7, DropPct: 0.05}}},
 		{{App: "water", Machine: "ipsc", ConcurrentFetch: &yes}, {App: "water", Machine: "ipsc", ConcurrentFetch: &yes2}},
 		{{App: "spmv", Machine: "pgas", Aggregation: &no}, {App: "spmv", Machine: "pgas", Aggregation: new(bool)}},
 	}

@@ -79,11 +79,14 @@ type RunSpec struct {
 	Coalescing bool `json:"coalescing,omitempty"`
 
 	// Fault, when present, injects deterministic faults into the run
-	// (jade-fault/v1): message loss and link degradation on the iPSC
-	// model, victim-cluster latency and invalidation storms on DASH.
-	// The same seed always reproduces the same faulted execution. A
-	// block that enables no fault is canonicalized away, so inert
-	// blocks hash like healthy specs.
+	// (jade-fault/v1): message loss, degraded links and stragglers on
+	// the iPSC model; degraded links, stragglers and victim latency on
+	// PGAS; victim latency and invalidation storms on DASH. The same
+	// seed always reproduces the same faulted execution. The fields a
+	// machine does not model are canonicalized away, and then a block
+	// that enables no fault is too, so specs that degrade the machine
+	// alike hash alike. The cluster has no fault model and rejects a
+	// block that enables one.
 	Fault *fault.Spec `json:"fault,omitempty"`
 
 	// variant selects a row of variants (0 for none): a setting of the
@@ -268,11 +271,24 @@ func (s *RunSpec) Canonicalize() error {
 		if s.Machine == "cluster" && s.Fault.Active() {
 			return fmt.Errorf("run spec: the cluster machine has no fault model (got %q)", s.Machine)
 		}
+		// Specs may share a block, so a restriction that changes it
+		// makes a copy.
+		if f := s.Fault.Restricted(faultKinds[s.Machine]); f != *s.Fault {
+			s.Fault = &f
+		}
 		if !s.Fault.Active() && !s.Fault.Panic {
 			s.Fault = nil // an inert fault block is no fault block
 		}
 	}
 	return nil
+}
+
+// faultKinds are the kinds of fault each machine models; the cluster
+// models none.
+var faultKinds = map[string]fault.Kind{
+	"dash": fault.SlowRemote | fault.Invalidation,
+	"ipsc": fault.Loss | fault.SlowLinks | fault.Straggling,
+	"pgas": fault.SlowLinks | fault.Straggling | fault.SlowRemote,
 }
 
 // dashLevel maps a canonical level name to the DASH constant.

@@ -31,11 +31,12 @@ const (
 )
 
 // Spec is a serializable machine-degradation description (schema
-// jade-fault/v1). The zero value injects nothing. Fields apply to the
-// machine models that implement them: message faults and stragglers to
-// the message-passing iPSC model, victim clusters and invalidation
-// storms to the shared-memory DASH model; irrelevant fields are
-// ignored by the other machine.
+// jade-fault/v1). The zero value injects nothing. Each field applies
+// to the machine models that implement its kind of fault (Kind):
+// message loss to the iPSC model, degraded links and stragglers to the
+// iPSC and PGAS models, victim latency to the DASH and PGAS models, and
+// invalidation storms to DASH. A run spec canonicalizes away the
+// fields its machine does not model (Restricted).
 type Spec struct {
 	// Schema must be "jade-fault/v1" (empty defaults to it).
 	Schema string `json:"schema,omitempty"`
@@ -133,6 +134,40 @@ func (s *Spec) Canonicalize() error {
 		}
 	}
 	return nil
+}
+
+// Kind is a set of the kinds of fault a machine models.
+type Kind uint8
+
+// The kinds of fault, each covering the spec fields named.
+const (
+	Loss         Kind = 1 << iota // drop_pct, dup_pct
+	SlowLinks                     // degraded_link_pct, link_slowdown
+	Straggling                    // stragglers, straggle_factor
+	SlowRemote                    // victim_clusters, remote_latency_factor
+	Invalidation                  // invalidate_pct
+)
+
+// Restricted returns the spec with the fields of every kind of fault
+// outside k zeroed, as is each companion factor whose own fault is
+// absent: on a machine that models only k, the two degrade it alike.
+func (s Spec) Restricted(k Kind) Spec {
+	if k&Loss == 0 {
+		s.DropPct, s.DupPct = 0, 0
+	}
+	if k&SlowLinks == 0 || s.DegradedLinkPct == 0 {
+		s.DegradedLinkPct, s.LinkSlowdown = 0, 0
+	}
+	if k&Straggling == 0 || s.Stragglers == 0 {
+		s.Stragglers, s.StraggleFactor = 0, 0
+	}
+	if k&SlowRemote == 0 || s.VictimClusters == 0 {
+		s.VictimClusters, s.RemoteLatencyFactor = 0, 0
+	}
+	if k&Invalidation == 0 {
+		s.InvalidatePct = 0
+	}
+	return s
 }
 
 // Active reports whether the spec injects anything into a machine

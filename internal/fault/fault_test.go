@@ -132,7 +132,7 @@ func TestInjectorResetMatchesNew(t *testing.T) {
 
 func TestNilInjectorIsHealthy(t *testing.T) {
 	var in *Injector
-	if in.Enabled() || in.Drop(0, 0, 0) || in.Duplicate(0, 0) || in.Invalidate(3) || in.Straggler(0) {
+	if in.Enabled() || in.Lossy() || in.Drop(0, 0, 0) || in.Duplicate(0, 0) || in.Invalidate(3) || in.Straggler(0) {
 		t.Fatal("nil injector injected something")
 	}
 	if in.LinkFactor(0, 1) != 1 || in.CPUFactor(0) != 1 || in.RemoteFactor(0, 4) != 1 {

@@ -97,6 +97,12 @@ func (in *Injector) Spec() Spec {
 	return in.spec
 }
 
+// Lossy reports whether the injector can drop or duplicate a message,
+// so messages must travel under a retransmit protocol.
+func (in *Injector) Lossy() bool {
+	return in != nil && (in.spec.DropPct > 0 || in.spec.DupPct > 0)
+}
+
 // NextMsg allocates the next message index for a sender. The machine
 // model calls it once per logical protocol message and passes the
 // index to Drop/Duplicate/Jitter for every (re)transmission attempt.
@@ -138,11 +144,17 @@ func (in *Injector) Jitter(from int, msg uint64, attempt int) float64 {
 
 // LinkFactor returns the bandwidth-degradation factor (>= 1) for the
 // ordered link from -> to. Degraded links are a fixed, seed-determined
-// subset of the ordered pairs.
+// subset of the ordered pairs. It is small enough to inline, so a
+// healthy machine's transport pays no call per message.
 func (in *Injector) LinkFactor(from, to int) float64 {
 	if in == nil || in.spec.DegradedLinkPct <= 0 || from == to {
 		return 1
 	}
+	return in.linkFactor(from, to)
+}
+
+// linkFactor draws LinkFactor on a machine with degraded links.
+func (in *Injector) linkFactor(from, to int) float64 {
 	if chance(in.spec.DegradedLinkPct, in.spec.Seed, kLink, uint64(from), uint64(to)) {
 		return in.spec.LinkSlowdown
 	}

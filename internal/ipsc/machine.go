@@ -3,7 +3,6 @@ package ipsc
 import (
 	"math/bits"
 
-	"repro/internal/fault"
 	"repro/internal/jade"
 	"repro/internal/machine"
 	"repro/internal/obsv"
@@ -62,21 +61,6 @@ type Machine struct {
 	// index: a fetch's request and reply, a broadcast's arrival at
 	// every node, and an eager update's push.
 	requestH, replyH, bcastH, pushH sim.Handler
-
-	// sends is the retransmit protocol's record slab, one record per
-	// message in flight under fault injection; freeSends lists its
-	// recycled records. retryH retransmits the record its argument
-	// indexes.
-	sends     []sendRec
-	freeSends []int32
-	retryH    sim.Handler
-
-	// Inj, when non-nil, injects deterministic faults: message drops
-	// recovered by the retransmit protocol, in-flight duplicates,
-	// per-link bandwidth degradation, and straggling processors. A nil
-	// injector leaves every code path byte-identical to the healthy
-	// machine.
-	Inj *fault.Injector
 }
 
 var (
@@ -116,7 +100,6 @@ func (m *Machine) Reset(cfg Config) {
 		m.replyH = m.Eng.RegisterHandler(m.reply)
 		m.bcastH = m.Eng.RegisterHandler(m.bcastArrived)
 		m.pushH = m.Eng.RegisterHandler(m.pushed)
-		m.retryH = m.Eng.RegisterHandler(func(i int32) { m.transmit(i, m.Eng.Now()) })
 	}
 	m.nodes = machine.Resize(m.nodes, cfg.Procs)
 	for i := range m.nodes {
@@ -126,8 +109,6 @@ func (m *Machine) Reset(cfg Config) {
 	m.objs = m.objs[:0]
 	m.osSlab.Reset()
 	m.fcfsNext = 0
-	m.sends, m.freeSends = m.sends[:0], m.freeSends[:0]
-	m.Inj = nil
 }
 
 // ReserveCapacity implements the replay capacity hint: size the dense
@@ -173,85 +154,11 @@ func (m *Machine) CPUTime(p int, w float64) float64 {
 	return w * m.cfg.SpeedFactor * m.Inj.CPUFactor(p)
 }
 
-// maxSendAttempts bounds the retransmit protocol: after this many
-// lost transmissions the delivery is forced — injected links are
-// lossy, not dead, and the simulation must terminate at any drop rate.
-const maxSendAttempts = 12
-
-// Send implements machine.Model: one point-to-point protocol message
-// from -> to with the given payload costs NIC occupancy on the sender
-// (starting no earlier than at) and the wire latency, then h(arg) runs
-// at the receiver as a pointer-free event. With a fault injector
-// attached the message goes through the retransmit protocol
-// (transmit).
-func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
-	occ := sim.Time(m.cfg.sendOccupancy(bytes))
-	lat := sim.Time(m.cfg.msgLatency(from, to))
-	if m.Inj == nil {
-		m.Sent(bytes)
-		sent := m.nodes[from].nic.Submit(at, occ, nil)
-		m.Eng.AtCall(sent+lat, h, arg)
-		return
-	}
-	occ = sim.Time(float64(occ) * m.Inj.LinkFactor(from, to))
-	rec := sendRec{from: from, bytes: bytes, occ: occ, lat: lat, msg: m.Inj.NextMsg(from), h: h, arg: arg,
-		// Per-message retransmit timeout from the paper's cost model:
-		// the data push, the wire both ways, and the receiver's ack
-		// push.
-		rto: occ + 2*lat + sim.Time(m.cfg.sendOccupancy(m.cfg.CompletionBytes))}
-	var i int32
-	if n := len(m.freeSends); n > 0 {
-		i = m.freeSends[n-1]
-		m.freeSends = m.freeSends[:n-1]
-		m.sends[i] = rec
-	} else {
-		i = int32(len(m.sends))
-		m.sends = append(m.sends, rec)
-	}
-	m.transmit(i, at)
-}
-
-// sendRec is one message under the retransmit protocol: its sender
-// and payload, NIC occupancy, wire latency and timeout, its index for
-// the injector's draws, the attempt it is on, and the delivery to
-// schedule.
-type sendRec struct {
-	from, bytes   int
-	occ, lat, rto sim.Time
-	msg           uint64
-	attempt       int
-	h             sim.Handler
-	arg           int32
-}
-
-// transmit sends attempt rec.attempt of record i, leaving no earlier
-// than start. The injector may drop the transmission: the sender
-// detects the loss by the record's timeout and retransmits with
-// exponential backoff and deterministic jitter, through retryH, so no
-// closure is built per message. It may instead duplicate it in flight,
-// in which case the receiver discards the extra copy but the sender
-// NIC still pays for it. The delivery frees the record.
-func (m *Machine) transmit(i int32, start sim.Time) {
-	rec := &m.sends[i]
-	sent := m.nodes[rec.from].nic.Submit(start, rec.occ, nil)
-	m.Sent(rec.bytes)
-	if m.Inj.Drop(rec.from, rec.msg, rec.attempt) && rec.attempt < maxSendAttempts-1 {
-		m.Dropped(rec.bytes)
-		// Exponential backoff with deterministic jitter in [1, 2).
-		backoff := sim.Time(float64(rec.rto) * float64(uint64(1)<<uint(rec.attempt)) *
-			(1 + m.Inj.Jitter(rec.from, rec.msg, rec.attempt)))
-		rec.attempt++
-		m.Eng.AtCall(sent+backoff, m.retryH, i)
-		return
-	}
-	if m.Inj.Duplicate(rec.from, rec.msg) {
-		m.nodes[rec.from].nic.Submit(sent, rec.occ, nil)
-		m.Sent(rec.bytes)
-		m.Duplicated(rec.bytes)
-	}
-	m.Record(obsv.Event{Kind: obsv.Delivery, N: rec.attempt + 1})
-	m.Eng.AtCall(sent+rec.lat, rec.h, rec.arg)
-	m.freeSends = append(m.freeSends, i)
+// Link implements machine.Model: a message occupies the sender's NIC
+// and pays the hop-priced wire latency.
+func (m *Machine) Link(from, to, bytes int) machine.Leg {
+	return machine.Leg{Res: &m.nodes[from].nic, Occ: sim.Time(m.cfg.sendOccupancy(bytes)),
+		Lat: sim.Time(m.cfg.msgLatency(from, to))}
 }
 
 // Schedule implements machine.Model: the centralized scheduling
@@ -381,16 +288,15 @@ func (m *Machine) Arrive(ts *machine.TaskState) {
 }
 
 // fetch issues fetch message i's request to the current owner of its
-// objects. A batch travels as one message: under fault injection a
-// drop loses the whole batch and the retransmit protocol resends all
-// of it (Send retries the full payload).
+// objects. A batch travels as one message: on a lossy machine a drop
+// loses the whole batch and the retransmit protocol resends all of it.
 func (m *Machine) fetch(i int32) {
 	msg := m.Msg(i)
 	// A serial chain's later messages go to whoever owns their objects
 	// when they leave.
 	msg.Dest = m.objs[msg.Batch[0].Obj.ID].owner
 	msg.Issued = m.Eng.Now()
-	m.Send(msg.Issued, msg.TS.Proc, msg.Dest, m.cfg.RequestBytes, m.requestH, i)
+	m.Transmit(msg.Issued, msg.TS.Proc, msg.Dest, m.cfg.RequestBytes, m.requestH, i)
 }
 
 // request handles a fetch request at the owner: it records the
@@ -405,7 +311,7 @@ func (m *Machine) request(i int32) {
 		m.noteAccess(a.Obj.ID, a.RequiredVersion, p)
 		size += a.Obj.Size
 	}
-	m.Send(m.Eng.Now(), msg.Dest, p, size, m.replyH, i)
+	m.Transmit(m.Eng.Now(), msg.Dest, p, size, m.replyH, i)
 }
 
 // reply lands a fetch reply: the node stores the batch's versions, a
@@ -523,7 +429,7 @@ func (m *Machine) eagerUpdate(o *jade.Object, v jade.Version, p int, readers pro
 		if q == p || !readers.has(q) {
 			continue
 		}
-		m.Send(m.Eng.Now(), p, q, o.Size, m.pushH, m.NewMsg(q, jade.Access{Obj: o, RequiredVersion: v}))
+		m.Transmit(m.Eng.Now(), p, q, o.Size, m.pushH, m.NewMsg(q, jade.Access{Obj: o, RequiredVersion: v}))
 	}
 }
 
@@ -550,19 +456,13 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 		st := m.objs[o.ID]
 		if a.Reads() {
 			if main.store[o.ID] != a.RequiredVersion {
-				// Synchronous fetch: request to owner, reply with the
-				// object; the main program blocks until arrival.
-				issued := m.CPUs[0].FreeAt()
-				reqSent := main.nic.Submit(issued, sim.Time(m.cfg.sendOccupancy(m.cfg.RequestBytes)), nil)
-				repSent := m.nodes[st.owner].nic.Submit(reqSent+sim.Time(m.cfg.MsgLatencySec), sim.Time(m.cfg.sendOccupancy(o.Size)), nil)
-				arrive := repSent + sim.Time(m.cfg.MsgLatencySec)
-				m.CPUs[0].Advance(arrive)
+				// Synchronous fetch: request to the owner, reply with the
+				// object, on healthy links at the flat message latency.
+				req := m.Link(0, st.owner, m.cfg.RequestBytes)
+				req.Lat = sim.Time(m.cfg.MsgLatencySec)
+				m.MainFetch(req, m.Link(st.owner, 0, o.Size), o.Size, []jade.Access{a}, st.owner != 0)
 				main.store[o.ID] = a.RequiredVersion
-				m.Sent(o.Size)
 				m.Arrived(o.Size, 1)
-				m.Record(obsv.Event{Kind: obsv.Fetch, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
-					At: float64(issued), End: float64(arrive), Flag: st.owner != 0})
-				m.Record(obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
 			}
 			m.noteAccess(o.ID, a.RequiredVersion, 0)
 		}

@@ -20,12 +20,10 @@ type Model interface {
 	// PickPooled returns the index in Pool of the task to hand to
 	// processor p, which has headroom, or -1 to leave p short.
 	PickPooled(p int) int
-	// Send prices one protocol message of the given size from processor
-	// from to processor to, leaving no earlier than at, and schedules
-	// h(arg) for its arrival, where the receiver folds it (Arrived or
-	// one of its refinements). Send folds each transmission it prices
-	// (Core.Sent), and a lossy transport each loss and duplicate too.
-	Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32)
+	// Link prices one message of bytes from processor from to
+	// processor to on a healthy machine; the kit's transport submits,
+	// degrades, loses and folds it (Transmit, RoundTrip).
+	Link(from, to, bytes int) Leg
 	// Arrive runs when ts reaches processor ts.Proc in a run with work.
 	// It fetches what the task reads (Gather each miss, StartFetch,
 	// then Fetched as each message lands) or, if nothing is missing,
@@ -140,7 +138,14 @@ type Central struct {
 	gather   []gathered
 	grouped  []int32
 
-	arrivedH, execDoneH, notifyH, freedH sim.Handler
+	// sends is the retransmit protocol's record slab, one record per
+	// message in flight on a lossy machine; freeSends lists its
+	// recycled records. retryH retransmits the record its argument
+	// indexes.
+	sends     []sendRec
+	freeSends []int32
+
+	arrivedH, execDoneH, notifyH, freedH, retryH sim.Handler
 }
 
 type fifo struct {
@@ -178,6 +183,7 @@ func (c *Central) Reset(procs int, par Params, model Model) {
 	clear(c.gather)
 	c.gather = c.gather[:0]
 	c.grouped = c.grouped[:0]
+	c.sends, c.freeSends = c.sends[:0], c.freeSends[:0]
 	if fresh {
 		c.HandleEnabled(c.schedule)
 		c.register()
@@ -220,6 +226,7 @@ func (c *Central) register() {
 		c.Load[p]--
 		c.drainPool(p)
 	})
+	c.retryH = c.Eng.RegisterHandler(func(i int32) { c.transmit(i, c.Eng.Now()) })
 }
 
 // ReserveCapacity implements the replay capacity hint.
@@ -267,7 +274,7 @@ func (c *Central) assign(ts *TaskState, p int) {
 		c.Eng.AtCall(decided, c.arrivedH, ts.idx)
 		return
 	}
-	c.model.Send(decided, 0, p, c.par.TaskMsgBytes, c.arrivedH, ts.idx)
+	c.Transmit(decided, 0, p, c.par.TaskMsgBytes, c.arrivedH, ts.idx)
 }
 
 // Gather queues access a, grouped by processor dest, for the next
@@ -460,7 +467,7 @@ func (c *Central) complete(ts *TaskState) {
 	c.model.Complete(ts)
 	c.RT.TaskDone(ts.T)
 	if p := ts.Proc; p != 0 {
-		c.model.Send(c.Eng.Now(), p, 0, c.par.CompletionBytes, c.notifyH, int32(p))
+		c.Transmit(c.Eng.Now(), p, 0, c.par.CompletionBytes, c.notifyH, int32(p))
 		return
 	}
 	c.Eng.Invoke(c.notifyH, 0)

@@ -8,13 +8,14 @@
 // measurements. Central adds the centralized scheduler of the
 // message-passing implementation (§3.4.3), which the ipsc, pgas and
 // cluster machines share: per-processor load, the pool of tasks waiting
-// for headroom, and one task life cycle from assignment through the
-// fetch stall, execution and the completion notice. A machine package
-// keeps only its cost model and policies; Central reaches them through
-// the Model interface.
+// for headroom, one task life cycle from assignment through the fetch
+// stall, execution and the completion notice, and one message
+// transport. A machine package keeps only its cost model and policies;
+// Central reaches them through the Model interface.
 package machine
 
 import (
+	"repro/internal/fault"
 	"repro/internal/jade"
 	"repro/internal/metrics"
 	"repro/internal/obsv"
@@ -39,6 +40,9 @@ type Core struct {
 	// Sink, when non-nil, receives the run's simulated-event stream
 	// (obsv.Observer, trace.Trace) through Record; nil costs nothing.
 	Sink obsv.Sink
+	// Inj, when non-nil, injects the deterministic faults the machine
+	// models (fault.Spec); nil leaves every path healthy.
+	Inj *fault.Injector
 
 	// ledger holds the conservation tallies Drain checks and the
 	// machine's parameters the fold reads.
@@ -53,10 +57,10 @@ type Core struct {
 }
 
 // Reset returns the core to its freshly built state with procs CPUs:
-// an empty engine at time zero, no runtime, sink or tasks, and zeroed
-// measurements. Storage is kept, so a machine that replays one run
-// after another stops allocating once its slices reach the largest
-// run's size. Creating a task costs createSec of main-processor time.
+// an empty engine at time zero, no runtime, sink, injector or tasks,
+// and zeroed measurements. Storage is kept, so a machine that replays
+// one run after another stops allocating once its slices reach the
+// largest run's size. Creating a task costs createSec of main-processor time.
 // The first Reset of a zero Core builds the engine, and the machine
 // then names its enable callback once with HandleEnabled; later Resets
 // keep the handler registry.
@@ -70,7 +74,7 @@ func (c *Core) Reset(procs int, createSec float64) {
 	for i := range c.CPUs {
 		c.CPUs[i] = sim.MakeProcessor(c.Eng)
 	}
-	c.RT, c.Sink = nil, nil
+	c.RT, c.Sink, c.Inj = nil, nil, nil
 	clear(c.Tasks)
 	c.Tasks = c.Tasks[:0]
 	c.Metrics = metrics.Run{Procs: procs, ProcBusy: c.Metrics.ProcBusy[:0]}

@@ -14,13 +14,14 @@ const (
 	lawBusy     = "busy ≤ elapsed on every processor"
 )
 
-// The run's one accounting point. A machine describes what happened
-// through the methods below, typed and small enough to inline, and
-// they fold it into Metrics and the ledger; apart from them, Stats
-// (ExecTime, ProcBusy) and the resets, no code writes Metrics. Each
-// fact is folded where the machine charges it, so float sums add the
-// same values in the same order. Record is the one path of the event
-// stream to the sink; a fact only the fold reads builds no event.
+// The run's one accounting point. A machine, or for a transmission
+// the kit's transport, describes what happened through the methods
+// below, typed and small enough to inline, and they fold it into
+// Metrics and the ledger; apart from them, Stats (ExecTime, ProcBusy)
+// and the resets, no code writes Metrics. Each fact is folded where
+// it is charged, so float sums add the same values in the same order.
+// Record is the one path of the event stream to the sink; a fact only
+// the fold reads builds no event.
 
 // Record passes e to the sink, if one is attached.
 func (c *Core) Record(e obsv.Event) {
@@ -93,22 +94,22 @@ func (c *Core) Broadcasted(bytes int) {
 	}
 }
 
-// Sent folds a transmission of bytes of payload leaving its sender. A
-// machine calls it where it charges the sender's NIC or bus, once per
-// attempt and once per in-flight duplicate.
-func (c *Core) Sent(bytes int) { c.ledger.sent.add(bytes) }
+// sent folds a transmission of bytes of payload leaving its sender.
+// The transport calls it where it charges the sender's NIC or bus,
+// once per attempt and once per in-flight duplicate.
+func (c *Core) sent(bytes int) { c.ledger.sent.add(bytes) }
 
-// Dropped folds a transmission lost in flight, which its sender
+// dropped folds a transmission lost in flight, which its sender
 // retransmits.
-func (c *Core) Dropped(bytes int) {
+func (c *Core) dropped(bytes int) {
 	c.ledger.dropped.add(bytes)
 	c.Metrics.MsgDropped++
 	c.Metrics.MsgRetransmits++
 }
 
-// Duplicated folds an in-flight duplicate of a transmission, which its
+// duplicated folds an in-flight duplicate of a transmission, which its
 // receiver discards.
-func (c *Core) Duplicated(bytes int) {
+func (c *Core) duplicated(bytes int) {
 	c.ledger.duplicated.add(bytes)
 	c.Metrics.MsgDuplicates++
 }

@@ -16,12 +16,17 @@ import (
 // TestLifeCycleDefinedOnce fails if a machine package declares what
 // the kit owns: the front half of jade.Platform on all four machines,
 // the centralized scheduler's life cycle on the three that embed
-// Central, and the accounting on all four: a machine writes no Metrics
-// field, and emits no event except through Core.Record.
+// Central, the accounting on all four (a machine writes no Metrics
+// field, and emits no event except through Core.Record), and the one
+// message transport: no machine declares a send, a retransmit protocol
+// or a fault injector of its own, folds a transmission, or draws a
+// message's loss.
 func TestLifeCycleDefinedOnce(t *testing.T) {
 	core := []string{"TaskCreated", "TaskEnabled", "Drain", "Stats", "ResetStats",
-		"Attach", "Attached", "submitMgmt", "drainPool"}
+		"Attach", "Attached", "submitMgmt", "drainPool", "Send", "transmit", "sendRec"}
 	central := []string{"assign", "completed", "taskState"}
+	transport := map[string]bool{"Sent": true, "Dropped": true, "Duplicated": true,
+		"NextMsg": true, "Drop": true, "Duplicate": true, "Jitter": true}
 	for _, pkg := range []string{"dash", "ipsc", "pgas", "cluster"} {
 		banned := map[string]bool{}
 		for _, name := range core {
@@ -76,6 +81,18 @@ func TestLifeCycleDefinedOnce(t *testing.T) {
 							t.Errorf("%s: calls obsv.%s; record events through Core.Record", fset.Position(n.Pos()), sel.Sel.Name)
 						}
 					}
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && transport[sel.Sel.Name] {
+						t.Errorf("%s: calls %s; the kit's transport (Transmit, RoundTrip) sends every message",
+							fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				case *ast.StructType:
+					for _, f := range n.Fields.List {
+						for _, id := range f.Names {
+							if id.Name == "Inj" {
+								t.Errorf("%s: declares an Inj field; the machine's injector is Core.Inj", fset.Position(id.Pos()))
+							}
+						}
+					}
 				}
 				for _, x := range lhs {
 					if sel, ok := x.(*ast.SelectorExpr); ok {
@@ -92,17 +109,20 @@ func TestLifeCycleDefinedOnce(t *testing.T) {
 }
 
 // toy is the smallest centrally scheduled machine: one task per
-// processor, free messages, no data movement. skipDrains makes its
-// pool pick refuse that many times, leaving a freed processor idle
-// with work still pooled.
+// processor, every message on one shared wire, no data movement.
+// skipDrains makes its pool pick refuse that many times, leaving a
+// freed processor idle with work still pooled.
 type toy struct {
 	Central
+	wire       sim.Processor
 	skipDrains int
 }
 
 func newToy(procs int) *toy {
 	m := &toy{}
-	m.Reset(procs, Params{CreateSec: 1e-6, AssignSec: 1e-6, CompleteSec: 1e-6, DispatchSec: 1e-6, TargetTasks: 1}, m)
+	m.Reset(procs, Params{CreateSec: 1e-6, AssignSec: 1e-6, CompleteSec: 1e-6, DispatchSec: 1e-6,
+		TaskMsgBytes: 64, CompletionBytes: 16, TargetTasks: 1}, m)
+	m.wire = sim.MakeProcessor(m.Eng)
 	return m
 }
 
@@ -127,9 +147,10 @@ func (m *toy) PickPooled(p int) int {
 	return 0
 }
 
-func (m *toy) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
-	m.Sent(bytes)
-	m.Eng.AtCall(at, h, arg)
+// Link prices a byte at a nanosecond of wire time and every message at
+// a microsecond of latency.
+func (m *toy) Link(from, to, bytes int) Leg {
+	return Leg{Res: &m.wire, Occ: sim.Time(bytes) * 1e-9, Lat: 1e-6}
 }
 
 func (m *toy) Arrive(ts *TaskState)             { m.Ready(ts) }
@@ -184,15 +205,15 @@ func TestConservationLaws(t *testing.T) {
 	consistent := []step{
 		func(c *Core) { c.created() },
 		func(c *Core) { c.created() },
-		func(c *Core) { c.Sent(64) }, // task 0's assignment
+		func(c *Core) { c.sent(64) }, // task 0's assignment
 		func(c *Core) { c.Arrived(64, 0) },
 		func(c *Core) { c.Dispatched(1, 0, 1, 0, 2) },
-		func(c *Core) { c.Sent(100) }, // a reply, lost once
-		func(c *Core) { c.Dropped(100) },
-		func(c *Core) { c.Sent(100) },
+		func(c *Core) { c.sent(100) }, // a reply, lost once
+		func(c *Core) { c.dropped(100) },
+		func(c *Core) { c.sent(100) },
 		func(c *Core) { c.ResetStats() },
-		func(c *Core) { c.Sent(100) }, // duplicated in flight
-		func(c *Core) { c.Duplicated(100) },
+		func(c *Core) { c.sent(100) }, // duplicated in flight
+		func(c *Core) { c.duplicated(100) },
 		func(c *Core) { c.Replied(100, 1, false, 1, 3) },
 		func(c *Core) { c.Dispatched(0, 1, 1, 0, 1) },
 	}
@@ -206,8 +227,8 @@ func TestConservationLaws(t *testing.T) {
 		{name: "a created task never runs", law: lawTasks, steps: with(func(c *Core) { c.created() })},
 		{name: "a task runs twice", law: lawTasks, steps: with(consistent[len(consistent)-1])},
 		{name: "a reply under-reports its bytes", law: lawMessages,
-			steps: with(func(c *Core) { c.Sent(100) }, func(c *Core) { c.Replied(99, 1, false, 3, 4) })},
-		{name: "a transmission never lands", law: lawMessages, steps: with(func(c *Core) { c.Sent(8) })},
+			steps: with(func(c *Core) { c.sent(100) }, func(c *Core) { c.Replied(99, 1, false, 3, 4) })},
+		{name: "a transmission never lands", law: lawMessages, steps: with(func(c *Core) { c.sent(8) })},
 		{name: "a processor is charged past the run", law: lawBusy,
 			steps: with(func(c *Core) { c.CPUs[1].Submit(0, 1, nil) })},
 	}

@@ -1,7 +1,6 @@
 package pgas
 
 import (
-	"repro/internal/fault"
 	"repro/internal/jade"
 	"repro/internal/machine"
 	"repro/internal/obsv"
@@ -16,8 +15,9 @@ const absentVersion jade.Version = -1
 // write-back cache per locale. One-sided remote operations occupy the
 // issuing NIC (and, for the data leg of a get, the home NIC) but never
 // a remote CPU; faults degrade them through the injector's link and
-// remote-latency hooks. The fabric is reliable — there is no
-// drop/retransmit protocol, so message-loss faults do not apply here.
+// remote-latency hooks. The fabric is reliable: a run spec's loss
+// faults are canonicalized away here, so the kit's retransmit protocol
+// never runs.
 type Machine struct {
 	machine.Central
 	cfg Config
@@ -31,11 +31,6 @@ type Machine struct {
 	// gotH lands a get's data leg and putH a write-back; both take a
 	// kit message index.
 	gotH, putH sim.Handler
-
-	// Inj, when non-nil, injects deterministic faults: remote-op
-	// latency inflation on victim locales, degraded links, and
-	// straggler cores.
-	Inj *fault.Injector
 }
 
 var (
@@ -79,7 +74,6 @@ func (m *Machine) Reset(cfg Config) {
 	for i := range m.stores {
 		m.stores[i] = m.stores[i][:0]
 	}
-	m.Inj = nil
 }
 
 // ObjectAllocated implements jade.Platform: the object's segment is
@@ -91,18 +85,12 @@ func (m *Machine) ObjectAllocated(o *jade.Object) {
 	m.stores[o.Home][o.ID] = 0
 }
 
-// latency is the one-way latency of a one-sided operation whose
-// remote end is locale `remote`; victim locales answer slower.
-func (m *Machine) latency(remote int) sim.Time {
-	return sim.Time(m.cfg.RemoteLatencySec * m.Inj.RemoteFactor(remote, m.cfg.Procs))
-}
-
-// Send implements machine.Model: the message occupies the sending NIC
-// and pays the wire latency of its destination.
-func (m *Machine) Send(at sim.Time, from, to, bytes int, h sim.Handler, arg int32) {
-	sent := m.nics[from].Submit(at, sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(from, to)), nil)
-	m.Sent(bytes)
-	m.Eng.AtCall(sent+m.latency(to), h, arg)
+// Link implements machine.Model: the message occupies the sending NIC
+// and pays the wire latency of its destination, the remote end of a
+// one-sided operation; victim locales answer slower.
+func (m *Machine) Link(from, to, bytes int) machine.Leg {
+	return machine.Leg{Res: &m.nics[from], Occ: sim.Time(m.cfg.occupancy(bytes)),
+		Lat: sim.Time(m.cfg.RemoteLatencySec * m.Inj.RemoteFactor(to, m.cfg.Procs))}
 }
 
 // CPUTime implements machine.Model: a modern core, stretched on a
@@ -130,21 +118,11 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 		batch, h := m.Msg(i).Batch, m.Msg(i).Dest
 		bytes := 0
 		for _, a := range batch {
+			store[a.Obj.ID] = a.RequiredVersion
 			bytes += a.Obj.Size
 		}
-		issued := m.CPUs[0].FreeAt()
-		req := m.nics[0].Submit(issued, sim.Time(m.cfg.occupancy(0)*m.Inj.LinkFactor(0, h)), nil)
-		rep := m.nics[h].Submit(req+m.latency(h), sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(h, 0)), nil)
-		arrive := rep + m.latency(h)
-		m.CPUs[0].Advance(arrive)
-		m.Sent(bytes)
+		m.MainFetch(m.Route(0, h, 0), m.Route(h, 0, bytes), bytes, batch, true)
 		m.Got(bytes, len(batch), false, 0, 0)
-		for _, a := range batch {
-			store[a.Obj.ID] = a.RequiredVersion
-			m.Record(obsv.Event{Kind: obsv.Fetch, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
-				At: float64(issued), End: float64(arrive), Flag: true})
-		}
-		m.Record(obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
 		m.FreeMsg(i)
 	}
 	for _, a := range accs {
@@ -235,7 +213,7 @@ func (m *Machine) Arrive(ts *machine.TaskState) {
 
 // get issues fetch message i as one one-sided (possibly batched)
 // remote get: the request descriptor occupies the issuing NIC, the
-// data leg the home NIC, and each leg pays the wire latency.
+// data leg the home NIC, and both legs pay the home's wire latency.
 func (m *Machine) get(i int32) {
 	msg := m.Msg(i)
 	p, h := msg.TS.Proc, msg.Dest
@@ -244,10 +222,7 @@ func (m *Machine) get(i int32) {
 		bytes += a.Obj.Size
 	}
 	msg.Issued = m.Eng.Now()
-	req := m.nics[p].Submit(msg.Issued, sim.Time(m.cfg.occupancy(0)*m.Inj.LinkFactor(p, h)), nil)
-	rep := m.nics[h].Submit(req+m.latency(h), sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(h, p)), nil)
-	m.Sent(bytes)
-	m.Eng.AtCall(rep+m.latency(h), m.gotH, i)
+	m.Eng.AtCall(m.RoundTrip(msg.Issued, m.Route(p, h, 0), m.Route(h, p, bytes), bytes), m.gotH, i)
 }
 
 // got lands get i's data leg at the issuing locale.
@@ -327,14 +302,11 @@ func (m *Machine) writeBack(p int, o *jade.Object, v jade.Version) {
 func (m *Machine) flushWrites(p int) {
 	for _, i := range m.Group(m.cfg.Aggregation) {
 		msg := m.Msg(i)
-		h := msg.Dest
 		bytes := 0
 		for _, a := range msg.Batch {
 			bytes += a.Obj.Size
 		}
-		sent := m.nics[p].Submit(m.Eng.Now(), sim.Time(m.cfg.occupancy(bytes)*m.Inj.LinkFactor(p, h)), nil)
-		m.Sent(bytes)
-		m.Eng.AtCall(sent+m.latency(h), m.putH, i)
+		m.Transmit(m.Eng.Now(), p, msg.Dest, bytes, m.putH, i)
 	}
 }
 
