@@ -140,7 +140,7 @@ echo "== jadebench paper-scale digests =="
 # machine must leave all three byte-identical. A change that alters a
 # report on purpose updates the digest here and says why.
 paper_md_sha=c034679c3d5780eb75ca5c7b0fc4c46c14b67bcf29f9c0c8707adb3031fad3fe
-paper_json_sha=8146cc25aab87aca13bd3bf72f2384563b27243587c455d4bd94711b0b4c0f55
+paper_json_sha=5e46c8c5d9b882d7665108c41c0cbb8416c87d91dab3a4ce218ae5e9244f9146
 paper_gran_sha=a8d5dc68b05b03f32f1c4e96e9307313f4541385b2123724f15abd1c97c7cf55
 "$cmpdir/jadebench" -experiment all -scale paper -markdown >"$cmpdir/paper.md"
 "$cmpdir/jadebench" -experiment all -scale paper -json >"$cmpdir/paper.json"

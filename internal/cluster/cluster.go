@@ -15,7 +15,6 @@ package cluster
 import (
 	"repro/internal/jade"
 	"repro/internal/machine"
-	"repro/internal/obsv"
 	"repro/internal/sim"
 )
 
@@ -145,7 +144,7 @@ func (m *Machine) ObjectAllocated(o *jade.Object) {
 
 // Link implements machine.Model: every message serializes on the bus.
 func (m *Machine) Link(from, to, bytes int) machine.Leg {
-	return machine.Leg{Res: &m.bus, Occ: sim.Time(m.cfg.busTime(bytes)), Lat: sim.Time(m.cfg.MsgLatencySec)}
+	return machine.Leg{Res: &m.bus, Occ: sim.Time(m.cfg.busTime(bytes)), Lat: sim.Time(m.cfg.MsgLatencySec), Bytes: bytes}
 }
 
 // CPUTime implements machine.Model: the workstation's speed.
@@ -163,10 +162,8 @@ func (m *Machine) MainTouches(accs []jade.Access) {
 		o := a.Obj
 		if a.Reads() && store[o.ID] != a.RequiredVersion {
 			owner := m.owner[o.ID]
-			m.MainFetch(m.Route(0, owner, m.cfg.RequestBytes), m.Route(owner, 0, o.Size), o.Size,
-				[]jade.Access{a}, owner != 0)
+			m.MainFetch(m.Route(0, owner, m.cfg.RequestBytes), m.Route(owner, 0, o.Size), []jade.Access{a}, false)
 			store[o.ID] = a.RequiredVersion
-			m.Arrived(o.Size, 1)
 		}
 		if a.Writes() {
 			m.owner[o.ID] = 0
@@ -231,9 +228,8 @@ func (m *Machine) Arrive(ts *machine.TaskState) {
 	for _, i := range msgs {
 		msg := m.Msg(i)
 		msg.Issued = m.Eng.Now()
-		size := msg.Batch[0].Obj.Size
-		m.Eng.AtCall(m.RoundTrip(msg.Issued, m.Route(p, msg.Dest, m.cfg.RequestBytes), m.Route(msg.Dest, p, size), size),
-			m.replyH, i)
+		m.Eng.AtCall(m.RoundTrip(msg.Issued, m.Route(p, msg.Dest, m.cfg.RequestBytes),
+			m.Route(msg.Dest, p, msg.Batch[0].Obj.Size)), m.replyH, i)
 	}
 }
 
@@ -242,10 +238,8 @@ func (m *Machine) reply(i int32) {
 	msg := m.Msg(i)
 	p, a := msg.TS.Proc, msg.Batch[0]
 	m.stores[p][a.Obj.ID] = a.RequiredVersion
-	m.Record(obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(a.Obj.ID), Name: a.Obj.Name, Bytes: a.Obj.Size,
-		At: float64(msg.Issued), End: float64(m.Eng.Now()), Flag: m.owner[a.Obj.ID] != p})
 	// Every fetched object is a read copy here, whoever owns it now.
-	m.Replied(a.Obj.Size, 1, true, float64(msg.Issued), float64(m.Eng.Now()))
+	m.Replied(p, msg.Batch, true, float64(msg.Issued), float64(m.Eng.Now()))
 	m.Fetched(i)
 }
 

@@ -138,7 +138,10 @@ func (m *Machine) register() {
 	m.execDoneCallH = m.Eng.RegisterHandler(func(v int32) {
 		p := int(v)
 		t := m.curTask[p]
-		m.Record(obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(m.curStart[p]), End: float64(m.Eng.Now())})
+		if m.Sink != nil {
+			m.Sink.Record(obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(m.curStart[p]),
+				End: float64(m.Eng.Now())})
+		}
 		m.curTask[p] = nil
 		m.running[p] = false
 		m.RT.TaskDone(t)
@@ -203,7 +206,9 @@ func (m *Machine) target(t *jade.Task) int {
 // peers displace them (the paper's Water/String runs execute 100% of
 // tasks on target), while sustained imbalance still triggers steals.
 func (m *Machine) enqueue(t *jade.Task) {
-	m.Record(obsv.Event{Kind: obsv.Enabled, Proc: -1, Task: int(t.ID), At: float64(m.Eng.Now())})
+	if m.Sink != nil {
+		m.Sink.Record(obsv.Event{Kind: obsv.Enabled, Proc: -1, Task: int(t.ID), At: float64(m.Eng.Now())})
+	}
 	switch {
 	case m.cfg.Level == NoLocality:
 		m.global = append(m.global, int32(t.ID))
@@ -379,7 +384,9 @@ func (m *Machine) execute(p int, t *jade.Task, stole bool) {
 	m.Dispatched(p, int(t.ID), m.target(t), mgmt, app)
 
 	m.running[p] = true
-	m.Record(obsv.Event{Kind: obsv.ExecStart, Proc: p, Task: int(t.ID), At: float64(m.Eng.Now()), Flag: stole})
+	if m.Sink != nil {
+		m.Sink.Record(obsv.Event{Kind: obsv.ExecStart, Proc: p, Task: int(t.ID), At: float64(m.Eng.Now()), Flag: stole})
+	}
 	if len(t.Segments) > 0 && !m.RT.Config().WorkFree {
 		// Staged task: memory and dispatch costs are charged with the
 		// first segment; each segment boundary may release accesses.
@@ -409,7 +416,9 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 			d += baseCost
 		}
 		m.CPUs[p].Submit(m.Eng.Now(), sim.Time(d), func(start, end sim.Time) {
-			m.Record(obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
+			if m.Sink != nil {
+				m.Sink.Record(obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
+			}
 			for _, o := range segs[i].Release {
 				m.RT.ReleaseEarly(t, o)
 			}
@@ -418,7 +427,10 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 				return
 			}
 			m.running[p] = false
-			m.Record(obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(end), End: float64(end), Flag: true})
+			if m.Sink != nil {
+				m.Sink.Record(obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(end), End: float64(end),
+					Flag: true})
+			}
 			m.RT.TaskDone(t)
 			m.dispatch(p)
 		})
@@ -439,8 +451,8 @@ func (m *Machine) jitter(id jade.TaskID) float64 {
 }
 
 // accessCost returns the memory time for one declared access on
-// processor p, updates the cache and dirty-line state, and accounts
-// local/remote traffic.
+// processor p, updates the cache and dirty-line state, and folds the
+// access: a cache hit, or a miss moving a local or remote line.
 func (m *Machine) accessCost(p int, a jade.Access) float64 {
 	o := a.Obj
 	c := &m.caches[p]
@@ -457,7 +469,7 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 	}
 
 	var cycles float64
-	remote := false
+	class := obsv.LocalLine
 	hit := c.has(o, a.RequiredVersion)
 	if hit && m.Inj != nil && m.Inj.Invalidate(p) {
 		// A transient invalidation storm evicted the line between the
@@ -469,6 +481,7 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 	switch {
 	case hit:
 		cycles = m.cfg.CacheHitCycles
+		class = obsv.Hit
 		c.touch(o)
 	default:
 		lw := m.lastWriter[o.ID]
@@ -477,32 +490,26 @@ func (m *Machine) accessCost(p int, a jade.Access) float64 {
 		switch {
 		case dirtyElsewhere:
 			cycles = m.cfg.DirtyRemoteCycles
-			remote = true
+			class = obsv.RemoteLine
 			lw.dirty = false // written back on the forwarding read
 			m.lastWriter[o.ID] = lw
 		case m.cfg.cluster(o.Home) == m.cfg.cluster(p):
 			cycles = m.cfg.LocalMemCycles
 		default:
 			cycles = m.cfg.RemoteMemCycles
-			remote = true
+			class = obsv.RemoteLine
 		}
 	}
-	if remote && m.Inj != nil {
+	if class == obsv.RemoteLine && m.Inj != nil {
 		// Victim clusters sit behind a congested mesh segment: every
 		// remote access from them pays the elevated latency factor.
 		cycles *= m.Inj.RemoteFactor(m.cfg.cluster(p), m.cfg.clusters())
 	}
-	m.Accessed(o.Size, remote, hit)
+	cost := m.cfg.lineTime(o.Size, cycles)
+	m.Accessed(p, o, class, cost)
 	c.insert(o, resulting)
 	if a.Writes() {
 		m.lastWriter[o.ID] = writerInfo{proc: p, version: resulting, dirty: true}
-	}
-	cost := m.cfg.lineTime(o.Size, cycles)
-	// On the shared-memory model a "fetch" is a cache miss: the line
-	// transfer from local or remote memory into p's cache. It is priced
-	// inside the task's execution, so only its latency is known.
-	if !hit {
-		m.Record(obsv.Event{Kind: obsv.Fetch, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size, End: cost, Flag: remote})
 	}
 	return cost
 }

@@ -234,6 +234,43 @@ func TestVictimClusterCount(t *testing.T) {
 	}
 }
 
+// The victim set RemoteFactor builds once per Reset and cluster count
+// marks exactly the clusters a per-call ranking picks: the k smallest
+// keyed hashes, ties to the lower index.
+func TestRemoteFactorMatchesRanking(t *testing.T) {
+	ranked := func(seed uint64, k, cluster, n int) bool {
+		rank, hc := 0, mix(seed, kVictim, uint64(cluster))
+		for j := 0; j < n; j++ {
+			if hj := mix(seed, kVictim, uint64(j)); hj < hc || (hj == hc && j < cluster) {
+				rank++
+			}
+		}
+		return rank < k
+	}
+	in := new(Injector)
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, k := range []int{1, 2, 4} {
+			spec := Spec{Seed: seed, VictimClusters: k}
+			if err := spec.Canonicalize(); err != nil {
+				t.Fatal(err)
+			}
+			in.Reset(spec, 8)
+			// Sizes in both directions, so the set is rebuilt on each change.
+			for _, n := range []int{3, 8, 1, 32, 8, 16} {
+				for c := 0; c < n; c++ {
+					want := 1.0
+					if ranked(seed, k, c, n) {
+						want = spec.RemoteLatencyFactor
+					}
+					if got := in.RemoteFactor(c, n); got != want {
+						t.Fatalf("seed %d, %d of %d clusters: cluster %d factor %g, want %g", seed, k, n, c, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestInvalidateStormsAreBursty(t *testing.T) {
 	in := NewInjector(Spec{Seed: 21, InvalidatePct: 0.2}, 1)
 	// Within one 32-access window every draw agrees (that is what

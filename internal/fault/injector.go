@@ -21,6 +21,9 @@ type Injector struct {
 	accSeq []uint64
 
 	straggler []bool
+	// victims marks the victim clusters among len(victims), built by
+	// the first RemoteFactor call after Reset.
+	victims []bool
 }
 
 // NewInjector builds an injector for a machine with the given
@@ -46,6 +49,7 @@ func (in *Injector) Reset(spec Spec, procs int) *Injector {
 	in.msgSeq = zeroed(in.msgSeq, procs)
 	in.accSeq = zeroed(in.accSeq, procs)
 	in.straggler = pick(zeroed(in.straggler, procs), spec.Seed, kStraggler, spec.Stragglers)
+	in.victims = in.victims[:0]
 	return in
 }
 
@@ -176,27 +180,19 @@ func (in *Injector) Straggler(p int) bool {
 }
 
 // RemoteFactor returns the remote-access latency factor (>= 1) for a
-// DASH cluster. The victim set is the spec's VictimClusters clusters,
-// chosen deterministically from the seed among nClusters.
+// DASH cluster or a PGAS locale. The victim set is the spec's
+// VictimClusters clusters, chosen deterministically from the seed
+// among nClusters (pick).
 func (in *Injector) RemoteFactor(cluster, nClusters int) float64 {
 	if in == nil || in.spec.VictimClusters <= 0 || nClusters < 1 {
 		return 1
 	}
-	// Rank-based selection, computed per call so the injector needs no
-	// knowledge of the machine's cluster geometry at build time.
-	k := in.spec.VictimClusters
-	if k >= nClusters {
-		return in.spec.RemoteLatencyFactor
+	// Built on first use, so the injector needs no knowledge of the
+	// machine's cluster geometry at build time.
+	if len(in.victims) != nClusters {
+		in.victims = pick(zeroed(in.victims, nClusters), in.spec.Seed, kVictim, in.spec.VictimClusters)
 	}
-	rank := 0
-	hc := mix(in.spec.Seed, kVictim, uint64(cluster))
-	for j := 0; j < nClusters; j++ {
-		hj := mix(in.spec.Seed, kVictim, uint64(j))
-		if hj < hc || (hj == hc && j < cluster) {
-			rank++
-		}
-	}
-	if rank < k {
+	if in.victims[cluster] {
 		return in.spec.RemoteLatencyFactor
 	}
 	return 1

@@ -192,7 +192,7 @@ func (c *Core) Stats() *metrics.Run {
 // ResetStats implements jade.Platform: the fold's measurements and the
 // CPUs' time restart.
 func (c *Core) ResetStats() {
-	c.resetMetrics()
+	c.Metrics = metrics.Run{Procs: len(c.CPUs), ProcBusy: c.Metrics.ProcBusy[:0]}
 	c.execBase = c.CPUs[0].FreeAt()
 	c.busyBase = c.busyBase[:0]
 	for i := range c.CPUs {

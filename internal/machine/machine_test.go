@@ -17,10 +17,10 @@ import (
 // the kit owns: the front half of jade.Platform on all four machines,
 // the centralized scheduler's life cycle on the three that embed
 // Central, the accounting on all four (a machine writes no Metrics
-// field, and emits no event except through Core.Record), and the one
-// message transport: no machine declares a send, a retransmit protocol
-// or a fault injector of its own, folds a transmission, or draws a
-// message's loss.
+// field, calls no obsv emitter, and builds no Fetch event: the kit's
+// folds record every fetch), and the one message transport: no machine
+// declares a send, a retransmit protocol or a fault injector of its
+// own, folds a transmission, or draws a message's loss.
 func TestLifeCycleDefinedOnce(t *testing.T) {
 	core := []string{"TaskCreated", "TaskEnabled", "Drain", "Stats", "ResetStats",
 		"Attach", "Attached", "submitMgmt", "drainPool", "Send", "transmit", "sendRec"}
@@ -84,6 +84,11 @@ func TestLifeCycleDefinedOnce(t *testing.T) {
 					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && transport[sel.Sel.Name] {
 						t.Errorf("%s: calls %s; the kit's transport (Transmit, RoundTrip) sends every message",
 							fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				case *ast.SelectorExpr:
+					if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "obsv" && n.Sel.Name == "Fetch" {
+						t.Errorf("%s: names obsv.Fetch; the kit's folds (Accessed, Replied, Pushed, Got, MainFetch) "+
+							"record every fetch", fset.Position(n.Pos()))
 					}
 				case *ast.StructType:
 					for _, f := range n.Fields.List {
@@ -150,7 +155,7 @@ func (m *toy) PickPooled(p int) int {
 // Link prices a byte at a nanosecond of wire time and every message at
 // a microsecond of latency.
 func (m *toy) Link(from, to, bytes int) Leg {
-	return Leg{Res: &m.wire, Occ: sim.Time(bytes) * 1e-9, Lat: 1e-6}
+	return Leg{Res: &m.wire, Occ: sim.Time(bytes) * 1e-9, Lat: 1e-6, Bytes: bytes}
 }
 
 func (m *toy) Arrive(ts *TaskState)             { m.Ready(ts) }
@@ -202,6 +207,7 @@ func TestDrainPanicsOnStrandedPool(t *testing.T) {
 // each other row breaks one law, and Drain must panic naming it.
 func TestConservationLaws(t *testing.T) {
 	type step func(c *Core)
+	batch := func(bytes int) []jade.Access { return []jade.Access{{Obj: &jade.Object{Size: bytes}}} }
 	consistent := []step{
 		func(c *Core) { c.created() },
 		func(c *Core) { c.created() },
@@ -214,7 +220,7 @@ func TestConservationLaws(t *testing.T) {
 		func(c *Core) { c.ResetStats() },
 		func(c *Core) { c.sent(100) }, // duplicated in flight
 		func(c *Core) { c.duplicated(100) },
-		func(c *Core) { c.Replied(100, 1, false, 1, 3) },
+		func(c *Core) { c.Replied(1, batch(100), false, 1, 3) },
 		func(c *Core) { c.Dispatched(0, 1, 1, 0, 1) },
 	}
 	with := func(steps ...step) []step { return append(consistent[:len(consistent):len(consistent)], steps...) }
@@ -227,7 +233,7 @@ func TestConservationLaws(t *testing.T) {
 		{name: "a created task never runs", law: lawTasks, steps: with(func(c *Core) { c.created() })},
 		{name: "a task runs twice", law: lawTasks, steps: with(consistent[len(consistent)-1])},
 		{name: "a reply under-reports its bytes", law: lawMessages,
-			steps: with(func(c *Core) { c.sent(100) }, func(c *Core) { c.Replied(99, 1, false, 3, 4) })},
+			steps: with(func(c *Core) { c.sent(100) }, func(c *Core) { c.Replied(1, batch(99), false, 3, 4) })},
 		{name: "a transmission never lands", law: lawMessages, steps: with(func(c *Core) { c.sent(8) })},
 		{name: "a processor is charged past the run", law: lawBusy,
 			steps: with(func(c *Core) { c.CPUs[1].Submit(0, 1, nil) })},

@@ -110,3 +110,23 @@ func TestLinksOnlyInjectorScalesOccupancy(t *testing.T) {
 		t.Fatalf("link factors %v: want both healthy and degraded links", seen)
 	}
 }
+
+// A round trip folds its request, a descriptor, as sent and delivered,
+// and its reply as sent; once the caller folds the reply's arrival the
+// tallies balance and Drain's message law holds.
+func TestRoundTripBalancesTallies(t *testing.T) {
+	m := newToy(2)
+	req, rep := m.Route(0, 1, 24), m.Route(1, 0, 100)
+	if at, want := m.RoundTrip(0, req, rep), req.Occ+rep.Occ+2*req.Lat; at != want {
+		t.Fatalf("reply landed at %g, want %g", at, want)
+	}
+	m.Arrived(rep.Bytes, 1)
+	l := m.ledger
+	if want := (tally{2, 124}); l.sent != want || l.delivered != want {
+		t.Fatalf("sent %+v, delivered %+v; want both %+v", l.sent, l.delivered, want)
+	}
+	if r := m.Metrics; r.MsgCount != 1 || r.MsgBytes != 100 {
+		t.Fatalf("the request counted toward a message total: %d messages, %d bytes", r.MsgCount, r.MsgBytes)
+	}
+	m.Drain()
+}

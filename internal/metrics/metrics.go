@@ -10,7 +10,11 @@ import "repro/internal/obsv"
 // one platform configuration. On a simulated machine every counter is
 // folded in one place, the machine kit (internal/machine), from what
 // the machine reports happened; each field names the machine.Core
-// methods that fold it. ExecTime and ProcBusy are read from the
+// methods that fold it. The folds that move objects (Accessed,
+// Replied, Pushed, Got and the transport's MainFetch) also emit each
+// object's obsv.Fetch event, classed as they count it, so an attached
+// obsv.Observer's per-object bytes and replicated reads sum to these
+// counters exactly. ExecTime and ProcBusy are read from the
 // processors instead, and the granularity pass stamps its own fields
 // after the run.
 type Run struct {
@@ -36,10 +40,11 @@ type Run struct {
 
 	// MsgBytes and MsgCount measure the messages that carry shared
 	// objects on the ipsc, pgas and cluster machines (Arrived with
-	// objects, and Replied, Pushed, Got and Put); task assignments,
-	// completion notices and fetch requests count toward neither. An
-	// iPSC adaptive broadcast counts as P−1 messages of the object's
-	// size (Broadcasted). Figures 16–19 use MsgBytes/TaskExecTotal.
+	// objects, and Replied, Pushed, Got, Put and MainFetch); task
+	// assignments, completion notices and fetch requests count toward
+	// neither. An iPSC adaptive broadcast counts as P−1 messages of the
+	// object's size (Broadcasted). Figures 16–19 use
+	// MsgBytes/TaskExecTotal.
 	MsgBytes int64
 	MsgCount int64
 	// BroadcastCount counts adaptive-broadcast operations performed
@@ -47,12 +52,13 @@ type Run struct {
 	BroadcastCount int
 	// ReplicatedReads counts object fetches satisfied by creating an
 	// additional read copy (the replication optimization, §5.1):
-	// Replied when replicated, and a task's Got.
+	// Replied when replicated, and Got; their Fetch events are of
+	// class obsv.Replica.
 	ReplicatedReads int64
 
 	// ObjectLatency is the sum over object requests of the time from
 	// request send to object arrival (each object of Replied or a
-	// task's Got); TaskLatency is the sum over tasks of the time from
+	// Got); TaskLatency is the sum over tasks of the time from
 	// first request to last arrival (the kit's fetch tail). Both are
 	// kept where the machine measures fetch stalls (§5.5).
 	ObjectLatency float64
@@ -103,9 +109,10 @@ type Run struct {
 
 	// RemoteBytes counts bytes satisfied from remote memory on the
 	// shared-memory model (Accessed) and, on the PGAS model, bytes
-	// moved by remote gets (Got).
+	// moved by remote gets (Got, and MainFetch's gets).
 	RemoteBytes int64
-	// LocalBytes counts bytes satisfied from local memory or cache
+	// LocalBytes counts bytes satisfied from local memory or cache,
+	// and on the PGAS model from a locale's cache or own segment
 	// (Accessed).
 	LocalBytes int64
 
