@@ -8,6 +8,8 @@
 // tasks per processor (latency hiding).
 package ipsc
 
+import "math/bits"
+
 // LocalityLevel selects the paper's three locality optimization levels
 // (§5.2) for the message-passing scheduler.
 type LocalityLevel int
@@ -155,15 +157,7 @@ func (c *Config) sendOccupancy(bytes int) float64 {
 
 // hops returns the hypercube distance between two nodes: the number
 // of dimensions in which their (e-cube routed) addresses differ.
-func (c *Config) hops(a, b int) int {
-	x := uint(a ^ b)
-	n := 0
-	for x != 0 {
-		n += int(x & 1)
-		x >>= 1
-	}
-	return n
-}
+func (c *Config) hops(a, b int) int { return bits.OnesCount(uint(a ^ b)) }
 
 // msgLatency returns the wire latency from a to b: the base latency
 // plus the per-hop switch setup for each extra dimension crossed.
@@ -179,13 +173,4 @@ func (c *Config) msgLatency(a, b int) float64 {
 // broadcast costs the root: ⌈log2 P⌉, minimum 1 (the degenerate
 // single-processor case still performs one send; §5.3 notes it
 // degrades performance).
-func (c *Config) bcastSteps() int {
-	steps := 0
-	for n := 1; n < c.Procs; n <<= 1 {
-		steps++
-	}
-	if steps == 0 {
-		steps = 1
-	}
-	return steps
-}
+func (c *Config) bcastSteps() int { return max(bits.Len(uint(c.Procs-1)), 1) }
