@@ -182,8 +182,9 @@ echo "== jadebench cell-trace smoke =="
 # Gantt chart and Perfetto export of the run the table reports. Each
 # entry names the experiment, the cell, the machine and, when another
 # entry already runs on that machine, its output file. jadebench -cell
-# exits 1 when the recorded schedule fails check.Validate, and 2 on a
-# cell index out of range.
+# exits 1 when the recorded schedule fails check.Validate or a task's
+# lifecycle fails check.EventOrdering, and 2 on a cell index out of
+# range.
 trdir=$(mktemp -d)
 go build -o "$trdir/jadebench" ./cmd/jadebench
 go build -o "$trdir/jsoncheck" ./internal/tools/jsoncheck

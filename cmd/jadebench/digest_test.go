@@ -35,27 +35,27 @@ import (
 // itself (".../hot"), so a change to the per-object view shows apart
 // from the rest.
 var wantDigests = map[string]string{
-	"cell/extension-portability/10":          "327fdcee82ec4564",
+	"cell/extension-portability/10":          "5a705e9c5e6073e0",
 	"cell/extension-portability/10/hot":      "90c1e44bcbdc4c8d",
-	"cell/extension-portability/10/perfetto": "37c786497daee05f",
-	"cell/fault-sweep/42":                    "34783ba396cd3fe8",
+	"cell/extension-portability/10/perfetto": "203603baafc4257c",
+	"cell/fault-sweep/42":                    "dd929828cb3bb775",
 	"cell/fault-sweep/42/hot":                "0b20c38e0da47edd",
-	"cell/fault-sweep/42/perfetto":           "1f18dd6f0b5080b0",
+	"cell/fault-sweep/42/perfetto":           "b5d940299faf2859",
 	"cell/fig10/9":                           "677e3e32ee59781a",
 	"cell/fig10/9/hot":                       "e626034eb2eb7ae0",
 	"cell/fig10/9/perfetto":                  "788690e3ae1cb118",
-	"cell/pgas-compare/8":                    "669f69419e8f6b9a",
+	"cell/pgas-compare/8":                    "8f2ca3ab26332e7a",
 	"cell/pgas-compare/8/hot":                "0e777ba86a60c5b4",
-	"cell/pgas-compare/8/perfetto":           "80fea4d460af91be",
-	"cell/table10/16":                        "925f7b7e8eef8fa0",
+	"cell/pgas-compare/8/perfetto":           "d3e9c4ee8c7d0717",
+	"cell/table10/16":                        "13be4e36abb8b328",
 	"cell/table10/16/hot":                    "89091221ed9cd30c",
-	"cell/table10/16/perfetto":               "324ada30fbfa85a3",
-	"cell/table10/2":                         "2c843fcdb0a1cba2",
+	"cell/table10/16/perfetto":               "d9148b511d7749ec",
+	"cell/table10/2":                         "bd67892af591e6d2",
 	"cell/table10/2/hot":                     "d09a3bce854aea14",
-	"cell/table10/2/perfetto":                "fb662a688fabb6f2",
-	"cell/table10/9":                         "ebd128f1a99dcc35",
+	"cell/table10/2/perfetto":                "8fc377d143a7c1d0",
+	"cell/table10/9":                         "f2512deea7f40519",
 	"cell/table10/9/hot":                     "adb3bf1f32994ac2",
-	"cell/table10/9/perfetto":                "0a8979aa5d38a6f4",
+	"cell/table10/9/perfetto":                "a5904030b638fa26",
 	"cell/table2/2":                          "81dd1de15f720509",
 	"cell/table2/2/hot":                      "68c7f74776ce0116",
 	"cell/table2/2/perfetto":                 "b89229f226d3c681",
@@ -86,27 +86,27 @@ var wantDigests = map[string]string{
 	"cell/table5/9":                          "11b1d1acc470180f",
 	"cell/table5/9/hot":                      "994aad25637b4f33",
 	"cell/table5/9/perfetto":                 "0263d279439be3c2",
-	"cell/table7/2":                          "3b46bffc814439c3",
+	"cell/table7/2":                          "548916f9f468545f",
 	"cell/table7/2/hot":                      "874a3d90a426bb0f",
-	"cell/table7/2/perfetto":                 "3c054e956595ee23",
-	"cell/table7/9":                          "8addb539dd8fd317",
+	"cell/table7/2/perfetto":                 "dd3643be3b38fbb6",
+	"cell/table7/9":                          "4e4a0471fabc9353",
 	"cell/table7/9/hot":                      "e3cac19632932dca",
-	"cell/table7/9/perfetto":                 "db137316eebb3846",
-	"cell/table8/2":                          "a513d001a74685eb",
+	"cell/table7/9/perfetto":                 "6c872b56c9a8375c",
+	"cell/table8/2":                          "94d8f26271534bbd",
 	"cell/table8/2/hot":                      "e4df1bba32fc65a8",
-	"cell/table8/2/perfetto":                 "4690925f7fcd7480",
-	"cell/table8/9":                          "e9a48227a93cbd43",
+	"cell/table8/2/perfetto":                 "df82723810b3fcff",
+	"cell/table8/9":                          "640705b93c438003",
 	"cell/table8/9/hot":                      "51c6e50f34cca5b6",
-	"cell/table8/9/perfetto":                 "0e0c4ee767ab79ba",
-	"cell/table9/16":                         "9c2e1af6811bbd78",
+	"cell/table8/9/perfetto":                 "20af23254b33ba41",
+	"cell/table9/16":                         "68487363f2859fc2",
 	"cell/table9/16/hot":                     "7972def4bdaf3932",
-	"cell/table9/16/perfetto":                "2f75bcac7fa1a0a8",
-	"cell/table9/2":                          "275c66e540a55024",
+	"cell/table9/16/perfetto":                "fb319004a7d6db76",
+	"cell/table9/2":                          "df180da350864bd4",
 	"cell/table9/2/hot":                      "20ccff62bcd6198a",
-	"cell/table9/2/perfetto":                 "307839319ae3d23f",
-	"cell/table9/9":                          "a53badaf9e2b601d",
+	"cell/table9/2/perfetto":                 "880c9eafe7025886",
+	"cell/table9/9":                          "09f1983fa19d4eb2",
 	"cell/table9/9/hot":                      "d26cb9980211f42e",
-	"cell/table9/9/perfetto":                 "6c404be8179ff291",
+	"cell/table9/9/perfetto":                 "e3a7172e0d39dc50",
 
 	"metrics/cholesky/dash/8":           "2b8279f2e63eb934",
 	"metrics/cholesky/dash/8/obsv":      "4e2be7e1a87b132d",

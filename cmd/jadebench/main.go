@@ -271,7 +271,8 @@ const ganttWidth = 96
 
 // traceCell replays cell n of experiment id with the event trace (and,
 // for hot > 0, the observer) attached, prints what the flags ask for,
-// then the Gantt chart, a summary line and the schedule check.
+// then the Gantt chart, a summary line, the schedule check and the
+// lifecycle check.
 func traceCell(id string, n int, scale experiments.Scale, logEvents bool, perfetto string, hot int, stdout, stderr io.Writer) int {
 	tr := trace.New()
 	var obs *obsv.Observer
@@ -309,6 +310,9 @@ func traceCell(id string, n int, scale experiments.Scale, logEvents bool, perfet
 		len(tr.Events()), res.TaskCount, res.ExecTime, res.LocalityPct())
 	if err := check.Validate(tr, tasks); err != nil {
 		return fail(stderr, 1, "SCHEDULE INVALID: %v", err)
+	}
+	if err := check.EventOrdering(tr); err != nil {
+		return fail(stderr, 1, "LIFECYCLE INVALID: %v", err)
 	}
 	fmt.Fprintln(stdout, "schedule validated: conflicting tasks ordered and non-overlapping")
 	return 0

@@ -69,7 +69,8 @@ func conflict(a, b *jade.Task) bool {
 // Validate checks every conflicting task pair for ordered,
 // non-overlapping execution. Staged tasks (multiple synchronization
 // points) are skipped: their early releases legitimately overlap
-// successors. Tasks without spans (work-free runs) are skipped too.
+// successors. Every other task must have an exec span, timed or
+// work-free.
 func Validate(tr *trace.Trace, tasks []*jade.Task) error {
 	spans, err := Spans(tr)
 	if err != nil {
@@ -81,6 +82,9 @@ func Validate(tr *trace.Trace, tasks []*jade.Task) error {
 		if t.Segments != nil {
 			continue
 		}
+		if _, ok := spans[int(t.ID)]; !ok {
+			return fmt.Errorf("check: task %d has no exec span", t.ID)
+		}
 		for _, a := range t.Accesses {
 			byObj[a.Obj.ID] = append(byObj[a.Obj.ID], t)
 		}
@@ -88,19 +92,12 @@ func Validate(tr *trace.Trace, tasks []*jade.Task) error {
 	for _, ts := range byObj {
 		sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
 		for i := 0; i < len(ts); i++ {
-			si, oki := spans[int(ts[i].ID)]
-			if !oki {
-				continue
-			}
+			si := spans[int(ts[i].ID)]
 			for j := i + 1; j < len(ts); j++ {
 				if !conflict(ts[i], ts[j]) {
 					continue
 				}
-				sj, okj := spans[int(ts[j].ID)]
-				if !okj {
-					continue
-				}
-				if sj.Start < si.End {
+				if sj := spans[int(ts[j].ID)]; sj.Start < si.End {
 					return fmt.Errorf(
 						"check: conflicting tasks %d and %d overlap: %d ends %.9f, %d starts %.9f",
 						ts[i].ID, ts[j].ID, ts[i].ID, si.End, ts[j].ID, sj.Start)

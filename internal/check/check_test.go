@@ -106,8 +106,8 @@ func TestValidateAndOrderingOnPgasAndCluster(t *testing.T) {
 }
 
 func TestValidateCatchesOverlap(t *testing.T) {
-	// Hand-build a corrupt trace: two writers of the same object with
-	// overlapping spans.
+	// Two writers of the same object: each row hand-builds a corrupt
+	// trace of their execution.
 	m := dash.New(dash.DefaultConfig(2, dash.Locality))
 	rt := jade.New(m, jade.Config{})
 	o := rt.Alloc("x", 8, nil)
@@ -115,9 +115,27 @@ func TestValidateCatchesOverlap(t *testing.T) {
 	rt.WithOnly(func(s *jade.Spec) { s.Wr(o) }, 1e-3, func() {})
 	rt.Finish()
 
-	tr := spans([2]float64{0, 2}, [2]float64{1, 3}) // task 1 overlaps task 0
-	if err := Validate(tr, rt.Tasks()); err == nil {
-		t.Fatal("overlapping conflicting spans not detected")
+	start := func(task int, at float64) obsv.Event {
+		return obsv.Event{Kind: obsv.ExecStart, Task: task, Proc: task, At: at}
+	}
+	end := func(task int, at, end float64) obsv.Event {
+		return obsv.Event{Kind: obsv.ExecEnd, Task: task, Proc: task, At: at, End: end}
+	}
+	for _, row := range []struct {
+		name   string
+		events []obsv.Event
+	}{
+		{"task 1 overlaps task 0", []obsv.Event{start(0, 0), end(0, 0, 2), start(1, 1), end(1, 1, 3)}},
+		{"task 1 never ends", []obsv.Event{start(0, 0), end(0, 0, 2), start(1, 2)}},
+		{"task 1 has no exec span", []obsv.Event{start(0, 0), end(0, 0, 2)}},
+	} {
+		tr := trace.New()
+		for _, e := range row.events {
+			tr.Record(e)
+		}
+		if err := Validate(tr, rt.Tasks()); err == nil {
+			t.Errorf("%s: not detected", row.name)
+		}
 	}
 }
 
@@ -135,8 +153,10 @@ func TestSpansRejectMalformedTrace(t *testing.T) {
 	}
 
 	tr3 := trace.New()
-	tr3.Record(obsv.Event{Kind: obsv.Exec, At: 0, End: 1})
-	tr3.Record(obsv.Event{Kind: obsv.Exec, At: 2, End: 3})
+	tr3.Record(obsv.Event{Kind: obsv.ExecStart, At: 0})
+	tr3.Record(obsv.Event{Kind: obsv.ExecEnd, At: 0, End: 1})
+	tr3.Record(obsv.Event{Kind: obsv.ExecStart, At: 2})
+	tr3.Record(obsv.Event{Kind: obsv.ExecEnd, At: 2, End: 3})
 	if _, err := Spans(tr3); err == nil {
 		t.Fatal("re-execution not detected")
 	}
@@ -187,7 +207,8 @@ func TestValidateReadersMayOverlap(t *testing.T) {
 func spans(ss ...[2]float64) *trace.Trace {
 	tr := trace.New()
 	for i, s := range ss {
-		tr.Record(obsv.Event{Kind: obsv.Exec, Task: i, Proc: i, At: s[0], End: s[1]})
+		tr.Record(obsv.Event{Kind: obsv.ExecStart, Task: i, Proc: i, At: s[0]})
+		tr.Record(obsv.Event{Kind: obsv.ExecEnd, Task: i, Proc: i, At: s[0], End: s[1]})
 	}
 	return tr
 }

@@ -15,9 +15,8 @@ var lifecycleOrder = []obsv.Kind{obsv.Created, obsv.Enabled, obsv.Assigned, obsv
 
 // EventOrdering verifies the per-task lifecycle invariant
 // created ≤ enabled ≤ assigned ≤ exec-start ≤ exec-end on the
-// recorded trace. For kinds a task emits more than once the first
-// occurrence is used, except exec-end, which uses the last, so staged
-// tasks with several execution segments still validate.
+// recorded trace. Of a kind a task emits more than once, the first
+// occurrence counts, except exec-end, of which the last does.
 func EventOrdering(tr *trace.Trace) error {
 	marks := map[int]map[obsv.Kind]float64{}
 	for _, e := range tr.Events() {

@@ -48,7 +48,8 @@ func TestEventOrderingOceanOnIpsc(t *testing.T) {
 func TestEventOrderingCatchesRegression(t *testing.T) {
 	tr := trace.New()
 	tr.Record(obsv.Event{Kind: obsv.Created, Task: 7, At: 0.5})
-	tr.Record(obsv.Event{Kind: obsv.Exec, Task: 7, At: 0.4, End: 0.6}) // starts before creation
+	tr.Record(obsv.Event{Kind: obsv.ExecStart, Task: 7, At: 0.4})
+	tr.Record(obsv.Event{Kind: obsv.ExecEnd, Task: 7, At: 0.4, End: 0.6}) // starts before creation
 	if err := EventOrdering(tr); err == nil {
 		t.Fatal("exec before creation not detected")
 	}
@@ -58,7 +59,8 @@ func TestEventOrderingToleratesAbsentKinds(t *testing.T) {
 	// A model that emits only exec spans (no created/enabled/assigned)
 	// must still pass: absent kinds are skipped, not required.
 	tr := trace.New()
-	tr.Record(obsv.Event{Kind: obsv.Exec, At: 0.1, End: 0.2})
+	tr.Record(obsv.Event{Kind: obsv.ExecStart, At: 0.1})
+	tr.Record(obsv.Event{Kind: obsv.ExecEnd, At: 0.1, End: 0.2})
 	if err := EventOrdering(tr); err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +71,10 @@ func TestEventOrderingStagedExecEnd(t *testing.T) {
 	// one, which must follow everything else.
 	tr := trace.New()
 	tr.Record(obsv.Event{Kind: obsv.Created, Task: 3, At: 0.0})
-	tr.Record(obsv.Event{Kind: obsv.Exec, Task: 3, At: 0.1, End: 0.2})
-	tr.Record(obsv.Event{Kind: obsv.Exec, Task: 3, At: 0.3, End: 0.4})
+	tr.Record(obsv.Event{Kind: obsv.ExecStart, Task: 3, At: 0.1})
+	tr.Record(obsv.Event{Kind: obsv.ExecEnd, Task: 3, At: 0.1, End: 0.2})
+	tr.Record(obsv.Event{Kind: obsv.ExecStart, Task: 3, At: 0.3})
+	tr.Record(obsv.Event{Kind: obsv.ExecEnd, Task: 3, At: 0.3, End: 0.4})
 	if err := EventOrdering(tr); err != nil {
 		t.Fatal(err)
 	}

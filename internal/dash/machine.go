@@ -138,10 +138,7 @@ func (m *Machine) register() {
 	m.execDoneCallH = m.Eng.RegisterHandler(func(v int32) {
 		p := int(v)
 		t := m.curTask[p]
-		if m.Sink != nil {
-			m.Sink.Record(obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(m.curStart[p]),
-				End: float64(m.Eng.Now())})
-		}
+		m.Finished(p, int(t.ID), m.curStart[p], false)
 		m.curTask[p] = nil
 		m.running[p] = false
 		m.RT.TaskDone(t)
@@ -206,9 +203,7 @@ func (m *Machine) target(t *jade.Task) int {
 // peers displace them (the paper's Water/String runs execute 100% of
 // tasks on target), while sustained imbalance still triggers steals.
 func (m *Machine) enqueue(t *jade.Task) {
-	if m.Sink != nil {
-		m.Sink.Record(obsv.Event{Kind: obsv.Enabled, Proc: -1, Task: int(t.ID), At: float64(m.Eng.Now())})
-	}
+	m.Enabled(int(t.ID))
 	switch {
 	case m.cfg.Level == NoLocality:
 		m.global = append(m.global, int32(t.ID))
@@ -381,12 +376,9 @@ func (m *Machine) execute(p int, t *jade.Task, stole bool) {
 		app += t.Work * m.cfg.SpeedFactor
 		app *= m.jitter(t.ID)
 	}
-	m.Dispatched(p, int(t.ID), m.target(t), mgmt, app)
+	m.Dispatched(p, int(t.ID), m.target(t), stole, mgmt, app)
 
 	m.running[p] = true
-	if m.Sink != nil {
-		m.Sink.Record(obsv.Event{Kind: obsv.ExecStart, Proc: p, Task: int(t.ID), At: float64(m.Eng.Now()), Flag: stole})
-	}
 	if len(t.Segments) > 0 && !m.RT.Config().WorkFree {
 		// Staged task: memory and dispatch costs are charged with the
 		// first segment; each segment boundary may release accesses.
@@ -416,9 +408,7 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 			d += baseCost
 		}
 		m.CPUs[p].Submit(m.Eng.Now(), sim.Time(d), func(start, end sim.Time) {
-			if m.Sink != nil {
-				m.Sink.Record(obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
-			}
+			m.SegmentRan(p, int(t.ID), start, end)
 			for _, o := range segs[i].Release {
 				m.RT.ReleaseEarly(t, o)
 			}
@@ -427,10 +417,7 @@ func (m *Machine) executeStaged(p int, t *jade.Task, baseCost float64) {
 				return
 			}
 			m.running[p] = false
-			if m.Sink != nil {
-				m.Sink.Record(obsv.Event{Kind: obsv.ExecEnd, Proc: p, Task: int(t.ID), At: float64(end), End: float64(end),
-					Flag: true})
-			}
+			m.Finished(p, int(t.ID), end, true)
 			m.RT.TaskDone(t)
 			m.dispatch(p)
 		})

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/jade"
 	"repro/internal/machine"
-	"repro/internal/obsv"
 	"repro/internal/sim"
 )
 
@@ -382,9 +381,7 @@ func (m *Machine) produce(o *jade.Object, v jade.Version, p int) {
 	// Adaptive broadcast (§3.4.2): the producer initiates a
 	// spanning-tree broadcast of the new version. Setup and the buffer
 	// copy cost producer CPU; the tree transmissions occupy its NIC.
-	m.Broadcasted(o.Size)
-	m.Record(obsv.Event{Kind: obsv.Broadcast, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
-		N: int(v), At: float64(m.Eng.Now())})
+	m.Broadcasted(p, o, v)
 	cpuDone := m.CPUs[p].Submit(m.Eng.Now(),
 		sim.Time(m.cfg.BcastSetupSec+m.cfg.byteTime(o.Size)), nil)
 	steps := m.cfg.bcastSteps()

@@ -83,9 +83,10 @@ type Config struct {
 	Router router.Config
 	// Server overrides the per-backend jaded configuration.
 	Server serve.Config
-	// PollInterval is the async status-poll cadence (default 2ms).
-	PollInterval time.Duration
 }
+
+// pollInterval is the async status-poll cadence.
+const pollInterval = 2 * time.Millisecond
 
 func (c *Config) fillDefaults() error {
 	if c.Backends <= 0 {
@@ -111,9 +112,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.BurstSize > 0 && c.BurstPause <= 0 {
 		c.BurstPause = 5 * time.Millisecond
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 2 * time.Millisecond
 	}
 	if c.Router.RequestTimeout <= 0 {
 		c.Router.RequestTimeout = 10 * time.Second
@@ -427,7 +425,7 @@ func pollToCompletion(rt *router.Router, cfg *Config, jobID string) (bool, bool)
 		case serve.StatusFailed:
 			return false, true
 		}
-		time.Sleep(cfg.PollInterval)
+		time.Sleep(pollInterval)
 	}
 	return false, true
 }

@@ -205,12 +205,7 @@ func (c *Central) register() {
 			c.model.Arrive(ts)
 		}
 	})
-	c.execDoneH = c.Eng.RegisterHandler(func(v int32) {
-		p := int(v)
-		ts := c.popInflight(p)
-		c.Record(obsv.Event{Kind: obsv.Exec, Proc: p, Task: int(ts.T.ID), At: float64(ts.start), End: float64(c.Eng.Now())})
-		c.complete(ts)
-	})
+	c.execDoneH = c.Eng.RegisterHandler(func(v int32) { c.complete(c.popInflight(int(v))) })
 	// A completion notice, a message unless processor 0 ran the task,
 	// costs the main processor CompleteSec; then the processor's load
 	// drops and the pool refills it.
@@ -268,7 +263,9 @@ func (c *Central) assign(ts *TaskState, p int) {
 	ts.Proc = p
 	c.Load[p]++
 	c.charged(c.par.AssignSec)
-	c.Record(obsv.Event{Kind: obsv.Assigned, Proc: p, Task: int(ts.T.ID), N: ts.Target, At: float64(c.Eng.Now())})
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.Assigned, Proc: p, Task: int(ts.T.ID), N: ts.Target, At: float64(c.Eng.Now())})
+	}
 	decided := c.submitMgmt(c.Eng.Now(), c.par.AssignSec)
 	if p == 0 {
 		c.Eng.AtCall(decided, c.arrivedH, ts.idx)
@@ -364,7 +361,9 @@ func (c *Central) StartFetch(ts *TaskState, coalesce bool) []int32 {
 	}
 	ts.needed = len(msgs)
 	ts.firstReq = c.Eng.Now()
-	c.Record(obsv.Event{Kind: obsv.FetchStart, Proc: ts.Proc, Task: int(ts.T.ID), N: reads, At: float64(ts.firstReq)})
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.FetchStart, Proc: ts.Proc, Task: int(ts.T.ID), N: reads, At: float64(ts.firstReq)})
+	}
 	return msgs
 }
 
@@ -381,8 +380,10 @@ func (c *Central) Fetched(i int32) {
 		return
 	}
 	c.stalled(float64(ts.firstReq), float64(ts.lastArrive))
-	c.Record(obsv.Event{Kind: obsv.FetchEnd, Proc: ts.Proc, Task: int(ts.T.ID),
-		At: float64(ts.firstReq), End: float64(ts.lastArrive)})
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.FetchEnd, Proc: ts.Proc, Task: int(ts.T.ID),
+			At: float64(ts.firstReq), End: float64(ts.lastArrive)})
+	}
 	c.Ready(ts)
 }
 
@@ -396,7 +397,7 @@ func (c *Central) Ready(ts *TaskState) {
 	if !c.RT.Config().WorkFree {
 		work = c.model.CPUTime(p, t.Work)
 	}
-	c.Dispatched(p, int(t.ID), ts.Target, c.par.DispatchSec, work)
+	c.Dispatched(p, int(t.ID), ts.Target, false, c.par.DispatchSec, work)
 	if c.staged(t) {
 		c.runSegment(ts, 0)
 		return
@@ -435,7 +436,7 @@ func (c *Central) runSegment(ts *TaskState, i int) {
 		d += c.par.DispatchSec
 	}
 	c.CPUs[p].Submit(c.Eng.Now(), sim.Time(d), func(start, end sim.Time) {
-		c.Record(obsv.Event{Kind: obsv.Segment, Proc: p, Task: int(t.ID), At: float64(start), End: float64(end)})
+		c.SegmentRan(p, int(t.ID), start, end)
 		c.model.Release(ts, t.Segments[i].Release)
 		if i+1 < len(t.Segments) {
 			c.runSegment(ts, i+1)
@@ -461,9 +462,10 @@ func (c *Central) ReleasedEarly(ts *TaskState, o *jade.Object) bool {
 	return false
 }
 
-// complete publishes the task's writes, completes it in the runtime
-// and sends the completion notice to the main processor.
+// complete ends the task, publishes its writes, completes it in the
+// runtime and sends the completion notice to the main processor.
 func (c *Central) complete(ts *TaskState) {
+	c.Finished(ts.Proc, int(ts.T.ID), ts.start, c.staged(ts.T))
 	c.model.Complete(ts)
 	c.RT.TaskDone(ts.T)
 	if p := ts.Proc; p != 0 {

@@ -38,7 +38,7 @@ type Core struct {
 	// with ExecTime and ProcBusy read from the CPUs by Stats.
 	Metrics metrics.Run
 	// Sink, when non-nil, receives the run's simulated-event stream
-	// (obsv.Observer, trace.Trace) through Record; nil costs nothing.
+	// (obsv.Observer, trace.Trace) from the kit; nil costs nothing.
 	Sink obsv.Sink
 	// Inj, when non-nil, injects the deterministic faults the machine
 	// models (fault.Spec); nil leaves every path healthy.
@@ -115,27 +115,16 @@ func (c *Core) ReserveCapacity(objects, tasks int) {
 }
 
 // submitMgmt occupies the main CPU with d seconds of task-management
-// work, which a sink sees as a Mgmt span. The caller folds the charge.
+// work, which a sink sees as a Mgmt span (no closure without a sink).
+// The caller folds the charge.
 func (c *Core) submitMgmt(at sim.Time, d float64) sim.Time {
-	return c.CPUs[0].Submit(at, sim.Time(d), c.span(obsv.Event{Kind: obsv.Mgmt}))
-}
-
-// span returns a CPU completion callback that passes e to the sink as
-// the span [start, end), or nil when no sink is attached, so a run
-// without a sink builds no closure.
-func (c *Core) span(e obsv.Event) func(start, end sim.Time) {
-	if c.Sink == nil {
-		return nil
+	var span func(start, end sim.Time)
+	if c.Sink != nil {
+		span = func(start, end sim.Time) {
+			c.Sink.Record(obsv.Event{Kind: obsv.Mgmt, At: float64(start), End: float64(end)})
+		}
 	}
-	// The closure captures a copy made past the nil check, so the
-	// parameter itself never escapes and a sinkless call allocates
-	// nothing.
-	span := e
-	return func(start, end sim.Time) {
-		e := span
-		e.At, e.End = float64(start), float64(end)
-		c.Sink.Record(e)
-	}
+	return c.CPUs[0].Submit(at, sim.Time(d), span)
 }
 
 // TaskCreated implements jade.Platform: charge creation to the main
@@ -145,7 +134,9 @@ func (c *Core) TaskCreated(t *jade.Task, enabled bool) {
 	c.Tasks = append(c.Tasks, t)
 	c.createdDone = append(c.createdDone, done)
 	c.created()
-	c.Record(obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.Created, Task: int(t.ID), At: float64(done)})
+	}
 	if enabled {
 		c.Eng.AtCall(done, c.enabledH, int32(t.ID))
 	}
@@ -198,7 +189,9 @@ func (c *Core) ResetStats() {
 	for i := range c.CPUs {
 		c.busyBase = append(c.busyBase, float64(c.CPUs[i].BusyTime()))
 	}
-	c.Record(obsv.Event{Kind: obsv.Reset})
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.Reset})
+	}
 }
 
 // Arena hands out pointers to T values that stay valid for its life:

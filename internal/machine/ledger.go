@@ -6,6 +6,7 @@ import (
 	"repro/internal/jade"
 	"repro/internal/metrics"
 	"repro/internal/obsv"
+	"repro/internal/sim"
 )
 
 // The conservation laws Drain enforces, named in its panics.
@@ -21,16 +22,8 @@ const (
 // Metrics and the ledger; apart from them, Stats (ExecTime, ProcBusy)
 // and the resets, no code writes Metrics. Each fact is folded where
 // it is charged, so float sums add the same values in the same order.
-// A fold that moves objects (Accessed, Replied, Pushed, Got, MainFetch)
-// also passes the sink each object's Fetch event, classed as it counted
-// the bytes; other facts reach it through Record, or build no event.
-
-// Record passes e to the sink, if one is attached.
-func (c *Core) Record(e obsv.Event) {
-	if c.Sink != nil {
-		c.Sink.Record(e)
-	}
-}
+// The kit is the event stream's one writer: a fold also records its
+// fact's events, and every emitter builds one only past the nil-sink test.
 
 // charged folds sec seconds of task management.
 func (c *Core) charged(sec float64) { c.Metrics.TaskMgmtTime += sec }
@@ -43,8 +36,8 @@ func (c *Core) created() {
 
 // Dispatched folds the start of task on processor p, whose target
 // processor is target: mgmt seconds of task management and work
-// seconds of execution.
-func (c *Core) Dispatched(p, task, target int, mgmt, work float64) {
+// seconds of execution, an ExecStart (flagged if p stole the task).
+func (c *Core) Dispatched(p, task, target int, stole bool, mgmt, work float64) {
 	l, r := &c.ledger, &c.Metrics
 	if task < 0 || task >= len(l.ran) || l.ran[task] {
 		l.reruns++
@@ -58,6 +51,36 @@ func (c *Core) Dispatched(p, task, target int, mgmt, work float64) {
 		r.TasksOnTarget++
 	}
 	r.TaskExecTotal += work
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.ExecStart, Flag: stole, Proc: p, Task: task, At: float64(c.Eng.Now())})
+	}
+}
+
+// Finished records the end of task's execution on processor p, an
+// ExecEnd: its CPU span from start to now, or for a staged task, whose
+// Segment events carry its time, a flagged instant now.
+func (c *Core) Finished(p, task int, start sim.Time, staged bool) {
+	if c.Sink != nil {
+		if staged {
+			start = c.Eng.Now()
+		}
+		c.Sink.Record(obsv.Event{Kind: obsv.ExecEnd, Flag: staged, Proc: p, Task: task, At: float64(start),
+			End: float64(c.Eng.Now())})
+	}
+}
+
+// Enabled records task entering DASH's ready queues, on no processor.
+func (c *Core) Enabled(task int) {
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.Enabled, Proc: -1, Task: task, At: float64(c.Eng.Now())})
+	}
+}
+
+// SegmentRan records one segment of staged task on p, from start to end.
+func (c *Core) SegmentRan(p, task int, start, end sim.Time) {
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.Segment, Proc: p, Task: task, At: float64(start), End: float64(end)})
+	}
 }
 
 // stalled folds a task's fetch stall from at to end, where the machine
@@ -86,13 +109,17 @@ func (c *Core) Accessed(p int, o *jade.Object, k obsv.FetchClass, cost float64) 
 // back to memory.
 func (c *Core) Invalidated() { c.Metrics.FaultInvalidations++ }
 
-// Broadcasted folds an adaptive broadcast of bytes to every other
-// processor: one message to each.
-func (c *Core) Broadcasted(bytes int) {
+// Broadcasted folds processor p's adaptive broadcast of version v of
+// object o to every other processor: one message to each.
+func (c *Core) Broadcasted(p int, o *jade.Object, v jade.Version) {
 	c.Metrics.BroadcastCount++
 	if others := int64(len(c.CPUs) - 1); others > 0 {
-		c.Metrics.MsgBytes += int64(bytes) * others
+		c.Metrics.MsgBytes += int64(o.Size) * others
 		c.Metrics.MsgCount += others
+	}
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.Broadcast, Proc: p, Obj: int(o.ID), Name: o.Name, Bytes: o.Size,
+			N: int(v), At: float64(c.Eng.Now())})
 	}
 }
 

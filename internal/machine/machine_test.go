@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/jade"
-	"repro/internal/obsv"
 	"repro/internal/sim"
 )
 
@@ -17,8 +16,9 @@ import (
 // the kit owns: the front half of jade.Platform on all four machines,
 // the centralized scheduler's life cycle on the three that embed
 // Central, the accounting on all four (a machine writes no Metrics
-// field, calls no obsv emitter, and builds no Fetch event: the kit's
-// folds record every fetch), and the one message transport: no machine
+// field), the event stream on all four (a machine names no obsv.Event
+// or obsv.Fetch and calls no Record: the kit's folds and emitters
+// record every event), and the one message transport: no machine
 // declares a send, a retransmit protocol or a fault injector of its
 // own, folds a transmission, or draws a message's loss.
 func TestLifeCycleDefinedOnce(t *testing.T) {
@@ -76,19 +76,17 @@ func TestLifeCycleDefinedOnce(t *testing.T) {
 				case *ast.IncDecStmt:
 					lhs = []ast.Expr{n.X}
 				case *ast.CallExpr:
-					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Emit" || sel.Sel.Name == "Span") {
-						if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "obsv" {
-							t.Errorf("%s: calls obsv.%s; record events through Core.Record", fset.Position(n.Pos()), sel.Sel.Name)
-						}
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Record" {
+						t.Errorf("%s: calls Record; the kit's folds and emitters record every event", fset.Position(n.Pos()))
 					}
 					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && transport[sel.Sel.Name] {
 						t.Errorf("%s: calls %s; the kit's transport (Transmit, RoundTrip) sends every message",
 							fset.Position(n.Pos()), sel.Sel.Name)
 					}
 				case *ast.SelectorExpr:
-					if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "obsv" && n.Sel.Name == "Fetch" {
-						t.Errorf("%s: names obsv.Fetch; the kit's folds (Accessed, Replied, Pushed, Got, MainFetch) "+
-							"record every fetch", fset.Position(n.Pos()))
+					if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "obsv" && (n.Sel.Name == "Fetch" || n.Sel.Name == "Event") {
+						t.Errorf("%s: names obsv.%s; the kit's folds and emitters build every event",
+							fset.Position(n.Pos()), n.Sel.Name)
 					}
 				case *ast.StructType:
 					for _, f := range n.Fields.List {
@@ -213,7 +211,7 @@ func TestConservationLaws(t *testing.T) {
 		func(c *Core) { c.created() },
 		func(c *Core) { c.sent(64) }, // task 0's assignment
 		func(c *Core) { c.Arrived(64, 0) },
-		func(c *Core) { c.Dispatched(1, 0, 1, 0, 2) },
+		func(c *Core) { c.Dispatched(1, 0, 1, false, 0, 2) },
 		func(c *Core) { c.sent(100) }, // a reply, lost once
 		func(c *Core) { c.dropped(100) },
 		func(c *Core) { c.sent(100) },
@@ -221,7 +219,7 @@ func TestConservationLaws(t *testing.T) {
 		func(c *Core) { c.sent(100) }, // duplicated in flight
 		func(c *Core) { c.duplicated(100) },
 		func(c *Core) { c.Replied(1, batch(100), false, 1, 3) },
-		func(c *Core) { c.Dispatched(0, 1, 1, 0, 1) },
+		func(c *Core) { c.Dispatched(0, 1, 1, false, 0, 1) },
 	}
 	with := func(steps ...step) []step { return append(consistent[:len(consistent):len(consistent)], steps...) }
 	rows := []struct {
@@ -267,13 +265,10 @@ func TestConservationLaws(t *testing.T) {
 	}
 }
 
-// A sinkless run builds no span callback: the fold reads no span.
+// A sinkless run builds no span callback for a management charge.
 func TestSpanNeedsASink(t *testing.T) {
 	c := &Core{}
 	c.Reset(1, 0)
-	if c.span(obsv.Event{Kind: obsv.Mgmt}) != nil {
-		t.Fatal("a nil sink got a span callback")
-	}
 	if testing.AllocsPerRun(100, func() { c.submitMgmt(0, 1) }) != 0 {
 		t.Fatal("a sinkless management charge allocates")
 	}

@@ -102,7 +102,9 @@ func (c *Central) transmit(i int32, start sim.Time) {
 		c.sent(rec.leg.Bytes)
 		c.duplicated(rec.leg.Bytes)
 	}
-	c.Record(obsv.Event{Kind: obsv.Delivery, N: rec.attempt + 1})
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.Delivery, N: rec.attempt + 1})
+	}
 	c.Eng.AtCall(left+rec.leg.Lat, rec.h, rec.arg)
 	c.freeSends = append(c.freeSends, i)
 }
@@ -133,5 +135,7 @@ func (c *Central) MainFetch(req, rep Leg, batch []jade.Access, get bool) {
 	} else {
 		c.Arrived(bytes, len(batch))
 	}
-	c.Record(obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
+	if c.Sink != nil {
+		c.Sink.Record(obsv.Event{Kind: obsv.FetchEnd, Task: -1, At: float64(issued), End: float64(arrive)})
+	}
 }

@@ -21,13 +21,11 @@ const (
 	// request to its last arrival, ends. Task -1 is the main program's
 	// synchronous fetch in a serial phase.
 	FetchEnd
-	// ExecStart: DASH dispatches a task on Proc; Flag marks a steal.
+	// ExecStart: a task is dispatched on Proc (DASH's dispatcher, or
+	// the centralized scheduler's Ready); Flag marks a steal.
 	ExecStart
-	// Exec: a task executes on Proc.
-	Exec
-	// ExecEnd: a task dispatched with ExecStart finishes its execution
-	// span on Proc. Flag marks a staged task, whose time its Segment
-	// events already carry.
+	// ExecEnd: a task finishes on Proc, spanning its CPU time. Flag marks
+	// a staged task, whose Segment events carry its time: an instant.
 	ExecEnd
 	// Segment: one segment of a staged task runs on Proc.
 	Segment
@@ -49,7 +47,7 @@ const (
 )
 
 var kindNames = [...]string{"created", "enabled", "assigned", "fetch-start", "fetch-end",
-	"exec-start", "exec", "exec-end", "segment", "mgmt", "fetch", "broadcast", "delivery", "reset"}
+	"exec-start", "exec-end", "segment", "mgmt", "fetch", "broadcast", "delivery", "reset"}
 
 // String implements fmt.Stringer; the names are the event log's.
 func (k Kind) String() string { return kindNames[k] }

@@ -76,7 +76,7 @@ func (o *Observer) Record(e Event) {
 			o.wait.Record(e.End - e.At)
 		}
 		o.tl.add(e.Proc, StateFetch, e.At, e.End)
-	case Exec, Segment:
+	case Segment:
 		o.tl.add(e.Proc, StateTask, e.At, e.End)
 	case ExecEnd:
 		if !e.Flag {

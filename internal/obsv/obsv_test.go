@@ -182,7 +182,7 @@ func TestHotObjectsSameNameRowsCarryIDs(t *testing.T) {
 func TestObserverReset(t *testing.T) {
 	o := New(1)
 	o.Record(fetch(0, "x", 10, 1e-3, Replica))
-	o.Record(Event{Kind: Exec, At: 0, End: 1})
+	o.Record(Event{Kind: ExecEnd, At: 0, End: 1})
 	o.Record(Event{Kind: Reset})
 	s := o.Snapshot(5)
 	if s.ObjectCount != 0 || s.FetchLatency.Count != 0 || s.Timeline.Bins != 0 {

@@ -24,12 +24,10 @@ type Config struct {
 
 	// HedgeAfter is the hedge delay used before a backend has latency
 	// history (default 25ms). Once a backend's rolling window has
-	// samples, its p95 replaces this, clamped to [HedgeMin, HedgeMax].
+	// samples, its p95 replaces this, clamped to [HedgeMin, hedgeMax].
 	HedgeAfter time.Duration
-	// HedgeMin / HedgeMax clamp the adaptive hedge delay (defaults
-	// 2ms / 2s).
+	// HedgeMin is the adaptive hedge delay's floor (default 2ms).
 	HedgeMin time.Duration
-	HedgeMax time.Duration
 	// DisableHedging turns hedged requests off; requests then wait for
 	// the primary alone (failover still applies on explicit failure).
 	// A hedge costs at most one duplicate run. Async jobs pay it too:
@@ -58,12 +56,17 @@ type Config struct {
 	// Spans enables per-request trace capture, retrievable at GET
 	// /v1/traces/{id}.
 	Spans bool
-	// TraceRetention bounds the retained trace docs (default 256).
-	TraceRetention int
 
 	// Logger receives structured routing events (nil disables).
 	Logger *slog.Logger
 }
+
+// hedgeMax caps the adaptive hedge delay, and traceRetention bounds
+// the trace docs a router with Spans retains.
+const (
+	hedgeMax       = 2 * time.Second
+	traceRetention = 256
+)
 
 func (c *Config) fillDefaults() {
 	if c.VNodes <= 0 {
@@ -75,9 +78,6 @@ func (c *Config) fillDefaults() {
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 2 * time.Millisecond
 	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 2 * time.Second
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
@@ -86,9 +86,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.LoadBoundFactor == 0 {
 		c.LoadBoundFactor = 2.0
-	}
-	if c.TraceRetention <= 0 {
-		c.TraceRetention = 256
 	}
 	c.Health.fillDefaults()
 }
@@ -198,7 +195,7 @@ func NewRouter(cfg Config, backends ...Backend) (*Router, error) {
 		windows:  make(map[string]*rollingWindow, len(names)),
 		stale:    lru.New[string, []byte](cfg.StaleEntries),
 		jobs:     lru.New[string, *serve.JobStatus](4096),
-		traces:   lru.New[string, *svcobs.Doc](cfg.TraceRetention),
+		traces:   lru.New[string, *svcobs.Doc](traceRetention),
 		slots:    make(chan struct{}, asyncSlots),
 	}
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
@@ -359,7 +356,7 @@ func (rt *Router) candidates(key string) ([]string, bool) {
 
 // hedgeDelay is the adaptive hedge trigger for a backend: its rolling
 // p95 when history exists, else the configured default, clamped to
-// [HedgeMin, HedgeMax].
+// [HedgeMin, hedgeMax].
 func (rt *Router) hedgeDelay(name string) time.Duration {
 	d := rt.cfg.HedgeAfter
 	rt.mu.Lock()
@@ -373,8 +370,8 @@ func (rt *Router) hedgeDelay(name string) time.Duration {
 	if d < rt.cfg.HedgeMin {
 		d = rt.cfg.HedgeMin
 	}
-	if d > rt.cfg.HedgeMax {
-		d = rt.cfg.HedgeMax
+	if d > hedgeMax {
+		d = hedgeMax
 	}
 	return d
 }

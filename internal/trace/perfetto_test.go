@@ -42,7 +42,8 @@ func TestWritePerfettoValidFormat(t *testing.T) {
 		obsv.Event{Kind: obsv.Assigned, Task: 0, Proc: 1, N: 1, At: 0.1},
 		obsv.Event{Kind: obsv.FetchStart, Task: 0, Proc: 1, N: 2, At: 0.2},
 		obsv.Event{Kind: obsv.FetchEnd, Task: 0, Proc: 1, At: 0.2, End: 0.3},
-		obsv.Event{Kind: obsv.Exec, Task: 0, Proc: 1, At: 0.3, End: 0.5},
+		obsv.Event{Kind: obsv.ExecStart, Task: 0, Proc: 1, At: 0.3},
+		obsv.Event{Kind: obsv.ExecEnd, Task: 0, Proc: 1, At: 0.3, End: 0.5},
 		obsv.Event{Kind: obsv.Broadcast, Proc: 1, Name: "grid", N: 2, Bytes: 8, At: 0.6},
 	)
 

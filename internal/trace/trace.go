@@ -42,7 +42,7 @@ func New() *Trace { return &Trace{} }
 func (t *Trace) Record(e obsv.Event) {
 	switch e.Kind {
 	case obsv.Created, obsv.Enabled, obsv.Assigned, obsv.FetchStart,
-		obsv.ExecStart, obsv.Exec, obsv.ExecEnd, obsv.Broadcast:
+		obsv.ExecStart, obsv.ExecEnd, obsv.Broadcast:
 	case obsv.FetchEnd:
 		if e.Task < 0 {
 			return
@@ -56,9 +56,8 @@ func (t *Trace) Record(e obsv.Event) {
 }
 
 // Events renders the stored stream as log lines in time order; equal
-// times keep emission order. An Exec span becomes an exec-start and an
-// exec-end line, and detail strings are formatted here, so recording
-// stays allocation-free.
+// times keep emission order. Detail strings are formatted here, so
+// recording stays allocation-free.
 func (t *Trace) Events() []Event {
 	t.mu.Lock()
 	var out []Event
@@ -77,9 +76,6 @@ func (t *Trace) Events() []Event {
 			line(e.End, e.Kind, e, "")
 		case obsv.ExecStart:
 			line(e.At, e.Kind, e, fmt.Sprintf("stole=%v", e.Flag))
-		case obsv.Exec:
-			line(e.At, obsv.ExecStart, e, "")
-			line(e.End, obsv.ExecEnd, e, "")
 		case obsv.ExecEnd:
 			detail := ""
 			if e.Flag {

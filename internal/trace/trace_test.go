@@ -18,7 +18,8 @@ func record(events ...obsv.Event) *Trace {
 
 func TestEventsSortedByTime(t *testing.T) {
 	tr := record(
-		obsv.Event{Kind: obsv.Exec, Task: 1, At: 2, End: 3},
+		obsv.Event{Kind: obsv.ExecStart, Task: 1, At: 2},
+		obsv.Event{Kind: obsv.ExecEnd, Task: 1, At: 2, End: 3},
 		obsv.Event{Kind: obsv.Created, Task: 1, At: 1},
 	)
 	ev := tr.Events()
@@ -94,8 +95,10 @@ func TestWriteLog(t *testing.T) {
 
 func TestGanttShowsSpans(t *testing.T) {
 	tr := record(
-		obsv.Event{Kind: obsv.Exec, Task: 0, Proc: 0, At: 0, End: 5},
-		obsv.Event{Kind: obsv.Exec, Task: 1, Proc: 1, At: 5, End: 10},
+		obsv.Event{Kind: obsv.ExecStart, Task: 0, Proc: 0, At: 0},
+		obsv.Event{Kind: obsv.ExecEnd, Task: 0, Proc: 0, At: 0, End: 5},
+		obsv.Event{Kind: obsv.ExecStart, Task: 1, Proc: 1, At: 5},
+		obsv.Event{Kind: obsv.ExecEnd, Task: 1, Proc: 1, At: 5, End: 10},
 	)
 	var sb strings.Builder
 	tr.Gantt(&sb, 40)
@@ -133,7 +136,8 @@ func TestGanttShowsSpans(t *testing.T) {
 func TestGanttFetchWait(t *testing.T) {
 	tr := record(
 		obsv.Event{Kind: obsv.FetchStart, Task: 0, Proc: 1, N: 1, At: 0},
-		obsv.Event{Kind: obsv.Exec, Task: 0, Proc: 1, At: 4, End: 8},
+		obsv.Event{Kind: obsv.ExecStart, Task: 0, Proc: 1, At: 4},
+		obsv.Event{Kind: obsv.ExecEnd, Task: 0, Proc: 1, At: 4, End: 8},
 	)
 	var sb strings.Builder
 	tr.Gantt(&sb, 40)
