@@ -74,6 +74,12 @@ echo "== fuzz: report encoder =="
 # from the committed seed corpus (internal/experiments/testdata/fuzz).
 go test -run '^$' -fuzz '^FuzzReportJSON$' -fuzztime 10s ./internal/experiments
 
+echo "== fuzz: event engine order =="
+# Byte-built schedules with nested rescheduling, bursts and ties on the
+# engine (fresh and reset) against the reference simulator, starting
+# from the committed seed corpus (internal/sim/testdata/fuzz).
+go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime 5s ./internal/sim
+
 echo "== bench short tests =="
 # bench/ is a module of its own, so ./... above does not see it. Its
 # short tests check every workload's output against golden.json and

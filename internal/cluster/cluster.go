@@ -255,10 +255,10 @@ func (m *Machine) Release(ts *machine.TaskState, objs []*jade.Object) {
 }
 
 // Complete implements machine.Model: the workstation owns every
-// version the task wrote.
+// version the task wrote and did not already release.
 func (m *Machine) Complete(ts *machine.TaskState) {
 	for _, a := range ts.T.Accesses {
-		if a.Writes() {
+		if a.Writes() && !m.ReleasedEarly(ts, a.Obj) {
 			m.publish(a, ts.Proc)
 		}
 	}

@@ -211,3 +211,40 @@ func TestObserverOnCluster(t *testing.T) {
 		t.Fatal("timeline missing")
 	}
 }
+
+// execProcs records the workstation each task was dispatched to.
+type execProcs map[int]int
+
+func (x execProcs) Record(e obsv.Event) {
+	if e.Kind == obsv.ExecStart {
+		x[e.Task] = e.Proc
+	}
+}
+
+// TestStagedReleaseKeepsLaterOwner: a staged task that released a
+// write early must not re-publish it at completion. Here T releases o
+// early and keeps running while U writes o's next version; once the
+// run drains, o's owner must be U's workstation, holding U's version.
+func TestStagedReleaseKeepsLaterOwner(t *testing.T) {
+	m := New(DefaultConfig(3))
+	procs := execProcs{}
+	m.Sink = procs
+	rt := jade.New(m, jade.Config{})
+	d := rt.Alloc("d", 8, nil)
+	o := rt.Alloc("o", 8, nil)
+	b := rt.Alloc("b", 8, nil)
+	rt.WithOnly(func(s *jade.Spec) { s.Wr(d) }, 1e-2, func() {})
+	rt.WithOnlyStaged(func(s *jade.Spec) { s.Wr(o); s.Wr(b) }, []jade.Segment{
+		{Work: 1e-4, Release: []*jade.Object{o}},
+		{Work: 1},
+	})
+	u := rt.WithOnly(func(s *jade.Spec) { s.Wr(o) }, 1e-4, func() {})
+	rt.Wait()
+	up := procs[int(u.ID)]
+	if got := m.owner[o.ID]; got != up {
+		t.Fatalf("owner of o = workstation %d, want U's workstation %d", got, up)
+	}
+	if v := m.stores[up][o.ID]; v != 2 {
+		t.Fatalf("U's workstation holds version %d of o, want 2", v)
+	}
+}

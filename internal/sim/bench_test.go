@@ -59,7 +59,7 @@ func BenchmarkEngineCascade4096(b *testing.B) {
 
 // BenchmarkEngineMixed measures a schedule-heavy mixed workload: a
 // cascade backbone interleaved with same-time bursts and scattered
-// future events, exercising the ring bucket and the 4-ary heap
+// future events, exercising the bucket, near and the heap
 // together the way a machine model with messages in flight does.
 func BenchmarkEngineMixed(b *testing.B) {
 	b.ReportAllocs()

@@ -8,35 +8,29 @@
 // is exactly reproducible.
 //
 // The engine is the hottest path in the repository — every simulated
-// machine cycle passes through it — so the implementation avoids the
-// standard library's container/heap (whose interface{} methods box
-// every event on push and pop) in favor of three value-typed
-// structures:
+// machine cycle passes through it — so it avoids container/heap (whose
+// interface{} methods box every event) in favor of three value-typed
+// sources, each sorted by (time, seq):
 //
-//   - a "now" FIFO holding events scheduled at exactly the current
-//     time. Zero-delay scheduling — a completion handler immediately
-//     enqueuing the next dispatch — is a dominant machine-model
-//     pattern, and these events never touch the heap;
-//   - a same-time FIFO bucket holding events that share one (usually
-//     future) timestamp. Cascades — each event scheduling the next
-//     with After(d, ...) — land here;
-//   - a 4-ary min-heap ordered by (time, seq) for everything else,
-//     whose entries are pointer-free keys: the callback payloads live
-//     in a separate slab indexed by slot, so sift swaps move 24-byte
-//     scalar structs and never trigger write barriers. Entries
-//     scheduled at the same timestamp in one burst chain onto a single
-//     heap entry through the slab's next links, making the burst O(1)
-//     per event.
+//   - a monotone FIFO bucket for future events no earlier than its
+//     tail. Cascades — each event scheduling the next with
+//     After(d, ...) — land here in O(1);
+//   - near, a slice sorted descending so the earliest event pops from
+//     its end in O(1). Every other event, zero-delay ones included,
+//     scans in from that end: message arrivals landing a little before
+//     the bucket's tail shift a few entries;
+//   - a 4-ary min-heap for the rare insert that would shift more than
+//     nearDepth near entries.
 //
 // Events themselves are pointer-free: a callback is a small handler ID
 // into the engine's registry plus one int32 argument, so copying events
-// through the FIFOs, slab, and heap never touches a write barrier and
-// the garbage collector never scans any queue storage. Plain func()
-// callbacks ride a reserved handler whose argument indexes a side
-// table of closures (the only pointer-holding structure, touched only
-// on that cold path).
+// through the three sources never touches a write barrier and the
+// garbage collector never scans their storage. Plain func() callbacks
+// ride a reserved handler whose argument indexes a side table of
+// closures (the only pointer-holding structure, touched only on that
+// cold path).
 //
-// All structures recycle their slots in place, so the steady-state
+// All structures recycle their storage in place, so the steady-state
 // schedule/fire cycle performs zero heap allocations.
 package sim
 
@@ -103,62 +97,34 @@ func (f *fifo) grow() {
 	f.head = 0
 }
 
-// heapEntry is one pointer-free heap node: the (at, seq) ordering key
-// of a FIFO chain of events sharing the timestamp at, with chainHead
-// indexing the chain's first slot in the slab. Chains hold seq runs
-// that never interleave with another same-time entry's run (a chain
-// only grows while it is the most recent heap push target), so
-// ordering entries by their head seq orders every chained event.
-type heapEntry struct {
-	at        Time
-	seq       uint64
-	chainHead int32
-}
-
-// slot is one slab cell: an event payload plus its seq (needed to
-// re-key the heap entry when the chain head pops) and the chain link.
-type slot struct {
-	seq  uint64
-	hid  Handler
-	arg  int32
-	next int32
-}
-
-// entryLess orders heap entries by (at, seq).
-func entryLess(a, b heapEntry) bool {
+// before orders events by (at, seq).
+func before(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
+// nearDepth bounds how many near entries one insert may shift; an
+// event that would land deeper goes to the heap instead.
+const nearDepth = 16
+
 // Engine is a discrete-event simulator. The zero value is not usable;
 // call New.
 type Engine struct {
-	// nowq holds events scheduled at exactly the current time. Its
-	// entries are always at e.now: the globally next event can never be
-	// earlier, so now cannot advance while any remain.
-	nowq fifo
-
-	// bucket is the monotone FIFO: events are admitted only with times
-	// at or after bucketAt (the tail's timestamp), so the FIFO is
-	// sorted by (at, seq) by construction.
+	// bucket is the monotone FIFO: events later than now are admitted
+	// only with times at or after bucketAt (the tail's timestamp), so
+	// the FIFO is sorted by (at, seq) by construction.
 	bucket   fifo
 	bucketAt Time
 
-	// entries is a 4-ary min-heap on (at, seq). Children of node i
-	// live at 4i+1..4i+4. Each entry is a chain of one or more events
-	// at the same timestamp; heapN counts the chained events.
-	entries []heapEntry
-	slots   []slot
-	free    []int32
-	heapN   int
+	// near is sorted by (at, seq) descending, so its earliest event is
+	// last and pops in O(1).
+	near []event
 
-	// lastAt/lastTail remember the most recent heap push so a burst of
-	// pushes at one timestamp appends to its chain in O(1). lastTail
-	// is -1 when there is no valid append target.
-	lastAt   Time
-	lastTail int32
+	// heap is a 4-ary min-heap on (at, seq). Children of node i live
+	// at 4i+1..4i+4.
+	heap []event
 
 	// handlers is the callback registry events index into; index 0 is
 	// the closure adapter. closures and closureFree are the side table
@@ -187,14 +153,10 @@ func New() *Engine {
 // fires the same events in the same order as a new one with the same
 // handlers registered. Pending events and closures are dropped.
 func (e *Engine) Reset() {
-	e.nowq.reset()
 	e.bucket.reset()
 	e.bucketAt = 0
-	e.entries = e.entries[:0]
-	e.slots = e.slots[:0]
-	e.free = e.free[:0]
-	e.heapN = 0
-	e.lastAt, e.lastTail = 0, -1
+	e.near = e.near[:0]
+	e.heap = e.heap[:0]
 	clear(e.closures)
 	e.closures = e.closures[:0]
 	e.closureFree = e.closureFree[:0]
@@ -229,11 +191,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // At schedules fn to run at virtual time t. Scheduling in the past
 // (t < Now) panics: it indicates a bug in a machine model.
-//
-// Fast paths: an event at the current time joins the now queue; an
-// event no earlier than the monotone bucket's tail joins (or seeds)
-// the bucket. Only an event that would break the bucket's sorted
-// order falls through to a heap push.
 func (e *Engine) At(t Time, fn func()) {
 	var idx int32
 	if n := len(e.closureFree); n > 0 {
@@ -255,61 +212,67 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // otherwise build a closure per event: the event carries only the
 // handler ID and the argument, so scheduling touches neither the heap
 // allocator nor a write barrier. Ordering is identical to At.
+//
+// A later event no earlier than the bucket's tail joins (or seeds) the
+// bucket. Any other event scans into near from its earliest end, past
+// every entry at a time <= t; it goes to the heap only if that would
+// shift more than nearDepth entries.
 func (e *Engine) AtCall(t Time, h Handler, arg int32) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	if t == e.now {
-		e.nowq.push(event{at: t, seq: e.seq, hid: h, arg: arg})
-		return
-	}
-	if e.bucket.n == 0 || t >= e.bucketAt {
+	ev := event{at: t, seq: e.seq, hid: h, arg: arg}
+	if t > e.now && (e.bucket.n == 0 || t >= e.bucketAt) {
 		e.bucketAt = t
-		e.bucket.push(event{at: t, seq: e.seq, hid: h, arg: arg})
+		e.bucket.push(ev)
 		return
 	}
-	e.heapPush(t, h, arg)
+	// near descends, so its last nearDepth+1 entries are all <= t when
+	// the one at that depth is: the insert would shift too many.
+	n := len(e.near)
+	if n > nearDepth && e.near[n-1-nearDepth].at <= t {
+		e.heapPush(ev)
+		return
+	}
+	i := n
+	for i > 0 && e.near[i-1].at <= t {
+		i--
+	}
+	// Appending onto the field itself stores the slice pointer only
+	// when the array grows.
+	e.near = append(e.near, ev)
+	copy(e.near[i+1:], e.near[i:n])
+	e.near[i] = ev
 }
 
 // Run processes events until the queue is empty and returns the final
-// virtual time.
-//
-// Correctness of the three-structure pop: each structure holds its
-// events in seq order (the FIFOs by construction, the heap by its
-// (at, seq) invariant with chains holding non-interleaved seq runs),
-// so comparing the three heads by (at, seq) always selects the
-// globally next event. The now queue's entries are at the current
-// time, which no pending event precedes; they lose the comparison
-// only to a same-time event scheduled earlier that already sat in the
-// bucket or heap before now advanced to its timestamp.
+// virtual time. Each source holds its events in (at, seq) order, so
+// the least of their three heads is the globally next event.
 func (e *Engine) Run() Time {
 	for {
-		// Select the source holding the minimal (at, seq) head.
-		// src: 0 = now queue, 1 = bucket, 2 = heap, -1 = drained.
+		// src: 0 = near, 1 = bucket, 2 = heap, -1 = drained.
 		src := -1
-		var at Time
-		var seq uint64
-		if e.nowq.n > 0 {
-			nr := &e.nowq.buf[e.nowq.head]
-			at, seq, src = nr.at, nr.seq, 0
+		var next *event
+		if n := len(e.near); n > 0 {
+			next, src = &e.near[n-1], 0
 		}
 		if e.bucket.n > 0 {
-			r := &e.bucket.buf[e.bucket.head]
-			if src < 0 || r.at < at || (r.at == at && r.seq < seq) {
-				at, seq, src = r.at, r.seq, 1
+			if b := &e.bucket.buf[e.bucket.head]; src < 0 || before(b, next) {
+				next, src = b, 1
 			}
 		}
-		if len(e.entries) > 0 {
-			h := &e.entries[0]
-			if src < 0 || h.at < at || (h.at == at && h.seq < seq) {
+		if len(e.heap) > 0 {
+			if h := &e.heap[0]; src < 0 || before(h, next) {
 				src = 2
 			}
 		}
 		var ev event
 		switch src {
 		case 0:
-			ev = e.nowq.pop()
+			n := len(e.near) - 1
+			ev = e.near[n]
+			e.near = e.near[:n]
 		case 1:
 			ev = e.bucket.pop()
 		case 2:
@@ -323,80 +286,36 @@ func (e *Engine) Run() Time {
 }
 
 // Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return e.heapN + e.nowq.n + e.bucket.n }
+func (e *Engine) Pending() int { return e.bucket.n + len(e.near) + len(e.heap) }
 
-// ---- slab-backed 4-ary min-heap of same-time chains ----
-
-// allocSlot takes a free slab cell, growing the slab when none is
-// free.
-func (e *Engine) allocSlot() int32 {
-	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free = e.free[:n-1]
-		return s
-	}
-	e.slots = append(e.slots, slot{})
-	return int32(len(e.slots) - 1)
-}
-
-// heapPush schedules one event at time t (seq is e.seq, already
-// advanced by the caller). A push at the same timestamp as the
-// previous one appends to that entry's chain in O(1); otherwise a new
-// entry sifts up through the pointer-free key heap.
-func (e *Engine) heapPush(t Time, h Handler, arg int32) {
-	s := e.allocSlot()
-	e.slots[s] = slot{seq: e.seq, hid: h, arg: arg, next: -1}
-	e.heapN++
-	if e.lastTail >= 0 && e.lastAt == t {
-		e.slots[e.lastTail].next = s
-		e.lastTail = s
-		return
-	}
-	e.lastAt, e.lastTail = t, s
-	// Appending onto the field itself stores the slice pointer only
-	// when the array grows; a local copy written back would store it
-	// (behind a write barrier) on every push.
-	e.entries = append(e.entries, heapEntry{at: t, seq: e.seq, chainHead: s})
-	ks := e.entries
-	i := len(ks) - 1
+// heapPush adds ev to the 4-ary min-heap, moving parents down into
+// the hole until ev's place is found.
+func (e *Engine) heapPush(ev event) {
+	e.heap = append(e.heap, ev)
+	h := e.heap
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !entryLess(ks[i], ks[p]) {
+		if !before(&ev, &h[p]) {
 			break
 		}
-		ks[i], ks[p] = ks[p], ks[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = ev
 }
 
-// heapPop removes and returns the globally next heap event. Popping a
-// chained event is O(1): the root entry re-keys to the chain's next
-// node, which cannot break the heap invariant (any same-time child
-// entry holds a strictly later seq run). Only an emptied chain removes
-// its entry and sifts.
+// heapPop removes and returns the heap's least event, moving the least
+// child up into the hole until the last event's place is found.
 func (e *Engine) heapPop() event {
-	root := &e.entries[0]
-	s := root.chainHead
-	sl := &e.slots[s]
-	ev := event{at: root.at, seq: sl.seq, hid: sl.hid, arg: sl.arg}
-	next := sl.next
-	e.free = append(e.free, s)
-	e.heapN--
-	if next >= 0 {
-		root.chainHead = next
-		root.seq = e.slots[next].seq
+	h := e.heap
+	ev := h[0]
+	n := len(h) - 1
+	last := h[n]
+	e.heap = e.heap[:n] // in place: only the length is stored
+	if n == 0 {
 		return ev
 	}
-	if e.lastTail == s {
-		// The chain being appended to just emptied; its tail slot is
-		// recycled, so it is no longer a valid append target.
-		e.lastTail = -1
-	}
-	ks := e.entries
-	n := len(ks) - 1
-	ks[0] = ks[n]
-	ks = ks[:n]
-	e.entries = e.entries[:n] // in place: only the length is stored
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -404,20 +323,17 @@ func (e *Engine) heapPop() event {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if entryLess(ks[j], ks[m]) {
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if before(&h[j], &h[m]) {
 				m = j
 			}
 		}
-		if !entryLess(ks[m], ks[i]) {
+		if !before(&h[m], &last) {
 			break
 		}
-		ks[i], ks[m] = ks[m], ks[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = last
 	return ev
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -86,6 +87,10 @@ func runScenario(s scheduler, run func() Time, build func(s scheduler, emit func
 	return trace, end
 }
 
+// splitScenario names the scenario that puts events, and ties at one
+// time, into each of the engine's three sources.
+const splitScenario = "ties split across bucket, near and heap"
+
 // scenarios is the shared table: each builds an event graph, including
 // nested scheduling, same-time bursts, and cascades.
 var scenarios = []struct {
@@ -137,6 +142,42 @@ var scenarios = []struct {
 		})
 		s.At(2, func() { emit("sibling") })
 		s.At(4, func() { emit("tail") })
+	}},
+	{splitScenario, func(s scheduler, emit func(string)) {
+		at := func(t Time, id string, then func()) {
+			s.At(t, func() {
+				emit(id)
+				if then != nil {
+					then()
+				}
+			})
+		}
+		// The first event at 5 seeds the bucket, whose tail then moves
+		// to 9, so earlier events scan into near.
+		at(5, "bucket5", nil)
+		at(9, "bucket9", nil)
+		// nearDepth+1 events at 3 fill near to its depth; the rest, and
+		// every event at 3..5 after them, land deeper: the heap.
+		for i := 0; i < nearDepth+4; i++ {
+			at(3, fmt.Sprintf("three%d", i), nil)
+		}
+		for i := 0; i < 3; i++ {
+			at(5, fmt.Sprintf("heap5-%d", i), nil)
+		}
+		at(4, "heap4", nil)
+		at(3, "late3", func() {
+			// near has drained, so more ties at 5 land there: time 5
+			// fires from the bucket, then the heap, then near.
+			for i := 0; i < 3; i++ {
+				at(5, fmt.Sprintf("near5-%d", i), nil)
+			}
+			// A same-time burst longer than nearDepth spills into the
+			// heap; each burst event schedules a tie at 9.
+			for i := 0; i < 2*nearDepth; i++ {
+				id := fmt.Sprintf("burst%d", i)
+				at(s.Now(), id, func() { at(9, id+"@9", nil) })
+			}
+		})
 	}},
 	{"lcg stress with nested rescheduling", func(s scheduler, emit func(string)) {
 		// Deterministic LCG so both simulators see the same schedule.
@@ -215,5 +256,42 @@ func TestGoldenTraceLiteral(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("trace:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestGoldenSplitFillsEverySource checks that splitScenario exercises
+// what it is named for, which its trace alone cannot show: the bucket,
+// near and the heap each hold events, ties at 5 among them.
+func TestGoldenSplitFillsEverySource(t *testing.T) {
+	var build func(s scheduler, emit func(string))
+	for _, sc := range scenarios {
+		if sc.name == splitScenario {
+			build = sc.build
+		}
+	}
+	e := New()
+	var bucket, near, heap int // the most events each source held
+	sample := func() {
+		bucket = max(bucket, e.bucket.n)
+		near = max(near, len(e.near))
+		heap = max(heap, len(e.heap))
+	}
+	runScenario(e, func() Time { sample(); return e.Run() }, func(s scheduler, emit func(string)) {
+		build(s, func(id string) {
+			sample()
+			if id == "bucket5" {
+				// The first tie at 5 fires from the bucket while the
+				// heap and near still hold later ties at 5.
+				for name, src := range map[string][]event{"near": e.near, "heap": e.heap} {
+					if !slices.ContainsFunc(src, func(ev event) bool { return ev.at == 5 }) {
+						t.Errorf("no tie at 5 in %s when the bucket's fired", name)
+					}
+				}
+			}
+			emit(id)
+		})
+	})
+	if bucket == 0 || near == 0 || heap == 0 {
+		t.Fatalf("sources held at most bucket=%d near=%d heap=%d events; want each > 0", bucket, near, heap)
 	}
 }
