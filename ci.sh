@@ -250,7 +250,8 @@ done
 [ -n "$addr" ] || { echo "jaded: never reported an address" >&2; exit 1; }
 
 curl -fsS "http://$addr/healthz" | "$tmp/jsoncheck" status uptime_sec
-curl -fsS "http://$addr/v1/experiments" | "$tmp/jsoncheck" schema count experiments.0.id
+curl -fsS "http://$addr/v1/experiments" >"$tmp/catalog.json"
+"$tmp/jsoncheck" schema count experiments.0.id <"$tmp/catalog.json"
 
 spec='{"schema":"jade-job/v1","experiments":["table4"],"scale":"small"}'
 curl -fsS -X POST -d "$spec" "http://$addr/v1/jobs?sync=1" >"$tmp/first.json"
@@ -316,10 +317,12 @@ grep -q '"status": "done"' "$tmp/postchaos.json" ||
     { echo "jaded: server unhealthy after injected panic" >&2; cat "$tmp/postchaos.json" >&2; exit 1; }
 
 echo "== jaderouter smoke =="
-# The routing tier in front of three embedded jaded backends: a routed
-# submission must name its serving backend, echo the caller's trace ID,
-# an async job must round-trip through the router's own job table, and
-# the router must export the jaderouter_* metric families.
+# The routing tier in front of three embedded jaded backends: its
+# catalog must be byte-identical to jaded's (both serve the one
+# serve.NewCatalog document), a routed submission must name its
+# serving backend, echo the caller's trace ID, an async job must
+# round-trip through the router's own job table, and the router must
+# export the jaderouter_* metric families.
 go build -o "$tmp/jaderouter" ./cmd/jaderouter
 "$tmp/jaderouter" -addr 127.0.0.1:0 -embed 3 -workers 1 \
     >"$tmp/router.log" 2>"$tmp/router.stderr" &
@@ -337,7 +340,9 @@ done
 [ -n "$raddr" ] || { echo "jaderouter: never reported an address" >&2; exit 1; }
 
 curl -fsS "http://$raddr/healthz" | "$tmp/jsoncheck" schema status backends
-curl -fsS "http://$raddr/v1/experiments" | "$tmp/jsoncheck" schema count experiments.0.id
+curl -fsS "http://$raddr/v1/experiments" >"$tmp/router-catalog.json"
+cmp "$tmp/catalog.json" "$tmp/router-catalog.json" ||
+    { echo "jaderouter: catalog differs from jaded's" >&2; exit 1; }
 curl -fsS -D "$tmp/routed.hdr" -X POST -d "$spec" \
     "http://$raddr/v1/jobs?sync=1" >"$tmp/routed.json"
 "$tmp/jsoncheck" schema status spec_hash result.schema <"$tmp/routed.json"

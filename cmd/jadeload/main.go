@@ -9,7 +9,7 @@
 //	jadeload [-backends 3] [-requests 200] [-concurrency 8] [-sync 0.8]
 //	         [-zipf 1.2] [-seed 1] [-burst 0] [-kill mode@N[:backend]]...
 //	         [-experiments table1,table2] [-scale small] [-single-only]
-//	         [-workers 2] [-queue 32] [-hedge-after 25ms] [-no-hedging]
+//	         [-workers 2] [-queue 32] [-hedge-after 25ms]
 //	         [-probe-interval 50ms] [-request-timeout 10s]
 //
 // The -kill flag (repeatable) takes one backend out mid-run:
@@ -66,8 +66,7 @@ func main() {
 		syncFrac    = flag.Float64("sync", 0.8, "fraction of requests submitted synchronously")
 		zipfS       = flag.Float64("zipf", 1.2, "Zipf skew over the spec pool (> 1)")
 		seed        = flag.Int64("seed", 1, "workload seed (same seed, same request mix)")
-		burst       = flag.Int("burst", 0, "release requests in bursts of this size (0 = continuous)")
-		burstPause  = flag.Duration("burst-pause", 5*time.Millisecond, "gap between bursts")
+		burst       = flag.Int("burst", 0, "release requests in bursts of this size, 5ms apart (0 = continuous)")
 		expList     = flag.String("experiments", "", "comma-separated experiment IDs for the spec pool (empty = full default mix)")
 		scaleFlag   = flag.String("scale", "small", "workload scale for the spec pool")
 		singleOnly  = flag.Bool("single-only", false, "run only the -backends topology, skip the 1-node baseline")
@@ -76,7 +75,6 @@ func main() {
 		queueCap = flag.Int("queue", 32, "queue capacity per backend")
 
 		hedgeAfter    = flag.Duration("hedge-after", 25*time.Millisecond, "hedge delay before latency history exists")
-		noHedging     = flag.Bool("no-hedging", false, "disable request hedging")
 		probeInterval = flag.Duration("probe-interval", 50*time.Millisecond, "active health-probe cadence (negative disables)")
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "per-probe timeout (a hung backend fails probes this fast)")
 		fall          = flag.Int("fall", 3, "consecutive failures that eject a backend")
@@ -112,12 +110,10 @@ func main() {
 		ZipfS:        *zipfS,
 		Seed:         *seed,
 		BurstSize:    *burst,
-		BurstPause:   *burstPause,
 		Kills:        kills,
 		Specs:        specs,
 		Router: router.Config{
 			HedgeAfter:     *hedgeAfter,
-			DisableHedging: *noHedging,
 			RequestTimeout: *reqTimeout,
 			Health: router.HealthConfig{
 				ProbeInterval: *probeInterval,

@@ -10,8 +10,7 @@
 // Usage:
 //
 //	jaderouter -backends http://h1:8274,http://h2:8274 [-addr 127.0.0.1:8275]
-//	           [-vnodes 64] [-hedge-after 25ms] [-no-hedging]
-//	           [-request-timeout 30s] [-stale-entries 512]
+//	           [-hedge-after 25ms] [-request-timeout 30s]
 //	           [-probe-interval 2s] [-probe-timeout 1s]
 //	           [-fall 3] [-rise 2] [-eject-cooldown 5s]
 //	           [-spans] [-log-level info] [-log-format json]
@@ -22,7 +21,9 @@
 // placement stable across router restarts as long as addresses are).
 // -embed N instead boots N in-process jaded backends behind the
 // router in one process — a self-contained cluster for demos and
-// smoke tests.
+// smoke tests. The ring's 64 virtual nodes per backend, the
+// 512-entry stale cache and the bounded-load demotion at 2×mean+1
+// in-flight requests are fixed.
 //
 // Endpoints:
 //
@@ -66,11 +67,8 @@ func main() {
 		workers     = flag.Int("workers", 2, "workers per embedded backend (-embed only)")
 		queueCap    = flag.Int("queue", 32, "queue capacity per embedded backend (-embed only)")
 
-		vnodes        = flag.Int("vnodes", router.DefaultVNodes, "virtual nodes per backend on the hash ring")
 		hedgeAfter    = flag.Duration("hedge-after", 25*time.Millisecond, "hedge delay before latency history exists")
-		noHedging     = flag.Bool("no-hedging", false, "disable request hedging")
 		reqTimeout    = flag.Duration("request-timeout", 30*time.Second, "end-to-end routed request timeout (async jobs included)")
-		staleEntries  = flag.Int("stale-entries", 512, "stale-result cache entries for degraded mode (negative disables)")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "active health-probe cadence (negative disables)")
 		probeTimeout  = flag.Duration("probe-timeout", time.Second, "per-probe timeout")
 		fall          = flag.Int("fall", 3, "consecutive failures that eject a backend")
@@ -84,11 +82,8 @@ func main() {
 	flag.Parse()
 
 	cfg := router.Config{
-		VNodes:         *vnodes,
 		HedgeAfter:     *hedgeAfter,
-		DisableHedging: *noHedging,
 		RequestTimeout: *reqTimeout,
-		StaleEntries:   *staleEntries,
 		Spans:          *spans,
 		Health: router.HealthConfig{
 			ProbeInterval: *probeInterval,

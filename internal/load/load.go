@@ -65,11 +65,9 @@ type Config struct {
 	// Seed pins the request mix (spec choice, sync/async choice) —
 	// same seed, same workload.
 	Seed int64
-	// BurstSize > 1 releases requests in bursts of this size with
-	// BurstPause between bursts instead of a continuous stream.
+	// BurstSize > 1 releases requests in bursts of this size,
+	// burstPause apart, instead of a continuous stream.
 	BurstSize int
-	// BurstPause is the gap between bursts (default 5ms when bursting).
-	BurstPause time.Duration
 	// Kills is the backend-kill schedule, applied only when the
 	// topology has more than one backend (killing the only node just
 	// measures the stale cache).
@@ -85,8 +83,12 @@ type Config struct {
 	Server serve.Config
 }
 
-// pollInterval is the async status-poll cadence.
-const pollInterval = 2 * time.Millisecond
+// pollInterval is the async status-poll cadence, and burstPause the
+// gap between bursts.
+const (
+	pollInterval = 2 * time.Millisecond
+	burstPause   = 5 * time.Millisecond
+)
 
 func (c *Config) fillDefaults() error {
 	if c.Backends <= 0 {
@@ -109,9 +111,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.ZipfS <= 1 {
 		return fmt.Errorf("load: zipf skew %v must be > 1", c.ZipfS)
-	}
-	if c.BurstSize > 0 && c.BurstPause <= 0 {
-		c.BurstPause = 5 * time.Millisecond
 	}
 	if c.Router.RequestTimeout <= 0 {
 		c.Router.RequestTimeout = 10 * time.Second
@@ -359,7 +358,7 @@ func runTopology(cfg *Config, p *plan, n int) (*TopologyReport, error) {
 			}
 		}
 		if cfg.BurstSize > 1 && i > 0 && i%cfg.BurstSize == 0 {
-			time.Sleep(cfg.BurstPause)
+			time.Sleep(burstPause)
 		}
 		work <- i
 	}

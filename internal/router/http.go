@@ -3,13 +3,9 @@ package router
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/serve"
 	"repro/internal/svcobs"
 )
@@ -92,36 +88,14 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
-}
-
-// retryAfterSeconds derives a deterministic per-key Retry-After hint
-// in [1,5] seconds — the same spread-not-synchronized contract jaded's
-// admission refusals use — so clients retrying against a degraded
-// router do not arrive in lockstep.
-func retryAfterSeconds(key string) int {
-	f := fnv.New64a()
-	_, _ = io.WriteString(f, key)
-	return 1 + int(f.Sum64()%4)
-}
-
 func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec serve.JobSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "decode job spec: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
+		serve.WriteError(w, http.StatusBadRequest, "invalid job spec JSON: "+err.Error())
 		return
 	}
 	if err := spec.Canonicalize(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sync := r.URL.Query().Get("sync") == "1"
@@ -141,47 +115,33 @@ func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if res.Stale {
 		w.Header().Set(StaleHeader, "true")
 	}
-	if res.Err != nil {
+	switch {
+	case res.Err != nil:
 		if res.Code == http.StatusServiceUnavailable || res.Code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(spec.Hash())))
+			w.Header().Set("Retry-After", serve.RetryAfter(spec.Hash()))
 		}
-		writeErr(w, res.Code, res.Err.Error())
-		return
+		serve.WriteError(w, res.Code, res.Err.Error())
+	case sync:
+		serve.WriteSync(w, res.Doc, serve.RetryAfter(res.Doc.SpecHash))
+	default:
+		serve.WriteJSON(w, res.Code, res.Doc)
 	}
-	writeJSON(w, res.Code, res.Doc)
 }
 
 func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) {
-	doc, err := h.rt.Status(r.Context(), r.PathValue("id"))
+	id := r.PathValue("id")
+	doc, err := h.rt.Status(r.Context(), id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err.Error())
+		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 		return
 	}
-	code := http.StatusOK
-	if doc.Status == serve.StatusFailed && doc.ErrorCode == serve.ErrCodeTimeout {
-		code = http.StatusGatewayTimeout
-	}
-	writeJSON(w, code, doc)
+	serve.WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleCatalog serves the experiment catalog locally — it is static
 // process-wide state, so no backend round-trip is needed.
 func (h *Handler) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	ids := experiments.IDs()
-	cat := serve.Catalog{
-		Schema:      serve.CatalogSchema,
-		Count:       len(ids),
-		Scales:      []string{string(experiments.Small), string(experiments.PaperScale)},
-		Experiments: make([]serve.CatalogEntry, 0, len(ids)),
-	}
-	for _, id := range ids {
-		e, err := experiments.Get(id)
-		if err != nil {
-			continue
-		}
-		cat.Experiments = append(cat.Experiments, serve.CatalogEntry{ID: e.ID, Title: e.Title})
-	}
-	writeJSON(w, http.StatusOK, cat)
+	serve.WriteJSON(w, http.StatusOK, serve.NewCatalog())
 }
 
 func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -208,7 +168,7 @@ func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// live backends.
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, doc)
+	serve.WriteJSON(w, code, doc)
 }
 
 func (h *Handler) metricsDoc() RouterMetrics {
@@ -240,7 +200,7 @@ func (h *Handler) metricsDoc() RouterMetrics {
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	doc := h.metricsDoc()
 	if r.URL.Query().Get("format") != "prom" {
-		writeJSON(w, http.StatusOK, doc)
+		serve.WriteJSON(w, http.StatusOK, doc)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -281,8 +241,8 @@ func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	doc, ok := h.rt.Trace(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("no trace %q (spans enabled: %v)", id, h.rt.cfg.Spans))
+		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("no trace %q (spans enabled: %v)", id, h.rt.cfg.Spans))
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	serve.WriteJSON(w, http.StatusOK, doc)
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 	"repro/internal/svcobs"
@@ -205,5 +206,48 @@ func TestHandlerTraces(t *testing.T) {
 	}
 	if code, _ := getJSON(t, ts.URL+"/v1/traces/nope", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown trace = %d, want 404", code)
+	}
+}
+
+// TestHandlerTimedOutJob: like jaded, the router answers a synchronous
+// submit whose job timed out 504 with a Retry-After hint, and an
+// async job's poll 200 with the failure in the body.
+func TestHandlerTimedOutJob(t *testing.T) {
+	rt, fakes, ts := testHandler(t, nil, "n1", "n2")
+	for _, f := range fakes {
+		f.setMode(fakeTimeout)
+	}
+	body := `{"experiments":["table1"]}`
+	resp, err := http.Post(ts.URL+"/v1/jobs?sync=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc serve.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout || doc.ErrorCode != serve.ErrCodeTimeout {
+		t.Fatalf("sync timed-out job = %d %q, want 504 %q", resp.StatusCode, doc.ErrorCode, serve.ErrCodeTimeout)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("504 carried no Retry-After")
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async submit = %d, want 202", resp.StatusCode)
+	}
+	awaitJob(t, rt, doc.ID, 5*time.Second)
+	var polled serve.JobStatus
+	if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+doc.ID, &polled); code != http.StatusOK || polled.ErrorCode != serve.ErrCodeTimeout {
+		t.Fatalf("poll of a timed-out async job = %d %q, want 200 %q", code, polled.ErrorCode, serve.ErrCodeTimeout)
 	}
 }

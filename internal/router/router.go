@@ -18,37 +18,19 @@ import (
 // Config parameterizes a Router. The zero value is usable: defaults
 // fill in NewRouter.
 type Config struct {
-	// VNodes is the virtual-node count per backend on the hash ring
-	// (default DefaultVNodes).
-	VNodes int
-
 	// HedgeAfter is the hedge delay used before a backend has latency
 	// history (default 25ms). Once a backend's rolling window has
 	// samples, its p95 replaces this, clamped to [HedgeMin, hedgeMax].
 	HedgeAfter time.Duration
-	// HedgeMin is the adaptive hedge delay's floor (default 2ms).
-	HedgeMin time.Duration
-	// DisableHedging turns hedged requests off; requests then wait for
-	// the primary alone (failover still applies on explicit failure).
-	// A hedge costs at most one duplicate run. Async jobs pay it too:
+	// HedgeMin is the adaptive hedge delay's floor (default 2ms). A
+	// hedge costs at most one duplicate run. Async jobs pay it too:
 	// the router runs each one as a sync request of its own.
-	DisableHedging bool
+	HedgeMin time.Duration
 
 	// RequestTimeout bounds one routed request end to end, hedges and
 	// failovers included, and is the deadline of every async job
 	// (default 30s).
 	RequestTimeout time.Duration
-
-	// StaleEntries sizes the stale-result cache backing degraded mode
-	// (default 512 entries; 0 also means 512, <0 disables stale
-	// serving).
-	StaleEntries int
-
-	// LoadBoundFactor demotes a key's primary behind the next replica
-	// when the primary's inflight count exceeds factor × the mean
-	// inflight across routable backends (bounded-load consistent
-	// hashing). Default 2.0; <0 disables the bound.
-	LoadBoundFactor float64
 
 	// Health parameterizes the per-backend health state machine.
 	Health HealthConfig
@@ -61,17 +43,20 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// hedgeMax caps the adaptive hedge delay, and traceRetention bounds
-// the trace docs a router with Spans retains.
+// hedgeMax caps the adaptive hedge delay; traceRetention bounds the
+// trace docs a router with Spans retains; staleEntries sizes the
+// stale-result cache behind degraded mode; and a key's primary is
+// demoted behind the next replica when its inflight count reaches
+// loadBound × the mean inflight over the routable backends, plus one
+// (bounded-load consistent hashing).
 const (
 	hedgeMax       = 2 * time.Second
 	traceRetention = 256
+	staleEntries   = 512
+	loadBound      = 2.0
 )
 
 func (c *Config) fillDefaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.HedgeAfter <= 0 {
 		c.HedgeAfter = 25 * time.Millisecond
 	}
@@ -80,12 +65,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.StaleEntries == 0 {
-		c.StaleEntries = 512
-	}
-	if c.LoadBoundFactor == 0 {
-		c.LoadBoundFactor = 2.0
 	}
 	c.Health.fillDefaults()
 }
@@ -124,7 +103,9 @@ type Result struct {
 	Backend string
 	// Code is the HTTP status the router should relay (200, or 202
 	// for an accepted async job; the backend's refusal code, 429 when
-	// every async slot is taken, or 503).
+	// every async slot is taken, or 503). A synchronous document is
+	// answered by serve.WriteSync, which turns a timed-out job's 200
+	// into 504.
 	Code int
 	// Stale marks a degraded-mode response served from the stale
 	// cache after every replica failed.
@@ -189,11 +170,11 @@ func NewRouter(cfg Config, backends ...Backend) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:      cfg,
-		ring:     NewRing(cfg.VNodes, names...),
+		ring:     NewRing(DefaultVNodes, names...),
 		backends: byName,
 		inflight: make(map[string]int, len(names)),
 		windows:  make(map[string]*rollingWindow, len(names)),
-		stale:    lru.New[string, []byte](cfg.StaleEntries),
+		stale:    lru.New[string, []byte](staleEntries),
 		jobs:     lru.New[string, *serve.JobStatus](4096),
 		traces:   lru.New[string, *svcobs.Doc](traceRetention),
 		slots:    make(chan struct{}, asyncSlots),
@@ -337,14 +318,14 @@ func (rt *Router) candidates(key string) ([]string, bool) {
 		}
 	}
 	shifted := false
-	if rt.cfg.LoadBoundFactor > 0 && len(out) > 1 {
+	if len(out) > 1 {
 		rt.mu.Lock()
 		total := 0
 		for _, name := range out {
 			total += rt.inflight[name]
 		}
 		mean := float64(total) / float64(len(out))
-		bound := rt.cfg.LoadBoundFactor*mean + 1
+		bound := loadBound*mean + 1
 		if float64(rt.inflight[out[0]]) >= bound && float64(rt.inflight[out[1]]) < bound {
 			out[0], out[1] = out[1], out[0]
 			shifted = true
@@ -462,9 +443,6 @@ func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceI
 		if out.err == nil {
 			res.Doc, res.Backend = out.doc, out.backend
 			res.Code = http.StatusOK
-			if out.doc.Status == serve.StatusFailed && out.doc.ErrorCode == serve.ErrCodeTimeout {
-				res.Code = http.StatusGatewayTimeout
-			}
 			if out.isHedge {
 				res.HedgeWin = true
 				rt.bump(func(c *Counters) { c.HedgeWins++ })
@@ -532,7 +510,7 @@ func (rt *Router) attempt(ctx context.Context, spec *serve.JobSpec, traceID, pri
 	launch(primary, false)
 	var timerC <-chan time.Time
 	var timer *time.Timer
-	if !rt.cfg.DisableHedging && hedge != "" && hedge != primary {
+	if hedge != "" && hedge != primary {
 		timer = time.NewTimer(rt.hedgeDelay(primary))
 		defer timer.Stop()
 		timerC = timer.C

@@ -19,10 +19,14 @@ type fakeBackend struct {
 	name string
 
 	mu      sync.Mutex
-	mode    string // ChaosPass, ChaosHang, ChaosDown
+	mode    string // ChaosPass, ChaosHang, ChaosDown, fakeTimeout
 	delay   time.Duration
 	submits int
 }
+
+// fakeTimeout makes a fakeBackend answer every submit with a job that
+// failed on its deadline, as jaded reports one.
+const fakeTimeout = "timeout"
 
 func newFakeBackend(name string) *fakeBackend {
 	return &fakeBackend{name: name, mode: ChaosPass}
@@ -61,6 +65,11 @@ func (f *fakeBackend) Submit(ctx context.Context, spec *serve.JobSpec, sync bool
 	case ChaosHang:
 		<-ctx.Done()
 		return nil, &BackendError{Backend: f.name, Msg: "hung: " + ctx.Err().Error()}
+	case fakeTimeout:
+		return &serve.JobStatus{
+			Schema: serve.StatusSchema, ID: f.name + "-sync", Status: serve.StatusFailed, SpecHash: spec.Hash(),
+			Error: "timeout: job exceeded the deadline", ErrorCode: serve.ErrCodeTimeout,
+		}, nil
 	}
 	if delay > 0 {
 		select {
@@ -355,5 +364,54 @@ func TestRouterClientErrorNoFailover(t *testing.T) {
 	}
 	if !healthPenalty(&BackendError{Code: 500}) || !healthPenalty(&BackendError{Code: 0}) {
 		t.Fatal("5xx/transport must be health failures")
+	}
+}
+
+// TestRouterBoundedLoadDemotion: a key's primary is demoted behind the
+// next replica once its inflight count reaches 2×mean+1 over the
+// routable backends, and not one request below; Do then routes the
+// request to that replica and counts the shift.
+func TestRouterBoundedLoadDemotion(t *testing.T) {
+	rt, _ := testRouter(t, nil, "n1", "n2", "n3")
+	spec := testSpec(t, "table1")
+	hash := spec.Hash()
+	seq := rt.ring.Sequence(hash)
+	primary, next, third := seq[0], seq[1], seq[2]
+	setLoad := func(p, n, th int) {
+		rt.mu.Lock()
+		rt.inflight[primary], rt.inflight[next], rt.inflight[third] = p, n, th
+		rt.mu.Unlock()
+	}
+	for _, c := range []struct {
+		primary, others int
+		demoted         bool
+	}{
+		{2, 0, false}, // mean 2/3: bound 7/3
+		{3, 0, true},  // mean 1: bound 3
+		{6, 1, false}, // mean 8/3: bound 19/3
+		{7, 1, true},  // mean 3: bound 7
+	} {
+		setLoad(c.primary, c.others, c.others)
+		cands, shifted := rt.candidates(hash)
+		want := []string{primary, next, third}
+		if c.demoted {
+			want = []string{next, primary, third}
+		}
+		if shifted != c.demoted || fmt.Sprint(cands) != fmt.Sprint(want) {
+			t.Errorf("inflight %d/%d/%d: candidates %v shifted=%v, want %v shifted=%v",
+				c.primary, c.others, c.others, cands, shifted, want, c.demoted)
+		}
+	}
+
+	setLoad(3, 0, 0)
+	res := rt.Do(context.Background(), spec, true, "")
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if got := servedBy(t, res.Doc); got != next {
+		t.Fatalf("demoted request served by %s, want the next replica %s", got, next)
+	}
+	if got := rt.Counters().LoadShifts; got != 1 {
+		t.Fatalf("load_shifts = %d, want 1", got)
 	}
 }

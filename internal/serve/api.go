@@ -130,8 +130,9 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v as indented JSON with the given status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as indented JSON with the given status code:
+// every jaded and jaderouter response body goes through it.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -139,7 +140,43 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the client hung up; nothing useful to do
 }
 
-// writeErr writes a JSON error envelope.
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, errorBody{Error: msg})
+// WriteError writes the {"error": msg} envelope that jaded and
+// jaderouter answer every refused request with.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, errorBody{Error: msg})
+}
+
+// WriteSync answers a synchronous submission with its job's terminal
+// document. A job whose deadline expired answers 504 Gateway Timeout
+// with retryAfter as its Retry-After hint: a timeout is a capacity
+// problem, so the same spec may succeed later. Every other outcome,
+// failures included, answers 200 with the status in the body. Status
+// polls and async submissions never answer 504.
+func WriteSync(w http.ResponseWriter, doc *JobStatus, retryAfter string) {
+	if doc.Status == StatusFailed && doc.ErrorCode == ErrCodeTimeout {
+		w.Header().Set("Retry-After", retryAfter)
+		WriteJSON(w, http.StatusGatewayTimeout, doc)
+		return
+	}
+	WriteJSON(w, http.StatusOK, doc)
+}
+
+// NewCatalog builds the GET /v1/experiments document from the
+// experiment registry; jaded and jaderouter both serve it.
+func NewCatalog() Catalog {
+	ids := experiments.IDs()
+	cat := Catalog{
+		Schema:      CatalogSchema,
+		Count:       len(ids),
+		Scales:      []string{string(experiments.Small), string(experiments.PaperScale)},
+		Experiments: make([]CatalogEntry, 0, len(ids)),
+	}
+	for _, id := range ids {
+		e, err := experiments.Get(id)
+		if err != nil {
+			continue // unreachable: IDs() only lists registered experiments
+		}
+		cat.Experiments = append(cat.Experiments, CatalogEntry{ID: e.ID, Title: e.Title})
+	}
+	return cat
 }

@@ -185,7 +185,7 @@ func (s *Server) TraceDoc(id string) (*svcobs.Doc, error) {
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	doc, err := s.TraceDoc(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err.Error())
+		WriteError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	if r.URL.Query().Get("format") == "perfetto" {
@@ -193,7 +193,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		_ = doc.WritePerfetto(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // ---- Prometheus exposition ----
@@ -234,8 +234,8 @@ func (s *Server) writeProm(w http.ResponseWriter) {
 	p.Counter("jaded_graph_cache_misses_total", "Task-graph cache misses.", float64(gc.Misses))
 
 	p.Gauge("jaded_uptime_seconds", "Process uptime.", time.Since(s.start).Seconds())
-	p.Gauge("jaded_queue_depth", "Jobs waiting in the queue.", float64(s.queue.Len()))
-	p.Gauge("jaded_queue_capacity", "Queue capacity.", float64(s.queue.Cap()))
+	p.Gauge("jaded_queue_depth", "Jobs waiting in the queue.", float64(len(s.queue)))
+	p.Gauge("jaded_queue_capacity", "Queue capacity.", float64(cap(s.queue)))
 	p.Gauge("jaded_workers", "Configured worker count.", float64(s.cfg.Workers))
 	p.Gauge("jaded_busy_workers", "Workers executing a job right now.", float64(busy))
 	p.Gauge("jaded_result_cache_entries", "Result cache entries.", float64(rc.Len))

@@ -459,7 +459,6 @@ func TestHealthDegradesWhenBudgetExhausted(t *testing.T) {
 			Window:             time.Minute,
 			TargetAvailability: 0.99,
 			TargetP99:          time.Second,
-			MinSamples:         5,
 		},
 	}, runFn)
 
@@ -479,7 +478,8 @@ func TestHealthDegradesWhenBudgetExhausted(t *testing.T) {
 	if code, h := health(); code != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("fresh health = %d %q", code, h.Status)
 	}
-	for i := 0; i < 6; i++ {
+	// The tracker judges the budget only from its tenth sample on.
+	for i := 0; i < 10; i++ {
 		spec := fmt.Sprintf(`{"schema":"jade-job/v1","runs":[{"app":"water","machine":"ipsc","procs":%d}]}`, i+1)
 		if code, doc, _ := submit(t, ts.URL, spec, true); code != http.StatusOK || doc.Status != StatusFailed {
 			t.Fatalf("submit %d = %d %s", i, code, doc.Status)

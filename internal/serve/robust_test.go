@@ -77,7 +77,7 @@ func TestDeadlineCoversQueueWait(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	s.execute(j)
 	<-j.done
-	doc := s.statusDoc(j, true)
+	doc := s.statusDoc(j)
 	if doc.Status != StatusFailed || doc.ErrorCode != ErrCodeTimeout {
 		t.Fatalf("doc = %+v, want failed/timeout", doc)
 	}

@@ -1,11 +1,12 @@
 // Package serve turns the experiment engine into a long-running
 // simulation-as-a-service: cmd/jaded accepts jade-job/v1 jobs over
-// HTTP/JSON, runs them on a bounded worker pool fed by a FIFO queue
-// with backpressure, and memoizes finished jadebench/v1 documents in
-// an LRU cache keyed by the canonical spec hash. The machine models
-// are deterministic, so a cache hit returns exactly the bytes a fresh
-// run would produce — the service amortizes the paper's experiment
-// sweeps across requests instead of rebuilding them per invocation.
+// HTTP/JSON, runs them on a bounded worker pool fed by a buffered
+// channel with backpressure, and memoizes finished jadebench/v1
+// documents in an LRU cache keyed by the canonical spec hash. The
+// machine models are deterministic, so a cache hit returns exactly the
+// bytes a fresh run would produce — the service amortizes the paper's
+// experiment sweeps across requests instead of rebuilding them per
+// invocation.
 //
 // Two further layers cut duplicate and serial work: jobs identical to
 // one already executing are single-flighted onto it (one simulation,
@@ -55,6 +56,9 @@ import (
 // errTimeout marks deadline expiries so finish can report the distinct
 // "timeout" error code (and sync submits can answer 504 + Retry-After).
 var errTimeout = errors.New("timeout")
+
+// errShutdown fails every job still queued when the server shuts down.
+var errShutdown = errors.New("server shut down before the job started")
 
 // Config parameterizes the server.
 type Config struct {
@@ -171,7 +175,7 @@ type Job struct {
 type Server struct {
 	cfg    Config
 	mux    *http.ServeMux
-	queue  *Queue[*Job]
+	queue  chan *Job                  // admitted jobs, FIFO; sent and closed only under mu
 	cache  *lru.Cache[string, []byte] // spec hash → jadebench/v1 bytes
 	start  time.Time
 	wg     sync.WaitGroup
@@ -221,7 +225,7 @@ func newServer(cfg Config, runFn func(context.Context, *JobSpec) ([]byte, error)
 	s := &Server{
 		cfg:      cfg,
 		runner:   experiments.NewRunner(cfg.RunParallelism),
-		queue:    NewQueue[*Job](cfg.QueueCap),
+		queue:    make(chan *Job, cfg.QueueCap),
 		cache:    lru.New[string, []byte](cfg.CacheEntries),
 		start:    time.Now(),
 		logger:   cfg.Logger,
@@ -283,10 +287,13 @@ func (s *Server) runJobSpec(_ context.Context, spec *JobSpec) ([]byte, error) {
 // expires. Callers should stop the HTTP listener first.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.shutdown = true
+	if !s.shutdown {
+		s.shutdown = true
+		close(s.queue)
+	}
 	s.mu.Unlock()
-	for _, j := range s.queue.Close() {
-		s.finish(j, nil, false, fmt.Errorf("server shut down before the job started"))
+	for j := range s.queue {
+		s.finish(j, nil, false, errShutdown)
 	}
 	drained := make(chan struct{})
 	go func() {
@@ -303,12 +310,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // ---- worker pool ----
 
+// worker runs queued jobs in submission order until Shutdown closes
+// the queue. A job it receives after shutdown began fails like the
+// ones Shutdown drains itself.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		j, ok := s.queue.Pop()
-		if !ok {
-			return
+	for j := range s.queue {
+		s.mu.Lock()
+		down := s.shutdown
+		s.mu.Unlock()
+		if down {
+			s.finish(j, nil, false, errShutdown)
+			continue
 		}
 		s.execute(j)
 	}
@@ -529,6 +542,14 @@ const (
 	retrySpread = 4 * time.Second
 )
 
+// RetryAfter is the Retry-After header value, in whole seconds from 1
+// to 5, for a refusal of the spec with this canonical hash: the spread
+// jaded's queue-full and draining refusals carry, and the hint on every
+// jaderouter refusal and timed-out synchronous job.
+func RetryAfter(hash string) string {
+	return retryAfterSecs(jitterRetryAfter(retryBase, retrySpread, hash))
+}
+
 // refuseDraining builds the refusal for a submission that raced
 // graceful shutdown: 503 with a jittered Retry-After (the process
 // replacing this one will be up shortly; spread the comebacks) and
@@ -608,7 +629,9 @@ func (s *Server) admit(spec *JobSpec, ro *reqObs) (*Job, *admitError) {
 	// the queue a worker may touch its spans at any moment.
 	j.attachObs(ro)
 	j.spanQueue = j.root.Child("queue_wait")
-	if !s.queue.TryPush(j) {
+	select {
+	case s.queue <- j:
+	default:
 		delete(s.jobs, j.ID)
 		s.rejected++
 		s.mu.Unlock()
@@ -621,7 +644,7 @@ func (s *Server) admit(spec *JobSpec, ro *reqObs) (*Job, *admitError) {
 		}
 		s.slo.Record(0, false)
 		if s.logger != nil {
-			s.logger.Warn("job rejected", "reason", "queue_full", "queue_capacity", s.queue.Cap())
+			s.logger.Warn("job rejected", "reason", "queue_full", "queue_capacity", cap(s.queue))
 		}
 		// Never executed: a probe admitted past the breaker releases
 		// its half-open slot, and the Retry-After hint is jittered by
@@ -629,7 +652,7 @@ func (s *Server) admit(spec *JobSpec, ro *reqObs) (*Job, *admitError) {
 		s.breaker.cancelProbe(breakerKeys(spec))
 		return nil, &admitError{
 			status:     http.StatusTooManyRequests,
-			msg:        fmt.Sprintf("job queue is full (%d queued); retry later", s.queue.Cap()),
+			msg:        fmt.Sprintf("job queue is full (%d queued); retry later", cap(s.queue)),
 			retryAfter: jitterRetryAfter(retryBase, retrySpread, hash),
 			closeConn:  true,
 		}
@@ -679,36 +702,44 @@ func (s *Server) RunSync(ctx context.Context, spec *JobSpec, traceID string) (*J
 // open circuit, shutdown) come back as errors classifiable with
 // AdmitStatus.
 func (s *Server) Submit(ctx context.Context, spec *JobSpec, sync bool, traceID string) (*JobStatus, error) {
-	val := (*reqObs)(nil)
+	var ro *reqObs
 	if s.obsEnabled() {
-		val = s.newReqObs(traceID, "request")
-		val.root.SetAttr("source", "in-process")
+		ro = s.newReqObs(traceID, "request")
+		ro.root.SetAttr("source", "in-process")
+		defer ro.root.End()
 	}
-	sv := val.span("validate")
-	if err := spec.Canonicalize(); err != nil {
-		sv.End()
+	if err := canonicalize(spec, ro); err != nil {
 		return nil, err
 	}
-	sv.End()
-	j, aerr := s.admit(spec, val)
+	return s.submit(ctx, spec, sync, ro)
+}
+
+// canonicalize validates a submitted spec under the request's
+// "validate" span.
+func canonicalize(spec *JobSpec, ro *reqObs) error {
+	sp := ro.span("validate")
+	defer sp.End()
+	return spec.Canonicalize()
+}
+
+// submit is the one submission path behind POST /v1/jobs and Submit:
+// it admits a canonical spec, then returns at once for an async job,
+// or waits for a sync job's terminal document. A refusal is an
+// *admitError; a sync caller that gives up gets ctx's error, and the
+// job keeps running, pollable under its ID.
+func (s *Server) submit(ctx context.Context, spec *JobSpec, sync bool, ro *reqObs) (*JobStatus, error) {
+	j, aerr := s.admit(spec, ro)
 	if aerr != nil {
 		return nil, aerr
 	}
-	if !sync && !isDone(j) {
-		if val != nil {
-			val.root.End()
+	if sync {
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		return s.statusDoc(j, false), nil
 	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if val != nil {
-		val.root.End()
-	}
-	return s.statusDoc(j, true), nil
+	return s.statusDoc(j), nil
 }
 
 // Healthy mirrors GET /healthz for embedded callers: false while the
@@ -742,67 +773,41 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	err := dec.Decode(&spec)
 	recv.End()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid job spec JSON: "+err.Error())
+		WriteError(w, http.StatusBadRequest, "invalid job spec JSON: "+err.Error())
 		return
 	}
-	val := ro.span("validate")
-	err = spec.Canonicalize()
-	val.End()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if err := canonicalize(&spec, ro); err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sync := r.URL.Query().Get("sync") == "1"
 	if sync && spec.Scale != string(experiments.Small) {
-		writeErr(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			"?sync=1 is only supported for scale \"small\"; submit paper-scale jobs asynchronously")
 		return
 	}
 
-	j, aerr := s.admit(&spec, ro)
-	if aerr != nil {
+	doc, err := s.submit(r.Context(), &spec, sync, ro)
+	var aerr *admitError
+	switch {
+	case errors.As(err, &aerr):
 		if aerr.retryAfter > 0 {
 			w.Header().Set("Retry-After", retryAfterSecs(aerr.retryAfter))
 		}
 		if aerr.closeConn {
 			w.Header().Set("Connection", "close")
 		}
-		writeErr(w, aerr.status, aerr.msg)
-		return
-	}
-	if isDone(j) {
-		// Born done from the result cache.
-		writeJSON(w, http.StatusOK, s.statusDoc(j, true))
-		return
-	}
-	if !sync {
-		writeJSON(w, http.StatusAccepted, s.statusDoc(j, false))
-		return
-	}
-	select {
-	case <-j.done:
-		doc := s.statusDoc(j, true)
-		code := http.StatusOK
-		if doc.ErrorCode == ErrCodeTimeout {
-			// A timed-out job is a capacity problem, not a spec
-			// problem: tell the client when to come back.
-			w.Header().Set("Retry-After", retryAfterSecs(s.cfg.JobTimeout))
-			code = http.StatusGatewayTimeout
-		}
-		writeJSON(w, code, doc)
-	case <-r.Context().Done():
+		WriteError(w, aerr.status, aerr.msg)
+	case err != nil:
 		// The client hung up; the job keeps running and stays
 		// pollable under its ID.
-	}
-}
-
-// isDone reports whether a job already reached a terminal state.
-func isDone(j *Job) bool {
-	select {
-	case <-j.done:
-		return true
+	case sync:
+		WriteSync(w, doc, retryAfterSecs(s.cfg.JobTimeout))
+	case doc.Status == StatusDone:
+		// Born done from the result cache.
+		WriteJSON(w, http.StatusOK, doc)
 	default:
-		return false
+		WriteJSON(w, http.StatusAccepted, doc)
 	}
 }
 
@@ -816,8 +821,9 @@ func retryAfterSecs(d time.Duration) string {
 	return fmt.Sprint(secs)
 }
 
-// statusDoc snapshots a job into its response document.
-func (s *Server) statusDoc(j *Job, includeResult bool) *JobStatus {
+// statusDoc snapshots a job into its response document; a done job
+// carries its result.
+func (s *Server) statusDoc(j *Job) *JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	doc := &JobStatus{
@@ -831,7 +837,7 @@ func (s *Server) statusDoc(j *Job, includeResult bool) *JobStatus {
 		ErrorCode: j.errCode,
 		Spec:      j.Spec,
 	}
-	if includeResult && j.status == StatusDone {
+	if j.status == StatusDone {
 		doc.Result = j.result
 	}
 	return doc
@@ -851,28 +857,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.lookup(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.statusDoc(j, true))
+	WriteJSON(w, http.StatusOK, s.statusDoc(j))
 }
 
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	ids := experiments.IDs()
-	cat := Catalog{
-		Schema:      CatalogSchema,
-		Count:       len(ids),
-		Scales:      []string{string(experiments.Small), string(experiments.PaperScale)},
-		Experiments: make([]CatalogEntry, 0, len(ids)),
-	}
-	for _, id := range ids {
-		e, err := experiments.Get(id)
-		if err != nil {
-			continue // unreachable: IDs() only lists registered experiments
-		}
-		cat.Experiments = append(cat.Experiments, CatalogEntry{ID: e.ID, Title: e.Title})
-	}
-	writeJSON(w, http.StatusOK, cat)
+	WriteJSON(w, http.StatusOK, NewCatalog())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -885,11 +877,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			// still alive but should be taken out of rotation until
 			// the window recovers.
 			h.Status = "degraded"
-			writeJSON(w, http.StatusServiceUnavailable, h)
+			WriteJSON(w, http.StatusServiceUnavailable, h)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 // metricsDoc snapshots the serving metrics. Every counter the mutex
@@ -902,8 +894,8 @@ func (s *Server) metricsDoc() Metrics {
 	m := Metrics{
 		Schema:             MetricsSchema,
 		UptimeSec:          time.Since(s.start).Seconds(),
-		QueueDepth:         s.queue.Len(),
-		QueueCapacity:      s.queue.Cap(),
+		QueueDepth:         len(s.queue),
+		QueueCapacity:      cap(s.queue),
 		Workers:            s.cfg.Workers,
 		BusyWorkers:        s.busy,
 		WorkerUtilization:  float64(s.busy) / float64(s.cfg.Workers),
@@ -940,5 +932,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.writeProm(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.metricsDoc())
+	WriteJSON(w, http.StatusOK, s.metricsDoc())
 }

@@ -242,6 +242,52 @@ func TestQueueOverflowReturns429(t *testing.T) {
 	close(release)
 }
 
+// TestQueuedJobsRunInSubmissionOrder: a one-worker server runs the
+// jobs queued behind a busy worker in the order they were submitted.
+func TestQueuedJobsRunInSubmissionOrder(t *testing.T) {
+	started := make(chan struct{}, 8)
+	release := make(chan struct{})
+	block := blockingRunner(started, release)
+	var mu sync.Mutex
+	var ran []string
+	runFn := func(ctx context.Context, spec *JobSpec) ([]byte, error) {
+		mu.Lock()
+		ran = append(ran, spec.Experiments[0])
+		mu.Unlock()
+		return block(ctx, spec)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 3}, runFn)
+
+	ids := []string{"table1", "table2", "table3", "table4"}
+	var last *JobStatus
+	for i, id := range ids {
+		code, doc, _ := submit(t, ts.URL, fmt.Sprintf(`{"experiments":[%q]}`, id), false)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s = %d, want 202", id, code)
+		}
+		if i == 0 {
+			<-started // the first job holds the worker; the other three queue
+		}
+		last = doc
+	}
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, cur := getStatus(t, ts.URL, last.ID); cur.Status == StatusDone {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("last queued job %s never finished", last.ID)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(ran) != fmt.Sprint(ids) {
+		t.Fatalf("jobs ran in order %v, want submission order %v", ran, ids)
+	}
+}
+
 func TestSyncPaperScaleRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, fakeRunner)
 	code, _, _ := submit(t, ts.URL, `{"experiments":["table1"],"scale":"paper"}`, true)
@@ -353,10 +399,11 @@ func TestMetricz(t *testing.T) {
 	}
 }
 
-// A work-free job through the real experiment engine must populate
-// the shared task-graph cache: its two runs differ only in machine
-// model, so they share one captured water graph — at least one miss
-// (the capture) and one hit (the replay on the other machine).
+// A work-free job through the real experiment engine must show in
+// /metricz's view of the shared task-graph cache: its two runs each
+// look up the water graph (a capture on a cold cache, a replay on a
+// warm one, since the cache is process-wide), and the graph stays
+// cached.
 func TestMetriczGraphCacheCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 5}, nil)
 	before := experiments.GraphCacheStats()
@@ -372,8 +419,9 @@ func TestMetriczGraphCacheCounters(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.GraphCache.Misses <= before.Misses || m.GraphCache.Hits <= before.Hits {
-		t.Fatalf("graph cache counters did not move: before=%+v after=%+v", before, m.GraphCache)
+	g := m.GraphCache
+	if g.Hits+g.Misses < before.Hits+before.Misses+2 || g.Entries < 1 {
+		t.Fatalf("graph cache did not count the job's two lookups: before=%+v after=%+v", before, g)
 	}
 }
 

@@ -13,6 +13,11 @@ import (
 // long the process runs.
 const sloRingBuckets = 30
 
+// sloMinSamples is how many observations the window needs before the
+// tracker will declare the budget exhausted: it stops one early
+// failure from flapping a fresh server to 503.
+const sloMinSamples = 10
+
 // SLOConfig declares the service-level objectives the tracker judges
 // the serving process against. The zero value disables tracking
 // (NewSLO returns nil, and a nil *SLO no-ops).
@@ -26,10 +31,6 @@ type SLOConfig struct {
 	// at most 1% of requests may fail before the error budget is
 	// spent); 0 disables the availability objective.
 	TargetAvailability float64
-	// MinSamples is how many observations the window needs before the
-	// tracker will declare the budget exhausted — it stops one early
-	// failure from flapping a fresh server to 503 (default 10).
-	MinSamples int
 }
 
 // Enabled reports whether any objective is configured.
@@ -40,9 +41,6 @@ func (c SLOConfig) Enabled() bool {
 func (c *SLOConfig) fillDefaults() {
 	if c.Window <= 0 {
 		c.Window = 5 * time.Minute
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 10
 	}
 }
 
@@ -139,7 +137,7 @@ type SLOStatus struct {
 	// window's error budget left at the current burn.
 	BudgetRemaining float64 `json:"budget_remaining"`
 	// Exhausted reports the availability budget spent (burn ≥ 1 with
-	// at least MinSamples observations); /healthz degrades to 503.
+	// at least sloMinSamples observations); /healthz degrades to 503.
 	Exhausted bool `json:"exhausted"`
 }
 
@@ -196,7 +194,7 @@ func (s *SLO) Status() SLOStatus {
 		if st.BudgetRemaining < 0 {
 			st.BudgetRemaining = 0
 		}
-		st.Exhausted = total >= uint64(s.cfg.MinSamples) && st.BurnRate >= 1
+		st.Exhausted = total >= sloMinSamples && st.BurnRate >= 1
 	}
 	return st
 }

@@ -29,7 +29,6 @@ func TestSLOBudgetBurnAndExhaustion(t *testing.T) {
 	s, _ := newTestSLO(SLOConfig{
 		Window:             time.Minute,
 		TargetAvailability: 0.9, // 10% error budget
-		MinSamples:         10,
 	})
 	// 5% errors over 20 samples: half the budget burning.
 	for i := 0; i < 19; i++ {
@@ -60,24 +59,24 @@ func TestSLOBudgetBurnAndExhaustion(t *testing.T) {
 }
 
 func TestSLOMinSamplesGate(t *testing.T) {
-	s, _ := newTestSLO(SLOConfig{Window: time.Minute, TargetAvailability: 0.99, MinSamples: 10})
+	s, _ := newTestSLO(SLOConfig{Window: time.Minute, TargetAvailability: 0.99})
 	// 100% failure but below the sample floor: not exhausted yet.
-	for i := 0; i < 9; i++ {
+	for i := 0; i < sloMinSamples-1; i++ {
 		s.Record(0, false)
 	}
 	if st := s.Status(); st.Exhausted {
-		t.Fatalf("exhausted below MinSamples: %+v", st)
+		t.Fatalf("exhausted below sloMinSamples: %+v", st)
 	}
 	s.Record(0, false)
 	if st := s.Status(); !st.Exhausted {
-		t.Fatalf("not exhausted at MinSamples with 100%% errors: %+v", st)
+		t.Fatalf("not exhausted at sloMinSamples with 100%% errors: %+v", st)
 	}
 }
 
 // TestSLOWindowExpiry pins the rolling window: errors older than the
 // window stop counting against the budget.
 func TestSLOWindowExpiry(t *testing.T) {
-	s, clock := newTestSLO(SLOConfig{Window: time.Minute, TargetAvailability: 0.9, MinSamples: 5})
+	s, clock := newTestSLO(SLOConfig{Window: time.Minute, TargetAvailability: 0.9})
 	for i := 0; i < 10; i++ {
 		s.Record(0.01, false)
 	}
