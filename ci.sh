@@ -317,14 +317,15 @@ grep -q '"status": "done"' "$tmp/postchaos.json" ||
     { echo "jaded: server unhealthy after injected panic" >&2; cat "$tmp/postchaos.json" >&2; exit 1; }
 
 echo "== jaderouter smoke =="
-# The routing tier in front of three embedded jaded backends: its
-# catalog must be byte-identical to jaded's (both serve the one
-# serve.NewCatalog document), a routed submission must name its
-# serving backend, echo the caller's trace ID, an async job must
-# round-trip through the router's own job table, and the router must
-# export the jaderouter_* metric families.
+# The routing tier in front of three embedded jaded backends, with span
+# capture on: its catalog must be byte-identical to jaded's (its job
+# front is a serve.Server), a routed submission must name its serving
+# backend in the header and the document alike and carry a trace ID,
+# an async job must round-trip through the front's job table with its
+# routing attempts in the job's trace, and the router must export the
+# jaderouter_* metric families.
 go build -o "$tmp/jaderouter" ./cmd/jaderouter
-"$tmp/jaderouter" -addr 127.0.0.1:0 -embed 3 -workers 1 \
+"$tmp/jaderouter" -addr 127.0.0.1:0 -embed 3 -workers 1 -spans \
     >"$tmp/router.log" 2>"$tmp/router.stderr" &
 router_pid=$!
 
@@ -350,8 +351,11 @@ grep -qi '^X-Jade-Backend: jaded-' "$tmp/routed.hdr" ||
     { echo "jaderouter: response does not name its backend" >&2; cat "$tmp/routed.hdr" >&2; exit 1; }
 grep -qi '^X-Jade-Trace: ' "$tmp/routed.hdr" ||
     { echo "jaderouter: response carried no trace ID" >&2; cat "$tmp/routed.hdr" >&2; exit 1; }
-# An async submission gets 202 and a job ID the router minted; the
-# router runs the job itself and answers the poll from its own table.
+backend=$(tr -d '\r' <"$tmp/routed.hdr" | sed -n 's/^X-Jade-Backend: //p')
+[ -n "$backend" ] && grep -q "^  \"backend\": \"$backend\",\$" "$tmp/routed.json" ||
+    { echo "jaderouter: document's backend is not X-Jade-Backend ($backend)" >&2; head -c 600 "$tmp/routed.json" >&2; exit 1; }
+# An async submission gets 202 and a job ID from the front, which
+# routes the job and answers the poll from its own table.
 async_spec='{"schema":"jade-job/v1","experiments":["table2"],"scale":"small"}'
 code=$(curl -sS -o "$tmp/async.json" -w '%{http_code}' -X POST -d "$async_spec" "http://$raddr/v1/jobs")
 [ "$code" = 202 ] ||
@@ -368,6 +372,9 @@ done
 grep -q '"status": "done"' "$tmp/polled.json" ||
     { echo "jaderouter: async job $async_id did not finish" >&2; cat "$tmp/polled.json" >&2; exit 1; }
 "$tmp/jsoncheck" schema id status result.schema <"$tmp/polled.json"
+curl -fsS "http://$raddr/v1/jobs/$async_id/trace" >"$tmp/async-trace.json"
+grep -q '"name": "attempt:' "$tmp/async-trace.json" ||
+    { echo "jaderouter: job $async_id's trace has no attempt: span" >&2; cat "$tmp/async-trace.json" >&2; exit 1; }
 curl -fsS "http://$raddr/metricz" |
     "$tmp/jsoncheck" schema counters.routed counters.failovers backends
 curl -fsS "http://$raddr/metricz?format=prom" |

@@ -25,21 +25,20 @@
 // 512-entry stale cache and the bounded-load demotion at 2×mean+1
 // in-flight requests are fixed.
 //
+// The job API is jaded's: the router's front is a serve.Server that
+// routes every job (no result cache, no breaker), with -request-timeout
+// as its job deadline and its Retry-After on a timed-out sync job.
+//
 // Endpoints:
 //
-//	POST /v1/jobs        submit (?sync=1 blocks); X-Jade-Backend names
-//	                     the serving backend, X-Jade-Hedged/-Stale
-//	                     report hedging and degraded mode. Without
-//	                     ?sync=1 the router answers 202 with its own
-//	                     job ID (no backend named) and runs the job
-//	                     itself, with the same hedging and failover,
-//	                     bounded by -request-timeout
-//	GET  /v1/jobs/{id}   async status poll, answered from the router's
-//	                     job table (no backend involved)
-//	GET  /v1/experiments jade-catalog/v1
-//	GET  /healthz        jaderouter-health/v1 per-backend states
-//	GET  /metricz        jaderouter-metrics/v1 (?format=prom)
-//	GET  /v1/traces/{id} jade-span/v1 route trace (with -spans)
+//	POST /v1/jobs            submit (?sync=1 blocks, else 202); a routed
+//	                         job's backend/hedged/stale fields repeat as
+//	                         X-Jade-Backend, X-Jade-Hedged, X-Jade-Stale
+//	GET  /v1/jobs/{id}       status poll (no backend involved)
+//	GET  /v1/jobs/{id}/trace jade-span/v1, attempts under execute (-spans)
+//	GET  /v1/experiments     jade-catalog/v1
+//	GET  /healthz            jaderouter-health/v1 per-backend states
+//	GET  /metricz            jaderouter-metrics/v1 (?format=prom)
 package main
 
 import (
@@ -75,7 +74,7 @@ func main() {
 		rise          = flag.Int("rise", 2, "consecutive probe successes that restore an ejected backend")
 		ejectCooldown = flag.Duration("eject-cooldown", 5*time.Second, "sit-out before an ejected backend is probed again")
 
-		spans     = flag.Bool("spans", false, "capture per-request route traces (GET /v1/traces/{id})")
+		spans     = flag.Bool("spans", false, "capture job traces with their routing attempts (GET /v1/jobs/{id}/trace)")
 		logLevel  = flag.String("log-level", "", "structured log level: debug, info, warn, error (empty disables)")
 		logFormat = flag.String("log-format", "json", "structured log format: json or text")
 	)
@@ -84,7 +83,6 @@ func main() {
 	cfg := router.Config{
 		HedgeAfter:     *hedgeAfter,
 		RequestTimeout: *reqTimeout,
-		Spans:          *spans,
 		Health: router.HealthConfig{
 			ProbeInterval: *probeInterval,
 			ProbeTimeout:  *probeTimeout,
@@ -142,7 +140,8 @@ func main() {
 	// kernel-assigned port when started with :0.
 	fmt.Printf("jaderouter: listening on http://%s (%d backends)\n", ln.Addr(), len(backends))
 
-	hs := &http.Server{Handler: router.NewHandler(rt)}
+	front := rt.Front(*spans)
+	hs := &http.Server{Handler: router.NewHandler(rt, front)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -154,6 +153,7 @@ func main() {
 		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = hs.Shutdown(sctx)
+		_ = front.Shutdown(sctx)
 		rt.Close()
 		for _, srv := range embedded {
 			_ = srv.Shutdown(sctx)

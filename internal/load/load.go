@@ -1,9 +1,9 @@
 // Package load is the jadeload workload engine: it boots whole
 // router+backends topologies in-process, replays a deterministic
-// Zipf-distributed request mix against them (sync and async, optional
-// burst arrivals, optional mid-run backend kills), and reports
-// latency percentiles, cache behavior, and the router's availability
-// counters as a jade-load/v1 document. Running the same workload
+// Zipf-distributed request mix against the router's job front (sync
+// and async, optional burst arrivals, optional mid-run backend kills),
+// and reports latency percentiles, cache behavior, and the router's
+// availability counters as a jade-load/v1 document. Running the same workload
 // against a 1-node and an N-node topology in one invocation is how
 // the distributed tier's claims — bounded hedge latency, failover
 // without 5xx, stale serving under total shard loss — get numbers.
@@ -11,6 +11,7 @@ package load
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -194,9 +195,10 @@ func buildPlan(cfg *Config) *plan {
 	return p
 }
 
-// topology is one booted router+backends stack.
+// topology is one booted router+backends stack and the router's front.
 type topology struct {
 	rt       *router.Router
+	front    *serve.Server
 	servers  []*serve.Server
 	chaos    map[string]*router.ChaosBackend
 	backends []string
@@ -219,16 +221,17 @@ func bootTopology(cfg *Config, n int) (*topology, error) {
 		tp.shutdown()
 		return nil, err
 	}
-	tp.rt = rt
+	tp.rt, tp.front = rt, rt.Front(false)
 	return tp, nil
 }
 
 func (tp *topology) shutdown() {
-	if tp.rt != nil {
-		tp.rt.Close()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	if tp.rt != nil {
+		_ = tp.front.Shutdown(ctx)
+		tp.rt.Close()
+	}
 	for _, s := range tp.servers {
 		_ = s.Shutdown(ctx)
 	}
@@ -331,17 +334,11 @@ func runTopology(cfg *Config, p *plan, n int) (*TopologyReport, error) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				spec := cfg.Specs[p.choice[i]]
 				start := time.Now()
-				res := tp.rt.Do(context.Background(), spec, p.sync[i], "")
-				o := outcome{sync: p.sync[i], stale: res.Stale, hedged: res.Hedged}
-				switch {
-				case res.Err != nil:
-					o.failed = true
-				case p.sync[i]:
-					o.cacheHit = res.Doc.CacheHit
-				default:
-					o.cacheHit, o.failed = pollToCompletion(tp.rt, cfg, res.Doc.ID)
+				doc := request(tp.front, cfg, cfg.Specs[p.choice[i]], p.sync[i])
+				o := outcome{sync: p.sync[i], failed: doc == nil || doc.Status != serve.StatusDone}
+				if doc != nil {
+					o.stale, o.hedged, o.cacheHit = doc.Stale, doc.Hedged, doc.CacheHit
 				}
 				o.sec = time.Since(start).Seconds()
 				results[i] = o
@@ -409,24 +406,31 @@ func runTopology(cfg *Config, p *plan, n int) (*TopologyReport, error) {
 	return tr, nil
 }
 
-// pollToCompletion drives one async job to a terminal state and
-// reports (cacheHit, failed).
-func pollToCompletion(rt *router.Router, cfg *Config, jobID string) (bool, bool) {
+// request submits a copy of spec (Submit canonicalizes in place) to
+// the front and returns its terminal document, polling an async job to
+// the end; nil when the front refused it or it did not end within the
+// router's RequestTimeout.
+func request(front *serve.Server, cfg *Config, spec *serve.JobSpec, sync bool) *serve.JobStatus {
+	var own serve.JobSpec
+	if b, err := json.Marshal(spec); err != nil || json.Unmarshal(b, &own) != nil {
+		return nil
+	}
+	doc, err := front.Submit(context.Background(), &own, sync, "")
+	if err != nil {
+		return nil
+	}
 	deadline := time.Now().Add(cfg.Router.RequestTimeout)
-	for time.Now().Before(deadline) {
-		doc, err := rt.Status(context.Background(), jobID)
-		if err != nil {
-			return false, true
-		}
-		switch doc.Status {
-		case serve.StatusDone:
-			return doc.CacheHit, false
-		case serve.StatusFailed:
-			return false, true
+	for doc.Status != serve.StatusDone && doc.Status != serve.StatusFailed {
+		if time.Now().After(deadline) {
+			return nil
 		}
 		time.Sleep(pollInterval)
+		var ok bool
+		if doc, ok = front.Status(doc.ID); !ok {
+			return nil
+		}
 	}
-	return false, true
+	return doc
 }
 
 // summarize computes the latency percentile summary (seconds).

@@ -1,8 +1,8 @@
 // Package lru is the repository's one bounded store: a mutex-guarded
 // map plus a doubly linked recency list, generic over key and value.
 // The experiment drivers' graph cache, the serving tier's result cache
-// and terminal-job table, and the router's stale cache, async job
-// table and trace store are all instances of Cache.
+// and terminal-job table, and the router's stale cache are all
+// instances of Cache.
 //
 // One capacity rule holds everywhere: a capacity <= 0 holds nothing.
 // Every operation is O(1); none does work proportional to capacity.

@@ -27,8 +27,8 @@ type Backend interface {
 	Healthz(ctx context.Context) error
 	// Submit routes one canonical job spec; sync blocks for the
 	// terminal status document. The trace ID travels with the request
-	// so the backend's span tree correlates with the router's. The
-	// router always submits with sync true: it runs async jobs itself.
+	// so the backend's span tree correlates with the router's. Do
+	// always submits with sync true: async jobs wait at the front.
 	Submit(ctx context.Context, spec *serve.JobSpec, sync bool, traceID string) (*serve.JobStatus, error)
 }
 
@@ -61,9 +61,6 @@ type LocalBackend struct {
 func NewLocalBackend(name string, srv *serve.Server) *LocalBackend {
 	return &LocalBackend{name: name, srv: srv}
 }
-
-// Server exposes the embedded server (jadeload shuts it down).
-func (b *LocalBackend) Server() *serve.Server { return b.srv }
 
 func (b *LocalBackend) Name() string { return b.name }
 
@@ -234,11 +231,8 @@ func NewChaosBackend(b Backend) *ChaosBackend {
 // SetMode switches the failure mode (ChaosPass, ChaosHang, ChaosDown).
 func (c *ChaosBackend) SetMode(mode string) { c.mode.Store(mode) }
 
-// Mode returns the current failure mode.
-func (c *ChaosBackend) Mode() string { return c.mode.Load().(string) }
-
 func (c *ChaosBackend) intercept(ctx context.Context) error {
-	switch c.Mode() {
+	switch c.mode.Load().(string) {
 	case ChaosDown:
 		return &BackendError{Backend: c.Name(), Msg: "chaos: backend is down"}
 	case ChaosHang:

@@ -214,16 +214,6 @@ func (t *healthTracker) routable(name string) bool {
 	return e != nil && (e.state == StateHealthy || e.state == StateDegraded)
 }
 
-// state returns the backend's current state ("" if unknown).
-func (t *healthTracker) state(name string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e := t.entries[name]; e != nil {
-		return e.state
-	}
-	return ""
-}
-
 // beginProbes moves every ejected backend whose cooldown has elapsed
 // into probing and returns the set of backends the checker should
 // probe this round (probing backends included: they keep getting

@@ -1,8 +1,6 @@
 package router
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -16,18 +14,6 @@ const (
 	MetricsSchema = "jaderouter-metrics/v1"
 	// HealthSchema tags the router's GET /healthz response.
 	HealthSchema = "jaderouter-health/v1"
-)
-
-// Headers the router adds to relayed responses.
-const (
-	// BackendHeader names the backend that served the request.
-	BackendHeader = "X-Jade-Backend"
-	// StaleHeader marks a degraded-mode response served from the
-	// router's stale cache ("true") after every replica failed.
-	StaleHeader = "X-Jade-Stale"
-	// HedgedHeader reports that a hedge attempt launched ("true");
-	// combined with BackendHeader it shows who won.
-	HedgedHeader = "X-Jade-Hedged"
 )
 
 // RouterHealth is the router's GET /healthz response.
@@ -57,30 +43,26 @@ type RouterMetrics struct {
 	StaleEntries int `json:"stale_entries"`
 }
 
-// Handler wraps a Router with its HTTP API:
+// Handler is jaderouter's HTTP surface: the router's own documents
 //
-//	POST /v1/jobs            submit (?sync=1 blocks); mirrors jaded's API
-//	                         (without ?sync=1: 202 and a router job ID)
-//	GET  /v1/jobs/{id}       async status poll, answered by the router
-//	GET  /v1/experiments     jade-catalog/v1 (served locally)
 //	GET  /healthz            jaderouter-health/v1 backend states
 //	GET  /metricz            jaderouter-metrics/v1 (?format=prom)
-//	GET  /v1/traces/{id}     jade-span/v1 route trace (when Spans on)
+//
+// beside its job front (Router.Front), which answers every other
+// request with jaded's handlers: POST /v1/jobs, GET /v1/jobs/{id},
+// GET /v1/jobs/{id}/trace and GET /v1/experiments.
 type Handler struct {
 	rt    *Router
 	mux   *http.ServeMux
 	start time.Time
 }
 
-// NewHandler builds the HTTP surface over rt.
-func NewHandler(rt *Router) *Handler {
+// NewHandler builds the HTTP surface over rt and its front.
+func NewHandler(rt *Router, front http.Handler) *Handler {
 	h := &Handler{rt: rt, mux: http.NewServeMux(), start: time.Now()}
-	h.mux.HandleFunc("POST /v1/jobs", h.handleSubmit)
-	h.mux.HandleFunc("GET /v1/jobs/{id}", h.handleStatus)
-	h.mux.HandleFunc("GET /v1/experiments", h.handleCatalog)
+	h.mux.Handle("/", front)
 	h.mux.HandleFunc("GET /healthz", h.handleHealth)
 	h.mux.HandleFunc("GET /metricz", h.handleMetrics)
-	h.mux.HandleFunc("GET /v1/traces/{id}", h.handleTrace)
 	return h
 }
 
@@ -88,63 +70,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-func (h *Handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec serve.JobSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "invalid job spec JSON: "+err.Error())
-		return
-	}
-	if err := spec.Canonicalize(); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sync := r.URL.Query().Get("sync") == "1"
-	traceID := svcobs.CleanTraceID(r.Header.Get(svcobs.TraceHeader))
-	if traceID == "" {
-		traceID = svcobs.NewTraceID()
-	}
-	w.Header().Set(svcobs.TraceHeader, traceID)
-
-	res := h.rt.Do(r.Context(), &spec, sync, traceID)
-	if res.Hedged {
-		w.Header().Set(HedgedHeader, "true")
-	}
-	if res.Backend != "" {
-		w.Header().Set(BackendHeader, res.Backend)
-	}
-	if res.Stale {
-		w.Header().Set(StaleHeader, "true")
-	}
-	switch {
-	case res.Err != nil:
-		if res.Code == http.StatusServiceUnavailable || res.Code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", serve.RetryAfter(spec.Hash()))
-		}
-		serve.WriteError(w, res.Code, res.Err.Error())
-	case sync:
-		serve.WriteSync(w, res.Doc, serve.RetryAfter(res.Doc.SpecHash))
-	default:
-		serve.WriteJSON(w, res.Code, res.Doc)
-	}
-}
-
-func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	doc, err := h.rt.Status(r.Context(), id)
-	if err != nil {
-		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, doc)
-}
-
-// handleCatalog serves the experiment catalog locally — it is static
-// process-wide state, so no backend round-trip is needed.
-func (h *Handler) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, serve.NewCatalog())
-}
-
 func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
+	svcobs.EchoTrace(w, r)
 	snap := h.rt.HealthSnapshot()
 	routable := 0
 	for _, st := range snap {
@@ -198,6 +125,7 @@ func (h *Handler) metricsDoc() RouterMetrics {
 }
 
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	svcobs.EchoTrace(w, r)
 	doc := h.metricsDoc()
 	if r.URL.Query().Get("format") != "prom" {
 		serve.WriteJSON(w, http.StatusOK, doc)
@@ -231,18 +159,4 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("jaderouter_backend_p95_seconds", "Rolling p95 request latency to the backend.",
 			bm.P95Sec, svcobs.Label{Name: "backend", Value: name})
 	}
-	if err := p.Err(); err != nil {
-		// The scrape connection broke mid-write; nothing to recover.
-		_ = err
-	}
-}
-
-func (h *Handler) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	doc, ok := h.rt.Trace(id)
-	if !ok {
-		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("no trace %q (spans enabled: %v)", id, h.rt.cfg.Spans))
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, doc)
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,10 +14,23 @@ import (
 	"repro/internal/svcobs"
 )
 
-func testHandler(t *testing.T, mut func(*Config), names ...string) (*Router, map[string]*fakeBackend, *httptest.Server) {
+// testFront builds rt's job front and shuts it down with the test.
+func testFront(t *testing.T, rt *Router, spans bool) *serve.Server {
 	t.Helper()
-	rt, fakes := testRouter(t, mut, names...)
-	ts := httptest.NewServer(NewHandler(rt))
+	front := rt.Front(spans)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = front.Shutdown(ctx)
+	})
+	return front
+}
+
+// testHandler serves jaderouter's HTTP surface over fake backends.
+func testHandler(t *testing.T, spans bool, names ...string) (*Router, map[string]*fakeBackend, *httptest.Server) {
+	t.Helper()
+	rt, fakes := testRouter(t, nil, names...)
+	ts := httptest.NewServer(NewHandler(rt, testFront(t, rt, spans)))
 	t.Cleanup(ts.Close)
 	return rt, fakes, ts
 }
@@ -36,90 +50,71 @@ func getJSON(t *testing.T, url string, out any) (int, http.Header) {
 	return resp.StatusCode, resp.Header
 }
 
-// TestHandlerSubmitHeaders: a routed submission reports its serving
-// backend and echoes (or mints) the trace ID.
-func TestHandlerSubmitHeaders(t *testing.T) {
-	rt, _, ts := testHandler(t, nil, "n1", "n2", "n3")
-	resp, err := http.Post(ts.URL+"/v1/jobs?sync=1", "application/json",
-		strings.NewReader(`{"experiments":["table1"]}`))
-	if err != nil {
-		t.Fatal(err)
+// postJob submits a job spec (?sync=1 when sync) and decodes the
+// status document the answer carries, if any.
+func postJob(t *testing.T, base, body string, sync bool) (int, http.Header, *serve.JobStatus) {
+	t.Helper()
+	path := "/v1/jobs"
+	if sync {
+		path += "?sync=1"
 	}
-	defer resp.Body.Close()
+	code, hdr, data := send(t, http.MethodPost, base+path, body, "")
 	var doc serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || doc.Status != serve.StatusDone {
-		t.Fatalf("submit = %d / %s, want 200 done", resp.StatusCode, doc.Status)
+	_ = json.Unmarshal(data, &doc) // an error envelope leaves doc empty
+	return code, hdr, &doc
+}
+
+// TestHandlerSubmitHeaders: a routed submission reports its serving
+// backend in the document and the header, and echoes (or mints) the
+// trace ID.
+func TestHandlerSubmitHeaders(t *testing.T) {
+	rt, _, ts := testHandler(t, false, "n1", "n2", "n3")
+	code, hdr, doc := postJob(t, ts.URL, `{"experiments":["table1"]}`, true)
+	if code != http.StatusOK || doc.Status != serve.StatusDone {
+		t.Fatalf("submit = %d / %s, want 200 done", code, doc.Status)
 	}
 	spec := testSpec(t, "table1")
-	if got, want := resp.Header.Get(BackendHeader), rt.Ring().Primary(spec.Hash()); got != want {
-		t.Fatalf("%s = %q, want ring primary %q", BackendHeader, got, want)
+	if got, want := hdr.Get(serve.BackendHeader), rt.Ring().Primary(spec.Hash()); got != want || doc.Backend != want {
+		t.Fatalf("%s = %q, backend = %q, want ring primary %q", serve.BackendHeader, got, doc.Backend, want)
 	}
-	if resp.Header.Get(svcobs.TraceHeader) == "" {
+	if hdr.Get(svcobs.TraceHeader) == "" {
 		t.Fatalf("response carried no %s", svcobs.TraceHeader)
 	}
-	if resp.Header.Get(StaleHeader) != "" {
+	if hdr.Get(serve.StaleHeader) != "" {
 		t.Fatalf("healthy response marked stale")
 	}
 
 	// A malformed spec is the client's fault, not a routing problem.
-	resp2, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"experiments":["nope"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec = %d, want 400", resp2.StatusCode)
+	if code, _, _ := postJob(t, ts.URL, `{"experiments":["nope"]}`, false); code != http.StatusBadRequest {
+		t.Fatalf("bad spec = %d, want 400", code)
 	}
 }
 
-// TestHandlerStaleHeaderAndRetryAfter: degraded mode marks stale
-// responses, and uncached keys fail 503 with a Retry-After hint.
-func TestHandlerStaleHeaderAndRetryAfter(t *testing.T) {
-	_, fakes, ts := testHandler(t, nil, "n1", "n2")
-	body := `{"experiments":["table1"]}`
-	resp, err := http.Post(ts.URL+"/v1/jobs?sync=1", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
+// TestHandlerStaleHeaderAndFailure: degraded mode marks stale
+// responses, and a job for an uncached key fails like any job.
+func TestHandlerStaleHeaderAndFailure(t *testing.T) {
+	_, fakes, ts := testHandler(t, false, "n1", "n2")
+	postJob(t, ts.URL, `{"experiments":["table1"]}`, true)
 	for _, f := range fakes {
 		f.setMode(ChaosDown)
 	}
-	resp, err = http.Post(ts.URL+"/v1/jobs?sync=1", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get(StaleHeader) != "true" {
-		t.Fatalf("cached key while down = %d stale=%q, want 200 stale", resp.StatusCode, resp.Header.Get(StaleHeader))
+	code, hdr, doc := postJob(t, ts.URL, `{"experiments":["table1"]}`, true)
+	if code != http.StatusOK || hdr.Get(serve.StaleHeader) != "true" || !doc.Stale {
+		t.Fatalf("cached key while down = %d stale=%q/%v, want 200 stale", code, hdr.Get(serve.StaleHeader), doc.Stale)
 	}
 
-	resp, err = http.Post(ts.URL+"/v1/jobs?sync=1", "application/json",
-		strings.NewReader(`{"experiments":["table2"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("uncached key while down = %d, want 503", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("503 carried no Retry-After")
+	code, _, doc = postJob(t, ts.URL, `{"experiments":["table2"]}`, true)
+	if code != http.StatusOK || doc.Status != serve.StatusFailed || doc.ErrorCode != serve.ErrCodeFailed ||
+		!strings.Contains(doc.Error, "backend") {
+		t.Fatalf("uncached key while down = %d %s %q (%s), want 200 failed naming a backend",
+			code, doc.Status, doc.ErrorCode, doc.Error)
 	}
 }
 
 // TestHandlerHealthAndMetrics: /healthz tracks backend states and
 // /metricz exports the counters in JSON and Prometheus text.
 func TestHandlerHealthAndMetrics(t *testing.T) {
-	rt, fakes, ts := testHandler(t, nil, "n1", "n2", "n3")
+	rt, fakes, ts := testHandler(t, false, "n1", "n2", "n3")
 
 	var health RouterHealth
 	if code, _ := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || health.Status != "ok" {
@@ -131,15 +126,8 @@ func TestHandlerHealthAndMetrics(t *testing.T) {
 	victim := rt.Ring().Primary(spec.Hash())
 	fakes[victim].setMode(ChaosDown)
 	for i := 0; i < 3; i++ {
-		resp, err := http.Post(ts.URL+"/v1/jobs?sync=1", "application/json",
-			strings.NewReader(`{"experiments":["table3"]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d while failing over = %d, want 200", i, resp.StatusCode)
+		if code, _, _ := postJob(t, ts.URL, `{"experiments":["table3"]}`, true); code != http.StatusOK {
+			t.Fatalf("request %d while failing over = %d, want 200", i, code)
 		}
 	}
 	if code, _ := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || health.Status != "degraded" {
@@ -173,81 +161,43 @@ func TestHandlerHealthAndMetrics(t *testing.T) {
 	}
 }
 
-// TestHandlerTraces: with spans on, a routed request's trace is
-// retrievable by the ID the response echoed.
+// TestHandlerTraces: with spans on, a routed job's trace holds its
+// routing attempts under the job's execute span.
 func TestHandlerTraces(t *testing.T) {
-	_, _, ts := testHandler(t, func(c *Config) { c.Spans = true }, "n1", "n2")
-	resp, err := http.Post(ts.URL+"/v1/jobs?sync=1", "application/json",
-		strings.NewReader(`{"experiments":["table1"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	id := resp.Header.Get(svcobs.TraceHeader)
-	if id == "" {
-		t.Fatal("no trace ID echoed")
-	}
-	var doc svcobs.Doc
-	if code, _ := getJSON(t, ts.URL+"/v1/traces/"+id, &doc); code != http.StatusOK {
+	_, _, ts := testHandler(t, true, "n1", "n2")
+	_, _, doc := postJob(t, ts.URL, `{"experiments":["table1"]}`, true)
+	var trace svcobs.Doc
+	if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+doc.ID+"/trace", &trace); code != http.StatusOK {
 		t.Fatalf("trace fetch = %d", code)
 	}
-	if doc.Root == nil || doc.Root.Name != "route" {
-		t.Fatalf("trace root = %+v, want a route span", doc.Root)
-	}
-	found := false
-	for _, child := range doc.Root.Children {
-		if strings.HasPrefix(child.Name, "attempt:") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("route trace has no attempt span: %+v", doc.Root.Children)
-	}
-	if code, _ := getJSON(t, ts.URL+"/v1/traces/nope", nil); code != http.StatusNotFound {
-		t.Fatalf("unknown trace = %d, want 404", code)
+	exec := trace.Root.Phase("execute")
+	if exec == nil || len(exec.Children) == 0 || !strings.HasPrefix(exec.Children[0].Name, "attempt:") {
+		t.Fatalf("execute span = %+v, want an attempt span under it", exec)
 	}
 }
 
 // TestHandlerTimedOutJob: like jaded, the router answers a synchronous
-// submit whose job timed out 504 with a Retry-After hint, and an
-// async job's poll 200 with the failure in the body.
+// submit whose job timed out 504 with its JobTimeout (RequestTimeout)
+// as Retry-After, and an async job's poll 200 with the failure in the
+// body.
 func TestHandlerTimedOutJob(t *testing.T) {
-	rt, fakes, ts := testHandler(t, nil, "n1", "n2")
+	_, fakes, ts := testHandler(t, false, "n1", "n2")
 	for _, f := range fakes {
 		f.setMode(fakeTimeout)
 	}
 	body := `{"experiments":["table1"]}`
-	resp, err := http.Post(ts.URL+"/v1/jobs?sync=1", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	code, hdr, doc := postJob(t, ts.URL, body, true)
+	if code != http.StatusGatewayTimeout || doc.ErrorCode != serve.ErrCodeTimeout {
+		t.Fatalf("sync timed-out job = %d %q, want 504 %q", code, doc.ErrorCode, serve.ErrCodeTimeout)
 	}
-	var doc serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout || doc.ErrorCode != serve.ErrCodeTimeout {
-		t.Fatalf("sync timed-out job = %d %q, want 504 %q", resp.StatusCode, doc.ErrorCode, serve.ErrCodeTimeout)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("504 carried no Retry-After")
+	if got := hdr.Get("Retry-After"); got != "10" {
+		t.Fatalf("Retry-After = %q, want the 10s RequestTimeout as \"10\"", got)
 	}
 
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if code, _, doc = postJob(t, ts.URL, body, false); code != http.StatusAccepted {
+		t.Fatalf("async submit = %d, want 202", code)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit = %d, want 202", resp.StatusCode)
-	}
-	awaitJob(t, rt, doc.ID, 5*time.Second)
-	var polled serve.JobStatus
-	if code, _ := getJSON(t, ts.URL+"/v1/jobs/"+doc.ID, &polled); code != http.StatusOK || polled.ErrorCode != serve.ErrCodeTimeout {
+	if code, polled := pollDone(t, ts.URL, doc.ID); code != http.StatusOK || polled.ErrorCode != serve.ErrCodeTimeout {
 		t.Fatalf("poll of a timed-out async job = %d %q, want 200 %q", code, polled.ErrorCode, serve.ErrCodeTimeout)
 	}
 }

@@ -23,37 +23,35 @@ type Config struct {
 	// samples, its p95 replaces this, clamped to [HedgeMin, hedgeMax].
 	HedgeAfter time.Duration
 	// HedgeMin is the adaptive hedge delay's floor (default 2ms). A
-	// hedge costs at most one duplicate run. Async jobs pay it too:
-	// the router runs each one as a sync request of its own.
+	// hedge costs at most one duplicate run.
 	HedgeMin time.Duration
 
 	// RequestTimeout bounds one routed request end to end, hedges and
-	// failovers included, and is the deadline of every async job
+	// failovers included, and is the job deadline of the front
 	// (default 30s).
 	RequestTimeout time.Duration
 
 	// Health parameterizes the per-backend health state machine.
 	Health HealthConfig
 
-	// Spans enables per-request trace capture, retrievable at GET
-	// /v1/traces/{id}.
-	Spans bool
-
-	// Logger receives structured routing events (nil disables).
+	// Logger receives structured routing events and the front's access
+	// and job logs (nil disables).
 	Logger *slog.Logger
 }
 
-// hedgeMax caps the adaptive hedge delay; traceRetention bounds the
-// trace docs a router with Spans retains; staleEntries sizes the
-// stale-result cache behind degraded mode; and a key's primary is
-// demoted behind the next replica when its inflight count reaches
-// loadBound × the mean inflight over the routable backends, plus one
-// (bounded-load consistent hashing).
+// hedgeMax caps the adaptive hedge delay; staleEntries sizes the
+// stale-result cache behind degraded mode; a key's primary is demoted
+// behind the next replica when its inflight count reaches loadBound ×
+// the mean inflight over the routable backends, plus one (bounded-load
+// consistent hashing); and frontWorkers bounds the jobs the front
+// routes at once (each holds a worker and up to two backend attempts
+// for at most RequestTimeout; past the bound jobs queue, and past the
+// queue a submit is refused with 429).
 const (
-	hedgeMax       = 2 * time.Second
-	traceRetention = 256
-	staleEntries   = 512
-	loadBound      = 2.0
+	hedgeMax     = 2 * time.Second
+	staleEntries = 512
+	loadBound    = 2.0
+	frontWorkers = 256
 )
 
 func (c *Config) fillDefaults() {
@@ -101,11 +99,8 @@ type Result struct {
 	// Backend names the backend that answered ("" for stale serves
 	// and total failures).
 	Backend string
-	// Code is the HTTP status the router should relay (200, or 202
-	// for an accepted async job; the backend's refusal code, 429 when
-	// every async slot is taken, or 503). A synchronous document is
-	// answered by serve.WriteSync, which turns a timed-out job's 200
-	// into 504.
+	// Code is 200 with a document; with Err, the backend's client
+	// error code, else 503 (400 for an async Do).
 	Code int
 	// Stale marks a degraded-mode response served from the stale
 	// cache after every replica failed.
@@ -117,37 +112,27 @@ type Result struct {
 	Err      error
 }
 
-// asyncSlots bounds the async jobs the router runs at once. Each one
-// holds a goroutine and up to two backend attempts until it ends, at
-// most RequestTimeout after its submit; past the bound a submit is
-// refused with 429 rather than queued, like a full jaded queue.
-const asyncSlots = 256
-
 // Router fronts a fixed set of jaded backends: consistent-hash
 // placement, health checking, hedged failover, and stale-serving
-// degradation. It runs async jobs itself, so a poll never depends on
-// a backend. Create with NewRouter, stop with Close.
+// degradation. Its job front (Front) queues jobs and answers polls, so
+// a poll never depends on a backend. Create with NewRouter, stop with
+// Close.
 type Router struct {
 	cfg      Config
 	ring     *Ring
 	backends map[string]Backend
 	health   *healthTracker
 
-	stale  *lru.Cache[string, []byte]           // spec hash → result bytes (degraded mode)
-	jobs   *lru.Cache[string, *serve.JobStatus] // async job ID → immutable status document
-	traces *lru.Cache[string, *svcobs.Doc]      // trace ID → request trace
+	stale *lru.Cache[string, []byte] // spec hash → result bytes (degraded mode)
 
 	mu       sync.Mutex
 	counters Counters
 	inflight map[string]int
 	windows  map[string]*rollingWindow
-	nextJob  int
 
-	// ctx is the parent of the async jobs and the health checker;
-	// Close cancels it and waits on wg for all of them.
+	// ctx is the health checker's; Close cancels it and waits on wg.
 	ctx    context.Context
 	cancel context.CancelFunc
-	slots  chan struct{} // one token per running async job
 	wg     sync.WaitGroup
 }
 
@@ -175,9 +160,6 @@ func NewRouter(cfg Config, backends ...Backend) (*Router, error) {
 		inflight: make(map[string]int, len(names)),
 		windows:  make(map[string]*rollingWindow, len(names)),
 		stale:    lru.New[string, []byte](staleEntries),
-		jobs:     lru.New[string, *serve.JobStatus](4096),
-		traces:   lru.New[string, *svcobs.Doc](traceRetention),
-		slots:    make(chan struct{}, asyncSlots),
 	}
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	for _, n := range names {
@@ -202,20 +184,42 @@ func NewRouter(cfg Config, backends ...Backend) (*Router, error) {
 	return rt, nil
 }
 
-// Close cancels the running async jobs and the background health
-// checker and waits for them to end. Backends are not owned by the
-// router and stay up.
+// Close stops the background health checker and waits for it.
+// Backends and the front are not owned by the router and stay up.
 func (rt *Router) Close() {
-	// Under mu, so no startAsync can pass its ctx check and add to wg
-	// once Wait has begun.
-	rt.mu.Lock()
 	rt.cancel()
-	rt.mu.Unlock()
 	rt.wg.Wait()
 }
 
-// Backends returns the ring membership, sorted.
-func (rt *Router) Backends() []string { return rt.ring.Backends() }
+// Front builds the router's job front: a serve.Server whose runner
+// routes every job through Do, so jaderouter's job API, job table and
+// traces are jaded's own. The front keeps no result cache and no
+// breaker (the backends have both), so it routes every job it admits;
+// a job's deadline is RequestTimeout. With spans on, a job's trace
+// holds its routing attempts under its execute span.
+func (rt *Router) Front(spans bool) *serve.Server {
+	return serve.New(serve.Config{
+		Workers:          frontWorkers,
+		CacheEntries:     -1,
+		BreakerThreshold: -1,
+		JobTimeout:       rt.cfg.RequestTimeout,
+		Logger:           rt.cfg.Logger,
+		Spans:            spans,
+		Run:              rt.run,
+	})
+}
+
+// run is the front's serve.RunFunc: it routes one job and returns the
+// serving backend's terminal document with the routing facts set.
+func (rt *Router) run(ctx context.Context, spec *serve.JobSpec, traceID string) (serve.JobStatus, error) {
+	res := rt.Do(ctx, spec, true, traceID)
+	if res.Err != nil {
+		return serve.JobStatus{}, res.Err
+	}
+	doc := *res.Doc
+	doc.Backend, doc.Hedged, doc.Stale = res.Backend, res.Hedged, res.Stale
+	return doc, nil
+}
 
 // Ring exposes the router's hash ring (read-only).
 func (rt *Router) Ring() *Ring { return rt.ring }
@@ -391,31 +395,19 @@ type attemptOutcome struct {
 	hedged bool
 }
 
-// Do routes one canonicalized job spec. The spec must already be
-// canonical (Canonicalize called); Do never mutates it — each backend
-// attempt gets its own clone. A sync request returns the terminal
-// status document. An async one returns 202 with a job ID the router
-// mints, and the job runs as a sync request in the background; poll
-// it with Status.
+// Do routes one canonicalized job spec and returns its terminal status
+// document. The spec must already be canonical (Canonicalize called);
+// Do never mutates it — each backend attempt gets its own clone. sync
+// must be true: async jobs queue at the front, which routes each one
+// through here. The attempt spans hang under svcobs.SpanFrom(ctx).
 func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceID string) *Result {
 	if !sync {
-		return rt.startAsync(spec, traceID)
+		return &Result{Code: http.StatusBadRequest, Err: errors.New("router: Do routes sync requests only; submit async jobs to the front")}
 	}
 	hash := spec.Hash()
+	parent := svcobs.SpanFrom(ctx)
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
-
-	var trace *svcobs.Trace
-	var root *svcobs.Span
-	if rt.cfg.Spans {
-		trace = svcobs.NewTrace(traceID)
-		root = trace.Root("route")
-		root.SetAttr("spec_hash", hash)
-		defer func() {
-			root.End()
-			rt.storeTrace(trace)
-		}()
-	}
 
 	cands, shifted := rt.candidates(hash)
 	if shifted {
@@ -424,7 +416,7 @@ func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceI
 	primary := rt.ring.Primary(hash)
 	if len(cands) == 0 {
 		rt.bump(func(c *Counters) { c.Unroutable++ })
-		return rt.degrade(hash, root)
+		return rt.degrade(hash, parent)
 	}
 
 	rt.bump(func(c *Counters) { c.Routed++ })
@@ -436,7 +428,7 @@ func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceI
 		if i+1 < len(cands) {
 			hedge = cands[i+1]
 		}
-		out := rt.attempt(ctx, spec, traceID, target, hedge, root)
+		out := rt.attempt(ctx, spec, traceID, target, hedge, parent)
 		if out.hedged {
 			res.Hedged = true
 		}
@@ -471,7 +463,7 @@ func (rt *Router) Do(ctx context.Context, spec *serve.JobSpec, sync bool, traceI
 	}
 
 	// Every routable replica failed; degrade.
-	deg := rt.degrade(hash, root)
+	deg := rt.degrade(hash, parent)
 	deg.Hedged = res.Hedged
 	if deg.Err != nil {
 		deg.Err = firstErr
@@ -589,69 +581,3 @@ func (rt *Router) recordLatency(name string, sec float64) {
 		w.Record(sec)
 	}
 }
-
-// startAsync accepts an async job: it mints the job's ID, records the
-// job as running and runs it through Do's sync path under the
-// router's own context, so the job hedges, fails over and serves
-// stale results like any sync request.
-func (rt *Router) startAsync(spec *serve.JobSpec, traceID string) *Result {
-	rt.mu.Lock()
-	if rt.ctx.Err() != nil {
-		rt.mu.Unlock()
-		return &Result{Code: http.StatusServiceUnavailable, Err: errors.New("router: shutting down")}
-	}
-	select {
-	case rt.slots <- struct{}{}:
-	default:
-		rt.mu.Unlock()
-		return &Result{Code: http.StatusTooManyRequests, Err: fmt.Errorf("router: all %d async job slots are busy", asyncSlots)}
-	}
-	rt.nextJob++
-	id := fmt.Sprintf("route-%06d", rt.nextJob)
-	rt.wg.Add(1)
-	rt.mu.Unlock()
-
-	doc := &serve.JobStatus{Schema: serve.StatusSchema, ID: id, Status: serve.StatusRunning, SpecHash: spec.Hash(), Spec: spec}
-	if rt.cfg.Spans {
-		doc.TraceID = traceID
-	}
-	rt.jobs.Put(id, doc)
-	go func() {
-		defer func() { <-rt.slots; rt.wg.Done() }()
-		res := rt.Do(rt.ctx, spec, true, traceID)
-		end := res.Doc
-		if res.Err != nil {
-			end = &serve.JobStatus{Status: serve.StatusFailed, Error: res.Err.Error(), ErrorCode: serve.ErrCodeFailed}
-		}
-		end.Schema, end.ID, end.SpecHash, end.Spec, end.TraceID = doc.Schema, id, doc.SpecHash, spec, doc.TraceID
-		rt.jobs.Put(id, end)
-	}()
-	return &Result{Doc: doc, Code: http.StatusAccepted}
-}
-
-// Status answers an async status poll from the router's job table; no
-// backend is involved. The table's documents are never written after
-// they are stored, so the caller gets a copy it may modify. An unknown
-// or evicted job ID fails with a BackendError carrying 404.
-func (rt *Router) Status(ctx context.Context, jobID string) (*serve.JobStatus, error) {
-	doc, ok := rt.jobs.Get(jobID)
-	if !ok {
-		return nil, &BackendError{Code: http.StatusNotFound, Msg: "unknown job " + jobID}
-	}
-	cp := *doc
-	return &cp, nil
-}
-
-// ---- trace store ----
-
-func (rt *Router) storeTrace(trace *svcobs.Trace) {
-	doc := trace.Doc("")
-	if doc == nil {
-		return
-	}
-	rt.traces.Put(trace.ID(), doc)
-}
-
-// Trace returns a stored request trace by ID. Lookups Peek, so the
-// store evicts the least recently stored trace first.
-func (rt *Router) Trace(id string) (*svcobs.Doc, bool) { return rt.traces.Peek(id) }

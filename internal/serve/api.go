@@ -52,10 +52,24 @@ type JobStatus struct {
 	Error   string `json:"error,omitempty"`
 	// ErrorCode classifies a failed job: ErrCodeTimeout means the job
 	// deadline expired (retry later), ErrCodeFailed everything else.
-	ErrorCode string          `json:"error_code,omitempty"`
-	Spec      *JobSpec        `json:"spec,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
+	ErrorCode string `json:"error_code,omitempty"`
+	// Backend, Hedged and Stale say how jaderouter served a routed job:
+	// who answered, whether a hedge launched, whether the result came
+	// from its stale cache. The response repeats them as headers.
+	Backend string          `json:"backend,omitempty"`
+	Hedged  bool            `json:"hedged,omitempty"`
+	Stale   bool            `json:"stale,omitempty"`
+	Spec    *JobSpec        `json:"spec,omitempty"`
+	Result  json.RawMessage `json:"result,omitempty"`
 }
+
+// Headers that repeat a routed job's JobStatus.Backend, Hedged and
+// Stale on every status response.
+const (
+	BackendHeader = "X-Jade-Backend"
+	HedgedHeader  = "X-Jade-Hedged"
+	StaleHeader   = "X-Jade-Stale"
+)
 
 // CatalogEntry is one experiment in the GET /v1/experiments listing.
 type CatalogEntry struct {
@@ -140,30 +154,30 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v) // the client hung up; nothing useful to do
 }
 
-// WriteError writes the {"error": msg} envelope that jaded and
-// jaderouter answer every refused request with.
-func WriteError(w http.ResponseWriter, code int, msg string) {
+// writeError writes the {"error": msg} envelope that answers every
+// refused request.
+func writeError(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, errorBody{Error: msg})
 }
 
-// WriteSync answers a synchronous submission with its job's terminal
-// document. A job whose deadline expired answers 504 Gateway Timeout
-// with retryAfter as its Retry-After hint: a timeout is a capacity
-// problem, so the same spec may succeed later. Every other outcome,
-// failures included, answers 200 with the status in the body. Status
-// polls and async submissions never answer 504.
-func WriteSync(w http.ResponseWriter, doc *JobStatus, retryAfter string) {
-	if doc.Status == StatusFailed && doc.ErrorCode == ErrCodeTimeout {
-		w.Header().Set("Retry-After", retryAfter)
-		WriteJSON(w, http.StatusGatewayTimeout, doc)
-		return
+// writeStatus answers with a job's status document, repeating a routed
+// job's serving facts as headers.
+func writeStatus(w http.ResponseWriter, code int, doc *JobStatus) {
+	if doc.Backend != "" {
+		w.Header().Set(BackendHeader, doc.Backend)
 	}
-	WriteJSON(w, http.StatusOK, doc)
+	if doc.Hedged {
+		w.Header().Set(HedgedHeader, "true")
+	}
+	if doc.Stale {
+		w.Header().Set(StaleHeader, "true")
+	}
+	WriteJSON(w, code, doc)
 }
 
-// NewCatalog builds the GET /v1/experiments document from the
-// experiment registry; jaded and jaderouter both serve it.
-func NewCatalog() Catalog {
+// newCatalog builds the GET /v1/experiments document from the
+// experiment registry.
+func newCatalog() Catalog {
 	ids := experiments.IDs()
 	cat := Catalog{
 		Schema:      CatalogSchema,

@@ -24,14 +24,14 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	var runs atomic.Int32
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
 		if fail.Load() {
-			return nil, errRunnerBroken
+			return JobStatus{}, errRunnerBroken
 		}
 		runs.Add(1)
 		started <- struct{}{}
 		<-release
-		return []byte(`{"schema":"jadebench/v1"}`), nil
+		return JobStatus{Result: []byte(`{"schema":"jadebench/v1"}`)}, nil
 	}
 	s, ts := newTestServer(t, Config{
 		Workers: 4, QueueCap: 16, CacheEntries: -1,

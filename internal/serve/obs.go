@@ -17,9 +17,9 @@ import (
 // (internal/svcobs): the HTTP middleware that assigns/echoes trace
 // IDs, captures lifecycle span trees, and writes structured access
 // logs; the jade-span/v1 trace endpoint; and the Prometheus
-// text-format rendering of /metricz. Everything degrades to (almost)
-// free when the plane is off — a nil logger, Spans=false, and a zero
-// SLO config leave only nil checks on the serving path.
+// text-format rendering of /metricz. With the plane off (a nil logger,
+// Spans=false, a zero SLO config) the middleware only echoes the trace
+// ID, and the in-process path pays only nil checks.
 
 // reqObs carries one HTTP request's observability state from the
 // middleware into the handlers. A nil *reqObs (observability off, or
@@ -63,7 +63,8 @@ func (s *Server) newReqObs(callerID, rootName string) *reqObs {
 	return ro
 }
 
-// obsEnabled reports whether the HTTP middleware has any work to do.
+// obsEnabled reports whether an in-process submission needs request
+// observability state.
 func (s *Server) obsEnabled() bool { return s.logger != nil || s.cfg.Spans }
 
 // statusWriter records the response status code for the access log.
@@ -77,15 +78,14 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// serveObserved is the middleware wrapping the mux when observability
-// is on: it assigns/echoes the trace ID, roots the span tree, and
-// writes one structured access log line per request.
-func (s *Server) serveObserved(w http.ResponseWriter, r *http.Request) {
+// ServeHTTP implements http.Handler: around the mux it echoes or mints
+// the trace ID, roots the span tree, and writes one structured access
+// log line per request.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	ro := s.newReqObs(r.Header.Get(svcobs.TraceHeader), "request")
+	ro := s.newReqObs(svcobs.EchoTrace(w, r), "request")
 	ro.root.SetAttr("method", r.Method)
 	ro.root.SetAttr("path", r.URL.Path)
-	w.Header().Set(svcobs.TraceHeader, ro.traceID)
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 	s.mux.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqObsKey{}, ro)))
 	ro.root.End()
@@ -124,6 +124,7 @@ func (j *Job) attachObs(ro *reqObs) {
 		return
 	}
 	ro.jobID = j.ID
+	j.traceID = ro.traceID
 	j.trace = ro.trace
 	j.root = ro.root
 }
@@ -143,8 +144,8 @@ func (s *Server) logJob(j *Job, latencySec float64) {
 		"latency_sec", latencySec,
 		"spec_hash", j.Hash,
 	}
-	if id := j.trace.ID(); id != "" {
-		attrs = append(attrs, "trace_id", id)
+	if j.traceID != "" {
+		attrs = append(attrs, "trace_id", j.traceID)
 	}
 	if errMsg != "" {
 		attrs = append(attrs, "error_code", errCode, "error", errMsg)
@@ -185,7 +186,7 @@ func (s *Server) TraceDoc(id string) (*svcobs.Doc, error) {
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	doc, err := s.TraceDoc(r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, err.Error())
+		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	if r.URL.Query().Get("format") == "perfetto" {

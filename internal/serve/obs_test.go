@@ -246,7 +246,8 @@ func TestTraceEndpointWithoutSpans(t *testing.T) {
 // path and yields the same artifacts as an HTTP submission.
 func TestRunSyncInProcess(t *testing.T) {
 	cfg, _ := obsConfig(t, Config{Workers: 1})
-	s := newServer(cfg, fakeRunner)
+	cfg.Run = fakeRunner
+	s := New(cfg)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -273,7 +274,7 @@ func TestRunSyncInProcess(t *testing.T) {
 // asserts no scrape ever observes terminal counters running ahead of
 // the accepted counter — the one-lock snapshot guarantee.
 func TestMetricsSnapshotNeverTorn(t *testing.T) {
-	s := newServer(Config{Workers: 4, QueueCap: 256, CacheEntries: -1}, fakeRunner)
+	s := New(Config{Workers: 4, QueueCap: 256, CacheEntries: -1, Run: fakeRunner})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -329,13 +330,13 @@ func TestMetricsSnapshotNeverTorn(t *testing.T) {
 func TestBreakerTransitionsObservable(t *testing.T) {
 	var fail bool
 	var mu sync.Mutex
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if fail {
-			return nil, errors.New("engine exploded")
+			return JobStatus{}, errors.New("engine exploded")
 		}
-		return []byte(`{"schema":"jadebench/v1"}`), nil
+		return JobStatus{Result: []byte(`{"schema":"jadebench/v1"}`)}, nil
 	}
 	cfg, buf := obsConfig(t, Config{
 		Workers: 1, CacheEntries: -1,
@@ -449,8 +450,8 @@ func TestPromExposition(t *testing.T) {
 // SLO window flip /healthz to 503 "degraded"; /metricz exposes the
 // burn rate in both formats.
 func TestHealthDegradesWhenBudgetExhausted(t *testing.T) {
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
-		return nil, errors.New("engine down")
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
+		return JobStatus{}, errors.New("engine down")
 	}
 	_, ts := newTestServer(t, Config{
 		Workers: 1, CacheEntries: -1,
@@ -502,7 +503,7 @@ func TestHealthDegradesWhenBudgetExhausted(t *testing.T) {
 }
 
 // TestObservabilityOffIsInert: with the plane off the server neither
-// logs nor traces, and responses carry no trace header.
+// logs nor traces, but a response still carries a minted trace ID.
 func TestObservabilityOffIsInert(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1}, fakeRunner)
 	if s.obsEnabled() {
@@ -512,7 +513,7 @@ func TestObservabilityOffIsInert(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("submit = %d", code)
 	}
-	if got := hdr.Get(svcobs.TraceHeader); got != "" {
-		t.Fatalf("trace header %q emitted with observability off", got)
+	if got := hdr.Get(svcobs.TraceHeader); got == "" || svcobs.CleanTraceID(got) != got {
+		t.Fatalf("trace header = %q with observability off, want a minted ID", got)
 	}
 }

@@ -50,12 +50,12 @@ func TestJobRetentionEvictsOldestTerminal(t *testing.T) {
 // finish around it, and is pollable once it finishes too.
 func TestJobRetentionKeepsRunningJobs(t *testing.T) {
 	started, release := make(chan struct{}, 1), make(chan struct{})
-	runFn := func(ctx context.Context, spec *JobSpec) ([]byte, error) {
+	runFn := func(ctx context.Context, spec *JobSpec, _ string) (JobStatus, error) {
 		if spec.Experiments[0] == "table1" {
 			started <- struct{}{}
 			<-release
 		}
-		return fakeRunner(ctx, spec)
+		return fakeRunner(ctx, spec, "")
 	}
 	_, ts := newTestServer(t, Config{Workers: 2, JobRetention: 2}, runFn)
 

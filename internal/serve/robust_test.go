@@ -18,12 +18,12 @@ import (
 // next job.
 func TestPanicIsolation(t *testing.T) {
 	var runs atomic.Int32
-	runFn := func(_ context.Context, spec *JobSpec) ([]byte, error) {
+	runFn := func(_ context.Context, spec *JobSpec, _ string) (JobStatus, error) {
 		runs.Add(1)
 		if len(spec.Experiments) > 0 && spec.Experiments[0] == "table1" {
 			panic("injected chaos")
 		}
-		return []byte(`{"schema":"jadebench/v1"}`), nil
+		return JobStatus{Result: []byte(`{"schema":"jadebench/v1"}`)}, nil
 	}
 	_, ts := newTestServer(t, Config{Workers: 1}, runFn)
 
@@ -53,11 +53,11 @@ func TestPanicIsolation(t *testing.T) {
 // ever reaching the runner.
 func TestDeadlineCoversQueueWait(t *testing.T) {
 	var runs atomic.Int32
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
 		runs.Add(1)
-		return []byte(`{}`), nil
+		return JobStatus{Result: []byte(`{}`)}, nil
 	}
-	s := newServer(Config{Workers: 1, CacheEntries: -1, JobTimeout: 10 * time.Millisecond}, runFn)
+	s := New(Config{Workers: 1, CacheEntries: -1, JobTimeout: 10 * time.Millisecond, Run: runFn})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -95,11 +95,11 @@ func TestDeadlineCoversQueueWait(t *testing.T) {
 func TestCircuitBreaker(t *testing.T) {
 	var fail atomic.Bool
 	fail.Store(true)
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
 		if fail.Load() {
-			return nil, errRunnerBroken
+			return JobStatus{}, errRunnerBroken
 		}
-		return []byte(`{"schema":"jadebench/v1"}`), nil
+		return JobStatus{Result: []byte(`{"schema":"jadebench/v1"}`)}, nil
 	}
 	s, ts := newTestServer(t, Config{
 		Workers: 1, CacheEntries: -1,
@@ -147,8 +147,8 @@ func TestCircuitBreaker(t *testing.T) {
 // TestCircuitBreakerHalfOpenFailureReopens: a failing probe re-trips
 // the circuit immediately, without needing a full failure streak.
 func TestCircuitBreakerHalfOpenFailureReopens(t *testing.T) {
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
-		return nil, errRunnerBroken
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
+		return JobStatus{}, errRunnerBroken
 	}
 	s, ts := newTestServer(t, Config{
 		Workers: 1, CacheEntries: -1,
@@ -182,7 +182,7 @@ func TestCircuitBreakerHalfOpenFailureReopens(t *testing.T) {
 func TestShutdownFinishesFollowers(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	s := newServer(Config{Workers: 2, QueueCap: 8}, blockingRunner(started, release))
+	s := New(Config{Workers: 2, QueueCap: 8, Run: blockingRunner(started, release)})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -14,6 +14,9 @@
 // once each, fanned out across the server's experiment runner (Config.
 // RunParallelism), so one large job can use the whole machine.
 //
+// The job contract is this package's alone: jaderouter is a Server
+// whose Config.Run routes each job through its ring.
+//
 // The serving path is itself observable (internal/svcobs): every
 // request gets a trace ID (accepted from / echoed in X-Jade-Trace),
 // every job grows a lifecycle span tree retrievable as jade-span/v1
@@ -68,7 +71,8 @@ type Config struct {
 	// 429 (default 32).
 	QueueCap int
 	// CacheEntries sizes the LRU result cache; 0 selects the default
-	// of 128, negative disables caching.
+	// of 128. Negative disables caching and singleflight, so the server
+	// runs every job it admits.
 	CacheEntries int
 	// JobTimeout fails a job still executing after this long
 	// (default 2m).
@@ -102,7 +106,18 @@ type Config struct {
 	// objective, availability error budget). The zero value disables
 	// it; when the budget is exhausted /healthz degrades to 503.
 	SLO svcobs.SLOConfig
+	// Run executes every job in place of the local experiment runner;
+	// nil runs jobs on the engine. jaderouter's front routes them.
+	Run RunFunc
 }
+
+// RunFunc executes one admitted job's canonical spec and returns its
+// terminal document. ctx carries the job deadline and, with span
+// capture on, the job's execute span (svcobs.SpanFrom); traceID is the
+// job's trace ID, "" when it has none. The server keeps the document's
+// Result and CacheHit, a failure's Error and ErrorCode (Status
+// failed), and Backend, Hedged and Stale; an error fails the job.
+type RunFunc func(ctx context.Context, spec *JobSpec, traceID string) (JobStatus, error)
 
 func (c *Config) fillDefaults() {
 	if c.Workers < 1 {
@@ -140,6 +155,9 @@ type Job struct {
 
 	status   string
 	cacheHit bool
+	hedged   bool
+	stale    bool
+	backend  string
 	result   json.RawMessage
 	errMsg   string
 	errCode  string
@@ -158,7 +176,8 @@ type Job struct {
 	// Observability: the request's trace travels with the job so the
 	// lifecycle phases (queue wait, execution, finish) land in the same
 	// span tree the HTTP middleware rooted. All nil when span capture
-	// is off.
+	// is off; traceID is kept either way, for the runner and the log.
+	traceID   string
 	trace     *svcobs.Trace
 	root      *svcobs.Span
 	spanQueue *svcobs.Span // queue_wait: enqueue → worker pickup
@@ -184,9 +203,6 @@ type Server struct {
 
 	// runner is this server's experiment fan-out (Config.RunParallelism).
 	runner experiments.Runner
-	// runFn executes a canonical job spec; tests substitute a
-	// controllable runner. The context carries the job deadline.
-	runFn func(context.Context, *JobSpec) ([]byte, error)
 
 	// breaker refuses submissions for experiments that keep failing.
 	breaker *breaker
@@ -215,12 +231,6 @@ type Server struct {
 
 // New creates a server and starts its worker pool.
 func New(cfg Config) *Server {
-	return newServer(cfg, nil)
-}
-
-// newServer wires a server around an arbitrary runner; tests inject
-// controllable ones, and nil runs jobs on the experiment engine.
-func newServer(cfg Config, runFn func(context.Context, *JobSpec) ([]byte, error)) *Server {
 	cfg.fillDefaults()
 	s := &Server{
 		cfg:      cfg,
@@ -230,15 +240,14 @@ func newServer(cfg Config, runFn func(context.Context, *JobSpec) ([]byte, error)
 		start:    time.Now(),
 		logger:   cfg.Logger,
 		slo:      svcobs.NewSLO(cfg.SLO),
-		runFn:    runFn,
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		jobs:     make(map[string]*Job),
 		done:     lru.New[string, *Job](cfg.JobRetention),
 		inflight: make(map[string]*Job),
 		latency:  make(map[string]*obsv.Histogram),
 	}
-	if s.runFn == nil {
-		s.runFn = s.runJobSpec
+	if s.cfg.Run == nil {
+		s.cfg.Run = s.runJobSpec
 	}
 	s.breaker.onTransition = s.noteBreakerTransition
 	s.mux = http.NewServeMux()
@@ -255,31 +264,20 @@ func newServer(cfg Config, runFn func(context.Context, *JobSpec) ([]byte, error)
 	return s
 }
 
-// ServeHTTP implements http.Handler. With the observability plane on
-// it routes through the tracing/logging middleware; off, it is the
-// bare mux dispatch it always was.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.obsEnabled() {
-		s.serveObserved(w, r)
-		return
-	}
-	s.mux.ServeHTTP(w, r)
-}
-
-// runJobSpec executes a canonical job spec on the server's runner and
-// returns the encoded jadebench/v1 document. The engine has no
-// cancellation points mid-simulation, so ctx is consulted only by the
-// caller.
-func (s *Server) runJobSpec(_ context.Context, spec *JobSpec) ([]byte, error) {
+// runJobSpec is the local RunFunc: it executes a canonical job spec on
+// the server's runner and returns the encoded jadebench/v1 document.
+// The engine has no cancellation points mid-simulation, so ctx is
+// consulted only by the caller.
+func (s *Server) runJobSpec(_ context.Context, spec *JobSpec, _ string) (JobStatus, error) {
 	rep, err := s.runner.Report(spec.Experiments, spec.Runs, experiments.Scale(spec.Scale))
 	if err != nil {
-		return nil, err
+		return JobStatus{}, err
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
-		return nil, err
+		return JobStatus{}, err
 	}
-	return buf.Bytes(), nil
+	return JobStatus{Result: buf.Bytes()}, nil
 }
 
 // Shutdown drains the server: the queue closes, jobs still queued
@@ -293,7 +291,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	for j := range s.queue {
-		s.finish(j, nil, false, errShutdown)
+		s.finish(j, failure(errShutdown))
 	}
 	drained := make(chan struct{})
 	go func() {
@@ -320,7 +318,7 @@ func (s *Server) worker() {
 		down := s.shutdown
 		s.mu.Unlock()
 		if down {
-			s.finish(j, nil, false, errShutdown)
+			s.finish(j, failure(errShutdown))
 			continue
 		}
 		s.execute(j)
@@ -332,7 +330,8 @@ func (s *Server) worker() {
 // hash is already executing, this job registers as a follower and the
 // worker moves on — the leader's completion finishes every follower
 // with the shared result, so N concurrent identical submissions cost
-// one simulation.
+// one simulation. Singleflight shares a result like the cache does, so
+// it is off with the cache.
 func (s *Server) execute(j *Job) {
 	j.spanQueue.End()
 	// An identical job may have finished while this one queued. A job
@@ -340,15 +339,15 @@ func (s *Server) execute(j *Job) {
 	// half-open probe slot the probe is cancelled rather than resolved.
 	if data, ok := s.cache.Peek(j.Hash); ok {
 		s.breaker.cancelProbe(breakerKeys(j.Spec))
-		s.finish(j, data, true, nil)
+		s.finish(j, JobStatus{CacheHit: true, Result: data})
 		return
 	}
 	// The job deadline started at submission; a job that spent it all
 	// waiting in the queue fails without burning a worker on it.
 	if j.ctx.Err() != nil {
 		s.breaker.cancelProbe(breakerKeys(j.Spec))
-		s.finish(j, nil, false, fmt.Errorf(
-			"%w: the %s job deadline expired while the job was queued", errTimeout, s.cfg.JobTimeout))
+		s.finish(j, failure(fmt.Errorf(
+			"%w: the %s job deadline expired while the job was queued", errTimeout, s.cfg.JobTimeout)))
 		return
 	}
 	s.mu.Lock()
@@ -362,23 +361,26 @@ func (s *Server) execute(j *Job) {
 		s.mu.Unlock()
 		return
 	}
-	s.inflight[j.Hash] = j
+	if s.cfg.CacheEntries > 0 {
+		s.inflight[j.Hash] = j
+	}
 	j.status = StatusRunning
 	s.busy++
 	s.mu.Unlock()
 	started := time.Now()
 
 	execSpan := j.root.Child("execute")
-	data, err := s.runOnce(j.ctx, j.Spec)
-	if err != nil {
-		execSpan.SetAttr("error", err.Error())
+	out := s.runOnce(svcobs.WithSpan(j.ctx, execSpan), j.Spec, j.traceID)
+	failed := out.Status == StatusFailed
+	if failed {
+		execSpan.SetAttr("error", out.Error)
 	}
 	execSpan.End()
-	if err == nil {
-		s.cache.Put(j.Hash, data)
+	if !failed {
+		s.cache.Put(j.Hash, out.Result)
 		s.observe(j, time.Since(started).Seconds())
 	}
-	if keys := breakerKeys(j.Spec); err != nil {
+	if keys := breakerKeys(j.Spec); failed {
 		s.breaker.failure(keys)
 	} else {
 		s.breaker.success(keys)
@@ -389,14 +391,16 @@ func (s *Server) execute(j *Job) {
 	j.followers = nil
 	s.busy--
 	s.mu.Unlock()
-	s.finish(j, data, false, err)
+	s.finish(j, out)
 	for _, f := range followers {
 		f.spanFlw.End()
-		if err != nil {
-			s.finish(f, nil, false, fmt.Errorf("deduplicated onto an identical job that failed: %w", err))
+		shared := out
+		if failed {
+			shared.Error = "deduplicated onto an identical job that failed: " + out.Error
 		} else {
-			s.finish(f, data, true, nil)
+			shared.CacheHit = true
 		}
+		s.finish(f, shared)
 	}
 }
 
@@ -405,54 +409,59 @@ func (s *Server) execute(j *Job) {
 // the worker (or the process). The deadline is enforced here; on
 // expiry the simulation goroutine is abandoned and its eventual
 // result dropped, since the engine has no mid-run cancellation points.
-func (s *Server) runOnce(ctx context.Context, spec *JobSpec) ([]byte, error) {
-	type outcome struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan outcome, 1)
+// Every failure comes back as a failed outcome.
+func (s *Server) runOnce(ctx context.Context, spec *JobSpec, traceID string) JobStatus {
+	ch := make(chan JobStatus, 1)
 	go func() {
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.mu.Lock()
 				s.panicked++
 				s.mu.Unlock()
-				ch <- outcome{nil, fmt.Errorf("job panicked: %v\n%s", rec, debug.Stack())}
+				ch <- failure(fmt.Errorf("job panicked: %v\n%s", rec, debug.Stack()))
 			}
 		}()
-		data, err := s.runFn(ctx, spec)
-		ch <- outcome{data, err}
+		out, err := s.cfg.Run(ctx, spec, traceID)
+		if err != nil {
+			out = failure(err)
+		}
+		ch <- out
 	}()
 	select {
-	case o := <-ch:
-		return o.data, o.err
+	case out := <-ch:
+		return out
 	case <-ctx.Done():
-		return nil, fmt.Errorf("%w: job exceeded the %s deadline (queue wait included)",
-			errTimeout, s.cfg.JobTimeout)
+		return failure(fmt.Errorf("%w: job exceeded the %s deadline (queue wait included)",
+			errTimeout, s.cfg.JobTimeout))
 	}
 }
 
-// finish moves a job to its terminal state and wakes waiters. Timeout
-// failures carry the distinct "timeout" error code so clients can tell
-// "retry later" from "this spec fails". The terminal state also feeds
-// the SLO tracker and the job-lifecycle log, before the waiters wake:
-// a sync caller that returns finds its job counted and logged.
-func (s *Server) finish(j *Job, data []byte, cacheHit bool, err error) {
+// failure is the outcome of a job that ended in err: a deadline expiry
+// carries ErrCodeTimeout ("retry later"), anything else ErrCodeFailed.
+func failure(err error) JobStatus {
+	code := ErrCodeFailed
+	if errors.Is(err, errTimeout) {
+		code = ErrCodeTimeout
+	}
+	return JobStatus{Status: StatusFailed, Error: err.Error(), ErrorCode: code}
+}
+
+// finish moves a job to its terminal state, failed when out's Status
+// says so and done otherwise, and wakes waiters. The terminal state
+// also feeds the SLO tracker and the job-lifecycle log, before the
+// waiters wake: a sync caller that returns finds its job counted and
+// logged.
+func (s *Server) finish(j *Job, out JobStatus) {
 	fs := j.root.Child("finish")
 	s.mu.Lock()
-	j.cacheHit = cacheHit
-	if err != nil {
-		j.status = StatusFailed
-		j.errMsg = err.Error()
-		j.errCode = ErrCodeFailed
-		if errors.Is(err, errTimeout) {
-			j.errCode = ErrCodeTimeout
-		}
-		s.failed++
-	} else {
-		j.status = StatusDone
-		j.result = data
+	j.cacheHit, j.backend, j.hedged, j.stale = out.CacheHit, out.Backend, out.Hedged, out.Stale
+	ok := out.Status != StatusFailed
+	if ok {
+		j.status, j.result = StatusDone, out.Result
 		s.completed++
+	} else {
+		j.status, j.errMsg, j.errCode = StatusFailed, out.Error, out.ErrorCode
+		s.failed++
 	}
 	if j.cancel != nil {
 		j.cancel()
@@ -462,7 +471,7 @@ func (s *Server) finish(j *Job, data []byte, cacheHit bool, err error) {
 	s.mu.Unlock()
 	fs.End()
 	latency := time.Since(j.created).Seconds()
-	s.slo.Record(latency, err == nil)
+	s.slo.Record(latency, ok)
 	s.logJob(j, latency)
 	close(j.done)
 }
@@ -542,14 +551,6 @@ const (
 	retrySpread = 4 * time.Second
 )
 
-// RetryAfter is the Retry-After header value, in whole seconds from 1
-// to 5, for a refusal of the spec with this canonical hash: the spread
-// jaded's queue-full and draining refusals carry, and the hint on every
-// jaderouter refusal and timed-out synchronous job.
-func RetryAfter(hash string) string {
-	return retryAfterSecs(jitterRetryAfter(retryBase, retrySpread, hash))
-}
-
 // refuseDraining builds the refusal for a submission that raced
 // graceful shutdown: 503 with a jittered Retry-After (the process
 // replacing this one will be up shortly; spread the comebacks) and
@@ -589,7 +590,7 @@ func (s *Server) admit(spec *JobSpec, ro *reqObs) (*Job, *admitError) {
 		s.accepted++
 		s.mu.Unlock()
 		j.attachObs(ro)
-		s.finish(j, data, true, nil)
+		s.finish(j, JobStatus{CacheHit: true, Result: data})
 		return j, nil
 	}
 
@@ -773,16 +774,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	err := dec.Decode(&spec)
 	recv.End()
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid job spec JSON: "+err.Error())
+		writeError(w, http.StatusBadRequest, "invalid job spec JSON: "+err.Error())
 		return
 	}
 	if err := canonicalize(&spec, ro); err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sync := r.URL.Query().Get("sync") == "1"
 	if sync && spec.Scale != string(experiments.Small) {
-		WriteError(w, http.StatusBadRequest,
+		writeError(w, http.StatusBadRequest,
 			"?sync=1 is only supported for scale \"small\"; submit paper-scale jobs asynchronously")
 		return
 	}
@@ -797,17 +798,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if aerr.closeConn {
 			w.Header().Set("Connection", "close")
 		}
-		WriteError(w, aerr.status, aerr.msg)
+		writeError(w, aerr.status, aerr.msg)
 	case err != nil:
 		// The client hung up; the job keeps running and stays
 		// pollable under its ID.
-	case sync:
-		WriteSync(w, doc, retryAfterSecs(s.cfg.JobTimeout))
-	case doc.Status == StatusDone:
-		// Born done from the result cache.
-		WriteJSON(w, http.StatusOK, doc)
+	case !sync:
+		// Accepted, even when the job was born done from the cache.
+		writeStatus(w, http.StatusAccepted, doc)
+	case doc.ErrorCode == ErrCodeTimeout:
+		// A timeout is a capacity problem: the same spec may succeed
+		// once a job's deadline has passed. Polls never answer 504.
+		w.Header().Set("Retry-After", retryAfterSecs(s.cfg.JobTimeout))
+		writeStatus(w, http.StatusGatewayTimeout, doc)
 	default:
-		WriteJSON(w, http.StatusAccepted, doc)
+		// Failures included: the status is in the body.
+		writeStatus(w, http.StatusOK, doc)
 	}
 }
 
@@ -835,6 +840,9 @@ func (s *Server) statusDoc(j *Job) *JobStatus {
 		TraceID:   j.trace.ID(),
 		Error:     j.errMsg,
 		ErrorCode: j.errCode,
+		Backend:   j.backend,
+		Hedged:    j.hedged,
+		Stale:     j.stale,
 		Spec:      j.Spec,
 	}
 	if j.status == StatusDone {
@@ -853,18 +861,28 @@ func (s *Server) lookup(id string) (*Job, bool) {
 	return s.done.Peek(id)
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+// Status returns a job's status document, as GET /v1/jobs/{id}
+// answers it; false when the ID is unknown or no longer retained.
+func (s *Server) Status(id string) (*JobStatus, bool) {
 	j, ok := s.lookup(id)
 	if !ok {
-		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
+		return nil, false
+	}
+	return s.statusDoc(j), true
+}
+
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	doc, ok := s.Status(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.statusDoc(j))
+	writeStatus(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, NewCatalog())
+	WriteJSON(w, http.StatusOK, newCatalog())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -20,14 +20,10 @@ import (
 // newTestServer starts a server (with the given runner, or the real
 // experiment engine when runFn is nil) behind httptest and tears both
 // down with the test.
-func newTestServer(t *testing.T, cfg Config, runFn func(context.Context, *JobSpec) ([]byte, error)) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, cfg Config, runFn RunFunc) (*Server, *httptest.Server) {
 	t.Helper()
-	var s *Server
-	if runFn == nil {
-		s = New(cfg)
-	} else {
-		s = newServer(cfg, runFn)
-	}
+	cfg.Run = runFn
+	s := New(cfg)
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
@@ -99,17 +95,17 @@ func getStatus(t *testing.T, url, id string) (int, *JobStatus) {
 }
 
 // fakeRunner returns instantly with spec-derived bytes.
-func fakeRunner(_ context.Context, spec *JobSpec) ([]byte, error) {
-	return []byte(fmt.Sprintf(`{"schema":"jadebench/v1","scale":%q}`, spec.Scale)), nil
+func fakeRunner(_ context.Context, spec *JobSpec, _ string) (JobStatus, error) {
+	return JobStatus{Result: []byte(fmt.Sprintf(`{"schema":"jadebench/v1","scale":%q}`, spec.Scale))}, nil
 }
 
 // blockingRunner blocks every run until release closes, signalling
 // each start. Buffers keep signals non-blocking.
-func blockingRunner(started chan struct{}, release chan struct{}) func(context.Context, *JobSpec) ([]byte, error) {
-	return func(context.Context, *JobSpec) ([]byte, error) {
+func blockingRunner(started chan struct{}, release chan struct{}) RunFunc {
+	return func(context.Context, *JobSpec, string) (JobStatus, error) {
 		started <- struct{}{}
 		<-release
-		return []byte(`{"schema":"jadebench/v1"}`), nil
+		return JobStatus{Result: []byte(`{"schema":"jadebench/v1"}`)}, nil
 	}
 }
 
@@ -250,11 +246,11 @@ func TestQueuedJobsRunInSubmissionOrder(t *testing.T) {
 	block := blockingRunner(started, release)
 	var mu sync.Mutex
 	var ran []string
-	runFn := func(ctx context.Context, spec *JobSpec) ([]byte, error) {
+	runFn := func(ctx context.Context, spec *JobSpec, _ string) (JobStatus, error) {
 		mu.Lock()
 		ran = append(ran, spec.Experiments[0])
 		mu.Unlock()
-		return block(ctx, spec)
+		return block(ctx, spec, "")
 	}
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 3}, runFn)
 
@@ -428,9 +424,9 @@ func TestMetriczGraphCacheCounters(t *testing.T) {
 func TestJobTimeout(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
 		<-release
-		return nil, nil
+		return JobStatus{}, nil
 	}
 	_, ts := newTestServer(t, Config{Workers: 1, JobTimeout: 30 * time.Millisecond}, runFn)
 
@@ -444,15 +440,15 @@ func TestJobTimeout(t *testing.T) {
 	if doc.ErrorCode != ErrCodeTimeout {
 		t.Fatalf("error_code = %q, want %q", doc.ErrorCode, ErrCodeTimeout)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("504 without a Retry-After hint")
+	if got := hdr.Get("Retry-After"); got != "1" { // JobTimeout, at the 1 s floor
+		t.Fatalf("Retry-After = %q, want the 30ms JobTimeout as \"1\"", got)
 	}
 }
 
 func TestGracefulShutdown(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	s := newServer(Config{Workers: 1, QueueCap: 8}, blockingRunner(started, release))
+	s := New(Config{Workers: 1, QueueCap: 8, Run: blockingRunner(started, release)})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -38,11 +38,11 @@ func TestSingleflightConcurrentIdenticalJobsRunOnce(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
 	var runs atomic.Int32
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
 		runs.Add(1)
 		started <- struct{}{}
 		<-release
-		return []byte(`{"schema":"jadebench/v1","scale":"small"}`), nil
+		return JobStatus{Result: []byte(`{"schema":"jadebench/v1","scale":"small"}`)}, nil
 	}
 	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8}, runFn)
 	spec := `{"experiments":["table1"]}`
@@ -107,10 +107,10 @@ func TestSingleflightConcurrentIdenticalJobsRunOnce(t *testing.T) {
 func TestSingleflightFollowerSharesLeaderFailure(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
 		started <- struct{}{}
 		<-release
-		return nil, errRunnerBroken
+		return JobStatus{}, errRunnerBroken
 	}
 	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8}, runFn)
 	spec := `{"experiments":["table2"]}`
@@ -146,9 +146,9 @@ func TestSingleflightFollowerSharesLeaderFailure(t *testing.T) {
 // over-deduplication: different canonical hashes never share a flight.
 func TestSingleflightDistinctSpecsStillRunSeparately(t *testing.T) {
 	var runs atomic.Int32
-	runFn := func(context.Context, *JobSpec) ([]byte, error) {
+	runFn := func(context.Context, *JobSpec, string) (JobStatus, error) {
 		runs.Add(1)
-		return []byte(`{"schema":"jadebench/v1"}`), nil
+		return JobStatus{Result: []byte(`{"schema":"jadebench/v1"}`)}, nil
 	}
 	_, ts := newTestServer(t, Config{Workers: 2, CacheEntries: -1}, runFn)
 	if code, _, _ := submit(t, ts.URL, `{"experiments":["table1"]}`, true); code != http.StatusOK {

@@ -17,9 +17,11 @@
 package svcobs
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"io"
+	"net/http"
 	"sync"
 	"time"
 
@@ -60,6 +62,35 @@ func CleanTraceID(id string) string {
 		}
 	}
 	return id
+}
+
+// EchoTrace sets the response's TraceHeader to the request's trace ID,
+// or to a fresh one when the request carries no valid ID, and returns
+// that ID.
+func EchoTrace(w http.ResponseWriter, r *http.Request) string {
+	id := CleanTraceID(r.Header.Get(TraceHeader))
+	if id == "" {
+		id = NewTraceID()
+	}
+	w.Header().Set(TraceHeader, id)
+	return id
+}
+
+type spanKey struct{}
+
+// WithSpan returns ctx carrying s as the parent span for the work done
+// under ctx; a nil s returns ctx itself.
+func WithSpan(ctx context.Context, s *Span) context.Context {
+	if s == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, s)
+}
+
+// SpanFrom returns the span WithSpan put in ctx, nil if none.
+func SpanFrom(ctx context.Context) *Span {
+	s, _ := ctx.Value(spanKey{}).(*Span)
+	return s
 }
 
 // Trace is one request's span tree. All span mutation goes through the
