@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	jadeload [-backends 3] [-requests 200] [-concurrency 8] [-sync 0.8]
-//	         [-zipf 1.2] [-seed 1] [-burst 0] [-kill mode@N[:backend]]...
+//	jadeload [-backends 3] [-requests 200] [-concurrency 8]
+//	         [-seed 1] [-burst 0] [-kill mode@N[:backend]]...
 //	         [-experiments table1,table2] [-scale small] [-single-only]
 //	         [-workers 2] [-queue 32] [-hedge-after 25ms]
 //	         [-probe-interval 50ms] [-request-timeout 10s]
@@ -63,8 +63,6 @@ func main() {
 		backends    = flag.Int("backends", 3, "topology size for the multi-node run")
 		requests    = flag.Int("requests", 200, "total requests per topology")
 		concurrency = flag.Int("concurrency", 8, "concurrent client workers")
-		syncFrac    = flag.Float64("sync", 0.8, "fraction of requests submitted synchronously")
-		zipfS       = flag.Float64("zipf", 1.2, "Zipf skew over the spec pool (> 1)")
 		seed        = flag.Int64("seed", 1, "workload seed (same seed, same request mix)")
 		burst       = flag.Int("burst", 0, "release requests in bursts of this size, 5ms apart (0 = continuous)")
 		expList     = flag.String("experiments", "", "comma-separated experiment IDs for the spec pool (empty = full default mix)")
@@ -103,15 +101,13 @@ func main() {
 	}
 
 	cfg := load.Config{
-		Backends:     *backends,
-		Requests:     *requests,
-		Concurrency:  *concurrency,
-		SyncFraction: *syncFrac,
-		ZipfS:        *zipfS,
-		Seed:         *seed,
-		BurstSize:    *burst,
-		Kills:        kills,
-		Specs:        specs,
+		Backends:    *backends,
+		Requests:    *requests,
+		Concurrency: *concurrency,
+		Seed:        *seed,
+		BurstSize:   *burst,
+		Kills:       kills,
+		Specs:       specs,
 		Router: router.Config{
 			HedgeAfter:     *hedgeAfter,
 			RequestTimeout: *reqTimeout,
@@ -131,8 +127,8 @@ func main() {
 			fatal(err)
 		}
 		out = &load.Report{Schema: load.Schema, Workload: load.Workload{
-			Requests: cfg.Requests, Concurrency: cfg.Concurrency, SyncFraction: cfg.SyncFraction,
-			ZipfS: cfg.ZipfS, Seed: cfg.Seed, SpecPool: len(cfg.Specs), BurstSize: cfg.BurstSize, Kills: cfg.Kills,
+			Requests: cfg.Requests, Concurrency: cfg.Concurrency, SyncFraction: load.SyncFraction,
+			ZipfS: load.ZipfS, Seed: cfg.Seed, SpecPool: len(cfg.Specs), BurstSize: cfg.BurstSize, Kills: cfg.Kills,
 		}, Topologies: []load.TopologyReport{*tr}}
 	} else {
 		rep, err := load.RunComparison(cfg)

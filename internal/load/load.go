@@ -57,12 +57,6 @@ type Config struct {
 	// Concurrency is the number of concurrent client workers
 	// (default 8).
 	Concurrency int
-	// SyncFraction is the fraction of requests submitted with ?sync=1
-	// (default 0.8); the rest submit async and poll to completion.
-	SyncFraction float64
-	// ZipfS is the Zipf skew over the spec pool (default 1.2; must be
-	// > 1). Higher values concentrate traffic on fewer keys.
-	ZipfS float64
 	// Seed pins the request mix (spec choice, sync/async choice) —
 	// same seed, same workload.
 	Seed int64
@@ -85,10 +79,15 @@ type Config struct {
 }
 
 // pollInterval is the async status-poll cadence, and burstPause the
-// gap between bursts.
+// gap between bursts. SyncFraction of the requests submit with ?sync=1
+// (the rest submit async and poll to completion), and spec popularity
+// is Zipf-distributed with skew ZipfS over the pool; jade-load/v1
+// echoes both.
 const (
 	pollInterval = 2 * time.Millisecond
 	burstPause   = 5 * time.Millisecond
+	SyncFraction = 0.8
+	ZipfS        = 1.2
 )
 
 func (c *Config) fillDefaults() error {
@@ -100,18 +99,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
-	}
-	if c.SyncFraction == 0 {
-		c.SyncFraction = 0.8
-	}
-	if c.SyncFraction < 0 || c.SyncFraction > 1 {
-		return fmt.Errorf("load: sync fraction %v outside [0,1]", c.SyncFraction)
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.2
-	}
-	if c.ZipfS <= 1 {
-		return fmt.Errorf("load: zipf skew %v must be > 1", c.ZipfS)
 	}
 	if c.Router.RequestTimeout <= 0 {
 		c.Router.RequestTimeout = 10 * time.Second
@@ -175,7 +162,7 @@ type plan struct {
 
 func buildPlan(cfg *Config) *plan {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(cfg.Specs)-1))
+	zipf := rand.NewZipf(rng, ZipfS, 1, uint64(len(cfg.Specs)-1))
 	p := &plan{choice: make([]int, cfg.Requests), sync: make([]bool, cfg.Requests)}
 	counts := make([]int, len(cfg.Specs))
 	for i := range p.choice {
@@ -185,7 +172,7 @@ func buildPlan(cfg *Config) *plan {
 		}
 		p.choice[i] = c
 		counts[c]++
-		p.sync[i] = rng.Float64() < cfg.SyncFraction
+		p.sync[i] = rng.Float64() < SyncFraction
 	}
 	for i, n := range counts {
 		if n > counts[p.hot] {
@@ -284,8 +271,8 @@ func RunComparison(cfg Config) (*Report, error) {
 		Workload: Workload{
 			Requests:     cfg.Requests,
 			Concurrency:  cfg.Concurrency,
-			SyncFraction: cfg.SyncFraction,
-			ZipfS:        cfg.ZipfS,
+			SyncFraction: SyncFraction,
+			ZipfS:        ZipfS,
 			Seed:         cfg.Seed,
 			SpecPool:     len(cfg.Specs),
 			BurstSize:    cfg.BurstSize,

@@ -91,7 +91,8 @@ func TestHandlerSubmitHeaders(t *testing.T) {
 }
 
 // TestHandlerStaleHeaderAndFailure: degraded mode marks stale
-// responses, and a job for an uncached key fails like any job.
+// responses, and a job for an uncached key fails as unavailable
+// (retry later), still answering 200 with the status in the body.
 func TestHandlerStaleHeaderAndFailure(t *testing.T) {
 	_, fakes, ts := testHandler(t, false, "n1", "n2")
 	postJob(t, ts.URL, `{"experiments":["table1"]}`, true)
@@ -104,9 +105,9 @@ func TestHandlerStaleHeaderAndFailure(t *testing.T) {
 	}
 
 	code, _, doc = postJob(t, ts.URL, `{"experiments":["table2"]}`, true)
-	if code != http.StatusOK || doc.Status != serve.StatusFailed || doc.ErrorCode != serve.ErrCodeFailed ||
+	if code != http.StatusOK || doc.Status != serve.StatusFailed || doc.ErrorCode != serve.ErrCodeUnavailable ||
 		!strings.Contains(doc.Error, "backend") {
-		t.Fatalf("uncached key while down = %d %s %q (%s), want 200 failed naming a backend",
+		t.Fatalf("uncached key while down = %d %s %q (%s), want 200 unavailable naming a backend",
 			code, doc.Status, doc.ErrorCode, doc.Error)
 	}
 }

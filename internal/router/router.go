@@ -210,10 +210,16 @@ func (rt *Router) Front(spans bool) *serve.Server {
 }
 
 // run is the front's serve.RunFunc: it routes one job and returns the
-// serving backend's terminal document with the routing facts set.
+// serving backend's terminal document with the routing facts set. A
+// 503 from Do (no replica could serve, no stale copy) wraps
+// serve.ErrUnavailable, so the job fails as "retry later"; a backend's
+// 4xx fails it as the spec's fault.
 func (rt *Router) run(ctx context.Context, spec *serve.JobSpec, traceID string) (serve.JobStatus, error) {
 	res := rt.Do(ctx, spec, true, traceID)
 	if res.Err != nil {
+		if res.Code == http.StatusServiceUnavailable {
+			return serve.JobStatus{}, fmt.Errorf("%w: %w", serve.ErrUnavailable, res.Err)
+		}
 		return serve.JobStatus{}, res.Err
 	}
 	doc := *res.Doc

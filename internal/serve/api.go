@@ -30,11 +30,13 @@ const (
 )
 
 // Error codes reported in JobStatus.ErrorCode for failed jobs. A
-// timeout is a capacity problem (the same spec may succeed later); a
-// plain failure is inherent to the spec or the runner.
+// timeout or an unavailable runner is a capacity problem (the same
+// spec may succeed later); a plain failure is inherent to the spec or
+// the runner.
 const (
-	ErrCodeTimeout = "timeout"
-	ErrCodeFailed  = "failed"
+	ErrCodeTimeout     = "timeout"
+	ErrCodeUnavailable = "unavailable"
+	ErrCodeFailed      = "failed"
 )
 
 // JobStatus is the job-status response document. Result carries the
@@ -51,7 +53,8 @@ type JobStatus struct {
 	TraceID string `json:"trace_id,omitempty"`
 	Error   string `json:"error,omitempty"`
 	// ErrorCode classifies a failed job: ErrCodeTimeout means the job
-	// deadline expired (retry later), ErrCodeFailed everything else.
+	// deadline expired and ErrCodeUnavailable that no runner could take
+	// it (both: retry later), ErrCodeFailed everything else.
 	ErrorCode string `json:"error_code,omitempty"`
 	// Backend, Hedged and Stale say how jaderouter served a routed job:
 	// who answered, whether a hedge launched, whether the result came

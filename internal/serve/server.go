@@ -60,6 +60,11 @@ import (
 // "timeout" error code (and sync submits can answer 504 + Retry-After).
 var errTimeout = errors.New("timeout")
 
+// ErrUnavailable is what a RunFunc wraps when no runner could take the
+// job at all (jaderouter: every replica down, overloaded or ejected);
+// failure reports it as ErrCodeUnavailable, "retry later".
+var ErrUnavailable = errors.New("unavailable")
+
 // errShutdown fails every job still queued when the server shuts down.
 var errShutdown = errors.New("server shut down before the job started")
 
@@ -437,11 +442,15 @@ func (s *Server) runOnce(ctx context.Context, spec *JobSpec, traceID string) Job
 }
 
 // failure is the outcome of a job that ended in err: a deadline expiry
-// carries ErrCodeTimeout ("retry later"), anything else ErrCodeFailed.
+// carries ErrCodeTimeout and an unavailable runner ErrCodeUnavailable
+// (both "retry later"), anything else ErrCodeFailed.
 func failure(err error) JobStatus {
 	code := ErrCodeFailed
-	if errors.Is(err, errTimeout) {
+	switch {
+	case errors.Is(err, errTimeout):
 		code = ErrCodeTimeout
+	case errors.Is(err, ErrUnavailable):
+		code = ErrCodeUnavailable
 	}
 	return JobStatus{Status: StatusFailed, Error: err.Error(), ErrorCode: code}
 }
